@@ -426,18 +426,8 @@ let stats_cmd_impl dir group policy schedule jobs workers worker_timeout
 
 let deps_cmd_impl dir group dot =
   guarded (fun () ->
-      with_manager dir group (fun fs _mgr sources ->
-          let parsed =
-            List.map
-              (fun file ->
-                match fs.Vfs.fs_read file with
-                | Some src -> (file, Lang.Parser.parse_unit ~file src)
-                | None ->
-                  Support.Diag.error Support.Diag.Manager Support.Loc.dummy
-                    "source file %s not found" file)
-              sources
-          in
-          let graph = Depend.Depgraph.build parsed in
+      with_manager dir group (fun _fs mgr sources ->
+          let graph = Irm.Driver.dependency_graph mgr ~sources in
           let order = Depend.Depgraph.topological graph in
           if dot then begin
             print_endline "digraph deps {";

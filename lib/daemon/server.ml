@@ -782,9 +782,10 @@ let drop_wedged t =
 (* Watch sweeps                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* the dependent cone the dirty files invalidate, via the dependency
-   graph (parse errors are tolerated: a broken source still maps to
-   itself) *)
+(* the dependent cone the dirty files invalidate, via the group
+   manager's warm dependency scan (parse errors are tolerated: a broken
+   source still maps to itself).  The rebuild that follows finds every
+   source this scan parsed already in the memo. *)
 let dirty_cone t g dirty =
   if List.exists (String.equal g.g_group) dirty then g.g_sources
   else if
@@ -799,22 +800,7 @@ let dirty_cone t g dirty =
   then g.g_sources
   else
     match
-      let parsed =
-        List.map
-          (fun file ->
-            let source =
-              Option.value ~default:"" (t.fs.Vfs.fs_read file)
-            in
-            let scan_diags = Diag.collector ~unit_name:file () in
-            match
-              Lang.Parser.parse_unit ~diags:scan_diags ~file source
-            with
-            | unit_ -> (file, unit_)
-            | exception Diag.Errors _ ->
-              (file, { Lang.Ast.unit_file = file; unit_decs = [] }))
-          g.g_sources
-      in
-      Depend.Depgraph.build parsed
+      Driver.dependency_graph ~keep_going:true g.g_mgr ~sources:g.g_sources
     with
     | graph ->
       let seen = Hashtbl.create 8 in

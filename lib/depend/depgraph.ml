@@ -15,11 +15,10 @@ type t = {
 
 let manager_error fmt = Diag.error Diag.Manager Support.Loc.dummy fmt
 
-let build units =
+let of_summaries summaries =
   let providers = Symbol.Table.create 64 in
   List.iter
-    (fun (file, unit_) ->
-      let summary = Scan.scan unit_ in
+    (fun (file, summary) ->
       Symbol.Set.iter
         (fun name ->
           match Symbol.Table.find_opt providers name with
@@ -28,11 +27,10 @@ let build units =
               name other file
           | Some _ | None -> Symbol.Table.replace providers name file)
         summary.Scan.defines)
-    units;
+    summaries;
   let nodes = Hashtbl.create 64 in
   List.iter
-    (fun (file, unit_) ->
-      let summary = Scan.scan unit_ in
+    (fun (file, summary) ->
       let deps =
         Symbol.Set.fold
           (fun name acc ->
@@ -45,8 +43,11 @@ let build units =
       in
       Hashtbl.replace nodes file
         { n_file = file; n_summary = summary; n_deps = deps })
-    units;
-  { nodes; providers; order = List.map fst units }
+    summaries;
+  { nodes; providers; order = List.map fst summaries }
+
+let build units =
+  of_summaries (List.map (fun (file, unit_) -> (file, Scan.scan unit_)) units)
 
 let node t file =
   match Hashtbl.find_opt t.nodes file with

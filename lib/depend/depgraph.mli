@@ -17,6 +17,11 @@ type t
     (phase [Manager]). *)
 val build : (string * Lang.Ast.unit_) list -> t
 
+(** [of_summaries summaries] — the same graph from (file, scan summary)
+    pairs, for callers that already hold each unit's {!Scan.summary}
+    ([build] is [of_summaries] over {!Scan.scan}). *)
+val of_summaries : (string * Scan.summary) list -> t
+
 val node : t -> string -> node
 
 (** Files in dependency order (dependencies first).  Raises

@@ -78,6 +78,7 @@ let m_cutoff_hits = Obs.Metrics.counter "build.cutoff_hits"
 let m_cache_hits = Obs.Metrics.counter "build.cache_hits"
 let m_failed = Obs.Metrics.counter "build.failed"
 let m_skipped = Obs.Metrics.counter "build.skipped"
+let m_parses = Obs.Metrics.counter "depend.parses"
 
 exception Interrupted of string
 
@@ -94,6 +95,12 @@ type t = {
           again — the daemon's warm-rebuild win.  Never trusted blindly:
           entries are keyed by exact byte equality with what is on
           disk. *)
+  scans : (string, string * Depend.Scan.summary) Hashtbl.t;
+      (** the warm dependency scan: file → (source text last scanned,
+          its scan summary).  A source whose text is byte-equal to the
+          stored one is not parsed again.  Only clean parses are
+          stored, so a broken source is re-parsed (and re-reports its
+          errors) every time. *)
   mutable last_order : string list;  (** build order of the last build *)
 }
 
@@ -104,6 +111,7 @@ let create fs =
     units = Hashtbl.create 32;
     bin_bytes = Hashtbl.create 32;
     retained = Hashtbl.create 32;
+    scans = Hashtbl.create 32;
     last_order = [];
   }
 
@@ -117,6 +125,65 @@ let read_source t file =
   match t.fs.Vfs.fs_read file with
   | Some content -> content
   | None -> manager_error "source file %s not found" file
+
+(* Parse [source] and scan it, remembering the summary when the parse is
+   clean.  With [keep_going] a broken source gets a throwaway recovery
+   parse instead of raising: the dependency scan must survive it, and
+   its diagnostics then surface as a failed compile job (compiles are
+   pure, so the job re-derives exactly the same diagnostics) instead of
+   aborting the whole build before anything was scheduled. *)
+let parse_summary t ~keep_going file source =
+  Obs.Metrics.incr m_parses;
+  let remember summary =
+    Hashtbl.replace t.scans file (source, summary);
+    summary
+  in
+  if keep_going then
+    let diags = Diag.collector ~unit_name:file () in
+    match Lang.Parser.parse_unit ~diags ~file source with
+    | unit_ when not (Diag.has_errors diags) -> remember (Depend.Scan.scan unit_)
+    | unit_ -> Depend.Scan.scan unit_
+    | exception Diag.Errors _ ->
+      Depend.Scan.scan { Lang.Ast.unit_file = file; unit_decs = [] }
+  else remember (Depend.Scan.scan (Lang.Parser.parse_unit ~file source))
+
+(* Read every source once and scan it, parsing only the sources whose
+   text changed since the manager last scanned them; memo entries of
+   files no longer listed are dropped.  Returns each (file, text) — the
+   bytes a build then compiles — and the dependency graph. *)
+let scan_sources t ~keep_going sources =
+  let scanned =
+    Obs.Trace.span_with ~cat:"build" "build.scan_sources" @@ fun () ->
+    let hits = ref 0 in
+    let scanned =
+      List.map
+        (fun file ->
+          let source = read_source t file in
+          match Hashtbl.find_opt t.scans file with
+          | Some (prev, summary) when String.equal prev source ->
+            incr hits;
+            (file, source, summary)
+          | Some _ | None ->
+            (file, source, parse_summary t ~keep_going file source))
+        sources
+    in
+    let listed = Hashtbl.create (List.length sources) in
+    List.iter (fun file -> Hashtbl.replace listed file ()) sources;
+    Hashtbl.filter_map_inplace
+      (fun file entry -> if Hashtbl.mem listed file then Some entry else None)
+      t.scans;
+    ( scanned,
+      [
+        ("hits", string_of_int !hits);
+        ("misses", string_of_int (List.length sources - !hits));
+      ] )
+  in
+  ( List.map (fun (file, source, _) -> (file, source)) scanned,
+    Depend.Depgraph.of_summaries
+      (List.map (fun (file, _, summary) -> (file, summary)) scanned) )
+
+let dependency_graph ?(keep_going = false) t ~sources =
+  snd (scan_sources t ~keep_going sources)
 
 (* Rehydrate bin bytes into the manager's session, short-circuiting through
    the retained table: if this exact byte string was already loaded for
@@ -217,29 +284,13 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     "build"
   @@ fun () ->
   let build_start = Unix.gettimeofday () in
-  let parsed =
-    Obs.Trace.span ~cat:"build" "build.scan_sources" @@ fun () ->
-    List.map
-      (fun file ->
-        let source = read_source t file in
-        let unit_ =
-          if keep_going then
-            (* throwaway recovery parse: the dependency scan must survive
-               broken sources, whose diagnostics then surface as failed
-               compile jobs (compiles are pure, so the job re-derives
-               exactly the same diagnostics) instead of aborting the
-               whole build before anything was scheduled *)
-            let scan_diags = Diag.collector ~unit_name:file () in
-            match Lang.Parser.parse_unit ~diags:scan_diags ~file source with
-            | unit_ -> unit_
-            | exception Diag.Errors _ ->
-              { Lang.Ast.unit_file = file; unit_decs = [] }
-          else Lang.Parser.parse_unit ~file source
-        in
-        (file, unit_))
-      sources
+  let texts, graph = scan_sources t ~keep_going sources in
+  (* a build compiles exactly the bytes its dependency scan read *)
+  let source_of =
+    let tbl = Hashtbl.create (List.length texts) in
+    List.iter (fun (file, source) -> Hashtbl.replace tbl file source) texts;
+    Hashtbl.find tbl
   in
-  let graph = Depend.Depgraph.build parsed in
   let order = Depend.Depgraph.topological graph in
   Hashtbl.reset t.units;
   Hashtbl.reset t.bin_bytes;
@@ -421,7 +472,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   let prepare file =
     let p_start = Unix.gettimeofday () in
     let deps = deps_of file in
-    let source = read_source t file in
+    let source = source_of file in
     let src_mtime =
       match t.fs.Vfs.fs_mtime file with
       | Some time -> time
@@ -867,21 +918,14 @@ let run ?output t ~sources =
   Obs.Trace.span ~cat:"build" "build.run" @@ fun () ->
   (* execute in the order recorded by the last build; only if the
      requested sources differ from that build do we fall back to
-     re-deriving the order from the dependency graph *)
+     re-deriving the order from the (warm) dependency scan *)
   let same_sources =
     List.sort String.compare sources
     = List.sort String.compare t.last_order
   in
   let order =
     if same_sources then t.last_order
-    else
-      let parsed =
-        List.map
-          (fun file ->
-            (file, Lang.Parser.parse_unit ~file (read_source t file)))
-          sources
-      in
-      Depend.Depgraph.topological (Depend.Depgraph.build parsed)
+    else Depend.Depgraph.topological (dependency_graph t ~sources)
   in
   List.fold_left
     (fun dynenv file ->

@@ -147,7 +147,10 @@ exception Interrupted of string
     interned symbols, rehydrated static environments, and the bin-byte
     identity of every unit loaded so far — is retained across builds:
     re-entering [build] on a warm manager skips rehydration for every
-    unit whose bin bytes are unchanged on disk.  A long-running daemon
+    unit whose bin bytes are unchanged on disk.  The dependency scan is
+    warm too: the manager keeps each source's text and its
+    {!Depend.Scan.summary}, and parses again only the sources whose
+    text changed (see {!dependency_graph}).  A long-running daemon
     holds one manager per group for exactly this reason. *)
 val create : Vfs.fs -> t
 
@@ -156,6 +159,21 @@ val session : t -> Sepcomp.Compile.session
 (** The build order recorded by the last successful {!build} ([[]]
     before the first). *)
 val last_order : t -> string list
+
+(** [dependency_graph ?keep_going t ~sources] — the dependency graph of
+    [sources], through the manager's warm scan: every source is read,
+    and parsed only if its text is not byte-equal to the text the
+    manager last scanned for that file.  Only clean parses are
+    remembered; memo entries of files not in [sources] are dropped.
+    Each parse counts in the [depend.parses] metric, and the
+    [build.scan_sources] span carries the [hits] and [misses] of the
+    memo.  A missing source or a parse error raises
+    {!Support.Diag.Error}; with [keep_going] (default false) a broken
+    source instead scans as an empty unit — a recovery parse that is
+    never remembered.  {!build} scans through the same memo and
+    compiles exactly the bytes it scanned. *)
+val dependency_graph :
+  ?keep_going:bool -> t -> sources:string list -> Depend.Depgraph.t
 
 (** [build ?backend ?cache ?retries ?backoff_s t ~policy ~sources] —
     bring every unit up to date.  Bin files are written next to sources
@@ -238,8 +256,9 @@ val recover : t -> sources:string list -> recovery
 val pp_recovery : Format.formatter -> recovery -> unit
 
 (** [run ?output t ~sources] — execute every unit of the last build in
-    dependency order (the order recorded by that build — sources are
-    re-parsed only if [sources] differs from the last build's set);
+    dependency order (the order recorded by that build — only if
+    [sources] differs from the last build's set is the order derived
+    again, from {!dependency_graph});
     returns the final dynamic environment. *)
 val run : ?output:(string -> unit) -> t -> sources:string list -> Link.Linker.dynenv
 

@@ -14,6 +14,7 @@
     build.recompiled       units recompiled by the last IRM builds
     build.loaded           units loaded up to date from bin files
     build.cutoff_hits      recompiles whose interface pid was unchanged
+    depend.parses          sources the IRM parsed for its dependency scan
     pickle.bytes_written   bin-file bytes produced
     pickle.bytes_read      bin-file bytes parsed
     pickle.rehydrations    environments rehydrated from bin files

@@ -115,7 +115,8 @@ let record_phases f =
     cell := saved;
     raise exn
 
-let span ?(cat = "") ?(args = []) name f =
+(* [late], when given, holds args [f] found, read once it finished *)
+let timed ~cat ~args ~late name f =
   let collecting = !(Domain.DLS.get phases_key) <> None in
   let tracing = Atomic.get on in
   if not (tracing || collecting) then f ()
@@ -139,7 +140,7 @@ let span ?(cat = "") ?(args = []) name f =
             ev_depth = d;
             ev_pid = 0;
             ev_tid = tid ();
-            ev_args = args;
+            ev_args = (match late with Some r -> !r | None -> args);
           }
           seq
     in
@@ -151,6 +152,15 @@ let span ?(cat = "") ?(args = []) name f =
       finish ();
       raise exn
   end
+
+let span ?(cat = "") ?(args = []) name f = timed ~cat ~args ~late:None name f
+
+let span_with ?(cat = "") name f =
+  let found = ref [] in
+  timed ~cat ~args:[] ~late:(Some found) name (fun () ->
+      let result, args = f () in
+      found := args;
+      result)
 
 let instant ?(cat = "") ?(args = []) name =
   if Atomic.get on then begin

@@ -54,6 +54,12 @@ val epoch_s : unit -> float
     (unless a {!record_phases} collector is active on this domain). *)
 val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
+(** [span_with ?cat name f] — {!span} whose args are known only once
+    the work is done: [f ()] returns its result with the span's args.
+    A span whose [f] raises is recorded without args. *)
+val span_with :
+  ?cat:string -> string -> (unit -> 'a * (string * string) list) -> 'a
+
 (** [instant ?cat ?args name] — a zero-duration marker. *)
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 

@@ -429,6 +429,62 @@ let test_selective_entangled_types_cascade () =
     "cascade reaches the client" [ "pair.sml"; "client.sml" ]
     (names stats.Driver.st_recompiled)
 
+(* The warm dependency scan: a warm manager parses only the sources
+   whose text changed since it last scanned them. *)
+let parses () = Option.value ~default:0 (Obs.Metrics.find "depend.parses")
+
+let parses_during f =
+  let before = parses () in
+  let v = f () in
+  (v, parses () - before)
+
+let test_warm_scan_parses_changed () =
+  let fs, mgr = chain () in
+  let build sources () = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+  let _, cold = parses_during (build chain_sources) in
+  Alcotest.(check int) "cold build parses every unit" 3 cold;
+  let _, null = parses_during (build chain_sources) in
+  Alcotest.(check int) "null build parses nothing" 0 null;
+  fs.Vfs.fs_write "mid.sml" "structure Mid = struct val v = Base.scale 3 end";
+  let stats, edit = parses_during (build chain_sources) in
+  Alcotest.(check int) "one-file edit parses that file" 1 edit;
+  Alcotest.(check (list string)) "and recompiles it" [ "mid.sml" ]
+    stats.Driver.st_recompiled;
+  let graph, query =
+    parses_during (fun () -> Driver.dependency_graph mgr ~sources:chain_sources)
+  in
+  Alcotest.(check int) "a graph query on a warm manager parses nothing" 0 query;
+  Alcotest.(check (list string)) "its order"
+    [ "base.sml"; "mid.sml"; "top.sml" ]
+    (Depgraph.topological graph);
+  (* a file that leaves the group leaves the memo with it *)
+  let _, shrunk = parses_during (build [ "base.sml"; "mid.sml" ]) in
+  Alcotest.(check int) "a shrunk group parses nothing" 0 shrunk;
+  let _, regrown = parses_during (build chain_sources) in
+  Alcotest.(check int) "a returning file is parsed again" 1 regrown
+
+let test_warm_scan_trace_args () =
+  let fs, mgr = chain () in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+  fs.Vfs.fs_write "top.sml"
+    "structure Top = struct val result = Mid.v + Base.origin + 1 end";
+  Obs.Trace.enable ();
+  Fun.protect ~finally:Obs.Trace.disable (fun () ->
+      ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+      match
+        List.filter
+          (fun e -> e.Obs.Trace.ev_name = "build.scan_sources")
+          (Obs.Trace.events ())
+      with
+      | [ scan ] ->
+        Alcotest.(check (list (pair string string)))
+          "memo hits and misses"
+          [ ("hits", "2"); ("misses", "1") ]
+          scan.Obs.Trace.ev_args
+      | scans ->
+        Alcotest.failf "expected one build.scan_sources span, got %d"
+          (List.length scans))
+
 let suite =
   [
     Alcotest.test_case "dependency scan" `Quick test_scan;
@@ -466,4 +522,8 @@ let suite =
     Alcotest.test_case "group files" `Quick test_group_files;
     Alcotest.test_case "functor across units with cutoff" `Quick
       test_functor_across_units;
+    Alcotest.test_case "warm scan parses only changed sources" `Quick
+      test_warm_scan_parses_changed;
+    Alcotest.test_case "warm scan reports hits and misses" `Quick
+      test_warm_scan_trace_args;
   ]

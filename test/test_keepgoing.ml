@@ -12,7 +12,9 @@ module Diag = Support.Diag
    known phase into the body. *)
 (* ------------------------------------------------------------------ *)
 
-type breaker = Unbound | Mismatch | Syntax | Lex
+(* [Header] is the exception: it misspells the [structure] keyword, so
+   the unit's recovery parse no longer defines its module. *)
+type breaker = Unbound | Mismatch | Syntax | Lex | Header
 
 let replace_first ~needle ~by src =
   let n = String.length needle in
@@ -36,6 +38,7 @@ let apply_breaker kind src =
   | Syntax ->
     replace_first ~needle:"= struct\n" ~by:"= struct\n  val = 3\n" src
   | Lex -> replace_first ~needle:"= struct\n" ~by:"= struct\n  val q = ?\n" src
+  | Header -> replace_first ~needle:"structure " ~by:"structur " src
 
 (* a fresh project on a fresh memory fs, with [broken] (file, breaker)
    edits applied — deterministic, so two calls give identical state *)
@@ -362,6 +365,47 @@ let test_linker_diag_names_unit () =
     Alcotest.(check string) "unit name" "b.sml"
       (Option.value ~default:"?" d.Diag.unit_name)
 
+(* The warm dependency scan remembers only clean parses.  A source
+   broken on a warm manager during a keep-going build (which scans it
+   with a throwaway recovery parse) must still fail the next fail-fast
+   build with the diagnostic the keep-going build reported, and fixing
+   it must converge to a scratch build. *)
+let test_keepgoing_break_then_failfast () =
+  let policy = Driver.Cutoff and file = "u001.sml" in
+  List.iter
+    (fun kind ->
+      let fs, mgr, sources, originals = project (Gen.Chain 3) [] in
+      (* dependents first: a wrongly remembered scan of the broken unit
+         would drop their edges to it and surface as a dependent's
+         unbound-structure error instead of the unit's own *)
+      let sources = List.rev sources in
+      ignore (Driver.build mgr ~policy ~sources);
+      fs.Vfs.fs_write file (apply_breaker kind (List.assoc file originals));
+      let kg = Driver.build ~keep_going:true mgr ~policy ~sources in
+      Alcotest.(check bool) "keep-going: failed" true
+        (List.mem_assoc file kg.Driver.st_failed);
+      let reported = Diag.to_string (List.hd (List.assoc file kg.Driver.st_failed)) in
+      (* twice: a failed build must not have remembered the broken text *)
+      for _ = 1 to 2 do
+        match Driver.build mgr ~policy ~sources with
+        | _ -> Alcotest.fail "fail-fast build of a broken source should raise"
+        | exception (Diag.Error d | Diag.Errors (d :: _)) ->
+          Alcotest.(check string) "fail-fast: same diagnostic" reported
+            (Diag.to_string d)
+      done;
+      fs.Vfs.fs_write file (List.assoc file originals);
+      let fixed = Driver.build mgr ~policy ~sources in
+      check_files "fixed: nothing fails" [] (failed_names fixed);
+      let scratch, scratch_mgr, _, _ = project (Gen.Chain 3) [] in
+      ignore (Driver.build scratch_mgr ~policy ~sources);
+      List.iter
+        (fun f ->
+          let bin fs = fs.Vfs.fs_read (f ^ ".bin") in
+          Alcotest.(check (option string)) (f ^ ": bin equals scratch")
+            (bin scratch) (bin fs))
+        sources)
+    [ Syntax; Lex; Header; Unbound ]
+
 let suite =
   [
     Alcotest.test_case "chain: poison propagation" `Quick test_chain_poison;
@@ -381,4 +425,6 @@ let suite =
       test_report_json_partitions;
     Alcotest.test_case "linker diagnostics name the unit" `Quick
       test_linker_diag_names_unit;
+    Alcotest.test_case "keep-going break, then fail-fast, then fix" `Quick
+      test_keepgoing_break_then_failfast;
   ]

@@ -370,6 +370,174 @@ let prop_null_build_idempotent =
           again.Driver.st_recompiled = [])
         [ Driver.Timestamp; Driver.Cutoff; Driver.Selective ])
 
+(* ------------------------------------------------------------------ *)
+(* The warm dependency scan equals a fresh scan                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Edits of a generated project, each resolved against the current
+   state through its int.  Besides the generator's own edits the test
+   keeps extra units [x<i>.sml]: each defines a fixed pad structure
+   [P<i>] plus some moveable structures [X<k>], and one [client.sml]
+   refers to every [X<k>].  Moving an [X<k>] between extra units leaves
+   the client's text (so its memo entry) unchanged while its edge
+   must follow the structure. *)
+type scan_step =
+  | Gen_edit of int * Gen.edit
+  | Add_unit of int
+  | Remove_unit of int
+  | Move_module of int * int
+
+let scan_step_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun i e -> Gen_edit (i, e)) (0 -- 100) edit_gen;
+        map (fun i -> Add_unit i) (0 -- 100);
+        map (fun i -> Remove_unit i) (0 -- 100);
+        map2 (fun i j -> Move_module (i, j)) (0 -- 100) (0 -- 100);
+      ])
+
+let scan_step_name = function
+  | Gen_edit (i, e) -> Printf.sprintf "%s %d" (Gen.edit_name e) i
+  | Add_unit i -> Printf.sprintf "add %d" i
+  | Remove_unit i -> Printf.sprintf "remove %d" i
+  | Move_module (i, j) -> Printf.sprintf "move %d->%d" i j
+
+let scan_arbitrary =
+  QCheck.make
+    ~print:(fun (_, steps) ->
+      "<topology> + " ^ String.concat ", " (List.map scan_step_name steps))
+    QCheck.Gen.(pair topology_gen (list_size (1 -- 6) scan_step_gen))
+
+let prop_warm_scan_equals_fresh =
+  QCheck.Test.make ~count:25
+    ~name:"warm dependency scan = fresh scan; incremental bins = scratch"
+    scan_arbitrary
+    (fun (topology, steps) ->
+      let fs, project, gen_sources = fresh_project (topology, false) in
+      let mgr = Driver.create fs in
+      (* extra units: (file, pad index, moveable structure indices) *)
+      let extras = ref [ ("x0.sml", 0, [ 0 ]); ("x1.sml", 1, [ 1 ]) ] in
+      let next = ref 2 in
+      let provider k = List.nth gen_sources (k mod List.length gen_sources) in
+      let modname file = String.capitalize_ascii (Filename.chop_extension file) in
+      let write_extra (file, pad, ks) =
+        fs.Vfs.fs_write file
+          (String.concat "\n"
+             (Printf.sprintf "structure P%d = struct val n = %d end" pad pad
+             :: List.map
+                  (fun k ->
+                    Printf.sprintf "structure X%d = struct val v = %s.seed + %d end"
+                      k (modname (provider k)) k)
+                  ks))
+      in
+      let write_client () =
+        let ks =
+          List.sort compare (List.concat_map (fun (_, _, ks) -> ks) !extras)
+        in
+        fs.Vfs.fs_write "client.sml"
+          (Printf.sprintf "structure Client = struct val total = 0%s end"
+             (String.concat "" (List.map (Printf.sprintf " + X%d.v") ks)))
+      in
+      List.iter write_extra !extras;
+      write_client ();
+      let sources () =
+        gen_sources @ List.map (fun (f, _, _) -> f) !extras @ [ "client.sml" ]
+      in
+      let apply = function
+        | Gen_edit (i, edit) -> Gen.edit project (victim_of project i) edit
+        | Add_unit k ->
+          (* a structure index no earlier unit used *)
+          let extra = (Printf.sprintf "x%d.sml" !next, !next, [ (!next * 101) + k ]) in
+          incr next;
+          extras := !extras @ [ extra ];
+          write_extra extra;
+          write_client ()
+        | Remove_unit i when !extras <> [] ->
+          let file, _, _ = List.nth !extras (i mod List.length !extras) in
+          extras := List.filter (fun (f, _, _) -> f <> file) !extras;
+          fs.Vfs.fs_remove file;
+          write_client ()
+        | Move_module (i, j) when List.length !extras >= 2 -> (
+          let n = List.length !extras in
+          let src, _, _ = List.nth !extras (i mod n) in
+          let dst, _, _ = List.nth !extras ((i + 1 + (j mod (n - 1))) mod n) in
+          match List.find (fun (f, _, _) -> f = src) !extras with
+          | _, _, [] -> ()
+          | _, _, k :: _ ->
+            extras :=
+              List.map
+                (fun (f, pad, ks) ->
+                  if f = src then (f, pad, List.tl ks)
+                  else if f = dst then (f, pad, ks @ [ k ])
+                  else (f, pad, ks))
+                !extras;
+            List.iter
+              (fun ((f, _, _) as e) -> if f = src || f = dst then write_extra e)
+              !extras)
+        | Remove_unit _ | Move_module _ -> ()
+      in
+      let read f = Option.get (fs.Vfs.fs_read f) in
+      let fresh_graph sources =
+        Depend.Depgraph.build
+          (List.map (fun f -> (f, Lang.Parser.parse_unit ~file:f (read f))) sources)
+      in
+      let same_graph sources warm =
+        let fresh = fresh_graph sources in
+        let deps g f = (Depend.Depgraph.node g f).Depend.Depgraph.n_deps in
+        Depend.Depgraph.topological warm = Depend.Depgraph.topological fresh
+        && List.for_all
+             (fun f ->
+               deps warm f = deps fresh f
+               && Depend.Depgraph.closure warm f = Depend.Depgraph.closure fresh f)
+             sources
+      in
+      let parses () = Option.value ~default:0 (Obs.Metrics.find "depend.parses") in
+      (* the text each file had when the manager last scanned it *)
+      let scanned = Hashtbl.create 16 in
+      let changed sources =
+        List.length
+          (List.filter
+             (fun f -> Hashtbl.find_opt scanned f <> Some (read f))
+             sources)
+      in
+      let remember sources =
+        Hashtbl.reset scanned;
+        List.iter (fun f -> Hashtbl.replace scanned f (read f)) sources
+      in
+      let bins_equal_scratch sources =
+        let scratch = Vfs.memory () in
+        List.iter (fun f -> scratch.Vfs.fs_write f (read f)) sources;
+        ignore (Driver.build (Driver.create scratch) ~policy:Driver.Cutoff ~sources);
+        List.for_all
+          (fun f -> scratch.Vfs.fs_read (f ^ ".bin") = fs.Vfs.fs_read (f ^ ".bin"))
+          sources
+      in
+      let step i s =
+        apply s;
+        let sources = sources () in
+        let expect = changed sources and before = parses () in
+        (* alternate which entry point meets the edit first *)
+        let graph_ok, order_ok =
+          if i mod 2 = 0 then
+            let graph_ok = same_graph sources (Driver.dependency_graph mgr ~sources) in
+            let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+            (graph_ok, stats.Driver.st_order)
+          else
+            let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+            (same_graph sources (Driver.dependency_graph mgr ~sources), stats.Driver.st_order)
+        in
+        let parsed = parses () - before in
+        remember sources;
+        graph_ok
+        && order_ok = Depend.Depgraph.topological (fresh_graph sources)
+        && parsed = expect
+        && bins_equal_scratch sources
+      in
+      ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:(sources ()));
+      remember (sources ());
+      List.for_all Fun.id (List.mapi step steps))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -383,6 +551,7 @@ let suite =
       prop_simplifier_preserves_semantics;
       prop_simplifier_never_grows;
       prop_null_build_idempotent;
+      prop_warm_scan_equals_fresh;
     ]
   @ [
       Alcotest.test_case "every 1-byte flip in a bin is checked" `Quick
