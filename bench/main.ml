@@ -14,7 +14,7 @@
      E9  IRM build latency: null/touch/impl/iface    (timing)
      E10 simplifier ablation: code sizes            (table)
      E11 alpha-conversion ablation                  (counts)
-     E12 interpreter vs bytecode VM                 (bechamel)
+     E12 executor on fib, sort, closure churn       (bechamel)
      E13 parallel build speedup over domains        (timing)
      E14 unit-cache hit rates, warm-from-clean      (timing + counts)
      E15 atomic-commit overhead vs raw writes       (timing)
@@ -771,7 +771,7 @@ let e11 () =
     trials !alpha_stable (trials - 1) !raw_stable (trials - 1)
 
 (* ------------------------------------------------------------------ *)
-(* E12: execution backends — tree-walker vs bytecode VM                *)
+(* E12: the executor (convert to flat-environment closures, then run)  *)
 (* ------------------------------------------------------------------ *)
 
 let lambda_of_exp ?(decs = "") src =
@@ -791,7 +791,7 @@ let lambda_of_exp ?(decs = "") src =
   Simplify.term (Translate.tdecs tdecs (Translate.texp texp))
 
 let e12 () =
-  section "E12: execution backends — interpreter vs bytecode VM";
+  section "E12: executor — conversion plus run on three kernels";
   let programs =
     [
       ( "fib 22",
@@ -819,24 +819,17 @@ let e12 () =
   in
   List.iter
     (fun (name, code) ->
-      let program = Dynamics.Vm.compile code in
       run_bechamel ~name:("e12/" ^ name)
         [
-          ( "interpreter",
+          ( "executor",
             fun () ->
               let rt =
                 Dynamics.Eval.runtime ~output:ignore
                   ~imports:Digestkit.Pid.Map.empty ()
               in
               ignore (Dynamics.Eval.run rt code) );
-          ( "bytecode vm",
-            fun () ->
-              ignore
-                (Dynamics.Vm.run ~output:ignore ~imports:Digestkit.Pid.Map.empty
-                   program) );
         ];
-      Printf.printf "  (%d lambda nodes -> %d instructions)\n"
-        (Lambda.size code) (Dynamics.Vm.program_length program))
+      Printf.printf "  (%d lambda nodes)\n" (Lambda.size code))
     programs
 
 (* ------------------------------------------------------------------ *)

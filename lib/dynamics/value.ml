@@ -15,14 +15,12 @@ type t =
   | Vexn of exnid * t option
   | Vref of t ref
 
-and closure = {
-  cl_param : Symbol.t;
-  cl_body : Lambda.t;
-  mutable cl_env : t Symbol.Map.t;
-}
+and closure = { mutable cl_fn : t -> t }
 
 let unit_value = Vtuple [||]
-let bool_value b = Vcon0 (if b then 1 else 0)
+let v_true = Vcon0 1
+let v_false = Vcon0 0
+let bool_value b = if b then v_true else v_false
 
 let of_list values =
   List.fold_right (fun v acc -> Vcon (1, Vtuple [| v; acc |])) values (Vcon0 0)

@@ -19,12 +19,10 @@ type t =
   | Vexn of exnid * t option  (** exception packet *)
   | Vref of t ref
 
-and closure = {
-  cl_param : Symbol.t;
-  cl_body : Lambda.t;
-  mutable cl_env : t Symbol.Map.t;
-      (** mutable to tie recursive knots for [Lfix] *)
-}
+and closure = { mutable cl_fn : t -> t }
+(** A function value: converted code closed over its captured
+    variables.  [cl_fn] is mutable so a recursive knot can be tied after
+    the closure is allocated. *)
 
 val unit_value : t
 val bool_value : bool -> t

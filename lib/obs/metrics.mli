@@ -21,7 +21,6 @@
     hash.pids              intrinsic interface pids computed
     simplify.passes        lambda-simplifier passes run
     simplify.rewrites      lambda nodes eliminated by the simplifier
-    vm.instructions        bytecode VM instructions executed
     v} *)
 
 type t

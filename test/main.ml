@@ -14,7 +14,7 @@ let () =
       ("simplify", Test_simplify.suite);
       ("matchcheck", Test_matchcheck.suite);
       ("interactive", Test_interactive.suite);
-      ("vm", Test_vm.suite);
+      ("exec", Test_exec.suite);
       ("link", Test_link.suite);
       ("relink", Test_relink.suite);
       ("depend", Test_depend.suite);
