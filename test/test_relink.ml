@@ -42,7 +42,7 @@ let setup files =
 
 (* build (Cutoff, so impl edits don't cascade) and snapshot for the
    relinker *)
-let snapshot mgr =
+let snapshot ?(sources = sources) mgr =
   let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources in
   (stats, Driver.link_snapshot mgr)
 
@@ -54,7 +54,7 @@ let fresh_live files =
   (fs, mgr, rl)
 
 (* what a clean restart at [files] prints *)
-let cold_output files =
+let cold_output ?(sources = sources) files =
   let _, mgr = setup files in
   let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
   let buf = Buffer.create 32 in
@@ -85,6 +85,37 @@ let test_baseline_replay_matches_run () =
   Alcotest.(check bool) "live" true (Relink.live rl);
   Alcotest.(check int) "epoch 0" 0 (Relink.current_epoch rl);
   Alcotest.(check string) "replay = cold restart" (cold_output files)
+    (replay_output rl)
+
+(* a function one unit defines, called by another unit's top-level
+   code, prints into the caller's output, before and after the caller is
+   swapped *)
+let test_cross_unit_print () =
+  let sources = [ "say.sml"; "use.sml" ] in
+  let files tag =
+    [
+      ( "say.sml",
+        "structure Say = struct val p = print \"A\" fun say s = print s end" );
+      ( "use.sml",
+        Printf.sprintf
+          "structure Use = struct val p = Say.say \"hi%s\" val q = print \
+           \"B\" end"
+          tag );
+    ]
+  in
+  let fs, mgr = setup (files "") in
+  let _, units = snapshot ~sources mgr in
+  let rl = Relink.create () in
+  Relink.baseline rl ~units;
+  Alcotest.(check string) "cold run" "AhiB" (cold_output ~sources (files ""));
+  Alcotest.(check string) "replay = cold restart" "AhiB" (replay_output rl);
+  fs.Vfs.fs_write "use.sml" (List.assoc "use.sml" (files "!"));
+  let _, units = snapshot ~sources mgr in
+  let o = Relink.swap rl ~units in
+  Alcotest.(check (list string))
+    "only the caller" [ "use.sml" ] o.Relink.o_relinked;
+  Alcotest.(check string) "replay = cold restart at new"
+    (cold_output ~sources (files "!"))
     (replay_output rl)
 
 let test_null_swap () =
@@ -448,6 +479,8 @@ let suite =
   [
     Alcotest.test_case "baseline replay = cold restart" `Quick
       test_baseline_replay_matches_run;
+    Alcotest.test_case "cross-unit print = cold restart" `Quick
+      test_cross_unit_print;
     Alcotest.test_case "null swap" `Quick test_null_swap;
     Alcotest.test_case "impl swap relinks exactly the unit" `Quick
       test_impl_swap_relinks_exactly_the_unit;
