@@ -82,19 +82,30 @@ let m_parses = Obs.Metrics.counter "depend.parses"
 
 exception Interrupted of string
 
+(* the warm state of one unit, surviving across builds *)
+type retained = {
+  rt_bytes : string;  (** the bin bytes last rehydrated for the unit *)
+  rt_unit : Pickle.Binfile.t;  (** the unit rehydrated from them *)
+  rt_view : string Lazy.t;
+      (** [Binfile.static_of_full rt_bytes], sliced the first time a
+          compile job ships the unit as a dependency *)
+}
+
 type t = {
   fs : Vfs.fs;
   session : Sepcomp.Compile.session;
   units : (string, Pickle.Binfile.t) Hashtbl.t;  (** last build's results *)
   bin_bytes : (string, string) Hashtbl.t;
-      (** last build's bin bytes — the closures shipped to workers *)
-  retained : (string, string * Pickle.Binfile.t) Hashtbl.t;
-      (** warm state surviving across builds: file → (bin bytes, the
-          unit rehydrated from them).  When a later build reads the same
-          bytes back it reuses the rehydrated unit instead of unpickling
-          again — the daemon's warm-rebuild win.  Never trusted blindly:
-          entries are keyed by exact byte equality with what is on
-          disk. *)
+      (** last build's bin bytes, whose static views are the closures
+          compile jobs ship *)
+  retained : (string, retained) Hashtbl.t;
+      (** warm state surviving across builds: file → its bin bytes, the
+          unit rehydrated from them and their static view.  When a later
+          build reads the same bytes back it reuses the rehydrated unit
+          instead of unpickling again — the daemon's warm-rebuild win —
+          and dependents' compile jobs reuse the view.  Never trusted
+          blindly: entries are keyed by exact byte equality with what is
+          on disk.  Entries of files no longer listed are dropped. *)
   scans : (string, string * Depend.Scan.summary) Hashtbl.t;
       (** the warm dependency scan: file → (source text last scanned,
           its scan summary).  A source whose text is byte-equal to the
@@ -148,9 +159,10 @@ let parse_summary t ~keep_going file source =
   else remember (Depend.Scan.scan (Lang.Parser.parse_unit ~file source))
 
 (* Read every source once and scan it, parsing only the sources whose
-   text changed since the manager last scanned them; memo entries of
-   files no longer listed are dropped.  Returns each (file, text) — the
-   bytes a build then compiles — and the dependency graph. *)
+   text changed since the manager last scanned them; memo and retained
+   entries of files no longer listed are dropped.  Returns each
+   (file, text) — the bytes a build then compiles — and the dependency
+   graph. *)
 let scan_sources t ~keep_going sources =
   let scanned =
     Obs.Trace.span_with ~cat:"build" "build.scan_sources" @@ fun () ->
@@ -169,9 +181,13 @@ let scan_sources t ~keep_going sources =
     in
     let listed = Hashtbl.create (List.length sources) in
     List.iter (fun file -> Hashtbl.replace listed file ()) sources;
-    Hashtbl.filter_map_inplace
-      (fun file entry -> if Hashtbl.mem listed file then Some entry else None)
-      t.scans;
+    let prune tbl =
+      Hashtbl.filter_map_inplace
+        (fun file entry -> if Hashtbl.mem listed file then Some entry else None)
+        tbl
+    in
+    prune t.scans;
+    prune t.retained;
     ( scanned,
       [
         ("hits", string_of_int !hits);
@@ -192,11 +208,28 @@ let dependency_graph ?(keep_going = false) t ~sources =
    Raises [Pickle.Buf.Corrupt] exactly like [Sepcomp.Compile.load]. *)
 let rehydrate t file bytes =
   match Hashtbl.find_opt t.retained file with
-  | Some (prev_bytes, unit_) when String.equal prev_bytes bytes -> unit_
+  | Some r when String.equal r.rt_bytes bytes -> r.rt_unit
   | Some _ | None ->
     let unit_ = Sepcomp.Compile.load t.session bytes in
-    Hashtbl.replace t.retained file (bytes, unit_);
+    Hashtbl.replace t.retained file
+      {
+        rt_bytes = bytes;
+        rt_unit = unit_;
+        rt_view = lazy (Pickle.Binfile.static_of_full bytes);
+      };
     unit_
+
+(* The static view of [file]'s bin [bytes]: what a dependent's compile
+   job ships for it, since a compile reads only its imports' statenvs.
+   Every byte string a build registers for a unit was rehydrated first,
+   so its retained entry holds the same bytes and the view is sliced
+   once per distinct bin.  A static bin (the pipelined split's early
+   payload) is its own view.  Runs on the calling domain only, like
+   every other access to the manager's tables. *)
+let static_view t file bytes =
+  match Hashtbl.find_opt t.retained file with
+  | Some r when String.equal r.rt_bytes bytes -> Lazy.force r.rt_view
+  | Some _ | None -> Pickle.Binfile.static_of_full bytes
 
 (* Try to read the unit's previous bin file; damaged files force a
    recompilation (with a distinct cause) rather than failing the
@@ -219,7 +252,8 @@ let read_bin t file =
 type job = Wire.job = {
   j_name : string;
   j_source : string;
-  j_closure : (string * string) list;  (** (file, bin bytes), dep order *)
+  j_closure : (string * string) list;
+      (** (file, static view of its bin), dep order *)
   j_imports : string list;  (** direct dependencies, scope order *)
   j_collect : bool;  (** compile under a diagnostics collector *)
   j_werror : bool;  (** promote warnings to errors *)
@@ -344,11 +378,12 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   (* the pipelined split: a compile's static view arrives mid-job;
      registering it in [t.units]/[t.bin_bytes] is exactly what unblocks
      dependents — their [prepare] reads pids from [t.units] and their
-     closures ship the registered bytes.  Marking [changed] here keeps
-     the Timestamp cascade identical to the unsplit build (the full
-     result re-marks it later, idempotently).  A static bin rehydrates
-     with a [no_code] placeholder; the full unit and bytes overwrite
-     both tables when the job completes. *)
+     closures ship the registered bytes (a static bin is its own
+     static view).  Marking [changed] here keeps the Timestamp cascade
+     identical to the unsplit build (the full result re-marks it later,
+     idempotently).  A static bin rehydrates with a [no_code]
+     placeholder; the full unit and bytes overwrite both tables when
+     the job completes. *)
   let static_releases = ref 0 in
   let split =
     match schedule with
@@ -522,7 +557,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
             List.map
               (fun dep ->
                 match Hashtbl.find_opt t.bin_bytes dep with
-                | Some bytes -> (dep, bytes)
+                | Some bytes -> (dep, static_view t dep bytes)
                 | None ->
                   manager_error "dependency %s of %s was not built" dep file)
               (Depend.Depgraph.closure graph file);

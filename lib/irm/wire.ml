@@ -26,16 +26,27 @@ let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
 
 (* [execute] may run on a worker domain or in a forked child.  It
    touches nothing but the job: a brand-new session is rehydrated from
-   the closure bytes, the unit is compiled against its direct imports,
-   and the pickled bytes are the result.  Because generated binder
-   names are scoped per compile (Symbol.with_fresh_scope) the bytes are
-   a pure function of (source, closure) — identical no matter which
-   domain, process, or how many, ran the job.  The serial backend runs
-   this very function inline, so Serial, Parallel and Workers builds
-   agree byte-for-byte by construction. *)
+   the closure — the static view of every unit in the import closure,
+   since a compile reads only its imports' statenvs, never their code —
+   the unit is compiled against its direct imports, and the pickled
+   bytes are the result.  Because generated binder names are scoped per
+   compile (Symbol.with_fresh_scope) the bytes are a pure function of
+   (source, closure) — identical no matter which domain, process, or
+   how many, ran the job.  The serial backend runs this very function
+   inline, so Serial, Parallel and Workers builds agree byte-for-byte by
+   construction.  The span's [closure_bytes] arg is what the job
+   rehydrated. *)
 let execute ?notify job =
+  let closure_bytes =
+    List.fold_left (fun n (_, bytes) -> n + String.length bytes) 0 job.j_closure
+  in
   Obs.Trace.span ~cat:"compile"
-    ~args:[ ("unit", job.j_name); ("build", string_of_int job.j_build) ]
+    ~args:
+      [
+        ("unit", job.j_name);
+        ("build", string_of_int job.j_build);
+        ("closure_bytes", string_of_int closure_bytes);
+      ]
     "build.compile_job"
   @@ fun () ->
   (* time the two manager-side segments by hand and collect the compile

@@ -1,13 +1,13 @@
 (** The compile job, its result, and their wire forms.
 
     The paper's factored model makes compiling a unit a pure function
-    of [(source, import closure bytes)] — this module holds that job
-    value, the [execute] function every backend runs (inline for
-    [Serial]/[Parallel], in a forked child for [Workers]), and the
-    {!Pickle.Buf} codecs that move jobs, results, and exceptions across
-    the process boundary.  Because [execute] is the same function
-    everywhere and the codecs are lossless, the [Workers] backend is
-    byte-identical to [Serial] by construction. *)
+    of [(source, the import closure's static views)] — this module
+    holds that job value, the [execute] function every backend runs
+    (inline for [Serial]/[Parallel], in a forked child for [Workers]),
+    and the {!Pickle.Buf} codecs that move jobs, results, and
+    exceptions across the process boundary.  Because [execute] is the
+    same function everywhere and the codecs are lossless, the [Workers]
+    backend is byte-identical to [Serial] by construction. *)
 
 module Diag = Support.Diag
 
@@ -16,7 +16,11 @@ module Diag = Support.Diag
 type job = {
   j_name : string;
   j_source : string;
-  j_closure : (string * string) list;  (** (file, bin bytes), dep order *)
+  j_closure : (string * string) list;
+      (** (file, static view of its bin), dep order: a compile reads
+          only its imports' statenvs, so the manager ships
+          {!Pickle.Binfile.static_of_full} of each bin.  A full bin is
+          accepted too and compiles to the same bytes. *)
   j_imports : string list;  (** direct dependencies, scope order *)
   j_collect : bool;  (** compile under a diagnostics collector *)
   j_werror : bool;  (** promote warnings to errors *)
@@ -38,7 +42,9 @@ type result = {
 
 (** Compile a job in a brand-new session.  Pure: the resulting bytes
     are a function of (source, closure) alone, identical no matter
-    which domain — or which process — ran the job.
+    which domain — or which process — ran the job.  Its
+    [build.compile_job] span carries a [closure_bytes] arg: the bytes
+    the job rehydrated.
 
     With [notify] and [j_split] set, the unit's static view (pickled
     via {!Sepcomp.Compile.save_static}) is handed to [notify] the

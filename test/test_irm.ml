@@ -485,6 +485,60 @@ let test_warm_scan_trace_args () =
         Alcotest.failf "expected one build.scan_sources span, got %d"
           (List.length scans))
 
+(* A unit that leaves the group leaves the manager's warm state with it:
+   when it returns, its bin is read and rehydrated again. *)
+let test_dropped_unit_leaves_warm_state () =
+  let _fs, mgr = chain () in
+  let build sources = ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources) in
+  let rehydrations () =
+    Option.value ~default:0 (Obs.Metrics.find "pickle.rehydrations")
+  in
+  build chain_sources;
+  build [ "base.sml"; "mid.sml" ];
+  let before = rehydrations () in
+  let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources in
+  Alcotest.(check (list string)) "the returning unit's bin is intact"
+    [ "base.sml"; "mid.sml"; "top.sml" ] stats.Driver.st_loaded;
+  Alcotest.(check bool) "and is rehydrated again" true
+    (rehydrations () - before >= 1)
+
+(* A compile job rehydrates only its import closure's static views; its
+   span's [closure_bytes] arg says how many bytes that was. *)
+let test_compile_job_closure_bytes () =
+  let fs, mgr = chain () in
+  Obs.Trace.enable ();
+  Fun.protect ~finally:Obs.Trace.disable (fun () ->
+      ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+      let graph = Driver.dependency_graph mgr ~sources:chain_sources in
+      let bin file = Option.get (fs.Vfs.fs_read (file ^ ".bin")) in
+      let sum f file =
+        List.fold_left
+          (fun n dep -> n + String.length (f (bin dep)))
+          0
+          (Depgraph.closure graph file)
+      in
+      let jobs =
+        List.filter
+          (fun e -> e.Obs.Trace.ev_name = "build.compile_job")
+          (Obs.Trace.events ())
+      in
+      Alcotest.(check int) "one job per unit" 3 (List.length jobs);
+      List.iter
+        (fun e ->
+          let arg k = List.assoc k e.Obs.Trace.ev_args in
+          let file = arg "unit" in
+          let shipped = int_of_string (arg "closure_bytes") in
+          Alcotest.(check int)
+            (file ^ ": the closure's static views")
+            (sum Pickle.Binfile.static_of_full file)
+            shipped;
+          if Depgraph.closure graph file <> [] then
+            Alcotest.(check bool)
+              (file ^ ": below the full bins")
+              true
+              (shipped < sum Fun.id file))
+        jobs)
+
 let suite =
   [
     Alcotest.test_case "dependency scan" `Quick test_scan;
@@ -526,4 +580,8 @@ let suite =
       test_warm_scan_parses_changed;
     Alcotest.test_case "warm scan reports hits and misses" `Quick
       test_warm_scan_trace_args;
+    Alcotest.test_case "a dropped unit leaves the warm state" `Quick
+      test_dropped_unit_leaves_warm_state;
+    Alcotest.test_case "compile jobs ship static views" `Quick
+      test_compile_job_closure_bytes;
   ]

@@ -538,6 +538,61 @@ let prop_warm_scan_equals_fresh =
       remember (sources ());
       List.for_all Fun.id (List.mapi step steps))
 
+(* ------------------------------------------------------------------ *)
+(* Compile jobs: static-view closures compile to the same bytes        *)
+(* ------------------------------------------------------------------ *)
+
+(* The manager ships each dependency's static view, not its full bin.
+   Since a compile reads only its imports' statenvs, a job over the
+   views, the same job over the full bins, and the bin the build wrote
+   must be equal bytes — also after a critical-path build, where a
+   dependent may start against a static payload released mid-compile. *)
+let prop_static_view_closures =
+  QCheck.Test.make ~count:20
+    ~name:"compile jobs: static-view closure = full-bin closure = bin on disk"
+    (QCheck.pair project_arbitrary QCheck.bool)
+    (fun ((proj, edits), critical) ->
+      let fs, project, sources = fresh_project proj in
+      let mgr = Driver.create fs in
+      let build () =
+        if critical then
+          Driver.build ~backend:(Driver.Parallel 2)
+            ~schedule:Driver.Critical_path mgr ~policy:Driver.Cutoff ~sources
+        else Driver.build mgr ~policy:Driver.Cutoff ~sources
+      in
+      ignore (build ());
+      List.iteri
+        (fun i edit ->
+          Gen.edit project (victim_of project (i * 3)) edit;
+          ignore (build ()))
+        edits;
+      let graph = Driver.dependency_graph mgr ~sources in
+      let bin file = Option.get (fs.Vfs.fs_read (file ^ ".bin")) in
+      let compile file closure_of =
+        (Irm.Wire.execute
+           {
+             Irm.Wire.j_name = file;
+             j_source = Option.get (fs.Vfs.fs_read file);
+             j_closure =
+               List.map
+                 (fun dep -> (dep, closure_of (bin dep)))
+                 (Depend.Depgraph.closure graph file);
+             j_imports = (Depend.Depgraph.node graph file).Depend.Depgraph.n_deps;
+             j_collect = false;
+             j_werror = false;
+             j_limit = None;
+             j_build = 0;
+             j_split = false;
+           })
+          .Irm.Wire.r_bytes
+      in
+      List.for_all
+        (fun file ->
+          let on_disk = bin file in
+          String.equal (compile file Pickle.Binfile.static_of_full) on_disk
+          && String.equal (compile file Fun.id) on_disk)
+        sources)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -552,6 +607,7 @@ let suite =
       prop_simplifier_never_grows;
       prop_null_build_idempotent;
       prop_warm_scan_equals_fresh;
+      prop_static_view_closures;
     ]
   @ [
       Alcotest.test_case "every 1-byte flip in a bin is checked" `Quick
