@@ -1275,7 +1275,7 @@ let daemon_status_cmd =
     (Cmd.info "status" ~exits
        ~doc:
          "report the daemon's uptime, served requests, connected clients, \
-          epochs and watched groups ($(b,--json) emits the smlsep-daemon/2 \
+          epochs and watched groups ($(b,--json) emits the smlsep-daemon/3 \
           status envelope, schema $(i,schemas/daemon.schema.json)).  A \
           SIGKILL'd daemon reports as stale and its leftover socket/pid \
           files are swept.")

@@ -1,108 +1,36 @@
 module Frame = Pickle.Frame
+module Transport = Remote.Transport
 
 exception Protocol_error of string
 exception Timeout of string
 
-type t = {
-  fd : Unix.file_descr;
-  mutable buffer : string;  (** received, unparsed bytes *)
-  mutable next_id : int;
-  mutable closed : bool;
-}
+type t = { conn : Transport.conn; mutable next_id : int }
 
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
+let close t = Transport.close t.conn
 
-(* EINTR-safe blocking write of a whole frame *)
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      match Unix.write_substring fd s off (len - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-(* read more bytes into the buffer, waiting at most until [deadline];
-   returns false on EOF.  The deadline always surfaces as [Timeout]:
-   the select retries around EINTR (a stray signal mid-HELLO must not
-   escape as a raw [Unix_error]), and an EOF observed at or past the
-   deadline is reported as the timeout it raced — a half-open peer
-   (accepts, never writes) and a peer that dies exactly at the budget
-   boundary both read as "did not respond in time". *)
-let fill t ~deadline =
-  let rec wait () =
-    let budget = deadline -. Unix.gettimeofday () in
-    if budget <= 0. then raise (Timeout "daemon did not respond in time");
-    match Unix.select [ t.fd ] [] [] budget with
-    | [], _, _ -> raise (Timeout "daemon did not respond in time")
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  wait ();
-  let chunk = Bytes.create 65536 in
-  match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-  | 0 ->
-    if Unix.gettimeofday () >= deadline then
-      raise (Timeout "daemon did not respond in time")
-    else false
-  | n ->
-    t.buffer <- t.buffer ^ Bytes.sub_string chunk 0 n;
-    true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-
-let rec next_frame t ~deadline =
-  match Frame.pop t.buffer with
-  | Some (msg, rest) ->
-    t.buffer <- rest;
-    msg
-  | None ->
-    if fill t ~deadline then next_frame t ~deadline
-    else raise (Protocol_error "daemon closed the connection")
-  | exception Pickle.Buf.Corrupt msg ->
-    close t;
-    raise (Protocol_error ("corrupt frame from daemon: " ^ msg))
-
-let handshake t ~timeout_s =
-  write_all t.fd
-    (Frame.encode ~kind:Protocol.k_hello ~id:"" ~payload:Protocol.version);
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let msg = next_frame t ~deadline in
-  if msg.Frame.f_kind = Protocol.k_error then
-    raise (Protocol_error msg.Frame.f_payload);
-  if msg.Frame.f_kind <> Protocol.k_hello then
-    raise (Protocol_error "daemon did not answer the handshake");
-  if not (String.equal msg.Frame.f_payload Protocol.version) then
-    raise
-      (Protocol_error
-         (Printf.sprintf "daemon speaks %s, this client speaks %s"
-            msg.Frame.f_payload Protocol.version))
+(* the transport's failure modes, as the client's two exceptions: a
+   deadline is a [Timeout], damage or an early close a
+   [Protocol_error] *)
+let io f =
+  try f () with
+  | Transport.Timed_out -> raise (Timeout "daemon did not respond in time")
+  | Transport.Protocol_damage reason | Transport.Unreachable reason ->
+    raise (Protocol_error reason)
 
 let connect ?(state_dir = Protocol.default_state_dir) ?(timeout_s = 10.) ~dir
     () =
-  let path = Protocol.socket_path ~dir ~state_dir in
-  if not (Sys.file_exists path) then None
-  else
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () ->
-      let t = { fd; buffer = ""; next_id = 0; closed = false } in
-      (match handshake t ~timeout_s with
-      | () -> Some t
-      | exception exn ->
-        close t;
-        raise exn)
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-      (* a socket file with nobody behind it: a dead daemon's leftover *)
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      None
-    | exception exn ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise exn
+  match
+    Transport.dial (Transport.Unix_sock (Protocol.socket_path ~dir ~state_dir))
+  with
+  | exception Transport.Unreachable _ ->
+    (* no socket file, or one with nobody behind it: a dead daemon's
+       leftover *)
+    None
+  | conn ->
+    io (fun () ->
+        Transport.greet conn ~version:Protocol.version
+          ~deadline:(Unix.gettimeofday () +. timeout_s));
+    Some { conn; next_id = 0 }
 
 type probe =
   | Live of t
@@ -170,15 +98,13 @@ let probe ?(state_dir = Protocol.default_state_dir) ?(timeout_s = 2.) ~dir ()
   | exception Timeout _ -> dead ()
 
 let request ?(timeout_s = 600.) ?(on_diag = fun _ -> ()) t req =
-  if t.closed then raise (Protocol_error "connection is closed");
   t.next_id <- t.next_id + 1;
   let id = string_of_int t.next_id in
-  write_all t.fd
-    (Frame.encode ~kind:Protocol.k_request ~id
-       ~payload:(Protocol.encode_request req));
+  Transport.send t.conn ~kind:Protocol.k_request ~id
+    ~payload:(Protocol.encode_request req);
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec wait () =
-    let msg = next_frame t ~deadline in
+    let msg = io (fun () -> Transport.await t.conn ~deadline) in
     if msg.Frame.f_kind = Protocol.k_error then begin
       close t;
       raise (Protocol_error msg.Frame.f_payload)

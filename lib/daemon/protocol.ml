@@ -1,13 +1,15 @@
 module Buf = Pickle.Buf
 
-let version = "smlsep-daemon/2"
+let version = "smlsep-daemon/3"
 
-(* disjoint from the worker protocol's 0..5 tag space *)
-let k_hello = 16
+(* HELLO and errors are the fabric's, since Netsrv gates and answers
+   them; the request kinds sit in 17..19, disjoint from the worker
+   protocol's 0..6 and the fabric's 32..45 *)
+let k_hello = Remote.Protocol.k_hello
 let k_request = 17
 let k_response = 18
 let k_diag = 19
-let k_error = 20
+let k_error = Remote.Protocol.k_error
 
 let default_state_dir = ".irm-daemon"
 

@@ -2,9 +2,13 @@
 
     Requests and responses travel as {!Pickle.Frame} messages — the
     same CRC-64-trailed framing the worker IPC uses — over a Unix
-    domain socket.  The daemon's tag space is disjoint from the worker
-    protocol's so a frame aimed at the wrong peer is an immediate
-    protocol error, not a misread.
+    domain socket, served by the fabric's reactor ({!Remote.Netsrv})
+    and dialed through its transport ({!Remote.Transport}).
+    {!k_hello} and {!k_error} are the fabric's own
+    ({!Remote.Protocol}), since the reactor gates the handshake and
+    answers damage; the request kinds (17–19) are disjoint from the
+    worker protocol's (0–6) and the fabric's (32–45), so a frame aimed
+    at the wrong peer is an immediate protocol error, not a misread.
 
     Conversation shape: the client opens with a {!k_hello} frame whose
     payload is {!version}; the daemon answers in kind (a mismatch gets
@@ -16,9 +20,10 @@
     interleave.  {!k_error} frames carry a human-readable reason for
     protocol-level failures. *)
 
-(** Protocol version, exchanged at HELLO: ["smlsep-daemon/2"] (v2
+(** Protocol version, exchanged at HELLO: ["smlsep-daemon/3"] (v2
     added the hot-swap requests {!request.Swap} and {!request.Epochs}
-    and the epoch fields in the status envelope). *)
+    and the epoch fields in the status envelope; v3 moved HELLO and
+    errors to the fabric's shared tags). *)
 val version : string
 
 (** {2 Frame kinds} *)

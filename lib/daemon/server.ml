@@ -1,4 +1,5 @@
 module Frame = Pickle.Frame
+module Netsrv = Remote.Netsrv
 module Driver = Irm.Driver
 module Diag = Support.Diag
 module Relink = Link.Relink
@@ -38,23 +39,10 @@ let default_config ~dir =
     d_log = prerr_endline;
   }
 
-let m_connections = Obs.Metrics.counter "daemon.connections"
 let m_requests = Obs.Metrics.counter "daemon.requests"
 let m_builds = Obs.Metrics.counter "daemon.builds"
 let m_sweeps = Obs.Metrics.counter "daemon.watch_sweeps"
 let m_dirty = Obs.Metrics.counter "daemon.watch_dirty"
-let m_dropped = Obs.Metrics.counter "daemon.clients_dropped"
-let g_clients = Obs.Metrics.gauge "daemon.clients"
-
-type conn = {
-  c_fd : Unix.file_descr;
-  mutable c_in : string;
-  mutable c_out : string;
-  mutable c_hello : bool;
-  mutable c_close_after_flush : bool;
-  mutable c_last_io : float;
-  mutable c_alive : bool;
-}
 
 (* warm per-group state: the manager (and its compilation session)
    lives as long as the daemon does *)
@@ -74,15 +62,13 @@ type group_state = {
 type t = {
   cfg : config;
   fs : Vfs.fs;
-  listen_fd : Unix.file_descr;
-  sock_path : string;
+  srv : Netsrv.t;
   pid_path : string;
   profile : Obs.Profile.t;
   mutable cache : Cache.t option;
   groups : (string, group_state) Hashtbl.t;
-  mutable conns : conn list;
-  mutable running : bool;
   mutable stopping : bool;  (** shutdown answered; draining output *)
+  mutable interrupted : exn option;  (** a signal, re-raised by [step] *)
   mutable served : int;
   mutable sweeps : int;
   mutable dirty_total : int;
@@ -389,8 +375,6 @@ let serve_build ?abort_check t opts ~and_run =
           ({ r_code = diag.code; r_out = listing; r_err = diag.err ^ swap_err },
            diag_frames))
 
-let live_conns t = List.filter (fun c -> c.c_alive) t.conns
-
 (* the per-group hot-swap fields of the status envelope: the serving
    epoch ([null] before the baseline), how many epoch records are
    retained, and the swap counters *)
@@ -452,7 +436,7 @@ let status_json t =
       ("pid", Int (Unix.getpid ()));
       ("uptime_s", Float (Unix.gettimeofday () -. t.started));
       ("served", Int t.served);
-      ("clients", Int (List.length (live_conns t)));
+      ("clients", Int (Netsrv.connections t.srv));
       ("hot_swap", Bool t.cfg.d_hot_swap);
       ( "watch",
         Obj
@@ -610,173 +594,33 @@ let serve_request ?abort_check t req =
     serve_epochs t ~group:ep_group ~json:ep_json
 
 (* ------------------------------------------------------------------ *)
-(* Connection plumbing                                                 *)
+(* Frames from greeted clients                                         *)
 (* ------------------------------------------------------------------ *)
 
-let send conn ~kind ~id ~payload =
-  conn.c_out <- conn.c_out ^ Frame.encode ~kind ~id ~payload
-
-let drop t conn =
-  if conn.c_alive then begin
-    conn.c_alive <- false;
-    conn.c_in <- "";
-    conn.c_out <- "";
-    (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-    Obs.Metrics.set g_clients (List.length (live_conns t))
-  end
-
-(* mid-swap (or mid-build) client disconnect detection: a requesting
-   client hanging up aborts a pending swap.  MSG_PEEK — pipelined
-   request bytes mean the peer is alive, only EOF or a broken socket
-   counts as gone. *)
-let client_gone conn () =
-  if not conn.c_alive then Some "client disconnected mid-swap"
+(* a bad request never raises into the reactor: Netsrv would close the
+   connection, and an undecodable request must keep it *)
+let on_msg t ~conn (msg : Frame.msg) =
+  let send kind payload = Netsrv.send t.srv ~conn ~kind ~id:msg.f_id ~payload in
+  if msg.f_kind <> Protocol.k_request then
+    send Protocol.k_error (Printf.sprintf "unexpected frame kind %d" msg.f_kind)
   else
-    let probe = Bytes.create 1 in
-    match Unix.recv conn.c_fd probe 0 1 [ Unix.MSG_PEEK ] with
-    | 0 -> Some "client disconnected mid-swap"
-    | _ -> None
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      None
-    | exception Unix.Unix_error _ -> Some "client connection broke mid-swap"
-
-let handle_msg t conn (msg : Frame.msg) =
-  if not conn.c_hello then
-    if msg.f_kind = Protocol.k_hello then
-      if String.equal msg.f_payload Protocol.version then begin
-        conn.c_hello <- true;
-        send conn ~kind:Protocol.k_hello ~id:msg.f_id
-          ~payload:Protocol.version
-      end
-      else begin
-        send conn ~kind:Protocol.k_error ~id:msg.f_id
-          ~payload:
-            (Printf.sprintf "version mismatch: daemon %s, client %s"
-               Protocol.version msg.f_payload);
-        conn.c_close_after_flush <- true
-      end
-    else begin
-      send conn ~kind:Protocol.k_error ~id:msg.f_id
-        ~payload:"expected a HELLO frame";
-      conn.c_close_after_flush <- true
-    end
-  else if msg.f_kind = Protocol.k_request then begin
     match Protocol.decode_request msg.f_payload with
     | exception Pickle.Buf.Corrupt reason ->
-      send conn ~kind:Protocol.k_error ~id:msg.f_id
-        ~payload:("undecodable request: " ^ reason)
+      send Protocol.k_error ("undecodable request: " ^ reason)
     | req ->
+      (* a requesting client hanging up aborts a pending swap *)
+      let abort_check () =
+        if Netsrv.conn_alive t.srv ~conn then None
+        else Some "client disconnected mid-swap"
+      in
       let resp, diags =
         Obs.Trace.span ~cat:"daemon"
           ~args:[ ("id", msg.f_id) ]
           "daemon.request"
-          (fun () -> serve_request ~abort_check:(client_gone conn) t req)
+          (fun () -> serve_request ~abort_check t req)
       in
-      List.iter
-        (fun payload -> send conn ~kind:Protocol.k_diag ~id:msg.f_id ~payload)
-        diags;
-      send conn ~kind:Protocol.k_response ~id:msg.f_id
-        ~payload:(Protocol.encode_response resp)
-  end
-  else
-    send conn ~kind:Protocol.k_error ~id:msg.f_id
-      ~payload:(Printf.sprintf "unexpected frame kind %d" msg.f_kind)
-
-(* a client feeding us garbage gets a best-effort error frame and a
-   close — never an exception out of the reactor *)
-let rec parse_conn t conn =
-  if conn.c_alive && not conn.c_close_after_flush then
-    match Frame.pop conn.c_in with
-    | exception Pickle.Buf.Corrupt reason ->
-      conn.c_in <- "";
-      send conn ~kind:Protocol.k_error ~id:""
-        ~payload:("corrupt frame: " ^ reason);
-      conn.c_close_after_flush <- true
-    | None -> ()
-    | Some (msg, rest) ->
-      conn.c_in <- rest;
-      handle_msg t conn msg;
-      parse_conn t conn
-
-let read_conn t conn =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
-    | 0 -> drop t conn
-    | n ->
-      conn.c_in <- conn.c_in ^ Bytes.sub_string chunk 0 n;
-      conn.c_last_io <- Unix.gettimeofday ();
-      go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> drop t conn
-  in
-  go ();
-  if conn.c_alive then parse_conn t conn
-
-let flush_conn t conn =
-  let rec go () =
-    if conn.c_alive && conn.c_out <> "" then
-      match
-        Unix.write_substring conn.c_fd conn.c_out 0 (String.length conn.c_out)
-      with
-      | n ->
-        conn.c_out <- String.sub conn.c_out n (String.length conn.c_out - n);
-        conn.c_last_io <- Unix.gettimeofday ();
-        go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> drop t conn
-  in
-  go ();
-  if conn.c_alive && conn.c_out = "" && conn.c_close_after_flush then
-    drop t conn
-
-let accept_conns t =
-  let rec go () =
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | fd, _ ->
-      Unix.set_nonblock fd;
-      Obs.Metrics.incr m_connections;
-      t.conns <-
-        {
-          c_fd = fd;
-          c_in = "";
-          c_out = "";
-          c_hello = false;
-          c_close_after_flush = false;
-          c_last_io = Unix.gettimeofday ();
-          c_alive = true;
-        }
-        :: t.conns;
-      Obs.Metrics.set g_clients (List.length (live_conns t));
-      go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
-(* the watchdog: a client holding half a frame, or not draining its
-   response, past the timeout is wedged — drop it, exactly as the
-   worker supervisor drops a silent child *)
-let drop_wedged t =
-  let now = Unix.gettimeofday () in
-  List.iter
-    (fun conn ->
-      if
-        conn.c_alive
-        && (conn.c_in <> "" || conn.c_out <> "" || not conn.c_hello)
-        && now -. conn.c_last_io > t.cfg.d_client_timeout_s
-      then begin
-        Obs.Metrics.incr m_dropped;
-        t.cfg.d_log
-          (Printf.sprintf "daemon: dropped a wedged client (idle %.1fs)"
-             (now -. conn.c_last_io));
-        drop t conn
-      end)
-    t.conns
+      List.iter (send Protocol.k_diag) diags;
+      send Protocol.k_response (Protocol.encode_response resp)
 
 (* ------------------------------------------------------------------ *)
 (* Watch sweeps                                                        *)
@@ -872,13 +716,13 @@ let create cfg =
     | Some c ->
       Client.close c;
       raise (Already_running sock_path)
-    | None -> ( try Unix.unlink sock_path with Unix.Unix_error _ -> ())
+    | None -> ()
     | exception _ -> raise (Already_running sock_path)
   end;
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX sock_path);
-  Unix.listen listen_fd 16;
-  Unix.set_nonblock listen_fd;
+  let srv =
+    Netsrv.create ~client_timeout_s:cfg.d_client_timeout_s
+      ~version:Protocol.version (Remote.Transport.Unix_sock sock_path)
+  in
   Out_channel.with_open_bin pid_path (fun oc ->
       Printf.fprintf oc "%d\n" (Unix.getpid ()));
   (* bound the trace buffer: the daemon traces across thousands of
@@ -889,15 +733,13 @@ let create cfg =
     {
       cfg;
       fs;
-      listen_fd;
-      sock_path;
+      srv;
       pid_path;
       profile = Obs.Profile.load fs;
       cache = None;
       groups = Hashtbl.create 4;
-      conns = [];
-      running = true;
       stopping = false;
+      interrupted = None;
       served = 0;
       sweeps = 0;
       dirty_total = 0;
@@ -905,6 +747,12 @@ let create cfg =
       next_sweep = Unix.gettimeofday () +. cfg.d_poll_s;
     }
   in
+  (* a signal's [Driver.Interrupted] tells the daemon to die: carry it
+     past Netsrv's per-connection catch to [step], serving nothing more *)
+  Netsrv.set_handler srv (fun ~conn msg ->
+      if t.interrupted = None then
+        try on_msg t ~conn msg
+        with Driver.Interrupted _ as exn -> t.interrupted <- Some exn);
   (* pre-warm: build and track every startup group so the first client
      request already hits warm state *)
   List.iter
@@ -916,56 +764,29 @@ let create cfg =
     cfg.d_groups;
   t
 
-let running t = t.running
+let running t = Netsrv.running t.srv
 
 let stop t =
-  if t.running then begin
-    t.running <- false;
-    List.iter (fun conn -> drop t conn) t.conns;
-    t.conns <- [];
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.unlink t.sock_path with Unix.Unix_error _ -> ());
+  if running t then begin
+    Netsrv.stop t.srv;
     try Unix.unlink t.pid_path with Unix.Unix_error _ -> ()
   end
 
 let step ?(timeout_s = 0.2) t =
-  if t.running then begin
+  if running t then begin
     let now = Unix.gettimeofday () in
     if now >= t.next_sweep then sweep t;
-    drop_wedged t;
-    t.conns <- live_conns t;
-    if t.stopping && List.for_all (fun c -> c.c_out = "") t.conns then stop t
-    else begin
-      let reads = t.listen_fd :: List.map (fun c -> c.c_fd) t.conns in
-      let writes =
-        List.filter_map
-          (fun c -> if c.c_out <> "" then Some c.c_fd else None)
-          t.conns
-      in
-      let wait =
-        Float.max 0. (Float.min timeout_s (t.next_sweep -. now))
-      in
-      match Unix.select reads writes [] wait with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | rs, ws, _ ->
-        if List.memq t.listen_fd rs then accept_conns t;
-        List.iter
-          (fun conn ->
-            if conn.c_alive && List.memq conn.c_fd rs then read_conn t conn)
-          t.conns;
-        (* requests processed above queued output: push it now rather
-           than waiting for the next select round *)
-        List.iter
-          (fun conn ->
-            if conn.c_alive && (conn.c_out <> "" || List.memq conn.c_fd ws)
-            then flush_conn t conn)
-          t.conns
-    end
+    Netsrv.step
+      ~timeout_s:(Float.max 0. (Float.min timeout_s (t.next_sweep -. now)))
+      t.srv;
+    Option.iter raise t.interrupted;
+    (* the Shutdown answer has left: stop in the same turn *)
+    if t.stopping && Netsrv.drained t.srv then stop t
   end
 
 let run t =
   match
-    while t.running do
+    while running t do
       step t
     done
   with

@@ -7,18 +7,20 @@
     so a rebuild request pays only for what actually changed — no
     process startup, no session rehydration, no cache-index replay.
 
-    The server is a {e step-driven reactor}: {!step} runs one
-    [select]/accept/read/process/write iteration and returns, {!run}
+    The server is one more {!Remote.Netsrv} service, like the executor
+    and the cache service: {!step} runs a watch sweep when one is due,
+    then one reactor turn (select/accept/read/process/write), and {!run}
     loops it until shutdown.  Tests drive {!step} directly (no forked
     daemon needed); the CLI daemonizes and calls {!run}.  Requests are
     processed inline and FIFO — a build request occupies the loop for
     its duration; concurrent clients' requests queue and their
     responses interleave by request id.  Client misbehaviour never
-    takes the daemon down: a corrupt frame gets a best-effort
-    {!Protocol.k_error} and a close, a version mismatch likewise, and a
-    wedged client (half a frame, or a response it never drains) is
-    dropped at [d_client_timeout_s] — the watchdog discipline of
-    {!Worker}, applied to clients.
+    takes the daemon down: the reactor answers a corrupt frame with a
+    best-effort {!Protocol.k_error} and a close, a version mismatch
+    likewise, and drops a wedged client (half a frame, a response it
+    never drains, or no HELLO) at [d_client_timeout_s].  An undecodable
+    request gets a {!Protocol.k_error} naming its id and keeps the
+    connection.
 
     A polling {!Watch} sweep runs between requests: dirty files are
     mapped to their dependent cone and either rebuilt eagerly
@@ -60,9 +62,11 @@ type t
     swept and rebound). *)
 val create : config -> t
 
-(** [step ?timeout_s t] — one reactor iteration: wait up to
-    [timeout_s] (default 0.2) for socket activity or the next watch
-    deadline, then accept/read/process/write what is ready. *)
+(** [step ?timeout_s t] — sweep if due, then one reactor turn: wait
+    up to [timeout_s] (default 0.2) for socket activity or the next
+    watch deadline, then accept/read/process/write what is ready.  An
+    {!Irm.Driver.Interrupted} raised while a request ran is re-raised
+    here. *)
 val step : ?timeout_s:float -> t -> unit
 
 (** Still serving?  Becomes false after a [Shutdown] request has been

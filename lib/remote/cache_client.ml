@@ -46,9 +46,6 @@ let create ?local ?tick ?chaos ?(timeout_s = 5.) ?(log = prerr_endline) addr =
 
 exception Gave_up of string
 
-let tick t =
-  match t.tick with Some f -> f () | None -> ()
-
 let drop_conn t =
   (match t.conn with Some c -> Transport.close c | None -> ());
   t.conn <- None
@@ -73,35 +70,13 @@ let degrade t reason =
     Unix.gettimeofday ()
     +. Support.Backoff.delay t.backoff ~attempt:(t.dial_attempts - 1)
 
-(* block (ticking) until the transport yields a frame or the deadline
-   passes.  All failure modes funnel into Gave_up. *)
-let await_frame t conn ~deadline =
-  let rec go () =
-    tick t;
-    Transport.poll conn;
-    match Transport.recv conn with
-    | Some msg -> msg
-    | None -> (
-      match Transport.status conn with
-      | Transport.Closed reason -> raise (Gave_up reason)
-      | Transport.Connecting | Transport.Up ->
-        let now = Unix.gettimeofday () in
-        if now >= deadline then raise (Gave_up "operation timed out")
-        else begin
-          (match Transport.fd conn with
-          | Some fd -> (
-            let w = if Transport.want_write conn then [ fd ] else [] in
-            try
-              ignore
-                (Unix.select [ fd ] w []
-                   (Float.min 0.01 (deadline -. now)))
-            with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          | None -> ());
-          go ()
-        end)
-    | exception Transport.Protocol_damage reason -> raise (Gave_up reason)
-  in
-  go ()
+(* every transport failure mode — deadline, close, damage, a refused
+   handshake — funnels into Gave_up *)
+let io f =
+  try f () with
+  | Transport.Timed_out -> raise (Gave_up "operation timed out")
+  | Transport.Unreachable reason | Transport.Protocol_damage reason ->
+    raise (Gave_up reason)
 
 (* a greeted connection, dialing and handshaking if needed *)
 let connect t =
@@ -111,32 +86,20 @@ let connect t =
     if t.degraded && Unix.gettimeofday () < t.retry_at then
       raise (Gave_up "degraded; redial not due yet");
     let deadline = Unix.gettimeofday () +. t.timeout_s in
-    let conn =
-      try Transport.dial ?chaos:t.chaos t.addr
-      with Transport.Unreachable reason -> raise (Gave_up reason)
-    in
-    Transport.send conn ~kind:Protocol.k_hello ~id:""
-      ~payload:Protocol.version_cache;
-    let msg = await_frame t conn ~deadline in
-    if
-      msg.Frame.f_kind = Protocol.k_hello
-      && String.equal msg.Frame.f_payload Protocol.version_cache
-    then begin
-      t.conn <- Some conn;
-      if t.degraded then begin
-        t.degraded <- false;
-        t.warned <- false;
-        t.dial_attempts <- 0;
-        t.log
-          (Printf.sprintf "shared cache %s is back; resuming read-through"
-             (Transport.addr_to_string t.addr))
-      end;
-      conn
-    end
-    else begin
-      Transport.close conn;
-      raise (Gave_up "cache service handshake failed")
-    end
+    let conn = io (fun () -> Transport.dial ?chaos:t.chaos t.addr) in
+    io (fun () ->
+        Transport.greet ?tick:t.tick conn ~version:Protocol.version_cache
+          ~deadline);
+    t.conn <- Some conn;
+    if t.degraded then begin
+      t.degraded <- false;
+      t.warned <- false;
+      t.dial_attempts <- 0;
+      t.log
+        (Printf.sprintf "shared cache %s is back; resuming read-through"
+           (Transport.addr_to_string t.addr))
+    end;
+    conn
 
 (* one remote round-trip; Gave_up degrades, caller falls back to local *)
 let rpc t ~kind ~key ~payload =
@@ -151,7 +114,7 @@ let rpc t ~kind ~key ~payload =
      chaos-duplicated reply from the previous op may still be queued,
      so skip frames whose key is not ours *)
   let rec next () =
-    let msg = await_frame t conn ~deadline in
+    let msg = io (fun () -> Transport.await ?tick:t.tick conn ~deadline) in
     if String.equal msg.Frame.f_id key then msg else next ()
   in
   next ()

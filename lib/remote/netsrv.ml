@@ -8,12 +8,14 @@ type conn_state = {
   mutable n_hello : bool;
   mutable n_close_after_flush : bool;
   mutable n_alive : bool;
+  mutable n_last_io : float;
 }
 
 type t = {
   version : string;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
+  client_timeout_s : float;
   mutable handler : (conn:int -> Frame.msg -> unit) option;
   mutable on_step : (unit -> unit) option;
   mutable conns : conn_state list;
@@ -23,13 +25,16 @@ type t = {
 
 let m_conns = Obs.Metrics.counter "netsrv.connections"
 let m_frames = Obs.Metrics.counter "netsrv.frames"
+let m_dropped = Obs.Metrics.counter "netsrv.clients_dropped"
+let g_clients = Obs.Metrics.gauge "netsrv.clients"
 
-let create ~version addr =
+let create ?(client_timeout_s = 30.) ~version addr =
   let fd = Transport.listen addr in
   {
     version;
     listen_fd = fd;
     bound = Transport.bound_addr fd addr;
+    client_timeout_s;
     handler = None;
     on_step = None;
     conns = [];
@@ -61,7 +66,21 @@ let send t ~conn ~kind ~id ~payload =
   | Some c -> send_conn c ~kind ~id ~payload
   | None -> ()
 
-let conn_alive t ~conn = Option.is_some (find_conn t conn)
+(* the peer-gone probe: MSG_PEEK, so pipelined request bytes mean the
+   peer is alive; only EOF or a broken socket counts as gone *)
+let conn_alive t ~conn =
+  match find_conn t conn with
+  | None -> false
+  | Some c -> (
+    match Unix.recv c.n_fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
+    | 0 -> false
+    | _ -> true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      true
+    | exception Unix.Unix_error _ -> false)
+
+let connections t = List.length (List.filter (fun c -> c.n_alive) t.conns)
+let drained t = List.for_all (fun c -> (not c.n_alive) || c.n_out = "") t.conns
 
 let handle_msg t conn (msg : Frame.msg) =
   Obs.Metrics.incr m_frames;
@@ -121,6 +140,7 @@ let read_conn t conn =
     | 0 -> drop conn
     | n ->
       conn.n_in <- conn.n_in ^ Bytes.sub_string chunk 0 n;
+      conn.n_last_io <- Unix.gettimeofday ();
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -137,6 +157,7 @@ let flush_conn conn =
       with
       | n ->
         conn.n_out <- String.sub conn.n_out n (String.length conn.n_out - n);
+        conn.n_last_io <- Unix.gettimeofday ();
         go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         ()
@@ -163,6 +184,7 @@ let accept_conns t =
           n_hello = false;
           n_close_after_flush = false;
           n_alive = true;
+          n_last_io = Unix.gettimeofday ();
         }
         :: t.conns;
       go ()
@@ -172,8 +194,27 @@ let accept_conns t =
   in
   go ()
 
+(* the watchdog: a peer holding half a frame, not draining its output,
+   or never greeting, past the idle timeout is wedged — drop it, as the
+   worker supervisor drops a silent child.  A greeted idle connection
+   is a client between requests and stays. *)
+let drop_wedged t =
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun c ->
+      if
+        c.n_alive
+        && (c.n_in <> "" || c.n_out <> "" || not c.n_hello)
+        && now -. c.n_last_io > t.client_timeout_s
+      then begin
+        Obs.Metrics.incr m_dropped;
+        drop c
+      end)
+    t.conns
+
 let step ?(timeout_s = 0.) t =
   if t.running then begin
+    drop_wedged t;
     let live = List.filter (fun c -> c.n_alive) t.conns in
     let reads = t.listen_fd :: List.map (fun c -> c.n_fd) live in
     let writes =
@@ -196,6 +237,7 @@ let step ?(timeout_s = 0.) t =
           flush_conn c)
       live;
     t.conns <- List.filter (fun c -> c.n_alive) t.conns;
+    Obs.Metrics.set g_clients (List.length t.conns);
     match t.on_step with Some f -> f () | None -> ()
   end
 

@@ -1,25 +1,32 @@
-(** A generic select-step socket reactor for the fabric's services.
+(** The one select-step socket reactor: the compile daemon, the
+    executor and the cache service all serve through it.
 
-    The same shape as the compile daemon's server loop — accept,
-    buffered nonblocking reads and writes, frame parsing, HELLO/version
-    gating, garbage tolerance — factored out so the executor and the
-    cache service only supply a message handler.  [step] performs one
-    bounded reactor turn; callers loop it ([run]) or hand-pump it from
-    a test in the same process, which is how the chaos harness gets a
-    deterministic single-domain interleaving of client and server.
+    Accept, buffered nonblocking reads and writes, frame parsing,
+    HELLO/version gating, garbage tolerance and the wedged-client
+    watchdog live here, so a service only supplies a message handler.
+    [step] performs one bounded reactor turn; callers loop it ([run])
+    or hand-pump it from a test in the same process, which is how the
+    chaos harnesses get a deterministic single-domain interleaving of
+    client and server.
 
     HELLO gating is built in: the first frame on every connection must
     be a {!Protocol.k_hello} carrying exactly [version]; anything else
     gets a {!Protocol.k_error} and a close, and the handler never sees
-    a message from an ungreeted peer. *)
+    a message from an ungreeted peer.
+
+    The watchdog drops a connection holding half a frame, undrained
+    output or no HELLO past the idle timeout; a greeted connection with
+    nothing in flight stays (a fleet holds those between jobs). *)
 
 type t
 
-(** [create ~version addr] — bind and listen.  [addr] with port 0
-    binds an ephemeral port; read the result back with {!addr}.
-    Raises {!Transport.Unreachable} when the address cannot be
-    bound. *)
-val create : version:string -> Transport.addr -> t
+(** [create ?client_timeout_s ~version addr] — bind and listen.
+    [addr] with port 0 binds an ephemeral port; read the result back
+    with {!addr}.  [client_timeout_s] (default 30) is the watchdog's
+    idle timeout.  Raises {!Transport.Unreachable} when the address
+    cannot be bound. *)
+val create :
+  ?client_timeout_s:float -> version:string -> Transport.addr -> t
 
 (** The bound address (with the real port filled in). *)
 val addr : t -> Transport.addr
@@ -39,8 +46,16 @@ val set_on_step : t -> (unit -> unit) -> unit
     Dropped silently if the connection is gone. *)
 val send : t -> conn:int -> kind:int -> id:string -> payload:string -> unit
 
-(** Is this connection still open? *)
+(** Is this connection's peer still there?  False once it is closed,
+    or when a [MSG_PEEK] probe sees EOF or a broken socket — a long
+    handler polls it to notice a client that hung up. *)
 val conn_alive : t -> conn:int -> bool
+
+(** Live connections. *)
+val connections : t -> int
+
+(** True when no live connection has output left to flush. *)
+val drained : t -> bool
 
 (** One reactor turn: accept, read, parse/dispatch, flush.  Blocks in
     select at most [timeout_s] (default 0 — never blocks). *)
@@ -51,5 +66,6 @@ val running : t -> bool
 (** Loop {!step} (50 ms granularity) until {!stop}. *)
 val run : t -> unit
 
-(** Close every connection and the listener.  Idempotent. *)
+(** Close every connection and the listener, and unlink a Unix socket
+    path.  Idempotent. *)
 val stop : t -> unit

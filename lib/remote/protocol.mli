@@ -3,9 +3,10 @@
     Frames are {!Pickle.Frame} messages — the same CRC-64-trailed
     framing the worker pipes and the compile daemon use — carried over
     a stream socket ({!Transport}).  The fabric's tag space (32–45) is
-    disjoint from both the worker protocol (0–6) and the daemon
-    protocol (16–20), so a frame aimed at the wrong peer is an
-    immediate protocol error, never a misread.
+    disjoint from both the worker protocol (0–6) and the daemon's
+    request kinds (17–19); the daemon, also a {!Netsrv} service, shares
+    {!k_hello}, {!k_error} and {!k_ping}.  A frame aimed at the wrong
+    peer is an immediate protocol error, never a misread.
 
     Conversation shape, both services: the client opens with a
     {!k_hello} frame whose payload is the service's version string; the

@@ -25,6 +25,12 @@ let addr_to_string = function
 
 exception Unreachable of string
 exception Protocol_damage of string
+exception Timed_out
+
+(* a peer that hangs up while we write must surface as EPIPE on that
+   one connection, not kill the process: every process that listens or
+   dials ignores SIGPIPE, as the worker supervisor does *)
+let ignore_sigpipe () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let sockaddr_of = function
   | Unix_sock path -> Unix.ADDR_UNIX path
@@ -41,6 +47,7 @@ let domain_of = function
   | Tcp _ -> Unix.PF_INET
 
 let listen ?(backlog = 16) addr =
+  ignore_sigpipe ();
   (match addr with
   | Unix_sock path when Sys.file_exists path -> (
     try Unix.unlink path with Unix.Unix_error _ -> ())
@@ -119,6 +126,7 @@ let fire t op =
     f
 
 let dial ?chaos addr =
+  ignore_sigpipe ();
   Obs.Metrics.incr m_dials;
   let t =
     {
@@ -281,3 +289,42 @@ let rec recv t =
       | Some (Netchaos.Refuse | Netchaos.Truncate_frame) | None -> Some msg))
 
 let close t = kill t "closed"
+
+let rec await ?tick t ~deadline =
+  Option.iter (fun f -> f ()) tick;
+  match recv t with
+  | Some msg -> msg
+  | None -> (
+    let now = Unix.gettimeofday () in
+    (* an EOF observed at or past the deadline is the timeout it raced:
+       a peer dying exactly at the budget boundary reads as one that
+       did not answer in time *)
+    if now >= deadline then raise Timed_out;
+    match (t.c_status, t.c_fd) with
+    | Closed reason, _ -> raise (Unreachable reason)
+    | (Connecting | Up), None -> raise (Unreachable "no socket")
+    | (Connecting | Up), Some fd ->
+      (let w = if want_write t then [ fd ] else [] in
+       try ignore (Unix.select [ fd ] w [] (Float.min 0.01 (deadline -. now)))
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      poll t;
+      await ?tick t ~deadline)
+
+let greet ?tick t ~version ~deadline =
+  let refuse reason =
+    kill t reason;
+    raise (Protocol_damage reason)
+  in
+  send t ~kind:Protocol.k_hello ~id:"" ~payload:version;
+  match await ?tick t ~deadline with
+  | msg when msg.Frame.f_kind = Protocol.k_error -> refuse msg.Frame.f_payload
+  | msg when msg.Frame.f_kind <> Protocol.k_hello ->
+    refuse "peer did not answer the handshake"
+  | msg when not (String.equal msg.Frame.f_payload version) ->
+    refuse
+      (Printf.sprintf "peer speaks %s, this client speaks %s"
+         msg.Frame.f_payload version)
+  | _ -> ()
+  | exception exn ->
+    kill t "handshake failed";
+    raise exn

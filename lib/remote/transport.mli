@@ -24,16 +24,22 @@ val parse_addr : string -> (addr, string) result
 val addr_to_string : addr -> string
 
 (** The peer cannot be reached: refused, no such socket, reset during
-    the handshake, dial deadline expired. *)
+    the handshake, dial deadline expired, or the connection died while
+    a frame was awaited. *)
 exception Unreachable of string
 
 (** The peer is reachable but speaks damage: bad magic, CRC mismatch,
     torn frame. *)
 exception Protocol_damage of string
 
+(** {!await}'s deadline passed before a frame arrived. *)
+exception Timed_out
+
 (** [listen addr] — a nonblocking listening socket ([addr] with port 0
     picks an ephemeral port; a stale Unix socket path is unlinked).
-    Raises {!Unreachable} when the address cannot be bound. *)
+    Raises {!Unreachable} when the address cannot be bound.  Like
+    {!dial}, it sets SIGPIPE to ignored for the process, so a peer
+    hanging up mid-write is an [EPIPE] on that connection. *)
 val listen : ?backlog:int -> addr -> Unix.file_descr
 
 (** [bound_addr fd addr] — [addr] with the actual port filled in, for
@@ -57,9 +63,6 @@ val addr : conn -> addr
 (** The fd to select on while the connection lives; [None] once closed. *)
 val fd : conn -> Unix.file_descr option
 
-(** True while there are unflushed outgoing bytes. *)
-val want_write : conn -> bool
-
 (** [poll t] — progress the connection: finish the connect, read
     whatever the peer sent, flush pending output.  Never blocks, never
     raises; failures park the connection in [Closed]. *)
@@ -76,3 +79,21 @@ val send : conn -> kind:int -> id:string -> payload:string -> unit
 val recv : conn -> Pickle.Frame.msg option
 
 val close : conn -> unit
+
+(** {2 Blocking use}, for a client with one request in flight.
+    [tick] runs once per turn of the wait: the in-process harnesses
+    pump a server's reactor with it. *)
+
+(** [await ?tick t ~deadline] — block until the next frame arrives
+    (frames that arrived before a close still count).  Raises
+    {!Timed_out} once [deadline] passes, {!Protocol_damage} on a
+    damaged stream, {!Unreachable} when the connection closes first. *)
+val await :
+  ?tick:(unit -> unit) -> conn -> deadline:float -> Pickle.Frame.msg
+
+(** [greet ?tick t ~version ~deadline] — the HELLO exchange.  Raises
+    {!Protocol_damage} naming the reason when the peer refuses or
+    speaks another version, and {!await}'s exceptions otherwise; every
+    failure closes the connection. *)
+val greet :
+  ?tick:(unit -> unit) -> conn -> version:string -> deadline:float -> unit

@@ -11,6 +11,8 @@ module Client = Daemon.Client
 module Watch = Daemon.Watch
 module Lock = Daemon.Lock
 module Driver = Irm.Driver
+module Transport = Remote.Transport
+module Netchaos = Remote.Netchaos
 
 (* ------------------------------------------------------------------ *)
 (* Protocol codecs                                                     *)
@@ -943,6 +945,104 @@ let test_deleted_unit_invalidates_cone () =
     [ "base.sml"; "mid.sml"; "top.sml" ];
   disconnect c
 
+(* ------------------------------------------------------------------ *)
+(* Network weather                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* the listing with the summary line's wall time cut off *)
+let untimed listing =
+  String.split_on_char '\n' listing
+  |> List.map (fun line ->
+         match String.rindex_opt line ',' with
+         | Some i when contains ~needle:" ms)" line -> String.sub line 0 i
+         | _ -> line)
+
+let oneshot_listing dir =
+  let fs = Vfs.real ~dir in
+  let sources = Irm.Group.load fs "sources.cm" in
+  let mgr = Driver.create fs in
+  Irm.Introspect.build_listing mgr
+    (Driver.build mgr ~policy:Driver.Cutoff ~sources)
+
+(* one client session under a fault plan: greet, ask for status, hang
+   up — whatever the network does to it along the way *)
+let chaos_session srv dir plan =
+  let inj = Netchaos.injector plan in
+  let tick () = Server.step ~timeout_s:0. srv in
+  let deadline () = Unix.gettimeofday () +. 0.3 in
+  let addr =
+    Transport.Unix_sock
+      (Protocol.socket_path ~dir ~state_dir:Protocol.default_state_dir)
+  in
+  (match Transport.dial ~chaos:inj addr with
+  | exception Transport.Unreachable _ -> ()
+  | conn ->
+    (try
+       Transport.greet ~tick conn ~version:Protocol.version
+         ~deadline:(deadline ());
+       Transport.send conn ~kind:Protocol.k_request ~id:"c"
+         ~payload:(Protocol.encode_request Protocol.Status);
+       let rec answer () =
+         let m = Transport.await ~tick conn ~deadline:(deadline ()) in
+         if m.Frame.f_kind <> Protocol.k_response then answer ()
+       in
+       answer ()
+     with
+    | Transport.Timed_out | Transport.Unreachable _
+    | Transport.Protocol_damage _
+    ->
+      ());
+    Transport.close conn);
+  (* let the daemon observe the hang-up *)
+  for _ = 1 to 5 do
+    Server.step ~timeout_s:0.01 srv
+  done;
+  Netchaos.fired inj
+
+(* Netchaos reaches the daemon: under every plan the daemon survives,
+   and a clean request afterwards gets a one-shot build's listing and
+   bins *)
+let test_daemon_survives_network_faults () =
+  let open Netchaos in
+  let plans =
+    [
+      [ { ce_op = Send; ce_at = 1; ce_fault = Reset } ];
+      [ { ce_op = Send; ce_at = 2; ce_fault = Reset } ];
+      [ { ce_op = Recv; ce_at = 1; ce_fault = Reset } ];
+      [ { ce_op = Send; ce_at = 1; ce_fault = Truncate_frame } ];
+      [ { ce_op = Send; ce_at = 2; ce_fault = Truncate_frame } ];
+      [ { ce_op = Send; ce_at = 1; ce_fault = Black_hole } ];
+      [ { ce_op = Send; ce_at = 2; ce_fault = Black_hole } ];
+      [ { ce_op = Recv; ce_at = 1; ce_fault = Duplicate_response } ];
+      [ { ce_op = Recv; ce_at = 2; ce_fault = Duplicate_response } ];
+    ]
+    (* and seeded mixes over the session's few operations *)
+    @ List.init 4 (fun i -> seeded_plan ~seed:(i + 1) ~ops:2)
+  in
+  List.iter
+    (fun plan ->
+      let name = Format.asprintf "plan %a" pp_plan plan in
+      let dir = fresh_project () in
+      let oneshot_dir = fresh_project () in
+      with_server (test_config dir) @@ fun srv ->
+      Alcotest.(check bool) (name ^ ": a fault fired") true
+        (chaos_session srv dir plan > 0);
+      Alcotest.(check bool) (name ^ ": daemon survived") true
+        (Server.running srv);
+      let c = client_of srv dir in
+      let resp, _ =
+        rpc srv c ~id:"b" (Protocol.Build (build_opts "sources.cm"))
+      in
+      disconnect c;
+      Alcotest.(check int) (name ^ ": clean build ok") 0 resp.Protocol.r_code;
+      Alcotest.(check (list string))
+        (name ^ ": one-shot listing")
+        (untimed (oneshot_listing oneshot_dir))
+        (untimed resp.Protocol.r_out);
+      Alcotest.(check bool) (name ^ ": one-shot bins") true
+        (bins dir = bins oneshot_dir))
+    plans
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -982,4 +1082,6 @@ let suite =
       test_probe_stale_daemon;
     Alcotest.test_case "deleted unit invalidates the cone" `Quick
       test_deleted_unit_invalidates_cone;
+    Alcotest.test_case "daemon survives network faults" `Quick
+      test_daemon_survives_network_faults;
   ]

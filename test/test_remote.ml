@@ -419,6 +419,64 @@ let test_shared_cache_warms_a_second_builder () =
   Alcotest.(check bool) "warm bins byte-identical" true
     (warm_bins = cold_bins)
 
+(* ------------------------------------------------------------------ *)
+(* The reactor's watchdog                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* a bare service with a short idle timeout: a client holding half a
+   frame is cut loose, a greeted idle client is not (a fleet holds such
+   connections between jobs), and the service keeps serving *)
+let test_netsrv_watchdog () =
+  let version = "smlsep-watchdog-test/1" in
+  let path = fresh_sock () in
+  let srv =
+    Netsrv.create ~client_timeout_s:0.2 ~version (Transport.Unix_sock path)
+  in
+  Fun.protect ~finally:(fun () -> Netsrv.stop srv) @@ fun () ->
+  let tick () = Netsrv.step srv in
+  let deadline () = Unix.gettimeofday () +. 2. in
+  let greeted () =
+    let c = Transport.dial (Netsrv.addr srv) in
+    Transport.greet ~tick c ~version ~deadline:(deadline ());
+    c
+  in
+  let ping c id =
+    Transport.send c ~kind:Remote.Protocol.k_ping ~id ~payload:"";
+    let m = Transport.await ~tick c ~deadline:(deadline ()) in
+    Alcotest.(check string) "ping echoed" id m.Pickle.Frame.f_id
+  in
+  let dropped () =
+    Option.value ~default:0 (Obs.Metrics.find "netsrv.clients_dropped")
+  in
+  let dropped_before = dropped () in
+  let idle = greeted () in
+  let half = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close half) @@ fun () ->
+  Unix.connect half (Unix.ADDR_UNIX path);
+  let frame =
+    Pickle.Frame.encode ~kind:Remote.Protocol.k_hello ~id:"" ~payload:version
+  in
+  ignore (Unix.write_substring half frame 0 4);
+  (* pump the reactor across several idle timeouts *)
+  let until = Unix.gettimeofday () +. 0.8 in
+  while Unix.gettimeofday () < until do
+    Netsrv.step ~timeout_s:0.02 srv
+  done;
+  Unix.set_nonblock half;
+  (match Unix.read half (Bytes.create 16) 0 16 with
+  | 0 -> ()
+  | _ -> Alcotest.fail "the half-frame client was answered"
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Alcotest.fail "the half-frame client was never dropped");
+  Alcotest.(check int) "one drop counted" 1 (dropped () - dropped_before);
+  Alcotest.(check int) "the greeted idle client stays" 1
+    (Netsrv.connections srv);
+  ping idle "idle";
+  let fresh = greeted () in
+  ping fresh "fresh";
+  Transport.close idle;
+  Transport.close fresh
+
 let suite =
   [
     Alcotest.test_case "parse addr" `Quick test_parse_addr;
@@ -445,4 +503,6 @@ let suite =
       test_cache_service_down_degrades;
     Alcotest.test_case "shared cache warms a second builder" `Quick
       test_shared_cache_warms_a_second_builder;
+    Alcotest.test_case "watchdog drops only wedged clients" `Quick
+      test_netsrv_watchdog;
   ]
