@@ -24,7 +24,7 @@
      E19 compile server: warm vs cold rebuilds, client throughput (timing)
      E20 critical-path scheduling vs wavefront on synthetic DAGs (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
-     E22 hot-swap latency vs full restart, 0/4 pinned clients (timing)
+     E22 live-relink swap latency vs full restart (timing)
 *)
 
 module Gen = Workload.Gen
@@ -70,7 +70,7 @@ let section title =
 (*                             hit_rate,wall_s} |                      *)
 (*                            {scenario,units,serial_s,degraded_s,     *)
 (*                             overhead_ratio}],                       *)
-(*       "hot_swap":         [{edit,pins,units,swap_s,restart_s,       *)
+(*       "hot_swap":         [{edit,units,swap_s,restart_s,            *)
 (*                             speedup}] },                            *)
 (*     "metrics": { <Obs.Metrics counters> } }                         *)
 (* ------------------------------------------------------------------ *)
@@ -1806,71 +1806,63 @@ let e21 () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* E22: hot-swap latency vs full restart                               *)
+(* E22: live-relink swap latency vs full restart                      *)
 (* ------------------------------------------------------------------ *)
 
 let e22 () =
   let units = if !quick then 32 else 96 in
   section
     (Printf.sprintf
-       "E22: hot-swap latency vs full restart (live relinking, %d-unit DAG)"
-       units);
+       "E22: live-relink swap latency vs full restart (%d-unit DAG)" units);
   let module Relink = Link.Relink in
-  Printf.printf "%-6s | pins | %-10s | %-12s | speedup\n" "edit" "swap (ms)"
+  Printf.printf "%-17s | %-10s | %-12s | speedup\n" "edit" "swap (ms)"
     "restart (ms)";
   List.iter
-    (fun pins ->
-      List.iter
-        (fun (label, edit) ->
-          let fs = Vfs.memory () in
-          let project =
-            Gen.create fs
-              (Gen.Random_dag { units; max_deps = 3; seed = 29 })
-              Gen.default_profile
-          in
-          let sources = Gen.sources project in
-          let mgr = Driver.create fs in
-          let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
-          let live = Relink.create () in
-          Relink.baseline live ~units:(Driver.link_snapshot mgr);
-          (* in-flight clients holding the old epoch across the swap *)
-          let held = List.init pins (fun _ -> Relink.pin live) in
-          let swap_s =
-            time_median (fun () ->
-                (match edit with
-                | Some e -> Gen.edit project (Gen.middle_file project) e
-                | None -> ());
-                let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
-                ignore (Relink.swap live ~units:(Driver.link_snapshot mgr)))
-          in
-          List.iter (fun p -> Relink.unpin live p) held;
-          (* the alternative: restart the process — rebuild the manager
-             from the bins on disk and re-execute everything *)
-          let restart_s =
-            time_median (fun () ->
-                let cold = Driver.create fs in
-                let _ = Driver.build cold ~policy:Driver.Cutoff ~sources in
-                ignore (Driver.run ~output:ignore cold ~sources))
-          in
-          let speedup = if swap_s > 0. then restart_s /. swap_s else 0. in
-          record tbl_swap
-            (J.Obj
-               [
-                 ("edit", J.String label);
-                 ("pins", J.Int pins);
-                 ("units", J.Int (Gen.size project));
-                 ("swap_s", J.Float swap_s);
-                 ("restart_s", J.Float restart_s);
-                 ("speedup", J.Float speedup);
-               ]);
-          Printf.printf "%-6s | %4d | %10.2f | %12.2f | %6.2fx\n" label pins
-            (1000. *. swap_s) (1000. *. restart_s) speedup)
-        [
-          ("null", None);
-          ("impl", Some Gen.Impl_change);
-          ("iface", Some Gen.Iface_change);
-        ])
-    [ 0; 4 ]
+    (fun (label, edit) ->
+      let fs = Vfs.memory () in
+      let project =
+        Gen.create fs
+          (Gen.Random_dag { units; max_deps = 3; seed = 29 })
+          Gen.default_profile
+      in
+      let sources = Gen.sources project in
+      let mgr = Driver.create fs in
+      let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+      let live = Relink.create () in
+      ignore (Relink.swap live ~units:(Driver.link_snapshot mgr));
+      let swap_s =
+        time_median (fun () ->
+            (match edit with
+            | Some e -> Gen.edit project (Gen.middle_file project) e
+            | None -> ());
+            let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+            ignore (Relink.swap live ~units:(Driver.link_snapshot mgr)))
+      in
+      (* the alternative: restart the process — rebuild the manager
+         from the bins on disk and re-execute everything *)
+      let restart_s =
+        time_median (fun () ->
+            let cold = Driver.create fs in
+            let _ = Driver.build cold ~policy:Driver.Cutoff ~sources in
+            ignore (Driver.run ~output:ignore cold ~sources))
+      in
+      let speedup = if swap_s > 0. then restart_s /. swap_s else 0. in
+      record tbl_swap
+        (J.Obj
+           [
+             ("edit", J.String label);
+             ("units", J.Int (Gen.size project));
+             ("swap_s", J.Float swap_s);
+             ("restart_s", J.Float restart_s);
+             ("speedup", J.Float speedup);
+           ]);
+      Printf.printf "%-17s | %10.2f | %12.2f | %6.2fx\n" label
+        (1000. *. swap_s) (1000. *. restart_s) speedup)
+    [
+      ("null", None);
+      ("pid-stable edit", Some Gen.Impl_change);
+      ("iface", Some Gen.Iface_change);
+    ]
 
 let parse_args () =
   let rec go = function

@@ -509,7 +509,7 @@ let profile_cmd_impl dir profile_dir json top use_daemon =
 (* ------------------------------------------------------------------ *)
 
 let daemon_config dir state_dir groups watch poll_s client_timeout use_cache
-    policy jobs hot_swap log =
+    policy jobs log =
   {
     Daemon.Server.d_dir = dir;
     d_state_dir = state_dir;
@@ -520,20 +520,17 @@ let daemon_config dir state_dir groups watch poll_s client_timeout use_cache
     d_cache = use_cache;
     d_policy = Irm.Driver.policy_name policy;
     d_jobs = jobs;
-    d_hot_swap = hot_swap;
-    d_swap_budget_s = 30.;
-    d_epoch_history = 4;
     d_log = log;
   }
 
 let daemon_start_impl dir state_dir groups watch poll_s client_timeout
-    use_cache policy jobs hot_swap foreground =
+    use_cache policy jobs foreground =
   guarded (fun () ->
       if foreground then begin
         let server =
           Daemon.Server.create
             (daemon_config dir state_dir groups watch poll_s client_timeout
-               use_cache policy jobs hot_swap prerr_endline)
+               use_cache policy jobs prerr_endline)
         in
         install_interrupt ();
         Daemon.Server.run server;
@@ -564,7 +561,7 @@ let daemon_start_impl dir state_dir groups watch poll_s client_timeout
                 let server =
                   Daemon.Server.create
                     (daemon_config dir state_dir groups watch poll_s
-                       client_timeout use_cache policy jobs hot_swap
+                       client_timeout use_cache policy jobs
                        (fun line -> Printf.eprintf "%s\n%!" line))
                 in
                 install_interrupt ();
@@ -693,9 +690,6 @@ let daemon_status_impl dir state_dir json =
               (float_ "poll_s" w) (int_ "tracked" w) (int_ "sweeps" w)
               (int_ "dirty_total" w)
           | None -> ());
-          (match Obs.Json.member "hot_swap" j with
-          | Some (Obs.Json.Bool true) -> Printf.printf "  hot-swap  on\n"
-          | _ -> ());
           match Obs.Json.member "groups" j with
           | Some (Obs.Json.List gs) ->
             List.iter
@@ -713,13 +707,11 @@ let daemon_status_impl dir state_dir json =
                       | Some (Obs.Json.Int v) -> v
                       | _ -> 0
                     in
-                    if n "null" + n "impl" + n "epoch" + n "rollbacks" = 0
-                    then ""
+                    if n "null" + n "epoch" + n "rollbacks" = 0 then ""
                     else
                       Printf.sprintf
-                        " — swaps: %d null / %d impl / %d epoch / %d \
-                         rollbacks"
-                        (n "null") (n "impl") (n "epoch") (n "rollbacks")
+                        " — swaps: %d null / %d epoch / %d rollbacks"
+                        (n "null") (n "epoch") (n "rollbacks")
                   | None -> ""
                 in
                 Printf.printf "  group     %s: %d units, %d builds%s%s\n"
@@ -730,15 +722,15 @@ let daemon_status_impl dir state_dir json =
         end;
         resp.Daemon.Protocol.r_code)
 
-(* `irm swap UNIT`: ask the daemon to rebuild and hot-swap the unit's
-   group, reporting which regime the swap took *)
+(* `irm swap UNIT`: ask the daemon to rebuild the unit's group and
+   swap it into the live epoch, reporting the outcome *)
 let swap_impl dir state_dir group unit_ =
   guarded (fun () ->
       match Daemon.Client.connect ~state_dir ~dir () with
       | None ->
         prerr_endline
-          "no daemon is serving this directory (hot swap needs `irm daemon \
-           start --hot-swap`)";
+          "no daemon is serving this directory (swapping needs `irm daemon \
+           start`)";
         1
       | Some c ->
         finish_daemon c
@@ -1238,29 +1230,20 @@ let daemon_groups_arg =
            watcher.  Later $(b,build --daemon) requests add their groups \
            too.")
 
-let hot_swap_arg =
-  Arg.(
-    value & flag
-    & info [ "hot-swap" ]
-        ~doc:
-          "Keep a live, epoch-versioned dynamic environment per group: \
-           every clean rebuild is hot-swapped into it transactionally \
-           (an implementation-only change rebinds one unit in place; an \
-           interface change bumps an epoch and relinks the importing \
-           cone), and $(b,run --daemon) replays the live epoch instead \
-           of re-executing.  Inspect with $(b,irm daemon epochs), drive \
-           by hand with $(b,irm swap).")
-
 let daemon_start_cmd =
   Cmd.v
     (Cmd.info "start" ~exits
        ~doc:
          "start the compile server for this directory: warm build state \
-          behind the Unix socket $(i,.irm-daemon/sock)")
+          behind the Unix socket $(i,.irm-daemon/sock).  Each group also \
+          keeps a live epoch: $(b,run --daemon) reconciles it with the \
+          build (a clean restart of every unit when any bin changed) and \
+          replays its output.  Inspect with $(b,irm daemon epochs), drive \
+          by hand with $(b,irm swap).")
     Term.(
       const daemon_start_impl $ dir_arg $ state_dir_arg $ daemon_groups_arg
       $ watch_arg $ poll_arg $ client_timeout_arg $ cache_flag_arg
-      $ policy_arg $ jobs_arg $ hot_swap_arg $ foreground_arg)
+      $ policy_arg $ jobs_arg $ foreground_arg)
 
 let daemon_stop_cmd =
   Cmd.v
@@ -1275,7 +1258,7 @@ let daemon_status_cmd =
     (Cmd.info "status" ~exits
        ~doc:
          "report the daemon's uptime, served requests, connected clients, \
-          epochs and watched groups ($(b,--json) emits the smlsep-daemon/3 \
+          epochs and watched groups ($(b,--json) emits the smlsep-daemon/4 \
           status envelope, schema $(i,schemas/daemon.schema.json)).  A \
           SIGKILL'd daemon reports as stale and its leftover socket/pid \
           files are swept.")
@@ -1293,9 +1276,9 @@ let daemon_epochs_cmd =
   Cmd.v
     (Cmd.info "epochs" ~exits
        ~doc:
-         "inspect the live dynenv epochs of a $(b,--hot-swap) daemon: \
-          which epoch serves, which are draining behind pinned in-flight \
-          requests, which retired, and the swap counters")
+         "inspect a group's live epochs in the daemon: which epoch \
+          serves, which retired and why each was built, and the swap \
+          counters")
     Term.(
       const daemon_epochs_impl $ dir_arg $ state_dir_arg $ epochs_group_arg
       $ json_arg)
@@ -1328,12 +1311,12 @@ let swap_cmd =
   Cmd.v
     (Cmd.info "swap" ~exits
        ~doc:
-         "rebuild a unit's group in the $(b,--hot-swap) daemon and relink \
-          the result into the live dynamic environment: a pid-stable \
-          rebuild rebinds the unit in place, an interface change bumps an \
-          epoch and relinks the importing cone; any failure rolls back to \
-          the prior epoch ($(b,E0801) seal-violation, $(b,E0802) \
-          relink-conflict)")
+         "rebuild a unit's group in the daemon and swap the result into \
+          its live epoch: when any bin changed, every unit re-executes in \
+          link order into a new epoch, exactly a clean restart; any \
+          failure rolls back to the prior epoch ($(b,E0801) \
+          seal-violation, $(b,E0601) unsatisfied import, or the program \
+          raising)")
     Term.(const swap_impl $ dir_arg $ state_dir_arg $ swap_group_arg
           $ swap_unit_arg)
 

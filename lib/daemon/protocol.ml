@@ -1,6 +1,6 @@
 module Buf = Pickle.Buf
 
-let version = "smlsep-daemon/3"
+let version = "smlsep-daemon/4"
 
 (* HELLO and errors are the fabric's, since Netsrv gates and answers
    them; the request kinds sit in 17..19, disjoint from the worker

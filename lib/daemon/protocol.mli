@@ -20,10 +20,12 @@
     interleave.  {!k_error} frames carry a human-readable reason for
     protocol-level failures. *)
 
-(** Protocol version, exchanged at HELLO: ["smlsep-daemon/3"] (v2
+(** Protocol version, exchanged at HELLO: ["smlsep-daemon/4"] (v2
     added the hot-swap requests {!request.Swap} and {!request.Epochs}
     and the epoch fields in the status envelope; v3 moved HELLO and
-    errors to the fabric's shared tags). *)
+    errors to the fabric's shared tags; v4 serves every [Run] from the
+    live epoch and dropped [hot_swap], [swaps.impl] and [pins] from the
+    envelopes). *)
 val version : string
 
 (** {2 Frame kinds} *)
@@ -61,15 +63,17 @@ type build_opts = {
 
 type request =
   | Build of build_opts
-  | Run of build_opts  (** build, then execute; program output in [r_out] *)
+  | Run of build_opts
+      (** build, then reconcile and replay the group's live epoch;
+          program output in [r_out] *)
   | Explain of { e_unit : string; e_json : bool }
   | Profile of { p_json : bool; p_top : int }
   | Status  (** daemon self-description, always JSON *)
   | Shutdown
   | Swap of { s_group : string; s_unit : string }
-      (** rebuild [s_group] and hot-swap the result into the live
-          dynenv; the response describes the swap outcome for
-          [s_unit]'s group (requires a [--hot-swap] daemon) *)
+      (** rebuild [s_group] and swap the result into its live epoch;
+          the response describes the swap outcome for [s_unit]'s
+          group *)
   | Epochs of { ep_group : string; ep_json : bool }
       (** inspect the live epoch history of [ep_group] *)
 

@@ -22,6 +22,14 @@
     request gets a {!Protocol.k_error} naming its id and keeps the
     connection.
 
+    Each group keeps a live {!Link.Relink} epoch.  A clean [Run]
+    reconciles it with the build (a null swap, or a clean restart of
+    every unit into a new epoch; the first [Run] builds epoch 0) and
+    replays its output, so the answer is byte-identical to a one-shot
+    run — a unit raising or calling [exit] included, with the prior
+    epoch left serving.  [Swap] builds and reconciles on request;
+    [Build] and watch rebuilds never execute user code.
+
     A polling {!Watch} sweep runs between requests: dirty files are
     mapped to their dependent cone and either rebuilt eagerly
     ([d_watch]) or left to invalidate the next build lazily (the
@@ -42,13 +50,6 @@ type config = {
   d_cache : bool;  (** attach the content-addressed unit cache *)
   d_policy : string;  (** policy for startup and watch rebuilds *)
   d_jobs : int;  (** jobs for startup and watch rebuilds *)
-  d_hot_swap : bool;
-      (** keep a live {!Link.Relink} dynenv per group: every clean
-          build reconciles it transactionally (impl swaps in place,
-          interface changes bump an epoch), and [Run] requests replay
-          the pinned epoch instead of re-executing *)
-  d_swap_budget_s : float;  (** watchdog: abort a swap exceeding this *)
-  d_epoch_history : int;  (** retained non-current epoch records *)
   d_log : string -> unit;  (** daemon-side log line sink *)
 }
 

@@ -89,6 +89,9 @@ type retained = {
   rt_view : string Lazy.t;
       (** [Binfile.static_of_full rt_bytes], sliced the first time a
           compile job ships the unit as a dependency *)
+  rt_fingerprint : string Lazy.t;
+      (** the MD5 of [rt_bytes], digested the first time a
+          {!link_snapshot} names the unit *)
 }
 
 type t = {
@@ -216,6 +219,7 @@ let rehydrate t file bytes =
         rt_bytes = bytes;
         rt_unit = unit_;
         rt_view = lazy (Pickle.Binfile.static_of_full bytes);
+        rt_fingerprint = lazy (Digestkit.Md5.digest_string bytes);
       };
     unit_
 
@@ -875,10 +879,17 @@ let link_snapshot t =
   List.map
     (fun file ->
       let unit_ = unit_of t file in
+      (* every registered byte string was rehydrated first, so its
+         retained entry holds the same bytes: each distinct bin is
+         digested once *)
       let fingerprint =
-        match Hashtbl.find_opt t.bin_bytes file with
-        | Some bytes -> Digestkit.Md5.digest_string bytes
-        | None -> ""
+        match
+          (Hashtbl.find_opt t.bin_bytes file, Hashtbl.find_opt t.retained file)
+        with
+        | Some bytes, Some r when String.equal r.rt_bytes bytes ->
+          Lazy.force r.rt_fingerprint
+        | Some bytes, _ -> Digestkit.Md5.digest_string bytes
+        | None, _ -> ""
       in
       {
         Link.Relink.u_name = file;

@@ -228,9 +228,9 @@ val unit_of : t -> string -> Pickle.Binfile.t
 
 (** [link_snapshot t] — one {!Link.Relink.unit_src} per unit of the
     last build, in link order: name, interface pid, code, and a
-    fingerprint of the unit's bin bytes.  This is what the daemon's
-    hot-swap reconciliation diffs against the live epoch after every
-    rebuild. *)
+    fingerprint of the unit's bin bytes (digested once per distinct
+    bin).  This is what the daemon's [Run] and [Swap] reconcile the
+    live epoch against. *)
 val link_snapshot : t -> Link.Relink.unit_src list
 
 (** What a {!recover} pass found on disk. *)

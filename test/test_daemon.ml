@@ -747,7 +747,7 @@ let test_interrupt_records_partial_profile () =
     Alcotest.(check bool) "persisted" true (Obs.Profile.last p' <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Hot swapping through the daemon                                     *)
+(* Live epochs through the daemon                                      *)
 (* ------------------------------------------------------------------ *)
 
 let main_src = "structure Main = struct val () = print (Int.toString Top.result) end"
@@ -758,15 +758,13 @@ let fresh_hot_project () =
   write_file dir "sources.cm" "base.sml\nmid.sml\ntop.sml\nmain.sml\n";
   dir
 
-let hot_config dir = { (test_config dir) with Server.d_hot_swap = true }
-
 (* make an edit visible to mtime-based staleness checks immediately *)
 let edit dir file contents =
   write_file dir file contents;
   let future = Unix.gettimeofday () +. 5. in
   Unix.utimes (Filename.concat dir file) future future
 
-(* the hot-swap fields of the first group in a status envelope *)
+(* the live-epoch fields of the first group in a status envelope *)
 let swap_fields j =
   match Obs.Json.member "groups" j with
   | Some (Obs.Json.List (g :: _)) ->
@@ -784,50 +782,95 @@ let swap_fields j =
     (epoch, swaps)
   | _ -> Alcotest.fail "no groups in status"
 
+(* what a cold one-shot `irm run` of [dir] answers: exit code, stdout,
+   stderr *)
+let oneshot_run dir =
+  let fs = Vfs.real ~dir in
+  let sources = Irm.Group.load fs "sources.cm" in
+  let mgr = Driver.create fs in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources);
+  let buf = Buffer.create 64 in
+  match Driver.run ~output:(Buffer.add_string buf) mgr ~sources with
+  | _ -> (0, Buffer.contents buf, "")
+  | exception Dynamics.Eval.Sml_raise packet ->
+    ( 1,
+      Buffer.contents buf,
+      Printf.sprintf "uncaught exception: %s\n"
+        (Dynamics.Value.to_string packet) )
+  | exception Dynamics.Eval.Sml_exit code -> (code, Buffer.contents buf, "")
+
+let check_run_matches_oneshot what srv c ~id dir =
+  let resp, _ = rpc srv c ~id (Protocol.Run (build_opts "sources.cm")) in
+  let scratch = fresh_dir () in
+  List.iter
+    (fun f ->
+      if Filename.check_suffix f ".sml" || Filename.check_suffix f ".cm" then
+        write_file scratch f
+          (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    (Array.to_list (Sys.readdir dir));
+  let code, out, err = oneshot_run scratch in
+  rm_rf scratch;
+  Alcotest.(check (triple int string string))
+    (what ^ ": Run = cold one-shot run")
+    (code, out, err)
+    (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err)
+
+(* every Run serves the live epoch, reconciled first; Build never
+   executes user code *)
 let test_hot_swap_impl_then_epoch () =
   let dir = fresh_hot_project () in
-  with_server (hot_config dir) @@ fun srv ->
+  with_server (test_config dir) @@ fun srv ->
   let c = client_of srv dir in
-  (* first clean build establishes the baseline epoch *)
+  ignore (rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")));
+  let j = status srv c ~id:"s0" in
+  Alcotest.(check bool) "no hot_swap field" true
+    (Obs.Json.member "hot_swap" j = None);
+  let epoch, _ = swap_fields j in
+  Alcotest.(check (option int)) "a build executes nothing" None epoch;
+  (* the first Run establishes the baseline epoch *)
   let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
   Alcotest.(check int) "run ok" 0 resp.Protocol.r_code;
   Alcotest.(check string) "baseline output" "30" resp.Protocol.r_out;
-  let j = status srv c ~id:"s1" in
-  (match Obs.Json.member "hot_swap" j with
-  | Some (Obs.Json.Bool true) -> ()
-  | _ -> Alcotest.fail "status must advertise hot_swap");
-  let epoch, _ = swap_fields j in
+  let epoch, swaps = swap_fields (status srv c ~id:"s1") in
   Alcotest.(check (option int)) "baseline epoch" (Some 0) epoch;
-  (* an implementation edit confined to main's own output: the swap
-     rebinds in place, the epoch does not move *)
+  Alcotest.(check int) "one epoch built" 1 (swaps "epoch");
+  (* an implementation edit: a new epoch, a clean restart *)
   edit dir "main.sml"
     "structure Main = struct val () = print (Int.toString (Top.result + 1)) \
      end";
+  ignore (rpc srv c ~id:"b2" (Protocol.Build (build_opts "sources.cm")));
+  let epoch, _ = swap_fields (status srv c ~id:"s2") in
+  Alcotest.(check (option int)) "the build left the epoch alone" (Some 0)
+    epoch;
   let resp, _ = rpc srv c ~id:"r2" (Protocol.Run (build_opts "sources.cm")) in
   Alcotest.(check int) "impl run ok" 0 resp.Protocol.r_code;
   Alcotest.(check string) "impl-swapped output" "31" resp.Protocol.r_out;
-  let epoch, swaps = swap_fields (status srv c ~id:"s2") in
-  Alcotest.(check (option int)) "epoch pid-stable" (Some 0) epoch;
-  Alcotest.(check int) "one impl swap" 1 (swaps "impl");
-  Alcotest.(check int) "no epoch swap yet" 0 (swaps "epoch");
-  (* an interface edit bumps the epoch and relinks the cone *)
+  let epoch, swaps = swap_fields (status srv c ~id:"s3") in
+  Alcotest.(check (option int)) "epoch bumped" (Some 1) epoch;
+  Alcotest.(check int) "two epochs built" 2 (swaps "epoch");
+  (* an unchanged Run is a null swap *)
+  let resp, _ = rpc srv c ~id:"r3" (Protocol.Run (build_opts "sources.cm")) in
+  Alcotest.(check string) "replayed output" "31" resp.Protocol.r_out;
+  let _, swaps = swap_fields (status srv c ~id:"s4") in
+  Alcotest.(check int) "one null swap" 1 (swaps "null");
+  (* an interface edit bumps the epoch the same way *)
   edit dir "base.sml"
     "structure Base = struct val origin = 10 val extra = true fun scale n = \
      n * origin end";
-  let resp, _ = rpc srv c ~id:"r3" (Protocol.Run (build_opts "sources.cm")) in
+  let resp, _ = rpc srv c ~id:"r4" (Protocol.Run (build_opts "sources.cm")) in
   Alcotest.(check int) "epoch run ok" 0 resp.Protocol.r_code;
   Alcotest.(check string) "epoch-swapped output" "31" resp.Protocol.r_out;
-  let epoch, swaps = swap_fields (status srv c ~id:"s3") in
-  Alcotest.(check (option int)) "epoch bumped" (Some 1) epoch;
-  Alcotest.(check int) "one epoch swap" 1 (swaps "epoch");
+  let epoch, swaps = swap_fields (status srv c ~id:"s5") in
+  Alcotest.(check (option int)) "epoch bumped" (Some 2) epoch;
+  Alcotest.(check int) "three epochs built" 3 (swaps "epoch");
   Alcotest.(check int) "no rollbacks" 0 (swaps "rollbacks");
   disconnect c
 
 let test_swap_and_epochs_requests () =
   let dir = fresh_hot_project () in
-  with_server (hot_config dir) @@ fun srv ->
+  with_server (test_config dir) @@ fun srv ->
   let c = client_of srv dir in
-  ignore (rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")));
+  ignore (rpc srv c ~id:"r0" (Protocol.Run (build_opts "sources.cm")));
   (* `irm swap UNIT`: rebuild and reconcile, reporting the outcome *)
   edit dir "main.sml"
     "structure Main = struct val () = print (Int.toString (Top.result + 2)) \
@@ -837,16 +880,21 @@ let test_swap_and_epochs_requests () =
       (Protocol.Swap { s_group = ""; s_unit = "main.sml" })
   in
   Alcotest.(check int) "swap ok" 0 resp.Protocol.r_code;
-  Alcotest.(check bool) "reports an impl swap" true
-    (contains ~needle:"impl swap" resp.Protocol.r_out);
+  Alcotest.(check bool) "reports an epoch swap" true
+    (contains ~needle:"epoch swap: now serving epoch 1" resp.Protocol.r_out);
   Alcotest.(check bool) "names the unit" true
     (contains ~needle:"main.sml" resp.Protocol.r_out);
   (* the swapped state serves the new output *)
   let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
   Alcotest.(check string) "swapped output served" "32" resp.Protocol.r_out;
+  let resp, _ =
+    rpc srv c ~id:"w2" (Protocol.Swap { s_group = ""; s_unit = "" })
+  in
+  Alcotest.(check bool) "nothing changed: a null swap" true
+    (contains ~needle:"null swap" resp.Protocol.r_out);
   (* a unit outside the group is refused *)
   let resp, _ =
-    rpc srv c ~id:"w2"
+    rpc srv c ~id:"w3"
       (Protocol.Swap { s_group = ""; s_unit = "nope.sml" })
   in
   Alcotest.(check int) "unknown unit refused" 1 resp.Protocol.r_code;
@@ -856,22 +904,100 @@ let test_swap_and_epochs_requests () =
   in
   Alcotest.(check int) "epochs ok" 0 resp.Protocol.r_code;
   let j = Obs.Json.parse resp.Protocol.r_out in
-  Alcotest.(check int) "serving epoch 0" 0 (json_int "epoch" j);
+  Alcotest.(check int) "serving epoch 1" 1 (json_int "epoch" j);
   (match Obs.Json.member "history" j with
-  | Some (Obs.Json.List (_ :: _)) -> ()
-  | _ -> Alcotest.fail "epoch history missing");
+  | Some (Obs.Json.List [ e1; e0 ]) ->
+    let state e =
+      match Obs.Json.member "state" e with
+      | Some (Obs.Json.String s) -> s
+      | _ -> Alcotest.fail "epoch state missing"
+    in
+    Alcotest.(check (list string))
+      "states" [ "current"; "retired" ] [ state e1; state e0 ];
+    Alcotest.(check bool) "no pins" true (Obs.Json.member "pins" e1 = None)
+  | _ -> Alcotest.fail "expected two epoch records");
   disconnect c
 
-let test_swap_disabled_refused () =
+(* examples/miniml: flipping IntOrd.less keeps its interface pid, so
+   cutoff recompiles intord alone — yet the sorted output reverses *)
+let miniml_files =
+  [
+    ("intord.sml",
+     "structure IntOrd = struct type elem = int fun less (a, b) = a < b end");
+    ("sort.sml",
+     "functor Sort (O : ORD) = struct\n\
+      fun insert (x, nil) = [x]\n\
+     \  | insert (x, y :: ys) = if O.less (x, y) then x :: y :: ys else y :: \
+      insert (x, ys)\n\
+      fun sort nil = nil | sort (x :: xs) = insert (x, sort xs)\n\
+      end");
+    ("ord.sml", "signature ORD = sig type elem val less : elem * elem -> bool end");
+    ("main.sml",
+     "structure Main = struct\n\
+      structure S = Sort(IntOrd)\n\
+      fun digits xs = let fun go (acc, l) = case l of nil => acc | x :: r => \
+      go (acc * 10 + x, r) in go (0, xs) end\n\
+      val answer = digits (S.sort [3, 1, 2])\n\
+      val banner = print (intToString answer)\n\
+      end");
+    ("sources.cm", "intord.sml\nord.sml\nsort.sml\nmain.sml\n");
+  ]
+
+let test_pid_stable_run_matches_cold_run () =
+  let dir = fresh_dir () in
+  List.iter (fun (f, src) -> write_file dir f src) miniml_files;
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot "baseline" srv c ~id:"r1" dir;
+  edit dir "intord.sml"
+    "structure IntOrd = struct type elem = int fun less (a, b) = a > b end";
+  let resp, _ = rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")) in
+  Alcotest.(check bool) "cutoff recompiles intord alone" true
+    (contains ~needle:"1 recompiled" resp.Protocol.r_out);
+  let resp, _ = rpc srv c ~id:"r2" (Protocol.Run (build_opts "sources.cm")) in
+  Alcotest.(check string) "reversed" "321" resp.Protocol.r_out;
+  check_run_matches_oneshot "flipped" srv c ~id:"r3" dir;
+  disconnect c
+
+(* a unit raising or calling exit during a Run's swap answers like a
+   one-shot run; the prior epoch keeps serving and the rollback counts *)
+let test_run_failure_matches_oneshot () =
   let dir = fresh_hot_project () in
   with_server (test_config dir) @@ fun srv ->
   let c = client_of srv dir in
-  let resp, _ =
-    rpc srv c ~id:"w1" (Protocol.Swap { s_group = ""; s_unit = "" })
-  in
-  Alcotest.(check int) "refused" 2 resp.Protocol.r_code;
-  Alcotest.(check bool) "says how to enable" true
-    (contains ~needle:"--hot-swap" resp.Protocol.r_err);
+  check_run_matches_oneshot "baseline" srv c ~id:"r0" dir;
+  List.iteri
+    (fun i (tail, code, err) ->
+      edit dir "main.sml"
+        (Printf.sprintf
+           "structure Main = struct val () = print (Int.toString Top.result) \
+            val () = %s end"
+           tail);
+      let resp, _ =
+        rpc srv c ~id:(Printf.sprintf "f%d" i)
+          (Protocol.Run (build_opts "sources.cm"))
+      in
+      Alcotest.(check (triple int string string))
+        (tail ^ ": response") (code, "30", err)
+        (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err);
+      check_run_matches_oneshot tail srv c ~id:(Printf.sprintf "g%d" i) dir;
+      let epoch, swaps = swap_fields (status srv c ~id:(Printf.sprintf "s%d" i)) in
+      Alcotest.(check (option int)) (tail ^ ": prior epoch serves") (Some 0)
+        epoch;
+      Alcotest.(check int) (tail ^ ": rollbacks counted") (2 * (i + 1))
+        (swaps "rollbacks"))
+    [
+      ("raise Fail \"boom\"", 1, "uncaught exception: Fail(\"boom\")\n");
+      ("exit 3", 3, "");
+    ];
+  (* restoring the unit restores epoch 0's bins: a null swap *)
+  edit dir "main.sml" main_src;
+  let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
+  Alcotest.(check (pair int string)) "restored" (0, "30")
+    (resp.Protocol.r_code, resp.Protocol.r_out);
+  let epoch, swaps = swap_fields (status srv c ~id:"s9") in
+  Alcotest.(check (option int)) "still epoch 0" (Some 0) epoch;
+  Alcotest.(check int) "a null swap" 1 (swaps "null");
   disconnect c
 
 (* ------------------------------------------------------------------ *)
@@ -1076,8 +1202,10 @@ let suite =
       test_hot_swap_impl_then_epoch;
     Alcotest.test_case "swap and epochs requests" `Quick
       test_swap_and_epochs_requests;
-    Alcotest.test_case "swap refused when disabled" `Quick
-      test_swap_disabled_refused;
+    Alcotest.test_case "pid-stable run = cold run" `Quick
+      test_pid_stable_run_matches_cold_run;
+    Alcotest.test_case "run failure = one-shot run" `Quick
+      test_run_failure_matches_oneshot;
     Alcotest.test_case "probe detects a stale daemon" `Quick
       test_probe_stale_daemon;
     Alcotest.test_case "deleted unit invalidates the cone" `Quick
