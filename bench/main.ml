@@ -22,7 +22,7 @@
      E17 worker-backend overhead vs in-process domains (timing + counts)
      E18 observability overhead on a clean parallel build (timing)
      E19 compile server: warm vs cold rebuilds, client throughput (timing)
-     E20 critical-path scheduling vs wavefront on synthetic DAGs (timing)
+     E20 critical-path scheduling vs wavefront: synthetic DAGs, real builds (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
      E22 live-relink swap latency vs full restart (timing)
 *)
@@ -39,7 +39,7 @@ let section title =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/10", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/11", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
@@ -64,7 +64,10 @@ let section title =
 (*                             wall_s,requests_per_s}],                *)
 (*       "critical_path":    [{scenario,nodes,jobs,wavefront_s,        *)
 (*                             critical_path_s,improvement,            *)
-(*                             wavefront_eff,critical_path_eff}],      *)
+(*                             wavefront_eff,critical_path_eff} |      *)
+(*                            {scenario,units,jobs,serial_s,           *)
+(*                             wavefront_s,critical_path_s,            *)
+(*                             improvement}],                          *)
 (*       "remote_fabric":    [{scenario,execs,units,wall_s,speedup} |  *)
 (*                            {scenario,phase,units,cache_hits,        *)
 (*                             hit_rate,wall_s} |                      *)
@@ -99,7 +102,7 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/10");
+        ("schema", J.String "smlsep-bench/11");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
@@ -1455,27 +1458,24 @@ let e19 () =
     rates
 
 (* ------------------------------------------------------------------ *)
-(* E20: critical-path scheduling vs wavefront on synthetic DAGs        *)
+(* E20: critical-path scheduling vs wavefront                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Drives Sched.run directly with sleep jobs, so the measured makespan
-   is pure scheduling: the same DAG, the same per-node durations, once
-   dispatched in caller order (wavefront) and once ranked by exact
-   critical-path length with the static/codegen split on — the
-   idealized version of what `irm build --schedule=critical-path`
-   computes from profile-store estimates.  The DAGs are seeded and
-   skewed (a few heavy long chains among many light nodes, listed
-   late in caller order), the regime where dispatch order moves the
-   makespan at all. *)
+(* Two halves.  The synthetic half drives Sched.run directly with sleep
+   jobs, so the measured makespan is pure scheduling: the same DAG, the
+   same per-node durations, once dispatched in caller order (wavefront)
+   and once ranked by exact critical-path length — the idealized
+   version of what `irm build --schedule=critical-path` computes from
+   profile-store estimates.  The DAGs are seeded and skewed (a few
+   heavy long chains among many light nodes, listed late in caller
+   order), the regime where dispatch order moves the makespan at all.
+   The real half times cold Driver.build runs of rich generated
+   projects at Parallel 2, with serial as the reference. *)
 let e20 () =
-  section "E20: critical-path scheduling vs wavefront (synthetic DAGs)";
+  section "E20: critical-path scheduling vs wavefront";
   let jobs = 4 in
   let scale = if !quick then 0.4 else 1.0 in
   let run ~schedule ~order ~deps ~duration =
-    (* the paper's factoring: the static part (parse/elaborate/hash) is
-       the cheap prefix, codegen the bulk *)
-    let static_s n = 0.4 *. duration n in
-    let codegen_s n = 0.6 *. duration n in
     let priority =
       match schedule with
       | `Wavefront -> None
@@ -1497,24 +1497,9 @@ let e20 () =
           (List.rev order);
         Some (fun n -> Hashtbl.find cp n)
     in
-    let split =
-      match schedule with
-      | `Wavefront -> None
-      | `Critical_path ->
-        Some
-          {
-            Sched.sp_execute =
-              (fun ~notify n ->
-                Unix.sleepf (static_s n);
-                notify "";
-                Unix.sleepf (codegen_s n);
-                n);
-            sp_on_static = (fun _ _ -> ());
-          }
-    in
     let t0 = Unix.gettimeofday () in
     let outcomes =
-      Sched.run ?priority ?split (Sched.Parallel jobs) ~order ~deps
+      Sched.run ?priority (Sched.Parallel jobs) ~order ~deps
         ~prepare:(fun n -> Sched.Run n)
         ~execute:(fun n ->
           Unix.sleepf (duration n);
@@ -1603,7 +1588,72 @@ let e20 () =
         scenario (List.length order) jobs (1000. *. wf_s) (100. *. wf_eff)
         (1000. *. cp_s) (100. *. cp_eff)
         (100. *. improvement))
-    [ ("deep-skew", deep ~seed:7); ("wide-skew", wide ~seed:21) ]
+    [ ("deep-skew", deep ~seed:7); ("wide-skew", wide ~seed:21) ];
+  (* real builds: cold Driver.build of a rich 120-unit DAG and a rich
+     60-unit chain.  One recorded build warms the profile store, so the
+     critical-path priorities come from measured EWMAs; every variant
+     records into the same store, and the variants interleave so drift
+     hits all three medians alike *)
+  let real_jobs = 2 in
+  let rounds = if !quick then 3 else 9 in
+  List.iter
+    (fun (scenario, topology) ->
+      let fs = Vfs.memory () in
+      let project = Gen.create fs topology Gen.rich_profile in
+      let sources = Gen.sources project in
+      let profile = Obs.Profile.load fs in
+      let cold_build backend schedule =
+        List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
+        let t0 = Unix.gettimeofday () in
+        ignore
+          (Driver.build ~backend ~schedule ~profile (Driver.create fs)
+             ~policy:Driver.Cutoff ~sources);
+        Unix.gettimeofday () -. t0
+      in
+      ignore (cold_build Driver.Serial Driver.Wavefront);
+      let variants =
+        [
+          (Driver.Serial, Driver.Wavefront);
+          (Driver.Parallel real_jobs, Driver.Wavefront);
+          (Driver.Parallel real_jobs, Driver.Critical_path);
+        ]
+      in
+      let samples = List.map (fun _ -> ref []) variants in
+      for _ = 1 to rounds do
+        List.iter2
+          (fun (backend, schedule) acc ->
+            acc := cold_build backend schedule :: !acc)
+          variants samples
+      done;
+      let median acc =
+        List.nth (List.sort compare !acc) (List.length !acc / 2)
+      in
+      let serial_s, wf_s, cp_s =
+        match List.map median samples with
+        | [ s; w; c ] -> (s, w, c)
+        | _ -> assert false
+      in
+      let improvement = (wf_s -. cp_s) /. wf_s in
+      record tbl_sched
+        (J.Obj
+           [
+             ("scenario", J.String scenario);
+             ("units", J.Int (List.length sources));
+             ("jobs", J.Int real_jobs);
+             ("serial_s", J.Float serial_s);
+             ("wavefront_s", J.Float wf_s);
+             ("critical_path_s", J.Float cp_s);
+             ("improvement", J.Float improvement);
+           ]);
+      Printf.printf
+        "%-10s %3d units, %d jobs: serial %7.1f ms   wavefront %7.1f ms   \
+         critical-path %7.1f ms   %+.0f%%\n"
+        scenario (List.length sources) real_jobs (1000. *. serial_s)
+        (1000. *. wf_s) (1000. *. cp_s) (100. *. improvement))
+    [
+      ("dag-120", Gen.Random_dag { units = 120; max_deps = 3; seed = 1 });
+      ("chain-60", Gen.Chain 60);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: distributed fabric — remote executors + shared cache           *)

@@ -839,9 +839,8 @@ let schedule_arg =
            build order as dependencies complete.  $(b,critical-path) \
            starts the units with the longest downstream chains first — \
            per-unit durations estimated from the profile store's rolling \
-           averages — and pipelines each compile into static and codegen \
-           stages, releasing a unit's interfaces to dependents before its \
-           code generation finishes.  $(b,auto) (the default) picks \
+           averages.  Under both, a unit starts only once every \
+           dependency finished.  $(b,auto) (the default) picks \
            $(b,critical-path) once the profile store has recorded a \
            build, $(b,wavefront) otherwise.  Bin files, diagnostics and \
            failure partitions are byte-identical under every schedule.")

@@ -42,7 +42,6 @@ let compile_supervised ~worker_timeout ~werror ~max_errors ~source_path ~source
       j_werror = werror;
       j_limit = max_errors;
       j_build = 0;
-      j_split = false;
     }
   in
   let pool =

@@ -38,15 +38,9 @@ let m_failed_units = Obs.Metrics.counter "compile.failed_units"
 let m_diag_errors = Obs.Metrics.counter "diag.errors"
 let m_diag_warnings = Obs.Metrics.counter "diag.warnings"
 
-let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
-    ~imports =
+let compile ?(optimize = true) ?warn ?diags session ~name ~source ~imports =
   Obs.Trace.span ~cat:"compile" ~args:[ ("unit", name) ] "compile.unit"
   @@ fun () ->
-  (* stage spans for the pipelined split are recorded retroactively from
-     clock reads taken inside the compile.unit span, so they nest
-     cleanly within it on the trace track (record_span keeps them out
-     of the phase collector, so they never feed profile EWMAs) *)
-  let stage_start = Unix.gettimeofday () in
   (* generated binder names restart from zero for every unit, making
      the emitted bin bytes a function of (source, imports) alone —
      independent of session history, build order, or which domain runs
@@ -95,10 +89,7 @@ let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
   let fields = runtime_export_fields delta in
   let export = phase "hash" (fun () -> Pickle.Hashenv.export session.ctx delta) in
   (* the selective-recompilation record: of the module names this unit
-     referenced, which import provided each and at what interface pid.
-     Scanned before translation: the scan needs only the parsed AST, and
-     running it here completes the unit's *static* part — everything a
-     dependent needs is fixed from this point on. *)
+     referenced, which import provided each and at what interface pid *)
   let summary = phase "scan" (fun () -> Depend.Scan.scan unit_) in
   let uf_import_name_statics =
     List.concat_map
@@ -109,50 +100,27 @@ let compile ?(optimize = true) ?warn ?diags ?on_static session ~name ~source
           uf.uf_name_statics)
       imports
   in
-  let assemble codeunit =
-    {
-      Pickle.Binfile.uf_name = name;
-      uf_static_pid = export.ex_static_pid;
-      uf_env = export.ex_env;
-      uf_import_statics =
-        List.map
-          (fun (uf : Pickle.Binfile.t) -> (uf.uf_name, uf.uf_static_pid))
-          imports;
-      uf_name_statics = export.ex_name_statics;
-      uf_import_name_statics;
-      uf_codeunit = codeunit;
-    }
-  in
-  (* The pipelined-phase hook: the static part (interface, pids, env) is
-     complete, code generation has not started.  A scheduler can release
-     this view to dependents and overlap their compiles with this unit's
-     translate/simplify.  Sound because the export pid is a function of
-     the elaborated interface alone — codegen cannot change it. *)
-  (match on_static with
-  | Some notify ->
-    notify (assemble Pickle.Binfile.no_code);
-    Obs.Trace.record_span ~cat:"compile"
-      ~args:[ ("unit", name); ("stage", "static") ]
-      ~start_s:stage_start "compile.static"
-  | None -> ());
-  let codegen_start = Unix.gettimeofday () in
   let code = phase "translate" (fun () -> Translate.unit_code tdecs fields) in
   let code =
     if optimize then phase "simplify" (fun () -> Simplify.term code) else code
   in
-  let codeunit = Link.Codeunit.make ~exports:export.ex_exports code in
-  (match on_static with
-  | Some _ ->
-    Obs.Trace.record_span ~cat:"compile"
-      ~args:[ ("unit", name); ("stage", "codegen") ]
-      ~start_s:codegen_start "compile.codegen"
-  | None -> ());
   Obs.Metrics.incr m_units;
-  assemble codeunit
+  {
+    Pickle.Binfile.uf_name = name;
+    uf_static_pid = export.ex_static_pid;
+    uf_env = export.ex_env;
+    uf_import_statics =
+      List.map
+        (fun (uf : Pickle.Binfile.t) -> (uf.uf_name, uf.uf_static_pid))
+        imports;
+    uf_name_statics = export.ex_name_statics;
+    uf_import_name_statics;
+    uf_codeunit = Link.Codeunit.make ~exports:export.ex_exports code;
+  }
 
 let load session bytes = Pickle.Binfile.read session.ctx bytes
 let save session unit_ = Pickle.Binfile.write session.ctx unit_
-let save_static session unit_ = Pickle.Binfile.write_static session.ctx unit_
+
 let execute ?output ?bin_path unit_ dynenv =
   Link.Linker.execute ?output ~unit_name:unit_.Pickle.Binfile.uf_name ?bin_path
     unit_.Pickle.Binfile.uf_codeunit dynenv

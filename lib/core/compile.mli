@@ -40,22 +40,11 @@ val basis_env : session -> Statics.Types.env
     diagnostic they can; if any is an error the whole batch is raised
     as {!Support.Diag.Errors} before translation, so a broken unit
     still reports all its problems in one compile and the error type
-    never escapes into a pickled interface.
-
-    [on_static] is the pipelined-phase hook: it fires once, after
-    elaboration, hashing and the dependency scan but before
-    translate/simplify, with the unit's {e static view} (the real
-    interface, pids and environment over a {!Pickle.Binfile.no_code}
-    placeholder).  The export pid is a function of the elaborated
-    interface alone, so a scheduler may release this view to dependents
-    and overlap their compiles with this unit's code generation.  The
-    hook runs inside the unit's fresh-name scope — it must not compile
-    anything itself. *)
+    never escapes into a pickled interface. *)
 val compile :
   ?optimize:bool ->
   ?warn:(Support.Loc.t -> string -> unit) ->
   ?diags:Support.Diag.collector ->
-  ?on_static:(Pickle.Binfile.t -> unit) ->
   session ->
   name:string ->
   source:string ->
@@ -69,10 +58,6 @@ val load : session -> string -> Pickle.Binfile.t
 
 (** [save session unit] — pickle a unit to bytes. *)
 val save : session -> Pickle.Binfile.t -> string
-
-(** [save_static session unit] — pickle only the unit's static view
-    ({!Pickle.Binfile.write_static}); the codeUnit is ignored. *)
-val save_static : session -> Pickle.Binfile.t -> string
 
 (** [execute ?output unit dynenv] — run the unit's code with its imports
     satisfied from [dynenv]; returns [dynenv] plus the unit's exports.

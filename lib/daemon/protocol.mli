@@ -7,7 +7,7 @@
     {!k_hello} and {!k_error} are the fabric's own
     ({!Remote.Protocol}), since the reactor gates the handshake and
     answers damage; the request kinds (17–19) are disjoint from the
-    worker protocol's (0–6) and the fabric's (32–45), so a frame aimed
+    worker protocol's (0–5) and the fabric's (32–45), so a frame aimed
     at the wrong peer is an immediate protocol error, not a misread.
 
     Conversation shape: the client opens with a {!k_hello} frame whose

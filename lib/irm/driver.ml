@@ -17,9 +17,7 @@ type backend = Sched.backend =
 (* how the scheduler orders ready work.  [Wavefront] is the plain FIFO
    wavefront; [Critical_path] ranks ready units by the length of the
    longest downstream chain (estimated from the profile store's EWMA
-   compile times) and pipelines each compile's static/codegen phases so
-   dependents start against a unit's static view while its code is
-   still being generated.  Outcomes are byte-identical either way — the
+   compile times).  Outcomes are byte-identical either way — the
    schedule steers only when work starts. *)
 type schedule = Wavefront | Critical_path
 
@@ -69,7 +67,6 @@ type stats = {
   st_slot_busy_s : float list;
   st_causes : (string * cause) list;
   st_schedule : schedule;
-  st_static_releases : int;
 }
 
 let m_recompiled = Obs.Metrics.counter "build.recompiled"
@@ -227,9 +224,8 @@ let rehydrate t file bytes =
    job ships for it, since a compile reads only its imports' statenvs.
    Every byte string a build registers for a unit was rehydrated first,
    so its retained entry holds the same bytes and the view is sliced
-   once per distinct bin.  A static bin (the pipelined split's early
-   payload) is its own view.  Runs on the calling domain only, like
-   every other access to the manager's tables. *)
+   once per distinct bin.  Runs on the calling domain only, like every
+   other access to the manager's tables. *)
 let static_view t file bytes =
   match Hashtbl.find_opt t.retained file with
   | Some r when String.equal r.rt_bytes bytes -> Lazy.force r.rt_view
@@ -263,7 +259,6 @@ type job = Wire.job = {
   j_werror : bool;  (** promote warnings to errors *)
   j_limit : int option;  (** collector error limit *)
   j_build : int;  (** build id, for cross-process trace correlation *)
-  j_split : bool;  (** release the static view mid-compile *)
 }
 
 type kind = Wire.kind = Recompiled | Loaded | Cache_hit
@@ -378,37 +373,6 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       (List.rev order));
   let priority_of file =
     Option.value ~default:0. (Hashtbl.find_opt priorities file)
-  in
-  (* the pipelined split: a compile's static view arrives mid-job;
-     registering it in [t.units]/[t.bin_bytes] is exactly what unblocks
-     dependents — their [prepare] reads pids from [t.units] and their
-     closures ship the registered bytes (a static bin is its own
-     static view).  Marking [changed] here keeps the Timestamp cascade
-     identical to the unsplit build (the full result re-marks it later,
-     idempotently).  A static bin rehydrates with a [no_code]
-     placeholder; the full unit and bytes overwrite both tables when
-     the job completes. *)
-  let static_releases = ref 0 in
-  let split =
-    match schedule with
-    | Wavefront -> None
-    | Critical_path ->
-      Some
-        {
-          Sched.sp_execute = (fun ~notify job -> Wire.execute ~notify job);
-          sp_on_static =
-            (fun file payload ->
-              match rehydrate t file payload with
-              | unit_ ->
-                Hashtbl.replace t.units file unit_;
-                Hashtbl.replace t.bin_bytes file payload;
-                Hashtbl.replace changed file ();
-                incr static_releases
-              | exception Pickle.Buf.Corrupt _ ->
-                (* cannot happen: in-process payloads are the compiler's
-                   own bytes and the worker pipe is CRC-framed *)
-                ());
-        }
   in
   let unit_of_dep file dep =
     match Hashtbl.find_opt t.units dep with
@@ -570,7 +534,6 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           j_werror = werror;
           j_limit = max_errors;
           j_build = build_id;
-          j_split = (schedule = Critical_path);
         }
     in
     if not stale then begin
@@ -645,6 +608,48 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     | Sched.Workers _ | Sched.Remote _ -> Some (Wire.codec ())
     | Sched.Serial | Sched.Parallel _ -> None
   in
+  (* one profile-store row per unit: its cause, timing, phases and
+     import pids; the caller says what became of it *)
+  let profile_unit ?skipped_by file ~outcome =
+    let prep = Hashtbl.find_opt preps file in
+    let res = Hashtbl.find_opt results file in
+    let cause = Option.bind prep (fun pr -> pr.p_cause) in
+    {
+      Obs.Profile.up_unit = file;
+      up_outcome = outcome;
+      up_cause = Option.map cause_name cause;
+      up_culprits =
+        (match skipped_by with
+        | Some culprit -> [ culprit ]
+        | None -> Option.fold ~none:[] ~some:cause_culprits cause);
+      up_start_s =
+        (match prep with Some pr -> pr.p_start -. build_start | None -> 0.);
+      up_wall_s = (match res with Some (_, s) -> s | None -> 0.);
+      up_phases = (match res with Some (r, _) -> r.r_phases | None -> []);
+      up_imports =
+        List.map
+          (fun dep ->
+            ( dep,
+              match Hashtbl.find_opt t.units dep with
+              | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
+              | None -> "" ))
+          (deps_of file);
+      up_priority = priority_of file;
+    }
+  in
+  let record_profile p ~wall_s ~jobs ~busy bp_units =
+    Obs.Profile.record p
+      {
+        Obs.Profile.bp_id = build_id;
+        bp_policy = policy_name policy;
+        bp_backend = Sched.backend_name backend;
+        bp_wall_s = wall_s;
+        bp_jobs = jobs;
+        bp_slot_busy_s = busy;
+        bp_schedule = schedule_name schedule;
+        bp_units;
+      }
+  in
   (* a signal arriving mid-build raises [Interrupted] out of a node
      callback; the partial build still lands in the profile store (only
      the units that actually finished), so `irm profile` shows what an
@@ -653,62 +658,34 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     match profile with
     | None -> ()
     | Some p ->
-      let cutoff_of file prep =
-        match (prep.p_prev_pid, Hashtbl.find_opt t.units file) with
-        | Some old, Some unit_ ->
-          Pid.equal old unit_.Pickle.Binfile.uf_static_pid
-        | _ -> false
-      in
       let bp_units =
         List.filter_map
           (fun file ->
             match (Hashtbl.find_opt preps file, Hashtbl.find_opt results file)
             with
-            | Some prep, Some (res, wall) ->
+            | Some prep, Some (res, _) ->
+              let cutoff =
+                match (prep.p_prev_pid, Hashtbl.find_opt t.units file) with
+                | Some old, Some unit_ ->
+                  Pid.equal old unit_.Pickle.Binfile.uf_static_pid
+                | _ -> false
+              in
               Some
-                {
-                  Obs.Profile.up_unit = file;
-                  up_outcome =
-                    (match res.r_kind with
-                    | Loaded -> "loaded"
-                    | Cache_hit -> "cache"
-                    | Recompiled ->
-                      if cutoff_of file prep then "cutoff" else "recompiled");
-                  up_cause = Option.map cause_name prep.p_cause;
-                  up_culprits =
-                    Option.value ~default:[]
-                      (Option.map cause_culprits prep.p_cause);
-                  up_start_s = prep.p_start -. build_start;
-                  up_wall_s = wall;
-                  up_phases = res.r_phases;
-                  up_imports =
-                    List.map
-                      (fun dep ->
-                        ( dep,
-                          match Hashtbl.find_opt t.units dep with
-                          | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
-                          | None -> "" ))
-                      (deps_of file);
-                  up_priority = priority_of file;
-                }
+                (profile_unit file
+                   ~outcome:
+                     (match res.r_kind with
+                     | Loaded -> "loaded"
+                     | Cache_hit -> "cache"
+                     | Recompiled -> if cutoff then "cutoff" else "recompiled"))
             | _ -> None)
           order
       in
       Obs.Trace.instant ~cat:"build"
         ~args:[ ("reason", reason) ]
         "build.interrupted";
-      Obs.Profile.record p
-        {
-          Obs.Profile.bp_id = build_id;
-          bp_policy = policy_name policy;
-          bp_backend = Sched.backend_name backend;
-          bp_wall_s = Unix.gettimeofday () -. build_start;
-          bp_jobs = Sched.jobs backend;
-          bp_slot_busy_s = [];
-          bp_schedule = schedule_name schedule;
-          bp_static_releases = !static_releases;
-          bp_units;
-        }
+      record_profile p
+        ~wall_s:(Unix.gettimeofday () -. build_start)
+        ~jobs:(Sched.jobs backend) ~busy:[] bp_units
   in
   let outcomes =
     try
@@ -719,7 +696,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           (match schedule with
           | Wavefront -> None
           | Critical_path -> Some priority_of)
-        ?split backend ~order ~deps:deps_of ~prepare ~execute ~complete
+        backend ~order ~deps:deps_of ~prepare ~execute ~complete
     with Interrupted reason as exn ->
       record_partial reason;
       raise exn
@@ -813,61 +790,19 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
                 Option.map (fun c -> (f, c)) p.p_cause))
           order;
       st_schedule = schedule;
-      st_static_releases = !static_releases;
     }
   in
   (* fold the build into the profile store (crash-safe journal append) *)
   (match profile with
   | None -> ()
   | Some p ->
-    let skipped_tbl = Hashtbl.create 8 in
-    List.iter (fun (f, c) -> Hashtbl.replace skipped_tbl f c) skipped;
-    let bp_units =
-      List.map
-        (fun file ->
-          let prep = Hashtbl.find_opt preps file in
-          let res = Hashtbl.find_opt results file in
-          let cause = Option.bind prep (fun pr -> pr.p_cause) in
-          {
-            Obs.Profile.up_unit = file;
-            up_outcome = outcome_of stats file;
-            up_cause = Option.map cause_name cause;
-            up_culprits =
-              (match Hashtbl.find_opt skipped_tbl file with
-              | Some culprit -> [ culprit ]
-              | None ->
-                Option.value ~default:[] (Option.map cause_culprits cause));
-            up_start_s =
-              (match prep with
-              | Some pr -> pr.p_start -. build_start
-              | None -> 0.);
-            up_wall_s =
-              (match res with Some (_, s) -> s | None -> 0.);
-            up_phases = (match res with Some (r, _) -> r.r_phases | None -> []);
-            up_imports =
-              List.map
-                (fun dep ->
-                  ( dep,
-                    match Hashtbl.find_opt t.units dep with
-                    | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
-                    | None -> "" ))
-                (deps_of file);
-            up_priority = priority_of file;
-          })
-        order
-    in
-    Obs.Profile.record p
-      {
-        Obs.Profile.bp_id = build_id;
-        bp_policy = policy_name policy;
-        bp_backend = Sched.backend_name backend;
-        bp_wall_s = stats.st_wall_s;
-        bp_jobs = stats.st_jobs;
-        bp_slot_busy_s = stats.st_slot_busy_s;
-        bp_schedule = schedule_name schedule;
-        bp_static_releases = !static_releases;
-        bp_units;
-      });
+    record_profile p ~wall_s:stats.st_wall_s ~jobs:stats.st_jobs
+      ~busy:stats.st_slot_busy_s
+      (List.map
+         (fun file ->
+           profile_unit file ~outcome:(outcome_of stats file)
+             ?skipped_by:(List.assoc_opt file skipped))
+         order));
   stats
 
 let unit_of t file =

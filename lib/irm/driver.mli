@@ -45,20 +45,12 @@ type backend = Sched.backend =
 
 (** How the scheduler orders ready compiles.  [Wavefront] dispatches in
     build order as dependencies complete (the classical wavefront).
-    [Critical_path] additionally:
-
-    - ranks ready units by the length of the longest downstream chain,
-      with per-unit compile times estimated from the profile store's
-      rolling EWMA (1 s for never-compiled units — an absent or damaged
-      store degrades to longest-chain-by-depth, never an error), so the
-      units bounding the build from below start first; and
-    - pipelines each compile into {e static} and {e codegen} stages: a
-      unit's static view (interface, pids, environment — fixed once
-      elaboration and hashing finish) is released to dependents
-      immediately, so their compiles overlap with its code generation.
-      Sound per the paper's statenv/codeUnit factoring: dependents
-      consume only the statics, and the export pid cannot change after
-      elaboration.
+    [Critical_path] ranks ready units by the length of the longest
+    downstream chain, with per-unit compile times estimated from the
+    profile store's rolling EWMA (1 s for never-compiled units — an
+    absent or damaged store degrades to longest-chain-by-depth, never
+    an error), so the units bounding the build from below start first.
+    Under both, a unit dispatches only once every dependency finished.
 
     Either way the resulting bins, diagnostics, and failed/skipped
     partitions are byte-identical to a serial build: the schedule
@@ -127,9 +119,6 @@ type stats = {
   st_causes : (string * cause) list;
       (** every stale unit with why it was recompiled, in build order *)
   st_schedule : schedule;  (** the schedule this build ran under *)
-  st_static_releases : int;
-      (** units whose static view was released to dependents before
-          their code generation finished *)
 }
 
 type t
@@ -182,9 +171,8 @@ val dependency_graph :
     its final name.  [backend] (default {!Serial}) says where compile
     jobs run; the resulting bin files are byte-identical either way.
     [schedule] (default {!Wavefront}) says in what order ready compiles
-    dispatch — {!Critical_path} adds profile-guided priorities and the
-    pipelined static/codegen phase split, again without changing any
-    output byte.
+    dispatch — {!Critical_path} adds profile-guided priorities, again
+    without changing any output byte.
     [cache], when given, is probed before every compile and fed after
     every compile.  [profile], when given, records the whole build —
     per-unit outcomes, causes, phase durations, import pids, slot

@@ -263,7 +263,6 @@ let profile_envelope p b ~top =
               ("wall_s", Float b.P.bp_wall_s);
               ("jobs", Int b.P.bp_jobs);
               ("schedule", String b.P.bp_schedule);
-              ("static_releases", Int b.P.bp_static_releases);
               ("efficiency", opt_json (fun e -> Float e) (P.efficiency b));
               ( "counts",
                 Obj
@@ -302,9 +301,6 @@ let profile_report p ~json ~top =
         b.P.bp_id b.P.bp_policy b.P.bp_backend
         (1000. *. b.P.bp_wall_s)
         b.P.bp_jobs b.P.bp_schedule;
-      if b.P.bp_static_releases > 0 then
-        pr "  pipelined      %d static views released early\n"
-          b.P.bp_static_releases;
       (match P.efficiency b with
       | Some e -> pr "  efficiency     %.0f%% of slot time busy\n" (100. *. e)
       | None -> ());

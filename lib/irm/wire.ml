@@ -11,7 +11,6 @@ type job = {
   j_werror : bool;
   j_limit : int option;
   j_build : int;
-  j_split : bool;
 }
 
 type kind = Recompiled | Loaded | Cache_hit
@@ -36,7 +35,7 @@ let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
    inline, so Serial, Parallel and Workers builds agree byte-for-byte by
    construction.  The span's [closure_bytes] arg is what the job
    rehydrated. *)
-let execute ?notify job =
+let execute job =
   let closure_bytes =
     List.fold_left (fun n (_, bytes) -> n + String.length bytes) 0 job.j_closure
   in
@@ -78,23 +77,9 @@ let execute ?notify job =
     else None
   in
   let rehydrate_s = Unix.gettimeofday () -. t0 in
-  (* the pipelined split: when the scheduler asked for it, ship the
-     unit's static view (pickled with the static-only magic) the moment
-     elaboration/hashing fixes it, then keep generating code.  The
-     compile itself records the [compile.static]/[compile.codegen]
-     stage spans, nested inside its compile.unit span, so a merged
-     trace shows dependents overlapping this unit's codegen. *)
-  let on_static =
-    match notify with
-    | Some fire when job.j_split ->
-      Some
-        (fun static_view ->
-          fire (Sepcomp.Compile.save_static session static_view))
-    | Some _ | None -> None
-  in
   let unit_, phases =
     Obs.Trace.record_phases (fun () ->
-        Sepcomp.Compile.compile ?diags ?on_static session ~name:job.j_name
+        Sepcomp.Compile.compile ?diags session ~name:job.j_name
           ~source:job.j_source ~imports)
   in
   (* the collector also sees the enclosing compile.unit span — drop it,
@@ -136,7 +121,6 @@ let encode_job job =
   Buf.bool w job.j_werror;
   Buf.option w (Buf.int w) job.j_limit;
   Buf.int w job.j_build;
-  Buf.bool w job.j_split;
   Buf.contents w
 
 let decode_job payload =
@@ -154,7 +138,6 @@ let decode_job payload =
   let j_werror = Buf.read_bool r in
   let j_limit = Buf.read_option r (fun () -> Buf.read_int r) in
   let j_build = Buf.read_int r in
-  let j_split = Buf.read_bool r in
   {
     j_name;
     j_source;
@@ -164,7 +147,6 @@ let decode_job payload =
     j_werror;
     j_limit;
     j_build;
-    j_split;
   }
 
 let kind_byte = function Recompiled -> 0 | Loaded -> 1 | Cache_hit -> 2
@@ -336,8 +318,7 @@ let remote_fail ~id = function
 let proto () =
   {
     Worker.p_handler =
-      (fun ~notify ~id:_ payload ->
-        encode_result (execute ~notify (decode_job payload)));
+      (fun ~id:_ payload -> encode_result (execute (decode_job payload)));
     p_encode_exn = encode_exn;
     p_decode_exn = decode_exn;
     p_fail = (fun ~id failure -> fail_diag ~id failure);

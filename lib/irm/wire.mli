@@ -26,7 +26,6 @@ type job = {
   j_werror : bool;  (** promote warnings to errors *)
   j_limit : int option;  (** collector error limit *)
   j_build : int;  (** the build id, for cross-process trace correlation *)
-  j_split : bool;  (** release the static view mid-compile via [notify] *)
 }
 
 type kind = Recompiled | Loaded | Cache_hit
@@ -44,15 +43,8 @@ type result = {
     are a function of (source, closure) alone, identical no matter
     which domain — or which process — ran the job.  Its
     [build.compile_job] span carries a [closure_bytes] arg: the bytes
-    the job rehydrated.
-
-    With [notify] and [j_split] set, the unit's static view (pickled
-    via {!Sepcomp.Compile.save_static}) is handed to [notify] the
-    moment elaboration and hashing fix it — before translate/simplify —
-    and the compile records [compile.static]/[compile.codegen] stage
-    spans nested inside its compile.unit span.  The returned result is
-    unaffected. *)
-val execute : ?notify:(string -> unit) -> job -> result
+    the job rehydrated. *)
+val execute : job -> result
 
 (** A failure the child could not express as diagnostics (its message
     is the child-side [Printexc.to_string]).  Renders as the bare

@@ -36,8 +36,6 @@ type build_profile = {
   bp_jobs : int;
   bp_slot_busy_s : float list;
   bp_schedule : string;  (** [wavefront] or [critical-path] *)
-  bp_static_releases : int;
-      (** units whose static view was released before codegen finished *)
   bp_units : unit_profile list;
 }
 
@@ -133,7 +131,6 @@ let build_json b =
       ("jobs", Json.Int b.bp_jobs);
       ("slot_busy_s", Json.List (List.map (fun s -> Json.Float s) b.bp_slot_busy_s));
       ("schedule", Json.String b.bp_schedule);
-      ("static_releases", Json.Int b.bp_static_releases);
       ("units", Json.List (List.map unit_json b.bp_units));
     ]
 
@@ -146,7 +143,6 @@ let build_of_json v =
     bp_jobs = jint (field "jobs" v);
     bp_slot_busy_s = List.map jnum (jlist (field "slot_busy_s" v));
     bp_schedule = opt_field "schedule" ~default:"wavefront" jstr v;
-    bp_static_releases = opt_field "static_releases" ~default:0 jint v;
     bp_units = List.map unit_of_json (jlist (field "units" v));
   }
 

@@ -52,10 +52,8 @@ type build_profile = {
   bp_slot_busy_s : float list;  (** execute seconds per scheduler slot *)
   bp_schedule : string;
       (** [wavefront] or [critical-path]; old records read back as
-          [wavefront] *)
-  bp_static_releases : int;
-      (** units whose static view was released to dependents before
-          their code generation finished *)
+          [wavefront]; the early-release count that older builds
+          recorded is ignored *)
   bp_units : unit_profile list;  (** in build order *)
 }
 

@@ -367,18 +367,6 @@ let write ctx uf =
   Obs.Metrics.add m_bytes_written (String.length bytes);
   bytes
 
-let write_static ctx uf =
-  Obs.Trace.span ~cat:"pickle"
-    ~args:[ ("unit", uf.uf_name) ]
-    "pickle.write_static"
-  @@ fun () ->
-  let w = Buf.writer () in
-  Buf.string w static_magic;
-  Buf.string w (static_payload ctx uf);
-  let bytes = seal (Buf.contents w) in
-  Obs.Metrics.add m_bytes_written (String.length bytes);
-  bytes
-
 let static_of_full data =
   let payload = unseal data in
   let r = Buf.reader payload in

@@ -18,10 +18,9 @@
     Because the static blob is length-prefixed, the {e static view} of
     a unit — all a dependent needs to compile against it, per the
     paper's statenv/codeUnit factoring — can be sliced out of a full
-    bin by pure byte surgery ({!static_of_full}), or written directly
-    ({!write_static}) before the unit's code generation has even run.
-    Static bins carry their own magic and rehydrate with a {!no_code}
-    placeholder codeUnit. *)
+    bin by pure byte surgery ({!static_of_full}).  Static bins carry
+    their own magic and rehydrate with a {!no_code} placeholder
+    codeUnit. *)
 
 type t = {
   uf_name : string;  (** the compilation unit's name (source path) *)
@@ -55,14 +54,9 @@ val no_code : Link.Codeunit.t
 (** [write ctx unit] — serialize to bytes. *)
 val write : Statics.Context.t -> t -> string
 
-(** [write_static ctx unit] — serialize only the static view (magic
-    {!static_magic}); [unit.uf_codeunit] is ignored. *)
-val write_static : Statics.Context.t -> t -> string
-
 (** [static_of_full bytes] — slice the static view out of a full bin by
-    byte surgery alone: no context, no re-pickling, and byte-for-byte
-    what {!write_static} would have produced for the same unit.  A
-    static bin passes through unchanged.
+    byte surgery alone: no context, no re-pickling.  A static bin
+    passes through unchanged.
     Raises {!Buf.Corrupt} on damage. *)
 val static_of_full : string -> string
 

@@ -14,7 +14,7 @@ let m_jobs = Obs.Metrics.counter "exec.jobs"
 
 let inflight t = Hashtbl.length t.owners
 
-(* pool replies arrive asynchronously: route each event back to the
+(* pool replies arrive asynchronously: route each result back to the
    connection that submitted the job.  A client that vanished mid-job
    just loses the reply — Netsrv.send drops silently. *)
 let pump_pool t pool =
@@ -31,26 +31,19 @@ let pump_pool t pool =
       t.owners;
     Hashtbl.reset t.owners);
   let rec drain () =
-    match Worker.poll_event pool with
+    match Worker.poll pool with
     | None -> ()
-    | Some event ->
-      (match event with
-      | Worker.Static (id, payload) -> (
-        match Hashtbl.find_opt t.owners id with
-        | Some conn ->
-          Netsrv.send t.srv ~conn ~kind:Protocol.k_static ~id ~payload
-        | None -> ())
-      | Worker.Done (id, res) -> (
-        match Hashtbl.find_opt t.owners id with
-        | Some conn ->
-          Hashtbl.remove t.owners id;
-          (match res with
-          | Ok payload ->
-            Netsrv.send t.srv ~conn ~kind:Protocol.k_result ~id ~payload
-          | Error exn ->
-            Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id
-              ~payload:(t.proto.Worker.p_encode_exn exn))
-        | None -> ()));
+    | Some (id, res) ->
+      (match Hashtbl.find_opt t.owners id with
+      | Some conn -> (
+        Hashtbl.remove t.owners id;
+        match res with
+        | Ok payload ->
+          Netsrv.send t.srv ~conn ~kind:Protocol.k_result ~id ~payload
+        | Error exn ->
+          Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id
+            ~payload:(t.proto.Worker.p_encode_exn exn))
+      | None -> ());
       drain ()
   in
   drain ()
@@ -63,19 +56,11 @@ let on_job t ~conn (msg : Frame.msg) =
     Hashtbl.replace t.owners msg.f_id conn;
     Worker.submit pool ~id:msg.f_id msg.f_payload
   | None -> (
-    (* inline: compile right here in the reactor turn.  The static
-       notification goes out before the result, preserving the
-       frame order a pooled executor produces. *)
-    Hashtbl.replace t.owners msg.f_id conn;
-    let notify payload =
-      Netsrv.send t.srv ~conn ~kind:Protocol.k_static ~id:msg.f_id ~payload
-    in
-    match t.proto.Worker.p_handler ~notify ~id:msg.f_id msg.f_payload with
+    (* inline: compile right here in the reactor turn *)
+    match t.proto.Worker.p_handler ~id:msg.f_id msg.f_payload with
     | payload ->
-      Hashtbl.remove t.owners msg.f_id;
       Netsrv.send t.srv ~conn ~kind:Protocol.k_result ~id:msg.f_id ~payload
     | exception exn ->
-      Hashtbl.remove t.owners msg.f_id;
       Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id:msg.f_id
         ~payload:(t.proto.Worker.p_encode_exn exn))
 

@@ -2,13 +2,10 @@
 
     An executor accepts {!Protocol.k_job} frames (unit name as id,
     {!Irm.Wire}-encoded job as payload), compiles them, and answers
-    with at most one {!Protocol.k_static} frame (the mid-compile
-    static-view release, when the job asks for the pipelined split)
-    followed by exactly one {!Protocol.k_result} or
-    {!Protocol.k_error}.  Because the job is a pure function of its
-    payload, an executor on another machine returns bytes identical to
-    a local compile — the fabric's whole correctness story rests on
-    that.
+    each with exactly one {!Protocol.k_result} or {!Protocol.k_error}.
+    Because the job is a pure function of its payload, an executor on
+    another machine returns bytes identical to a local compile — the
+    fabric's whole correctness story rests on that.
 
     Two modes: [Pool cfg] hosts a supervised {!Worker} pool (the
     production shape — crashes and hangs become E0701/E0702 exactly as

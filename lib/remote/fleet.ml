@@ -76,9 +76,8 @@ type t = {
   backoff : Support.Backoff.t;
   jobs : (string, jobst) Hashtbl.t;
   queue : string Queue.t;
-  events : Worker.event Queue.t;
+  results : Worker.completion Queue.t;
   done_ : (string, unit) Hashtbl.t;
-  statics : (string, unit) Hashtbl.t;
   mutable degraded : bool;
   mutable warned_fallback : bool;
   mutable closed : bool;
@@ -110,16 +109,15 @@ let create cfg proto =
         ~cap_s:cfg.r_backoff_cap_s ();
     jobs = Hashtbl.create 64;
     queue = Queue.create ();
-    events = Queue.create ();
+    results = Queue.create ();
     done_ = Hashtbl.create 64;
-    statics = Hashtbl.create 16;
     degraded = n = 0;
     warned_fallback = false;
     closed = false;
   }
 
 let exec_name t i = Transport.addr_to_string t.addrs.(i)
-let pending t = Hashtbl.length t.jobs + Queue.length t.events
+let pending t = Hashtbl.length t.jobs + Queue.length t.results
 let degraded t = t.degraded
 
 let quarantined t =
@@ -153,13 +151,7 @@ let job_done t id res =
       Hashtbl.remove t.jobs id
     | None -> ());
     Hashtbl.replace t.done_ id ();
-    Queue.push (Worker.Done (id, res)) t.events
-  end
-
-let push_static t id payload =
-  if not (Hashtbl.mem t.done_ id) && not (Hashtbl.mem t.statics id) then begin
-    Hashtbl.replace t.statics id ();
-    Queue.push (Worker.Static (id, payload)) t.events
+    Queue.push (id, res) t.results
   end
 
 (* compile in-process: purity makes the bytes identical to any
@@ -173,11 +165,7 @@ let run_local t id js =
   Obs.Metrics.incr m_fallback;
   let t0 = Unix.gettimeofday () in
   let res =
-    match
-      t.proto.Worker.p_handler
-        ~notify:(fun payload -> push_static t id payload)
-        ~id js.js_payload
-    with
+    match t.proto.Worker.p_handler ~id js.js_payload with
     | payload -> Ok payload
     | exception exn -> Error exn
   in
@@ -266,11 +254,7 @@ let drain_ready t i conn =
       | Transport.Connecting | Transport.Up -> ())
     | Some msg ->
       let k = msg.Frame.f_kind in
-      if k = Protocol.k_static then begin
-        push_static t msg.Frame.f_id msg.Frame.f_payload;
-        go ()
-      end
-      else if k = Protocol.k_result then begin
+      if k = Protocol.k_result then begin
         t.fails.(i) <- 0;
         job_done t msg.Frame.f_id (Ok msg.Frame.f_payload);
         go ()
@@ -299,7 +283,7 @@ let poll_exec t i =
   match t.states.(i) with
   | Quarantined _ -> ()
   | Redial at ->
-    if Unix.gettimeofday () >= at && pending t > Queue.length t.events then
+    if Unix.gettimeofday () >= at && pending t > Queue.length t.results then
       start_dial t i
   | Dialing { dx_conn; dx_deadline } -> (
     Transport.poll dx_conn;
@@ -504,7 +488,6 @@ let submit t ~id payload =
   in
   Hashtbl.replace t.jobs id js;
   Hashtbl.remove t.done_ id;
-  Hashtbl.remove t.statics id;
   if t.degraded && t.cfg.r_local_fallback then run_local t id js
   else Queue.push id t.queue
 
@@ -519,13 +502,13 @@ let conn_fds t =
       | Redial _ | Quarantined _ -> acc)
     [] t.states
 
-let next_event t =
-  if t.closed then invalid_arg "Fleet.next_event: fleet is shut down";
-  if pending t = 0 then invalid_arg "Fleet.next_event: no job pending";
-  while Queue.is_empty t.events do
+let next t =
+  if t.closed then invalid_arg "Fleet.next: fleet is shut down";
+  if pending t = 0 then invalid_arg "Fleet.next: no job pending";
+  while Queue.is_empty t.results do
     step t;
     (match t.cfg.r_tick with Some f -> f () | None -> ());
-    if Queue.is_empty t.events then begin
+    if Queue.is_empty t.results then begin
       let fds = conn_fds t in
       let timeout = if t.cfg.r_tick = None then 0.01 else 0.0005 in
       if fds = [] then Unix.sleepf timeout
@@ -534,7 +517,7 @@ let next_event t =
         with Unix.Unix_error (Unix.EINTR, _, _) -> ()
     end
   done;
-  Queue.pop t.events
+  Queue.pop t.results
 
 let shutdown t =
   if not t.closed then begin

@@ -2,9 +2,9 @@
     worker pool's interface.
 
     The fleet exposes exactly the surface [Sched]'s pool loop already
-    drives — [submit] / [next_event] / [slot_busy] / [shutdown], with
-    {!Worker.event} as the event vocabulary — so the [Remote] backend
-    is the [Workers] backend pointed at sockets.  Underneath, it keeps
+    drives — [submit] / [next] / [slot_busy] / [shutdown], with
+    {!Worker.completion} as the result vocabulary — so the [Remote]
+    backend is the [Workers] backend pointed at sockets.  Underneath, it keeps
     one nonblocking connection per executor (dial, HELLO, job traffic
     all multiplexed from the calling domain, no threads), and it
     survives the network:
@@ -76,9 +76,9 @@ val pending : t -> int
     of [r_execs]; a single local slot when the fleet is degraded). *)
 val slot_busy : t -> float array
 
-(** Block until a job completes or releases its static view.  Raises
-    [Invalid_argument] if nothing is pending. *)
-val next_event : t -> Worker.event
+(** Block until a job completes.  Raises [Invalid_argument] if nothing
+    is pending. *)
+val next : t -> Worker.completion
 
 (** True once the fleet has fallen back to in-process compilation. *)
 val degraded : t -> bool

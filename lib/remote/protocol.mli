@@ -3,7 +3,7 @@
     Frames are {!Pickle.Frame} messages — the same CRC-64-trailed
     framing the worker pipes and the compile daemon use — carried over
     a stream socket ({!Transport}).  The fabric's tag space (32–45) is
-    disjoint from both the worker protocol (0–6) and the daemon's
+    disjoint from both the worker protocol (0–5) and the daemon's
     request kinds (17–19); the daemon, also a {!Netsrv} service, shares
     {!k_hello}, {!k_error} and {!k_ping}.  A frame aimed at the wrong
     peer is an immediate protocol error, never a misread.
@@ -17,12 +17,11 @@
 
     {b Executor service} ([irm serve-exec]): each compile goes out as
     one {!k_job} frame with the unit name as id and a {!Irm.Wire}
-    encoded job as payload; the executor replies with at most one
-    {!k_static} frame (the unit's static view, released mid-compile
-    when the job asks for the pipelined split) and exactly one
+    encoded job as payload; the executor replies with exactly one
     {!k_result} (encoded result) or {!k_error} (encoded exception),
     echoing the id.  Ids may interleave freely — an executor hosts a
-    whole worker pool.
+    whole worker pool.  Kind 37 is retired (under [smlsep-remote/1] it
+    carried a mid-compile static-view release) and is not reused.
 
     {b Cache service} ([irm serve-cache]): {!k_cache_get} with the
     cache key as id answers {!k_cache_hit} (payload: the object bytes)
@@ -47,7 +46,6 @@ val k_ping : int  (** health probe; echoed verbatim *)
 
 val k_job : int
 val k_result : int
-val k_static : int
 
 (** {2 Cache-service frames} *)
 

@@ -30,16 +30,6 @@ type ('job, 'result) codec = {
   c_decode_result : string -> 'result;
 }
 
-(* the pipelined static/codegen phase split: [sp_execute] replaces
-   [execute] and may call [notify] once, mid-job, with the unit's
-   pickled static view; [sp_on_static] consumes that payload on the
-   calling domain, after which the node's dependents become
-   dispatchable without waiting for the job's result *)
-type ('job, 'result) split = {
-  sp_execute : notify:(string -> unit) -> 'job -> 'result;
-  sp_on_static : string -> string -> unit;
-}
-
 type 'result outcome =
   | Completed of 'result
   | Failed of exn
@@ -55,7 +45,6 @@ let last_slots () = !last_slots_ref
 let m_dispatched = Obs.Metrics.counter "sched.dispatched"
 let m_inline = Obs.Metrics.counter "sched.inline"
 let m_retries = Obs.Metrics.counter "sched.retries"
-let m_static_releases = Obs.Metrics.counter "sched.static_releases"
 let g_jobs = Obs.Metrics.gauge "sched.jobs"
 
 (* the ready queue: highest priority first, and — the determinism
@@ -71,33 +60,21 @@ module Ready = Set.Make (struct
 end)
 
 (* Per-node scheduling state, driven entirely by the calling domain.
-   Two gates: [ns_staticw] counts dependencies whose *static* view is
-   still unreleased and gates prepare/dispatch; [ns_waiting] counts
-   unfinished dependencies and gates complete/settle.  Without the
-   phase split a dependency only releases its static view when it
-   finishes, so the gates coincide and this degenerates to the plain
-   wavefront. *)
+   One gate: [ns_waiting] counts unfinished dependencies; at zero the
+   node is either dispatched or, if some dependency failed, skipped. *)
 type 'result node_state = {
   ns_seq : int;  (** caller-order index — the deterministic tie-break *)
   ns_priority : float;
-  mutable ns_staticw : int;  (** deps whose static view is unreleased *)
   mutable ns_waiting : int;  (** unfinished dependencies *)
-  mutable ns_poisoned : string option;
-      (** some upstream failure reached this node (the name is the first
-          poison to arrive — a dispatch guard only; the reported culprit
-          is recomputed deterministically at skip time) *)
-  mutable ns_started : bool;  (** prepared (and possibly dispatched) *)
-  mutable ns_static_done : bool;  (** own static view released *)
-  mutable ns_held : ('result, exn) result option;
-      (** an execute result that arrived while dependencies were still
-          unfinished — settled (or discarded, if a dependency then
-          fails) when the final gate opens *)
+  mutable ns_poisoned : bool;
+      (** some dependency failed or was skipped (the culprit is computed
+          deterministically at skip time, see [skip_root]) *)
   mutable ns_outcome : 'result outcome option;
 }
 
 let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     ?(retryable = fun _ -> false) ?(keep_going = false)
-    ?(fatal = fun _ -> false) ?codec ?priority ?split backend ~order ~deps
+    ?(fatal = fun _ -> false) ?codec ?priority backend ~order ~deps
     ~prepare ~execute ~complete =
   Obs.Trace.span ~cat:"sched"
     ~args:[ ("backend", backend_name backend) ]
@@ -123,11 +100,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   in
   let prepare = attempt prepare
   and complete node = attempt (complete node) in
-  let exec ~notify job =
-    match split with
-    | None -> attempt execute job
-    | Some sp -> attempt (sp.sp_execute ~notify) job
-  in
+  let exec = attempt execute in
   let prio = match priority with None -> fun _ -> 0. | Some f -> f in
   let workers = min (jobs backend) (max 1 (List.length order)) in
   Obs.Metrics.set g_jobs workers;
@@ -150,12 +123,8 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
         {
           ns_seq = seq;
           ns_priority = prio node;
-          ns_staticw = List.length ds;
           ns_waiting = List.length ds;
-          ns_poisoned = None;
-          ns_started = false;
-          ns_static_done = false;
-          ns_held = None;
+          ns_poisoned = false;
           ns_outcome = None;
         };
       List.iter
@@ -182,11 +151,10 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   let work_ready = Condition.create () in
   let result_ready = Condition.create () in
   let job_queue = Queue.create () in
-  let event_queue = Queue.create () in
+  let result_queue = Queue.create () in
   let quit = ref false in
-  (* the Workers backend routes jobs to a process pool created at the
-     bottom of this function; [start] is mutually recursive with the
-     bookkeeping, so it reaches the pool through this knot *)
+  (* the Workers and Remote backends route jobs to a pool created at the
+     bottom of this function; [start] reaches it through this knot *)
   let worker_mode =
     match backend with Workers _ | Remote _ -> true | Serial | Parallel _ -> false
   in
@@ -203,23 +171,15 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       else begin
         let node, job = Queue.pop job_queue in
         Mutex.unlock lock;
-        (* the static notification crosses back to the calling domain as
-           an event — [sp_on_static] touches shared state and must not
-           run here *)
-        let notify payload =
-          Mutex.protect lock (fun () ->
-              Queue.push (node, `Static payload) event_queue;
-              Condition.signal result_ready)
-        in
         let t0 = Unix.gettimeofday () in
         let result =
-          match exec ~notify job with
+          match exec job with
           | result -> Ok result
           | exception exn -> Error exn
         in
         bump slot (Unix.gettimeofday () -. t0);
         Mutex.protect lock (fun () ->
-            Queue.push (node, `Result result) event_queue;
+            Queue.push (node, result) result_queue;
             Condition.signal result_ready);
         loop ()
       end
@@ -255,67 +215,21 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     | Some (_, r) -> r
     | None -> assert false (* only poisoned nodes are skipped *)
   in
-  let rec release_static node =
-    let state = Hashtbl.find states node in
-    if not state.ns_static_done then begin
-      state.ns_static_done <- true;
-      List.iter
-        (fun dependent ->
-          let dstate = Hashtbl.find states dependent in
-          dstate.ns_staticw <- dstate.ns_staticw - 1;
-          if
-            dstate.ns_staticw = 0 && (not dstate.ns_started)
-            && dstate.ns_poisoned = None
-            && dstate.ns_outcome = None
-          then push dependent dstate)
-        (dependents_of node)
-    end
-  and finish node outcome =
+  let rec finish node outcome =
     let state = Hashtbl.find states node in
     state.ns_outcome <- Some outcome;
-    state.ns_held <- None;
     decr remaining;
-    let culprit =
-      match outcome with
-      | Completed _ -> None
-      | Failed _ -> Some node
-      | Skipped root -> Some root
-    in
-    let down = dependents_of node in
-    (match culprit with
-    | Some root ->
-      List.iter
-        (fun dependent ->
-          let dstate = Hashtbl.find states dependent in
-          if dstate.ns_poisoned = None then dstate.ns_poisoned <- Some root)
-        down
-    | None -> ());
-    (* finishing releases the static view, if nothing did so earlier;
-       poison is marked first so a failed dependency never pushes its
-       dependents into the ready queue *)
-    release_static node;
+    let failed = match outcome with Completed _ -> false | _ -> true in
     List.iter
       (fun dependent ->
         let dstate = Hashtbl.find states dependent in
+        if failed then dstate.ns_poisoned <- true;
         dstate.ns_waiting <- dstate.ns_waiting - 1;
-        if dstate.ns_waiting = 0 && dstate.ns_outcome = None then
-          match dstate.ns_poisoned with
-          | Some _ ->
-            (* a dependency failed after this node was (speculatively)
-               dispatched on its static view: any held or still-running
-               result is discarded — exactly what a serial run, which
-               would never have attempted the node, observes *)
+        if dstate.ns_waiting = 0 then
+          if dstate.ns_poisoned then
             finish dependent (Skipped (skip_root dependent))
-          | None -> (
-            match dstate.ns_held with
-            | Some (Ok result) ->
-              dstate.ns_held <- None;
-              settle dependent result
-            | Some (Error exn) ->
-              dstate.ns_held <- None;
-              fail dependent exn
-            | None -> ()))
-      down
+          else push dependent dstate)
+      (dependents_of node)
   (* an exception the caller declared fatal (a signal-driven interrupt,
      not a unit failure) aborts the whole run immediately — even under
      [keep_going], which only shields per-unit failures.  The raise
@@ -326,28 +240,12 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     match complete node result with
     | result -> finish node (Completed result)
     | exception exn -> fail node exn
-  (* an execute result arrived.  With the split a node may resolve
-     before its dependencies finished — hold the result until the final
-     gate opens (complete must observe every dependency's completion),
-     or discard it if a dependency fails in the meantime. *)
-  and arrive node res =
-    (match res with Error exn when fatal exn -> raise exn | _ -> ());
-    let state = Hashtbl.find states node in
-    if state.ns_outcome = None then
-      if state.ns_waiting > 0 then state.ns_held <- Some res
-      else
-        match res with
-        | Ok result -> settle node result
-        | Error exn -> fail node exn
-  and on_static node payload =
-    (match split with
-    | Some sp -> sp.sp_on_static node payload
-    | None -> ());
-    Obs.Metrics.incr m_static_releases;
-    release_static node
-  and start node =
-    let state = Hashtbl.find states node in
-    state.ns_started <- true;
+  in
+  let arrive node = function
+    | Ok result -> settle node result
+    | Error exn -> fail node exn
+  in
+  let start node =
     match prepare node with
     | exception exn -> fail node exn
     | Done result ->
@@ -364,7 +262,7 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       else if workers <= 1 then begin
         let t0 = Unix.gettimeofday () in
         let result =
-          match exec ~notify:(fun payload -> on_static node payload) job with
+          match exec job with
           | result -> Ok result
           | exception exn -> Error exn
         in
@@ -387,18 +285,14 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     if (not (Ready.is_empty !ready)) && !inflight < workers then begin
       let ((_, _, node) as top) = Ready.min_elt !ready in
       ready := Ready.remove top !ready;
-      let state = Hashtbl.find states node in
-      if
-        state.ns_outcome = None && state.ns_poisoned = None
-        && not state.ns_started
-      then start node;
+      start node;
       pump ()
     end
   in
   List.iter
     (fun node ->
       let state = Hashtbl.find states node in
-      if state.ns_staticw = 0 then push node state)
+      if state.ns_waiting = 0 then push node state)
     order;
   (match backend with
   | (Workers _ | Remote _) as bk ->
@@ -409,20 +303,20 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
         invalid_arg "Sched.run: the Workers and Remote backends need a codec"
     in
     (* the worker pool and the executor fleet share one surface —
-       submit / next_event / slot_busy / shutdown over Worker.event —
-       so a single loop drives both *)
-    let submit, next_ev, slot_busy_of, teardown =
+       submit / next / slot_busy / shutdown — so a single loop drives
+       both *)
+    let submit, next, slot_busy_of, teardown =
       match bk with
       | Workers cfg ->
         let pool = Worker.create cfg codec.c_proto in
         ( (fun node payload -> Worker.submit pool ~id:node payload),
-          (fun () -> Worker.next_event pool),
+          (fun () -> Worker.next pool),
           (fun () -> Worker.slot_busy pool),
           fun () -> Worker.shutdown pool )
       | Remote cfg ->
         let fleet = Remote.Fleet.create cfg codec.c_proto in
         ( (fun node payload -> Remote.Fleet.submit fleet ~id:node payload),
-          (fun () -> Remote.Fleet.next_event fleet),
+          (fun () -> Remote.Fleet.next fleet),
           (fun () -> Remote.Fleet.slot_busy fleet),
           fun () -> Remote.Fleet.shutdown fleet )
       | Serial | Parallel _ -> assert false
@@ -431,16 +325,14 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     Fun.protect ~finally:teardown @@ fun () ->
     pump ();
     while !remaining > 0 do
-      (match next_ev () with
-      | Worker.Done (node, res) -> (
-        decr inflight;
-        match res with
-        | Ok payload -> (
-          match codec.c_decode_result payload with
-          | result -> arrive node (Ok result)
-          | exception exn -> arrive node (Error exn))
-        | Error exn -> arrive node (Error exn))
-      | Worker.Static (node, payload) -> on_static node payload);
+      let node, res = next () in
+      decr inflight;
+      (match res with
+      | Ok payload -> (
+        match codec.c_decode_result payload with
+        | result -> arrive node (Ok result)
+        | exception exn -> arrive node (Error exn))
+      | Error exn -> arrive node (Error exn));
       pump ()
     done;
     busy := slot_busy_of ()
@@ -460,22 +352,19 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       while !remaining > 0 do
         let batch =
           Mutex.protect lock (fun () ->
-              while Queue.is_empty event_queue do
+              while Queue.is_empty result_queue do
                 Condition.wait result_ready lock
               done;
               let batch = ref [] in
-              while not (Queue.is_empty event_queue) do
-                batch := Queue.pop event_queue :: !batch
+              while not (Queue.is_empty result_queue) do
+                batch := Queue.pop result_queue :: !batch
               done;
               List.rev !batch)
         in
         List.iter
-          (fun (node, event) ->
-            match event with
-            | `Static payload -> on_static node payload
-            | `Result res ->
-              decr inflight;
-              arrive node res)
+          (fun (node, res) ->
+            decr inflight;
+            arrive node res)
           batch;
         pump ()
       done

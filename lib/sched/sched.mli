@@ -69,31 +69,6 @@ type ('job, 'result) codec = {
   c_decode_result : string -> 'result;
 }
 
-(** The pipelined static/codegen phase split.
-
-    A compile's {e static} result (elaborated interface + export pid)
-    is all a dependent needs to start; the codeUnit is only consumed at
-    link time.  With a split installed, [sp_execute] replaces [execute]
-    and may call [notify payload] once, mid-job, as soon as the static
-    part is done; the scheduler routes the payload back to the calling
-    domain, runs [sp_on_static node payload] there (register the static
-    view wherever [prepare] will look for it), and from that moment
-    treats the node's static gate as open — dependents dispatch and
-    overlap their compiles with the dependency's code generation.
-
-    Determinism is preserved: [complete] still only runs once every
-    dependency {e finished}, and if a dependency fails after releasing
-    its static view, any speculatively-computed dependent result is
-    discarded and the dependent finishes [Skipped] — exactly what a
-    serial run, which would never have attempted it, reports.  Under
-    the [Workers] backend [sp_execute] is not used (the child-side
-    [p_handler] performs the job and sends the notification in-band);
-    [sp_on_static] is used by every backend. *)
-type ('job, 'result) split = {
-  sp_execute : notify:(string -> unit) -> 'job -> 'result;
-  sp_on_static : string -> string -> unit;
-}
-
 (** A node's fate in the outcome list. *)
 type 'result outcome =
   | Completed of 'result
@@ -133,7 +108,8 @@ val last_slots : unit -> slots option
     like [execute] exceptions — [Failed] outcomes poisoning the
     dependent cone, or [Pool_down] aborting the build.
 
-    For each node, once its dependencies completed: [prepare node] runs
+    For each node, once all its dependencies completed (one gate for
+    both dispatch and [complete]): [prepare node] runs
     on the calling domain; a [Run job] is handed to a worker which runs
     [execute job]; the result (from the worker or directly from
     [Done]) is passed to [complete node result] on the calling domain.
@@ -162,10 +138,7 @@ val last_slots : unit -> slots option
     outcomes: priorities steer only {e when} work starts, never what it
     computes.  Dispatch is slot-paced (at most [jobs backend] jobs in
     flight), so a node becoming ready late still outranks queued
-    lower-priority work.
-
-    [split] (default: none) enables the pipelined static/codegen phase
-    split — see {!type:split}. *)
+    lower-priority work. *)
 val run :
   ?retries:int ->
   ?backoff_s:float ->
@@ -175,7 +148,6 @@ val run :
   ?fatal:(exn -> bool) ->
   ?codec:('job, 'result) codec ->
   ?priority:(string -> float) ->
-  ?split:('job, 'result) split ->
   backend ->
   order:string list ->
   deps:(string -> string list) ->

@@ -61,15 +61,13 @@ type failure =
 exception Pool_down of string
 
 type proto = {
-  p_handler : notify:(string -> unit) -> id:string -> string -> string;
+  p_handler : id:string -> string -> string;
   p_encode_exn : exn -> string;
   p_decode_exn : string -> exn;
   p_fail : id:string -> failure -> exn;
 }
 
-type event =
-  | Done of string * (string, exn) result
-  | Static of string * string
+type completion = string * (string, exn) result
 
 let m_spawns = Obs.Metrics.counter "worker.spawns"
 let m_restarts = Obs.Metrics.counter "worker.restarts"
@@ -88,7 +86,6 @@ let k_request = 2
 let k_response = 3
 let k_error = 4
 let k_trace = 5  (* child -> parent: a drained trace-event batch *)
-let k_static = 6  (* child -> parent: mid-job static-view notification *)
 
 (* how long without a heartbeat before a worker counts as wedged *)
 let hb_grace cfg = 4. *. cfg.w_heartbeat_s
@@ -211,16 +208,8 @@ let child_loop cfg proto ~recv ~send =
     | Some { Frame.f_kind; f_id; f_payload } when f_kind = k_request ->
       flush_trace send;
       child_act cfg f_id;
-      (* mid-job notification channel: the handler may release the job's
-         static view early.  The pipe is FIFO, so the notification frame
-         always precedes the job's own response frame. *)
-      let notify payload =
-        flush_trace send;
-        with_alarm_blocked (fun () ->
-            write_frame send (Frame.encode ~kind:k_static ~id:f_id ~payload))
-      in
       let reply =
-        match proto.p_handler ~notify ~id:f_id f_payload with
+        match proto.p_handler ~id:f_id f_payload with
         | payload -> Frame.encode ~kind:k_response ~id:f_id ~payload
         | exception exn ->
           Frame.encode ~kind:k_error ~id:f_id
@@ -260,7 +249,7 @@ type t = {
   restarts : int array;  (** spawns per slot, for the backoff exponent *)
   sb_busy : float array;  (** seconds each slot has spent holding a job *)
   queue : (string * string) Queue.t;
-  results : event Queue.t;
+  results : completion Queue.t;
   crashes : (string, int) Hashtbl.t;  (** per-job crash attempts *)
   mutable spawn_failures : int;  (** consecutive pre-handshake deaths *)
   mutable inflight : int;
@@ -378,11 +367,10 @@ let account_crash t ~id ~payload ~detail =
     Obs.Metrics.incr m_quarantined;
     Obs.Trace.instant ~cat:"worker" ~args:[ ("unit", id) ] "worker.quarantine";
     Queue.push
-      (Done
-         ( id,
-           Error
-             (t.proto.p_fail ~id
-                (Crashed { wf_attempts = attempts; wf_detail = detail })) ))
+      ( id,
+        Error
+          (t.proto.p_fail ~id
+             (Crashed { wf_attempts = attempts; wf_detail = detail })) )
       t.results
   end
   else Queue.push (id, payload) t.queue
@@ -443,11 +431,10 @@ let on_timeout t i c =
     t.inflight <- t.inflight - 1;
     Obs.Trace.instant ~cat:"worker" ~args:[ ("unit", id) ] "worker.timeout";
     Queue.push
-      (Done
-         ( id,
-           Error
-             (t.proto.p_fail ~id
-                (Timed_out { wf_timeout_s = t.cfg.w_timeout_s })) ))
+      ( id,
+        Error
+          (t.proto.p_fail ~id (Timed_out { wf_timeout_s = t.cfg.w_timeout_s }))
+      )
       t.results
   | None -> assert false (* only busy workers have job deadlines *)
 
@@ -490,15 +477,6 @@ let handle_msg t i c msg =
       ignore
         (Obs.Trace.inject ~pid:c.ch_pid ~offset_us:c.ch_offset_us
            msg.Frame.f_payload)
-  | k when k = k_static -> (
-    c.ch_hb_deadline <- now +. hb_grace t.cfg;
-    (* the job stays held: a notification is mid-job progress, not a
-       completion — crash accounting and the timeout still apply *)
-    match c.ch_job with
-    | Some (id, _) when String.equal id msg.Frame.f_id ->
-      Queue.push (Static (id, msg.Frame.f_payload)) t.results
-    | Some _ | None ->
-      on_malfunction t i c "sent a notification for a job it was not given")
   | k when k = k_response || k = k_error -> (
     match c.ch_job with
     | Some (id, _) when String.equal id msg.Frame.f_id ->
@@ -516,7 +494,7 @@ let handle_msg t i c msg =
             | exception _ ->
               Failure ("undecodable worker error for " ^ id))
       in
-      Queue.push (Done (id, result)) t.results
+      Queue.push (id, result) t.results
     | Some _ | None ->
       on_malfunction t i c "replied to a job it was not given")
   | _ -> on_malfunction t i c "sent an unknown message kind"
@@ -602,7 +580,7 @@ let submit t ~id payload =
 
 (* one nonblocking supervision turn: spawn/dispatch, drain readable
    pipes, enforce deadlines.  The remote executor drives the pool this
-   way from inside its socket reactor, where blocking in [next_event]
+   way from inside its socket reactor, where blocking in [next]
    would starve the connections. *)
 let pump t =
   if t.closed then invalid_arg "Worker.pump: pool is shut down";
@@ -631,13 +609,13 @@ let pump t =
     expire t
   end
 
-let poll_event t =
-  if t.closed then invalid_arg "Worker.poll_event: pool is shut down";
+let poll t =
+  if t.closed then invalid_arg "Worker.poll: pool is shut down";
   if Queue.is_empty t.results then None else Some (Queue.pop t.results)
 
-let next_event t =
-  if t.closed then invalid_arg "Worker.next_event: pool is shut down";
-  if pending t = 0 then invalid_arg "Worker.next_event: no job pending";
+let next t =
+  if t.closed then invalid_arg "Worker.next: pool is shut down";
+  if pending t = 0 then invalid_arg "Worker.next: no job pending";
   while Queue.is_empty t.results do
     dispatch t;
     let now = Unix.gettimeofday () in
@@ -677,13 +655,6 @@ let next_event t =
     expire t
   done;
   Queue.pop t.results
-
-(* completion-only view for callers that installed no split: with no
-   notifying handler there are no [Static] events to skip *)
-let rec next t =
-  match next_event t with
-  | Done (id, result) -> (id, result)
-  | Static _ -> next t
 
 let shutdown t =
   if not t.closed then begin

@@ -106,29 +106,17 @@ exception Pool_down of string
     payload; exceptions become error replies via [p_encode_exn]);
     [p_decode_exn] rebuilds the exception {e in the parent};
     [p_fail] translates a supervision {!failure} into the caller's
-    exception vocabulary (the IRM mints E0701/E0702 diagnostics).
-
-    [p_handler] may call [notify payload] at most once, mid-job, to
-    ship an intermediate result back early — the pipelined scheduler
-    uses this to release a unit's static view before code generation.
-    The frame travels the same pipe as the reply (FIFO: it always
-    arrives first) and surfaces as a {!Static} event from
-    {!next_event}.  Handlers that never notify behave exactly as
-    before. *)
+    exception vocabulary (the IRM mints E0701/E0702 diagnostics). *)
 type proto = {
-  p_handler : notify:(string -> unit) -> id:string -> string -> string;
+  p_handler : id:string -> string -> string;
   p_encode_exn : exn -> string;
   p_decode_exn : string -> exn;
   p_fail : id:string -> failure -> exn;
 }
 
-(** What the pool reports back: a job completion, or a mid-job
-    notification from a child's [notify].  A [Static] event never
-    settles the job — its [Done] still follows (or a crash/timeout
-    failure does). *)
-type event =
-  | Done of string * (string, exn) result
-  | Static of string * string
+(** What the pool reports back: a job's id and its result — the
+    handler's reply, its error, or a supervision failure. *)
+type completion = string * (string, exn) result
 
 type t
 
@@ -153,26 +141,19 @@ val slot_busy : t -> float array
 (** [pump t] — one nonblocking supervision turn: spawn due workers,
     dispatch queued jobs, drain whatever the children have written, and
     enforce heartbeat/timeout deadlines.  Never blocks.  Raises
-    {!Pool_down} exactly as {!next_event} would.  For callers embedding
+    {!Pool_down} exactly as {!next} would.  For callers embedding
     the pool in their own event loop (the remote executor's socket
-    reactor); interactive callers use {!next_event}. *)
+    reactor); interactive callers use {!next}. *)
 val pump : t -> unit
 
-(** [poll_event t] — a ready event, if {!pump} produced one.  Never
-    blocks. *)
-val poll_event : t -> event option
+(** [poll t] — a completion, if {!pump} produced one.  Never blocks. *)
+val poll : t -> completion option
 
-(** [next_event t] — block until the pool has something to report: a
-    job finishing (successfully, with a handler error, or by
-    supervision: crash quarantine or timeout), or a mid-job [notify]
-    from a child.  Raises {!Pool_down} if the pool dies entirely, and
+(** [next t] — block until a job finishes: successfully, with a
+    handler error, or by supervision (crash quarantine or timeout).
+    Raises {!Pool_down} if the pool dies entirely, and
     [Invalid_argument] if nothing is pending. *)
-val next_event : t -> event
-
-(** [next t] — like {!next_event} but returns only completions,
-    silently discarding {!Static} notifications.  For callers whose
-    handlers never notify. *)
-val next : t -> string * (string, exn) result
+val next : t -> completion
 
 (** Kill every child and reap it.  Idempotent. *)
 val shutdown : t -> unit

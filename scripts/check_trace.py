@@ -18,17 +18,8 @@ Options assert aggregation properties of a multi-process build:
     --expect-truncated     at least one span with args.truncated = "true"
                            (the supervisor's stand-in for a crashed
                            worker's dying compile)
-    --expect-stages        at least one compile.static and one
-                           compile.codegen span (the critical-path
-                           schedule's pipelined phase split was active)
-    --expect-stage-overlap at least one unit's compile.static span
-                           overlaps another unit's compile.codegen span
-                           in wall time: a dependent demonstrably
-                           started before its dependency finished
-                           code generation
 
     check_trace.py trace.json [--expect-pid-count N] [--expect-truncated]
-                              [--expect-stages] [--expect-stage-overlap]
 """
 
 import argparse
@@ -46,28 +37,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def stage_spans(events):
-    """(unit, start, end) per compile.static / compile.codegen span."""
-    stages = {"compile.static": [], "compile.codegen": []}
-    for ev in events:
-        if ev.get("ph") == "X" and ev.get("name") in stages:
-            unit = ev.get("args", {}).get("unit", "?")
-            stages[ev["name"]].append((unit, ev["ts"], ev["ts"] + ev["dur"]))
-    return stages
-
-
-def stage_overlaps(stages):
-    """Pairs where one unit's static span overlaps another's codegen."""
-    pairs = []
-    for su, ss, se in stages["compile.static"]:
-        for cu, cs, ce in stages["compile.codegen"]:
-            if su != cu and ss < ce - EPS and cs < se - EPS:
-                pairs.append((su, cu))
-    return pairs
-
-
-def check(path, expect_pid_count, expect_truncated, expect_stages,
-          expect_stage_overlap):
+def check(path, expect_pid_count, expect_truncated):
     with open(path) as fp:
         doc = json.load(fp)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
@@ -97,8 +67,8 @@ def check(path, expect_pid_count, expect_truncated, expect_stages,
             last_ts = ev["ts"]
         # spans nest: walk a stack of open intervals in start order.
         # Ties on the (microsecond-quantized) start go longest-first,
-        # so a retroactively recorded enclosing span (compile.static)
-        # is seen before its first child
+        # so a retroactively recorded enclosing span is seen before its
+        # first child
         stack = []
         spans = sorted(
             (ev for ev in track if ev["ph"] == "X"),
@@ -126,27 +96,9 @@ def check(path, expect_pid_count, expect_truncated, expect_stages,
     ]
     if expect_truncated and not truncated:
         fail("expected a truncated span (crashed worker salvage), found none")
-    stages = stage_spans(events)
-    overlaps = stage_overlaps(stages)
-    if expect_stages and not (
-        stages["compile.static"] and stages["compile.codegen"]
-    ):
-        fail(
-            "expected compile.static and compile.codegen spans (pipelined "
-            f"phase split), got {len(stages['compile.static'])} static / "
-            f"{len(stages['compile.codegen'])} codegen"
-        )
-    if expect_stage_overlap and not overlaps:
-        fail(
-            "expected a unit's compile.static span to overlap another "
-            "unit's compile.codegen span, found no such pair"
-        )
     print(
         f"well-formed: {len(events)} event(s), {len(pids)} pid(s), "
-        f"{len(by_track)} track(s), {len(truncated)} truncated span(s), "
-        f"{len(stages['compile.static'])} static / "
-        f"{len(stages['compile.codegen'])} codegen stage span(s), "
-        f"{len(overlaps)} stage overlap(s)"
+        f"{len(by_track)} track(s), {len(truncated)} truncated span(s)"
     )
 
 
@@ -155,11 +107,8 @@ def main():
     parser.add_argument("trace")
     parser.add_argument("--expect-pid-count", type=int, default=None)
     parser.add_argument("--expect-truncated", action="store_true")
-    parser.add_argument("--expect-stages", action="store_true")
-    parser.add_argument("--expect-stage-overlap", action="store_true")
     args = parser.parse_args()
-    check(args.trace, args.expect_pid_count, args.expect_truncated,
-          args.expect_stages, args.expect_stage_overlap)
+    check(args.trace, args.expect_pid_count, args.expect_truncated)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ cross-object invariants a schema can't express:
   - critical_path and top reference units from the units array
   - top is sorted slowest-first
   - counts tally with the per-unit outcomes
-  - a wavefront build released no static views early and ranked every
-    unit at priority 0 (priorities only exist under critical-path)
+  - a wavefront build ranked every unit at priority 0 (priorities only
+    exist under critical-path)
 
 Exits 0 when the document conforms, 1 with a message when not.
 
@@ -52,11 +52,6 @@ def cross_checks(doc):
                 f"{outcomes.get(outcome, 0)}"
             )
     if doc["build"]["schedule"] == "wavefront":
-        if doc["build"]["static_releases"] != 0:
-            raise Invalid(
-                "$.build.static_releases: non-zero under the wavefront "
-                "schedule"
-            )
         for i, u in enumerate(units):
             if u["priority"] != 0:
                 raise Invalid(
@@ -82,7 +77,7 @@ def main():
     print(
         f"valid {schema.get('$id', 'schema')}: build {build['id']} "
         f"({build['policy']}, {build['backend']}, {build['schedule']} "
-        f"schedule, {build['static_releases']} static release(s)), "
+        f"schedule), "
         f"{len(document['units'])} unit(s), "
         f"causes {document['causes']}, "
         f"store {document['store']['builds']} build(s) / "

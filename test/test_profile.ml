@@ -20,7 +20,7 @@ let mk_unit ?(outcome = "recompiled") ?cause ?(culprits = []) ?(wall = 0.1)
   }
 
 let mk_build ?(id = 1) ?(policy = "cutoff") ?(wall = 1.0) ?(jobs = 1)
-    ?(busy = [ 0.5 ]) ?(schedule = "wavefront") ?(static_releases = 0) units =
+    ?(busy = [ 0.5 ]) ?(schedule = "wavefront") units =
   {
     Profile.bp_id = id;
     bp_policy = policy;
@@ -29,7 +29,6 @@ let mk_build ?(id = 1) ?(policy = "cutoff") ?(wall = 1.0) ?(jobs = 1)
     bp_jobs = jobs;
     bp_slot_busy_s = busy;
     bp_schedule = schedule;
-    bp_static_releases = static_releases;
     bp_units = units;
   }
 
@@ -124,6 +123,40 @@ let test_damaged_store_degrades () =
   Alcotest.(check bool) "and records fine afterwards" true
     (Profile.record p'' (mk_build ~id:1 [ mk_unit "a.sml" ]);
      List.length (Profile.builds (Profile.load fs)) = 1)
+
+(* older builds wrote a [static_releases] count into every build
+   record; such a journal line still loads, field for field *)
+let test_old_static_releases_field_loads () =
+  let fs = Vfs.memory () in
+  let p = Profile.load fs in
+  Profile.record p
+    (mk_build ~id:1 ~schedule:"critical-path"
+       [ mk_unit ~wall:0.2 "a.sml"; mk_unit ~outcome:"loaded" "b.sml" ]);
+  let jpath = Filename.concat Profile.default_dir "journal" in
+  let body =
+    match fs.Vfs.fs_read jpath with
+    | Some j -> (
+      match String.index_opt j ' ' with
+      | Some sp -> String.trim (String.sub j (sp + 1) (String.length j - sp - 1))
+      | None -> Alcotest.fail "journal line has no CRC")
+    | None -> Alcotest.fail "journal missing after record"
+  in
+  let old_body =
+    "{\"static_releases\":2,"
+    ^ String.sub body 1 (String.length body - 1)
+  in
+  fs.Vfs.fs_write jpath
+    (Printf.sprintf "%Lx %s\n" (Digestkit.Crc64.of_string old_body) old_body);
+  let p' = Profile.load fs in
+  match Profile.builds p' with
+  | [ b ] ->
+    Alcotest.(check string) "schedule" "critical-path" b.Profile.bp_schedule;
+    Alcotest.(check (list string)) "units" [ "a.sml"; "b.sml" ]
+      (List.map (fun u -> u.Profile.up_unit) b.Profile.bp_units);
+    Alcotest.(check bool) "aggregate fed" true
+      (Profile.aggregate p' "a.sml" <> None);
+    Alcotest.(check int) "next id" 2 (Profile.next_id p')
+  | bs -> Alcotest.failf "expected one build, got %d" (List.length bs)
 
 let test_history_is_bounded () =
   let fs = Vfs.memory () in
@@ -346,10 +379,10 @@ let test_driver_records_profile () =
     top.Profile.up_imports
 
 let test_schedule_recorded_and_degrades () =
-  (* a critical-path build stamps the profile with its schedule, the
-     per-unit priorities it ranked by, and the early static releases;
-     on a cold store the chain base <- mid <- top gets the 1s-per-unit
-     default estimate, so the priorities are exactly the chain depths *)
+  (* a critical-path build stamps the profile with its schedule and the
+     per-unit priorities it ranked by; on a cold store the chain
+     base <- mid <- top gets the 1s-per-unit default estimate, so the
+     priorities are exactly the chain depths *)
   let fs = Vfs.memory () in
   let profile = Profile.load fs in
   let mgr = Driver.create fs in
@@ -360,8 +393,6 @@ let test_schedule_recorded_and_degrades () =
   in
   Alcotest.(check string) "stats carry the schedule" "critical-path"
     (Driver.schedule_name stats.Driver.st_schedule);
-  Alcotest.(check int) "every compiled unit released its static view" 3
-    stats.Driver.st_static_releases;
   let b =
     match Profile.last profile with
     | Some b -> b
@@ -369,8 +400,6 @@ let test_schedule_recorded_and_degrades () =
   in
   Alcotest.(check string) "schedule recorded" "critical-path"
     b.Profile.bp_schedule;
-  Alcotest.(check int) "static releases recorded" 3
-    b.Profile.bp_static_releases;
   let prio build name =
     match Profile.find_unit build name with
     | Some u -> u.Profile.up_priority
@@ -401,8 +430,7 @@ let test_schedule_recorded_and_degrades () =
     Alcotest.(check (float 1e-9))
       "damaged store: priorities degrade to depth" 3.0 (prio b' "base.sml")
   | None -> Alcotest.fail "rebuild not recorded");
-  (* and the wavefront records the neutral stamp: no priorities, no
-     early releases *)
+  (* and the wavefront records the neutral stamp: no priorities *)
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
   let mgr'' = Driver.create fs in
   let stats'' =
@@ -411,8 +439,6 @@ let test_schedule_recorded_and_degrades () =
   in
   Alcotest.(check string) "wavefront stamped" "wavefront"
     (Driver.schedule_name stats''.Driver.st_schedule);
-  Alcotest.(check int) "wavefront: no static releases" 0
-    stats''.Driver.st_static_releases;
   match Profile.last profile' with
   | Some b'' ->
     List.iter
@@ -578,6 +604,8 @@ let suite =
       test_aggregate_only_fed_by_compiles;
     Alcotest.test_case "damaged store degrades to a prefix" `Quick
       test_damaged_store_degrades;
+    Alcotest.test_case "old static_releases field loads" `Quick
+      test_old_static_releases_field_loads;
     Alcotest.test_case "history is bounded, aggregates are not" `Quick
       test_history_is_bounded;
     Alcotest.test_case "critical path and efficiency" `Quick

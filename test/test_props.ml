@@ -582,7 +582,6 @@ let prop_static_view_closures =
              j_werror = false;
              j_limit = None;
              j_build = 0;
-             j_split = false;
            })
           .Irm.Wire.r_bytes
       in

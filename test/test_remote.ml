@@ -152,7 +152,7 @@ let test_remote_build_matches_serial () =
 (* regression: a Reset that lands on the job send itself (the frame
    dies before a copy is registered) used to strand the job — popped
    from the queue, absent from every copy list, invisible to expire
-   and hedge — and next_event spun forever.  The failed send must
+   and hedge — and next spun forever.  The failed send must
    count as an attempt and requeue. *)
 let test_send_reset_requeues_the_job () =
   let topology = Gen.Diamond 3 in

@@ -174,67 +174,12 @@ let test_priority_dispatch_order () =
     [ "a"; "c"; "b"; "d" ]
     (run ~priority:favour_sink ~order:toy_order ~deps:toy_deps ())
 
-let test_split_overlaps_codegen () =
-  (* a <- b at Parallel 2: a releases its static view 20ms in, then
-     spends ~300ms in codegen.  b must demonstrably begin inside that
-     window — the overlap the pipelined split exists to create — and
-     the static payload must arrive via sp_on_static on the caller. *)
-  let a_finished = Atomic.make 0. in
-  let b_started = Atomic.make 0. in
-  let statics = ref [] in
-  let split =
-    {
-      Sched.sp_execute =
-        (fun ~notify node ->
-          (if String.equal node "a" then (
-             Unix.sleepf 0.02;
-             notify "static-of-a";
-             Unix.sleepf 0.3;
-             Atomic.set a_finished (Unix.gettimeofday ()))
-           else Atomic.set b_started (Unix.gettimeofday ()));
-          "ran-" ^ node);
-      sp_on_static =
-        (fun node payload -> statics := (node, payload) :: !statics);
-    }
-  in
-  let outcomes =
-    Sched.run ~split (Sched.Parallel 2) ~order:[ "a"; "b" ]
-      ~deps:(function "b" -> [ "a" ] | _ -> [])
-      ~prepare:(fun node -> Sched.Run node)
-      ~execute:(fun node -> "ran-" ^ node)
-      ~complete:(fun _ result -> result)
-  in
-  List.iter
-    (fun (node, outcome) ->
-      match outcome with
-      | Sched.Completed result ->
-        Alcotest.(check string) node ("ran-" ^ node) result
-      | Sched.Failed _ | Sched.Skipped _ ->
-        Alcotest.fail (node ^ " should have completed"))
-    outcomes;
-  Alcotest.(check (list (pair string string)))
-    "static payload routed to the calling domain"
-    [ ("a", "static-of-a") ]
-    !statics;
-  let b_started = Atomic.get b_started
-  and a_finished = Atomic.get a_finished in
-  if b_started = 0. || a_finished = 0. then
-    Alcotest.fail "both executes should have run";
-  if b_started >= a_finished then
-    Alcotest.fail
-      (Printf.sprintf "no overlap: b started %.0fms after a finished codegen"
-         ((b_started -. a_finished) *. 1e3))
-
-(* ---- priorities and the split never change outcomes ---- *)
+(* ---- priorities never change outcomes ---- *)
 
 (* A random DAG at the Sched level: a seeded subset of nodes fail and a
    seeded priority map skews dispatch.  Under keep_going the outcome
    list — payloads, failure messages, skip culprits — must be identical
-   to the plain serial wavefront on every backend and job count, with
-   and without the split.  Failing nodes raise *after* releasing their
-   static view, so the property also covers the poison-after-release
-   path: a dependent that started speculatively must still settle as
-   the same [Skipped] a serial run reports. *)
+   to the plain serial wavefront on every backend and job count. *)
 
 let sched_case ~nodes ~seed =
   let rng = Random.State.make [| seed |] in
@@ -272,48 +217,30 @@ let outcome_repr outcomes =
         | Sched.Skipped culprit -> "skipped:" ^ culprit ))
     outcomes
 
-let run_sched_case ?priority ~with_split backend (order, deps, fails, _) =
+let run_sched_case ?priority backend (order, deps, fails, _) =
   let body node =
     if fails node then failwith ("boom-" ^ node) else "ok-" ^ node
   in
-  let split =
-    {
-      Sched.sp_execute =
-        (fun ~notify node ->
-          notify ("static-" ^ node);
-          body node);
-      sp_on_static = (fun _ _ -> ());
-    }
-  in
-  Sched.run ?priority
-    ?split:(if with_split then Some split else None)
-    ~keep_going:true backend ~order ~deps
+  Sched.run ?priority ~keep_going:true backend ~order ~deps
     ~prepare:(fun node -> Sched.Run node)
     ~execute:body
     ~complete:(fun _ result -> result)
   |> outcome_repr
 
 let prop_priorities_preserve_outcomes =
-  QCheck.Test.make ~count:8 ~name:"priorities + split never change outcomes"
+  QCheck.Test.make ~count:8 ~name:"priorities never change outcomes"
     QCheck.(pair (int_range 0 1000) (int_range 8 24))
     (fun (seed, nodes) ->
       let ((_, _, _, priority) as case) = sched_case ~nodes ~seed in
-      let reference = run_sched_case ~with_split:false Sched.Serial case in
+      let reference = run_sched_case Sched.Serial case in
       List.iter
         (fun backend ->
-          List.iter
-            (fun with_split ->
-              let got =
-                run_sched_case ~priority ~with_split backend case
-              in
-              if got <> reference then
-                QCheck.Test.fail_reportf
-                  "seed %d, %d nodes, %s, split=%b: outcomes diverge from \
-                   the serial wavefront"
-                  seed nodes
-                  (Sched.backend_name backend)
-                  with_split)
-            [ false; true ])
+          if run_sched_case ~priority backend case <> reference then
+            QCheck.Test.fail_reportf
+              "seed %d, %d nodes, %s: outcomes diverge from the serial \
+               wavefront"
+              seed nodes
+              (Sched.backend_name backend))
         [ Sched.Serial; Sched.Parallel 1; Sched.Parallel 2; Sched.Parallel 4 ];
       true)
 
@@ -380,11 +307,9 @@ let test_parallel_equals_serial policy () =
   check_parallel_equals_serial policy ~seed:23 ~jobs:4 ~units:12
 
 let test_critical_path_equals_wavefront () =
-  (* the critical-path schedule — cold-estimate priorities plus the
-     pipelined split threaded through compile, the static rehydrate
-     path and the dependent's import reads — must leave everything
-     observable byte-identical to the wavefront, serial and parallel,
-     across a cold build and both edit kinds *)
+  (* the critical-path schedule's cold-estimate priorities must leave
+     everything observable byte-identical to the wavefront, serial and
+     parallel, across a cold build and both edit kinds *)
   let reference =
     build_sequence ~schedule:Driver.Wavefront Driver.Serial Driver.Cutoff
       ~seed:41 ~units:12
@@ -404,6 +329,34 @@ let test_critical_path_equals_wavefront () =
              | Driver.Workers _ -> "workers"
              | Driver.Remote _ -> "remote")))
     [ Driver.Serial; Driver.Parallel 4 ]
+
+(* the critical-path schedule reorders dispatch and nothing else: a
+   cold serial build rehydrates exactly as many bins under it as under
+   the wavefront *)
+let test_critical_path_rehydrations () =
+  let cold_build schedule =
+    let fs = Vfs.memory () in
+    let project =
+      Gen.create fs
+        (Gen.Random_dag { units = 12; max_deps = 3; seed = 41 })
+        Gen.default_profile
+    in
+    let rehydrations () =
+      Option.value ~default:0 (Obs.Metrics.find "pickle.rehydrations")
+    in
+    let before = rehydrations () in
+    let stats =
+      Driver.build ~schedule (Driver.create fs) ~policy:Driver.Cutoff
+        ~sources:(Gen.sources project)
+    in
+    (List.length stats.Driver.st_recompiled, rehydrations () - before)
+  in
+  let recompiled_w, wavefront = cold_build Driver.Wavefront in
+  let recompiled_c, critical = cold_build Driver.Critical_path in
+  Alcotest.(check (pair int int)) "every unit compiled" (12, 12)
+    (recompiled_w, recompiled_c);
+  Alcotest.(check int) "critical-path rehydrations = wavefront" wavefront
+    critical
 
 let prop_parallel_equals_serial =
   QCheck.Test.make ~count:6 ~name:"parallel build = serial build"
@@ -426,11 +379,11 @@ let suite =
       test_complete_respects_deps;
     Alcotest.test_case "priority dispatch order" `Quick
       test_priority_dispatch_order;
-    Alcotest.test_case "split overlaps dependent with codegen" `Quick
-      test_split_overlaps_codegen;
     QCheck_alcotest.to_alcotest prop_priorities_preserve_outcomes;
     Alcotest.test_case "critical-path = wavefront" `Quick
       test_critical_path_equals_wavefront;
+    Alcotest.test_case "critical-path rehydrations = wavefront" `Quick
+      test_critical_path_rehydrations;
     Alcotest.test_case "parallel = serial (timestamp)" `Quick
       (test_parallel_equals_serial Driver.Timestamp);
     Alcotest.test_case "parallel = serial (cutoff)" `Quick

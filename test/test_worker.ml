@@ -111,7 +111,7 @@ exception Toy_failure of string
 let toy_proto () =
   {
     Worker.p_handler =
-      (fun ~notify:_ ~id payload ->
+      (fun ~id payload ->
         if String.length payload > 0 && payload.[0] = '!' then
           failwith ("handler refused " ^ id)
         else id ^ ":" ^ String.uppercase_ascii payload);
