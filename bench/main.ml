@@ -1152,20 +1152,24 @@ let e17 () =
   in
   let metric name = Option.value ~default:0 (Obs.Metrics.find name) in
   let workers_backend =
-    Driver.Workers { (Worker.default_config ~jobs ()) with Worker.w_chaos = [] }
+    Driver.Workers
+      {
+        (Remote.Worker.default_config ~jobs ()) with
+        Remote.Worker.w_chaos = [];
+      }
   in
   (* spawn count and IPC volume from one dedicated build, so the counts
      describe a single clean build rather than a median's worth *)
   let spawns0 = metric "worker.spawns" in
-  let out0 = metric "worker.ipc_bytes_out" in
-  let in0 = metric "worker.ipc_bytes_in" in
+  let out0 = metric "remote.bytes_out" in
+  let in0 = metric "remote.bytes_in" in
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
   ignore
     (Driver.build ~backend:workers_backend (Driver.create fs)
        ~policy:Driver.Cutoff ~sources);
   let spawns = metric "worker.spawns" - spawns0 in
-  let ipc_out = metric "worker.ipc_bytes_out" - out0 in
-  let ipc_in = metric "worker.ipc_bytes_in" - in0 in
+  let ipc_out = metric "remote.bytes_out" - out0 in
+  let ipc_in = metric "remote.bytes_in" - in0 in
   let workers_s = time_build workers_backend in
   let domains_s = time_build (Driver.Parallel jobs) in
   let overhead = (workers_s -. domains_s) /. domains_s in
@@ -1715,7 +1719,7 @@ let e21 () =
       (try
          Remote.Exec.run
            (Remote.Exec.create
-              ~mode:(Remote.Exec.Pool (Worker.default_config ~jobs:2 ()))
+              ~mode:(Remote.Exec.Pool (Remote.Worker.default_config ~jobs:2 ()))
               addr (Irm.Wire.proto ()))
        with _ -> ());
       Unix._exit 0

@@ -117,8 +117,8 @@ let backend_of ~jobs ~workers ~worker_timeout ?(remotes = [])
       }
   else if workers > 0 then
     Irm.Driver.Workers
-      { (Worker.default_config ~jobs:workers ()) with
-        Worker.w_timeout_s = worker_timeout }
+      { (Remote.Worker.default_config ~jobs:workers ()) with
+        Remote.Worker.w_timeout_s = worker_timeout }
   else backend_of_jobs jobs
 
 (* --remote-cache: read through the shared cache service, with the
@@ -216,7 +216,7 @@ let guarded ?(error_format = `Text) f =
   | exception Sys_error msg ->
     prerr_endline msg;
     1
-  | exception Worker.Pool_down msg ->
+  | exception Remote.Worker.Pool_down msg ->
     Printf.eprintf
       "build aborted: the compile worker pool died entirely (%s)\n" msg;
     4
@@ -768,8 +768,8 @@ let serve_exec_impl listen exec_jobs worker_timeout =
         if exec_jobs <= 0 then Remote.Exec.Inline
         else
           Remote.Exec.Pool
-            { (Worker.default_config ~jobs:exec_jobs ()) with
-              Worker.w_timeout_s = worker_timeout }
+            { (Remote.Worker.default_config ~jobs:exec_jobs ()) with
+              Remote.Worker.w_timeout_s = worker_timeout }
       in
       let exec = Remote.Exec.create ~mode addr (Irm.Wire.proto ()) in
       Printf.eprintf "irm: executor serving on %s (%s)\n%!"

@@ -45,13 +45,16 @@ let compile_supervised ~worker_timeout ~werror ~max_errors ~source_path ~source
     }
   in
   let pool =
-    Worker.create
-      { (Worker.default_config ~jobs:1 ()) with Worker.w_timeout_s = worker_timeout }
+    Remote.Worker.create
+      {
+        (Remote.Worker.default_config ~jobs:1 ()) with
+        Remote.Worker.w_timeout_s = worker_timeout;
+      }
       (Irm.Wire.proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:source_path (Irm.Wire.encode_job job);
-  match Worker.next pool with
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:source_path (Irm.Wire.encode_job job);
+  match Remote.Worker.next pool with
   | _, Ok payload -> (Irm.Wire.decode_result payload).Irm.Wire.r_bytes
   | _, Error exn -> raise exn
 
@@ -213,7 +216,7 @@ let main source_path import_paths run verbose use_cache cache_dir trace stats
   | exception Sys_error msg ->
     prerr_endline msg;
     1
-  | exception Worker.Pool_down msg ->
+  | exception Remote.Worker.Pool_down msg ->
     Printf.eprintf
       "compile aborted: the worker pool died entirely (%s)\n" msg;
     4

@@ -4,7 +4,7 @@ let version = "smlsep-daemon/4"
 
 (* HELLO and errors are the fabric's, since Netsrv gates and answers
    them; the request kinds sit in 17..19, disjoint from the worker
-   protocol's 0..6 and the fabric's 32..45 *)
+   links' 0..5 and the fabric's 32..45 *)
 let k_hello = Remote.Protocol.k_hello
 let k_request = 17
 let k_response = 18

@@ -1,13 +1,13 @@
 (** The compile-server wire protocol.
 
     Requests and responses travel as {!Pickle.Frame} messages — the
-    same CRC-64-trailed framing the worker IPC uses — over a Unix
+    same CRC-64-trailed framing the worker links use — over a Unix
     domain socket, served by the fabric's reactor ({!Remote.Netsrv})
     and dialed through its transport ({!Remote.Transport}).
     {!k_hello} and {!k_error} are the fabric's own
     ({!Remote.Protocol}), since the reactor gates the handshake and
     answers damage; the request kinds (17–19) are disjoint from the
-    worker protocol's (0–5) and the fabric's (32–45), so a frame aimed
+    worker links' (0–5) and the fabric's (32–45), so a frame aimed
     at the wrong peer is an immediate protocol error, not a misread.
 
     Conversation shape: the client opens with a {!k_hello} frame whose

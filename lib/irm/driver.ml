@@ -11,7 +11,7 @@ let policy_name = function
 type backend = Sched.backend =
   | Serial
   | Parallel of int
-  | Workers of Worker.config
+  | Workers of Remote.Worker.config
   | Remote of Remote.Fleet.config
 
 (* how the scheduler orders ready work.  [Wavefront] is the plain FIFO

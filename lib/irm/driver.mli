@@ -40,7 +40,7 @@ val policy_name : policy -> string
 type backend = Sched.backend =
   | Serial
   | Parallel of int
-  | Workers of Worker.config
+  | Workers of Remote.Worker.config
   | Remote of Remote.Fleet.config
 
 (** How the scheduler orders ready compiles.  [Wavefront] dispatches in

@@ -283,14 +283,14 @@ let decode_exn payload =
 (* ------------------------------------------------------------------ *)
 
 let fail_diag ~id = function
-  | Worker.Crashed { wf_attempts; wf_detail } ->
+  | Remote.Worker.Crashed { wf_attempts; wf_detail } ->
     Diag.Error
       (Diag.make ~code:"E0701" ~unit_name:id Diag.Manager Loc.dummy
          (Printf.sprintf
             "compiler crashed while compiling %s (%s); unit quarantined \
              after %d attempts"
             id wf_detail wf_attempts))
-  | Worker.Timed_out { wf_timeout_s } ->
+  | Remote.Worker.Timed_out { wf_timeout_s } ->
     Diag.Error
       (Diag.make ~code:"E0702" ~unit_name:id Diag.Manager Loc.dummy
          (Printf.sprintf
@@ -317,7 +317,7 @@ let remote_fail ~id = function
 
 let proto () =
   {
-    Worker.p_handler =
+    Remote.Worker.p_handler =
       (fun ~id:_ payload -> encode_result (execute (decode_job payload)));
     p_encode_exn = encode_exn;
     p_decode_exn = decode_exn;

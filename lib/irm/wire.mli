@@ -72,7 +72,7 @@ val decode_exn : string -> exn
     and encodes the result; [p_fail] mints the supervision diagnostics
     — [E0701] (compiler crash, unit quarantined) and [E0702] (compile
     timeout). *)
-val proto : unit -> Worker.proto
+val proto : unit -> Remote.Worker.proto
 
 (** The remote fleet's failure translator: [E0703] (remote executors
     unreachable after retries) and [E0704] (remote protocol damage).

@@ -82,7 +82,7 @@ val record_phases : (unit -> 'a) -> 'a * (string * float) list
 val events : unit -> event list
 
 (** [drain_wire ()] — remove every completed event and serialize the
-    batch for the frame IPC ([""] when empty).  Called in worker
+    batch for a worker link ([""] when empty).  Called in worker
     children to flush their buffer to the supervisor. *)
 val drain_wire : unit -> string
 

@@ -49,9 +49,9 @@ let decode_body body =
   let f_payload = Buf.read_string r in
   { f_kind; f_id; f_payload }
 
-(* incremental extraction from a receive buffer: both the worker
-   supervisor and the build daemon accumulate socket/pipe reads into a
-   string and pop complete frames off the front *)
+(* incremental extraction from a receive buffer: every connection
+   accumulates socket reads into a string and pops complete frames off
+   the front *)
 let pop buffer =
   let len = String.length buffer in
   if len < header_size then None

@@ -1,5 +1,5 @@
-(** Length-prefixed, CRC-64-trailed message framing for the worker IPC
-    protocol.
+(** Length-prefixed, CRC-64-trailed message framing: every frame a
+    worker link, the remote fabric or the compile daemon exchanges.
 
     A frame is [magic(4) · length(4, big-endian) · body], where the body
     is a {!Buf}-encoded message — a kind byte, an id string, a payload
@@ -20,7 +20,7 @@ val magic : string
 val header_size : int
 
 type msg = {
-  f_kind : int;  (** message kind (the worker protocol's tag space) *)
+  f_kind : int;  (** message kind (the tag space [Remote.Protocol] declares) *)
   f_id : string;  (** the job this message belongs to (may be empty) *)
   f_payload : string;
 }

@@ -1,19 +1,22 @@
-(** The remote build fabric's wire protocol.
+(** The one tag space of every {!Pickle.Frame} the system exchanges
+    over {!Transport} connections: worker links 0–5, the compile
+    daemon's requests 17–19 (declared in [Daemon.Protocol]), the fabric
+    32–45.  The ranges are disjoint, so a frame aimed at the wrong peer
+    is an immediate protocol error, never a misread; the daemon, a
+    {!Netsrv} service, shares {!k_hello}, {!k_error} and {!k_ping}.
 
-    Frames are {!Pickle.Frame} messages — the same CRC-64-trailed
-    framing the worker pipes and the compile daemon use — carried over
-    a stream socket ({!Transport}).  The fabric's tag space (32–45) is
-    disjoint from both the worker protocol (0–5) and the daemon's
-    request kinds (17–19); the daemon, also a {!Netsrv} service, shares
-    {!k_hello}, {!k_error} and {!k_ping}.  A frame aimed at the wrong
-    peer is an immediate protocol error, never a misread.
+    {b Worker links} ({!Worker}): the child greets with
+    {!k_worker_hello} (payload: its trace clock epoch); a job goes out
+    as one {!k_request} and comes back as one {!k_response} or
+    {!k_worker_error} echoing its id; meanwhile the child sends
+    {!k_heartbeat} ticks and {!k_trace} event batches.
 
-    Conversation shape, both services: the client opens with a
-    {!k_hello} frame whose payload is the service's version string; the
-    server answers in kind, or replies {!k_error} and closes on a
-    mismatch.  The two services carry different version strings, so a
-    build client dialing the cache service (or vice versa) fails the
-    handshake instead of exchanging nonsense.
+    {b Fabric services}: the client opens with a {!k_hello} frame whose
+    payload is the service's version string; the server answers in
+    kind, or replies {!k_error} and closes on a mismatch.  The two
+    services carry different version strings, so a build client dialing
+    the cache service (or vice versa) fails the handshake instead of
+    exchanging nonsense.
 
     {b Executor service} ([irm serve-exec]): each compile goes out as
     one {!k_job} frame with the unit name as id and a {!Irm.Wire}
@@ -36,7 +39,16 @@ val version_exec : string
 (** Cache service version, exchanged at HELLO. *)
 val version_cache : string
 
-(** {2 Common frame kinds} *)
+(** {2 Worker-link frames} *)
+
+val k_worker_hello : int
+val k_heartbeat : int
+val k_request : int
+val k_response : int
+val k_worker_error : int
+val k_trace : int  (** child to parent: a drained trace-event batch *)
+
+(** {2 Common fabric frame kinds} *)
 
 val k_hello : int
 val k_error : int

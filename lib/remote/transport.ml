@@ -28,8 +28,8 @@ exception Protocol_damage of string
 exception Timed_out
 
 (* a peer that hangs up while we write must surface as EPIPE on that
-   one connection, not kill the process: every process that listens or
-   dials ignores SIGPIPE, as the worker supervisor does *)
+   one connection, not kill the process: every process that listens,
+   dials or wraps a socket ignores SIGPIPE *)
 let ignore_sigpipe () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let sockaddr_of = function
@@ -80,9 +80,9 @@ let bound_addr fd addr =
 type status = Connecting | Up | Closed of string
 
 type conn = {
-  c_addr : addr;
   mutable c_fd : Unix.file_descr option;
   mutable c_status : status;
+  mutable c_peer : Unix.sockaddr option;  (** where a dial connects *)
   mutable c_in : string;
   mutable c_out : string;
   mutable c_redeliver : Frame.msg list;  (** chaos-duplicated frames *)
@@ -125,22 +125,41 @@ let fire t op =
     | None -> ());
     f
 
-let dial ?chaos addr =
+let make status fd chaos =
   ignore_sigpipe ();
+  {
+    c_fd = fd;
+    c_status = status;
+    c_peer = None;
+    c_in = "";
+    c_out = "";
+    c_redeliver = [];
+    c_ready_at = 0.;
+    c_kill_after_flush = false;
+    c_chaos = chaos;
+  }
+
+let of_fd fd =
+  Unix.set_nonblock fd;
+  make Up (Some fd) None
+
+(* the nonblocking connect, true once connected.  [poll] issues it
+   again until then: EAGAIN means a full Unix listen backlog refused to
+   start it, EINPROGRESS/EALREADY that a TCP handshake is under way *)
+let connect fd sa =
+  match Unix.connect fd sa with
+  | () | (exception Unix.Unix_error (Unix.EISCONN, _, _)) -> true
+  | exception
+      Unix.Unix_error
+        ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS | Unix.EALREADY
+          | Unix.EINTR ),
+          _,
+          _ ) ->
+    false
+
+let dial ?chaos addr =
   Obs.Metrics.incr m_dials;
-  let t =
-    {
-      c_addr = addr;
-      c_fd = None;
-      c_status = Connecting;
-      c_in = "";
-      c_out = "";
-      c_redeliver = [];
-      c_ready_at = 0.;
-      c_kill_after_flush = false;
-      c_chaos = chaos;
-    }
-  in
+  let t = make Connecting None chaos in
   (match fire t Netchaos.Connect with
   | Some Netchaos.Refuse ->
     raise (Unreachable ("chaos: connection refused by " ^ addr_to_string addr))
@@ -152,10 +171,13 @@ let dial ?chaos addr =
   let fd = Unix.socket ~cloexec:true (domain_of addr) Unix.SOCK_STREAM 0 in
   Unix.set_nonblock fd;
   t.c_fd <- Some fd;
-  (match Unix.connect fd (sockaddr_of addr) with
-  | () -> if t.c_ready_at = 0. then t.c_status <- Up
-  | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-    -> ()
+  (match
+     let sa = sockaddr_of addr in
+     t.c_peer <- Some sa;
+     connect fd sa
+   with
+  | true -> if t.c_ready_at = 0. then t.c_status <- Up
+  | false -> ()
   | exception Unix.Unix_error (e, _, _) ->
     close_fd t;
     raise
@@ -167,14 +189,17 @@ let dial ?chaos addr =
   t
 
 let status t = t.c_status
-let addr t = t.c_addr
-let fd t = t.c_fd
+
+(* an unconnected Unix socket polls ready at once: nothing to select on
+   until the connect completes *)
+let fd t = match t.c_status with Up -> t.c_fd | Connecting | Closed _ -> None
 let want_write t = t.c_out <> "" && t.c_fd <> None
 
+(* output waits for the connect: an unconnected socket refuses writes *)
 let flush t =
-  match t.c_fd with
-  | None -> ()
-  | Some fd ->
+  match (t.c_status, t.c_fd) with
+  | (Connecting | Closed _), _ | Up, None -> ()
+  | Up, Some fd ->
     let rec go () =
       if t.c_out <> "" then
         match Unix.write_substring fd t.c_out 0 (String.length t.c_out) with
@@ -216,24 +241,17 @@ let poll t =
   match t.c_status with
   | Closed _ -> ()
   | Connecting -> (
-    match t.c_fd with
-    | None -> kill t "no socket"
-    | Some fd -> (
-      if t.c_ready_at > 0. && Unix.gettimeofday () < t.c_ready_at then ()
-      else
-        (* a pending nonblocking connect resolves when the socket turns
-           writable; the error (if any) is read with getsockopt *)
-        match Unix.select [] [ fd ] [] 0. with
-        | _, [ _ ], _ -> (
-          match Unix.getsockopt_error fd with
-          | None ->
-            t.c_status <- Up;
-            flush t
-          | Some e ->
-            kill t
-              (Printf.sprintf "connect failed: %s" (Unix.error_message e)))
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
+    match (t.c_fd, t.c_peer) with
+    | Some fd, Some sa -> (
+      if Unix.gettimeofday () >= t.c_ready_at then
+        match connect fd sa with
+        | true ->
+          t.c_status <- Up;
+          flush t
+        | false -> ()
+        | exception Unix.Unix_error (e, _, _) ->
+          kill t (Printf.sprintf "connect failed: %s" (Unix.error_message e)))
+    | (Some _ | None), _ -> kill t "no socket")
   | Up ->
     read_in t;
     flush t
@@ -290,6 +308,22 @@ let rec recv t =
 
 let close t = kill t "closed"
 
+(* reads the connection, never changes it: a signal handler may send on
+   it meanwhile (and even close it, hence EBADF) *)
+let wait t ~timeout_s =
+  match (fd t, t.c_status) with
+  | Some fd, _ -> (
+    let w = if want_write t then [ fd ] else [] in
+    try
+      ignore
+        (Unix.select [ fd ] w []
+           (if timeout_s = infinity then -1. else timeout_s))
+    with Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ())
+  | None, Connecting -> (
+    try Unix.sleepf (Float.min 0.01 timeout_s)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  | None, (Up | Closed _) -> ()
+
 let rec await ?tick t ~deadline =
   Option.iter (fun f -> f ()) tick;
   match recv t with
@@ -300,13 +334,10 @@ let rec await ?tick t ~deadline =
        a peer dying exactly at the budget boundary reads as one that
        did not answer in time *)
     if now >= deadline then raise Timed_out;
-    match (t.c_status, t.c_fd) with
-    | Closed reason, _ -> raise (Unreachable reason)
-    | (Connecting | Up), None -> raise (Unreachable "no socket")
-    | (Connecting | Up), Some fd ->
-      (let w = if want_write t then [ fd ] else [] in
-       try ignore (Unix.select [ fd ] w [] (Float.min 0.01 (deadline -. now)))
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    match t.c_status with
+    | Closed reason -> raise (Unreachable reason)
+    | Connecting | Up ->
+      wait t ~timeout_s:(Float.min 0.01 (deadline -. now));
       poll t;
       await ?tick t ~deadline)
 

@@ -1,13 +1,13 @@
-(** Stream transport for the build fabric: framed, nonblocking,
-    chaos-injectable connections over Unix-domain or TCP sockets.
-
-    The framing is {!Pickle.Frame} — pure bytes, so the same codec that
-    crosses worker pipes crosses the network unchanged.  A connection
-    here is the {e client} half; servers accept raw fds through
-    {!Netsrv}.  Every connection is nonblocking end to end: [dial]
-    starts the connect and returns immediately, [poll] progresses it,
-    and the caller multiplexes many connections from one loop — the
-    fleet keeps several executor dials in flight while jobs run.
+(** Stream transport: framed, nonblocking, chaos-injectable
+    connections over Unix-domain or TCP sockets — the one wire every
+    frame in the system crosses ({!Pickle.Frame}s, tagged as
+    {!Protocol} declares).  A connection is dialed ({!dial}: the
+    fabric's and the daemon's clients) or wraps a connected socket
+    ({!of_fd}: both ends of a worker's socketpair link); servers accept
+    raw fds through {!Netsrv}.  Every connection is nonblocking end to
+    end: [dial] starts the connect and returns immediately, [poll]
+    progresses it, and the caller multiplexes many connections from one
+    loop.
 
     When an injector is attached, every connect, frame send and frame
     receive consults {!Netchaos} first, so one seed reproduces an
@@ -54,14 +54,25 @@ type status =
   | Closed of string  (** why the connection died *)
 
 (** [dial ?chaos addr] — begin a nonblocking connect.  Raises
-    {!Unreachable} when the failure is immediate (refused, absent). *)
+    {!Unreachable} when the failure is immediate (refused, absent).  A
+    connect a full Unix listen backlog refuses to start ([EAGAIN])
+    stays [Connecting]: {!poll} re-issues it until the listener makes
+    room or the caller's deadline gives up. *)
 val dial : ?chaos:Netchaos.injector -> addr -> conn
 
-val status : conn -> status
-val addr : conn -> addr
+(** [of_fd fd] — an [Up] connection over a connected socket (one end
+    of a [Unix.socketpair]); no dial, no address, no chaos.  Makes [fd]
+    nonblocking and, like {!dial}, ignores SIGPIPE. *)
+val of_fd : Unix.file_descr -> conn
 
-(** The fd to select on while the connection lives; [None] once closed. *)
+val status : conn -> status
+
+(** The fd to select on while the connection is [Up]; [None] while it
+    connects ({!poll} it) and once it is closed. *)
 val fd : conn -> Unix.file_descr option
+
+(** Output is queued: select for writability on {!fd} too. *)
+val want_write : conn -> bool
 
 (** [poll t] — progress the connection: finish the connect, read
     whatever the peer sent, flush pending output.  Never blocks, never
@@ -69,8 +80,9 @@ val fd : conn -> Unix.file_descr option
 val poll : conn -> unit
 
 (** [send t ~kind ~id ~payload] — frame and queue a message, flushing
-    as much as the socket accepts.  A send on a closed connection is
-    dropped silently — the caller observes [Closed] via {!status}. *)
+    as much as the socket accepts (nothing before the connect
+    completes).  A send on a closed connection is dropped silently —
+    the caller observes [Closed] via {!status}. *)
 val send : conn -> kind:int -> id:string -> payload:string -> unit
 
 (** [recv t] — the next complete frame, if one has arrived.  Raises
@@ -79,6 +91,11 @@ val send : conn -> kind:int -> id:string -> payload:string -> unit
 val recv : conn -> Pickle.Frame.msg option
 
 val close : conn -> unit
+
+(** [wait t ~timeout_s] — sleep until [t] may progress or [timeout_s]
+    ([infinity]: no limit) passes; a signal ends it early.  It never
+    changes [t], so a signal handler may {!send} on [t] meanwhile. *)
+val wait : conn -> timeout_s:float -> unit
 
 (** {2 Blocking use}, for a client with one request in flight.
     [tick] runs once per turn of the wait: the in-process harnesses

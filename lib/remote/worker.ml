@@ -1,4 +1,5 @@
 module Frame = Pickle.Frame
+module P = Protocol
 
 type chaos =
   | Chaos_crash
@@ -75,58 +76,10 @@ let m_kills = Obs.Metrics.counter "worker.kills"
 let m_crashes = Obs.Metrics.counter "worker.crashes"
 let m_timeouts = Obs.Metrics.counter "worker.timeouts"
 let m_quarantined = Obs.Metrics.counter "worker.quarantined"
-let m_ipc_out = Obs.Metrics.counter "worker.ipc_bytes_out"
-let m_ipc_in = Obs.Metrics.counter "worker.ipc_bytes_in"
 let g_pool = Obs.Metrics.gauge "worker.pool"
-
-(* message kinds of the frame protocol *)
-let k_hello = 0
-let k_heartbeat = 1
-let k_request = 2
-let k_response = 3
-let k_error = 4
-let k_trace = 5  (* child -> parent: a drained trace-event batch *)
 
 (* how long without a heartbeat before a worker counts as wedged *)
 let hb_grace cfg = 4. *. cfg.w_heartbeat_s
-
-(* ------------------------------------------------------------------ *)
-(* EINTR-safe I/O (the child's SIGALRM heartbeats interrupt syscalls)   *)
-(* ------------------------------------------------------------------ *)
-
-let rec write_all fd b off len =
-  if len > 0 then
-    match Unix.write fd b off len with
-    | n -> write_all fd b (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
-
-let write_frame fd frame =
-  write_all fd (Bytes.of_string frame) 0 (String.length frame)
-
-let rec read_some fd b off len =
-  match Unix.read fd b off len with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd b off len
-
-(* read exactly [len] bytes; [None] on EOF *)
-let read_exact fd len =
-  let b = Bytes.create len in
-  let rec go off =
-    if off = len then Some (Bytes.to_string b)
-    else
-      match read_some fd b off (len - off) with
-      | 0 -> None
-      | n -> go (off + n)
-  in
-  go 0
-
-let read_frame fd =
-  match read_exact fd Frame.header_size with
-  | None -> None
-  | Some header -> (
-    match read_exact fd (Frame.body_length header) with
-    | None -> None
-    | Some body -> Some (Frame.decode_body body))
 
 (* ------------------------------------------------------------------ *)
 (* The child                                                           *)
@@ -155,12 +108,15 @@ let child_act cfg id =
     ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigalrm ]);
     sleep_forever ()
 
-(* frame writes must not interleave with the heartbeat the SIGALRM
-   handler writes, or the stream tears mid-frame *)
-let with_alarm_blocked f =
-  let old = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigalrm ] in
+(* The child runs with SIGALRM blocked and opens it only around the job
+   and around [Transport.wait], which never changes the connection: the
+   heartbeat the handler sends can never interleave with the main
+   code's own use of it, yet flows while a request is on its way. *)
+let with_alarm_open f =
+  ignore (Unix.sigprocmask Unix.SIG_UNBLOCK [ Sys.sigalrm ]);
   Fun.protect
-    ~finally:(fun () -> ignore (Unix.sigprocmask Unix.SIG_SETMASK old))
+    ~finally:(fun () ->
+      ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigalrm ]))
     f
 
 (* ship the child's buffered trace events to the supervisor.  Called
@@ -168,17 +124,13 @@ let with_alarm_blocked f =
    that later crashes has already flushed everything up to its current
    job — the supervisor loses at most the spans of the dying compile,
    which it stands in for with a [truncated] span. *)
-let flush_trace send =
+let flush_trace conn =
   if Obs.Trace.enabled () then
     match Obs.Trace.drain_wire () with
     | "" -> ()
-    | payload -> (
-      try
-        with_alarm_blocked (fun () ->
-            write_frame send (Frame.encode ~kind:k_trace ~id:"" ~payload))
-      with Unix.Unix_error _ -> ())
+    | payload -> Transport.send conn ~kind:P.k_trace ~id:"" ~payload
 
-let child_loop cfg proto ~recv ~send =
+let child_loop cfg proto conn =
   (match List.assoc_opt "*" cfg.w_chaos with
   | Some Chaos_nostart -> Unix._exit 7
   | _ -> ());
@@ -187,38 +139,45 @@ let child_loop cfg proto ~recv ~send =
      this process's clock.  The HELLO carries the new epoch so the
      supervisor can correct the offset when it injects our events. *)
   if Obs.Trace.enabled () then Obs.Trace.reset ();
+  ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigalrm ]);
   Sys.set_signal Sys.sigalrm
     (Sys.Signal_handle
-       (fun _ ->
-         try write_frame send (Frame.encode ~kind:k_heartbeat ~id:"" ~payload:"")
-         with Unix.Unix_error _ -> ()));
+       (fun _ -> Transport.send conn ~kind:P.k_heartbeat ~id:"" ~payload:""));
   ignore
     (Unix.setitimer Unix.ITIMER_REAL
        {
          Unix.it_interval = cfg.w_heartbeat_s;
          it_value = cfg.w_heartbeat_s;
        });
-  with_alarm_blocked (fun () ->
-      write_frame send
-        (Frame.encode ~kind:k_hello ~id:""
-           ~payload:(Printf.sprintf "%h" (Obs.Trace.epoch_s ()))));
+  Transport.send conn ~kind:P.k_worker_hello ~id:""
+    ~payload:(Printf.sprintf "%h" (Obs.Trace.epoch_s ()));
+  let rec next_request () =
+    match Transport.recv conn with
+    | Some msg -> msg
+    | None -> (
+      match Transport.status conn with
+      | Transport.Closed _ ->
+        Unix._exit 0 (* parent closed the link: orderly shutdown *)
+      | Transport.Connecting | Transport.Up ->
+        with_alarm_open (fun () -> Transport.wait conn ~timeout_s:infinity);
+        Transport.poll conn;
+        next_request ())
+  in
   let rec serve () =
-    match read_frame recv with
-    | None -> Unix._exit 0 (* parent closed the pipe: orderly shutdown *)
-    | Some { Frame.f_kind; f_id; f_payload } when f_kind = k_request ->
-      flush_trace send;
-      child_act cfg f_id;
-      let reply =
-        match proto.p_handler ~id:f_id f_payload with
-        | payload -> Frame.encode ~kind:k_response ~id:f_id ~payload
-        | exception exn ->
-          Frame.encode ~kind:k_error ~id:f_id
-            ~payload:(proto.p_encode_exn exn)
+    match next_request () with
+    | { Frame.f_kind; f_id; f_payload } when f_kind = P.k_request ->
+      flush_trace conn;
+      let kind, payload =
+        with_alarm_open (fun () ->
+            child_act cfg f_id;
+            match proto.p_handler ~id:f_id f_payload with
+            | payload -> (P.k_response, payload)
+            | exception exn -> (P.k_worker_error, proto.p_encode_exn exn))
       in
-      flush_trace send;
-      with_alarm_blocked (fun () -> write_frame send reply);
+      flush_trace conn;
+      Transport.send conn ~kind ~id:f_id ~payload;
       serve ()
-    | Some _ -> Unix._exit 8 (* protocol violation *)
+    | _ -> Unix._exit 8 (* protocol violation *)
   in
   try serve () with _ -> Unix._exit 9
 
@@ -228,9 +187,7 @@ let child_loop cfg proto ~recv ~send =
 
 type child = {
   ch_pid : int;
-  ch_send : Unix.file_descr;  (** requests out *)
-  ch_recv : Unix.file_descr;  (** replies and heartbeats in *)
-  mutable ch_pending : string;  (** inbound bytes short of a frame *)
+  ch_conn : Transport.conn;  (** the link: requests out, replies in *)
   mutable ch_hello : bool;
   mutable ch_job : (string * string) option;
   mutable ch_job_t0 : float;  (** when the running job was dispatched *)
@@ -258,9 +215,6 @@ type t = {
 }
 
 let create cfg proto =
-  (* a worker dying mid-write must surface as EPIPE on our write, not
-     kill the supervisor outright *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let jobs = max 1 cfg.w_jobs in
   Obs.Metrics.set g_pool jobs;
   {
@@ -291,49 +245,34 @@ let status_detail = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let spawn t i =
-  let req_read, req_write = Unix.pipe () in
-  let res_read, res_write = Unix.pipe () in
+  let ours, theirs =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
   flush stdout;
   flush stderr;
   match Unix.fork () with
   | 0 ->
-    close_quietly req_write;
-    close_quietly res_read;
-    (* drop the other workers' pipe ends, or a sibling holding the
-       write end open would defeat this worker's EOF detection *)
+    Unix.close ours;
+    (* drop the other workers' links, or a sibling holding one open
+       would defeat that worker's EOF detection *)
     Array.iter
-      (function
-        | Live c ->
-          close_quietly c.ch_send;
-          close_quietly c.ch_recv
-        | Down _ -> ())
+      (function Live c -> Transport.close c.ch_conn | Down _ -> ())
       t.slots;
-    child_loop t.cfg t.proto ~recv:req_read ~send:res_write
+    child_loop t.cfg t.proto (Transport.of_fd theirs)
   | pid ->
-    close_quietly req_read;
-    close_quietly res_write;
+    Unix.close theirs;
     Obs.Metrics.incr m_spawns;
-    if t.restarts.(i) > 0 then begin
-      Obs.Metrics.incr m_restarts;
-      Obs.Trace.instant ~cat:"worker"
-        ~args:[ ("slot", string_of_int i); ("pid", string_of_int pid) ]
-        "worker.restart"
-    end
-    else
-      Obs.Trace.instant ~cat:"worker"
-        ~args:[ ("slot", string_of_int i); ("pid", string_of_int pid) ]
-        "worker.spawn";
+    if t.restarts.(i) > 0 then Obs.Metrics.incr m_restarts;
+    Obs.Trace.instant ~cat:"worker"
+      ~args:[ ("slot", string_of_int i); ("pid", string_of_int pid) ]
+      (if t.restarts.(i) > 0 then "worker.restart" else "worker.spawn");
     t.restarts.(i) <- t.restarts.(i) + 1;
     t.slots.(i) <-
       Live
         {
           ch_pid = pid;
-          ch_send = req_write;
-          ch_recv = res_read;
-          ch_pending = "";
+          ch_conn = Transport.of_fd ours;
           ch_hello = false;
           ch_job = None;
           ch_job_t0 = 0.;
@@ -346,8 +285,7 @@ let spawn t i =
    exponential backoff — restarts after a crash storm must neither
    retry in lock-step nor grow unboundedly sparse *)
 let retire t i c =
-  close_quietly c.ch_send;
-  close_quietly c.ch_recv;
+  Transport.close c.ch_conn;
   let delay =
     Support.Backoff.delay t.backoff ~attempt:(max 0 (t.restarts.(i) - 1))
   in
@@ -407,19 +345,28 @@ let salvage t i c ~detail =
           ]
         ~start_s:c.ch_job_t0 "build.compile_job"
 
-(* the child's pipe hit EOF (or a read error): it died on its own *)
-let on_eof t i c =
-  let detail = status_detail (reap c.ch_pid) in
+let kill_child c =
+  Obs.Metrics.incr m_kills;
+  (try Unix.kill c.ch_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (reap c.ch_pid)
+
+(* the child is gone and reaped: salvage its job's span, retire the
+   slot, and retry or quarantine the job it held *)
+let lost t i c ~detail =
   salvage t i c ~detail;
   retire t i c;
   match c.ch_job with
   | Some (id, payload) -> account_crash t ~id ~payload ~detail
   | None -> if not c.ch_hello then account_nostart t ~detail
 
-let kill_child c =
-  Obs.Metrics.incr m_kills;
-  (try Unix.kill c.ch_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap c.ch_pid)
+(* the child's link hit EOF (or an I/O error): it died on its own *)
+let on_eof t i c = lost t i c ~detail:(status_detail (reap c.ch_pid))
+
+(* a live child that went silent or speaks garbage (bad magic, CRC
+   mismatch) is as dead to us as a crashed one *)
+let on_malfunction t i c detail =
+  kill_child c;
+  lost t i c ~detail
 
 let on_timeout t i c =
   kill_child c;
@@ -438,29 +385,10 @@ let on_timeout t i c =
       t.results
   | None -> assert false (* only busy workers have job deadlines *)
 
-let on_heartbeat_lost t i c =
-  kill_child c;
-  let detail = "went silent (heartbeat lost; killed)" in
-  salvage t i c ~detail;
-  retire t i c;
-  match c.ch_job with
-  | Some (id, payload) -> account_crash t ~id ~payload ~detail
-  | None -> if not c.ch_hello then account_nostart t ~detail
-
-(* a live child speaking garbage (bad magic, CRC mismatch) is as dead
-   to us as a crashed one *)
-let on_malfunction t i c detail =
-  kill_child c;
-  salvage t i c ~detail;
-  retire t i c;
-  match c.ch_job with
-  | Some (id, payload) -> account_crash t ~id ~payload ~detail
-  | None -> if not c.ch_hello then account_nostart t ~detail
-
 let handle_msg t i c msg =
   let now = Unix.gettimeofday () in
   match msg.Frame.f_kind with
-  | k when k = k_hello ->
+  | k when k = P.k_worker_hello ->
     c.ch_hello <- true;
     t.spawn_failures <- 0;
     (* the HELLO carries the child's trace epoch: the offset between
@@ -470,14 +398,14 @@ let handle_msg t i c msg =
       c.ch_offset_us <- (child_epoch -. Obs.Trace.epoch_s ()) *. 1e6
     | None -> ());
     c.ch_hb_deadline <- now +. hb_grace t.cfg
-  | k when k = k_heartbeat -> c.ch_hb_deadline <- now +. hb_grace t.cfg
-  | k when k = k_trace ->
+  | k when k = P.k_heartbeat -> c.ch_hb_deadline <- now +. hb_grace t.cfg
+  | k when k = P.k_trace ->
     c.ch_hb_deadline <- now +. hb_grace t.cfg;
     if Obs.Trace.enabled () then
       ignore
         (Obs.Trace.inject ~pid:c.ch_pid ~offset_us:c.ch_offset_us
            msg.Frame.f_payload)
-  | k when k = k_response || k = k_error -> (
+  | k when k = P.k_response || k = P.k_worker_error -> (
     match c.ch_job with
     | Some (id, _) when String.equal id msg.Frame.f_id ->
       c.ch_job <- None;
@@ -486,7 +414,7 @@ let handle_msg t i c msg =
       t.inflight <- t.inflight - 1;
       Hashtbl.remove t.crashes id;
       let result =
-        if k = k_response then Ok msg.Frame.f_payload
+        if k = P.k_response then Ok msg.Frame.f_payload
         else
           Error
             (match t.proto.p_decode_exn msg.Frame.f_payload with
@@ -499,30 +427,22 @@ let handle_msg t i c msg =
       on_malfunction t i c "replied to a job it was not given")
   | _ -> on_malfunction t i c "sent an unknown message kind"
 
-let rec parse_frames t i c =
-  match Frame.pop c.ch_pending with
-  | exception Pickle.Buf.Corrupt _ ->
-    on_malfunction t i c "sent a corrupt frame"
-  | None -> ()
-  | Some (msg, rest) -> (
-    c.ch_pending <- rest;
+(* every complete frame the child sent, then its death: frames that
+   arrived before an EOF still count *)
+let rec drain t i c =
+  match Transport.recv c.ch_conn with
+  | exception Transport.Protocol_damage reason ->
+    on_malfunction t i c ("sent a corrupt frame: " ^ reason)
+  | Some msg -> (
     handle_msg t i c msg;
     (* the slot may have been retired by a malfunction above *)
     match t.slots.(i) with
-    | Live c' when c' == c -> parse_frames t i c
+    | Live c' when c' == c -> drain t i c
     | Live _ | Down _ -> ())
-
-let chunk_size = 65536
-
-let on_readable t i c =
-  let chunk = Bytes.create chunk_size in
-  match read_some c.ch_recv chunk 0 chunk_size with
-  | 0 -> on_eof t i c
-  | exception Unix.Unix_error _ -> on_eof t i c
-  | n ->
-    Obs.Metrics.add m_ipc_in n;
-    c.ch_pending <- c.ch_pending ^ Bytes.sub_string chunk 0 n;
-    parse_frames t i c
+  | None -> (
+    match Transport.status c.ch_conn with
+    | Transport.Closed _ -> on_eof t i c
+    | Transport.Connecting | Transport.Up -> ())
 
 (* spawn due workers and hand queued jobs to idle, greeted ones *)
 let dispatch t =
@@ -539,21 +459,22 @@ let dispatch t =
       | Live c when c.ch_hello && c.ch_job = None && not (Queue.is_empty t.queue)
         -> (
         let id, payload = Queue.pop t.queue in
-        let frame = Frame.encode ~kind:k_request ~id ~payload in
-        match write_frame c.ch_send frame with
-        | () ->
-          Obs.Metrics.add m_ipc_out (String.length frame);
+        Transport.send c.ch_conn ~kind:P.k_request ~id ~payload;
+        match Transport.status c.ch_conn with
+        | Transport.Up | Transport.Connecting ->
+          (* the clocks start once the request is encoded and queued:
+             a large frame's encode is not the child's time *)
+          let now = Unix.gettimeofday () in
           c.ch_job <- Some (id, payload);
           c.ch_job_t0 <- now;
           t.inflight <- t.inflight + 1;
           c.ch_job_deadline <- now +. t.cfg.w_timeout_s;
           c.ch_hb_deadline <- now +. hb_grace t.cfg
-        | exception Unix.Unix_error _ ->
+        | Transport.Closed _ ->
           (* died while idle: the job was never delivered, so requeue it
              without crash accounting *)
           Queue.push (id, payload) t.queue;
-          let detail = status_detail (reap c.ch_pid) in
-          ignore detail;
+          ignore (reap c.ch_pid);
           retire t i c)
       | Live _ | Down _ -> ())
     t.slots
@@ -567,7 +488,7 @@ let expire t =
         if c.ch_job <> None && now >= c.ch_job_deadline then on_timeout t i c
         else if
           (c.ch_job <> None || not c.ch_hello) && now >= c.ch_hb_deadline
-        then on_heartbeat_lost t i c
+        then on_malfunction t i c "went silent (heartbeat lost; killed)"
       | Down _ -> ())
     t.slots
 
@@ -578,36 +499,56 @@ let submit t ~id payload =
   if t.closed then invalid_arg "Worker.submit: pool is shut down";
   Queue.push (id, payload) t.queue
 
-(* one nonblocking supervision turn: spawn/dispatch, drain readable
-   pipes, enforce deadlines.  The remote executor drives the pool this
-   way from inside its socket reactor, where blocking in [next]
-   would starve the connections. *)
+(* one supervision turn: spawn and dispatch, wait for a link to turn
+   ready (not at all, or — [block] — until the earliest deadline), then
+   progress the ready links and enforce heartbeat/timeout deadlines *)
+let turn t ~block =
+  dispatch t;
+  let now = Unix.gettimeofday () in
+  let deadline = ref infinity in
+  let rd = ref [] and wr = ref [] in
+  Array.iter
+    (function
+      | Live c ->
+        Option.iter
+          (fun fd ->
+            rd := fd :: !rd;
+            if Transport.want_write c.ch_conn then wr := fd :: !wr)
+          (Transport.fd c.ch_conn);
+        if c.ch_job <> None then
+          deadline := Float.min !deadline c.ch_job_deadline;
+        if c.ch_job <> None || not c.ch_hello then
+          deadline := Float.min !deadline c.ch_hb_deadline
+      | Down at ->
+        if not (Queue.is_empty t.queue) then deadline := Float.min !deadline at)
+    t.slots;
+  if block && !rd = [] && !deadline = infinity then
+    raise (Pool_down "no live workers and nothing left to wait for");
+  let timeout =
+    if not block then 0.
+    else if !deadline = infinity then -1.
+    else Float.max 0.005 (!deadline -. now)
+  in
+  let readable, writable, _ =
+    try Unix.select !rd !wr [] timeout
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+  in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Live c -> (
+        match Transport.fd c.ch_conn with
+        | Some fd when List.memq fd readable || List.memq fd writable ->
+          Transport.poll c.ch_conn;
+          drain t i c
+        | Some _ | None -> ())
+      | Down _ -> ())
+    t.slots;
+  expire t
+
 let pump t =
   if t.closed then invalid_arg "Worker.pump: pool is shut down";
-  if pending t > 0 then begin
-    dispatch t;
-    let fds =
-      Array.fold_left
-        (fun acc -> function Live c -> c.ch_recv :: acc | Down _ -> acc)
-        [] t.slots
-    in
-    if fds <> [] then begin
-      let readable, _, _ =
-        try Unix.select fds [] [] 0.
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | Live c when List.memq c.ch_recv readable -> (
-            match t.slots.(i) with
-            | Live c' when c' == c -> on_readable t i c
-            | Live _ | Down _ -> ())
-          | Live _ | Down _ -> ())
-        t.slots
-    end;
-    expire t
-  end
+  if pending t > 0 then turn t ~block:false
 
 let poll t =
   if t.closed then invalid_arg "Worker.poll: pool is shut down";
@@ -617,42 +558,7 @@ let next t =
   if t.closed then invalid_arg "Worker.next: pool is shut down";
   if pending t = 0 then invalid_arg "Worker.next: no job pending";
   while Queue.is_empty t.results do
-    dispatch t;
-    let now = Unix.gettimeofday () in
-    let deadline = ref infinity in
-    let fds = ref [] in
-    Array.iter
-      (function
-        | Live c ->
-          fds := c.ch_recv :: !fds;
-          if c.ch_job <> None then
-            deadline := Float.min !deadline c.ch_job_deadline;
-          if c.ch_job <> None || not c.ch_hello then
-            deadline := Float.min !deadline c.ch_hb_deadline
-        | Down at ->
-          if not (Queue.is_empty t.queue) then
-            deadline := Float.min !deadline at)
-      t.slots;
-    if !fds = [] && !deadline = infinity then
-      raise (Pool_down "no live workers and nothing left to wait for");
-    let timeout =
-      if !deadline = infinity then -1. else Float.max 0.005 (!deadline -. now)
-    in
-    let readable, _, _ =
-      try Unix.select !fds [] [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    Array.iteri
-      (fun i slot ->
-        match slot with
-        | Live c when List.memq c.ch_recv readable -> (
-          (* the slot may have been retired while handling an earlier fd *)
-          match t.slots.(i) with
-          | Live c' when c' == c -> on_readable t i c
-          | Live _ | Down _ -> ())
-        | Live _ | Down _ -> ())
-      t.slots;
-    expire t
+    turn t ~block:true
   done;
   Queue.pop t.results
 
@@ -667,8 +573,7 @@ let shutdown t =
              and a chaos-hung child would never honour the EOF *)
           (try Unix.kill c.ch_pid Sys.sigkill with Unix.Unix_error _ -> ());
           ignore (reap c.ch_pid);
-          close_quietly c.ch_send;
-          close_quietly c.ch_recv;
+          Transport.close c.ch_conn;
           t.slots.(i) <- Down 0.
         | Down _ -> ())
       t.slots

@@ -2,7 +2,7 @@
 
     The paper's factored model makes each unit compile a pure function
     of its job value — which means a compile can run in a forked child
-    process with nothing but a byte pipe in each direction, and a
+    process with nothing but one socket link between them, and a
     compiler defect triggered by one unit (a segfault, runaway
     elaboration, resource exhaustion) costs that unit alone instead of
     the whole build.  This module supplies the supervision machinery;
@@ -30,24 +30,29 @@
       their handshake is declared dead ({!Pool_down} — builds abort
       with a distinct exit code).
 
-    All messages are CRC-64-trailed frames ({!Pickle.Frame}); a torn
-    or corrupted stream is treated as a child malfunction (kill +
-    crash accounting), never a wrong result.  Lifecycle events flow
-    into [lib/obs]: [worker.spawns]/[restarts]/[kills]/[crashes]/
-    [timeouts]/[quarantined] counters, [worker.ipc_bytes_in]/[out],
-    the [worker.pool] gauge, and trace instants per event.  When
-    tracing is enabled, children ship their own buffered trace events
-    back over the pipe (a dedicated frame kind, flushed on job receipt
-    and before every reply); the HELLO handshake carries the child's
-    clock epoch so the supervisor corrects timestamps before merging —
-    one Chrome trace covers the parent and every child.  A child that
-    dies mid-job contributes a synthetic span marked [truncated]
-    covering dispatch-to-death.
+    Each child's link is one {!Transport} connection over a
+    [Unix.socketpair], carrying {!Protocol}'s worker-link kinds; a torn
+    or corrupted stream is a child malfunction (kill + crash
+    accounting), never a wrong result.  The child sends heartbeats from
+    its SIGALRM handler, so it changes the link only with SIGALRM
+    blocked; the alarm is open only while the job runs and while the
+    child sleeps in {!Transport.wait}, which never changes the link.
 
-    The pool must be driven from the main domain of a process with no
-    other domains running (forking with live domains is unsafe); the
-    [Workers] scheduler backend guarantees this by multiplexing the
-    pool with [select] instead of spawning a domain pool. *)
+    Lifecycle events flow into [lib/obs]: [worker.spawns]/[restarts]/
+    [kills]/[crashes]/[timeouts]/[quarantined], the [worker.pool]
+    gauge and trace instants; the links' bytes count in
+    [remote.bytes_in]/[out].  With tracing on, children ship their
+    buffered trace events back over the link (flushed on job receipt
+    and before every reply), and the HELLO carries the child's clock
+    epoch so the supervisor corrects timestamps before merging: one
+    Chrome trace covers the parent and every child, and a child that
+    dies mid-job leaves a synthetic [truncated] span.
+
+    Unlike {!Fleet}, the pool never compiles locally: a local retry of
+    a compile that crashes its child would defeat the isolation this
+    module exists for.  It must be driven from the main domain of a
+    process with no other domains running (forking with live domains
+    is unsafe). *)
 
 (** Injected child misbehaviour, for testing the supervisor: what the
     child does when it receives (or, for [Chaos_nostart], before it
@@ -121,9 +126,9 @@ type completion = string * (string, exn) result
 type t
 
 (** [create config proto] — a pool of up to [config.w_jobs] supervised
-    child processes.  Children are spawned lazily, on demand.  Ignores
-    SIGPIPE for the calling process (a worker dying mid-write must be
-    an observable error, not a parent death). *)
+    child processes.  Children are spawned lazily, on demand; each link
+    ignores SIGPIPE for the calling process (a worker dying mid-write
+    must be an observable error, not a parent death). *)
 val create : config -> proto -> t
 
 (** [submit t ~id payload] — queue a job.  Ids must be unique among
@@ -139,11 +144,12 @@ val pending : t -> int
 val slot_busy : t -> float array
 
 (** [pump t] — one nonblocking supervision turn: spawn due workers,
-    dispatch queued jobs, drain whatever the children have written, and
-    enforce heartbeat/timeout deadlines.  Never blocks.  Raises
-    {!Pool_down} exactly as {!next} would.  For callers embedding
-    the pool in their own event loop (the remote executor's socket
-    reactor); interactive callers use {!next}. *)
+    dispatch queued jobs, progress every ready link, and enforce
+    heartbeat/timeout deadlines.  Never blocks.  Raises {!Pool_down}
+    when a spawn storm kills the pool.  For callers embedding the pool
+    in their own event loop (the remote executor's socket reactor);
+    interactive callers use {!next}, which loops the same turn with a
+    blocking wait. *)
 val pump : t -> unit
 
 (** [poll t] — a completion, if {!pump} produced one.  Never blocks. *)

@@ -1,13 +1,13 @@
 type backend =
   | Serial
   | Parallel of int
-  | Workers of Worker.config
+  | Workers of Remote.Worker.config
   | Remote of Remote.Fleet.config
 
 let backend_name = function
   | Serial -> "serial"
   | Parallel n -> Printf.sprintf "parallel-%d" n
-  | Workers cfg -> Printf.sprintf "workers-%d" (max 1 cfg.Worker.w_jobs)
+  | Workers cfg -> Printf.sprintf "workers-%d" (max 1 cfg.Remote.Worker.w_jobs)
   | Remote cfg ->
     Printf.sprintf "remote-%d" (List.length cfg.Remote.Fleet.r_execs)
 
@@ -16,7 +16,7 @@ let default_jobs () = Domain.recommended_domain_count ()
 let jobs = function
   | Serial -> 1
   | Parallel n -> max 1 n
-  | Workers cfg -> max 1 cfg.Worker.w_jobs
+  | Workers cfg -> max 1 cfg.Remote.Worker.w_jobs
   | Remote cfg ->
     (* a degraded fleet still runs one local compile at a time *)
     max 1
@@ -25,7 +25,7 @@ let jobs = function
 type ('job, 'result) action = Run of 'job | Done of 'result
 
 type ('job, 'result) codec = {
-  c_proto : Worker.proto;
+  c_proto : Remote.Worker.proto;
   c_encode_job : 'job -> string;
   c_decode_result : string -> 'result;
 }
@@ -72,6 +72,135 @@ type 'result node_state = {
   mutable ns_outcome : 'result outcome option;
 }
 
+(* The one surface every backend presents to the drive loop in [run]:
+   [submit] hands a job to a free slot, [next] blocks until some slot
+   finishes one, [slot_busy] reports each slot's busy seconds once the
+   run is over, and [shutdown] releases the slots. *)
+type ('job, 'result) pool = {
+  submit : string -> 'job -> unit;
+  next : unit -> string * ('result, exn) result;
+  slot_busy : unit -> float array;
+  shutdown : unit -> unit;
+}
+
+let run_timed busy i exec job =
+  let t0 = Unix.gettimeofday () in
+  let result = match exec job with r -> Ok r | exception exn -> Error exn in
+  busy.(i) <- busy.(i) +. Float.max 0. (Unix.gettimeofday () -. t0);
+  result
+
+(* Serial: the calling domain is the one slot, and [submit] runs the job
+   on the spot *)
+let serial_pool exec =
+  let busy = [| 0. |] in
+  let results = Queue.create () in
+  {
+    submit =
+      (fun node job -> Queue.push (node, run_timed busy 0 exec job) results);
+    next = (fun () -> Queue.pop results);
+    slot_busy = (fun () -> Array.copy busy);
+    shutdown = ignore;
+  }
+
+(* Parallel: [n] worker domains sharing a job queue; each domain only
+   ever writes its own [busy] slot *)
+let domain_pool exec n =
+  let busy = Array.make n 0. in
+  let lock = Mutex.create () in
+  let work_ready = Condition.create () in
+  let result_ready = Condition.create () in
+  let jobs = Queue.create () in
+  let results = Queue.create () in
+  let quit = ref false in
+  let rec work slot =
+    Mutex.lock lock;
+    while Queue.is_empty jobs && not !quit do
+      Condition.wait work_ready lock
+    done;
+    if Queue.is_empty jobs then Mutex.unlock lock
+    else begin
+      let node, job = Queue.pop jobs in
+      Mutex.unlock lock;
+      let result = run_timed busy slot exec job in
+      Mutex.protect lock (fun () ->
+          Queue.push (node, result) results;
+          Condition.signal result_ready);
+      work slot
+    end
+  in
+  let domains = List.init n (fun i -> Domain.spawn (fun () -> work i)) in
+  {
+    submit =
+      (fun node job ->
+        Mutex.protect lock (fun () ->
+            Queue.push (node, job) jobs;
+            Condition.signal work_ready));
+    next =
+      (fun () ->
+        Mutex.protect lock (fun () ->
+            while Queue.is_empty results do
+              Condition.wait result_ready lock
+            done;
+            Queue.pop results));
+    slot_busy = (fun () -> Array.copy busy);
+    shutdown =
+      (fun () ->
+        Mutex.protect lock (fun () ->
+            quit := true;
+            Condition.broadcast work_ready);
+        List.iter Domain.join domains);
+  }
+
+(* Workers and Remote: out-of-process slots that move bytes; the codec
+   lifts their pool to the caller's job and result types.  Even a
+   1-worker pool goes out of process — isolation, not parallelism, is
+   what these backends buy. *)
+let encoded codec (p : (string, string) pool) =
+  let decode payload =
+    match codec.c_decode_result payload with
+    | result -> Ok result
+    | exception exn -> Error exn
+  in
+  {
+    p with
+    submit = (fun node job -> p.submit node (codec.c_encode_job job));
+    next =
+      (fun () ->
+        let node, res = p.next () in
+        (node, Result.bind res decode));
+  }
+
+let pool_of ?codec backend ~exec ~slots =
+  let codec () =
+    match codec with
+    | Some c -> c
+    | None ->
+      invalid_arg "Sched.run: the Workers and Remote backends need a codec"
+  in
+  match backend with
+  | Serial | Parallel _ when slots <= 1 -> serial_pool exec
+  | Serial | Parallel _ -> domain_pool exec slots
+  | Workers cfg ->
+    let codec = codec () in
+    let w = Remote.Worker.create cfg codec.c_proto in
+    encoded codec
+      {
+        submit = (fun id -> Remote.Worker.submit w ~id);
+        next = (fun () -> Remote.Worker.next w);
+        slot_busy = (fun () -> Remote.Worker.slot_busy w);
+        shutdown = (fun () -> Remote.Worker.shutdown w);
+      }
+  | Remote cfg ->
+    let codec = codec () in
+    let f = Remote.Fleet.create cfg codec.c_proto in
+    encoded codec
+      {
+        submit = (fun id -> Remote.Fleet.submit f ~id);
+        next = (fun () -> Remote.Fleet.next f);
+        slot_busy = (fun () -> Remote.Fleet.slot_busy f);
+        shutdown = (fun () -> Remote.Fleet.shutdown f);
+      }
+
 let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     ?(retryable = fun _ -> false) ?(keep_going = false)
     ?(fatal = fun _ -> false) ?codec ?priority backend ~order ~deps
@@ -102,14 +231,9 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   and complete node = attempt (complete node) in
   let exec = attempt execute in
   let prio = match priority with None -> fun _ -> 0. | Some f -> f in
-  let workers = min (jobs backend) (max 1 (List.length order)) in
-  Obs.Metrics.set g_jobs workers;
-  (* per-slot busy time: how long each execution slot held a job, for
-     the profile report's scheduler-efficiency figure.  The Workers
-     backend reads it off the pool instead. *)
+  let slots = min (jobs backend) (max 1 (List.length order)) in
+  Obs.Metrics.set g_jobs slots;
   let run_t0 = Unix.gettimeofday () in
-  let busy = ref (Array.make workers 0.) in
-  let bump i d = !busy.(i) <- !busy.(i) +. Float.max 0. d in
   let states : (string, 'r node_state) Hashtbl.t =
     Hashtbl.create (List.length order)
   in
@@ -141,52 +265,12 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
   let push node st =
     ready := Ready.add (st.ns_priority, st.ns_seq, node) !ready
   in
-  (* jobs handed to a slot (domain or worker process) and not yet
-     resolved; the pump dispatches from the ready queue only while this
-     is below [workers], so late-arriving high-priority nodes are never
-     stuck behind a long FIFO of already-queued low-priority ones *)
+  (* jobs handed to a slot and not yet resolved; the pump dispatches
+     from the ready queue only while this is below [slots], so
+     late-arriving high-priority nodes are never stuck behind a long
+     FIFO of already-queued low-priority ones *)
   let inflight = ref 0 in
-  (* worker plumbing — only used by the parallel backend *)
-  let lock = Mutex.create () in
-  let work_ready = Condition.create () in
-  let result_ready = Condition.create () in
-  let job_queue = Queue.create () in
-  let result_queue = Queue.create () in
-  let quit = ref false in
-  (* the Workers and Remote backends route jobs to a pool created at the
-     bottom of this function; [start] reaches it through this knot *)
-  let worker_mode =
-    match backend with Workers _ | Remote _ -> true | Serial | Parallel _ -> false
-  in
-  let pool_submit =
-    ref (fun _node _job -> invalid_arg "Sched.run: worker pool not started")
-  in
-  let worker_loop slot =
-    let rec loop () =
-      Mutex.lock lock;
-      while Queue.is_empty job_queue && not !quit do
-        Condition.wait work_ready lock
-      done;
-      if Queue.is_empty job_queue then Mutex.unlock lock
-      else begin
-        let node, job = Queue.pop job_queue in
-        Mutex.unlock lock;
-        let t0 = Unix.gettimeofday () in
-        let result =
-          match exec job with
-          | result -> Ok result
-          | exception exn -> Error exn
-        in
-        bump slot (Unix.gettimeofday () -. t0);
-        Mutex.protect lock (fun () ->
-            Queue.push (node, result) result_queue;
-            Condition.signal result_ready);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* ---- main-domain scheduling (shared by all backends) ---- *)
+  let pool = pool_of ?codec backend ~exec ~slots in
   (* which failed root a skipped node blames.  Evaluated only once every
      dependency has finished, so it is a function of the final outcome
      classes alone — the earliest failed root in caller order — and can
@@ -252,37 +336,13 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       Obs.Metrics.incr m_inline;
       arrive node (Ok result)
     | Run job ->
-      if worker_mode then begin
-        (* even a 1-worker pool goes out of process: isolation, not
-           parallelism, is what this backend buys *)
-        Obs.Metrics.incr m_dispatched;
-        incr inflight;
-        !pool_submit node job
-      end
-      else if workers <= 1 then begin
-        let t0 = Unix.gettimeofday () in
-        let result =
-          match exec job with
-          | result -> Ok result
-          | exception exn -> Error exn
-        in
-        bump 0 (Unix.gettimeofday () -. t0);
-        arrive node result
-      end
-      else begin
-        Obs.Metrics.incr m_dispatched;
-        incr inflight;
-        Mutex.protect lock (fun () ->
-            Queue.push (node, job) job_queue;
-            Condition.signal work_ready)
-      end
+      Obs.Metrics.incr m_dispatched;
+      incr inflight;
+      pool.submit node job
   in
-  (* the pump: hand the best ready node to a free slot, repeatedly.
-     Inline execution (Serial) resolves synchronously, so this loop
-     alone drives a whole serial build; the parallel backends re-pump
-     after every drained event. *)
+  (* the pump: hand the best ready node to a free slot, repeatedly *)
   let rec pump () =
-    if (not (Ready.is_empty !ready)) && !inflight < workers then begin
+    if (not (Ready.is_empty !ready)) && !inflight < slots then begin
       let ((_, _, node) as top) = Ready.min_elt !ready in
       ready := Ready.remove top !ready;
       start node;
@@ -294,86 +354,22 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       let state = Hashtbl.find states node in
       if state.ns_waiting = 0 then push node state)
     order;
-  (match backend with
-  | (Workers _ | Remote _) as bk ->
-    let codec =
-      match codec with
-      | Some c -> c
-      | None ->
-        invalid_arg "Sched.run: the Workers and Remote backends need a codec"
-    in
-    (* the worker pool and the executor fleet share one surface —
-       submit / next / slot_busy / shutdown — so a single loop drives
-       both *)
-    let submit, next, slot_busy_of, teardown =
-      match bk with
-      | Workers cfg ->
-        let pool = Worker.create cfg codec.c_proto in
-        ( (fun node payload -> Worker.submit pool ~id:node payload),
-          (fun () -> Worker.next pool),
-          (fun () -> Worker.slot_busy pool),
-          fun () -> Worker.shutdown pool )
-      | Remote cfg ->
-        let fleet = Remote.Fleet.create cfg codec.c_proto in
-        ( (fun node payload -> Remote.Fleet.submit fleet ~id:node payload),
-          (fun () -> Remote.Fleet.next fleet),
-          (fun () -> Remote.Fleet.slot_busy fleet),
-          fun () -> Remote.Fleet.shutdown fleet )
-      | Serial | Parallel _ -> assert false
-    in
-    pool_submit := (fun node job -> submit node (codec.c_encode_job job));
-    Fun.protect ~finally:teardown @@ fun () ->
-    pump ();
-    while !remaining > 0 do
-      let node, res = next () in
-      decr inflight;
-      (match res with
-      | Ok payload -> (
-        match codec.c_decode_result payload with
-        | result -> arrive node (Ok result)
-        | exception exn -> arrive node (Error exn))
-      | Error exn -> arrive node (Error exn));
-      pump ()
-    done;
-    busy := slot_busy_of ()
-  | Serial | Parallel _ ->
-    if workers <= 1 then pump ()
-    else begin
-      let pool =
-        List.init workers (fun i -> Domain.spawn (fun () -> worker_loop i))
-      in
-      Fun.protect ~finally:(fun () ->
-          Mutex.protect lock (fun () ->
-              quit := true;
-              Condition.broadcast work_ready);
-          List.iter Domain.join pool)
-      @@ fun () ->
+  (* the drive loop, one for every backend: resolve the next finished
+     job, then refill the slots *)
+  Fun.protect ~finally:pool.shutdown (fun () ->
       pump ();
       while !remaining > 0 do
-        let batch =
-          Mutex.protect lock (fun () ->
-              while Queue.is_empty result_queue do
-                Condition.wait result_ready lock
-              done;
-              let batch = ref [] in
-              while not (Queue.is_empty result_queue) do
-                batch := Queue.pop result_queue :: !batch
-              done;
-              List.rev !batch)
-        in
-        List.iter
-          (fun (node, res) ->
-            decr inflight;
-            arrive node res)
-          batch;
+        let node, res = pool.next () in
+        decr inflight;
+        arrive node res;
         pump ()
-      done
-    end);
+      done);
+  let busy = pool.slot_busy () in
   last_slots_ref :=
     Some
       {
-        sl_jobs = Array.length !busy;
-        sl_busy_s = Array.copy !busy;
+        sl_jobs = Array.length busy;
+        sl_busy_s = busy;
         sl_wall_s = Unix.gettimeofday () -. run_t0;
       };
   let outcomes =

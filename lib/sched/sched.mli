@@ -1,4 +1,4 @@
-(** DAG-aware wavefront scheduler over an OCaml 5 domain pool.
+(** DAG-aware wavefront scheduler over four execution backends.
 
     The paper makes compiling a unit a pure function of
     [(source, import interface pids)] — which is exactly the licence a
@@ -20,6 +20,10 @@
       the same error a serial left-to-right run would have raised.
       Nodes downstream of a failure are skipped.
 
+    Every backend presents the same pool surface — submit a job, take
+    the next finished one, report slot busy time, shut down — so one
+    drive loop runs them all.
+
     The scheduler knows nothing about compilation; [Irm.Driver] plugs
     staleness checks and cache probes into [prepare], isolated compile
     sessions into [execute], and session merging into [complete]. *)
@@ -28,7 +32,7 @@
     domain (no domains are spawned); [Parallel n] uses [n] worker
     domains ([n <= 1] degrades to [Serial]); [Workers cfg] runs every
     [execute] in a supervised child {e process} from a pool of
-    [cfg.w_jobs] ({!Worker}) — crash isolation, per-job timeouts, and
+    [cfg.w_jobs] ({!Remote.Worker}) — crash isolation, per-job timeouts, and
     quarantine, at the price of serializing jobs and results through a
     {!codec}.  [Workers] never spawns domains (forking with live
     domains is unsafe); the pool is multiplexed with [select] from the
@@ -41,7 +45,7 @@
 type backend =
   | Serial
   | Parallel of int
-  | Workers of Worker.config
+  | Workers of Remote.Worker.config
   | Remote of Remote.Fleet.config
 
 val backend_name : backend -> string
@@ -62,9 +66,10 @@ type ('job, 'result) action = Run of 'job | Done of 'result
 (** How the [Workers] backend moves jobs across the process boundary:
     [c_encode_job]/[c_decode_result] frame the payloads, and [c_proto]
     is the child-side handler plus exception transport handed to
-    {!Worker.create}.  The other backends ignore it. *)
+    {!Remote.Worker.create} (or {!Remote.Fleet.create}).  The other
+    backends ignore it. *)
 type ('job, 'result) codec = {
-  c_proto : Worker.proto;
+  c_proto : Remote.Worker.proto;
   c_encode_job : 'job -> string;
   c_decode_result : string -> 'result;
 }
@@ -104,7 +109,7 @@ val last_slots : unit -> slots option
     The [Workers] backend additionally requires [codec]
     ([Invalid_argument] otherwise); [execute] then runs {e in the child
     process} via [codec.c_proto.p_handler], and supervision failures
-    (crash quarantine, timeout, {!Worker.Pool_down}) surface exactly
+    (crash quarantine, timeout, {!Remote.Worker.Pool_down}) surface exactly
     like [execute] exceptions — [Failed] outcomes poisoning the
     dependent cone, or [Pool_down] aborting the build.
 

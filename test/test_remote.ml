@@ -477,9 +477,70 @@ let test_netsrv_watchdog () =
   Transport.close idle;
   Transport.close fresh
 
+(* a nonblocking connect to a Unix listener whose backlog is full never
+   starts (EAGAIN): the dial must stay Connecting and re-issue the
+   connect once the listener makes room, not report Up and die on its
+   first send *)
+let test_dial_full_backlog () =
+  let path = fresh_sock () in
+  let addr = Transport.Unix_sock path in
+  let lfd = Transport.listen ~backlog:1 addr in
+  let clients = Array.init 6 (fun _ -> Transport.dial addr) in
+  let served = ref [] in
+  Fun.protect ~finally:(fun () ->
+      Array.iter Transport.close clients;
+      List.iter Transport.close !served;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Array.iter
+    (fun c ->
+      Transport.send c ~kind:Remote.Protocol.k_hello ~id:"" ~payload:"v")
+    clients;
+  let answered = Array.make 6 false in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while
+    Array.exists not answered && Unix.gettimeofday () < deadline
+  do
+    (* only now does the listener accept, echoing every HELLO *)
+    (try
+       while true do
+         let fd, _ = Unix.accept ~cloexec:true lfd in
+         served := Transport.of_fd fd :: !served
+       done
+     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    List.iter
+      (fun s ->
+        Transport.poll s;
+        match Transport.recv s with
+        | Some m ->
+          Transport.send s ~kind:m.Pickle.Frame.f_kind ~id:""
+            ~payload:m.Pickle.Frame.f_payload
+        | None -> ())
+      !served;
+    Array.iteri
+      (fun i c ->
+        Transport.poll c;
+        if Transport.recv c <> None then answered.(i) <- true)
+      clients;
+    Unix.sleepf 0.001
+  done;
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "dial %d completed its HELLO (%s)" i
+           (match Transport.status c with
+           | Transport.Closed reason -> "closed: " ^ reason
+           | Transport.Connecting -> "connecting"
+           | Transport.Up -> "up"))
+        true answered.(i))
+    clients
+
 let suite =
   [
     Alcotest.test_case "parse addr" `Quick test_parse_addr;
+    Alcotest.test_case "dial past a full backlog" `Quick
+      test_dial_full_backlog;
     Alcotest.test_case "seeded plans deterministic" `Quick
       test_seeded_plans_deterministic;
     Alcotest.test_case "chaos refuses a connect" `Quick

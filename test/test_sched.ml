@@ -46,6 +46,43 @@ let test_outcomes_in_caller_order () =
         outcomes)
     backends
 
+(* slot accounting with more nodes than slots: one entry per slot, none
+   negative, no more busy time than the slots had wall time, and a
+   serial run that executed jobs was busy *)
+let test_slot_accounting () =
+  List.iter
+    (fun (backend, slots) ->
+      let name = Sched.backend_name backend in
+      let _ =
+        Sched.run backend
+          ~order:(List.init 8 (Printf.sprintf "n%d"))
+          ~deps:(fun _ -> [])
+          ~prepare:(fun n -> Sched.Run n)
+          ~execute:(fun n ->
+            Unix.sleepf 0.002;
+            n)
+          ~complete:(fun _ r -> r)
+      in
+      match Sched.last_slots () with
+      | None -> Alcotest.fail (name ^ ": no slot accounting")
+      | Some s ->
+        Alcotest.(check int) (name ^ ": sl_jobs") slots s.Sched.sl_jobs;
+        Alcotest.(check int)
+          (name ^ ": one entry per slot")
+          slots
+          (Array.length s.Sched.sl_busy_s);
+        Array.iter
+          (fun b -> Alcotest.(check bool) (name ^ ": busy >= 0") true (b >= 0.))
+          s.Sched.sl_busy_s;
+        let busy = Array.fold_left ( +. ) 0. s.Sched.sl_busy_s in
+        Alcotest.(check bool)
+          (name ^ ": busy <= jobs * wall")
+          true
+          (busy <= float_of_int s.Sched.sl_jobs *. s.Sched.sl_wall_s);
+        if slots = 1 then
+          Alcotest.(check bool) (name ^ ": busy > 0") true (busy > 0.))
+    [ (Sched.Serial, 1); (Sched.Parallel 2, 2) ]
+
 let test_earliest_failure_raised () =
   (* b and c both fail; the surfaced error must be b's (the earliest
      failed node in the given order), whatever completed first *)
@@ -369,6 +406,7 @@ let prop_parallel_equals_serial =
 
 let suite =
   [
+    Alcotest.test_case "slot accounting" `Quick test_slot_accounting;
     Alcotest.test_case "outcomes in caller order" `Quick
       test_outcomes_in_caller_order;
     Alcotest.test_case "earliest failure raised" `Quick

@@ -22,8 +22,8 @@ let metric name = Option.value ~default:0 (Obs.Metrics.find name)
    injected through the config, not the environment *)
 let wcfg ?(jobs = 2) ?(timeout = 30.) ?(chaos = []) () =
   {
-    (Worker.default_config ~jobs ()) with
-    Worker.w_timeout_s = timeout;
+    (Remote.Worker.default_config ~jobs ()) with
+    Remote.Worker.w_timeout_s = timeout;
     w_heartbeat_s = 0.05;
     w_backoff_s = 0.001;
     w_backoff_cap_s = 0.05;
@@ -110,7 +110,7 @@ exception Toy_failure of string
 
 let toy_proto () =
   {
-    Worker.p_handler =
+    Remote.Worker.p_handler =
       (fun ~id payload ->
         if String.length payload > 0 && payload.[0] = '!' then
           failwith ("handler refused " ^ id)
@@ -119,24 +119,24 @@ let toy_proto () =
     p_decode_exn = (fun s -> Toy_failure s);
     p_fail =
       (fun ~id -> function
-        | Worker.Crashed { wf_attempts; _ } ->
+        | Remote.Worker.Crashed { wf_attempts; _ } ->
           Toy_failure (Printf.sprintf "%s crashed x%d" id wf_attempts)
-        | Worker.Timed_out { wf_timeout_s } ->
+        | Remote.Worker.Timed_out { wf_timeout_s } ->
           Toy_failure (Printf.sprintf "%s timed out after %gs" id wf_timeout_s));
   }
 
 let drain pool =
   let results = ref [] in
-  while Worker.pending pool > 0 do
-    results := Worker.next pool :: !results
+  while Remote.Worker.pending pool > 0 do
+    results := Remote.Worker.next pool :: !results
   done;
   List.rev !results
 
 let test_pool_echo () =
-  let pool = Worker.create (wcfg ()) (toy_proto ()) in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
+  let pool = Remote.Worker.create (wcfg ()) (toy_proto ()) in
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
   let ids = List.init 10 (Printf.sprintf "job%02d") in
-  List.iter (fun id -> Worker.submit pool ~id ("payload of " ^ id)) ids;
+  List.iter (fun id -> Remote.Worker.submit pool ~id ("payload of " ^ id)) ids;
   let results = drain pool in
   Alcotest.(check int) "all answered" 10 (List.length results);
   List.iter
@@ -150,10 +150,10 @@ let test_pool_echo () =
     ids
 
 let test_pool_handler_error () =
-  let pool = Worker.create (wcfg ()) (toy_proto ()) in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"good" "fine";
-  Worker.submit pool ~id:"bad" "!boom";
+  let pool = Remote.Worker.create (wcfg ()) (toy_proto ()) in
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"good" "fine";
+  Remote.Worker.submit pool ~id:"bad" "!boom";
   let results = drain pool in
   (match List.assoc "bad" results with
   | Error (Toy_failure msg) ->
@@ -168,12 +168,13 @@ let test_pool_crash_quarantine () =
   let crashes0 = metric "worker.crashes" in
   let quarantined0 = metric "worker.quarantined" in
   let pool =
-    Worker.create (wcfg ~chaos:[ ("victim", Worker.Chaos_crash) ] ())
+    Remote.Worker.create
+      (wcfg ~chaos:[ ("victim", Remote.Worker.Chaos_crash) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"victim" "x";
-  Worker.submit pool ~id:"bystander" "y";
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"victim" "x";
+  Remote.Worker.submit pool ~id:"bystander" "y";
   let results = drain pool in
   (match List.assoc "victim" results with
   | Error (Toy_failure msg) ->
@@ -190,12 +191,12 @@ let test_pool_crash_quarantine () =
 
 let test_pool_exit_is_crash () =
   let pool =
-    Worker.create
-      (wcfg ~chaos:[ ("victim", Worker.Chaos_exit 3) ] ())
+    Remote.Worker.create
+      (wcfg ~chaos:[ ("victim", Remote.Worker.Chaos_exit 3) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"victim" "x";
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"victim" "x";
   match drain pool with
   | [ ("victim", Error (Toy_failure msg)) ]
     when msg = "victim crashed x2" -> ()
@@ -205,12 +206,12 @@ let test_pool_exit_is_crash () =
 let test_pool_timeout () =
   let timeouts0 = metric "worker.timeouts" in
   let pool =
-    Worker.create
-      (wcfg ~timeout:0.3 ~chaos:[ ("sleeper", Worker.Chaos_hang) ] ())
+    Remote.Worker.create
+      (wcfg ~timeout:0.3 ~chaos:[ ("sleeper", Remote.Worker.Chaos_hang) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"sleeper" "x";
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"sleeper" "x";
   (match drain pool with
   | [ ("sleeper", Error (Toy_failure msg)) ] ->
     Alcotest.(check string) "timed out" "sleeper timed out after 0.3s" msg
@@ -222,12 +223,12 @@ let test_pool_wedge_heartbeat_loss () =
   (* heartbeats stop but the job deadline is far away: only heartbeat
      supervision can catch this, and it counts as a crash *)
   let pool =
-    Worker.create
-      (wcfg ~timeout:60. ~chaos:[ ("wedged", Worker.Chaos_wedge) ] ())
+    Remote.Worker.create
+      (wcfg ~timeout:60. ~chaos:[ ("wedged", Remote.Worker.Chaos_wedge) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"wedged" "x";
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"wedged" "x";
   match drain pool with
   | [ ("wedged", Error (Toy_failure msg)) ] when msg = "wedged crashed x2" ->
     ()
@@ -235,30 +236,84 @@ let test_pool_wedge_heartbeat_loss () =
 
 let test_pool_down () =
   let pool =
-    Worker.create (wcfg ~chaos:[ ("*", Worker.Chaos_nostart) ] ())
+    Remote.Worker.create (wcfg ~chaos:[ ("*", Remote.Worker.Chaos_nostart) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Worker.shutdown pool) @@ fun () ->
-  Worker.submit pool ~id:"any" "x";
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"any" "x";
   match drain pool with
   | _ -> Alcotest.fail "expected Pool_down"
-  | exception Worker.Pool_down _ -> ()
+  | exception Remote.Worker.Pool_down _ -> ()
+
+(* frames far larger than a socket buffer: both directions go out in
+   many partial nonblocking writes and must arrive byte-exact *)
+let test_pool_large_frames () =
+  let size = 4 * 1024 * 1024 in
+  let request = String.init size (fun i -> Char.chr (i * 7 land 255)) in
+  let flip = String.map (fun c -> Char.chr (255 - Char.code c)) in
+  let proto =
+    { (toy_proto ()) with Remote.Worker.p_handler = (fun ~id:_ p -> flip p) }
+  in
+  let pool = Remote.Worker.create (wcfg ~jobs:1 ()) proto in
+  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  Remote.Worker.submit pool ~id:"big" request;
+  match drain pool with
+  | [ ("big", Ok reply) ] ->
+    Alcotest.(check int) "reply length" size (String.length reply);
+    Alcotest.(check bool)
+      "reply byte-exact" true
+      (String.equal reply (flip request))
+  | [ (_, Error e) ] -> Alcotest.failf "big job failed: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected one reply"
+
+(* Sched's slot accounting through the Workers backend: one entry per
+   child, none negative, no more busy time than the slots had *)
+let test_workers_slot_accounting () =
+  let codec =
+    {
+      Sched.c_proto = toy_proto ();
+      c_encode_job = Fun.id;
+      c_decode_result = Fun.id;
+    }
+  in
+  let _ =
+    Sched.run ~codec
+      (Sched.Workers (wcfg ~jobs:2 ()))
+      ~order:(List.init 6 (Printf.sprintf "n%d"))
+      ~deps:(fun _ -> [])
+      ~prepare:(fun n -> Sched.Run n)
+      ~execute:Fun.id
+      ~complete:(fun _ r -> r)
+  in
+  match Sched.last_slots () with
+  | None -> Alcotest.fail "no slot accounting"
+  | Some s ->
+    Alcotest.(check int) "sl_jobs" 2 s.Sched.sl_jobs;
+    Alcotest.(check int)
+      "one entry per slot" 2
+      (Array.length s.Sched.sl_busy_s);
+    Array.iter
+      (fun b -> Alcotest.(check bool) "busy >= 0" true (b >= 0.))
+      s.Sched.sl_busy_s;
+    Alcotest.(check bool) "busy <= jobs * wall" true
+      (Array.fold_left ( +. ) 0. s.Sched.sl_busy_s
+      <= float_of_int s.Sched.sl_jobs *. s.Sched.sl_wall_s)
 
 let test_chaos_of_env () =
-  Unix.putenv Worker.chaos_env_var
+  Unix.putenv Remote.Worker.chaos_env_var
     "crash:u1.sml, hang:u2.sml,exit=3:u3.sml,wedge:u4.sml,garbage,nostart";
-  let parsed = Worker.chaos_of_env () in
-  Unix.putenv Worker.chaos_env_var "";
+  let parsed = Remote.Worker.chaos_of_env () in
+  Unix.putenv Remote.Worker.chaos_env_var "";
   Alcotest.(check bool) "crash" true
-    (List.assoc "u1.sml" parsed = Worker.Chaos_crash);
+    (List.assoc "u1.sml" parsed = Remote.Worker.Chaos_crash);
   Alcotest.(check bool) "hang" true
-    (List.assoc "u2.sml" parsed = Worker.Chaos_hang);
+    (List.assoc "u2.sml" parsed = Remote.Worker.Chaos_hang);
   Alcotest.(check bool) "exit" true
-    (List.assoc "u3.sml" parsed = Worker.Chaos_exit 3);
+    (List.assoc "u3.sml" parsed = Remote.Worker.Chaos_exit 3);
   Alcotest.(check bool) "wedge" true
-    (List.assoc "u4.sml" parsed = Worker.Chaos_wedge);
+    (List.assoc "u4.sml" parsed = Remote.Worker.Chaos_wedge);
   Alcotest.(check bool) "nostart" true
-    (List.assoc "*" parsed = Worker.Chaos_nostart);
+    (List.assoc "*" parsed = Remote.Worker.Chaos_nostart);
   Alcotest.(check int) "garbage ignored" 5 (List.length parsed)
 
 (* ------------------------------------------------------------------ *)
@@ -336,7 +391,10 @@ let acceptance_for ~seed =
      broken one *)
   let crash_unit = "u004.sml" and hang_unit = "u007.sml" in
   let chaos =
-    [ (crash_unit, Worker.Chaos_crash); (hang_unit, Worker.Chaos_hang) ]
+    [
+      (crash_unit, Remote.Worker.Chaos_crash);
+      (hang_unit, Remote.Worker.Chaos_hang);
+    ]
   in
   let fs_w, mgr_w, _ = project topology in
   break_unbound fs_w "u002.sml";
@@ -537,7 +595,7 @@ let test_trace_merge_clean () =
 let test_trace_merge_chaos () =
   List.iter
     (check_merged_trace
-       ~chaos:[ ("u003.sml", Worker.Chaos_crash) ]
+       ~chaos:[ ("u003.sml", Remote.Worker.Chaos_crash) ]
        ~expect_truncated:true)
     [ 3; 19 ]
 
@@ -545,11 +603,13 @@ let test_workers_pool_down_build () =
   let _fs, mgr, sources = project (Gen.Chain 3) in
   match
     Driver.build
-      ~backend:(Driver.Workers (wcfg ~chaos:[ ("*", Worker.Chaos_nostart) ] ()))
+      ~backend:
+        (Driver.Workers
+           (wcfg ~chaos:[ ("*", Remote.Worker.Chaos_nostart) ] ()))
       mgr ~policy:Driver.Cutoff ~sources
   with
   | _ -> Alcotest.fail "expected Pool_down"
-  | exception Worker.Pool_down _ -> ()
+  | exception Remote.Worker.Pool_down _ -> ()
 
 let suite =
   [
@@ -569,6 +629,9 @@ let suite =
       test_pool_wedge_heartbeat_loss;
     Alcotest.test_case "pool death raises Pool_down" `Quick test_pool_down;
     Alcotest.test_case "chaos env parsing" `Quick test_chaos_of_env;
+    Alcotest.test_case "4 MiB frames both ways" `Quick test_pool_large_frames;
+    Alcotest.test_case "slot accounting (Workers 2)" `Quick
+      test_workers_slot_accounting;
     Alcotest.test_case "workers ≡ serial on clean DAGs" `Quick
       test_workers_match_serial_clean;
     Alcotest.test_case "workers incremental no-op" `Quick
