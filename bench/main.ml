@@ -706,10 +706,20 @@ let e10 () =
     let opt =
       Sepcomp.Compile.compile ~optimize:true session ~name ~source ~imports:[]
     in
-    let before = Lambda.size plain.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_code in
+    let code = plain.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_code in
+    let before = Lambda.size code in
     let after = Lambda.size opt.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_code in
     Printf.printf "  %-24s %6d -> %6d nodes  (-%d%%)\n" name before after
       (100 * (before - after) / max before 1);
+    (* the simplifier's own cost: wall time and nodes visited *)
+    let visits = Obs.Metrics.counter "simplify.visits" in
+    let v0 = Obs.Metrics.value visits in
+    ignore (Simplify.term code);
+    let visited = Obs.Metrics.value visits - v0 in
+    let secs = time_median ~n:21 (fun () -> ignore (Simplify.term code)) in
+    Printf.printf "  %-24s %9.3f ms simplify, %d nodes visited (%.1f per node)\n"
+      "" (1000. *. secs) visited
+      (float_of_int visited /. float_of_int (max before 1));
     (* bin sizes shrink accordingly *)
     let ctx = Sepcomp.Compile.context session in
     Printf.printf "  %-24s %6d -> %6d bin bytes\n" ""
@@ -717,11 +727,15 @@ let e10 () =
       (Pickle.Binfile.size_of ctx opt)
   in
   sample "figure-1 unit" figure1_source;
-  let fs = Vfs.memory () in
-  let project = Gen.create fs (Gen.Chain 1) (Gen.sized_profile ~lines:120) in
-  (match fs.Vfs.fs_read (Gen.base_file project) with
-  | Some source -> sample "synthetic 120-line unit" source
-  | None -> ())
+  List.iter
+    (fun lines ->
+      let fs = Vfs.memory () in
+      let project = Gen.create fs (Gen.Chain 1) (Gen.sized_profile ~lines) in
+      match fs.Vfs.fs_read (Gen.base_file project) with
+      | Some source ->
+        sample (Printf.sprintf "synthetic %d-line unit" lines) source
+      | None -> ())
+    [ 120; 480; 1920 ]
 
 (* ------------------------------------------------------------------ *)
 (* E11: alpha-conversion ablation                                      *)

@@ -37,10 +37,46 @@ val body_length : string -> int
     Raises {!Buf.Corrupt} on a mismatch. *)
 val decode_body : string -> msg
 
-(** [pop buffer] — extract the first complete frame from an
-    accumulation buffer: [Some (msg, rest)] when a whole frame is
-    present, [None] when more bytes are needed.  Raises {!Buf.Corrupt}
+(** [pop_at bytes ~pos ~len] — the first complete frame among the [len]
+    bytes at [pos]: [Some (msg, used)], where [used] counts the frame's
+    bytes, or [None] when more bytes are needed.  Raises {!Buf.Corrupt}
     as soon as the prefix is provably damaged (bad magic, implausible
     length, CRC mismatch), so a receiver can drop the peer without
-    waiting for more input. *)
+    waiting for more input.  Only the frame itself is read or copied. *)
+val pop_at : bytes -> pos:int -> len:int -> (msg * int) option
+
+(** [pop buffer] — {!pop_at} over a whole string: [Some (msg, rest)]
+    when a whole frame is present.  It copies the rest, so a connection
+    accumulates its input in a {!Stream} instead. *)
 val pop : string -> (msg * string) option
+
+(** A connection's receive or send queue: bytes are appended at the back
+    and taken off the front without copying what stays, so a stream of
+    frames costs time linear in its bytes, however it is split. *)
+module Stream : sig
+  type t
+
+  val create : unit -> t
+
+  (** Bytes queued. *)
+  val length : t -> int
+
+  val clear : t -> unit
+  val add_string : t -> string -> unit
+
+  (** [pop s] — take the first complete frame off the front, as
+      {!pop_at}. *)
+  val pop : t -> msg option
+
+  (** [fill s ~chunk read] — append what [read bytes off len] (a
+      [Unix.read], say) stores, offering it room for [chunk] bytes;
+      returns [read]'s count.  An exception from [read] leaves [s] as
+      it was. *)
+  val fill : t -> chunk:int -> (bytes -> int -> int -> int) -> int
+
+  (** [drain s write] — offer every queued byte to [write bytes off len]
+      (a [Unix.write], say) and drop the count it returns off the front;
+      returns that count.  An exception from [write] leaves [s] as it
+      was. *)
+  val drain : t -> (bytes -> int -> int -> int) -> int
+end

@@ -3,8 +3,8 @@ module Frame = Pickle.Frame
 type conn_state = {
   n_id : int;
   n_fd : Unix.file_descr;
-  mutable n_in : string;
-  mutable n_out : string;
+  n_in : Frame.Stream.t;
+  n_out : Frame.Stream.t;
   mutable n_hello : bool;
   mutable n_close_after_flush : bool;
   mutable n_alive : bool;
@@ -49,8 +49,8 @@ let set_on_step t f = t.on_step <- Some f
 let drop conn =
   if conn.n_alive then begin
     conn.n_alive <- false;
-    conn.n_in <- "";
-    conn.n_out <- "";
+    Frame.Stream.clear conn.n_in;
+    Frame.Stream.clear conn.n_out;
     try Unix.close conn.n_fd with Unix.Unix_error _ -> ()
   end
 
@@ -59,7 +59,7 @@ let find_conn t id =
 
 let send_conn conn ~kind ~id ~payload =
   if conn.n_alive then
-    conn.n_out <- conn.n_out ^ Frame.encode ~kind ~id ~payload
+    Frame.Stream.add_string conn.n_out (Frame.encode ~kind ~id ~payload)
 
 let send t ~conn ~kind ~id ~payload =
   match find_conn t conn with
@@ -80,7 +80,10 @@ let conn_alive t ~conn =
     | exception Unix.Unix_error _ -> false)
 
 let connections t = List.length (List.filter (fun c -> c.n_alive) t.conns)
-let drained t = List.for_all (fun c -> (not c.n_alive) || c.n_out = "") t.conns
+let drained t =
+  List.for_all
+    (fun c -> (not c.n_alive) || Frame.Stream.length c.n_out = 0)
+    t.conns
 
 let handle_msg t conn (msg : Frame.msg) =
   Obs.Metrics.incr m_frames;
@@ -121,25 +124,22 @@ let handle_msg t conn (msg : Frame.msg) =
    close — never an exception out of the reactor *)
 let rec parse_conn t conn =
   if conn.n_alive && not conn.n_close_after_flush then
-    match Frame.pop conn.n_in with
+    match Frame.Stream.pop conn.n_in with
     | exception Pickle.Buf.Corrupt reason ->
-      conn.n_in <- "";
+      Frame.Stream.clear conn.n_in;
       send_conn conn ~kind:Protocol.k_error ~id:""
         ~payload:("corrupt frame: " ^ reason);
       conn.n_close_after_flush <- true
     | None -> ()
-    | Some (msg, rest) ->
-      conn.n_in <- rest;
+    | Some msg ->
       handle_msg t conn msg;
       parse_conn t conn
 
 let read_conn t conn =
-  let chunk = Bytes.create 65536 in
   let rec go () =
-    match Unix.read conn.n_fd chunk 0 (Bytes.length chunk) with
+    match Frame.Stream.fill conn.n_in ~chunk:65536 (Unix.read conn.n_fd) with
     | 0 -> drop conn
-    | n ->
-      conn.n_in <- conn.n_in ^ Bytes.sub_string chunk 0 n;
+    | _ ->
       conn.n_last_io <- Unix.gettimeofday ();
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -151,12 +151,9 @@ let read_conn t conn =
 
 let flush_conn conn =
   let rec go () =
-    if conn.n_alive && conn.n_out <> "" then
-      match
-        Unix.write_substring conn.n_fd conn.n_out 0 (String.length conn.n_out)
-      with
-      | n ->
-        conn.n_out <- String.sub conn.n_out n (String.length conn.n_out - n);
+    if conn.n_alive && Frame.Stream.length conn.n_out > 0 then
+      match Frame.Stream.drain conn.n_out (Unix.write conn.n_fd) with
+      | _ ->
         conn.n_last_io <- Unix.gettimeofday ();
         go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -165,8 +162,11 @@ let flush_conn conn =
       | exception Unix.Unix_error _ -> drop conn
   in
   go ();
-  if conn.n_alive && conn.n_out = "" && conn.n_close_after_flush then
-    drop conn
+  if
+    conn.n_alive
+    && Frame.Stream.length conn.n_out = 0
+    && conn.n_close_after_flush
+  then drop conn
 
 let accept_conns t =
   let rec go () =
@@ -179,8 +179,8 @@ let accept_conns t =
         {
           n_id = t.next_id;
           n_fd = fd;
-          n_in = "";
-          n_out = "";
+          n_in = Frame.Stream.create ();
+          n_out = Frame.Stream.create ();
           n_hello = false;
           n_close_after_flush = false;
           n_alive = true;
@@ -204,7 +204,9 @@ let drop_wedged t =
     (fun c ->
       if
         c.n_alive
-        && (c.n_in <> "" || c.n_out <> "" || not c.n_hello)
+        && (Frame.Stream.length c.n_in > 0
+           || Frame.Stream.length c.n_out > 0
+           || not c.n_hello)
         && now -. c.n_last_io > t.client_timeout_s
       then begin
         Obs.Metrics.incr m_dropped;
@@ -219,7 +221,8 @@ let step ?(timeout_s = 0.) t =
     let reads = t.listen_fd :: List.map (fun c -> c.n_fd) live in
     let writes =
       List.filter_map
-        (fun c -> if c.n_out <> "" then Some c.n_fd else None)
+        (fun c ->
+          if Frame.Stream.length c.n_out > 0 then Some c.n_fd else None)
         live
     in
     let readable, writable, _ =
@@ -233,7 +236,10 @@ let step ?(timeout_s = 0.) t =
       live;
     List.iter
       (fun c ->
-        if c.n_alive && (List.memq c.n_fd writable || c.n_out <> "") then
+        if
+          c.n_alive
+          && (List.memq c.n_fd writable || Frame.Stream.length c.n_out > 0)
+        then
           flush_conn c)
       live;
     t.conns <- List.filter (fun c -> c.n_alive) t.conns;

@@ -83,8 +83,8 @@ type conn = {
   mutable c_fd : Unix.file_descr option;
   mutable c_status : status;
   mutable c_peer : Unix.sockaddr option;  (** where a dial connects *)
-  mutable c_in : string;
-  mutable c_out : string;
+  c_in : Frame.Stream.t;
+  c_out : Frame.Stream.t;
   mutable c_redeliver : Frame.msg list;  (** chaos-duplicated frames *)
   mutable c_ready_at : float;  (** chaos connect delay gate *)
   mutable c_kill_after_flush : bool;  (** chaos truncation in progress *)
@@ -107,7 +107,7 @@ let kill t reason =
   (match t.c_status with
   | Closed _ -> ()
   | Connecting | Up -> t.c_status <- Closed reason);
-  t.c_out <- "";
+  Frame.Stream.clear t.c_out;
   close_fd t
 
 let fire t op =
@@ -131,8 +131,8 @@ let make status fd chaos =
     c_fd = fd;
     c_status = status;
     c_peer = None;
-    c_in = "";
-    c_out = "";
+    c_in = Frame.Stream.create ();
+    c_out = Frame.Stream.create ();
     c_redeliver = [];
     c_ready_at = 0.;
     c_kill_after_flush = false;
@@ -193,7 +193,7 @@ let status t = t.c_status
 (* an unconnected Unix socket polls ready at once: nothing to select on
    until the connect completes *)
 let fd t = match t.c_status with Up -> t.c_fd | Connecting | Closed _ -> None
-let want_write t = t.c_out <> "" && t.c_fd <> None
+let want_write t = Frame.Stream.length t.c_out > 0 && t.c_fd <> None
 
 (* output waits for the connect: an unconnected socket refuses writes *)
 let flush t =
@@ -201,11 +201,10 @@ let flush t =
   | (Connecting | Closed _), _ | Up, None -> ()
   | Up, Some fd ->
     let rec go () =
-      if t.c_out <> "" then
-        match Unix.write_substring fd t.c_out 0 (String.length t.c_out) with
+      if Frame.Stream.length t.c_out > 0 then
+        match Frame.Stream.drain t.c_out (Unix.write fd) with
         | n ->
           Obs.Metrics.add m_bytes_out n;
-          t.c_out <- String.sub t.c_out n (String.length t.c_out - n);
           go ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
@@ -214,20 +213,18 @@ let flush t =
           kill t (Printf.sprintf "write failed: %s" (Unix.error_message e))
     in
     go ();
-    if t.c_out = "" && t.c_kill_after_flush then
+    if Frame.Stream.length t.c_out = 0 && t.c_kill_after_flush then
       kill t "chaos: connection reset mid-frame"
 
 let read_in t =
   match t.c_fd with
   | None -> ()
   | Some fd ->
-    let chunk = Bytes.create 65536 in
     let rec go () =
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      match Frame.Stream.fill t.c_in ~chunk:65536 (Unix.read fd) with
       | 0 -> kill t "peer closed the connection"
       | n ->
         Obs.Metrics.add m_bytes_in n;
-        t.c_in <- t.c_in ^ Bytes.sub_string chunk 0 n;
         go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         ()
@@ -267,15 +264,16 @@ let send t ~kind ~id ~payload =
       (* the frame vanishes on the wire; the connection itself lives *)
       ()
     | Some Netchaos.Truncate_frame ->
-      t.c_out <- t.c_out ^ String.sub frame 0 (String.length frame / 2);
+      Frame.Stream.add_string t.c_out
+        (String.sub frame 0 (String.length frame / 2));
       t.c_kill_after_flush <- true;
       flush t
     | Some (Netchaos.Delay d) ->
       Unix.sleepf d;
-      t.c_out <- t.c_out ^ frame;
+      Frame.Stream.add_string t.c_out frame;
       flush t
     | Some (Netchaos.Refuse | Netchaos.Duplicate_response) | None ->
-      t.c_out <- t.c_out ^ frame;
+      Frame.Stream.add_string t.c_out frame;
       flush t)
 
 let rec recv t =
@@ -284,13 +282,12 @@ let rec recv t =
     t.c_redeliver <- rest;
     Some msg
   | [] -> (
-    match Frame.pop t.c_in with
+    match Frame.Stream.pop t.c_in with
     | exception Pickle.Buf.Corrupt reason ->
       kill t ("corrupt frame: " ^ reason);
       raise (Protocol_damage reason)
     | None -> None
-    | Some (msg, rest) -> (
-      t.c_in <- rest;
+    | Some msg -> (
       match fire t Netchaos.Recv with
       | Some Netchaos.Reset ->
         kill t "chaos: connection reset";

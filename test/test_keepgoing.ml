@@ -14,7 +14,7 @@ module Diag = Support.Diag
 
 (* [Header] is the exception: it misspells the [structure] keyword, so
    the unit's recovery parse no longer defines its module. *)
-type breaker = Unbound | Mismatch | Syntax | Lex | Header
+type breaker = Unbound | Mismatch | Syntax | Lex | Overflow | Header
 
 let replace_first ~needle ~by src =
   let n = String.length needle in
@@ -38,6 +38,9 @@ let apply_breaker kind src =
   | Syntax ->
     replace_first ~needle:"= struct\n" ~by:"= struct\n  val = 3\n" src
   | Lex -> replace_first ~needle:"= struct\n" ~by:"= struct\n  val q = ?\n" src
+  | Overflow ->
+    replace_first ~needle:"= struct\n"
+      ~by:"= struct\n  val big = 99999999999999999999\n" src
   | Header -> replace_first ~needle:"structure " ~by:"structur " src
 
 (* a fresh project on a fresh memory fs, with [broken] (file, breaker)
@@ -126,6 +129,28 @@ let test_independent_subgraphs () =
     (fun (file, ds) ->
       Alcotest.(check bool) (file ^ " has own diags") true (ds <> []))
     stats.Driver.st_failed
+
+(* An out-of-range integer literal is one E0100 lexical error — not an
+   escaped OCaml exception — and keep-going still builds the rest. *)
+let test_int_literal_out_of_range () =
+  let _fs, mgr, sources, _ = project (Gen.Chain 4) [ ("u001.sml", Overflow) ] in
+  let stats =
+    Driver.build ~keep_going:true mgr ~policy:Driver.Cutoff ~sources
+  in
+  check_files "failed" [ "u001.sml" ] (failed_names stats);
+  check_files "skipped" [ "u002.sml"; "u003.sml" ] (sorted (skipped_names stats));
+  check_files "recompiled" [ "u000.sml" ] stats.Driver.st_recompiled;
+  (match List.assoc "u001.sml" stats.Driver.st_failed with
+  | [ d ] ->
+    Alcotest.(check string) "code" "E0100" d.Diag.code;
+    Alcotest.(check string) "message" "integer literal out of range"
+      d.Diag.message
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  let _fs, mgr, sources, _ = project (Gen.Chain 2) [ ("u001.sml", Overflow) ] in
+  match Driver.build mgr ~policy:Driver.Cutoff ~sources with
+  | _ -> Alcotest.fail "fail-fast build should raise"
+  | exception (Diag.Error d | Diag.Errors (d :: _)) ->
+    Alcotest.(check string) "fail-fast code" "E0100" d.Diag.code
 
 (* Without keep_going the behaviour is unchanged: first serial error
    raises, independent of everything downstream. *)
@@ -427,4 +452,6 @@ let suite =
       test_linker_diag_names_unit;
     Alcotest.test_case "keep-going break, then fail-fast, then fix" `Quick
       test_keepgoing_break_then_failfast;
+    Alcotest.test_case "out-of-range integer literal: E0100" `Quick
+      test_int_literal_out_of_range;
   ]

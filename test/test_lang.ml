@@ -50,6 +50,139 @@ let test_lex_keywords_vs_ids () =
   | [ Token.ID "valx"; Token.ID "functorY"; Token.EOF ] -> ()
   | _ -> Alcotest.fail "prefix of keyword must stay an identifier"
 
+(* Integer literals: the full range, [min_int] only as [~]-literal; an
+   out-of-range literal is an E0100 lexical error, recovered in place. *)
+let test_lex_int_range () =
+  (match tokens "4611686018427387903 ~4611686018427387904" with
+  | [ Token.INT a; Token.INT b; Token.EOF ] ->
+    Alcotest.(check int) "max_int" max_int a;
+    Alcotest.(check int) "min_int" min_int b
+  | _ -> Alcotest.fail "bad token stream");
+  List.iter
+    (fun src ->
+      match Diag.guard (fun () -> tokens src) with
+      | Error d ->
+        Alcotest.(check string) (src ^ ": code") "E0100" d.Diag.code;
+        Alcotest.(check string)
+          (src ^ ": message") "integer literal out of range" d.Diag.message
+      | Ok _ -> Alcotest.fail (src ^ ": expected a lexical error"))
+    [
+      "val big = 99999999999999999999";
+      "4611686018427387904";
+      "~4611686018427387905";
+      "~99999999999999999999999999";
+    ];
+  let c = Diag.collector () in
+  let stream = Lexer.all ~diags:c ~file:"t.sml" "val big = 99999999999999999999;" in
+  Alcotest.(check string)
+    "a placeholder stands in for the literal" "val big = 0 ; <eof>"
+    (List.map (fun (t, _) -> Token.to_string t) stream |> String.concat " ");
+  match Diag.diags c with
+  | [ d ] ->
+    Alcotest.(check string) "code" "E0100" d.Diag.code;
+    Alcotest.(check string) "span of the literal" "t.sml:1.10-30"
+      (Support.Loc.to_string d.Diag.loc)
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+(* ------------------------------------------------------------------ *)
+(* The lexer against its oracle                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* same tokens and locations, and — with a collector — the same
+   diagnostics; without one, the same first error *)
+let lexers_agree ~file src =
+  let run lex =
+    let c = Diag.collector ~limit:max_int () in
+    let stream = lex ~diags:c ~file src in
+    (stream, List.map Diag.to_string (Diag.diags c))
+  in
+  let strict lex =
+    match Diag.guard (fun () -> lex ?diags:None ~file src) with
+    | Ok stream -> Ok stream
+    | Error d -> Error (Diag.to_string d)
+  in
+  run (fun ~diags -> Lexer.all ~diags) = run (fun ~diags -> Oracle_lexer.all ~diags)
+  && strict Lexer.all = strict Oracle_lexer.all
+
+let check_lexers_agree ~file src =
+  Alcotest.(check bool) (file ^ ": lexers agree") true (lexers_agree ~file src)
+
+let gen_sources ~seed ~rich =
+  let fs = Vfs.memory () in
+  let profile =
+    if rich then Workload.Gen.rich_profile else Workload.Gen.default_profile
+  in
+  let p =
+    Workload.Gen.create fs
+      (Workload.Gen.Random_dag { units = 8; max_deps = 3; seed })
+      profile
+  in
+  List.map
+    (fun f -> (f, Option.get (fs.Vfs.fs_read f)))
+    (Workload.Gen.sources p)
+
+let test_lexer_oracle_gen () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (file, src) -> check_lexers_agree ~file src)
+        (gen_sources ~seed ~rich:(seed mod 2 = 0)))
+    [ 1; 2; 7; 42; 7919 ]
+
+(* every example source — the OCaml drivers too, whose text is a dense
+   run of lexical errors for the recovery path *)
+let test_lexer_oracle_examples () =
+  let files =
+    List.concat_map
+      (fun dir ->
+        Sys.readdir dir |> Array.to_list |> List.sort String.compare
+        |> List.map (Filename.concat dir)
+        |> List.filter (fun f ->
+               List.exists (Filename.check_suffix f) [ ".ml"; ".sml"; ".cm" ]))
+      [ "../examples"; "../examples/miniml" ]
+  in
+  Alcotest.(check bool) "found the miniml sources" true
+    (List.mem "../examples/miniml/sort.sml" files);
+  List.iter
+    (fun file ->
+      check_lexers_agree ~file (In_channel.with_open_bin file In_channel.input_all))
+    files
+
+let test_lexer_oracle_keepgoing () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (file, src) ->
+          check_lexers_agree ~file (Test_keepgoing.apply_breaker kind src))
+        (gen_sources ~seed:3 ~rich:true))
+    Test_keepgoing.[ Unbound; Mismatch; Syntax; Lex; Header ]
+
+(* arbitrary text over the lexer's alphabet, minus integer literals the
+   oracle cannot represent *)
+let qcheck_lexer_oracle_text =
+  let alphabet = "abdeflnv_'~0129 \n\t\"\\(*)=<>-:;.,|#[]!@^/?&$\r" in
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:(map (String.get alphabet) (0 -- (String.length alphabet - 1)))
+        (0 -- 80))
+  in
+  let has_long_digit_run s =
+    let run = ref 0 and long = ref false in
+    String.iter
+      (fun ch ->
+        if ch >= '0' && ch <= '9' then begin
+          incr run;
+          if !run >= 19 then long := true
+        end
+        else run := 0)
+      s;
+    !long
+  in
+  QCheck.Test.make ~count:500 ~name:"lexer: tokens and diagnostics = oracle"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun src ->
+      QCheck.assume (not (has_long_digit_run src));
+      lexers_agree ~file:"q.sml" src)
+
 let parse_exp src = Parser.parse_exp ~file:"t.sml" src
 
 let roundtrip_exp src =
@@ -236,4 +369,12 @@ let suite =
     Alcotest.test_case "syntax errors are reported" `Quick test_parse_errors;
     Alcotest.test_case "pretty/parse roundtrips" `Quick test_roundtrip_corpus;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_int_exprs;
+    Alcotest.test_case "lex integer range" `Quick test_lex_int_range;
+    Alcotest.test_case "lexer = oracle on generated projects" `Quick
+      test_lexer_oracle_gen;
+    Alcotest.test_case "lexer = oracle on the examples" `Quick
+      test_lexer_oracle_examples;
+    Alcotest.test_case "lexer = oracle on keep-going breakers" `Quick
+      test_lexer_oracle_keepgoing;
+    QCheck_alcotest.to_alcotest qcheck_lexer_oracle_text;
   ]

@@ -97,6 +97,72 @@ let test_frame_pop_corrupt () =
   | exception Pickle.Buf.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad magic must be detected"
 
+(* one receive buffer holding 10,000 small frames pops them all, in
+   order; so does the same stream fed in 7-byte slices and popped as it
+   goes; and a writer taking 1,000 bytes at a time drains the send side
+   byte-exact *)
+let test_frame_stream_many () =
+  let module S = Pickle.Frame.Stream in
+  let n = 10_000 in
+  let frames =
+    List.init n (fun i ->
+        Pickle.Frame.encode ~kind:(i mod 256) ~id:(string_of_int i)
+          ~payload:(String.make (i mod 13) 'p'))
+  in
+  let wire = String.concat "" frames in
+  let check_msg i m =
+    if
+      m.Pickle.Frame.f_kind <> i mod 256
+      || m.Pickle.Frame.f_id <> string_of_int i
+      || String.length m.Pickle.Frame.f_payload <> i mod 13
+    then Alcotest.failf "frame %d popped out of order or damaged" i
+  in
+  let s = S.create () in
+  S.add_string s wire;
+  for i = 0 to n - 1 do
+    match S.pop s with
+    | Some m -> check_msg i m
+    | None -> Alcotest.failf "frame %d missing" i
+  done;
+  Alcotest.(check bool) "drained" true (S.pop s = None && S.length s = 0);
+  let popped = ref 0 in
+  let rec feed pos =
+    if pos < String.length wire then begin
+      let k = min 7 (String.length wire - pos) in
+      let got =
+        S.fill s ~chunk:k (fun bytes off _ ->
+            Bytes.blit_string wire pos bytes off k;
+            k)
+      in
+      Alcotest.(check int) "fill count" k got;
+      let rec drain () =
+        match S.pop s with
+        | Some m ->
+          check_msg !popped m;
+          incr popped;
+          drain ()
+        | None -> ()
+      in
+      drain ();
+      feed (pos + k)
+    end
+  in
+  feed 0;
+  Alcotest.(check int) "sliced stream: every frame" n !popped;
+  Alcotest.(check int) "sliced stream: drained" 0 (S.length s);
+  (* the send side: a writer taking a few bytes at a time *)
+  S.add_string s wire;
+  let sent = Buffer.create (String.length wire) in
+  while S.length s > 0 do
+    ignore
+      (S.drain s (fun bytes off len ->
+           let k = min len 1000 in
+           Buffer.add_subbytes sent bytes off k;
+           k))
+  done;
+  Alcotest.(check bool) "drained bytes = queued bytes" true
+    (String.equal wire (Buffer.contents sent))
+
 (* a socket delivers a frame stream in arbitrary slices: however the
    bytes are chunked, greedy popping must reconstruct exactly the
    frames that were sent, with nothing left over *)
@@ -320,4 +386,6 @@ let suite =
       test_hash_env_vs_order_of_binding;
     Alcotest.test_case "unit pid depends on binding names" `Quick
       test_unit_pid_depends_on_names;
+    Alcotest.test_case "10,000 frames from one receive buffer" `Quick
+      test_frame_stream_many;
   ]

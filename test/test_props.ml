@@ -292,6 +292,26 @@ let prop_simplifier_never_grows =
       in
       Lambda.size (compile true) <= Lambda.size (compile false))
 
+(* the census shrinker against the bounded-pass oracle, on the same
+   unoptimised code: never larger, and the same value *)
+let prop_simplifier_matches_oracle =
+  QCheck.Test.make ~count:60 ~name:"simplifier: no larger than the oracle"
+    (QCheck.make ~print:fst int_exp_gen)
+    (fun (source, _) ->
+      let code =
+        (Compile.compile ~optimize:false (Compile.new_session ()) ~name:"p.sml"
+           ~source:(Printf.sprintf "structure P = struct val r = %s end" source)
+           ~imports:[])
+          .Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_code
+      in
+      let shrunk = Simplify.term code and oracle = Oracle_simplify.term code in
+      let value term =
+        let rt = Dynamics.Eval.runtime ~imports:Pid.Map.empty () in
+        Value.to_string (Oracle_eval.run rt term)
+      in
+      Lambda.size shrunk <= Lambda.size oracle
+      && String.equal (value shrunk) (value oracle))
+
 (* ------------------------------------------------------------------ *)
 (* Corruption is always checked                                        *)
 (* ------------------------------------------------------------------ *)
@@ -612,3 +632,4 @@ let suite =
       Alcotest.test_case "every 1-byte flip in a bin is checked" `Quick
         test_every_byte_flip_is_checked;
     ]
+  @ [ QCheck_alcotest.to_alcotest prop_simplifier_matches_oracle ]
