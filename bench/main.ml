@@ -39,11 +39,13 @@ let section title =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/11", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/12", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
 (*                             overhead_ratio}],                       *)
+(*       "rehydration_share": [{units,reads,read_ms,job_reads,         *)
+(*                             job_read_ms,jobs_ms,share}],            *)
 (*       "recompile_counts": [{topology,edit,policy,recompiled,        *)
 (*                             cutoff_hits,total,cutoff_hit_rate}],    *)
 (*       "build_latency":    [{scenario,policy,median_s,recompiled}],  *)
@@ -95,6 +97,7 @@ let tbl_server : J.t list ref = ref []
 let tbl_sched : J.t list ref = ref []
 let tbl_fabric : J.t list ref = ref []
 let tbl_swap : J.t list ref = ref []
+let tbl_rehydration : J.t list ref = ref []
 
 let record tbl row = tbl := row :: !tbl
 
@@ -102,12 +105,13 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/11");
+        ("schema", J.String "smlsep-bench/12");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
             [
               ("build_times", J.List (List.rev !tbl_build_times));
+              ("rehydration_share", J.List (List.rev !tbl_rehydration));
               ("recompile_counts", J.List (List.rev !tbl_recompile));
               ("build_latency", J.List (List.rev !tbl_latency));
               ("pickle_sizes", J.List (List.rev !tbl_pickle_sizes));
@@ -290,6 +294,68 @@ let e2 () =
 (* E3: hash + dehydrate/rehydrate overhead vs compilation              *)
 (* ------------------------------------------------------------------ *)
 
+(* The cold build's closure rehydration, from the program's own trace:
+   every compile job rehydrates the static views of its whole import
+   closure, and its [pickle.read] spans nest inside its
+   [build.compile_job] span.  The project is perfbench's cold-build
+   project for seed 1: 120 rich units of about 60 lines, whose DAG the
+   benchmark draws as Random_dag seed 514957165. *)
+let e3_rehydration_share () =
+  let fs = Vfs.memory () in
+  let project =
+    Gen.create fs
+      (Gen.Random_dag { units = 120; max_deps = 3; seed = 514957165 })
+      (Gen.sized_profile ~lines:60)
+  in
+  let sources = Gen.sources project in
+  let texts = List.map (fun f -> (f, Option.get (fs.Vfs.fs_read f))) sources in
+  let traced_build () =
+    let fs = Vfs.memory () in
+    List.iter (fun (f, text) -> fs.Vfs.fs_write f text) texts;
+    let mgr = Driver.create fs in
+    Gc.full_major ();
+    Obs.Trace.enable ();
+    ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources);
+    Obs.Trace.disable ();
+    let events = Obs.Trace.events () in
+    Obs.Trace.reset ();
+    let named name = List.filter (fun e -> e.Obs.Trace.ev_name = name) events in
+    let total = List.fold_left (fun ms e -> ms +. (e.Obs.Trace.ev_dur_us /. 1000.)) 0. in
+    let jobs = named "build.compile_job" and reads = named "pickle.read" in
+    let in_job e =
+      List.exists
+        (fun j ->
+          e.Obs.Trace.ev_start_us >= j.Obs.Trace.ev_start_us
+          && e.ev_start_us +. e.ev_dur_us <= j.ev_start_us +. j.ev_dur_us)
+        jobs
+    in
+    let job_reads = List.filter in_job reads in
+    (List.length reads, total reads, List.length job_reads, total job_reads, total jobs)
+  in
+  let runs = List.init (if !quick then 1 else 5) (fun _ -> traced_build ()) in
+  let median f = List.nth (List.sort compare (List.map f runs)) (List.length runs / 2) in
+  let reads, _, job_reads, _, _ = List.hd runs in
+  let read_ms = median (fun (_, ms, _, _, _) -> ms)
+  and job_read_ms = median (fun (_, _, _, ms, _) -> ms)
+  and jobs_ms = median (fun (_, _, _, _, ms) -> ms)
+  and share = median (fun (_, _, _, r, j) -> r /. j) in
+  record tbl_rehydration
+    (J.Obj
+       [
+         ("units", J.Int (List.length sources));
+         ("reads", J.Int reads);
+         ("read_ms", J.Float read_ms);
+         ("job_reads", J.Int job_reads);
+         ("job_read_ms", J.Float job_read_ms);
+         ("jobs_ms", J.Float jobs_ms);
+         ("share", J.Float share);
+       ]);
+  Printf.printf
+    "cold build    %4d units | pickle.read %4d spans %7.1f ms | in jobs %4d \
+     spans %7.1f ms of %7.1f ms summed job time = %4.1f%%\n"
+    (List.length sources) reads read_ms job_reads job_read_ms jobs_ms
+    (100. *. share)
+
 let e3 () =
   section "E3: hash + pickle overhead relative to compilation (paper sec. 6)";
   (* the paper's workload is 65k lines over ~200 units (~325 lines per
@@ -348,12 +414,7 @@ let e3 () =
         time_median (fun () ->
             List.iter
               (fun (self, bytes) ->
-                let resolve = function
-                  | Pickle.Serial.TokGlobal n -> Statics.Stamp.Global n
-                  | Pickle.Serial.TokOwn i -> Statics.Stamp.External (self, i)
-                  | Pickle.Serial.TokExtern (p, i) -> Statics.Stamp.External (p, i)
-                in
-                ignore (Pickle.Serial.read_env (Pickle.Buf.reader bytes) ~resolve))
+                ignore (Pickle.Serial.read_env (Pickle.Buf.reader bytes) ~self))
               envs)
       in
       let overhead = hash_time +. pickle_time +. unpickle_time in
@@ -375,7 +436,8 @@ let e3 () =
          %7.4fs  rehydrate %7.4fs | overhead/compile = %5.2f%% (paper: ~1%%)\n"
         label units lines build_time hash_time pickle_time unpickle_time
         (100. *. overhead /. build_time))
-    scales
+    scales;
+  e3_rehydration_share ()
 
 (* ------------------------------------------------------------------ *)
 (* E4: pid collision probabilities                                     *)

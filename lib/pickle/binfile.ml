@@ -28,14 +28,11 @@ let m_rehydrations = Obs.Metrics.counter "pickle.rehydrations"
 (* Lambda terms                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let write_symbol w sym = Buf.string w (Symbol.name sym)
-let read_symbol r = Symbol.intern (Buf.read_string r)
-
 let rec write_lambda w (term : L.t) =
   match term with
   | L.Lvar v ->
     Buf.byte w 0;
-    write_symbol w v
+    Buf.symbol w v
   | L.Lint n ->
     Buf.byte w 1;
     Buf.int w n
@@ -50,10 +47,10 @@ let rec write_lambda w (term : L.t) =
     Buf.string w (Statics.Prim.name p)
   | L.Lbasisexn name ->
     Buf.byte w 5;
-    write_symbol w name
+    Buf.symbol w name
   | L.Lfn (v, body) ->
     Buf.byte w 6;
-    write_symbol w v;
+    Buf.symbol w v;
     write_lambda w body
   | L.Lapp (f, x) ->
     Buf.byte w 7;
@@ -61,15 +58,15 @@ let rec write_lambda w (term : L.t) =
     write_lambda w x
   | L.Llet (v, e, body) ->
     Buf.byte w 8;
-    write_symbol w v;
+    Buf.symbol w v;
     write_lambda w e;
     write_lambda w body
   | L.Lfix (binds, body) ->
     Buf.byte w 9;
     Buf.list w
       (fun (f, x, b) ->
-        write_symbol w f;
-        write_symbol w x;
+        Buf.symbol w f;
+        Buf.symbol w x;
         write_lambda w b)
       binds;
     write_lambda w body
@@ -84,12 +81,12 @@ let rec write_lambda w (term : L.t) =
     Buf.byte w 12;
     Buf.list w
       (fun (name, v) ->
-        write_symbol w name;
+        Buf.symbol w name;
         write_lambda w v)
       fields
   | L.Lfield (name, e) ->
     Buf.byte w 13;
-    write_symbol w name;
+    Buf.symbol w name;
     write_lambda w e
   | L.Lcon0 tag ->
     Buf.byte w 14;
@@ -106,7 +103,7 @@ let rec write_lambda w (term : L.t) =
     write_lambda w e
   | L.Lnewexn (name, has_arg) ->
     Buf.byte w 18;
-    write_symbol w name;
+    Buf.symbol w name;
     Buf.bool w has_arg
   | L.Lmkexn0 e ->
     Buf.byte w 19;
@@ -128,12 +125,12 @@ let rec write_lambda w (term : L.t) =
   | L.Lhandle (e, v, h) ->
     Buf.byte w 24;
     write_lambda w e;
-    write_symbol w v;
+    Buf.symbol w v;
     write_lambda w h
 
 let rec read_lambda r : L.t =
   match Buf.read_byte r with
-  | 0 -> L.Lvar (read_symbol r)
+  | 0 -> L.Lvar (Buf.read_symbol r)
   | 1 -> L.Lint (Buf.read_int r)
   | 2 -> L.Lstring (Buf.read_string r)
   | 3 -> L.Limport (Buf.read_pid r)
@@ -142,9 +139,9 @@ let rec read_lambda r : L.t =
     match Statics.Prim.of_name name with
     | Some p -> L.Lprim p
     | None -> raise (Buf.Corrupt ("unknown primitive " ^ name)))
-  | 5 -> L.Lbasisexn (read_symbol r)
+  | 5 -> L.Lbasisexn (Buf.read_symbol r)
   | 6 ->
-    let v = read_symbol r in
+    let v = Buf.read_symbol r in
     let body = read_lambda r in
     L.Lfn (v, body)
   | 7 ->
@@ -152,15 +149,15 @@ let rec read_lambda r : L.t =
     let x = read_lambda r in
     L.Lapp (f, x)
   | 8 ->
-    let v = read_symbol r in
+    let v = Buf.read_symbol r in
     let e = read_lambda r in
     let body = read_lambda r in
     L.Llet (v, e, body)
   | 9 ->
     let binds =
       Buf.read_list r (fun () ->
-          let f = read_symbol r in
-          let x = read_symbol r in
+          let f = Buf.read_symbol r in
+          let x = Buf.read_symbol r in
           let b = read_lambda r in
           (f, x, b))
     in
@@ -174,11 +171,11 @@ let rec read_lambda r : L.t =
   | 12 ->
     L.Lrecord
       (Buf.read_list r (fun () ->
-           let name = read_symbol r in
+           let name = Buf.read_symbol r in
            let v = read_lambda r in
            (name, v)))
   | 13 ->
-    let name = read_symbol r in
+    let name = Buf.read_symbol r in
     let e = read_lambda r in
     L.Lfield (name, e)
   | 14 -> L.Lcon0 (Buf.read_int r)
@@ -189,7 +186,7 @@ let rec read_lambda r : L.t =
   | 16 -> L.Lcontag (read_lambda r)
   | 17 -> L.Lconarg (read_lambda r)
   | 18 ->
-    let name = read_symbol r in
+    let name = Buf.read_symbol r in
     let has_arg = Buf.read_bool r in
     L.Lnewexn (name, has_arg)
   | 19 -> L.Lmkexn0 (read_lambda r)
@@ -203,7 +200,7 @@ let rec read_lambda r : L.t =
   | 23 -> L.Lraise (read_lambda r)
   | 24 ->
     let e = read_lambda r in
-    let v = read_symbol r in
+    let v = Buf.read_symbol r in
     let h = read_lambda r in
     L.Lhandle (e, v, h)
   | b -> raise (Buf.Corrupt (Printf.sprintf "bad lambda tag %d" b))
@@ -229,12 +226,12 @@ let static_payload ctx uf =
     uf.uf_import_statics;
   Buf.list w
     (fun (name, pid) ->
-      write_symbol w name;
+      Buf.symbol w name;
       Buf.pid w pid)
     uf.uf_name_statics;
   Buf.list w
     (fun (name, pid) ->
-      write_symbol w name;
+      Buf.symbol w name;
       Buf.pid w pid)
     uf.uf_import_name_statics;
   (* dehydrated own-stamp table: definitions of every stamp owned by
@@ -268,8 +265,8 @@ let static_payload ctx uf =
   Serial.write_env w ctx ~token ~with_addrs:true uf.uf_env;
   Buf.contents w
 
-let read_static_payload ctx blob =
-  let r = Buf.reader blob in
+(* [r] is bounded to the static blob *)
+let read_static_payload ctx r =
   let uf_name = Buf.read_string r in
   let uf_static_pid = Buf.read_pid r in
   let uf_import_statics =
@@ -280,20 +277,15 @@ let read_static_payload ctx blob =
   in
   let uf_name_statics =
     Buf.read_list r (fun () ->
-        let name = read_symbol r in
+        let name = Buf.read_symbol r in
         let pid = Buf.read_pid r in
         (name, pid))
   in
   let uf_import_name_statics =
     Buf.read_list r (fun () ->
-        let name = read_symbol r in
+        let name = Buf.read_symbol r in
         let pid = Buf.read_pid r in
         (name, pid))
-  in
-  let resolve = function
-    | Serial.TokGlobal n -> Statics.Stamp.Global n
-    | Serial.TokOwn idx -> Statics.Stamp.External (uf_static_pid, idx)
-    | Serial.TokExtern (pid, idx) -> Statics.Stamp.External (pid, idx)
   in
   (* rehydrate the own-stamp table, registering definitions *)
   let entries =
@@ -303,7 +295,7 @@ let read_static_payload ctx blob =
         let info =
           match Buf.read_byte r with
           | 0 -> None
-          | 1 -> Some (Serial.read_tycon_info r ~resolve)
+          | 1 -> Some (Serial.read_tycon_info r ~self:uf_static_pid)
           | b -> raise (Buf.Corrupt (Printf.sprintf "bad table tag %d" b))
         in
         (owner, idx, info))
@@ -315,7 +307,7 @@ let read_static_payload ctx blob =
         Statics.Context.register ctx (Statics.Stamp.External (owner, idx)) info
       | None -> ())
     entries;
-  let uf_env = Serial.read_env r ~resolve in
+  let uf_env = Serial.read_env r ~self:uf_static_pid in
   if not (Buf.at_end r) then raise (Buf.Corrupt "trailing static bytes");
   {
     uf_name;
@@ -329,25 +321,22 @@ let read_static_payload ctx blob =
 
 (* fixed-width big-endian CRC-64 trailer: readers can locate and
    verify it before parsing a single payload byte *)
-let seal payload =
-  let crc = Digestkit.Crc64.of_string payload in
-  let trailer = Bytes.create 8 in
-  Bytes.set_int64_be trailer 0 crc;
-  payload ^ Bytes.to_string trailer
+let seal w =
+  Buf.crc_trailer w;
+  Buf.contents w
 
 (* Verify the CRC trailer FIRST: nothing of the payload is parsed —
    let alone registered in a context — before the whole file is known
    to be intact.  Any torn or flipped byte is a checked [Corrupt],
-   never a wrong environment. *)
+   never a wrong environment.  The payload is then read where it lies,
+   in front of the trailer. *)
 let unseal data =
-  if String.length data < 8 then raise (Buf.Corrupt "truncated bin file");
-  let payload = String.sub data 0 (String.length data - 8) in
-  let declared =
-    Bytes.get_int64_be (Bytes.of_string (String.sub data (String.length data - 8) 8)) 0
-  in
-  if not (Int64.equal declared (Digestkit.Crc64.of_string payload)) then
+  let n = String.length data - 8 in
+  if n < 0 then raise (Buf.Corrupt "truncated bin file");
+  let crc = Digestkit.Crc64.(finish (update init (Bytes.unsafe_of_string data) 0 n)) in
+  if not (Int64.equal (String.get_int64_be data n) crc) then
     raise (Buf.Corrupt "CRC mismatch: bin file is corrupt");
-  payload
+  Buf.reader ~len:n data
 
 let write ctx uf =
   Obs.Trace.span ~cat:"pickle" ~args:[ ("unit", uf.uf_name) ] "pickle.write"
@@ -359,47 +348,45 @@ let write ctx uf =
   Buf.list w (fun pid -> Buf.pid w pid) uf.uf_codeunit.Link.Codeunit.cu_imports;
   Buf.list w
     (fun (name, pid) ->
-      write_symbol w name;
+      Buf.symbol w name;
       Buf.pid w pid)
     uf.uf_codeunit.Link.Codeunit.cu_exports;
   write_lambda w uf.uf_codeunit.Link.Codeunit.cu_code;
-  let bytes = seal (Buf.contents w) in
+  let bytes = seal w in
   Obs.Metrics.add m_bytes_written (String.length bytes);
   bytes
 
 let static_of_full data =
-  let payload = unseal data in
-  let r = Buf.reader payload in
+  let r = unseal data in
   let m = Buf.read_string r in
   if String.equal m static_magic then data
   else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
   else begin
-    let blob = Buf.read_string r in
+    let blob = Buf.sub_reader r in
     let w = Buf.writer () in
     Buf.string w static_magic;
-    Buf.string w blob;
-    seal (Buf.contents w)
+    Buf.blob w blob;
+    seal w
   end
 
 let read ctx data =
   Obs.Trace.span ~cat:"pickle" "pickle.read" @@ fun () ->
   Obs.Metrics.add m_bytes_read (String.length data);
   Obs.Metrics.incr m_rehydrations;
-  let payload = unseal data in
-  let r = Buf.reader payload in
+  let r = unseal data in
   let m = Buf.read_string r in
   if String.equal m static_magic then begin
-    let uf = read_static_payload ctx (Buf.read_string r) in
+    let uf = read_static_payload ctx (Buf.sub_reader r) in
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
     uf
   end
   else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
   else begin
-    let uf = read_static_payload ctx (Buf.read_string r) in
+    let uf = read_static_payload ctx (Buf.sub_reader r) in
     let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
     let cu_exports =
       Buf.read_list r (fun () ->
-          let name = read_symbol r in
+          let name = Buf.read_symbol r in
           let pid = Buf.read_pid r in
           (name, pid))
     in

@@ -8,22 +8,17 @@ let max_body = 1 lsl 30
 
 type msg = { f_kind : int; f_id : string; f_payload : string }
 
-let crc_bytes crc =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 crc;
-  Bytes.to_string b
-
 let encode ~kind ~id ~payload =
   let w = Buf.writer () in
   Buf.byte w kind;
   Buf.string w id;
   Buf.string w payload;
+  Buf.crc_trailer w;
   let body = Buf.contents w in
-  let crc = crc_bytes (Digestkit.Crc64.of_string body) in
   let header = Bytes.create header_size in
   Bytes.blit_string magic 0 header 0 4;
-  Bytes.set_int32_be header 4 (Int32.of_int (String.length body + 8));
-  Bytes.to_string header ^ body ^ crc
+  Bytes.set_int32_be header 4 (Int32.of_int (String.length body));
+  Bytes.to_string header ^ body
 
 let check_length n =
   if n < 8 || n > max_body then
@@ -37,13 +32,15 @@ let body_length header =
     raise (Buf.Corrupt "bad frame magic");
   check_length (Int32.to_int (String.get_int32_be header 4))
 
-(* the message [n] bytes at [pos] encode, behind their CRC trailer *)
+(* the message [n] bytes at [pos] encode, behind their CRC trailer,
+   read where it lies: only the id and the payload are copied out.
+   [bytes] is not modified while the reader is alive. *)
 let decode_at bytes pos n =
   let encoded = n - 8 in
   let crc = Digestkit.Crc64.(finish (update init bytes pos encoded)) in
   if not (Int64.equal crc (Bytes.get_int64_be bytes (pos + encoded))) then
     raise (Buf.Corrupt "frame CRC mismatch");
-  let r = Buf.reader (Bytes.sub_string bytes pos encoded) in
+  let r = Buf.reader ~pos ~len:encoded (Bytes.unsafe_to_string bytes) in
   let f_kind = Buf.read_byte r in
   let f_id = Buf.read_string r in
   let f_payload = Buf.read_string r in

@@ -1,4 +1,3 @@
-module Symbol = Support.Symbol
 module Diag = Support.Diag
 module Pid = Digestkit.Pid
 open Statics.Types
@@ -62,8 +61,6 @@ let write_token w = function
     Buf.pid w pid;
     Buf.int w idx
 
-let write_symbol w sym = Buf.string w (Symbol.name sym)
-
 let rec write_ty w ~token ty =
   match repr ty with
   | Tvar _ ->
@@ -94,13 +91,13 @@ let write_scheme w ~token scheme =
   write_ty w ~token scheme.body
 
 let write_condesc w ~token cd =
-  write_symbol w cd.cd_name;
+  Buf.symbol w cd.cd_name;
   Buf.option w (write_ty w ~token) cd.cd_arg;
   Buf.int w cd.cd_tag;
   Buf.int w cd.cd_span
 
 let write_tycon_info w _ctx ~token info =
-  write_symbol w info.tyc_name;
+  Buf.symbol w info.tyc_name;
   Buf.int w info.tyc_arity;
   match info.tyc_defn with
   | Abstract -> Buf.byte w 0
@@ -116,7 +113,7 @@ let rec write_addr w addr =
   | AdNone -> Buf.byte w 0
   | AdLvar v ->
     Buf.byte w 1;
-    write_symbol w v
+    Buf.symbol w v
   | AdExtern pid ->
     Buf.byte w 2;
     Buf.pid w pid
@@ -125,11 +122,11 @@ let rec write_addr w addr =
     Buf.string w (Statics.Prim.name p)
   | AdBasisExn name ->
     Buf.byte w 4;
-    write_symbol w name
+    Buf.symbol w name
   | AdField (base, field) ->
     Buf.byte w 5;
     write_addr w base;
-    write_symbol w field
+    Buf.symbol w field
 
 let write_opt_addr w ~with_addrs addr =
   if with_addrs then write_addr w addr
@@ -139,7 +136,7 @@ let rec write_env w ctx ~token ~with_addrs env =
   fold_components env ~init:()
     ~valf:(fun name info () ->
       Buf.byte w 10;
-      write_symbol w name;
+      Buf.symbol w name;
       write_scheme w ~token info.vi_scheme;
       (match info.vi_kind with
       | Vplain -> Buf.byte w 0
@@ -153,25 +150,25 @@ let rec write_env w ctx ~token ~with_addrs env =
       wa info.vi_addr)
     ~tycf:(fun name stamp () ->
       Buf.byte w 11;
-      write_symbol w name;
+      Buf.symbol w name;
       write_token w (token stamp))
     ~strf:(fun name info () ->
       Buf.byte w 12;
-      write_symbol w name;
+      Buf.symbol w name;
       write_token w (token info.str_stamp);
       write_env w ctx ~token ~with_addrs info.str_env;
       wa info.str_addr)
     ~sigf:(fun name info () ->
       Buf.byte w 13;
-      write_symbol w name;
+      Buf.symbol w name;
       write_token w (token info.sig_stamp);
       write_env w ctx ~token ~with_addrs info.sig_env;
       Buf.list w (fun s -> write_token w (token s)) info.sig_flex)
     ~fctf:(fun name info () ->
       Buf.byte w 14;
-      write_symbol w name;
+      Buf.symbol w name;
       write_token w (token info.fct_stamp);
-      write_symbol w info.fct_param_name;
+      Buf.symbol w info.fct_param_name;
       write_token w (token info.fct_param_sig.sig_stamp);
       write_env w ctx ~token ~with_addrs info.fct_param_sig.sig_env;
       Buf.list w (fun s -> write_token w (token s)) info.fct_param_sig.sig_flex;
@@ -186,52 +183,52 @@ let rec write_env w ctx ~token ~with_addrs env =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_token r =
+(* A stamp token, decoded straight into the stamp it stands for: the
+   unit's own objects ([TokOwn]) are owned by [self]. *)
+let read_stamp r ~self =
   match Buf.read_byte r with
-  | 0 -> TokGlobal (Buf.read_int r)
-  | 1 -> TokOwn (Buf.read_int r)
+  | 0 -> Statics.Stamp.Global (Buf.read_int r)
+  | 1 -> Statics.Stamp.External (self, Buf.read_int r)
   | 2 ->
     let pid = Buf.read_pid r in
     let idx = Buf.read_int r in
-    TokExtern (pid, idx)
+    Statics.Stamp.External (pid, idx)
   | b -> raise (Buf.Corrupt (Printf.sprintf "bad stamp token %d" b))
 
-let read_symbol r = Symbol.intern (Buf.read_string r)
-
-let rec read_ty r ~resolve =
+let rec read_ty r ~self =
   match Buf.read_byte r with
   | 0 -> Tgen (Buf.read_int r)
   | 1 ->
-    let stamp = resolve (read_token r) in
-    let args = Buf.read_list r (fun () -> read_ty r ~resolve) in
+    let stamp = read_stamp r ~self in
+    let args = Buf.read_list r (fun () -> read_ty r ~self) in
     Tcon (stamp, args)
   | 2 ->
-    let a = read_ty r ~resolve in
-    let b = read_ty r ~resolve in
+    let a = read_ty r ~self in
+    let b = read_ty r ~self in
     Tarrow (a, b)
-  | 3 -> Ttuple (Buf.read_list r (fun () -> read_ty r ~resolve))
+  | 3 -> Ttuple (Buf.read_list r (fun () -> read_ty r ~self))
   | b -> raise (Buf.Corrupt (Printf.sprintf "bad type tag %d" b))
 
-let read_scheme r ~resolve =
+let read_scheme r ~self =
   let arity = Buf.read_int r in
-  let body = read_ty r ~resolve in
+  let body = read_ty r ~self in
   { arity; body }
 
-let read_condesc r ~resolve =
-  let cd_name = read_symbol r in
-  let cd_arg = Buf.read_option r (fun () -> read_ty r ~resolve) in
+let read_condesc r ~self =
+  let cd_name = Buf.read_symbol r in
+  let cd_arg = Buf.read_option r (fun () -> read_ty r ~self) in
   let cd_tag = Buf.read_int r in
   let cd_span = Buf.read_int r in
   { cd_name; cd_arg; cd_tag; cd_span }
 
-let read_tycon_info r ~resolve =
-  let tyc_name = read_symbol r in
+let read_tycon_info r ~self =
+  let tyc_name = Buf.read_symbol r in
   let tyc_arity = Buf.read_int r in
   let tyc_defn =
     match Buf.read_byte r with
     | 0 -> Abstract
-    | 1 -> Alias (read_scheme r ~resolve)
-    | 2 -> Data (Buf.read_list r (fun () -> read_condesc r ~resolve))
+    | 1 -> Alias (read_scheme r ~self)
+    | 2 -> Data (Buf.read_list r (fun () -> read_condesc r ~self))
     | b -> raise (Buf.Corrupt (Printf.sprintf "bad defn tag %d" b))
   in
   { tyc_name; tyc_arity; tyc_defn }
@@ -239,64 +236,64 @@ let read_tycon_info r ~resolve =
 let rec read_addr r =
   match Buf.read_byte r with
   | 0 -> AdNone
-  | 1 -> AdLvar (read_symbol r)
+  | 1 -> AdLvar (Buf.read_symbol r)
   | 2 -> AdExtern (Buf.read_pid r)
   | 3 -> (
     let name = Buf.read_string r in
     match Statics.Prim.of_name name with
     | Some p -> AdPrim p
     | None -> raise (Buf.Corrupt ("unknown primitive " ^ name)))
-  | 4 -> AdBasisExn (read_symbol r)
+  | 4 -> AdBasisExn (Buf.read_symbol r)
   | 5 ->
     let base = read_addr r in
-    let field = read_symbol r in
+    let field = Buf.read_symbol r in
     AdField (base, field)
   | b -> raise (Buf.Corrupt (Printf.sprintf "bad addr tag %d" b))
 
-let rec read_env r ~resolve =
+let rec read_env r ~self =
   let rec loop env =
     match Buf.read_byte r with
     | 10 ->
-      let name = read_symbol r in
-      let scheme = read_scheme r ~resolve in
+      let name = Buf.read_symbol r in
+      let scheme = read_scheme r ~self in
       let kind =
         match Buf.read_byte r with
         | 0 -> Vplain
         | 1 ->
-          let stamp = resolve (read_token r) in
-          let cd = read_condesc r ~resolve in
+          let stamp = read_stamp r ~self in
+          let cd = read_condesc r ~self in
           Vcon (stamp, cd)
-        | 2 -> Vexn (resolve (read_token r))
+        | 2 -> Vexn (read_stamp r ~self)
         | b -> raise (Buf.Corrupt (Printf.sprintf "bad vkind tag %d" b))
       in
       let addr = read_addr r in
       loop (bind_val name { vi_scheme = scheme; vi_kind = kind; vi_addr = addr } env)
     | 11 ->
-      let name = read_symbol r in
-      let stamp = resolve (read_token r) in
+      let name = Buf.read_symbol r in
+      let stamp = read_stamp r ~self in
       loop (bind_tycon name stamp env)
     | 12 ->
-      let name = read_symbol r in
-      let stamp = resolve (read_token r) in
-      let sub = read_env r ~resolve in
+      let name = Buf.read_symbol r in
+      let stamp = read_stamp r ~self in
+      let sub = read_env r ~self in
       let addr = read_addr r in
       loop (bind_str name { str_stamp = stamp; str_env = sub; str_addr = addr } env)
     | 13 ->
-      let name = read_symbol r in
-      let stamp = resolve (read_token r) in
-      let sub = read_env r ~resolve in
-      let flex = Buf.read_list r (fun () -> resolve (read_token r)) in
+      let name = Buf.read_symbol r in
+      let stamp = read_stamp r ~self in
+      let sub = read_env r ~self in
+      let flex = Buf.read_list r (fun () -> read_stamp r ~self) in
       loop (bind_sig name { sig_stamp = stamp; sig_env = sub; sig_flex = flex } env)
     | 14 ->
-      let name = read_symbol r in
-      let fct_stamp = resolve (read_token r) in
-      let fct_param_name = read_symbol r in
-      let sig_stamp = resolve (read_token r) in
-      let sig_env = read_env r ~resolve in
-      let sig_flex = Buf.read_list r (fun () -> resolve (read_token r)) in
-      let fct_param_stamps = Buf.read_list r (fun () -> resolve (read_token r)) in
-      let fct_body = read_env r ~resolve in
-      let fct_body_gen = Buf.read_list r (fun () -> resolve (read_token r)) in
+      let name = Buf.read_symbol r in
+      let fct_stamp = read_stamp r ~self in
+      let fct_param_name = Buf.read_symbol r in
+      let sig_stamp = read_stamp r ~self in
+      let sig_env = read_env r ~self in
+      let sig_flex = Buf.read_list r (fun () -> read_stamp r ~self) in
+      let fct_param_stamps = Buf.read_list r (fun () -> read_stamp r ~self) in
+      let fct_body = read_env r ~self in
+      let fct_body_gen = Buf.read_list r (fun () -> read_stamp r ~self) in
       let fct_addr = read_addr r in
       loop
         (bind_fct name

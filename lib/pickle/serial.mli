@@ -48,9 +48,10 @@ val write_tycon_info :
   Statics.Types.tycon_info ->
   unit
 
-(** [read_env r ~resolve] — rebuild an environment; [resolve] maps
-    tokens back to stamps (typically [TokOwn i ↦ External(self, i)]). *)
-val read_env : Buf.reader -> resolve:(token -> Statics.Stamp.t) -> Statics.Types.env
+(** [read_env r ~self] — rebuild an environment pickled with
+    {!exported_token}[ ~self]: each token decodes straight into its
+    stamp, [TokOwn i] into [External (self, i)]. *)
+val read_env : Buf.reader -> self:Digestkit.Pid.t -> Statics.Types.env
 
 val read_tycon_info :
-  Buf.reader -> resolve:(token -> Statics.Stamp.t) -> Statics.Types.tycon_info
+  Buf.reader -> self:Digestkit.Pid.t -> Statics.Types.tycon_info

@@ -10,6 +10,11 @@ type t
 (** [intern s] returns the unique symbol for the string [s]. *)
 val intern : string -> t
 
+(** [intern_sub s pos len] is [intern (String.sub s pos len)], read in
+    place: it allocates only the first time it sees a name.  Raises
+    [Invalid_argument] if the slice is not within [s]. *)
+val intern_sub : string -> int -> int -> t
+
 (** [name sym] is the string [sym] was interned from. *)
 val name : t -> string
 

@@ -131,6 +131,49 @@ let qcheck_crc64_append =
       in
       Int64.equal one two)
 
+(* ---- the sliced CRC-64 against the byte-at-a-time oracle ---- *)
+
+let qcheck_crc64_oracle =
+  QCheck.Test.make ~count:500 ~name:"crc64: sliced = byte-at-a-time oracle"
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) int64)
+    (fun (s, seed) ->
+      Int64.equal
+        (Oracle_crc64.of_string s)
+        (Digestkit.Crc64.of_string s)
+      && Int64.equal
+           (Oracle_crc64.update_string seed s)
+           (Digestkit.Crc64.update_string seed s))
+
+let test_crc64_every_slice () =
+  let data = Bytes.init 200 (fun i -> Char.chr ((i * 131 + 7) land 0xFF)) in
+  for off = 0 to 200 do
+    for len = 0 to 200 - off do
+      let want = Oracle_crc64.(finish (update init data off len)) in
+      let got = Digestkit.Crc64.(finish (update init data off len)) in
+      if not (Int64.equal want got) then
+        Alcotest.failf "slice (%d, %d): oracle %Lx, sliced %Lx" off len want got
+    done
+  done;
+  List.iter
+    (fun (off, len) ->
+      match Digestkit.Crc64.update Digestkit.Crc64.init data off len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slice (%d, %d) out of range must be rejected" off len)
+    [ (-1, 1); (0, -1); (0, 201); (200, 1); (195, 8); (max_int, 8) ]
+
+let test_crc64_every_split () =
+  let data = String.init 200 (fun i -> Char.chr ((i * 37 + 11) land 0xFF)) in
+  let whole = Oracle_crc64.of_string data in
+  for cut = 0 to String.length data do
+    let a = String.sub data 0 cut
+    and b = String.sub data cut (String.length data - cut) in
+    let split =
+      Digestkit.Crc64.(finish (update_string (update_string init a) b))
+    in
+    if not (Int64.equal whole split) then
+      Alcotest.failf "split at %d: oracle %Lx, sliced %Lx" cut whole split
+  done
+
 let suite =
   [
     Alcotest.test_case "md5 rfc1321 vectors" `Quick test_md5_vectors;
@@ -145,4 +188,9 @@ let suite =
     Alcotest.test_case "pid truncation" `Quick test_pid_truncation;
     QCheck_alcotest.to_alcotest qcheck_md5_avalanche;
     QCheck_alcotest.to_alcotest qcheck_crc64_append;
+    QCheck_alcotest.to_alcotest qcheck_crc64_oracle;
+    Alcotest.test_case "crc64 every slice of 200 bytes" `Quick
+      test_crc64_every_slice;
+    Alcotest.test_case "crc64 split at every position" `Quick
+      test_crc64_every_split;
   ]

@@ -295,12 +295,7 @@ let test_env_roundtrip_manual () =
   let w = Buf.writer () in
   Serial.write_env w ctx ~token:(Serial.exported_token ~self) ~with_addrs:true
     env;
-  let resolve = function
-    | Serial.TokGlobal n -> Stamp.Global n
-    | Serial.TokOwn i -> Stamp.External (self, i)
-    | Serial.TokExtern (p, i) -> Stamp.External (p, i)
-  in
-  let env' = Serial.read_env (Buf.reader (Buf.contents w)) ~resolve in
+  let env' = Serial.read_env (Buf.reader (Buf.contents w)) ~self in
   (* the tycon binding survives *)
   (match Symbol.Map.find_opt (Symbol.intern "t") env'.Types.tycons with
   | Some stamp -> Alcotest.(check bool) "t stamp" true (Stamp.equal stamp t_stamp)
@@ -367,6 +362,149 @@ let test_unit_pid_depends_on_names () =
   Alcotest.(check bool) "renaming a module changes the unit pid" false
     (Pid.equal one other)
 
+(* ---- bounded readers and damaged bins ---- *)
+
+(* a length inside a blob that points past the blob's end is damage,
+   whatever bytes follow the blob in the enclosing string *)
+let test_sub_reader_bounds () =
+  (* after a leading byte the blob holds 4 more: a string, a symbol or
+     a blob claiming 10, or a 16-byte pid, runs past its end *)
+  let w = Buf.writer () in
+  Buf.string w "\000\010abc";
+  Buf.string w (String.make 64 'x');
+  let data = Buf.contents w in
+  let overrun what read =
+    let r = Buf.reader data in
+    let sub = Buf.sub_reader r in
+    Alcotest.(check int) "leading byte" 0 (Buf.read_byte sub);
+    match read sub with
+    | exception Buf.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s read past its blob" what
+  in
+  overrun "string" (fun r -> ignore (Buf.read_string r));
+  overrun "symbol" (fun r -> ignore (Buf.read_symbol r));
+  overrun "blob" (fun r -> ignore (Buf.sub_reader r));
+  overrun "pid" (fun r -> ignore (Buf.read_pid r));
+  (* the enclosing reader skipped the whole blob *)
+  let r = Buf.reader data in
+  ignore (Buf.sub_reader r);
+  Alcotest.(check string) "next field" (String.make 64 'x') (Buf.read_string r);
+  Alcotest.(check bool) "at end" true (Buf.at_end r);
+  (* a reader over a window of a string stops at the window's end *)
+  let r = Buf.reader ~pos:1 ~len:2 "\000\001\002\003" in
+  Alcotest.(check int) "first in window" 1 (Buf.read_byte r);
+  Alcotest.(check int) "last in window" 2 (Buf.read_byte r);
+  Alcotest.(check bool) "window consumed" true (Buf.at_end r);
+  (match Buf.read_byte r with
+  | exception Buf.Corrupt _ -> ()
+  | _ -> Alcotest.fail "read past the window");
+  match Buf.reader ~pos:3 ~len:2 "abcd" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a window outside the string must be rejected"
+
+(* one small unit's full bin: a datatype, a structure, a function *)
+let small_bin () =
+  let fs = Vfs.memory () in
+  fs.Vfs.fs_write "small.sml"
+    "structure Small = struct datatype t = A | B of int\n\
+     fun f x = case x of A => 0 | B n => n + 1 end";
+  let mgr = Irm.Driver.create fs in
+  ignore (Irm.Driver.build mgr ~policy:Irm.Driver.Cutoff ~sources:[ "small.sml" ]);
+  Option.get (fs.Vfs.fs_read "small.sml.bin")
+
+(* every truncation and every single-byte flip of a full bin and of its
+   static view is a checked [Corrupt]: never another exception, never
+   a unit *)
+let test_damaged_bins_corrupt () =
+  let full = small_bin () in
+  let view = Pickle.Binfile.static_of_full full in
+  ignore (Pickle.Binfile.read (mk_ctx ()) full);
+  ignore (Pickle.Binfile.read (mk_ctx ()) view);
+  let must_corrupt label f data =
+    match f data with
+    | exception Buf.Corrupt _ -> ()
+    | exception e ->
+      Alcotest.failf "%s: %s instead of Corrupt" label (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: damage went unnoticed" label
+  in
+  let read data = Pickle.Binfile.read (mk_ctx ()) data in
+  List.iter
+    (fun (what, bin, readers) ->
+      for n = 0 to String.length bin - 1 do
+        List.iter
+          (fun (how, f) ->
+            must_corrupt (Printf.sprintf "%s cut to %d, %s" what n how) f
+              (String.sub bin 0 n))
+          readers
+      done;
+      for i = 0 to String.length bin - 1 do
+        List.iter
+          (fun flip ->
+            let damaged = Bytes.of_string bin in
+            Bytes.set damaged i (Char.chr (Char.code bin.[i] lxor flip));
+            List.iter
+              (fun (how, f) ->
+                must_corrupt
+                  (Printf.sprintf "%s byte %d ^ %d, %s" what i flip how)
+                  f (Bytes.to_string damaged))
+              readers)
+          [ 0x01; 0x80; 0xFF ]
+      done)
+    [
+      ( "full bin",
+        full,
+        [ ("read", fun d -> ignore (read d));
+          ("static_of_full", fun d -> ignore (Pickle.Binfile.static_of_full d)) ] );
+      ("static view", view, [ ("read", fun d -> ignore (read d)) ]);
+    ]
+
+(* ---- byte identity of the bin format ---- *)
+
+(* every bin a serial Cutoff build leaves behind, path and bytes, in
+   path order *)
+let bins_of_build fs sources =
+  let mgr = Irm.Driver.create fs in
+  ignore (Irm.Driver.build mgr ~policy:Irm.Driver.Cutoff ~sources);
+  fs.Vfs.fs_list ()
+  |> List.filter (fun f -> Filename.check_suffix f ".bin")
+  |> List.sort String.compare
+  |> List.map (fun f -> (f, Option.get (fs.Vfs.fs_read f)))
+
+let miniml_bins () =
+  let dir = "../examples/miniml" in
+  let fs = Vfs.memory () in
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".sml" || f = "sources.cm" then
+        fs.Vfs.fs_write f
+          (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    (Sys.readdir dir);
+  bins_of_build fs (Irm.Group.load fs "sources.cm")
+
+let gen_bins () =
+  let fs = Vfs.memory () in
+  let project =
+    Workload.Gen.create fs
+      (Workload.Gen.Random_dag { units = 12; max_deps = 3; seed = 1 })
+      Workload.Gen.rich_profile
+  in
+  bins_of_build fs (Workload.Gen.sources project)
+
+(* The MD5 over every bin of two fixed builds: a rich 12-unit generated
+   project and examples/miniml.  Any change to a written byte — layout,
+   magic, pid, stamp numbering, CRC — moves it. *)
+let test_bins_pinned () =
+  let bins = gen_bins () @ miniml_bins () in
+  Alcotest.(check int) "bin count" 16 (List.length bins);
+  let ctx = Digestkit.Md5.init () in
+  List.iter
+    (fun (f, bytes) ->
+      Digestkit.Md5.feed_string ctx (Printf.sprintf "%s\000%d\000" f (String.length bytes));
+      Digestkit.Md5.feed_string ctx bytes)
+    bins;
+  Alcotest.(check string) "md5 over all bins" "726f52040cdc176a21cc00de17128522"
+    (Digestkit.Md5.hex (Digestkit.Md5.finish ctx))
+
 let suite =
   [
     Alcotest.test_case "varint roundtrips" `Quick test_varints;
@@ -388,4 +526,8 @@ let suite =
       test_unit_pid_depends_on_names;
     Alcotest.test_case "10,000 frames from one receive buffer" `Quick
       test_frame_stream_many;
+    Alcotest.test_case "sub-reader bounds" `Quick test_sub_reader_bounds;
+    Alcotest.test_case "damaged bins are Corrupt" `Quick
+      test_damaged_bins_corrupt;
+    Alcotest.test_case "bins pinned byte for byte" `Quick test_bins_pinned;
   ]

@@ -122,6 +122,80 @@ let test_backoff_envelope () =
     "zero base disables backoff" 0.
     (Support.Backoff.delay off ~attempt:5)
 
+(* ---- interning from slices ---- *)
+
+(* 60,000 names never interned before — enough to grow the table many
+   times — each read once from inside a larger string and once whole,
+   in both orders *)
+let test_intern_sub_identity () =
+  let n = 60_000 in
+  for i = 0 to n - 1 do
+    let name = Printf.sprintf "slice%d_%x" i (i * 7919) in
+    let framed = "<<" ^ name ^ ">>" in
+    let len = String.length name in
+    let a, b =
+      if i land 1 = 0 then
+        let a = Symbol.intern_sub framed 2 len in
+        (a, Symbol.intern name)
+      else
+        let b = Symbol.intern name in
+        (Symbol.intern_sub framed 2 len, b)
+    in
+    if a != b then Alcotest.failf "%s: intern_sub and intern disagree" name;
+    if Symbol.name a <> name then Alcotest.failf "%s: name lost" name
+  done;
+  Alcotest.(check bool) "the empty slice is the empty name" true
+    (Symbol.intern_sub "abc" 3 0 == Symbol.intern "");
+  List.iter
+    (fun (pos, len) ->
+      match Symbol.intern_sub "abc" pos len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slice (%d, %d) of \"abc\" must be rejected" pos len)
+    [ (-1, 1); (0, -1); (0, 4); (2, 2); (4, 0); (max_int, 1) ]
+
+(* two domains interning the same 10,000 new names at once get the same
+   symbols: one symbol, and one id, per name *)
+let test_intern_two_domains () =
+  let names = Array.init 10_000 (fun i -> Printf.sprintf "race_%d" i) in
+  let frame = String.concat " " (Array.to_list names) in
+  (* every name's offset in [frame] *)
+  let offsets =
+    let pos = ref 0 in
+    Array.map
+      (fun name ->
+        let p = !pos in
+        pos := p + String.length name + 1;
+        p)
+      names
+  in
+  let start = Atomic.make false in
+  let worker ~reverse =
+    Domain.spawn (fun () ->
+        while not (Atomic.get start) do
+          Domain.cpu_relax ()
+        done;
+        let n = Array.length names in
+        let syms = Array.make n (Symbol.intern "") in
+        for k = 0 to n - 1 do
+          let i = if reverse then n - 1 - k else k in
+          syms.(i) <-
+            (if i land 1 = 0 then Symbol.intern names.(i)
+             else Symbol.intern_sub frame offsets.(i) (String.length names.(i)))
+        done;
+        syms)
+  in
+  let d1 = worker ~reverse:false and d2 = worker ~reverse:true in
+  Atomic.set start true;
+  let s1 = Domain.join d1 and s2 = Domain.join d2 in
+  let ids = Hashtbl.create 10_000 in
+  Array.iteri
+    (fun i name ->
+      if s1.(i) != s2.(i) then Alcotest.failf "%s: two symbols" name;
+      if s1.(i) != Symbol.intern name then Alcotest.failf "%s: not the interned one" name;
+      Hashtbl.replace ids (Symbol.id s1.(i)) ())
+    names;
+  Alcotest.(check int) "one id per name" (Array.length names) (Hashtbl.length ids)
+
 let suite =
   [
     Alcotest.test_case "intern identity" `Quick test_intern_identity;
@@ -135,4 +209,8 @@ let suite =
       test_backoff_deterministic;
     Alcotest.test_case "backoff envelope" `Quick test_backoff_envelope;
     QCheck_alcotest.to_alcotest qcheck_intern_bijective;
+    Alcotest.test_case "intern_sub = intern over 60k names" `Quick
+      test_intern_sub_identity;
+    Alcotest.test_case "two domains intern the same names" `Quick
+      test_intern_two_domains;
   ]
