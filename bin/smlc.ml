@@ -62,12 +62,14 @@ let compile_one diags source_path import_paths run verbose use_cache cache_dir
     trace stats workers worker_timeout werror max_errors =
   if trace <> None then Obs.Trace.enable ();
   let session = Sepcomp.Compile.new_session () in
+  (* each import bin is decoded once: the session rehydrates the
+     decode, and a supervised compile ships the same view *)
   let import_bins =
-    List.map (fun path -> (path, read_file path)) import_paths
+    List.map (fun path -> (path, Irm.Wire.view (read_file path))) import_paths
   in
   let imports =
     List.map
-      (fun (_, bytes) -> Sepcomp.Compile.load session bytes)
+      (fun (_, v) -> Sepcomp.Compile.rehydrate session v.Irm.Wire.v_decoded)
       import_bins
   in
   let source = read_file source_path in

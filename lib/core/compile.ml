@@ -119,6 +119,7 @@ let compile ?(optimize = true) ?warn ?diags session ~name ~source ~imports =
   }
 
 let load session bytes = Pickle.Binfile.read session.ctx bytes
+let rehydrate session decoded = Pickle.Binfile.rehydrate session.ctx decoded
 let save session unit_ = Pickle.Binfile.write session.ctx unit_
 
 let execute ?output ?bin_path unit_ dynenv =

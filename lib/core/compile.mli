@@ -56,6 +56,11 @@ val compile :
     a damaged file. *)
 val load : session -> string -> Pickle.Binfile.t
 
+(** [rehydrate session decoded] — register an already-decoded bin in the
+    session, parsing nothing: [load session bytes] is
+    [rehydrate session (Pickle.Binfile.decode bytes)]. *)
+val rehydrate : session -> Pickle.Binfile.decoded -> Pickle.Binfile.t
+
 (** [save session unit] — pickle a unit to bytes. *)
 val save : session -> Pickle.Binfile.t -> string
 

@@ -83,8 +83,9 @@ exception Interrupted of string
 type retained = {
   rt_bytes : string;  (** the bin bytes last rehydrated for the unit *)
   rt_unit : Pickle.Binfile.t;  (** the unit rehydrated from them *)
-  rt_view : string Lazy.t;
-      (** [Binfile.static_of_full rt_bytes], sliced the first time a
+  rt_view : Wire.view Lazy.t;
+      (** [Binfile.static_of_full rt_bytes] and the static part of the
+          decode [rt_unit] was rehydrated from, made the first time a
           compile job ships the unit as a dependency *)
   rt_fingerprint : string Lazy.t;
       (** the MD5 of [rt_bytes], digested the first time a
@@ -204,18 +205,26 @@ let dependency_graph ?(keep_going = false) t ~sources =
 (* Rehydrate bin bytes into the manager's session, short-circuiting through
    the retained table: if this exact byte string was already loaded for
    this file in an earlier build (the session is created once per
-   driver, so its interned state is still valid), reuse the unit.
+   driver, so its interned state is still valid), reuse the unit.  The
+   decode is kept for the unit's static view, so no dependent's job
+   parses these bytes again.
    Raises [Pickle.Buf.Corrupt] exactly like [Sepcomp.Compile.load]. *)
 let rehydrate t file bytes =
   match Hashtbl.find_opt t.retained file with
   | Some r when String.equal r.rt_bytes bytes -> r.rt_unit
   | Some _ | None ->
-    let unit_ = Sepcomp.Compile.load t.session bytes in
+    let decoded = Pickle.Binfile.decode bytes in
+    let unit_ = Sepcomp.Compile.rehydrate t.session decoded in
     Hashtbl.replace t.retained file
       {
         rt_bytes = bytes;
         rt_unit = unit_;
-        rt_view = lazy (Pickle.Binfile.static_of_full bytes);
+        rt_view =
+          lazy
+            {
+              Wire.v_bytes = Pickle.Binfile.static_of_full bytes;
+              v_decoded = Pickle.Binfile.static_part decoded;
+            };
         rt_fingerprint = lazy (Digestkit.Md5.digest_string bytes);
       };
     unit_
@@ -224,12 +233,13 @@ let rehydrate t file bytes =
    job ships for it, since a compile reads only its imports' statenvs.
    Every byte string a build registers for a unit was rehydrated first,
    so its retained entry holds the same bytes and the view is sliced
-   once per distinct bin.  Runs on the calling domain only, like every
-   other access to the manager's tables. *)
-let static_view t file bytes =
+   and decoded once per distinct bin.  Runs on the calling domain only,
+   like every other access to the manager's tables: jobs on other
+   domains receive the forced view and only read it. *)
+let closure_view t file bytes =
   match Hashtbl.find_opt t.retained file with
   | Some r when String.equal r.rt_bytes bytes -> Lazy.force r.rt_view
-  | Some _ | None -> Pickle.Binfile.static_of_full bytes
+  | Some _ | None -> Wire.view (Pickle.Binfile.static_of_full bytes)
 
 (* Try to read the unit's previous bin file; damaged files force a
    recompilation (with a distinct cause) rather than failing the
@@ -252,7 +262,7 @@ let read_bin t file =
 type job = Wire.job = {
   j_name : string;
   j_source : string;
-  j_closure : (string * string) list;
+  j_closure : (string * Wire.view) list;
       (** (file, static view of its bin), dep order *)
   j_imports : string list;  (** direct dependencies, scope order *)
   j_collect : bool;  (** compile under a diagnostics collector *)
@@ -525,7 +535,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
             List.map
               (fun dep ->
                 match Hashtbl.find_opt t.bin_bytes dep with
-                | Some bytes -> (dep, static_view t dep bytes)
+                | Some bytes -> (dep, closure_view t dep bytes)
                 | None ->
                   manager_error "dependency %s of %s was not built" dep file)
               (Depend.Depgraph.closure graph file);
@@ -809,6 +819,9 @@ let unit_of t file =
   match Hashtbl.find_opt t.units file with
   | Some unit_ -> unit_
   | None -> manager_error "unit %s has not been built" file
+
+let static_view t file =
+  Option.map (fun r -> Lazy.force r.rt_view) (Hashtbl.find_opt t.retained file)
 
 let link_snapshot t =
   List.map

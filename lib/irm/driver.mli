@@ -214,6 +214,12 @@ val build :
 (** [unit_of t file] — the Unit of [file] after the last build. *)
 val unit_of : t -> string -> Pickle.Binfile.t
 
+(** [static_view t file] — the static view of [file]'s last rehydrated
+    bin: the bytes and the decode that in-process compile jobs share
+    when [file] is in their closure.  [None] if the manager holds no
+    bin for [file]. *)
+val static_view : t -> string -> Wire.view option
+
 (** [link_snapshot t] — one {!Link.Relink.unit_src} per unit of the
     last build, in link order: name, interface pid, code, and a
     fingerprint of the unit's bin bytes (digested once per distinct

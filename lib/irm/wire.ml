@@ -2,10 +2,14 @@ module Diag = Support.Diag
 module Loc = Support.Loc
 module Buf = Pickle.Buf
 
+type view = { v_bytes : string; v_decoded : Pickle.Binfile.decoded }
+
+let view bytes = { v_bytes = bytes; v_decoded = Pickle.Binfile.decode bytes }
+
 type job = {
   j_name : string;
   j_source : string;
-  j_closure : (string * string) list;
+  j_closure : (string * view) list;
   j_imports : string list;
   j_collect : bool;
   j_werror : bool;
@@ -28,16 +32,21 @@ let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
    the closure — the static view of every unit in the import closure,
    since a compile reads only its imports' statenvs, never their code —
    the unit is compiled against its direct imports, and the pickled
-   bytes are the result.  Because generated binder names are scoped per
-   compile (Symbol.with_fresh_scope) the bytes are a pure function of
-   (source, closure) — identical no matter which domain, process, or
-   how many, ran the job.  The serial backend runs this very function
-   inline, so Serial, Parallel and Workers builds agree byte-for-byte by
-   construction.  The span's [closure_bytes] arg is what the job
-   rehydrated. *)
+   bytes are the result.  Each view arrives decoded (by the manager for
+   in-process jobs, by [decode_job] on the far side of a wire), so
+   rehydrating it parses nothing; decodes are immutable, so jobs on
+   several domains may share one.  Because generated binder names are
+   scoped per compile (Symbol.with_fresh_scope) the bytes are a pure
+   function of (source, closure bytes) — identical no matter which
+   domain, process, or how many, ran the job.  The serial backend runs
+   this very function inline, so Serial, Parallel and Workers builds
+   agree byte-for-byte by construction.  The span's [closure_bytes] arg
+   is the size of the views the job rehydrated. *)
 let execute job =
   let closure_bytes =
-    List.fold_left (fun n (_, bytes) -> n + String.length bytes) 0 job.j_closure
+    List.fold_left
+      (fun n (_, v) -> n + String.length v.v_bytes)
+      0 job.j_closure
   in
   Obs.Trace.span ~cat:"compile"
     ~args:
@@ -56,8 +65,8 @@ let execute job =
   let session = Sepcomp.Compile.new_session () in
   let units = Hashtbl.create 16 in
   List.iter
-    (fun (dep, bytes) ->
-      Hashtbl.replace units dep (Sepcomp.Compile.load session bytes))
+    (fun (dep, v) ->
+      Hashtbl.replace units dep (Sepcomp.Compile.rehydrate session v.v_decoded))
     job.j_closure;
   let imports =
     List.map
@@ -112,9 +121,9 @@ let encode_job job =
   Buf.string w job.j_name;
   Buf.string w job.j_source;
   Buf.list w
-    (fun (dep, bytes) ->
+    (fun (dep, v) ->
       Buf.string w dep;
-      Buf.string w bytes)
+      Buf.string w v.v_bytes)
     job.j_closure;
   Buf.list w (Buf.string w) job.j_imports;
   Buf.bool w job.j_collect;
@@ -130,8 +139,7 @@ let decode_job payload =
   let j_closure =
     Buf.read_list r (fun () ->
         let dep = Buf.read_string r in
-        let bytes = Buf.read_string r in
-        (dep, bytes))
+        (dep, view (Buf.read_string r)))
   in
   let j_imports = Buf.read_list r (fun () -> Buf.read_string r) in
   let j_collect = Buf.read_bool r in
@@ -318,7 +326,23 @@ let remote_fail ~id = function
 let proto () =
   {
     Remote.Worker.p_handler =
-      (fun ~id:_ payload -> encode_result (execute (decode_job payload)));
+      (fun ~id:_ payload ->
+        (* the far side of a wire decodes the closure itself: its time
+           belongs to the job's rehydrate phase *)
+        let t0 = Unix.gettimeofday () in
+        let job = decode_job payload in
+        let decode_s = Unix.gettimeofday () -. t0 in
+        let result = execute job in
+        encode_result
+          {
+            result with
+            r_phases =
+              List.map
+                (fun (name, s) ->
+                  if String.equal name "rehydrate" then (name, s +. decode_s)
+                  else (name, s))
+                result.r_phases;
+          });
     p_encode_exn = encode_exn;
     p_decode_exn = decode_exn;
     p_fail = (fun ~id failure -> fail_diag ~id failure);

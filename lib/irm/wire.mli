@@ -11,16 +11,27 @@
 
 module Diag = Support.Diag
 
+(** A unit's static view: its bytes and their decode.  A compile reads
+    only its imports' statenvs, so the manager ships
+    {!Pickle.Binfile.static_of_full} of each bin, decoded once per
+    distinct bin.  In-process jobs rehydrate [v_decoded] directly, and
+    may share it across domains, since a decode is immutable; the wire
+    carries only [v_bytes], and {!decode_job} decodes them again on the
+    receiving side.  A full bin is accepted too and compiles to the
+    same bytes. *)
+type view = { v_bytes : string; v_decoded : Pickle.Binfile.decoded }
+
+(** [view bytes] decodes [bytes] ({!Pickle.Binfile.decode}).
+    Raises {!Pickle.Buf.Corrupt} on damage. *)
+val view : string -> view
+
 (** What [execute] needs to compile one unit without touching any
     shared state. *)
 type job = {
   j_name : string;
   j_source : string;
-  j_closure : (string * string) list;
-      (** (file, static view of its bin), dep order: a compile reads
-          only its imports' statenvs, so the manager ships
-          {!Pickle.Binfile.static_of_full} of each bin.  A full bin is
-          accepted too and compiles to the same bytes. *)
+  j_closure : (string * view) list;
+      (** (file, static view of its bin), dep order *)
   j_imports : string list;  (** direct dependencies, scope order *)
   j_collect : bool;  (** compile under a diagnostics collector *)
   j_werror : bool;  (** promote warnings to errors *)
@@ -39,8 +50,9 @@ type result = {
           and fed to the profile store *)
 }
 
-(** Compile a job in a brand-new session.  Pure: the resulting bytes
-    are a function of (source, closure) alone, identical no matter
+(** Compile a job in a brand-new session, rehydrating each closure
+    view from its decode.  Pure: the resulting bytes are a function of
+    (source, closure bytes) alone, identical no matter
     which domain — or which process — ran the job.  Its
     [build.compile_job] span carries a [closure_bytes] arg: the bytes
     the job rehydrated. *)

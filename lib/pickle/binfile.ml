@@ -23,6 +23,7 @@ let no_code =
 let m_bytes_written = Obs.Metrics.counter "pickle.bytes_written"
 let m_bytes_read = Obs.Metrics.counter "pickle.bytes_read"
 let m_rehydrations = Obs.Metrics.counter "pickle.rehydrations"
+let m_decodes = Obs.Metrics.counter "pickle.decodes"
 
 (* ------------------------------------------------------------------ *)
 (* Lambda terms                                                        *)
@@ -265,8 +266,18 @@ let static_payload ctx uf =
   Serial.write_env w ctx ~token ~with_addrs:true uf.uf_env;
   Buf.contents w
 
+(* A parsed bin, not yet registered in any context: the unit and the
+   definitions of the stamps it owns.  Immutable — no [Tvar] cell can
+   be read out of a bin, since [Serial.read_ty] has no case that builds
+   one — so one decode can be rehydrated into any number of sessions,
+   on any domain. *)
+type decoded = {
+  d_unit : t;
+  d_own : (Statics.Stamp.t * Statics.Types.tycon_info) list;
+}
+
 (* [r] is bounded to the static blob *)
-let read_static_payload ctx r =
+let read_static_payload r =
   let uf_name = Buf.read_string r in
   let uf_static_pid = Buf.read_pid r in
   let uf_import_statics =
@@ -287,36 +298,33 @@ let read_static_payload ctx r =
         let pid = Buf.read_pid r in
         (name, pid))
   in
-  (* rehydrate the own-stamp table, registering definitions *)
-  let entries =
-    Buf.read_list r (fun () ->
-        let owner = Buf.read_pid r in
-        let idx = Buf.read_int r in
-        let info =
-          match Buf.read_byte r with
-          | 0 -> None
-          | 1 -> Some (Serial.read_tycon_info r ~self:uf_static_pid)
-          | b -> raise (Buf.Corrupt (Printf.sprintf "bad table tag %d" b))
-        in
-        (owner, idx, info))
+  (* the own-stamp table: definitions are registered by [rehydrate] *)
+  let d_own =
+    List.filter_map Fun.id
+      (Buf.read_list r (fun () ->
+           let owner = Buf.read_pid r in
+           let idx = Buf.read_int r in
+           match Buf.read_byte r with
+           | 0 -> None
+           | 1 ->
+             let info = Serial.read_tycon_info r ~self:uf_static_pid in
+             Some (Statics.Stamp.External (owner, idx), info)
+           | b -> raise (Buf.Corrupt (Printf.sprintf "bad table tag %d" b))))
   in
-  List.iter
-    (fun (owner, idx, info) ->
-      match info with
-      | Some info ->
-        Statics.Context.register ctx (Statics.Stamp.External (owner, idx)) info
-      | None -> ())
-    entries;
   let uf_env = Serial.read_env r ~self:uf_static_pid in
   if not (Buf.at_end r) then raise (Buf.Corrupt "trailing static bytes");
   {
-    uf_name;
-    uf_static_pid;
-    uf_env;
-    uf_import_statics;
-    uf_name_statics;
-    uf_import_name_statics;
-    uf_codeunit = no_code;
+    d_unit =
+      {
+        uf_name;
+        uf_static_pid;
+        uf_env;
+        uf_import_statics;
+        uf_name_statics;
+        uf_import_name_statics;
+        uf_codeunit = no_code;
+      };
+    d_own;
   }
 
 (* fixed-width big-endian CRC-64 trailer: readers can locate and
@@ -369,20 +377,20 @@ let static_of_full data =
     seal w
   end
 
-let read ctx data =
+let decode data =
   Obs.Trace.span ~cat:"pickle" "pickle.read" @@ fun () ->
+  Obs.Metrics.incr m_decodes;
   Obs.Metrics.add m_bytes_read (String.length data);
-  Obs.Metrics.incr m_rehydrations;
   let r = unseal data in
   let m = Buf.read_string r in
   if String.equal m static_magic then begin
-    let uf = read_static_payload ctx (Buf.sub_reader r) in
+    let d = read_static_payload (Buf.sub_reader r) in
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    uf
+    d
   end
   else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
   else begin
-    let uf = read_static_payload ctx (Buf.sub_reader r) in
+    let d = read_static_payload (Buf.sub_reader r) in
     let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
     let cu_exports =
       Buf.read_list r (fun () ->
@@ -392,7 +400,22 @@ let read ctx data =
     in
     let cu_code = read_lambda r in
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    { uf with uf_codeunit = { Link.Codeunit.cu_imports; cu_exports; cu_code } }
+    {
+      d with
+      d_unit =
+        { d.d_unit with uf_codeunit = { Link.Codeunit.cu_imports; cu_exports; cu_code } };
+    }
   end
+
+let static_part d =
+  if d.d_unit.uf_codeunit == no_code then d
+  else { d with d_unit = { d.d_unit with uf_codeunit = no_code } }
+
+let rehydrate ctx d =
+  Obs.Metrics.incr m_rehydrations;
+  List.iter (fun (stamp, info) -> Statics.Context.register ctx stamp info) d.d_own;
+  d.d_unit
+
+let read ctx data = rehydrate ctx (decode data)
 
 let size_of ctx uf = String.length (write ctx uf)

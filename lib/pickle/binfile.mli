@@ -9,11 +9,13 @@
     table with dehydrated definitions, the environment tree with stubs
     for external references), then the codeUnit (imports, exports,
     code), and a fixed-width CRC-64 trailer guarding against
-    corruption.  Reading verifies the CRC {e before parsing anything}
-    — a damaged file is a checked {!Buf.Corrupt}, never a wrong
-    environment and never a partially-registered context — then checks
-    the magic and registers the unit's own type constructors in the
-    context ("rehydration", section 4).
+    corruption.  Reading is two steps.  {!decode} verifies the CRC
+    {e before parsing anything} — a damaged file is a checked
+    {!Buf.Corrupt}, never a wrong environment and never a
+    partially-registered context — then checks the magic and parses,
+    in no context.  {!rehydrate} registers the unit's own type
+    constructors in one context ("rehydration", section 4); one decode
+    may be rehydrated into many sessions.
 
     Because the static blob is length-prefixed, the {e static view} of
     a unit — all a dependent needs to compile against it, per the
@@ -60,10 +62,31 @@ val write : Statics.Context.t -> t -> string
     Raises {!Buf.Corrupt} on damage. *)
 val static_of_full : string -> string
 
-(** [read ctx bytes] — parse, verify magic + CRC, register the unit's
-    own stamps in [ctx], and return the Unit.  Accepts both full and
-    static bins; a static bin comes back with {!no_code}.
+(** A parsed bin not yet registered in any context: the unit and the
+    definitions of the type constructors it owns.  Immutable: a decoded
+    environment reaches no [Tvar] cell ({!Serial.read_env} has no case
+    that builds one), so nothing elaborated against it can write
+    through it, and one decode may be rehydrated into any number of
+    sessions, on any domain. *)
+type decoded
+
+(** [decode bytes] — verify CRC and magic, then parse the bin, in no
+    context.  Accepts both full and static bins; a static bin decodes
+    with {!no_code}.  Counts one [pickle.decodes] and the bytes in
+    [pickle.bytes_read], inside a [pickle.read] span.
     Raises {!Buf.Corrupt} on damage. *)
+val decode : string -> decoded
+
+(** [static_part d] — the decode of [d]'s static view: the same unit
+    with {!no_code}.  Equal to [decode (static_of_full bytes)] when
+    [d = decode bytes], without parsing anything. *)
+val static_part : decoded -> decoded
+
+(** [rehydrate ctx d] — register the unit's own stamps in [ctx] and
+    return the unit.  Parses nothing; counts one [pickle.rehydrations]. *)
+val rehydrate : Statics.Context.t -> decoded -> t
+
+(** [read ctx bytes] is [rehydrate ctx (decode bytes)]. *)
 val read : Statics.Context.t -> string -> t
 
 (** [size_of ctx unit] — serialized size in bytes (for benches). *)

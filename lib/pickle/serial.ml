@@ -250,8 +250,12 @@ let rec read_addr r =
     AdField (base, field)
   | b -> raise (Buf.Corrupt (Printf.sprintf "bad addr tag %d" b))
 
+(* The five component maps are accumulated separately and the env
+   record is built once, at the end marker: a [bind_*] per binding would
+   copy the record every time. *)
 let rec read_env r ~self =
-  let rec loop env =
+  let module M = Support.Symbol.Map in
+  let rec loop vals tycons strs sigs fcts =
     match Buf.read_byte r with
     | 10 ->
       let name = Buf.read_symbol r in
@@ -267,23 +271,26 @@ let rec read_env r ~self =
         | b -> raise (Buf.Corrupt (Printf.sprintf "bad vkind tag %d" b))
       in
       let addr = read_addr r in
-      loop (bind_val name { vi_scheme = scheme; vi_kind = kind; vi_addr = addr } env)
+      let info = { vi_scheme = scheme; vi_kind = kind; vi_addr = addr } in
+      loop (M.add name info vals) tycons strs sigs fcts
     | 11 ->
       let name = Buf.read_symbol r in
       let stamp = read_stamp r ~self in
-      loop (bind_tycon name stamp env)
+      loop vals (M.add name stamp tycons) strs sigs fcts
     | 12 ->
       let name = Buf.read_symbol r in
       let stamp = read_stamp r ~self in
       let sub = read_env r ~self in
       let addr = read_addr r in
-      loop (bind_str name { str_stamp = stamp; str_env = sub; str_addr = addr } env)
+      let info = { str_stamp = stamp; str_env = sub; str_addr = addr } in
+      loop vals tycons (M.add name info strs) sigs fcts
     | 13 ->
       let name = Buf.read_symbol r in
       let stamp = read_stamp r ~self in
       let sub = read_env r ~self in
       let flex = Buf.read_list r (fun () -> read_stamp r ~self) in
-      loop (bind_sig name { sig_stamp = stamp; sig_env = sub; sig_flex = flex } env)
+      let info = { sig_stamp = stamp; sig_env = sub; sig_flex = flex } in
+      loop vals tycons strs (M.add name info sigs) fcts
     | 14 ->
       let name = Buf.read_symbol r in
       let fct_stamp = read_stamp r ~self in
@@ -295,19 +302,19 @@ let rec read_env r ~self =
       let fct_body = read_env r ~self in
       let fct_body_gen = Buf.read_list r (fun () -> read_stamp r ~self) in
       let fct_addr = read_addr r in
-      loop
-        (bind_fct name
-           {
-             fct_stamp;
-             fct_param_name;
-             fct_param_sig = { sig_stamp; sig_env; sig_flex };
-             fct_param_stamps;
-             fct_body;
-             fct_body_gen;
-             fct_addr;
-           }
-           env)
-    | 15 -> env
+      let info =
+        {
+          fct_stamp;
+          fct_param_name;
+          fct_param_sig = { sig_stamp; sig_env; sig_flex };
+          fct_param_stamps;
+          fct_body;
+          fct_body_gen;
+          fct_addr;
+        }
+      in
+      loop vals tycons strs sigs (M.add name info fcts)
+    | 15 -> { vals; tycons; strs; sigs; fcts }
     | b -> raise (Buf.Corrupt (Printf.sprintf "bad env tag %d" b))
   in
-  loop empty_env
+  loop M.empty M.empty M.empty M.empty M.empty

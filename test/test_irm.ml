@@ -539,6 +539,69 @@ let test_compile_job_closure_bytes () =
               (shipped < sum Fun.id file))
         jobs)
 
+(* ---- decoded static views, shared by in-process jobs ---- *)
+
+let counter name = Option.value ~default:0 (Obs.Metrics.find name)
+
+let rich_project ~seed =
+  let fs = Vfs.memory () in
+  let project =
+    Workload.Gen.create fs
+      (Workload.Gen.Random_dag { units = 16; max_deps = 3; seed })
+      Workload.Gen.rich_profile
+  in
+  (fs, Workload.Gen.sources project)
+
+(* An in-process cold build parses each bin once: the manager decodes a
+   unit's result when it completes, and every dependent's job
+   rehydrates that decode.  Rehydrations still count one per closure
+   view per job plus one per completed unit. *)
+let test_cold_build_decodes_once backend () =
+  let fs, sources = rich_project ~seed:3 in
+  let mgr = Driver.create fs in
+  let d0 = counter "pickle.decodes" and r0 = counter "pickle.rehydrations" in
+  let stats = Driver.build ~backend mgr ~policy:Driver.Cutoff ~sources in
+  let decodes = counter "pickle.decodes" - d0
+  and rehydrations = counter "pickle.rehydrations" - r0 in
+  let graph = Driver.dependency_graph mgr ~sources in
+  let closures =
+    List.fold_left
+      (fun n file -> n + List.length (Depgraph.closure graph file))
+      0 sources
+  in
+  let units = List.length sources in
+  Alcotest.(check int) "every unit recompiled" units
+    (List.length stats.Driver.st_recompiled);
+  Alcotest.(check int) "one decode per recompiled unit" units decodes;
+  Alcotest.(check int) "one rehydration per closure view and per unit"
+    (closures + units) rehydrations
+
+(* Parallel jobs share the manager's decodes across domains.  After the
+   build every view still re-pickles to the bytes it was decoded from,
+   and equals a fresh decode of them: no job wrote through a view. *)
+let test_shared_views_unwritten () =
+  let fs, sources = rich_project ~seed:5 in
+  let mgr = Driver.create fs in
+  ignore
+    (Driver.build ~backend:(Driver.Parallel 2) mgr ~policy:Driver.Cutoff
+       ~sources);
+  let session = Sepcomp.Compile.new_session () in
+  let ctx = Sepcomp.Compile.context session in
+  List.iter
+    (fun file ->
+      let v = Option.get (Driver.static_view mgr file) in
+      let unit_ = Sepcomp.Compile.rehydrate session v.Irm.Wire.v_decoded in
+      Alcotest.(check string)
+        (file ^ ": re-pickled view = its bytes")
+        v.Irm.Wire.v_bytes
+        (Pickle.Binfile.static_of_full (Pickle.Binfile.write ctx unit_));
+      let fresh = Irm.Wire.view v.Irm.Wire.v_bytes in
+      Alcotest.(check bool)
+        (file ^ ": view = a fresh decode")
+        true
+        (unit_ = Sepcomp.Compile.rehydrate session fresh.Irm.Wire.v_decoded))
+    (Driver.last_order mgr)
+
 let suite =
   [
     Alcotest.test_case "dependency scan" `Quick test_scan;
@@ -584,4 +647,10 @@ let suite =
       test_dropped_unit_leaves_warm_state;
     Alcotest.test_case "compile jobs ship static views" `Quick
       test_compile_job_closure_bytes;
+    Alcotest.test_case "serial cold build decodes each bin once" `Quick
+      (test_cold_build_decodes_once Driver.Serial);
+    Alcotest.test_case "parallel cold build decodes each bin once" `Quick
+      (test_cold_build_decodes_once (Driver.Parallel 2));
+    Alcotest.test_case "shared views stay unwritten" `Quick
+      test_shared_views_unwritten;
   ]

@@ -505,6 +505,105 @@ let test_bins_pinned () =
   Alcotest.(check string) "md5 over all bins" "726f52040cdc176a21cc00de17128522"
     (Digestkit.Md5.hex (Digestkit.Md5.finish ctx))
 
+(* ---- decode once, rehydrate per session ---- *)
+
+let counter name = Option.value ~default:0 (Obs.Metrics.find name)
+
+(* [read] is [rehydrate] after [decode]: the decode parses and counts
+   the bytes, in no context; each rehydration registers the unit's own
+   stamps in one context and parses nothing.  The static part of a
+   full bin's decode is the decode of its static view. *)
+let test_decode_then_rehydrate () =
+  List.iter
+    (fun (f, full) ->
+      let d0 = counter "pickle.decodes"
+      and r0 = counter "pickle.rehydrations"
+      and b0 = counter "pickle.bytes_read" in
+      let d = Pickle.Binfile.decode full in
+      Alcotest.(check (triple int int int))
+        (f ^ ": a decode counts one parse of its bytes and no rehydration")
+        (1, 0, String.length full)
+        ( counter "pickle.decodes" - d0,
+          counter "pickle.rehydrations" - r0,
+          counter "pickle.bytes_read" - b0 );
+      let ctx_a = mk_ctx () and ctx_b = mk_ctx () and ctx_c = mk_ctx () in
+      let a = Pickle.Binfile.rehydrate ctx_a d in
+      let b = Pickle.Binfile.rehydrate ctx_b d in
+      let c = Pickle.Binfile.read ctx_c full in
+      Alcotest.(check (pair int int))
+        (f ^ ": three rehydrations, two more decodes")
+        (3, 2)
+        (counter "pickle.rehydrations" - r0, counter "pickle.decodes" - d0);
+      Alcotest.(check bool) (f ^ ": one decode, two sessions, one unit") true (a == b);
+      Alcotest.(check bool) (f ^ ": read = rehydrate after decode") true (a = c);
+      Alcotest.(check (list string))
+        (f ^ ": each session registers the same stamps")
+        (List.map Stamp.to_string (Statics.Context.stamps ctx_c))
+        (List.map Stamp.to_string (Statics.Context.stamps ctx_a));
+      let view = Pickle.Binfile.static_of_full full in
+      let from_view = Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.decode view) in
+      let from_part =
+        Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.static_part d)
+      in
+      Alcotest.(check bool) (f ^ ": static part = decode of the static view") true
+        (from_view = from_part);
+      Alcotest.(check bool) (f ^ ": the static part carries no code") true
+        (from_part.Pickle.Binfile.uf_codeunit == Pickle.Binfile.no_code))
+    (gen_bins () @ miniml_bins ())
+
+let rec ty_has_tvar (ty : Types.ty) =
+  match ty with
+  | Types.Tvar _ -> true
+  | Types.Tgen _ | Types.Terror -> false
+  | Types.Tcon (_, args) | Types.Ttuple args -> List.exists ty_has_tvar args
+  | Types.Tarrow (a, b) -> ty_has_tvar a || ty_has_tvar b
+
+let condesc_has_tvar (cd : Types.condesc) =
+  Option.fold ~none:false ~some:ty_has_tvar cd.Types.cd_arg
+
+let rec env_has_tvar (env : Types.env) =
+  Symbol.Map.exists
+    (fun _ (vi : Types.val_info) ->
+      ty_has_tvar vi.Types.vi_scheme.Types.body
+      ||
+      match vi.Types.vi_kind with
+      | Types.Vcon (_, cd) -> condesc_has_tvar cd
+      | Types.Vplain | Types.Vexn _ -> false)
+    env.Types.vals
+  || Symbol.Map.exists (fun _ s -> env_has_tvar s.Types.str_env) env.Types.strs
+  || Symbol.Map.exists (fun _ s -> env_has_tvar s.Types.sig_env) env.Types.sigs
+  || Symbol.Map.exists
+       (fun _ f ->
+         env_has_tvar f.Types.fct_param_sig.Types.sig_env
+         || env_has_tvar f.Types.fct_body)
+       env.Types.fcts
+
+let info_has_tvar (info : Types.tycon_info) =
+  match info.Types.tyc_defn with
+  | Types.Abstract -> false
+  | Types.Alias scheme -> ty_has_tvar scheme.Types.body
+  | Types.Data cds -> List.exists condesc_has_tvar cds
+
+(* The invariant that lets sessions and domains share one decode: a
+   decoded environment, and every definition its bin carries, reaches
+   no [Tvar] cell — the only mutable part of a type — so nothing
+   elaborated against it can write through it. *)
+let test_decoded_has_no_tvar () =
+  List.iter
+    (fun (f, full) ->
+      List.iter
+        (fun bytes ->
+          let ctx = Statics.Context.create () in
+          let unit_ = Pickle.Binfile.rehydrate ctx (Pickle.Binfile.decode bytes) in
+          Alcotest.(check bool) (f ^ ": no Tvar in the env") false
+            (env_has_tvar unit_.Pickle.Binfile.uf_env);
+          Alcotest.(check bool) (f ^ ": no Tvar in an own definition") false
+            (List.exists
+               (fun stamp -> info_has_tvar (Statics.Context.find_exn ctx stamp))
+               (Statics.Context.stamps ctx)))
+        [ full; Pickle.Binfile.static_of_full full ])
+    (gen_bins () @ miniml_bins ())
+
 let suite =
   [
     Alcotest.test_case "varint roundtrips" `Quick test_varints;
@@ -530,4 +629,8 @@ let suite =
     Alcotest.test_case "damaged bins are Corrupt" `Quick
       test_damaged_bins_corrupt;
     Alcotest.test_case "bins pinned byte for byte" `Quick test_bins_pinned;
+    Alcotest.test_case "read = rehydrate after decode" `Quick
+      test_decode_then_rehydrate;
+    Alcotest.test_case "decoded envs hold no Tvar" `Quick
+      test_decoded_has_no_tvar;
   ]

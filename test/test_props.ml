@@ -595,7 +595,7 @@ let prop_static_view_closures =
              j_source = Option.get (fs.Vfs.fs_read file);
              j_closure =
                List.map
-                 (fun dep -> (dep, closure_of (bin dep)))
+                 (fun dep -> (dep, Irm.Wire.view (closure_of (bin dep))))
                  (Depend.Depgraph.closure graph file);
              j_imports = (Depend.Depgraph.node graph file).Depend.Depgraph.n_deps;
              j_collect = false;

@@ -320,9 +320,9 @@ let test_chaos_of_env () =
 (* The Workers scheduler backend on real builds                        *)
 (* ------------------------------------------------------------------ *)
 
-let project topology =
+let project ?(profile = Gen.default_profile) topology =
   let fs = Vfs.memory () in
-  let p = Gen.create fs topology Gen.default_profile in
+  let p = Gen.create fs topology profile in
   (fs, Driver.create fs, Gen.sources p)
 
 let bin_of fs f = Option.get (fs.Vfs.fs_read (f ^ ".bin"))
@@ -343,13 +343,16 @@ let break_unbound fs file =
       (String.sub src 0 i ^ needle ^ "wk_unbound_variable + "
       ^ String.sub src (i + n) (String.length src - i - n))
 
+(* Workers ship view bytes and decode them in the child; Serial jobs
+   rehydrate the manager's shared decodes.  Both write the same bins,
+   also on a rich project (functors, datatypes, signatures). *)
 let test_workers_match_serial_clean () =
   List.iter
-    (fun seed ->
+    (fun (profile, seed) ->
       let topology = Gen.Random_dag { units = 10; max_deps = 3; seed } in
-      let fs_s, mgr_s, sources = project topology in
+      let fs_s, mgr_s, sources = project ~profile topology in
       let _ = Driver.build mgr_s ~policy:Driver.Cutoff ~sources in
-      let fs_w, mgr_w, sources_w = project topology in
+      let fs_w, mgr_w, sources_w = project ~profile topology in
       let stats =
         Driver.build ~backend:(Driver.Workers (wcfg ~jobs:3 ())) mgr_w
           ~policy:Driver.Cutoff ~sources:sources_w
@@ -362,7 +365,12 @@ let test_workers_match_serial_clean () =
             (Printf.sprintf "bin bytes of %s (seed %d)" f seed)
             (bin_of fs_s f) (bin_of fs_w f))
         sources)
-    [ 11; 42; 77 ]
+    [
+      (Gen.default_profile, 11);
+      (Gen.default_profile, 42);
+      (Gen.default_profile, 77);
+      (Gen.rich_profile, 9);
+    ]
 
 let test_workers_incremental_noop () =
   let _fs, mgr, sources = project (Gen.Chain 5) in
