@@ -59,10 +59,10 @@ let apply_prim rt prim arg =
     Vint (a * b)
   | P.Pdiv ->
     let a, b = int_pair arg in
-    if b = 0 then raise_basis "Div" None else Vint (a / b)
+    if b = 0 then raise_basis "Div" None else Vint (P.int_div a b)
   | P.Pmod ->
     let a, b = int_pair arg in
-    if b = 0 then raise_basis "Div" None else Vint (a mod b)
+    if b = 0 then raise_basis "Div" None else Vint (P.int_mod a b)
   | P.Pneg -> (
     match arg with
     | Vint n -> Vint (-n)
@@ -153,8 +153,11 @@ let apply_prim rt prim arg =
    code reads two flat arrays: the variables its enclosing function
    captured, and the locals of the current activation.  Every variable
    resolves at conversion time to a slot in one of them or to a
-   constant, so running the code never searches an environment. *)
+   constant, so running the code never searches an environment.  A
+   condition converts to a [test], which yields an OCaml boolean
+   instead of a bool value. *)
 type code = Value.t array -> Value.t array -> Value.t
+type test = Value.t array -> Value.t array -> bool
 
 type access = Local of int | Captured of int | Const of Value.t
 
@@ -207,17 +210,16 @@ let capture_list fr =
   Symbol.Map.iter (fun _ (i, access) -> captures.(i) <- access) fr.captured;
   captures
 
-(* a call's locals: slot 0 is the parameter, and every other slot starts
-   out holding it too; small frames allocate inline *)
-let make_locals nlocals arg =
+(* a function's entry: a call's locals hold the parameter in slot 0, and
+   every other slot starts out holding it too.  Each small frame size
+   has its own closure, which allocates the locals inline. *)
+let entry (code : code) env nlocals : Value.t -> Value.t =
   match nlocals with
-  | 1 -> [| arg |]
-  | 2 -> [| arg; arg |]
-  | 3 -> [| arg; arg; arg |]
-  | 4 -> [| arg; arg; arg; arg |]
-  | _ -> Array.make nlocals arg
-
-let entry (code : code) env nlocals arg = code env (make_locals nlocals arg)
+  | 1 -> fun arg -> code env [| arg |]
+  | 2 -> fun arg -> code env [| arg; arg |]
+  | 3 -> fun arg -> code env [| arg; arg; arg |]
+  | 4 -> fun arg -> code env [| arg; arg; arg; arg |]
+  | _ -> fun arg -> code env (Array.make nlocals arg)
 
 (* the runtime of the innermost [eval] now running.  Converted code
    applies primitives under it, not under the runtime it was converted
@@ -236,20 +238,39 @@ let apply fv argv =
     else exec_error "application of a nullary exception constructor"
   | v -> exec_error "application of non-function %s" (Value.to_string v)
 
-(* int arithmetic and comparison on a literal pair skip the tuple; any
-   other operand falls back to [apply_prim] *)
+(* int arithmetic on a literal pair skips the tuple; any other operand
+   falls back to [apply_prim] *)
 let int_binop p : (int -> int -> Value.t) option =
   match p with
   | P.Padd -> Some (fun a b -> Vint (a + b))
   | P.Psub -> Some (fun a b -> Vint (a - b))
   | P.Pmul -> Some (fun a b -> Vint (a * b))
-  | P.Plt -> Some (fun a b -> bool_value (a < b))
-  | P.Ple -> Some (fun a b -> bool_value (a <= b))
-  | P.Pgt -> Some (fun a b -> bool_value (a > b))
-  | P.Pge -> Some (fun a b -> bool_value (a >= b))
-  | P.Peq -> Some (fun a b -> bool_value (a = b))
-  | P.Pneq -> Some (fun a b -> bool_value (a <> b))
+  | P.Pdiv ->
+    Some
+      (fun a b ->
+        if b = 0 then raise_basis "Div" None else Vint (P.int_div a b))
+  | P.Pmod ->
+    Some
+      (fun a b ->
+        if b = 0 then raise_basis "Div" None else Vint (P.int_mod a b))
   | _ -> None
+
+(* so does an int comparison, which yields an OCaml boolean *)
+let int_compare p : (int -> int -> bool) option =
+  match p with
+  | P.Plt -> Some (fun (a : int) b -> a < b)
+  | P.Ple -> Some (fun (a : int) b -> a <= b)
+  | P.Pgt -> Some (fun (a : int) b -> a > b)
+  | P.Pge -> Some (fun (a : int) b -> a >= b)
+  | P.Peq -> Some (fun (a : int) b -> a = b)
+  | P.Pneq -> Some (fun (a : int) b -> a <> b)
+  | _ -> None
+
+(* a condition's bool value as an OCaml boolean *)
+let truth = function
+  | Vcon0 1 -> true
+  | Vcon0 0 -> false
+  | v -> exec_error "if on non-bool %s" (Value.to_string v)
 
 (* what conversion resolves against: the runtime's imports, and the
    initial environment's values *)
@@ -279,6 +300,10 @@ let rec conv cx fr scope (term : Lambda.t) : code =
       let cl = { cl_fn = Fun.id } in
       init env locals cl;
       Vclosure cl
+  | Lambda.Lapp (Lambda.Lprim p, Lambda.Ltuple [ _; _ ])
+    when Option.is_some (int_compare p) ->
+    let test = conv_test cx fr scope term in
+    fun env locals -> bool_value (test env locals)
   | Lambda.Lapp (Lambda.Lprim p, arg) -> (
     match (int_binop p, arg) with
     | Some op, Lambda.Ltuple [ a; b ] ->
@@ -402,14 +427,10 @@ let rec conv cx fr scope (term : Lambda.t) : code =
       | Vexn (_, Some arg) -> arg
       | Vexn (_, None) -> exec_error "exception packet carries no argument"
       | v -> exec_error "exnarg of non-packet %s" (Value.to_string v))
-  | Lambda.Lif (c, t, e) -> (
-    let c = conv cx fr scope c and t = conv cx fr scope t in
+  | Lambda.Lif (c, t, e) ->
+    let c = conv_test cx fr scope c and t = conv cx fr scope t in
     let e = conv cx fr scope e in
-    fun env locals ->
-      match c env locals with
-      | Vcon0 1 -> t env locals
-      | Vcon0 0 -> e env locals
-      | v -> exec_error "if on non-bool %s" (Value.to_string v))
+    fun env locals -> if c env locals then t env locals else e env locals
   | Lambda.Lraise e -> (
     let e = conv cx fr scope e in
     fun env locals ->
@@ -426,6 +447,37 @@ let rec conv cx fr scope (term : Lambda.t) : code =
       | exception Sml_raise packet ->
         Array.unsafe_set locals slot packet;
         handler env locals)
+
+(* a condition: a constructor's tag test reads the tag in place, an int
+   comparison on a literal pair compares the ints, and anything else is
+   a bool value.  A comparison on other operands falls back to
+   [apply_prim]. *)
+and conv_test cx fr scope (term : Lambda.t) : test =
+  let value () =
+    let c = conv cx fr scope term in
+    fun env locals -> truth (c env locals)
+  in
+  match term with
+  | Lambda.Lapp
+      (Lambda.Lprim P.Peq, Lambda.Ltuple [ Lambda.Lcontag e; Lambda.Lint tag ])
+    -> (
+    let e = conv cx fr scope e in
+    fun env locals ->
+      match e env locals with
+      | Vcon0 t | Vcon (t, _) -> t = tag
+      | v -> exec_error "tag of non-constructor %s" (Value.to_string v))
+  | Lambda.Lapp (Lambda.Lprim p, Lambda.Ltuple [ a; b ]) -> (
+    match int_compare p with
+    | Some op ->
+      let a = conv cx fr scope a and b = conv cx fr scope b in
+      fun env locals ->
+        let x = a env locals in
+        let y = b env locals in
+        (match (x, y) with
+        | Vint m, Vint n -> op m n
+        | _ -> truth (apply_prim (current ()) p (Vtuple [| x; y |])))
+    | None -> value ())
+  | _ -> value ()
 
 (* [fn cx fr scope param body] sets up the closures of a function
    defined in [fr]: the result [init env locals cl] fills in [cl].

@@ -22,8 +22,8 @@ let fold_prim prim args =
   | P.Padd, Ltuple [ Lint a; Lint b ] -> Some (Lint (a + b))
   | P.Psub, Ltuple [ Lint a; Lint b ] -> Some (Lint (a - b))
   | P.Pmul, Ltuple [ Lint a; Lint b ] -> Some (Lint (a * b))
-  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (a / b))
-  | P.Pmod, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (a mod b))
+  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_div a b))
+  | P.Pmod, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_mod a b))
   | P.Pneg, Lint a -> Some (Lint (-a))
   | P.Plt, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a < b))
   | P.Ple, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a <= b))

@@ -509,12 +509,12 @@ and elab_dec_ st env (dec : A.dec) : env * Tast.tdec list =
     let binds = List.map (desugar_funbind st loc) funbinds in
     elab_valrec st env loc binds
   | A.Dtype typebinds ->
-    let delta =
+    let _, delta =
       List.fold_left
-        (fun delta tb ->
+        (fun (inner, delta) tb ->
           let scope = rigid_scope tb.A.typ_tyvars in
           (* later abbreviations may reference earlier ones *)
-          let defn_ty = elab_ty st (env_union env delta) scope tb.A.typ_defn in
+          let defn_ty = elab_ty st inner scope tb.A.typ_defn in
           let stamp = Stamp.fresh () in
           Context.register st.ctx stamp
             {
@@ -523,8 +523,9 @@ and elab_dec_ st env (dec : A.dec) : env * Tast.tdec list =
               tyc_defn =
                 Alias { arity = List.length tb.A.typ_tyvars; body = defn_ty };
             };
-          bind_tycon tb.A.typ_name stamp delta)
-        empty_env typebinds
+          ( bind_tycon tb.A.typ_name stamp inner,
+            bind_tycon tb.A.typ_name stamp delta ))
+        (env, empty_env) typebinds
     in
     (delta, [])
   | A.Ddatatype datbinds ->
@@ -583,11 +584,12 @@ and elab_dec_ st env (dec : A.dec) : env * Tast.tdec list =
         (bind_str name info delta, tdecs @ [ Tast.TDstr (lvar, tstr) ]))
       (empty_env, []) results
   | A.Dsignature binds ->
-    let delta =
+    let _, delta =
       List.fold_left
-        (fun delta (name, sigexp) ->
-          bind_sig name (elab_sigexp st (env_union env delta) sigexp) delta)
-        empty_env binds
+        (fun (inner, delta) (name, sigexp) ->
+          let info = elab_sigexp st inner sigexp in
+          (bind_sig name info inner, bind_sig name info delta))
+        (env, empty_env) binds
     in
     (delta, [])
   | A.Dfunctor binds ->
@@ -601,12 +603,12 @@ and elab_dec_ st env (dec : A.dec) : env * Tast.tdec list =
     let delta2, td2 = elab_decs_ st (env_union env delta1) visible in
     (delta2, td1 @ td2)
   | A.Dopen paths ->
-    let delta =
+    let _, delta =
       List.fold_left
-        (fun delta path ->
-          let info = resolve_str (env_union env delta) loc path in
-          env_union delta info.str_env)
-        empty_env paths
+        (fun (inner, delta) path ->
+          let info = resolve_str inner loc path in
+          (env_union inner info.str_env, env_union delta info.str_env))
+        (env, empty_env) paths
     in
     (delta, [])
 
@@ -901,92 +903,100 @@ and elab_sigexp st env (sigexp : A.sigexp) : sig_info =
       base_info wherespecs
 
 and elab_specs st env specs =
-  List.fold_left
-    (fun (delta, flex) spec ->
-      let loc = spec.A.spec_loc in
-      let env' = env_union env delta in
-      match spec.A.spec_desc with
-      | A.SPval (name, ty) ->
-        let scope, _count = specval_scope () in
-        let body = elab_ty st env' scope ty in
-        (* count distinct Tgen occurrences for the scheme arity *)
-        let rec max_gen acc = function
-          | Tgen i -> max acc (i + 1)
-          | Tcon (_, args) -> List.fold_left max_gen acc args
-          | Tarrow (a, b) -> max_gen (max_gen acc a) b
-          | Ttuple parts -> List.fold_left max_gen acc parts
-          | Tvar _ | Terror -> acc
-        in
-        let arity = max_gen 0 body in
-        ( bind_val name
-            { vi_scheme = { arity; body }; vi_kind = Vplain; vi_addr = AdNone }
-            delta,
-          flex )
-      | A.SPtype (tyvars, name, None) ->
-        let stamp = Stamp.fresh () in
-        Context.register st.ctx stamp
-          {
-            tyc_name = name;
-            tyc_arity = List.length tyvars;
-            tyc_defn = Abstract;
-          };
-        (bind_tycon name stamp delta, stamp :: flex)
-      | A.SPtype (tyvars, name, Some ty) ->
-        let scope = rigid_scope tyvars in
-        let body = elab_ty st env' scope ty in
-        let stamp = Stamp.fresh () in
-        Context.register st.ctx stamp
-          {
-            tyc_name = name;
-            tyc_arity = List.length tyvars;
-            tyc_defn = Alias { arity = List.length tyvars; body };
-          };
-        (bind_tycon name stamp delta, flex)
-      | A.SPdatatype datbinds ->
-        let ddelta = elab_datbinds st env' loc datbinds in
-        let new_flex =
-          Symbol.Map.fold (fun _ stamp acc -> stamp :: acc) ddelta.tycons []
-        in
-        (* spec components carry no runtime address *)
-        let ddelta =
-          { ddelta with
-            vals = Symbol.Map.map (fun vi -> { vi with vi_addr = AdNone }) ddelta.vals }
-        in
-        (env_union delta ddelta, new_flex @ flex)
-      | A.SPexception (name, arg) ->
-        let stamp = Stamp.fresh () in
-        let arg_ty =
-          Option.map
-            (fun ty ->
-              elab_ty st env'
-                (fun tv l ->
-                  err l "type variable '%a in exception spec" Symbol.pp tv)
-                ty)
-            arg
-        in
-        let body =
-          match arg_ty with
-          | None -> Basis.exn_ty
-          | Some t -> Tarrow (t, Basis.exn_ty)
-        in
-        ( bind_val name
-            { vi_scheme = monotype body; vi_kind = Vexn stamp; vi_addr = AdNone }
-            delta,
-          stamp :: flex )
-      | A.SPstructure (name, sigexp) ->
-        let inner = elab_sigexp st env' sigexp in
-        (* fresh instance so that named signatures can be reused *)
-        let instance, fresh = Sigmatch.instantiate st.ctx inner in
-        let str_stamp = Stamp.fresh () in
-        ( bind_str name
-            { str_stamp; str_env = instance; str_addr = AdNone }
-            delta,
-          (str_stamp :: fresh) @ flex )
-      | A.SPinclude sigexp ->
-        let inner = elab_sigexp st env' sigexp in
-        let instance, fresh = Sigmatch.instantiate st.ctx inner in
-        (env_union delta instance, fresh @ flex))
-    (empty_env, []) specs
+  let _, delta, flex =
+    List.fold_left
+      (fun (env', delta, flex) spec ->
+        let d, flex = elab_spec st env' flex spec in
+        (env_union env' d, env_union delta d, flex))
+      (env, empty_env, []) specs
+  in
+  (delta, flex)
+
+(* one spec's bindings, elaborated in [env'], the outer env extended by
+   the specs before it; and [flex] with the flexible stamps it adds *)
+and elab_spec st env' flex spec =
+  let loc = spec.A.spec_loc in
+  match spec.A.spec_desc with
+  | A.SPval (name, ty) ->
+    let scope, _count = specval_scope () in
+    let body = elab_ty st env' scope ty in
+    (* count distinct Tgen occurrences for the scheme arity *)
+    let rec max_gen acc = function
+      | Tgen i -> max acc (i + 1)
+      | Tcon (_, args) -> List.fold_left max_gen acc args
+      | Tarrow (a, b) -> max_gen (max_gen acc a) b
+      | Ttuple parts -> List.fold_left max_gen acc parts
+      | Tvar _ | Terror -> acc
+    in
+    let arity = max_gen 0 body in
+    ( bind_val name
+        { vi_scheme = { arity; body }; vi_kind = Vplain; vi_addr = AdNone }
+        empty_env,
+      flex )
+  | A.SPtype (tyvars, name, None) ->
+    let stamp = Stamp.fresh () in
+    Context.register st.ctx stamp
+      {
+        tyc_name = name;
+        tyc_arity = List.length tyvars;
+        tyc_defn = Abstract;
+      };
+    (bind_tycon name stamp empty_env, stamp :: flex)
+  | A.SPtype (tyvars, name, Some ty) ->
+    let scope = rigid_scope tyvars in
+    let body = elab_ty st env' scope ty in
+    let stamp = Stamp.fresh () in
+    Context.register st.ctx stamp
+      {
+        tyc_name = name;
+        tyc_arity = List.length tyvars;
+        tyc_defn = Alias { arity = List.length tyvars; body };
+      };
+    (bind_tycon name stamp empty_env, flex)
+  | A.SPdatatype datbinds ->
+    let ddelta = elab_datbinds st env' loc datbinds in
+    let new_flex =
+      Symbol.Map.fold (fun _ stamp acc -> stamp :: acc) ddelta.tycons []
+    in
+    (* spec components carry no runtime address *)
+    let ddelta =
+      { ddelta with
+        vals = Symbol.Map.map (fun vi -> { vi with vi_addr = AdNone }) ddelta.vals }
+    in
+    (ddelta, new_flex @ flex)
+  | A.SPexception (name, arg) ->
+    let stamp = Stamp.fresh () in
+    let arg_ty =
+      Option.map
+        (fun ty ->
+          elab_ty st env'
+            (fun tv l ->
+              err l "type variable '%a in exception spec" Symbol.pp tv)
+            ty)
+        arg
+    in
+    let body =
+      match arg_ty with
+      | None -> Basis.exn_ty
+      | Some t -> Tarrow (t, Basis.exn_ty)
+    in
+    ( bind_val name
+        { vi_scheme = monotype body; vi_kind = Vexn stamp; vi_addr = AdNone }
+        empty_env,
+      stamp :: flex )
+  | A.SPstructure (name, sigexp) ->
+    let inner = elab_sigexp st env' sigexp in
+    (* fresh instance so that named signatures can be reused *)
+    let instance, fresh = Sigmatch.instantiate st.ctx inner in
+    let str_stamp = Stamp.fresh () in
+    ( bind_str name
+        { str_stamp; str_env = instance; str_addr = AdNone }
+        empty_env,
+      (str_stamp :: fresh) @ flex )
+  | A.SPinclude sigexp ->
+    let inner = elab_sigexp st env' sigexp in
+    let instance, fresh = Sigmatch.instantiate st.ctx inner in
+    (instance, fresh @ flex)
 
 (* ------------------------------------------------------------------ *)
 (* Functor declarations                                                *)
@@ -1033,13 +1043,18 @@ and elab_funbinding st env (fb : A.funbinding) =
 (* Declaration sequences and units                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Each declaration is elaborated in [scope], the outer env extended by
+   the declarations before it.  Right-biased union is associative, so
+   threading [scope] gives the same env as [env_union env delta] while
+   merging only each declaration's own bindings, not the growing delta. *)
 and elab_decs_ st env decs =
-  let delta, rev_tdecs =
+  let _, delta, rev_tdecs =
     List.fold_left
-      (fun (delta, rev_tdecs) dec ->
+      (fun (scope, delta, rev_tdecs) dec ->
         let saved_level = st.level in
-        match elab_dec_ st (env_union env delta) dec with
-        | d, t -> (env_union delta d, List.rev_append t rev_tdecs)
+        match elab_dec_ st scope dec with
+        | d, t ->
+          (env_union scope d, env_union delta d, List.rev_append t rev_tdecs)
         | exception Diag.Error d when st.diags <> None ->
           (* declaration-level recovery: report, drop the broken
              declaration's bindings, and continue with the next one *)
@@ -1047,8 +1062,8 @@ and elab_decs_ st env decs =
           (match st.diags with
           | Some c -> Diag.emit c d
           | None -> assert false);
-          (delta, rev_tdecs))
-      (empty_env, []) decs
+          (scope, delta, rev_tdecs))
+      (env, empty_env, []) decs
   in
   (delta, List.rev rev_tdecs)
 

@@ -58,5 +58,16 @@ let of_name =
   List.iter (fun p -> Hashtbl.add table (name p) p) all;
   fun n -> Hashtbl.find_opt table n
 
+(* OCaml's [/] and [mod] truncate toward zero; a non-zero remainder
+   whose sign differs from the divisor's moves the quotient down by one
+   and the remainder up by one divisor *)
+let int_div a b =
+  let q = a / b in
+  if a mod b <> 0 && (a lxor b) < 0 then q - 1 else q
+
+let int_mod a b =
+  let r = a mod b in
+  if r <> 0 && (r lxor b) < 0 then r + b else r
+
 let equal = ( = )
 let pp ppf p = Format.pp_print_string ppf (name p)

@@ -39,5 +39,14 @@ val of_name : string -> t option
 (** All primitives, for exhaustive registration in the basis. *)
 val all : t list
 
+(** SML's [div]: the quotient rounded toward negative infinity.  The
+    divisor must not be zero. *)
+val int_div : int -> int -> int
+
+(** SML's [mod]: the remainder of {!int_div}, which takes the divisor's
+    sign, so [a = b * int_div a b + int_mod a b].  The divisor must not
+    be zero. *)
+val int_mod : int -> int -> int
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

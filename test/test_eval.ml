@@ -53,6 +53,13 @@ let test_arithmetic () =
   check_int "1 + 2 * 3" 7;
   check_int "10 div 3" 3;
   check_int "10 mod 3" 1;
+  (* div rounds toward negative infinity; mod takes the divisor's sign *)
+  check_int "~7 div 2" (-4);
+  check_int "~7 mod 2" 1;
+  check_int "7 div ~2" (-4);
+  check_int "7 mod ~2" (-1);
+  check_int "~7 div ~2" 3;
+  check_int "~7 mod ~2" (-1);
   check_int "~5 + 2" (-3);
   check_bool "3 < 4" true;
   check_bool "3 >= 4" false;

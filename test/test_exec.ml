@@ -56,7 +56,13 @@ let expect ?decs src expected = agree ?decs ~expected src
 
 let test_arithmetic () =
   agree "1 + 2 * 3 - 4";
-  agree "~7 div 2";
+  (* div rounds toward negative infinity; mod takes the divisor's sign *)
+  expect "~7 div 2" "~4 (output \"\")";
+  expect "~7 mod 2" "1 (output \"\")";
+  expect "7 div ~2" "~4 (output \"\")";
+  expect "7 mod ~2" "~1 (output \"\")";
+  expect "let val a = ~7 val b = 2 in (a div b, a mod b) end"
+    "(~4, 1) (output \"\")";
   agree "10 mod 3";
   agree "(1 < 2, 2 <= 2, 3 > 4, 4 >= 4, \"a\" ^ \"b\")";
   expect "1 div 0" "raised Div (output \"\")";
@@ -250,6 +256,112 @@ let test_print_goes_to_the_caller () =
   Alcotest.(check string) "the caller's output" "123" (Buffer.contents buf_b);
   Alcotest.(check string) "not the defining unit's" "" (Buffer.contents buf_a)
 
+(* ---- the fused tests, on hand-built terms ---- *)
+
+(* like [outcome], but an executor diagnostic is an outcome too *)
+let term_outcome run term =
+  match outcome run term with
+  | s -> s
+  | exception Diag.Error d ->
+    Printf.sprintf "%s error: %s" (Diag.phase_id d.Diag.phase) d.Diag.message
+
+(* the executor and the oracle agree on [term], and on [expected] *)
+let same_outcome name term expected =
+  Alcotest.(check string) (name ^ " (oracle)") expected
+    (term_outcome Oracle_eval.run term);
+  Alcotest.(check string) name expected (term_outcome Eval.run term)
+
+let test_fused_tests () =
+  let open Lambda in
+  let sym = Symbol.intern in
+  let x = sym "x" and y = sym "y" and p = sym "p" in
+  let prim op a b = Lapp (Lprim op, Ltuple [ a; b ]) in
+  let tag_is e k = prim Statics.Prim.Peq (Lcontag e) (Lint k) in
+  (* the test under [if], and in value position *)
+  let both name test expected =
+    same_outcome name
+      (Lif (test, Lstring "yes", Lstring "no"))
+      (Printf.sprintf "%S (output \"\")" (if expected then "yes" else "no"));
+    same_outcome (name ^ " as a value") test
+      (Printf.sprintf "con%d (output \"\")" (if expected then 1 else 0))
+  in
+  let bound v e body = Llet (v, e, body) in
+  (* tags, with and without an argument *)
+  both "nullary tag" (bound x (Lcon0 2) (tag_is (Lvar x) 2)) true;
+  both "nullary other tag" (bound x (Lcon0 2) (tag_is (Lvar x) 0)) false;
+  both "unary tag" (bound x (Lcon (3, Lint 7)) (tag_is (Lvar x) 3)) true;
+  both "unary other tag" (bound x (Lcon (3, Lint 7)) (tag_is (Lvar x) 1)) false;
+  let not_con = "execute error: tag of non-constructor 5" in
+  same_outcome "tag of an int"
+    (Lif (tag_is (Lint 5) 0, Lint 1, Lint 0))
+    not_con;
+  same_outcome "tag of an int as a value" (tag_is (Lint 5) 0) not_con;
+  (* every int comparison, at the ends of the range *)
+  let ints = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ] in
+  List.iter
+    (fun (op, f) ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              both
+                (Printf.sprintf "%d %s %d" a (Statics.Prim.name op) b)
+                (bound x (Lint a)
+                   (bound y (Lint b) (prim op (Lvar x) (Lvar y))))
+                (f a b))
+            ints)
+        ints)
+    Statics.Prim.
+      [
+        (Plt, ( < )); (Ple, ( <= )); (Pgt, ( > )); (Pge, ( >= ));
+        (Peq, ( = )); (Pneq, ( <> ));
+      ];
+  (* = and <> on other values fall back to structural equality *)
+  let eq = prim Statics.Prim.Peq and neq = prim Statics.Prim.Pneq in
+  both "equal strings" (eq (Lstring "ab") (Lstring "ab")) true;
+  both "unequal strings" (eq (Lstring "ab") (Lstring "ba")) false;
+  both "<> on strings" (neq (Lstring "ab") (Lstring "ba")) true;
+  both "equal constructors" (eq (Lcon (1, Lint 2)) (Lcon (1, Lint 2))) true;
+  both "unequal arguments" (eq (Lcon (1, Lint 2)) (Lcon (1, Lint 3))) false;
+  both "<> on constructors" (neq (Lcon0 0) (Lcon (0, Lint 3))) true;
+  both "equal tuples"
+    (eq (Ltuple [ Lint 1; Lstring "a" ]) (Ltuple [ Lint 1; Lstring "a" ]))
+    true;
+  let id = Lfn (x, Lvar x) in
+  let on_functions = "execute error: equality on functions" in
+  same_outcome "= on functions" (Lif (eq id id, Lint 1, Lint 0)) on_functions;
+  same_outcome "<> on functions" (Lif (neq id (Lint 1), Lint 1, Lint 0))
+    on_functions;
+  same_outcome "< on strings"
+    (Lif (prim Statics.Prim.Plt (Lstring "a") (Lstring "b"), Lint 1, Lint 0))
+    "execute error: primitive expected an int pair, got (\"a\", \"b\")";
+  same_outcome "if on an int" (Lif (Lint 1, Lint 1, Lint 0))
+    "execute error: if on non-bool 1";
+  (* division by zero raises Div, which a handler can catch *)
+  let catch_div body =
+    Lhandle
+      ( body,
+        p,
+        Lif
+          ( eq (Lexnid (Lvar p)) (Lexnid (Lbasisexn (sym "Div"))),
+            Lint 99,
+            Lraise (Lvar p) ) )
+  in
+  List.iter
+    (fun op ->
+      let name = Statics.Prim.name op in
+      same_outcome (name ^ " by zero")
+        (bound x (Lint 0) (catch_div (prim op (Lint 7) (Lvar x))))
+        "99 (output \"\")";
+      same_outcome (name ^ " by zero, uncaught")
+        (bound x (Lint 0) (prim op (Lint 7) (Lvar x)))
+        "raised Div (output \"\")";
+      same_outcome (name ^ " by a non-zero divisor")
+        (bound x (Lint (-2)) (catch_div (prim op (Lint 7) (Lvar x))))
+        (if op = Statics.Prim.Pdiv then "~4 (output \"\")"
+         else "~1 (output \"\")"))
+    Statics.Prim.[ Pdiv; Pmod ]
+
 let qcheck_differential =
   QCheck.Test.make ~count:80 ~name:"executor agrees with oracle"
     (QCheck.make ~print:fst Test_props.int_exp_gen)
@@ -284,5 +396,6 @@ let suite =
       test_linker_checks_before_converting;
     Alcotest.test_case "print goes to the caller" `Quick
       test_print_goes_to_the_caller;
+    Alcotest.test_case "fused tests" `Quick test_fused_tests;
     QCheck_alcotest.to_alcotest qcheck_differential;
   ]

@@ -184,6 +184,19 @@ let prop_hash_ignores_trivia =
 (* Differential evaluation against an OCaml reference                  *)
 (* ------------------------------------------------------------------ *)
 
+(* SML's div rounds toward negative infinity and its mod takes the
+   divisor's sign; OCaml's [/] and [mod] truncate toward zero *)
+let sml_div a b =
+  if a mod b <> 0 && (a < 0) <> (b < 0) then (a / b) - 1 else a / b
+
+let sml_mod a b = a - (b * sml_div a b)
+
+let comparisons =
+  [
+    ("<", ( < )); ("<=", ( <= )); (">", ( > )); (">=", ( >= )); ("=", ( = ));
+    ("<>", ( <> ));
+  ]
+
 (* generate an int expression together with its reference value *)
 let int_exp_gen =
   let open QCheck.Gen in
@@ -215,8 +228,26 @@ let int_exp_gen =
                      (* keep the divisor non-zero *)
                      ( Printf.sprintf "(%s div (%s + 1))" sa
                          (Printf.sprintf "(%s * %s)" sb sb),
-                       va / ((vb * vb) + 1) ))
+                       sml_div va ((vb * vb) + 1) ))
                    (self (n / 3)) (self (n / 3)) );
+               ( 1,
+                 map3
+                   (fun (ss, sign) (sa, va) (sb, vb) ->
+                     (* a non-zero divisor of either sign *)
+                     ( Printf.sprintf "(%s mod (%s * ((%s * %s) + 1)))" sa ss sb
+                         sb,
+                       sml_mod va (sign * ((vb * vb) + 1)) ))
+                   (oneofl [ ("1", 1); ("~1", -1) ])
+                   (self (n / 3)) (self (n / 3)) );
+               ( 1,
+                 (* a divisor that is zero a third of the time *)
+                 map3
+                   (fun (sa, va) (sb, vb) (sk, vk) ->
+                     ( Printf.sprintf "((%s div (%s mod 3)) handle Div => %s)"
+                         sa sb sk,
+                       let d = sml_mod vb 3 in
+                       if d = 0 then vk else sml_div va d ))
+                   (self (n / 3)) (self (n / 3)) (self (n / 3)) );
                ( 2,
                  map3
                    (fun (sa, va) (sb, vb) (sc, vc) ->
@@ -224,6 +255,13 @@ let int_exp_gen =
                          sa,
                        if va < vb then vc else va ))
                    (self (n / 3)) (self (n / 3)) (self (n / 3)) );
+               ( 2,
+                 map3
+                   (fun (op, cmp) (sa, va) (sb, vb) ->
+                     ( Printf.sprintf "(if %s %s %s then %s else %s)" sa op sb
+                         sb sa,
+                       if cmp va vb then vb else va ))
+                   (oneofl comparisons) (self (n / 3)) (self (n / 3)) );
                ( 1,
                  map2
                    (fun (sa, va) (sb, vb) ->
