@@ -14,8 +14,7 @@ let rec go ctx depth ty value =
   else
     let ty = Statics.Unify.head_normalize ctx ty in
     match (ty, value) with
-    | _, Value.Vint n ->
-      if n < 0 then "~" ^ string_of_int (-n) else string_of_int n
+    | _, Value.Vint n -> Statics.Prim.int_to_string n
     | _, Value.Vstring s -> Printf.sprintf "%S" s
     | _, (Value.Vclosure _ | Value.Vprim _) -> "fn"
     | _, Value.Vexnid id -> "exn " ^ Support.Symbol.name id.Value.exn_name

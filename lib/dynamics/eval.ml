@@ -103,18 +103,12 @@ let apply_prim rt prim arg =
     | v -> exec_error "size expected a string, got %s" (Value.to_string v))
   | P.Pint_to_string -> (
     match arg with
-    | Vint n ->
-      Vstring (if n < 0 then "~" ^ string_of_int (-n) else string_of_int n)
+    | Vint n -> Vstring (P.int_to_string n)
     | v -> exec_error "intToString expected an int, got %s" (Value.to_string v))
   | P.Pstring_to_int -> (
     match arg with
     | Vstring s -> (
-      let s' =
-        if String.length s > 0 && s.[0] = '~' then
-          "-" ^ String.sub s 1 (String.length s - 1)
-        else s
-      in
-      match int_of_string_opt s' with
+      match P.int_of_string s with
       | Some n -> Vint n
       | None -> raise_basis "Fail" (Some (Vstring ("stringToInt: " ^ s))))
     | v -> exec_error "stringToInt expected a string, got %s" (Value.to_string v))

@@ -52,7 +52,7 @@ let rec equal a b =
 
 let rec pp ppf v =
   match v with
-  | Vint n -> if n < 0 then Format.fprintf ppf "~%d" (-n) else Format.pp_print_int ppf n
+  | Vint n -> Format.pp_print_string ppf (Statics.Prim.int_to_string n)
   | Vstring s -> Format.fprintf ppf "%S" s
   | Vtuple [||] -> Format.pp_print_string ppf "()"
   | Vtuple parts ->

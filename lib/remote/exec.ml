@@ -77,19 +77,30 @@ let create ~mode addr proto =
       else
         Netsrv.send srv ~conn ~kind:Protocol.k_error ~id:msg.Frame.f_id
           ~payload:(Printf.sprintf "unexpected frame kind %d" msg.Frame.f_kind));
-  (match pool with
-  | Some p ->
-    (* stop() may land mid-step (a signal): the turn that observes it
-       must not pump the pool it just shut down *)
-    Netsrv.set_on_step srv (fun () ->
-        if Netsrv.running srv then pump_pool t p)
-  | None -> ());
   t
 
 let addr t = Netsrv.addr t.srv
-let step ?timeout_s t = Netsrv.step ?timeout_s t.srv
+
+(* the pool's links share the reactor's wait: a child's result wakes
+   the turn that relays it *)
+let step ?(timeout_s = 0.) t =
+  match t.pool with
+  | None -> Netsrv.step ~timeout_s t.srv
+  | Some pool ->
+    let links, deadline = Worker.links pool in
+    Netsrv.step ~extra:links
+      ~timeout_s:(Float.min timeout_s (deadline -. Unix.gettimeofday ()))
+      t.srv;
+    (* stop() may land mid-step (a signal): the turn that observes it
+       must not pump the pool it just shut down *)
+    if Netsrv.running t.srv then pump_pool t pool
+
 let running t = Netsrv.running t.srv
-let run t = Netsrv.run t.srv
+
+let run t =
+  while running t do
+    step ~timeout_s:0.05 t
+  done
 
 let stop t =
   (match t.pool with Some p -> Worker.shutdown p | None -> ());

@@ -9,8 +9,10 @@
 
     Two modes: [Pool cfg] hosts a supervised {!Worker} pool (the
     production shape — crashes and hangs become E0701/E0702 exactly as
-    under [--workers], encoded back over the wire), driven
-    nonblockingly from the socket reactor via [Worker.pump].  [Inline]
+    under [--workers], encoded back over the wire): the children's
+    links sit in the reactor's one wait beside the clients'
+    connections, so a finished compile wakes the turn that relays it.
+    [Inline]
     compiles synchronously inside the reactor turn — forkless, for
     in-process tests where the chaos harness pumps client and server
     from one domain (fork is unsafe once OCaml domains exist). *)
@@ -31,12 +33,14 @@ val addr : t -> Transport.addr
 (** Jobs accepted and not yet answered. *)
 val inflight : t -> int
 
-(** One reactor turn (plus, in [Pool] mode, one worker-pool pump). *)
+(** One reactor turn: wait at most [timeout_s] (default 0) — in
+    [Pool] mode also on the pool's links, and no later than its next
+    supervision deadline — serve the clients, then pump the pool. *)
 val step : ?timeout_s:float -> t -> unit
 
 val running : t -> bool
 
-(** Loop {!step} until {!stop}. *)
+(** Loop {!step} (50 ms granularity) until {!stop}. *)
 val run : t -> unit
 
 val stop : t -> unit

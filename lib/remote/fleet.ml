@@ -493,12 +493,12 @@ let submit t ~id payload =
 
 let slot_busy t = Array.copy t.busy
 
-let conn_fds t =
+let conns t =
   Array.fold_left
     (fun acc st ->
       match st with
-      | Dialing { dx_conn; _ } | Greeting { dx_conn; _ } | Ready dx_conn -> (
-        match Transport.fd dx_conn with Some fd -> fd :: acc | None -> acc)
+      | Dialing { dx_conn; _ } | Greeting { dx_conn; _ } | Ready dx_conn ->
+        dx_conn :: acc
       | Redial _ | Quarantined _ -> acc)
     [] t.states
 
@@ -508,14 +508,9 @@ let next t =
   while Queue.is_empty t.results do
     step t;
     (match t.cfg.r_tick with Some f -> f () | None -> ());
-    if Queue.is_empty t.results then begin
-      let fds = conn_fds t in
-      let timeout = if t.cfg.r_tick = None then 0.01 else 0.0005 in
-      if fds = [] then Unix.sleepf timeout
-      else
-        try ignore (Unix.select fds [] [] timeout)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
+    if Queue.is_empty t.results then
+      Transport.wait (conns t)
+        ~timeout_s:(if t.cfg.r_tick = None then 0.01 else 0.0005)
   done;
   Queue.pop t.results
 

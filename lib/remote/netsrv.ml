@@ -1,14 +1,9 @@
 module Frame = Pickle.Frame
 
-type conn_state = {
+type client = {
   n_id : int;
-  n_fd : Unix.file_descr;
-  n_in : Frame.Stream.t;
-  n_out : Frame.Stream.t;
+  n_conn : Transport.conn;
   mutable n_hello : bool;
-  mutable n_close_after_flush : bool;
-  mutable n_alive : bool;
-  mutable n_last_io : float;
 }
 
 type t = {
@@ -17,8 +12,7 @@ type t = {
   bound : Transport.addr;
   client_timeout_s : float;
   mutable handler : (conn:int -> Frame.msg -> unit) option;
-  mutable on_step : (unit -> unit) option;
-  mutable conns : conn_state list;
+  mutable conns : client list;
   mutable next_id : int;
   mutable running : bool;
 }
@@ -36,7 +30,6 @@ let create ?(client_timeout_s = 30.) ~version addr =
     bound = Transport.bound_addr fd addr;
     client_timeout_s;
     handler = None;
-    on_step = None;
     conns = [];
     next_id = 0;
     running = true;
@@ -44,148 +37,96 @@ let create ?(client_timeout_s = 30.) ~version addr =
 
 let addr t = t.bound
 let set_handler t f = t.handler <- Some f
-let set_on_step t f = t.on_step <- Some f
 
-let drop conn =
-  if conn.n_alive then begin
-    conn.n_alive <- false;
-    Frame.Stream.clear conn.n_in;
-    Frame.Stream.clear conn.n_out;
-    try Unix.close conn.n_fd with Unix.Unix_error _ -> ()
-  end
+let alive c =
+  match Transport.status c.n_conn with
+  | Transport.Up -> true
+  | Transport.Connecting | Transport.Closed _ -> false
 
-let find_conn t id =
-  List.find_opt (fun c -> c.n_alive && c.n_id = id) t.conns
-
-let send_conn conn ~kind ~id ~payload =
-  if conn.n_alive then
-    Frame.Stream.add_string conn.n_out (Frame.encode ~kind ~id ~payload)
+(* a closed connection drops what is sent to it and has no fd *)
+let find_conn t id = List.find_opt (fun c -> c.n_id = id) t.conns
 
 let send t ~conn ~kind ~id ~payload =
   match find_conn t conn with
-  | Some c -> send_conn c ~kind ~id ~payload
+  | Some c -> Transport.send c.n_conn ~kind ~id ~payload
   | None -> ()
 
 (* the peer-gone probe: MSG_PEEK, so pipelined request bytes mean the
    peer is alive; only EOF or a broken socket counts as gone *)
 let conn_alive t ~conn =
-  match find_conn t conn with
+  match Option.bind (find_conn t conn) (fun c -> Transport.fd c.n_conn) with
   | None -> false
-  | Some c -> (
-    match Unix.recv c.n_fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
+  | Some fd -> (
+    match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
     | 0 -> false
     | _ -> true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       true
     | exception Unix.Unix_error _ -> false)
 
-let connections t = List.length (List.filter (fun c -> c.n_alive) t.conns)
-let drained t =
-  List.for_all
-    (fun c -> (not c.n_alive) || Frame.Stream.length c.n_out = 0)
-    t.conns
+let connections t = List.length (List.filter alive t.conns)
 
-let handle_msg t conn (msg : Frame.msg) =
+let drained t =
+  List.for_all (fun c -> snd (Transport.buffered c.n_conn) = 0) t.conns
+
+(* a last word, then the connection closes once it has left *)
+let refuse c ~id reason =
+  Transport.send c.n_conn ~kind:Protocol.k_error ~id ~payload:reason;
+  Transport.close_after_flush c.n_conn
+
+let handle_msg t c (msg : Frame.msg) =
   Obs.Metrics.incr m_frames;
-  if not conn.n_hello then
-    if msg.f_kind = Protocol.k_hello then
-      if String.equal msg.f_payload t.version then begin
-        conn.n_hello <- true;
-        send_conn conn ~kind:Protocol.k_hello ~id:msg.f_id ~payload:t.version
-      end
-      else begin
-        send_conn conn ~kind:Protocol.k_error ~id:msg.f_id
-          ~payload:
-            (Printf.sprintf "version mismatch: service %s, client %s"
-               t.version msg.f_payload);
-        conn.n_close_after_flush <- true
-      end
-    else begin
-      send_conn conn ~kind:Protocol.k_error ~id:msg.f_id
-        ~payload:"expected a HELLO frame";
-      conn.n_close_after_flush <- true
+  if not c.n_hello then
+    if msg.f_kind <> Protocol.k_hello then
+      refuse c ~id:msg.f_id "expected a HELLO frame"
+    else if String.equal msg.f_payload t.version then begin
+      c.n_hello <- true;
+      Transport.send c.n_conn ~kind:Protocol.k_hello ~id:msg.f_id
+        ~payload:t.version
     end
+    else
+      refuse c ~id:msg.f_id
+        (Printf.sprintf "version mismatch: service %s, client %s" t.version
+           msg.f_payload)
   else if msg.f_kind = Protocol.k_ping then
-    send_conn conn ~kind:Protocol.k_ping ~id:msg.f_id ~payload:msg.f_payload
+    Transport.send c.n_conn ~kind:Protocol.k_ping ~id:msg.f_id
+      ~payload:msg.f_payload
   else
     match t.handler with
     | None ->
-      send_conn conn ~kind:Protocol.k_error ~id:msg.f_id
+      Transport.send c.n_conn ~kind:Protocol.k_error ~id:msg.f_id
         ~payload:"service has no handler"
     | Some f -> (
-      match f ~conn:conn.n_id msg with
+      match f ~conn:c.n_id msg with
       | () -> ()
       | exception exn ->
-        send_conn conn ~kind:Protocol.k_error ~id:msg.f_id
-          ~payload:("service failure: " ^ Printexc.to_string exn);
-        conn.n_close_after_flush <- true)
+        refuse c ~id:msg.f_id ("service failure: " ^ Printexc.to_string exn))
 
-(* a peer feeding us garbage gets a best-effort error frame and a
-   close — never an exception out of the reactor *)
-let rec parse_conn t conn =
-  if conn.n_alive && not conn.n_close_after_flush then
-    match Frame.Stream.pop conn.n_in with
-    | exception Pickle.Buf.Corrupt reason ->
-      Frame.Stream.clear conn.n_in;
-      send_conn conn ~kind:Protocol.k_error ~id:""
-        ~payload:("corrupt frame: " ^ reason);
-      conn.n_close_after_flush <- true
+(* read, dispatch every complete frame, flush.  A peer feeding us
+   garbage gets a best-effort error frame and a close — never an
+   exception out of the reactor *)
+let serve t c =
+  Transport.poll c.n_conn;
+  let rec go () =
+    match Transport.recv c.n_conn with
+    | exception Transport.Protocol_damage reason ->
+      refuse c ~id:"" ("corrupt frame: " ^ reason)
     | None -> ()
     | Some msg ->
-      handle_msg t conn msg;
-      parse_conn t conn
-
-let read_conn t conn =
-  let rec go () =
-    match Frame.Stream.fill conn.n_in ~chunk:65536 (Unix.read conn.n_fd) with
-    | 0 -> drop conn
-    | _ ->
-      conn.n_last_io <- Unix.gettimeofday ();
+      handle_msg t c msg;
       go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> drop conn
   in
-  go ();
-  if conn.n_alive then parse_conn t conn
-
-let flush_conn conn =
-  let rec go () =
-    if conn.n_alive && Frame.Stream.length conn.n_out > 0 then
-      match Frame.Stream.drain conn.n_out (Unix.write conn.n_fd) with
-      | _ ->
-        conn.n_last_io <- Unix.gettimeofday ();
-        go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> drop conn
-  in
-  go ();
-  if
-    conn.n_alive
-    && Frame.Stream.length conn.n_out = 0
-    && conn.n_close_after_flush
-  then drop conn
+  (* a request whose client has already hung up is not served *)
+  if alive c then go ()
 
 let accept_conns t =
   let rec go () =
     match Unix.accept ~cloexec:true t.listen_fd with
     | fd, _ ->
-      Unix.set_nonblock fd;
       Obs.Metrics.incr m_conns;
       t.next_id <- t.next_id + 1;
       t.conns <-
-        {
-          n_id = t.next_id;
-          n_fd = fd;
-          n_in = Frame.Stream.create ();
-          n_out = Frame.Stream.create ();
-          n_hello = false;
-          n_close_after_flush = false;
-          n_alive = true;
-          n_last_io = Unix.gettimeofday ();
-        }
+        { n_id = t.next_id; n_conn = Transport.of_fd fd; n_hello = false }
         :: t.conns;
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -203,48 +144,29 @@ let drop_wedged t =
   List.iter
     (fun c ->
       if
-        c.n_alive
-        && (Frame.Stream.length c.n_in > 0
-           || Frame.Stream.length c.n_out > 0
-           || not c.n_hello)
-        && now -. c.n_last_io > t.client_timeout_s
+        alive c
+        && (Transport.buffered c.n_conn <> (0, 0) || not c.n_hello)
+        && now -. Transport.last_io c.n_conn > t.client_timeout_s
       then begin
         Obs.Metrics.incr m_dropped;
-        drop c
+        Transport.close c.n_conn
       end)
     t.conns
 
-let step ?(timeout_s = 0.) t =
+let step ?(timeout_s = 0.) ?(extra = []) t =
   if t.running then begin
     drop_wedged t;
-    let live = List.filter (fun c -> c.n_alive) t.conns in
-    let reads = t.listen_fd :: List.map (fun c -> c.n_fd) live in
-    let writes =
-      List.filter_map
-        (fun c ->
-          if Frame.Stream.length c.n_out > 0 then Some c.n_fd else None)
-        live
-    in
-    let readable, writable, _ =
-      try Unix.select reads writes [] timeout_s
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    if List.memq t.listen_fd readable then accept_conns t;
-    List.iter
-      (fun c ->
-        if c.n_alive && List.memq c.n_fd readable then read_conn t c)
-      live;
-    List.iter
-      (fun c ->
-        if
-          c.n_alive
-          && (List.memq c.n_fd writable || Frame.Stream.length c.n_out > 0)
-        then
-          flush_conn c)
-      live;
-    t.conns <- List.filter (fun c -> c.n_alive) t.conns;
-    Obs.Metrics.set g_clients (List.length t.conns);
-    match t.on_step with Some f -> f () | None -> ()
+    t.conns <- List.filter alive t.conns;
+    Transport.wait ~listener:t.listen_fd
+      (List.map (fun c -> c.n_conn) t.conns @ extra)
+      ~timeout_s;
+    (* a signal may have stopped the service during the wait *)
+    if t.running then begin
+      accept_conns t;
+      List.iter (serve t) t.conns;
+      t.conns <- List.filter alive t.conns;
+      Obs.Metrics.set g_clients (List.length t.conns)
+    end
   end
 
 let running t = t.running
@@ -252,7 +174,7 @@ let running t = t.running
 let stop t =
   if t.running then begin
     t.running <- false;
-    List.iter drop t.conns;
+    List.iter (fun c -> Transport.close c.n_conn) t.conns;
     t.conns <- [];
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     match addr t with

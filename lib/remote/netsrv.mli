@@ -1,13 +1,16 @@
-(** The one select-step socket reactor: the compile daemon, the
+(** The service side of {!Transport}: the compile daemon, the
     executor and the cache service all serve through it.
 
-    Accept, buffered nonblocking reads and writes, frame parsing,
-    HELLO/version gating, garbage tolerance and the wedged-client
-    watchdog live here, so a service only supplies a message handler.
-    [step] performs one bounded reactor turn; callers loop it ([run])
-    or hand-pump it from a test in the same process, which is how the
-    chaos harnesses get a deterministic single-domain interleaving of
-    client and server.
+    Every accepted socket is a {!Transport.of_fd} connection, so
+    buffering, reads, writes and frame parsing are the transport's;
+    this module adds what makes a service: connection ids, HELLO
+    gating, garbage tolerance, the close after a refusal, and the
+    wedged-client watchdog — a service only supplies a message
+    handler.  [step] performs one bounded reactor turn, waiting in
+    {!Transport.wait} on the listener and every connection; callers
+    loop it ([run]) or hand-pump it from a test in the same process,
+    which is how the chaos harnesses get a deterministic single-domain
+    interleaving of client and server.
 
     HELLO gating is built in: the first frame on every connection must
     be a {!Protocol.k_hello} carrying exactly [version]; anything else
@@ -15,8 +18,9 @@
     a message from an ungreeted peer.
 
     The watchdog drops a connection holding half a frame, undrained
-    output or no HELLO past the idle timeout; a greeted connection with
-    nothing in flight stays (a fleet holds those between jobs). *)
+    output or no HELLO once no byte has moved on it
+    ({!Transport.last_io}) for the idle timeout; a greeted connection
+    with nothing in flight stays (a fleet holds those between jobs). *)
 
 type t
 
@@ -37,13 +41,8 @@ val addr : t -> Transport.addr
     error frame, never the reactor. *)
 val set_handler : t -> (conn:int -> Pickle.Frame.msg -> unit) -> unit
 
-(** [set_on_step t f] — [f] runs once per {!step}, after I/O; for
-    servers with asynchronous work to progress (the executor pumping
-    its worker pool). *)
-val set_on_step : t -> (unit -> unit) -> unit
-
-(** [send t ~conn ~kind ~id ~payload] — queue a frame for [conn].
-    Dropped silently if the connection is gone. *)
+(** [send t ~conn ~kind ~id ~payload] — {!Transport.send} a frame to
+    [conn].  Dropped silently if the connection is gone. *)
 val send : t -> conn:int -> kind:int -> id:string -> payload:string -> unit
 
 (** Is this connection's peer still there?  False once it is closed,
@@ -57,9 +56,11 @@ val connections : t -> int
 (** True when no live connection has output left to flush. *)
 val drained : t -> bool
 
-(** One reactor turn: accept, read, parse/dispatch, flush.  Blocks in
-    select at most [timeout_s] (default 0 — never blocks). *)
-val step : ?timeout_s:float -> t -> unit
+(** One reactor turn: wait, accept, then read, dispatch and flush every
+    connection.  The wait lasts at most [timeout_s] (default 0 — never
+    blocks) and also wakes for [extra], connections the caller
+    progresses itself after the turn (the executor's pool links). *)
+val step : ?timeout_s:float -> ?extra:Transport.conn list -> t -> unit
 
 val running : t -> bool
 

@@ -87,7 +87,9 @@ type conn = {
   c_out : Frame.Stream.t;
   mutable c_redeliver : Frame.msg list;  (** chaos-duplicated frames *)
   mutable c_ready_at : float;  (** chaos connect delay gate *)
-  mutable c_kill_after_flush : bool;  (** chaos truncation in progress *)
+  mutable c_kill_after_flush : string option;
+      (** close, for this reason, once the output has flushed *)
+  mutable c_last_io : float;  (** when bytes last moved *)
   c_chaos : Netchaos.injector option;
 }
 
@@ -135,7 +137,8 @@ let make status fd chaos =
     c_out = Frame.Stream.create ();
     c_redeliver = [];
     c_ready_at = 0.;
-    c_kill_after_flush = false;
+    c_kill_after_flush = None;
+    c_last_io = Unix.gettimeofday ();
     c_chaos = chaos;
   }
 
@@ -193,18 +196,20 @@ let status t = t.c_status
 (* an unconnected Unix socket polls ready at once: nothing to select on
    until the connect completes *)
 let fd t = match t.c_status with Up -> t.c_fd | Connecting | Closed _ -> None
-let want_write t = Frame.Stream.length t.c_out > 0 && t.c_fd <> None
+let buffered t = (Frame.Stream.length t.c_in, Frame.Stream.length t.c_out)
+let last_io t = t.c_last_io
 
 (* output waits for the connect: an unconnected socket refuses writes *)
 let flush t =
   match (t.c_status, t.c_fd) with
   | (Connecting | Closed _), _ | Up, None -> ()
-  | Up, Some fd ->
+  | Up, Some fd -> (
     let rec go () =
       if Frame.Stream.length t.c_out > 0 then
         match Frame.Stream.drain t.c_out (Unix.write fd) with
         | n ->
           Obs.Metrics.add m_bytes_out n;
+          t.c_last_io <- Unix.gettimeofday ();
           go ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
@@ -213,8 +218,13 @@ let flush t =
           kill t (Printf.sprintf "write failed: %s" (Unix.error_message e))
     in
     go ();
-    if Frame.Stream.length t.c_out = 0 && t.c_kill_after_flush then
-      kill t "chaos: connection reset mid-frame"
+    match t.c_kill_after_flush with
+    | Some reason when Frame.Stream.length t.c_out = 0 -> kill t reason
+    | Some _ | None -> ())
+
+let close_after_flush t =
+  if t.c_kill_after_flush = None then t.c_kill_after_flush <- Some "closed";
+  flush t
 
 let read_in t =
   match t.c_fd with
@@ -225,6 +235,7 @@ let read_in t =
       | 0 -> kill t "peer closed the connection"
       | n ->
         Obs.Metrics.add m_bytes_in n;
+        t.c_last_io <- Unix.gettimeofday ();
         go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         ()
@@ -266,7 +277,7 @@ let send t ~kind ~id ~payload =
     | Some Netchaos.Truncate_frame ->
       Frame.Stream.add_string t.c_out
         (String.sub frame 0 (String.length frame / 2));
-      t.c_kill_after_flush <- true;
+      t.c_kill_after_flush <- Some "chaos: connection reset mid-frame";
       flush t
     | Some (Netchaos.Delay d) ->
       Unix.sleepf d;
@@ -277,14 +288,18 @@ let send t ~kind ~id ~payload =
       flush t)
 
 let rec recv t =
-  match t.c_redeliver with
-  | msg :: rest ->
+  match (t.c_redeliver, t.c_kill_after_flush) with
+  | _, Some _ -> None (* closing: nothing more is delivered *)
+  | msg :: rest, None ->
     t.c_redeliver <- rest;
     Some msg
-  | [] -> (
+  | [], None -> (
     match Frame.Stream.pop t.c_in with
     | exception Pickle.Buf.Corrupt reason ->
-      kill t ("corrupt frame: " ^ reason);
+      (* the rest of the stream is noise; queued output (a server's
+         error frame, say) still leaves before the close *)
+      Frame.Stream.clear t.c_in;
+      t.c_kill_after_flush <- Some ("corrupt frame: " ^ reason);
       raise (Protocol_damage reason)
     | None -> None
     | Some msg -> (
@@ -305,21 +320,29 @@ let rec recv t =
 
 let close t = kill t "closed"
 
-(* reads the connection, never changes it: a signal handler may send on
-   it meanwhile (and even close it, hence EBADF) *)
-let wait t ~timeout_s =
-  match (fd t, t.c_status) with
-  | Some fd, _ -> (
-    let w = if want_write t then [ fd ] else [] in
+(* reads the connections, never changes them: a signal handler may send
+   on one meanwhile (and even close it, hence EBADF) *)
+let wait ?listener conns ~timeout_s =
+  let rd = ref (Option.to_list listener) and wr = ref [] in
+  let connecting = ref false and closed = ref false in
+  List.iter
+    (fun t ->
+      match (fd t, t.c_status) with
+      | Some fd, _ ->
+        rd := fd :: !rd;
+        if Frame.Stream.length t.c_out > 0 then wr := fd :: !wr
+      | None, Connecting -> connecting := true
+      | None, (Up | Closed _) -> closed := true)
+    conns;
+  if not !closed then
+    let timeout_s =
+      if !connecting then Float.min 0.01 timeout_s else timeout_s
+    in
     try
       ignore
-        (Unix.select [ fd ] w []
-           (if timeout_s = infinity then -1. else timeout_s))
-    with Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ())
-  | None, Connecting -> (
-    try Unix.sleepf (Float.min 0.01 timeout_s)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  | None, (Up | Closed _) -> ()
+        (Unix.select !rd !wr []
+           (if timeout_s = infinity then -1. else Float.max 0. timeout_s))
+    with Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
 
 let rec await ?tick t ~deadline =
   Option.iter (fun f -> f ()) tick;
@@ -334,7 +357,7 @@ let rec await ?tick t ~deadline =
     match t.c_status with
     | Closed reason -> raise (Unreachable reason)
     | Connecting | Up ->
-      wait t ~timeout_s:(Float.min 0.01 (deadline -. now));
+      wait [ t ] ~timeout_s:(Float.min 0.01 (deadline -. now));
       poll t;
       await ?tick t ~deadline)
 

@@ -3,11 +3,12 @@
     frame in the system crosses ({!Pickle.Frame}s, tagged as
     {!Protocol} declares).  A connection is dialed ({!dial}: the
     fabric's and the daemon's clients) or wraps a connected socket
-    ({!of_fd}: both ends of a worker's socketpair link); servers accept
-    raw fds through {!Netsrv}.  Every connection is nonblocking end to
-    end: [dial] starts the connect and returns immediately, [poll]
-    progresses it, and the caller multiplexes many connections from one
-    loop.
+    ({!of_fd}: both ends of a worker's socketpair link, and every
+    connection a {!Netsrv} service accepts).  Every connection is
+    nonblocking end to end: [dial] starts the connect and returns
+    immediately, [poll] progresses it, and one {!wait} sleeps until
+    any of a caller's connections may progress — the only [select] in
+    the system.
 
     When an injector is attached, every connect, frame send and frame
     receive consults {!Netchaos} first, so one seed reproduces an
@@ -67,12 +68,18 @@ val of_fd : Unix.file_descr -> conn
 
 val status : conn -> status
 
-(** The fd to select on while the connection is [Up]; [None] while it
-    connects ({!poll} it) and once it is closed. *)
+(** The connected socket while the connection is [Up]; [None] while it
+    connects and once it is closed.  For probes that look past the
+    framing ({!Netsrv.conn_alive}); waiting goes through {!wait}. *)
 val fd : conn -> Unix.file_descr option
 
-(** Output is queued: select for writability on {!fd} too. *)
-val want_write : conn -> bool
+(** [buffered t] — bytes held in [t]'s buffers: [(received, queued)],
+    the first half of a frame not yet complete and the output the
+    socket has not taken yet. *)
+val buffered : conn -> int * int
+
+(** When bytes last moved on [t] either way (or when it was made). *)
+val last_io : conn -> float
 
 (** [poll t] — progress the connection: finish the connect, read
     whatever the peer sent, flush pending output.  Never blocks, never
@@ -85,17 +92,29 @@ val poll : conn -> unit
     the caller observes [Closed] via {!status}. *)
 val send : conn -> kind:int -> id:string -> payload:string -> unit
 
-(** [recv t] — the next complete frame, if one has arrived.  Raises
-    {!Protocol_damage} on a provably damaged stream (the connection is
-    closed first). *)
+(** [recv t] — the next complete frame, if one has arrived; [None]
+    once [t] is closing ({!close_after_flush}).  Raises
+    {!Protocol_damage} on a provably damaged stream: the rest of the
+    input is discarded and [t] closes once its queued output has
+    flushed, so a server may still answer with an error frame. *)
 val recv : conn -> Pickle.Frame.msg option
+
+(** [close_after_flush t] — deliver nothing more and close once the
+    queued output has left (at once if none is queued). *)
+val close_after_flush : conn -> unit
 
 val close : conn -> unit
 
-(** [wait t ~timeout_s] — sleep until [t] may progress or [timeout_s]
-    ([infinity]: no limit) passes; a signal ends it early.  It never
-    changes [t], so a signal handler may {!send} on [t] meanwhile. *)
-val wait : conn -> timeout_s:float -> unit
+(** [wait ?listener conns ~timeout_s] — sleep until one of [conns] may
+    progress, [listener] has a connection to accept, or [timeout_s]
+    ([infinity]: no limit) passes; a signal ends it early.  An [Up]
+    connection wakes it when readable, and when writable only while it
+    has output queued; a [Connecting] one caps the sleep at 10 ms (its
+    connect is progressed by {!poll}); a [Closed] one returns at once.
+    It never changes a connection, so a signal handler may {!send} on
+    one meanwhile. *)
+val wait :
+  ?listener:Unix.file_descr -> conn list -> timeout_s:float -> unit
 
 (** {2 Blocking use}, for a client with one request in flight.
     [tick] runs once per turn of the wait: the in-process harnesses

@@ -159,7 +159,7 @@ let child_loop cfg proto conn =
       | Transport.Closed _ ->
         Unix._exit 0 (* parent closed the link: orderly shutdown *)
       | Transport.Connecting | Transport.Up ->
-        with_alarm_open (fun () -> Transport.wait conn ~timeout_s:infinity);
+        with_alarm_open (fun () -> Transport.wait [ conn ] ~timeout_s:infinity);
         Transport.poll conn;
         next_request ())
   in
@@ -499,56 +499,47 @@ let submit t ~id payload =
   if t.closed then invalid_arg "Worker.submit: pool is shut down";
   Queue.push (id, payload) t.queue
 
+let links t =
+  Array.fold_left
+    (fun (conns, d) -> function
+      | Live c ->
+        let busy = c.ch_job <> None in
+        let d = if busy then Float.min d c.ch_job_deadline else d in
+        let d =
+          if busy || not c.ch_hello then Float.min d c.ch_hb_deadline else d
+        in
+        (c.ch_conn :: conns, d)
+      | Down at ->
+        (conns, if Queue.is_empty t.queue then d else Float.min d at))
+    ([], infinity) t.slots
+
 (* one supervision turn: spawn and dispatch, wait for a link to turn
-   ready (not at all, or — [block] — until the earliest deadline), then
-   progress the ready links and enforce heartbeat/timeout deadlines *)
+   ready (not at all, or — [block] — until the earliest deadline),
+   progress the links and enforce heartbeat/timeout deadlines, then
+   hand queued jobs to the children this turn greeted or freed *)
 let turn t ~block =
   dispatch t;
-  let now = Unix.gettimeofday () in
-  let deadline = ref infinity in
-  let rd = ref [] and wr = ref [] in
-  Array.iter
-    (function
-      | Live c ->
-        Option.iter
-          (fun fd ->
-            rd := fd :: !rd;
-            if Transport.want_write c.ch_conn then wr := fd :: !wr)
-          (Transport.fd c.ch_conn);
-        if c.ch_job <> None then
-          deadline := Float.min !deadline c.ch_job_deadline;
-        if c.ch_job <> None || not c.ch_hello then
-          deadline := Float.min !deadline c.ch_hb_deadline
-      | Down at ->
-        if not (Queue.is_empty t.queue) then deadline := Float.min !deadline at)
-    t.slots;
-  if block && !rd = [] && !deadline = infinity then
-    raise (Pool_down "no live workers and nothing left to wait for");
-  let timeout =
-    if not block then 0.
-    else if !deadline = infinity then -1.
-    else Float.max 0.005 (!deadline -. now)
-  in
-  let readable, writable, _ =
-    try Unix.select !rd !wr [] timeout
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-  in
+  if block then begin
+    let conns, deadline = links t in
+    if conns = [] && deadline = infinity then
+      raise (Pool_down "no live workers and nothing left to wait for");
+    Transport.wait conns
+      ~timeout_s:(Float.max 0.005 (deadline -. Unix.gettimeofday ()))
+  end;
   Array.iteri
     (fun i slot ->
       match slot with
-      | Live c -> (
-        match Transport.fd c.ch_conn with
-        | Some fd when List.memq fd readable || List.memq fd writable ->
-          Transport.poll c.ch_conn;
-          drain t i c
-        | Some _ | None -> ())
+      | Live c ->
+        Transport.poll c.ch_conn;
+        drain t i c
       | Down _ -> ())
     t.slots;
-  expire t
+  expire t;
+  dispatch t
 
 let pump t =
   if t.closed then invalid_arg "Worker.pump: pool is shut down";
-  if pending t > 0 then turn t ~block:false
+  turn t ~block:false
 
 let poll t =
   if t.closed then invalid_arg "Worker.poll: pool is shut down";

@@ -143,13 +143,17 @@ val pending : t -> int
     timeout or quarantine), for scheduler-efficiency reporting. *)
 val slot_busy : t -> float array
 
+(** [links t] — the live children's links and the earliest moment a
+    supervision turn must run ([infinity]: none): a job's timeout, a
+    lost heartbeat, a due respawn.  A caller embedding the pool in its
+    own loop (the remote executor's reactor) waits on these with its
+    own connections, then calls {!pump}; {!next} waits on the same. *)
+val links : t -> Transport.conn list * float
+
 (** [pump t] — one nonblocking supervision turn: spawn due workers,
-    dispatch queued jobs, progress every ready link, and enforce
+    dispatch queued jobs, progress every link, and enforce
     heartbeat/timeout deadlines.  Never blocks.  Raises {!Pool_down}
-    when a spawn storm kills the pool.  For callers embedding the pool
-    in their own event loop (the remote executor's socket reactor);
-    interactive callers use {!next}, which loops the same turn with a
-    blocking wait. *)
+    when a spawn storm kills the pool. *)
 val pump : t -> unit
 
 (** [poll t] — a completion, if {!pump} produced one.  Never blocks. *)

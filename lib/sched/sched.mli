@@ -35,13 +35,13 @@
     [cfg.w_jobs] ({!Remote.Worker}) — crash isolation, per-job timeouts, and
     quarantine, at the price of serializing jobs and results through a
     {!codec}.  [Workers] never spawns domains (forking with live
-    domains is unsafe); the pool is multiplexed with [select] from the
-    calling domain.  [Remote cfg] dispatches the same encoded jobs to a
-    fleet of executor daemons over sockets ({!Remote.Fleet}) — per-job
-    deadlines, retry, hedged re-dispatch, quarantine, and graceful
-    degradation to local execution when every executor is gone; like
-    [Workers], it multiplexes from the calling domain and requires the
-    [codec]. *)
+    domains is unsafe); the calling domain waits on the children's
+    links in {!Remote.Transport.wait}.  [Remote cfg] dispatches the
+    same encoded jobs to a fleet of executor daemons over sockets
+    ({!Remote.Fleet}) — per-job deadlines, retry, hedged re-dispatch,
+    quarantine, and graceful degradation to local execution when every
+    executor is gone; like [Workers], it multiplexes from the calling
+    domain and requires the [codec]. *)
 type backend =
   | Serial
   | Parallel of int

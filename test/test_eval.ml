@@ -247,6 +247,23 @@ let test_string_ops () =
   check_raises "stringToInt \"xyz\"" "Fail";
   check_string "intToString (~7)" "~7"
 
+(* SML integer text is [~?[0-9]+] both ways, min_int included (its
+   negation overflows back to itself) *)
+let test_integer_text () =
+  check_string "intToString ~4611686018427387904" "~4611686018427387904";
+  List.iter
+    (fun s -> check_raises (Printf.sprintf "stringToInt %S" s) "Fail")
+    [ "0x10"; "-5"; "1_000"; "0b11"; "+5"; ""; "~"; "4611686018427387904" ];
+  List.iter
+    (fun (lit, n) ->
+      check_int (Printf.sprintf "stringToInt (intToString %s)" lit) n)
+    [
+      ("~4611686018427387904", min_int);
+      ("4611686018427387903", max_int);
+      ("0", 0);
+      ("~1", -1);
+    ]
+
 let test_basis_structures () =
   check_string "Int.toString (21 * 2)" "42";
   check_int "Int.fromString \"17\"" 17;
@@ -305,6 +322,7 @@ let suite =
       test_functor_exception_generativity;
     Alcotest.test_case "opaque ascription runtime" `Quick test_opaque_runtime;
     Alcotest.test_case "string primitives" `Quick test_string_ops;
+    Alcotest.test_case "integer text" `Quick test_integer_text;
     Alcotest.test_case "basis structures" `Quick test_basis_structures;
     Alcotest.test_case "polymorphic equality" `Quick test_polymorphic_equality;
     Alcotest.test_case "higher-order functions" `Quick test_higher_order;

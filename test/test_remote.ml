@@ -477,6 +477,76 @@ let test_netsrv_watchdog () =
   Transport.close idle;
   Transport.close fresh
 
+(* ------------------------------------------------------------------ *)
+(* The one wait                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let pair () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (Transport.of_fd a, b)
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+(* the shared wait over socketpairs: any readable connection (or a
+   pending accept) ends it; writability counts only while output is
+   queued; a closed connection ends it at once, without raising *)
+let test_wait () =
+  let c1, p1 = pair () and c2, p2 = pair () in
+  Fun.protect ~finally:(fun () ->
+      List.iter Transport.close [ c1; c2 ];
+      List.iter Unix.close [ p1; p2 ])
+  @@ fun () ->
+  let slept = elapsed (fun () -> Transport.wait [ c1; c2 ] ~timeout_s:0.1) in
+  Alcotest.(check bool) "idle connections sleep the timeout" true
+    (slept >= 0.09);
+  let frame =
+    Pickle.Frame.encode ~kind:Remote.Protocol.k_ping ~id:"x" ~payload:""
+  in
+  ignore (Unix.write_substring p2 frame 0 (String.length frame));
+  let woke = elapsed (fun () -> Transport.wait [ c1; c2 ] ~timeout_s:10.) in
+  Alcotest.(check bool) "the second connection's frame wakes it" true
+    (woke < 1.);
+  Transport.poll c2;
+  Alcotest.(check bool) "and it is there to receive" true
+    (Transport.recv c2 <> None);
+  (* more output than the socket buffers hold, and a peer not reading:
+     the queue stays, and the wait sleeps until the peer drains *)
+  Transport.send c1 ~kind:Remote.Protocol.k_ping ~id:"big"
+    ~payload:(String.make (4 * 1024 * 1024) 'x');
+  Alcotest.(check bool) "output queued" true (snd (Transport.buffered c1) > 0);
+  let slept = elapsed (fun () -> Transport.wait [ c1 ] ~timeout_s:0.1) in
+  Alcotest.(check bool) "a full socket does not wake it" true (slept >= 0.09);
+  Unix.set_nonblock p1;
+  let buf = Bytes.create 65536 in
+  (try
+     while Unix.read p1 buf 0 65536 > 0 do
+       ()
+     done
+   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  let woke = elapsed (fun () -> Transport.wait [ c1 ] ~timeout_s:10.) in
+  Alcotest.(check bool) "room in the socket wakes it" true (woke < 1.);
+  (* a listener with a connection to accept *)
+  let path = fresh_sock () in
+  let lfd = Transport.listen (Transport.Unix_sock path) in
+  let dialed = Transport.dial (Transport.Unix_sock path) in
+  let woke =
+    elapsed (fun () -> Transport.wait ~listener:lfd [] ~timeout_s:10.)
+  in
+  Transport.close dialed;
+  Unix.close lfd;
+  Sys.remove path;
+  Alcotest.(check bool) "a pending accept wakes it" true (woke < 1.);
+  (* closed: by the transport, and behind its back (EBADF) *)
+  Transport.close c2;
+  let woke = elapsed (fun () -> Transport.wait [ c2 ] ~timeout_s:10.) in
+  Alcotest.(check bool) "a closed connection returns at once" true (woke < 1.);
+  Unix.close (Option.get (Transport.fd c1));
+  let woke = elapsed (fun () -> Transport.wait [ c1 ] ~timeout_s:10.) in
+  Alcotest.(check bool) "a closed fd returns at once" true (woke < 1.)
+
 (* a nonblocking connect to a Unix listener whose backlog is full never
    starts (EAGAIN): the dial must stay Connecting and re-issue the
    connect once the listener makes room, not report Up and die on its
@@ -539,6 +609,7 @@ let test_dial_full_backlog () =
 let suite =
   [
     Alcotest.test_case "parse addr" `Quick test_parse_addr;
+    Alcotest.test_case "one wait over many connections" `Quick test_wait;
     Alcotest.test_case "dial past a full backlog" `Quick
       test_dial_full_backlog;
     Alcotest.test_case "seeded plans deterministic" `Quick

@@ -619,6 +619,62 @@ let test_workers_pool_down_build () =
   | _ -> Alcotest.fail "expected Pool_down"
   | exception Remote.Worker.Pool_down _ -> ()
 
+(* an executor hosting a pool waits on its children's links beside its
+   clients: a compile result wakes the reactor turn that relays it, so
+   steps that may each sleep 10 s finish the job in a few wake-ups *)
+let test_exec_relays_pool_result () =
+  let module T = Remote.Transport in
+  let module P = Remote.Protocol in
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "smlsep-w%d-relay.sock" (Unix.getpid ()))
+  in
+  let exec =
+    Remote.Exec.create
+      ~mode:(Remote.Exec.Pool (wcfg ~jobs:2 ()))
+      (T.Unix_sock path) (Wire.proto ())
+  in
+  Fun.protect ~finally:(fun () -> Remote.Exec.stop exec) @@ fun () ->
+  let c = T.dial (Remote.Exec.addr exec) in
+  Fun.protect ~finally:(fun () -> T.close c) @@ fun () ->
+  T.greet c ~version:P.version_exec
+    ~tick:(fun () -> Remote.Exec.step exec)
+    ~deadline:(Unix.gettimeofday () +. 5.);
+  let job =
+    {
+      Wire.j_name = "a.sml";
+      j_source = "structure A = struct val x = 6 * 7 end";
+      j_closure = [];
+      j_imports = [];
+      j_collect = false;
+      j_werror = false;
+      j_limit = None;
+      j_build = 0;
+    }
+  in
+  T.send c ~kind:P.k_job ~id:"a.sml" ~payload:(Wire.encode_job job);
+  let t0 = Unix.gettimeofday () in
+  let rec relay steps =
+    Remote.Exec.step ~timeout_s:10. exec;
+    T.poll c;
+    match T.recv c with
+    | Some msg -> (msg, steps)
+    | None ->
+      if Unix.gettimeofday () -. t0 > 5. then
+        Alcotest.failf "no result after %d steps and %.1f s" steps
+          (Unix.gettimeofday () -. t0);
+      relay (steps + 1)
+  in
+  let msg, steps = relay 1 in
+  Alcotest.(check int) "a result frame" P.k_result msg.Frame.f_kind;
+  Alcotest.(check bool) "the bytes of an in-process compile" true
+    (String.equal (Wire.decode_result msg.Frame.f_payload).Wire.r_bytes
+       (Wire.execute job).Wire.r_bytes);
+  Alcotest.(check bool)
+    (Printf.sprintf "relayed within a few steps (%d)" steps)
+    true (steps <= 10)
+
 let suite =
   [
     Alcotest.test_case "frame round trip" `Quick test_frame_roundtrip;
@@ -638,6 +694,8 @@ let suite =
     Alcotest.test_case "pool death raises Pool_down" `Quick test_pool_down;
     Alcotest.test_case "chaos env parsing" `Quick test_chaos_of_env;
     Alcotest.test_case "4 MiB frames both ways" `Quick test_pool_large_frames;
+    Alcotest.test_case "executor relays a pool result at once" `Quick
+      test_exec_relays_pool_result;
     Alcotest.test_case "slot accounting (Workers 2)" `Quick
       test_workers_slot_accounting;
     Alcotest.test_case "workers ≡ serial on clean DAGs" `Quick
