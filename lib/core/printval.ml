@@ -14,7 +14,7 @@ let rec go ctx depth ty value =
   else
     let ty = Statics.Unify.head_normalize ctx ty in
     match (ty, value) with
-    | _, Value.Vint n -> Statics.Prim.int_to_string n
+    | _, Value.Vint n -> Support.Int_text.to_string n
     | _, Value.Vstring s -> Printf.sprintf "%S" s
     | _, (Value.Vclosure _ | Value.Vprim _) -> "fn"
     | _, Value.Vexnid id -> "exn " ^ Support.Symbol.name id.Value.exn_name

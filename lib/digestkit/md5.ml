@@ -143,7 +143,14 @@ let digest_string str =
   feed_string ctx str;
   finish ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex digest =
-  let buf = Buffer.create (String.length digest * 2) in
-  String.iter (fun ch -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code ch))) digest;
-  Buffer.contents buf
+  let n = String.length digest in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get digest i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string out

@@ -25,7 +25,7 @@ let fresh () =
 let to_bytes p = p
 let of_bytes = of_digest
 let to_hex = Md5.hex
-let short p = String.sub (to_hex p) 0 8
+let short p = Md5.hex (String.sub p 0 4)
 let pp ppf p = Format.pp_print_string ppf (to_hex p)
 
 let truncated_bits p b =

@@ -103,12 +103,12 @@ let apply_prim rt prim arg =
     | v -> exec_error "size expected a string, got %s" (Value.to_string v))
   | P.Pint_to_string -> (
     match arg with
-    | Vint n -> Vstring (P.int_to_string n)
+    | Vint n -> Vstring (Support.Int_text.to_string n)
     | v -> exec_error "intToString expected an int, got %s" (Value.to_string v))
   | P.Pstring_to_int -> (
     match arg with
     | Vstring s -> (
-      match P.int_of_string s with
+      match Support.Int_text.of_string s with
       | Some n -> Vint n
       | None -> raise_basis "Fail" (Some (Vstring ("stringToInt: " ^ s))))
     | v -> exec_error "stringToInt expected a string, got %s" (Value.to_string v))

@@ -52,7 +52,7 @@ let rec equal a b =
 
 let rec pp ppf v =
   match v with
-  | Vint n -> Format.pp_print_string ppf (Statics.Prim.int_to_string n)
+  | Vint n -> Format.pp_print_string ppf (Support.Int_text.to_string n)
   | Vstring s -> Format.fprintf ppf "%S" s
   | Vtuple [||] -> Format.pp_print_string ppf "()"
   | Vtuple parts ->

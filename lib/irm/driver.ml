@@ -802,7 +802,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       st_schedule = schedule;
     }
   in
-  (* fold the build into the profile store (crash-safe journal append) *)
+  (* fold the build into the profile store (a crash-safe journal rewrite) *)
   (match profile with
   | None -> ()
   | Some p ->

@@ -38,7 +38,7 @@ let fold_prim prim args =
   | P.Pconcat, Ltuple [ Lstring a; Lstring b ] -> Some (Lstring (a ^ b))
   | P.Psize, Lstring s -> Some (Lint (String.length s))
   | P.Pnot, Lcon0 b -> Some (bool_term (b = 0))
-  | P.Pint_to_string, Lint n -> Some (Lstring (P.int_to_string n))
+  | P.Pint_to_string, Lint n -> Some (Lstring (Support.Int_text.to_string n))
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

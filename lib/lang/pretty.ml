@@ -56,7 +56,7 @@ and pp_pat_atom ppf pat =
   match pat.pat_desc with
   | Pwild -> Format.pp_print_string ppf "_"
   | Pvar name -> pp_sym ppf name
-  | Pint n -> if n < 0 then Format.fprintf ppf "~%d" (-n) else Format.fprintf ppf "%d" n
+  | Pint n -> Format.pp_print_string ppf (Support.Int_text.to_string n)
   | Pstring s -> Format.fprintf ppf "%S" s
   | Ptuple [] -> Format.pp_print_string ppf "()"
   | Ptuple pats -> Format.fprintf ppf "(%a)" (pp_list ", " pp_pat) pats
@@ -103,7 +103,7 @@ and is_infix_name = function
 
 and pp_exp_atom ppf exp =
   match exp.exp_desc with
-  | Eint n -> if n < 0 then Format.fprintf ppf "~%d" (-n) else Format.fprintf ppf "%d" n
+  | Eint n -> Format.pp_print_string ppf (Support.Int_text.to_string n)
   | Estring s -> Format.fprintf ppf "%S" s
   | Evar path ->
     if path.qualifiers = [] && is_infix_name (Symbol.name path.base) then

@@ -108,7 +108,7 @@ let keyword_table =
 let keyword name = Hashtbl.find_opt keyword_table name
 
 let to_string = function
-  | INT n -> if n < 0 then "~" ^ string_of_int (-n) else string_of_int n
+  | INT n -> Support.Int_text.to_string n
   | STRING s -> Printf.sprintf "%S" s
   | ID s -> s
   | TYVAR s -> "'" ^ s

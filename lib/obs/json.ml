@@ -11,27 +11,36 @@ type t =
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  (* the common string has nothing to escape: one blit *)
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+(* the C printer behind [string_of_float], without Printf's format
+   interpretation *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_to buf f =
   if Float.is_finite f then begin
-    let s = Printf.sprintf "%.12g" f in
+    let s = format_float "%.12g" f in
     Buffer.add_string buf s;
     (* "1." or "1" are not but "1.0" is round-trippable JSON syntax *)
     if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then

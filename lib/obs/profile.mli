@@ -12,7 +12,9 @@
     Persistence mirrors the cache index: a CRC-64-trailed snapshot
     ([<dir>/store]) plus a journal of CRC-prefixed build records
     ([<dir>/journal]), both written only through the atomic-commit
-    protocol ({!Vfs.commit}).  A crash anywhere leaves a state that
+    protocol ({!Vfs.commit}).  Each build is serialized once, when it
+    is recorded (or, read back from disk, on first need); snapshots
+    splice the kept lines.  A crash anywhere leaves a state that
     loads as a prefix of the true history; anything that fails its CRC
     or does not parse is dropped — a damaged store is an empty store,
     never an error. *)
@@ -79,9 +81,10 @@ val load : ?dir:string -> Vfs.fs -> t
 (** The id the next recorded build will get. *)
 val next_id : t -> int
 
-(** [record t build] — append the build to the journal (crash-safely),
-    fold it into the history and aggregates, and compact the journal
-    into the snapshot when it has grown enough. *)
+(** [record t build] — rewrite the journal with the build's line
+    appended (crash-safely), fold it into the history and aggregates,
+    and compact the journal into the snapshot when it has grown
+    enough. *)
 val record : t -> build_profile -> unit
 
 (** Retained builds, oldest first. *)

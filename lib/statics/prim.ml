@@ -69,18 +69,5 @@ let int_mod a b =
   let r = a mod b in
   if r <> 0 && (r lxor b) < 0 then r + b else r
 
-(* OCaml prints [min_int] right ([-min_int] would overflow back to
-   [min_int]): only the sign changes *)
-let int_to_string n =
-  let s = string_of_int n in
-  if n >= 0 then s else "~" ^ String.sub s 1 (String.length s - 1)
-
-let int_of_string s =
-  let neg = String.starts_with ~prefix:"~" s in
-  let digits = if neg then String.sub s 1 (String.length s - 1) else s in
-  if digits <> "" && String.for_all (fun c -> '0' <= c && c <= '9') digits
-  then int_of_string_opt (if neg then "-" ^ digits else digits)
-  else None
-
 let equal = ( = )
 let pp ppf p = Format.pp_print_string ppf (name p)

@@ -48,13 +48,5 @@ val int_div : int -> int -> int
     be zero. *)
 val int_mod : int -> int -> int
 
-(** SML's integer text, [~?[0-9]+]: [int_to_string ~-5 = "~5"], and
-    [min_int] prints exactly. *)
-val int_to_string : int -> string
-
-(** Inverse of {!int_to_string}: [None] for any other text (no [-],
-    [+], [0x] or [_]) and for a value outside [int]'s range. *)
-val int_of_string : string -> int option
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -70,8 +70,11 @@ let real ~dir =
       Sys.mkdir d 0o755
     end
   in
-  let read path =
-    let full = join path in
+  (* the checked paths: pre-stat, then read or stat.  Every errno the
+     fast paths below do not decide lands here, so a path the pre-stat
+     cannot see (EACCES on a directory) reads as absent and an
+     unreadable file raises [Sys_error] *)
+  let read_checked full =
     if Sys.file_exists full && not (Sys.is_directory full) then begin
       let ic = open_in_bin full in
       let n = in_channel_length ic in
@@ -80,6 +83,47 @@ let real ~dir =
       Some content
     end
     else None
+  in
+  let mtime_checked full =
+    if Sys.file_exists full then
+      Some (int_of_float (Unix.stat full).Unix.st_mtime)
+    else None
+  in
+  (* fill one buffer of the size fstat reported; a file that shrank
+     under us reads as what was there *)
+  let read_fd fd size =
+    let buf = Bytes.create size in
+    let rec fill off =
+      if off >= size then off
+      else
+        match Unix.read fd buf off (size - off) with
+        | 0 -> off
+        | k -> fill (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+    in
+    let n = fill 0 in
+    if n = size then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 n
+  in
+  (* open, fstat, read, close: no pre-stat and no channel buffer.  A
+     missing file, a directory and a path through a regular file read
+     as absent, as the checked path has them *)
+  let read path =
+    let full = join path in
+    match Unix.openfile full [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) -> None
+    | exception Unix.Unix_error _ -> read_checked full
+    | fd -> (
+      match
+        let st = Unix.fstat fd in
+        if st.Unix.st_kind = Unix.S_DIR then None
+        else Some (read_fd fd st.Unix.st_size)
+      with
+      | content ->
+        Unix.close fd;
+        content
+      | exception Unix.Unix_error _ ->
+        Unix.close fd;
+        read_checked full)
   in
   let write path content =
     let full = join path in
@@ -94,9 +138,10 @@ let real ~dir =
   in
   let mtime path =
     let full = join path in
-    if Sys.file_exists full then
-      Some (int_of_float (Unix.stat full).Unix.st_mtime)
-    else None
+    match Unix.stat full with
+    | st -> Some (int_of_float st.Unix.st_mtime)
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) -> None
+    | exception Unix.Unix_error _ -> mtime_checked full
   in
   let remove path =
     (* already-missing files are fine: removal is idempotent *)

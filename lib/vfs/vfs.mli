@@ -56,8 +56,11 @@ val commit_path : string -> string
 val is_commit_temp : string -> bool
 
 (** The host file system rooted at [dir] (paths are joined to it).
-    [fs_write] is atomic (write-temp/rename); [fs_remove] ignores
-    already-missing files; [fs_mtime] is wall-clock seconds; [fs_list]
+    [fs_read] is one open, fstat and read loop: a missing file, a
+    directory and a path through a regular file read as [None], and
+    an unreadable file raises [Sys_error].  [fs_write] is atomic
+    (write-temp/rename); [fs_remove] ignores already-missing files;
+    [fs_mtime] is one stat, in wall-clock seconds; [fs_list]
     enumerates [dir] recursively. *)
 val real : dir:string -> fs
 

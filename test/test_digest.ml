@@ -174,6 +174,33 @@ let test_crc64_every_split () =
       Alcotest.failf "split at %d: oracle %Lx, sliced %Lx" cut whole split
   done
 
+(* the table-driven hex equals the stdlib's ([Digest.to_hex], which
+   takes exactly 16 bytes) on every byte value and on random strings;
+   [Pid.short] is the first 8 digits of [Pid.to_hex] *)
+let test_hex_matches_stdlib () =
+  let byte_hex c = String.sub (Digest.to_hex (String.make 16 c)) 0 2 in
+  for b = 0 to 255 do
+    let c = Char.chr b in
+    Alcotest.(check string) (Printf.sprintf "byte %d" b) (byte_hex c)
+      (Digestkit.Md5.hex (String.make 1 c))
+  done;
+  Alcotest.(check string) "empty" "" (Digestkit.Md5.hex "");
+  let rs = Random.State.make [| 0x4e7 |] in
+  let random len = String.init len (fun _ -> Char.chr (Random.State.int rs 256)) in
+  for _ = 1 to 200 do
+    let d = random 16 in
+    Alcotest.(check string) "16 random bytes" (Digest.to_hex d)
+      (Digestkit.Md5.hex d);
+    Alcotest.(check string) "short" (String.sub (Digest.to_hex d) 0 8)
+      (Digestkit.Pid.short (Digestkit.Pid.of_digest d))
+  done;
+  for len = 1 to 64 do
+    let s = random len in
+    let want = String.concat "" (List.init len (fun i -> byte_hex s.[i])) in
+    Alcotest.(check string) (Printf.sprintf "length %d" len) want
+      (Digestkit.Md5.hex s)
+  done
+
 let suite =
   [
     Alcotest.test_case "md5 rfc1321 vectors" `Quick test_md5_vectors;
@@ -193,4 +220,5 @@ let suite =
       test_crc64_every_slice;
     Alcotest.test_case "crc64 split at every position" `Quick
       test_crc64_every_split;
+    Alcotest.test_case "hex = Digest.to_hex" `Quick test_hex_matches_stdlib;
   ]

@@ -409,8 +409,86 @@ let test_post_recovery_edit_partitions () =
              (Driver.policy_name policy)))
     policies
 
+(* ------------------------------------------------------------------ *)
+(* Vfs.real: reads and mtimes on the host file system                  *)
+(* ------------------------------------------------------------------ *)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Unix.chmod path 0o755;
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let with_real_dir tag f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "smlsep-vfs-%s-%d" tag (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir (Vfs.real ~dir))
+
+let read_opt = Alcotest.(option string)
+let mtime_opt = Alcotest.(option int)
+
+(* absent things read as [None]: a missing file, a directory, a path
+   through a regular file; an empty file and one larger than any read
+   buffer read whole; mtimes are whole seconds and a directory has one *)
+let test_real_read_paths () =
+  with_real_dir "paths" (fun dir fs ->
+      let stat_mtime rel =
+        Some (int_of_float (Unix.stat (Filename.concat dir rel)).Unix.st_mtime)
+      in
+      fs.Vfs.fs_write "plain.txt" "hello";
+      fs.Vfs.fs_write "empty" "";
+      let big = String.init 200_000 (fun i -> Char.chr ((i * 7) mod 256)) in
+      fs.Vfs.fs_write "deep/big.bin" big;
+      Alcotest.check read_opt "plain" (Some "hello") (fs.Vfs.fs_read "plain.txt");
+      Alcotest.check mtime_opt "plain mtime" (stat_mtime "plain.txt")
+        (fs.Vfs.fs_mtime "plain.txt");
+      Alcotest.check read_opt "missing" None (fs.Vfs.fs_read "missing.sml");
+      Alcotest.check mtime_opt "missing mtime" None (fs.Vfs.fs_mtime "missing.sml");
+      Alcotest.check read_opt "directory" None (fs.Vfs.fs_read "deep");
+      Alcotest.check mtime_opt "directory mtime" (stat_mtime "deep")
+        (fs.Vfs.fs_mtime "deep");
+      Alcotest.check read_opt "through a file (ENOTDIR)" None
+        (fs.Vfs.fs_read "plain.txt/x");
+      Alcotest.check mtime_opt "through a file mtime" None
+        (fs.Vfs.fs_mtime "plain.txt/x");
+      Alcotest.check read_opt "empty" (Some "") (fs.Vfs.fs_read "empty");
+      Alcotest.check mtime_opt "empty mtime" (stat_mtime "empty")
+        (fs.Vfs.fs_mtime "empty");
+      Alcotest.(check bool) "over 64 KiB reads whole" true
+        (fs.Vfs.fs_read "deep/big.bin" = Some big))
+
+(* permission errors keep their old outcomes: an unreadable file raises
+   [Sys_error], a file under an unsearchable directory is absent.  Root
+   reads through any mode, so the case cannot be made as root. *)
+let test_real_unreadable () =
+  if Unix.geteuid () = 0 then Alcotest.skip ();
+  with_real_dir "perm" (fun dir fs ->
+      fs.Vfs.fs_write "secret" "x";
+      fs.Vfs.fs_write "locked/inner" "y";
+      Unix.chmod (Filename.concat dir "secret") 0o000;
+      Unix.chmod (Filename.concat dir "locked") 0o000;
+      (match fs.Vfs.fs_read "secret" with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "an unreadable file must raise Sys_error");
+      Alcotest.(check bool) "unreadable file has an mtime" true
+        (fs.Vfs.fs_mtime "secret" <> None);
+      Alcotest.check read_opt "under an unsearchable directory" None
+        (fs.Vfs.fs_read "locked/inner");
+      Alcotest.check mtime_opt "its mtime" None (fs.Vfs.fs_mtime "locked/inner"))
+
 let suite =
   [
+    Alcotest.test_case "real fs: read and mtime paths" `Quick
+      test_real_read_paths;
+    Alcotest.test_case "real fs: unreadable paths" `Quick test_real_unreadable;
     Alcotest.test_case "torn writes are silent" `Quick test_torn_write_is_silent;
     Alcotest.test_case "write failures are transient" `Quick
       test_write_fail_is_transient;

@@ -292,6 +292,22 @@ let test_parse_figure1 () =
   let unit_ = Parser.parse_unit ~file:"fig1.sml" src in
   Alcotest.(check int) "five declarations" 5 (List.length unit_.Ast.unit_decs)
 
+(* a [min_int] literal prints as SML text wherever a token or an
+   expression is shown: in a syntax error and in the pretty-printer *)
+let test_min_int_text () =
+  let src = "structure A = struct type t = ~4611686018427387904 end" in
+  (match Diag.guard (fun () -> Parser.parse_unit ~file:"e.sml" src) with
+  | Error d ->
+    Alcotest.(check string) "code" "E0200" d.Diag.code;
+    Alcotest.(check string)
+      "message" "expected a type but found '~4611686018427387904'"
+      d.Diag.message
+  | Ok _ -> Alcotest.fail "expected a syntax error");
+  Alcotest.(check string)
+    "pretty" "~4611686018427387904 + ~1"
+    (Pretty.exp_to_string (parse_exp "~4611686018427387904 + ~1"));
+  roundtrip_exp "~4611686018427387904"
+
 let test_parse_errors () =
   let fails src =
     match Diag.guard (fun () -> Parser.parse_unit ~file:"e.sml" src) with
@@ -370,6 +386,7 @@ let suite =
     Alcotest.test_case "pretty/parse roundtrips" `Quick test_roundtrip_corpus;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_int_exprs;
     Alcotest.test_case "lex integer range" `Quick test_lex_int_range;
+    Alcotest.test_case "min_int literal text" `Quick test_min_int_text;
     Alcotest.test_case "lexer = oracle on generated projects" `Quick
       test_lexer_oracle_gen;
     Alcotest.test_case "lexer = oracle on the examples" `Quick

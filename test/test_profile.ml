@@ -570,6 +570,169 @@ let prop_interface_edit_exact =
       causes_of stats = want)
 
 (* ------------------------------------------------------------------ *)
+(* Store bytes = the whole-state oracle                                *)
+(* ------------------------------------------------------------------ *)
+
+(* a seeded build: names and causes that need JSON escaping, floats of
+   every magnitude (integral ones too), imports with hex pids *)
+let seeded_build rs ~id =
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let names = [| "a.sml"; "b.sml"; "dir/c.sml"; "quote\"d.sml"; "tab\te\\.sml" |] in
+  let floats = [| 0.; 1.; 2.5; -3.; 1e-7; 0.1; 123456789012345.; 1e300 |] in
+  let num () =
+    if Random.State.bool rs then pick floats else Random.State.float rs 4.
+  in
+  let unit_ _ =
+    {
+      Profile.up_unit = pick names;
+      up_outcome =
+        pick [| "recompiled"; "cutoff"; "cache"; "loaded"; "failed"; "skipped" |];
+      up_cause =
+        (if Random.State.bool rs then None
+         else Some (pick [| "source-changed"; "import-pid-changed"; "first\nbuild" |]));
+      up_culprits = List.init (Random.State.int rs 3) (fun _ -> pick names);
+      up_start_s = num ();
+      up_wall_s = num ();
+      up_phases =
+        List.filter (fun _ -> Random.State.bool rs)
+          [ ("parse", num ()); ("elaborate", num ()); ("pickle", num ()) ];
+      up_imports =
+        List.init (Random.State.int rs 3) (fun _ ->
+            ( pick names,
+              if Random.State.int rs 4 = 0 then ""
+              else Digestkit.Md5.hex (Digestkit.Md5.digest_string (pick names)) ));
+      up_priority = num ();
+    }
+  in
+  {
+    Profile.bp_id = id;
+    bp_policy = pick [| "cutoff"; "selective"; "timestamp" |];
+    bp_backend = pick [| "serial"; "parallel" |];
+    bp_wall_s = num ();
+    bp_jobs = 1 + Random.State.int rs 4;
+    bp_slot_busy_s = List.init (Random.State.int rs 3) (fun _ -> num ());
+    bp_schedule = pick [| "wavefront"; "critical-path" |];
+    bp_units = List.init (Random.State.int rs 5) unit_;
+  }
+
+(* the store (on [fs]) and the oracle (on [ofs]) have written the same
+   bytes, and read back the same state *)
+let same_bytes ~what fs ofs =
+  List.iter
+    (fun name ->
+      let path = Filename.concat Profile.default_dir name in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: %s" what name)
+        (ofs.Vfs.fs_read path) (fs.Vfs.fs_read path))
+    [ "store"; "journal" ]
+
+let test_store_bytes_match_oracle () =
+  let rs = Random.State.make [| 25 |] in
+  let fs = Vfs.memory () and ofs = Vfs.memory () in
+  let p = ref (Profile.load fs) and o = ref (Oracle_profile.load ofs) in
+  let reload () =
+    p := Profile.load fs;
+    o := Oracle_profile.load ofs
+  in
+  let record_n what n =
+    for i = 1 to n do
+      let b = seeded_build rs ~id:(Profile.next_id !p) in
+      Profile.record !p b;
+      Oracle_profile.record !o b;
+      same_bytes ~what:(Printf.sprintf "%s, record %d" what i) fs ofs
+    done
+  in
+  (* several compactions from an empty store *)
+  record_n "fresh" 30;
+  Alcotest.(check bool) "compacted into a snapshot" true
+    (fs.Vfs.fs_read (Filename.concat Profile.default_dir "store") <> None);
+  (* a reload reads every retained build back: the next compaction
+     serializes their lines lazily *)
+  reload ();
+  record_n "after reload" 20;
+  (* a torn journal tail is dropped on reload *)
+  let jpath = Filename.concat Profile.default_dir "journal" in
+  List.iter
+    (fun fs ->
+      let j = Option.value ~default:"" (fs.Vfs.fs_read jpath) in
+      fs.Vfs.fs_write jpath (j ^ "deadbeef {\"torn\":"))
+    [ fs; ofs ];
+  reload ();
+  record_n "after a torn journal" 12;
+  (* an old journal record (no priority, an extra field) is re-read in
+     today's form *)
+  let old_id = Profile.next_id !p in
+  let old_body =
+    "{\"backend\":\"serial\",\"id\":" ^ string_of_int old_id
+    ^ ",\"jobs\":1,\"policy\":\"cutoff\",\"slot_busy_s\":[],\
+     \"static_releases\":2,\"units\":[{\"culprits\":[],\"imports\":{},\
+     \"name\":\"a.sml\",\"outcome\":\"recompiled\",\"phases\":{},\
+     \"start_s\":0,\"wall_s\":0.5,\"cause\":null}],\"wall_s\":1}"
+  in
+  List.iter
+    (fun fs ->
+      let j = Option.value ~default:"" (fs.Vfs.fs_read jpath) in
+      fs.Vfs.fs_write jpath
+        (Printf.sprintf "%s%Lx %s\n" j (Digestkit.Crc64.of_string old_body) old_body))
+    [ fs; ofs ];
+  reload ();
+  Alcotest.(check bool) "old record read back" true
+    (match Profile.last !p with
+    | Some b -> b.Profile.bp_id = old_id && b.Profile.bp_schedule = "wavefront"
+    | None -> false);
+  record_n "after an old record" 12;
+  (* a build a signal interrupted records the units that finished *)
+  let src = Vfs.memory () in
+  List.iter
+    (fun (f, s) -> src.Vfs.fs_write f s)
+    [
+      ("base.sml", "structure Base = struct val x = 1 end");
+      ("mid.sml", "structure Mid = struct val y = Base.x + 1 end");
+      ("top.sml", "structure Top = struct val z = Mid.y + 1 end");
+    ];
+  let sources = [ "base.sml"; "mid.sml"; "top.sml" ] in
+  let interrupting =
+    {
+      src with
+      Vfs.fs_write =
+        (fun path data ->
+          if String.starts_with ~prefix:"mid.sml.bin" path then
+            raise (Driver.Interrupted "test");
+          src.Vfs.fs_write path data);
+    }
+  in
+  (match
+     Driver.build ~profile:!p (Driver.create interrupting) ~policy:Driver.Cutoff
+       ~sources
+   with
+  | _ -> Alcotest.fail "the build must be interrupted"
+  | exception Driver.Interrupted _ -> ());
+  let replay_last what =
+    match Profile.last !p with
+    | Some b ->
+      Oracle_profile.record !o b;
+      same_bytes ~what fs ofs
+    | None -> Alcotest.fail "no build recorded"
+  in
+  replay_last "interrupted build";
+  Alcotest.(check int) "partial record" 1
+    (match Profile.last !p with Some b -> List.length b.Profile.bp_units | None -> 0);
+  ignore (Driver.build ~profile:!p (Driver.create src) ~policy:Driver.Cutoff ~sources);
+  replay_last "full build";
+  record_n "to the next compaction" 9;
+  (* a store the oracle wrote loads as the state the oracle reads back *)
+  let from_oracle = Profile.load ofs and oracle = Oracle_profile.load ofs in
+  Alcotest.(check bool) "oracle-written builds load" true
+    (Profile.builds from_oracle = Oracle_profile.builds oracle);
+  Alcotest.(check int) "oracle-written next id" oracle.Oracle_profile.next_id
+    (Profile.next_id from_oracle);
+  Hashtbl.iter
+    (fun u a ->
+      Alcotest.(check bool) ("aggregate " ^ u) true
+        (Profile.aggregate from_oracle u = Some a))
+    oracle.Oracle_profile.aggregates
+
+(* ------------------------------------------------------------------ *)
 (* Metrics dump determinism                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -629,6 +792,8 @@ let suite =
       test_skipped_culprit_recorded;
     QCheck_alcotest.to_alcotest prop_comment_edit_exact;
     QCheck_alcotest.to_alcotest prop_interface_edit_exact;
+    Alcotest.test_case "store bytes = whole-state oracle" `Quick
+      test_store_bytes_match_oracle;
     Alcotest.test_case "metrics dump is deterministic" `Quick
       test_metrics_pp_deterministic;
   ]
