@@ -1242,11 +1242,8 @@ let e17 () =
   in
   let metric name = Option.value ~default:0 (Obs.Metrics.find name) in
   let workers_backend =
-    Driver.Workers
-      {
-        (Remote.Worker.default_config ~jobs ()) with
-        Remote.Worker.w_chaos = [];
-      }
+    Driver.Pool
+      { (Remote.Pool.default_config (Spawn jobs)) with Remote.Pool.chaos = [] }
   in
   (* spawn count and IPC volume from one dedicated build, so the counts
      describe a single clean build rather than a median's worth *)
@@ -1809,7 +1806,7 @@ let e21 () =
       (try
          Remote.Exec.run
            (Remote.Exec.create
-              ~mode:(Remote.Exec.Pool (Remote.Worker.default_config ~jobs:2 ()))
+              ~mode:(Remote.Exec.Pool (Remote.Pool.default_config (Spawn 2)))
               addr (Irm.Wire.proto ()))
        with _ -> ());
       Unix._exit 0
@@ -1843,12 +1840,12 @@ let e21 () =
       @@ fun () ->
       let fs, sources = fresh_project (Printf.sprintf "remote%d" n_execs) in
       let cfg =
-        { (Remote.Fleet.default_config ~execs) with Remote.Fleet.r_log = ignore }
+        { (Remote.Pool.default_config (Dial execs)) with Remote.Pool.log = ignore }
       in
       let wall_s, _ =
         time (fun () ->
             Driver.build (Driver.create fs)
-              ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff ~sources)
+              ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff ~sources)
       in
       Printf.printf "  %-28s %8.3f s  (%.2fx vs serial)\n%!"
         (Printf.sprintf "%d executor%s" n_execs
@@ -1924,17 +1921,17 @@ let e21 () =
   let dead = Remote.Transport.Unix_sock (tmp "nobody" ^ ".sock") in
   let cfg =
     {
-      (Remote.Fleet.default_config ~execs:[ dead ]) with
-      Remote.Fleet.r_log = ignore;
-      r_dial_timeout_s = 0.5;
-      r_backoff_s = 0.005;
-      r_backoff_cap_s = 0.05;
+      (Remote.Pool.default_config (Dial [ dead ])) with
+      Remote.Pool.log = ignore;
+      dial_timeout_s = 0.5;
+      backoff_s = 0.005;
+      backoff_cap_s = 0.05;
     }
   in
   let degraded_s, _ =
     time (fun () ->
         Driver.build (Driver.create fs)
-          ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff ~sources)
+          ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff ~sources)
   in
   Printf.printf "  %-28s %8.3f s  (%.2fx serial)\n%!" "degraded (all dead)"
     degraded_s

@@ -107,18 +107,18 @@ let parse_remote_addr s =
 let backend_of ~jobs ~workers ~worker_timeout ?(remotes = [])
     ?(remote_timeout = 30.) ?(remote_fallback = true) () =
   if remotes <> [] then
-    Irm.Driver.Remote
+    Irm.Driver.Pool
       {
-        (Remote.Fleet.default_config
-           ~execs:(List.map parse_remote_addr remotes))
+        (Remote.Pool.default_config
+           (Dial (List.map parse_remote_addr remotes)))
         with
-        Remote.Fleet.r_job_timeout_s = remote_timeout;
-        r_local_fallback = remote_fallback;
+        timeout_s = remote_timeout;
+        local_fallback = remote_fallback;
       }
   else if workers > 0 then
-    Irm.Driver.Workers
-      { (Remote.Worker.default_config ~jobs:workers ()) with
-        Remote.Worker.w_timeout_s = worker_timeout }
+    Irm.Driver.Pool
+      { (Remote.Pool.default_config (Spawn workers)) with
+        timeout_s = worker_timeout }
   else backend_of_jobs jobs
 
 (* --remote-cache: read through the shared cache service, with the
@@ -216,7 +216,7 @@ let guarded ?(error_format = `Text) f =
   | exception Sys_error msg ->
     prerr_endline msg;
     1
-  | exception Remote.Worker.Pool_down msg ->
+  | exception Remote.Pool.Pool_down msg ->
     Printf.eprintf
       "build aborted: the compile worker pool died entirely (%s)\n" msg;
     4
@@ -768,8 +768,8 @@ let serve_exec_impl listen exec_jobs worker_timeout =
         if exec_jobs <= 0 then Remote.Exec.Inline
         else
           Remote.Exec.Pool
-            { (Remote.Worker.default_config ~jobs:exec_jobs ()) with
-              Remote.Worker.w_timeout_s = worker_timeout }
+            { (Remote.Pool.default_config (Spawn exec_jobs)) with
+              timeout_s = worker_timeout }
       in
       let exec = Remote.Exec.create ~mode addr (Irm.Wire.proto ()) in
       Printf.eprintf "irm: executor serving on %s (%s)\n%!"
@@ -1364,8 +1364,9 @@ let serve_cache_cmd =
          "serve the shared unit-cache: a sharded content-addressed \
           store behind a socket, read and fed by $(b,build \
           --remote-cache) clients on any machine (objects commit before \
-          their index records, so an acknowledged put is durably \
-          readable)")
+          their index records, so an acknowledged put is readable and \
+          survives the service process crashing; nothing calls fsync, so \
+          an OS crash or power loss may still lose it)")
     Term.(
       const serve_cache_impl $ dir_arg $ listen_arg $ shards_arg
       $ cache_budget_arg $ cache_dir_arg)

@@ -45,16 +45,13 @@ let compile_supervised ~worker_timeout ~werror ~max_errors ~source_path ~source
     }
   in
   let pool =
-    Remote.Worker.create
-      {
-        (Remote.Worker.default_config ~jobs:1 ()) with
-        Remote.Worker.w_timeout_s = worker_timeout;
-      }
+    Remote.Pool.create
+      { (Remote.Pool.default_config (Spawn 1)) with timeout_s = worker_timeout }
       (Irm.Wire.proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:source_path (Irm.Wire.encode_job job);
-  match Remote.Worker.next pool with
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:source_path (Irm.Wire.encode_job job);
+  match Remote.Pool.next pool with
   | _, Ok payload -> (Irm.Wire.decode_result payload).Irm.Wire.r_bytes
   | _, Error exn -> raise exn
 
@@ -218,7 +215,7 @@ let main source_path import_paths run verbose use_cache cache_dir trace stats
   | exception Sys_error msg ->
     prerr_endline msg;
     1
-  | exception Remote.Worker.Pool_down msg ->
+  | exception Remote.Pool.Pool_down msg ->
     Printf.eprintf
       "compile aborted: the worker pool died entirely (%s)\n" msg;
     4

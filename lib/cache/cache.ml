@@ -113,7 +113,6 @@ let load_journal t =
   match t.fs.Vfs.fs_read (journal_path t) with
   | None -> ()
   | Some content ->
-    let records = String.split_on_char '\n' content in
     List.iter
       (fun line ->
         match String.split_on_char ' ' (String.trim line) with
@@ -127,9 +126,12 @@ let load_journal t =
           | Some used -> apply_touch t key used
           | None -> ())
         | _ -> ())
-      records;
+      (String.split_on_char '\n' content);
     t.journal <- content;
-    t.journal_records <- List.length records
+    (* a record is a terminated line: the piece after the final newline
+       is not one, so a reloaded store compacts where a fresh one does *)
+    t.journal_records <-
+      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 content
 
 let snapshot_content t =
   let buf = Buffer.create 256 in

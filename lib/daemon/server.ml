@@ -210,7 +210,7 @@ let guard ~json f =
          fault_path)
   | exception Sys_error msg -> plain (msg ^ "\n")
   | exception (Relink.Swap_aborted _ as exn) -> plain (swap_failure exn ^ "\n")
-  | exception Remote.Worker.Pool_down msg ->
+  | exception Remote.Pool.Pool_down msg ->
     plain ~code:4
       (Printf.sprintf
          "build aborted: the compile worker pool died entirely (%s)\n" msg)

@@ -11,8 +11,7 @@ let policy_name = function
 type backend = Sched.backend =
   | Serial
   | Parallel of int
-  | Workers of Remote.Worker.config
-  | Remote of Remote.Fleet.config
+  | Pool of Remote.Pool.config
 
 (* how the scheduler orders ready work.  [Wavefront] is the plain FIFO
    wavefront; [Critical_path] ranks ready units by the length of the
@@ -604,18 +603,9 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       (result, Unix.gettimeofday () -. prep.p_start);
     result
   in
-  (* the Remote backend gets the supervision-failure translator here,
-     so fleet exhaustion surfaces as E0703/E0704 diagnostics exactly as
-     worker crashes surface as E0701/E0702 *)
-  let backend =
-    match backend with
-    | Sched.Remote cfg ->
-      Sched.Remote { cfg with Remote.Fleet.r_fail = Wire.remote_fail }
-    | (Sched.Serial | Sched.Parallel _ | Sched.Workers _) as b -> b
-  in
   let codec =
     match backend with
-    | Sched.Workers _ | Sched.Remote _ -> Some (Wire.codec ())
+    | Sched.Pool _ -> Some (Wire.codec ())
     | Sched.Serial | Sched.Parallel _ -> None
   in
   (* one profile-store row per unit: its cause, timing, phases and

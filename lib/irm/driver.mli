@@ -34,14 +34,15 @@ type policy = Timestamp | Cutoff | Selective
 val policy_name : policy -> string
 
 (** Where compile jobs run — re-exported from {!Sched.backend}.
-    [Workers] runs every compile in a supervised child process
-    ({!Worker}): crash isolation, per-unit timeouts, and quarantine
-    diagnostics ([E0701]/[E0702]), byte-identical to [Serial]. *)
+    [Pool] runs every compile on a {!Remote.Pool} peer: a supervised
+    child process (crash isolation, per-unit timeouts, and quarantine
+    diagnostics [E0701]/[E0702]) or a remote executor ([E0703]/[E0704]
+    when none answers and local fallback is off), byte-identical to
+    [Serial]. *)
 type backend = Sched.backend =
   | Serial
   | Parallel of int
-  | Workers of Remote.Worker.config
-  | Remote of Remote.Fleet.config
+  | Pool of Remote.Pool.config
 
 (** How the scheduler orders ready compiles.  [Wavefront] dispatches in
     build order as dependencies complete (the classical wavefront).

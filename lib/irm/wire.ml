@@ -39,7 +39,7 @@ let manager_error fmt = Diag.error Diag.Manager Loc.dummy fmt
    scoped per compile (Symbol.with_fresh_scope) the bytes are a pure
    function of (source, closure bytes) — identical no matter which
    domain, process, or how many, ran the job.  The serial backend runs
-   this very function inline, so Serial, Parallel and Workers builds
+   this very function inline, so Serial, Parallel and Pool builds
    agree byte-for-byte by construction.  The span's [closure_bytes] arg
    is the size of the views the job rehydrated. *)
 let execute job =
@@ -287,45 +287,40 @@ let decode_exn payload =
   | b -> raise (Buf.Corrupt (Printf.sprintf "unknown exception tag %d" b))
 
 (* ------------------------------------------------------------------ *)
-(* The worker protocol                                                 *)
+(* The job-peer protocol                                               *)
 (* ------------------------------------------------------------------ *)
 
-let fail_diag ~id = function
-  | Remote.Worker.Crashed { wf_attempts; wf_detail } ->
-    Diag.Error
-      (Diag.make ~code:"E0701" ~unit_name:id Diag.Manager Loc.dummy
-         (Printf.sprintf
-            "compiler crashed while compiling %s (%s); unit quarantined \
-             after %d attempts"
-            id wf_detail wf_attempts))
-  | Remote.Worker.Timed_out { wf_timeout_s } ->
-    Diag.Error
-      (Diag.make ~code:"E0702" ~unit_name:id Diag.Manager Loc.dummy
-         (Printf.sprintf
-            "compile of %s exceeded its %gs timeout and was killed" id
-            wf_timeout_s))
-
-(* the fleet's failure vocabulary, one code per network failure class:
-   E0703 — the executors could not be reached (or stopped answering)
-   despite retries; E0704 — a peer spoke protocol damage.  The unit is
-   failed, not lost: keep-going builds poison only its cone. *)
-let remote_fail ~id = function
-  | Remote.Fleet.Unreachable { rf_attempts; rf_detail } ->
-    Diag.Error
-      (Diag.make ~code:"E0703" ~unit_name:id Diag.Manager Loc.dummy
-         (Printf.sprintf
-            "remote executors unreachable while compiling %s (%s); gave up \
-             after %d attempts"
-            id rf_detail rf_attempts))
-  | Remote.Fleet.Protocol { rf_detail } ->
-    Diag.Error
-      (Diag.make ~code:"E0704" ~unit_name:id Diag.Manager Loc.dummy
-         (Printf.sprintf "remote protocol error while compiling %s: %s" id
-            rf_detail))
+(* one code per failure class the pool reports.  The unit is failed,
+   not lost: keep-going builds poison only its cone. *)
+let fail_diag ~id failure =
+  let code, msg =
+    match failure with
+    | Remote.Pool.Crashed { attempts; detail } ->
+      ( "E0701",
+        Printf.sprintf
+          "compiler crashed while compiling %s (%s); unit quarantined \
+           after %d attempts"
+          id detail attempts )
+    | Remote.Pool.Timed_out { timeout_s } ->
+      ( "E0702",
+        Printf.sprintf "compile of %s exceeded its %gs timeout and was killed"
+          id timeout_s )
+    | Remote.Pool.Unreachable { attempts; detail } ->
+      ( "E0703",
+        Printf.sprintf
+          "remote executors unreachable while compiling %s (%s); gave up \
+           after %d attempts"
+          id detail attempts )
+    | Remote.Pool.Protocol { detail } ->
+      ( "E0704",
+        Printf.sprintf "remote protocol error while compiling %s: %s" id
+          detail )
+  in
+  Diag.Error (Diag.make ~code ~unit_name:id Diag.Manager Loc.dummy msg)
 
 let proto () =
   {
-    Remote.Worker.p_handler =
+    Remote.Pool.p_handler =
       (fun ~id:_ payload ->
         (* the far side of a wire decodes the closure itself: its time
            belongs to the job's rehydrate phase *)
@@ -345,7 +340,7 @@ let proto () =
           });
     p_encode_exn = encode_exn;
     p_decode_exn = decode_exn;
-    p_fail = (fun ~id failure -> fail_diag ~id failure);
+    p_fail = fail_diag;
   }
 
 let codec () =

@@ -3,11 +3,12 @@
     The paper's factored model makes compiling a unit a pure function
     of [(source, the import closure's static views)] — this module
     holds that job value, the [execute] function every backend runs
-    (inline for [Serial]/[Parallel], in a forked child for [Workers]),
-    and the {!Pickle.Buf} codecs that move jobs, results, and
-    exceptions across the process boundary.  Because [execute] is the
-    same function everywhere and the codecs are lossless, the [Workers]
-    backend is byte-identical to [Serial] by construction. *)
+    (inline for [Serial]/[Parallel], on a forked child or a remote
+    executor for [Pool]), and the {!Pickle.Buf} codecs that move jobs,
+    results, and exceptions across the process boundary.  Because
+    [execute] is the same function everywhere and the codecs are
+    lossless, the [Pool] backend is byte-identical to [Serial] by
+    construction. *)
 
 module Diag = Support.Diag
 
@@ -80,16 +81,12 @@ val encode_exn : exn -> string
 
 val decode_exn : string -> exn
 
-(** The worker protocol: [p_handler] decodes a job, runs {!execute},
-    and encodes the result; [p_fail] mints the supervision diagnostics
-    — [E0701] (compiler crash, unit quarantined) and [E0702] (compile
-    timeout). *)
-val proto : unit -> Remote.Worker.proto
+(** The job-peer protocol: [p_handler] decodes a job, runs {!execute},
+    and encodes the result; [p_fail] mints the pool's failure
+    diagnostics — [E0701] (compiler crash, unit quarantined), [E0702]
+    (compile timeout), [E0703] (remote executors unreachable after
+    retries) and [E0704] (remote protocol damage). *)
+val proto : unit -> Remote.Pool.proto
 
-(** The remote fleet's failure translator: [E0703] (remote executors
-    unreachable after retries) and [E0704] (remote protocol damage).
-    [Driver.build] installs it on every [Remote] backend. *)
-val remote_fail : id:string -> Remote.Fleet.failure -> exn
-
-(** The scheduler codec for the [Workers] backend. *)
+(** The scheduler codec for the [Pool] backend. *)
 val codec : unit -> (job, result) Sched.codec

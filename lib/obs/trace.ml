@@ -181,7 +181,7 @@ let instant ?(cat = "") ?(args = []) name =
 
 (* a span whose start was observed out of band (a worker job the
    supervisor watched die): recorded after the fact, ending now *)
-let record_span ?(cat = "") ?(args = []) ~start_s name =
+let record_span ?(cat = "") ?(args = []) ?(pid = 0) ~start_s name =
   if Atomic.get on then begin
     let seq = Atomic.fetch_and_add next_seq 1 in
     let start_us = (start_s -. !epoch) *. 1e6 in
@@ -192,7 +192,7 @@ let record_span ?(cat = "") ?(args = []) ~start_s name =
         ev_start_us = start_us;
         ev_dur_us = Float.max 0.0 (now_us () -. start_us);
         ev_depth = 0;
-        ev_pid = 0;
+        ev_pid = pid;
         ev_tid = tid ();
         ev_args = args;
       }

@@ -63,12 +63,18 @@ val span_with :
 (** [instant ?cat ?args name] — a zero-duration marker. *)
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 
-(** [record_span ?cat ?args ~start_s name f] — record a span after the
-    fact: it started at [start_s] (absolute [Unix.gettimeofday]
-    seconds) and ends now.  Used by the worker supervisor to stand in a
-    [truncated] span for a job whose child died before flushing. *)
+(** [record_span ?cat ?args ?pid ~start_s name] — record a span after
+    the fact: it started at [start_s] (absolute [Unix.gettimeofday]
+    seconds) and ends now, on process [pid]'s track (default 0: this
+    process).  {!Remote.Pool} stands in a [truncated] span on a dead
+    child's track for the job the child died before flushing. *)
 val record_span :
-  ?cat:string -> ?args:(string * string) list -> start_s:float -> string -> unit
+  ?cat:string ->
+  ?args:(string * string) list ->
+  ?pid:int ->
+  start_s:float ->
+  string ->
+  unit
 
 (** [record_phases f] — run [f ()] collecting the (name, seconds) of
     every span that completes inside it on this domain, {e whether or

@@ -15,7 +15,6 @@ type t = {
   mutable retry_at : float;
   mutable hits : int;
   mutable misses : int;
-  mutable puts : int;
   mutable closed : bool;
 }
 
@@ -40,7 +39,6 @@ let create ?local ?tick ?chaos ?(timeout_s = 5.) ?(log = prerr_endline) addr =
     retry_at = 0.;
     hits = 0;
     misses = 0;
-    puts = 0;
     closed = false;
   }
 
@@ -136,7 +134,6 @@ let remote_find t key =
 let remote_put t key bytes =
   match rpc t ~kind:Protocol.k_cache_put ~key ~payload:bytes with
   | msg when msg.Frame.f_kind = Protocol.k_cache_ok ->
-    t.puts <- t.puts + 1;
     Obs.Metrics.incr m_remote_puts
   | msg ->
     raise
@@ -180,7 +177,6 @@ let ops t =
 let degraded t = t.degraded
 let remote_hits t = t.hits
 let remote_misses t = t.misses
-let remote_puts t = t.puts
 
 let close t =
   t.closed <- true;

@@ -39,10 +39,9 @@ val ops : t -> Cache.ops
     (it may still recover on a later redial). *)
 val degraded : t -> bool
 
-(** Remote hits / remote misses / remote puts so far. *)
+(** Remote hits / remote misses so far. *)
 val remote_hits : t -> int
 
 val remote_misses : t -> int
-val remote_puts : t -> int
 
 val close : t -> unit

@@ -12,8 +12,9 @@
     object file (atomic rename) strictly before appending the index
     record, and the service acknowledges a put ({!Protocol.k_cache_ok})
     only after [store] returns — so by the time any builder can observe
-    the key, the object it names is durably present, no matter which
-    machine asked.  {b Last-writer-wins idempotent puts}: keys are
+    the key, the object it names is committed (renamed into place: that
+    survives the service process crashing, not an OS crash or power
+    loss — nothing calls [fsync]), no matter which machine asked.  {b Last-writer-wins idempotent puts}: keys are
     content addresses, so two builders racing to put the same key carry
     byte-identical objects; the service asserts that instead of
     locking, logs the (impossible outside corruption) mismatch, and

@@ -1,77 +1,63 @@
 module Frame = Pickle.Frame
 
-type mode = Inline | Pool of Worker.config
+type mode = Inline | Pool of Pool.config
 
 type t = {
   srv : Netsrv.t;
-  proto : Worker.proto;
-  pool : Worker.t option;
+  proto : Pool.proto;
+  pool : Pool.t option;
   owners : (string, int) Hashtbl.t;  (** job id -> conn, for pool replies *)
-  mutable served : int;
 }
 
 let m_jobs = Obs.Metrics.counter "exec.jobs"
 
-let inflight t = Hashtbl.length t.owners
+let reply t ~conn ~id (kind, payload) =
+  Netsrv.send t.srv ~conn ~kind ~id ~payload
+
+let fail t ~conn ~id exn =
+  reply t ~conn ~id (Protocol.k_error, t.proto.p_encode_exn exn)
 
 (* pool replies arrive asynchronously: route each result back to the
    connection that submitted the job.  A client that vanished mid-job
    just loses the reply — Netsrv.send drops silently. *)
+let rec relay t pool =
+  match Pool.poll pool with
+  | None -> ()
+  | Some (id, res) ->
+    (match (Hashtbl.find_opt t.owners id, res) with
+    | Some conn, Ok payload -> reply t ~conn ~id (Protocol.k_result, payload)
+    | Some conn, Error exn -> fail t ~conn ~id exn
+    | None, _ -> ());
+    Hashtbl.remove t.owners id;
+    relay t pool
+
 let pump_pool t pool =
-  (match Worker.pump pool with
-  | () -> ()
-  | exception Worker.Pool_down _ ->
-    (* the pool cannot start workers at all: fail every job we hold so
-       clients can retry elsewhere instead of timing out *)
-    Hashtbl.iter
-      (fun id conn ->
-        Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id
-          ~payload:
-            (t.proto.Worker.p_encode_exn (Failure "executor pool is down")))
-      t.owners;
-    Hashtbl.reset t.owners);
-  let rec drain () =
-    match Worker.poll pool with
-    | None -> ()
-    | Some (id, res) ->
-      (match Hashtbl.find_opt t.owners id with
-      | Some conn -> (
-        Hashtbl.remove t.owners id;
-        match res with
-        | Ok payload ->
-          Netsrv.send t.srv ~conn ~kind:Protocol.k_result ~id ~payload
-        | Error exn ->
-          Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id
-            ~payload:(t.proto.Worker.p_encode_exn exn))
-      | None -> ());
-      drain ()
-  in
-  drain ()
+  (try Pool.pump pool
+   with Pool.Pool_down _ ->
+     (* the pool cannot start workers at all: fail every job we hold so
+        clients can retry elsewhere instead of timing out *)
+     Hashtbl.iter
+       (fun id conn -> fail t ~conn ~id (Failure "executor pool is down"))
+       t.owners;
+     Hashtbl.reset t.owners);
+  relay t pool
 
 let on_job t ~conn (msg : Frame.msg) =
   Obs.Metrics.incr m_jobs;
-  t.served <- t.served + 1;
   match t.pool with
   | Some pool ->
     Hashtbl.replace t.owners msg.f_id conn;
-    Worker.submit pool ~id:msg.f_id msg.f_payload
-  | None -> (
+    Pool.submit pool ~id:msg.f_id msg.f_payload
+  | None ->
     (* inline: compile right here in the reactor turn *)
-    match t.proto.Worker.p_handler ~id:msg.f_id msg.f_payload with
-    | payload ->
-      Netsrv.send t.srv ~conn ~kind:Protocol.k_result ~id:msg.f_id ~payload
-    | exception exn ->
-      Netsrv.send t.srv ~conn ~kind:Protocol.k_error ~id:msg.f_id
-        ~payload:(t.proto.Worker.p_encode_exn exn))
+    reply t ~conn ~id:msg.f_id (Pool.answer t.proto ~id:msg.f_id msg.f_payload)
 
 let create ~mode addr proto =
   let srv = Netsrv.create ~version:Protocol.version_exec addr in
   let pool =
-    match mode with
-    | Inline -> None
-    | Pool cfg -> Some (Worker.create cfg proto)
+    match mode with Inline -> None | Pool cfg -> Some (Pool.create cfg proto)
   in
-  let t = { srv; proto; pool; owners = Hashtbl.create 16; served = 0 } in
+  let t = { srv; proto; pool; owners = Hashtbl.create 16 } in
   Netsrv.set_handler srv (fun ~conn msg ->
       if msg.Frame.f_kind = Protocol.k_job then on_job t ~conn msg
       else
@@ -87,7 +73,7 @@ let step ?(timeout_s = 0.) t =
   match t.pool with
   | None -> Netsrv.step ~timeout_s t.srv
   | Some pool ->
-    let links, deadline = Worker.links pool in
+    let links, deadline = Pool.links pool in
     Netsrv.step ~extra:links
       ~timeout_s:(Float.min timeout_s (deadline -. Unix.gettimeofday ()))
       t.srv;
@@ -103,5 +89,5 @@ let run t =
   done
 
 let stop t =
-  (match t.pool with Some p -> Worker.shutdown p | None -> ());
+  Option.iter Pool.shutdown t.pool;
   Netsrv.stop t.srv

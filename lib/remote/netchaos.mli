@@ -10,8 +10,8 @@
     fault tests do.
 
     Faults model the network, not the peers: they are injected on the
-    {e client} side of each connection (the fleet's and the cache
-    client's), leaving server processes untouched. *)
+    pool's side of each link, spawned or dialed, and on the cache
+    client's, leaving server processes and children untouched. *)
 
 type fault =
   | Refuse  (** connect: the peer actively refuses *)

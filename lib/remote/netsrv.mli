@@ -20,7 +20,7 @@
     The watchdog drops a connection holding half a frame, undrained
     output or no HELLO once no byte has moved on it
     ({!Transport.last_io}) for the idle timeout; a greeted connection
-    with nothing in flight stays (a fleet holds those between jobs). *)
+    with nothing in flight stays (a pool holds those between jobs). *)
 
 type t
 

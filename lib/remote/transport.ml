@@ -85,7 +85,9 @@ type conn = {
   mutable c_peer : Unix.sockaddr option;  (** where a dial connects *)
   c_in : Frame.Stream.t;
   c_out : Frame.Stream.t;
-  mutable c_redeliver : Frame.msg list;  (** chaos-duplicated frames *)
+  mutable c_held : (float * Frame.msg) option;
+      (** a chaos-duplicated or chaos-delayed frame and the moment it
+          arrives; the rest of the stream waits behind it *)
   mutable c_ready_at : float;  (** chaos connect delay gate *)
   mutable c_kill_after_flush : string option;
       (** close, for this reason, once the output has flushed *)
@@ -135,16 +137,16 @@ let make status fd chaos =
     c_peer = None;
     c_in = Frame.Stream.create ();
     c_out = Frame.Stream.create ();
-    c_redeliver = [];
+    c_held = None;
     c_ready_at = 0.;
     c_kill_after_flush = None;
     c_last_io = Unix.gettimeofday ();
     c_chaos = chaos;
   }
 
-let of_fd fd =
+let of_fd ?chaos fd =
   Unix.set_nonblock fd;
-  make Up (Some fd) None
+  make Up (Some fd) chaos
 
 (* the nonblocking connect, true once connected.  [poll] issues it
    again until then: EAGAIN means a full Unix listen backlog refused to
@@ -288,12 +290,13 @@ let send t ~kind ~id ~payload =
       flush t)
 
 let rec recv t =
-  match (t.c_redeliver, t.c_kill_after_flush) with
+  match (t.c_held, t.c_kill_after_flush) with
   | _, Some _ -> None (* closing: nothing more is delivered *)
-  | msg :: rest, None ->
-    t.c_redeliver <- rest;
+  | Some (at, msg), None when Unix.gettimeofday () >= at ->
+    t.c_held <- None;
     Some msg
-  | [], None -> (
+  | Some _, None -> None
+  | None, None -> (
     match Frame.Stream.pop t.c_in with
     | exception Pickle.Buf.Corrupt reason ->
       (* the rest of the stream is noise; queued output (a server's
@@ -311,11 +314,12 @@ let rec recv t =
         (* this frame never arrives; later ones may *)
         recv t
       | Some Netchaos.Duplicate_response ->
-        t.c_redeliver <- t.c_redeliver @ [ msg ];
+        t.c_held <- Some (0., msg);
         Some msg
       | Some (Netchaos.Delay d) ->
-        Unix.sleepf d;
-        Some msg
+        (* the frame arrives late; this connection alone waits for it *)
+        t.c_held <- Some (Unix.gettimeofday () +. d, msg);
+        recv t
       | Some (Netchaos.Refuse | Netchaos.Truncate_frame) | None -> Some msg))
 
 let close t = kill t "closed"
@@ -325,8 +329,13 @@ let close t = kill t "closed"
 let wait ?listener conns ~timeout_s =
   let rd = ref (Option.to_list listener) and wr = ref [] in
   let connecting = ref false and closed = ref false in
+  let timeout_s = ref timeout_s in
   List.iter
     (fun t ->
+      Option.iter
+        (fun (at, _) ->
+          timeout_s := Float.min !timeout_s (at -. Unix.gettimeofday ()))
+        t.c_held;
       match (fd t, t.c_status) with
       | Some fd, _ ->
         rd := fd :: !rd;
@@ -336,7 +345,7 @@ let wait ?listener conns ~timeout_s =
     conns;
   if not !closed then
     let timeout_s =
-      if !connecting then Float.min 0.01 timeout_s else timeout_s
+      if !connecting then Float.min 0.01 !timeout_s else !timeout_s
     in
     try
       ignore

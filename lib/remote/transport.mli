@@ -3,7 +3,7 @@
     frame in the system crosses ({!Pickle.Frame}s, tagged as
     {!Protocol} declares).  A connection is dialed ({!dial}: the
     fabric's and the daemon's clients) or wraps a connected socket
-    ({!of_fd}: both ends of a worker's socketpair link, and every
+    ({!of_fd}: both ends of a child's socketpair link, and every
     connection a {!Netsrv} service accepts).  Every connection is
     nonblocking end to end: [dial] starts the connect and returns
     immediately, [poll] progresses it, and one {!wait} sleeps until
@@ -61,10 +61,11 @@ type status =
     room or the caller's deadline gives up. *)
 val dial : ?chaos:Netchaos.injector -> addr -> conn
 
-(** [of_fd fd] — an [Up] connection over a connected socket (one end
-    of a [Unix.socketpair]); no dial, no address, no chaos.  Makes [fd]
-    nonblocking and, like {!dial}, ignores SIGPIPE. *)
-val of_fd : Unix.file_descr -> conn
+(** [of_fd ?chaos fd] — an [Up] connection over a connected socket (an
+    accepted one, or one end of a [Unix.socketpair]); no dial, no
+    address.  Makes [fd] nonblocking and, like {!dial}, ignores
+    SIGPIPE. *)
+val of_fd : ?chaos:Netchaos.injector -> Unix.file_descr -> conn
 
 val status : conn -> status
 
@@ -110,7 +111,8 @@ val close : conn -> unit
     ([infinity]: no limit) passes; a signal ends it early.  An [Up]
     connection wakes it when readable, and when writable only while it
     has output queued; a [Connecting] one caps the sleep at 10 ms (its
-    connect is progressed by {!poll}); a [Closed] one returns at once.
+    connect is progressed by {!poll}), a chaos-delayed frame at its
+    arrival; a [Closed] one returns at once.
     It never changes a connection, so a signal handler may {!send} on
     one meanwhile. *)
 val wait :

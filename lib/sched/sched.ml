@@ -1,31 +1,29 @@
 type backend =
   | Serial
   | Parallel of int
-  | Workers of Remote.Worker.config
-  | Remote of Remote.Fleet.config
+  | Pool of Remote.Pool.config
 
 let backend_name = function
   | Serial -> "serial"
   | Parallel n -> Printf.sprintf "parallel-%d" n
-  | Workers cfg -> Printf.sprintf "workers-%d" (max 1 cfg.Remote.Worker.w_jobs)
-  | Remote cfg ->
-    Printf.sprintf "remote-%d" (List.length cfg.Remote.Fleet.r_execs)
+  | Pool { peers = Spawn n; _ } -> Printf.sprintf "workers-%d" (max 1 n)
+  | Pool { peers = Dial addrs; _ } ->
+    Printf.sprintf "remote-%d" (List.length addrs)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
 let jobs = function
   | Serial -> 1
   | Parallel n -> max 1 n
-  | Workers cfg -> max 1 cfg.Remote.Worker.w_jobs
-  | Remote cfg ->
-    (* a degraded fleet still runs one local compile at a time *)
-    max 1
-      (List.length cfg.Remote.Fleet.r_execs * max 1 cfg.Remote.Fleet.r_slots)
+  | Pool { peers = Spawn n; _ } -> max 1 n
+  | Pool { peers = Dial addrs; slots; _ } ->
+    (* a pool without executors still runs one local compile at a time *)
+    max 1 (List.length addrs * max 1 slots)
 
 type ('job, 'result) action = Run of 'job | Done of 'result
 
 type ('job, 'result) codec = {
-  c_proto : Remote.Worker.proto;
+  c_proto : Remote.Pool.proto;
   c_encode_job : 'job -> string;
   c_decode_result : string -> 'result;
 }
@@ -151,55 +149,30 @@ let domain_pool exec n =
         List.iter Domain.join domains);
   }
 
-(* Workers and Remote: out-of-process slots that move bytes; the codec
-   lifts their pool to the caller's job and result types.  Even a
-   1-worker pool goes out of process — isolation, not parallelism, is
-   what these backends buy. *)
-let encoded codec (p : (string, string) pool) =
-  let decode payload =
-    match codec.c_decode_result payload with
-    | result -> Ok result
-    | exception exn -> Error exn
-  in
-  {
-    p with
-    submit = (fun node job -> p.submit node (codec.c_encode_job job));
-    next =
-      (fun () ->
-        let node, res = p.next () in
-        (node, Result.bind res decode));
-  }
-
+(* the pool: out-of-process slots that move bytes; the codec lifts it
+   to the caller's job and result types.  Even a 1-worker pool goes out
+   of process — isolation, not parallelism, is what it buys. *)
 let pool_of ?codec backend ~exec ~slots =
-  let codec () =
-    match codec with
-    | Some c -> c
-    | None ->
-      invalid_arg "Sched.run: the Workers and Remote backends need a codec"
-  in
-  match backend with
-  | Serial | Parallel _ when slots <= 1 -> serial_pool exec
-  | Serial | Parallel _ -> domain_pool exec slots
-  | Workers cfg ->
-    let codec = codec () in
-    let w = Remote.Worker.create cfg codec.c_proto in
-    encoded codec
-      {
-        submit = (fun id -> Remote.Worker.submit w ~id);
-        next = (fun () -> Remote.Worker.next w);
-        slot_busy = (fun () -> Remote.Worker.slot_busy w);
-        shutdown = (fun () -> Remote.Worker.shutdown w);
-      }
-  | Remote cfg ->
-    let codec = codec () in
-    let f = Remote.Fleet.create cfg codec.c_proto in
-    encoded codec
-      {
-        submit = (fun id -> Remote.Fleet.submit f ~id);
-        next = (fun () -> Remote.Fleet.next f);
-        slot_busy = (fun () -> Remote.Fleet.slot_busy f);
-        shutdown = (fun () -> Remote.Fleet.shutdown f);
-      }
+  match (backend, codec) with
+  | (Serial | Parallel _), _ when slots <= 1 -> serial_pool exec
+  | (Serial | Parallel _), _ -> domain_pool exec slots
+  | Pool _, None -> invalid_arg "Sched.run: the Pool backend needs a codec"
+  | Pool cfg, Some codec ->
+    let p = Remote.Pool.create cfg codec.c_proto in
+    {
+      submit =
+        (fun node job -> Remote.Pool.submit p ~id:node (codec.c_encode_job job));
+      next =
+        (fun () ->
+          let node, res = Remote.Pool.next p in
+          ( node,
+            Result.bind res (fun payload ->
+                match codec.c_decode_result payload with
+                | result -> Ok result
+                | exception exn -> Error exn) ));
+      slot_busy = (fun () -> Remote.Pool.slot_busy p);
+      shutdown = (fun () -> Remote.Pool.shutdown p);
+    }
 
 let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
     ?(retryable = fun _ -> false) ?(keep_going = false)

@@ -30,23 +30,18 @@
 
 (** How to run a build.  [Serial] executes everything on the calling
     domain (no domains are spawned); [Parallel n] uses [n] worker
-    domains ([n <= 1] degrades to [Serial]); [Workers cfg] runs every
-    [execute] in a supervised child {e process} from a pool of
-    [cfg.w_jobs] ({!Remote.Worker}) — crash isolation, per-job timeouts, and
-    quarantine, at the price of serializing jobs and results through a
-    {!codec}.  [Workers] never spawns domains (forking with live
-    domains is unsafe); the calling domain waits on the children's
-    links in {!Remote.Transport.wait}.  [Remote cfg] dispatches the
-    same encoded jobs to a fleet of executor daemons over sockets
-    ({!Remote.Fleet}) — per-job deadlines, retry, hedged re-dispatch,
-    quarantine, and graceful degradation to local execution when every
-    executor is gone; like [Workers], it multiplexes from the calling
-    domain and requires the [codec]. *)
+    domains ([n <= 1] degrades to [Serial]).  [Pool cfg] sends every
+    [execute] through a {!Remote.Pool}, serialized by a {!codec}, to the
+    peers [cfg.peers] names: supervised child processes it spawns (crash
+    isolation, per-job timeouts, quarantine) or remote executors it
+    dials (deadlines, retry, hedged re-dispatch, and local compiles
+    when every executor is gone).  The pool never spawns domains
+    (forking with live domains is unsafe); the calling domain waits on
+    its links in {!Remote.Transport.wait}. *)
 type backend =
   | Serial
   | Parallel of int
-  | Workers of Remote.Worker.config
-  | Remote of Remote.Fleet.config
+  | Pool of Remote.Pool.config
 
 val backend_name : backend -> string
 
@@ -63,13 +58,12 @@ val jobs : backend -> int
     cache hit, …). *)
 type ('job, 'result) action = Run of 'job | Done of 'result
 
-(** How the [Workers] backend moves jobs across the process boundary:
+(** How the [Pool] backend moves jobs across the process boundary:
     [c_encode_job]/[c_decode_result] frame the payloads, and [c_proto]
-    is the child-side handler plus exception transport handed to
-    {!Remote.Worker.create} (or {!Remote.Fleet.create}).  The other
-    backends ignore it. *)
+    is the peer-side handler plus exception transport handed to
+    {!Remote.Pool.create}.  The other backends ignore it. *)
 type ('job, 'result) codec = {
-  c_proto : Remote.Worker.proto;
+  c_proto : Remote.Pool.proto;
   c_encode_job : 'job -> string;
   c_decode_result : string -> 'result;
 }
@@ -106,12 +100,12 @@ val last_slots : unit -> slots option
     dependent cone, and without several domains retrying a shared flaky
     resource in lock-step.
 
-    The [Workers] backend additionally requires [codec]
-    ([Invalid_argument] otherwise); [execute] then runs {e in the child
-    process} via [codec.c_proto.p_handler], and supervision failures
-    (crash quarantine, timeout, {!Remote.Worker.Pool_down}) surface exactly
-    like [execute] exceptions — [Failed] outcomes poisoning the
-    dependent cone, or [Pool_down] aborting the build.
+    The [Pool] backend additionally requires [codec]
+    ([Invalid_argument] otherwise); [execute] then runs {e on a peer}
+    via [codec.c_proto.p_handler], and the pool's failures (crash
+    quarantine, timeout, E0703/E0704, {!Remote.Pool.Pool_down}) surface
+    exactly like [execute] exceptions — [Failed] outcomes poisoning
+    the dependent cone, or [Pool_down] aborting the build.
 
     For each node, once all its dependencies completed (one gate for
     both dispatch and [complete]): [prepare node] runs
@@ -132,7 +126,7 @@ val last_slots : unit -> slots option
     demoted to a [Failed] outcome: they abort the run immediately and
     re-raise, {e even under} [keep_going].  This is how a signal-driven
     interrupt cuts through a keep-going build instead of being recorded
-    as one more unit failure.  Worker pools and domain pools are still
+    as one more unit failure.  Job-peer pools and domain pools are still
     shut down on the way out.
 
     [priority] (default: constant [0.]) ranks the ready queue: among

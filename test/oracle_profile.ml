@@ -303,7 +303,6 @@ let load_journal t =
   match t.fs.Vfs.fs_read (journal_path t) with
   | None -> ()
   | Some content ->
-    let lines = String.split_on_char '\n' content in
     List.iter
       (fun line ->
         match String.index_opt line ' ' with
@@ -314,9 +313,12 @@ let load_journal t =
             try apply_build t (build_of_json (Json.parse body))
             with Damaged | Json.Parse_error _ -> ())
         | None -> ())
-      lines;
+      (String.split_on_char '\n' content);
     t.journal <- content;
-    t.journal_records <- List.length lines
+    (* one record per terminated line: the piece after the final
+       newline is not a record *)
+    t.journal_records <-
+      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 content
 
 let load ?(dir = Obs.Profile.default_dir) fs =
   let t =

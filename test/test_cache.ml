@@ -320,6 +320,22 @@ let test_stale_journal_replay () =
   fs.Vfs.fs_write ".irm-cache/journal" stale_journal;
   check_entries_survive "stale journal replay" fs entries
 
+(* a store reloaded mid-journal counts the records it found, so it
+   compacts at the same record as a store that was never reloaded *)
+let test_reload_compacts_at_the_same_record () =
+  let journal fs = fs.Vfs.fs_read ".irm-cache/journal" in
+  let fs_a = Vfs.memory () and fs_b = Vfs.memory () in
+  let key i = Printf.sprintf "%04x" i in
+  let a = ref (Cache.create fs_a) and b = Cache.create fs_b in
+  for i = 1 to 520 do
+    if i = 4 then a := Cache.create fs_a;
+    Cache.store !a (key i) "x";
+    Cache.store b (key i) "x";
+    Alcotest.(check (option string))
+      (Printf.sprintf "journal after record %d" i)
+      (journal fs_b) (journal fs_a)
+  done
+
 let suite =
   [
     Alcotest.test_case "warm cache rebuilds from clean" `Quick
@@ -345,4 +361,6 @@ let suite =
       test_compaction_crash_recovery;
     Alcotest.test_case "stale journal replay is idempotent" `Quick
       test_stale_journal_replay;
+    Alcotest.test_case "reloaded store compacts at the same record" `Quick
+      test_reload_compacts_at_the_same_record;
   ]

@@ -758,6 +758,24 @@ let test_metrics_pp_deterministic () =
   Alcotest.(check bool) "dump is name-sorted" true
     (find once "zdet.a" < find once "zdet.b")
 
+(* a store reloaded mid-journal counts the records it found, so it
+   compacts at the same build as a store that was never reloaded *)
+let test_reload_compacts_at_the_same_record () =
+  let journal fs =
+    fs.Vfs.fs_read (Filename.concat Profile.default_dir "journal")
+  in
+  let fs_a = Vfs.memory () and fs_b = Vfs.memory () in
+  let a = ref (Profile.load fs_a) and b = Profile.load fs_b in
+  for id = 1 to 20 do
+    if id = 4 then a := Profile.load fs_a;
+    let build = mk_build ~id [ mk_unit "a.sml" ] in
+    Profile.record !a build;
+    Profile.record b build;
+    Alcotest.(check (option string))
+      (Printf.sprintf "journal after build %d" id)
+      (journal fs_b) (journal fs_a)
+  done
+
 let suite =
   [
     Alcotest.test_case "store round-trips through snapshot+journal" `Quick
@@ -796,4 +814,6 @@ let suite =
       test_store_bytes_match_oracle;
     Alcotest.test_case "metrics dump is deterministic" `Quick
       test_metrics_pp_deterministic;
+    Alcotest.test_case "reloaded store compacts at the same record" `Quick
+      test_reload_compacts_at_the_same_record;
   ]

@@ -1,6 +1,6 @@
 (* The distributed build fabric, driven forklessly in one process: the
    executor and cache services run in [Inline] reactor mode on real
-   sockets, and the fleet's [r_tick] / the cache client's [tick] pump
+   sockets, and the pool's [tick] and the cache client's [tick] pump
    their reactors from inside every client wait loop — so builds cross
    actual socket buffers while client and servers interleave
    deterministically in a single domain (fork is unsafe once OCaml
@@ -20,7 +20,7 @@ module Diag = Support.Diag
 module Transport = Remote.Transport
 module Netchaos = Remote.Netchaos
 module Netsrv = Remote.Netsrv
-module Fleet = Remote.Fleet
+module Pool = Remote.Pool
 module Exec = Remote.Exec
 module Cached = Remote.Cached
 module Cache_client = Remote.Cache_client
@@ -53,19 +53,21 @@ let reference topology =
    hedge, near-zero backoff, all logging captured *)
 let fleet_cfg ?(chaos = []) ?(fallback = true) ?(log = ignore) ~tick execs =
   {
-    (Fleet.default_config ~execs) with
-    Fleet.r_job_timeout_s = 2.;
-    r_dial_timeout_s = 2.;
-    r_retries = 2;
-    r_hedge_s = 0.3;
-    r_quarantine = 2;
-    r_backoff_s = 0.001;
-    r_backoff_cap_s = 0.01;
-    r_chaos = chaos;
-    r_tick = Some tick;
-    r_local_fallback = fallback;
-    r_log = log;
+    (Pool.default_config (Dial execs)) with
+    Pool.timeout_s = 2.;
+    dial_timeout_s = 2.;
+    retries = 2;
+    hedge_s = 0.3;
+    quarantine = 2;
+    backoff_s = 0.001;
+    backoff_cap_s = 0.01;
+    net_chaos = chaos;
+    tick = Some tick;
+    local_fallback = fallback;
+    log;
   }
+
+let metric name = Option.value ~default:0 (Obs.Metrics.find name)
 
 let with_exec f =
   let exec =
@@ -140,7 +142,7 @@ let test_remote_build_matches_serial () =
   let mgr = Driver.create fs in
   let cfg = fleet_cfg ~tick:(pump_exec exec) [ Exec.addr exec ] in
   let stats =
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   Alcotest.(check int) "every unit compiled remotely"
@@ -168,7 +170,7 @@ let test_send_reset_requeues_the_job () =
   in
   let cfg = fleet_cfg ~chaos ~tick:(pump_exec exec) [ Exec.addr exec ] in
   let stats =
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   Alcotest.(check int) "every unit compiled"
@@ -192,7 +194,7 @@ let test_two_executors_share_the_build () =
   in
   let cfg = fleet_cfg ~tick [ Exec.addr e1; Exec.addr e2 ] in
   let stats =
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   (* slot accounting is per executor: one busy entry each *)
@@ -218,7 +220,7 @@ let test_all_executors_dead_falls_back () =
     fleet_cfg ~log:(fun m -> logs := m :: !logs) ~tick:(fun () -> ()) execs
   in
   let stats =
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   Alcotest.(check int) "build completed in full" (List.length sources)
@@ -247,7 +249,7 @@ let test_no_fallback_surfaces_e0703 () =
       [ Transport.Unix_sock (fresh_sock ()) ]
   in
   match
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   with
   | _ -> Alcotest.fail "a fallback-less dead fleet must fail the build"
@@ -274,10 +276,50 @@ let test_executor_killed_mid_build () =
   in
   let cfg = fleet_cfg ~log:(fun m -> logs := m :: !logs) ~tick [ Exec.addr exec ] in
   let stats =
-    Driver.build mgr ~backend:(Driver.Remote cfg) ~policy:Driver.Cutoff
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   Alcotest.(check int) "build completed in full" (List.length sources)
+    (List.length stats.Driver.st_recompiled);
+  Alcotest.(check bool) "bins byte-identical to serial" true
+    (bins_of fs sources = ref_bins)
+
+(* a straggler is hedged: the first executor's reply is held up past
+   the hedge threshold, so the job is re-dispatched to the second
+   executor; the first answer wins and the late one is discarded *)
+let test_straggler_is_hedged () =
+  let topology = Gen.Chain 3 in
+  let ref_bins = reference topology in
+  with_exec @@ fun e1 ->
+  with_exec @@ fun e2 ->
+  let fs = Vfs.memory () in
+  let project = Gen.create fs topology Gen.default_profile in
+  let sources = Gen.sources project in
+  let mgr = Driver.create fs in
+  let tick () =
+    pump_exec e1 ();
+    pump_exec e2 ()
+  in
+  (* receives #1 and #2 are the HELLO replies, #3 the first job's *)
+  let chaos =
+    [
+      {
+        Netchaos.ce_op = Netchaos.Recv;
+        ce_at = 3;
+        ce_fault = Netchaos.Delay 1.0;
+      };
+    ]
+  in
+  let cfg = fleet_cfg ~chaos ~tick [ Exec.addr e1; Exec.addr e2 ] in
+  let hedged0 = metric "fleet.hedged" in
+  let stats =
+    Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
+      ~sources
+  in
+  Alcotest.(check bool) "a hedge fired" true
+    (metric "fleet.hedged" - hedged0 >= 1);
+  Alcotest.(check int) "every unit compiled"
+    (List.length sources)
     (List.length stats.Driver.st_recompiled);
   Alcotest.(check bool) "bins byte-identical to serial" true
     (bins_of fs sources = ref_bins)
@@ -305,7 +347,7 @@ let test_chaos_matrix () =
     let policy = policies.(seed mod Array.length policies) in
     let schedule = schedules.(seed mod Array.length schedules) in
     let stats =
-      Driver.build mgr ~backend:(Driver.Remote cfg) ~schedule ~policy ~sources
+      Driver.build mgr ~backend:(Driver.Pool cfg) ~schedule ~policy ~sources
     in
     if bins_of fs sources <> ref_bins then
       Alcotest.failf
@@ -637,4 +679,5 @@ let suite =
       test_shared_cache_warms_a_second_builder;
     Alcotest.test_case "watchdog drops only wedged clients" `Quick
       test_netsrv_watchdog;
+    Alcotest.test_case "a straggler is hedged" `Quick test_straggler_is_hedged;
   ]

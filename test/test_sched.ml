@@ -363,8 +363,7 @@ let test_critical_path_equals_wavefront () =
              (match backend with
              | Driver.Serial -> "serial"
              | Driver.Parallel n -> Printf.sprintf "parallel-%d" n
-             | Driver.Workers _ -> "workers"
-             | Driver.Remote _ -> "remote")))
+             | Driver.Pool _ -> "pool")))
     [ Driver.Serial; Driver.Parallel 4 ]
 
 (* the critical-path schedule reorders dispatch and nothing else: a

@@ -22,12 +22,12 @@ let metric name = Option.value ~default:0 (Obs.Metrics.find name)
    injected through the config, not the environment *)
 let wcfg ?(jobs = 2) ?(timeout = 30.) ?(chaos = []) () =
   {
-    (Remote.Worker.default_config ~jobs ()) with
-    Remote.Worker.w_timeout_s = timeout;
-    w_heartbeat_s = 0.05;
-    w_backoff_s = 0.001;
-    w_backoff_cap_s = 0.05;
-    w_chaos = chaos;
+    (Remote.Pool.default_config (Spawn jobs)) with
+    Remote.Pool.timeout_s = timeout;
+    heartbeat_s = 0.05;
+    backoff_s = 0.001;
+    backoff_cap_s = 0.05;
+    chaos;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -110,7 +110,7 @@ exception Toy_failure of string
 
 let toy_proto () =
   {
-    Remote.Worker.p_handler =
+    Remote.Pool.p_handler =
       (fun ~id payload ->
         if String.length payload > 0 && payload.[0] = '!' then
           failwith ("handler refused " ^ id)
@@ -119,24 +119,26 @@ let toy_proto () =
     p_decode_exn = (fun s -> Toy_failure s);
     p_fail =
       (fun ~id -> function
-        | Remote.Worker.Crashed { wf_attempts; _ } ->
-          Toy_failure (Printf.sprintf "%s crashed x%d" id wf_attempts)
-        | Remote.Worker.Timed_out { wf_timeout_s } ->
-          Toy_failure (Printf.sprintf "%s timed out after %gs" id wf_timeout_s));
+        | Remote.Pool.Crashed { attempts; _ } ->
+          Toy_failure (Printf.sprintf "%s crashed x%d" id attempts)
+        | Remote.Pool.Timed_out { timeout_s } ->
+          Toy_failure (Printf.sprintf "%s timed out after %gs" id timeout_s)
+        | Remote.Pool.Unreachable _ | Remote.Pool.Protocol _ ->
+          Toy_failure (id ^ " failed on a dialed peer"));
   }
 
 let drain pool =
   let results = ref [] in
-  while Remote.Worker.pending pool > 0 do
-    results := Remote.Worker.next pool :: !results
+  while Remote.Pool.pending pool > 0 do
+    results := Remote.Pool.next pool :: !results
   done;
   List.rev !results
 
 let test_pool_echo () =
-  let pool = Remote.Worker.create (wcfg ()) (toy_proto ()) in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
+  let pool = Remote.Pool.create (wcfg ()) (toy_proto ()) in
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
   let ids = List.init 10 (Printf.sprintf "job%02d") in
-  List.iter (fun id -> Remote.Worker.submit pool ~id ("payload of " ^ id)) ids;
+  List.iter (fun id -> Remote.Pool.submit pool ~id ("payload of " ^ id)) ids;
   let results = drain pool in
   Alcotest.(check int) "all answered" 10 (List.length results);
   List.iter
@@ -150,10 +152,10 @@ let test_pool_echo () =
     ids
 
 let test_pool_handler_error () =
-  let pool = Remote.Worker.create (wcfg ()) (toy_proto ()) in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"good" "fine";
-  Remote.Worker.submit pool ~id:"bad" "!boom";
+  let pool = Remote.Pool.create (wcfg ()) (toy_proto ()) in
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"good" "fine";
+  Remote.Pool.submit pool ~id:"bad" "!boom";
   let results = drain pool in
   (match List.assoc "bad" results with
   | Error (Toy_failure msg) ->
@@ -168,13 +170,13 @@ let test_pool_crash_quarantine () =
   let crashes0 = metric "worker.crashes" in
   let quarantined0 = metric "worker.quarantined" in
   let pool =
-    Remote.Worker.create
-      (wcfg ~chaos:[ ("victim", Remote.Worker.Chaos_crash) ] ())
+    Remote.Pool.create
+      (wcfg ~chaos:[ ("victim", Remote.Pool.Chaos_crash) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"victim" "x";
-  Remote.Worker.submit pool ~id:"bystander" "y";
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"victim" "x";
+  Remote.Pool.submit pool ~id:"bystander" "y";
   let results = drain pool in
   (match List.assoc "victim" results with
   | Error (Toy_failure msg) ->
@@ -191,12 +193,12 @@ let test_pool_crash_quarantine () =
 
 let test_pool_exit_is_crash () =
   let pool =
-    Remote.Worker.create
-      (wcfg ~chaos:[ ("victim", Remote.Worker.Chaos_exit 3) ] ())
+    Remote.Pool.create
+      (wcfg ~chaos:[ ("victim", Remote.Pool.Chaos_exit 3) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"victim" "x";
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"victim" "x";
   match drain pool with
   | [ ("victim", Error (Toy_failure msg)) ]
     when msg = "victim crashed x2" -> ()
@@ -206,12 +208,12 @@ let test_pool_exit_is_crash () =
 let test_pool_timeout () =
   let timeouts0 = metric "worker.timeouts" in
   let pool =
-    Remote.Worker.create
-      (wcfg ~timeout:0.3 ~chaos:[ ("sleeper", Remote.Worker.Chaos_hang) ] ())
+    Remote.Pool.create
+      (wcfg ~timeout:0.3 ~chaos:[ ("sleeper", Remote.Pool.Chaos_hang) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"sleeper" "x";
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"sleeper" "x";
   (match drain pool with
   | [ ("sleeper", Error (Toy_failure msg)) ] ->
     Alcotest.(check string) "timed out" "sleeper timed out after 0.3s" msg
@@ -223,12 +225,12 @@ let test_pool_wedge_heartbeat_loss () =
   (* heartbeats stop but the job deadline is far away: only heartbeat
      supervision can catch this, and it counts as a crash *)
   let pool =
-    Remote.Worker.create
-      (wcfg ~timeout:60. ~chaos:[ ("wedged", Remote.Worker.Chaos_wedge) ] ())
+    Remote.Pool.create
+      (wcfg ~timeout:60. ~chaos:[ ("wedged", Remote.Pool.Chaos_wedge) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"wedged" "x";
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"wedged" "x";
   match drain pool with
   | [ ("wedged", Error (Toy_failure msg)) ] when msg = "wedged crashed x2" ->
     ()
@@ -236,14 +238,14 @@ let test_pool_wedge_heartbeat_loss () =
 
 let test_pool_down () =
   let pool =
-    Remote.Worker.create (wcfg ~chaos:[ ("*", Remote.Worker.Chaos_nostart) ] ())
+    Remote.Pool.create (wcfg ~chaos:[ ("*", Remote.Pool.Chaos_nostart) ] ())
       (toy_proto ())
   in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"any" "x";
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"any" "x";
   match drain pool with
   | _ -> Alcotest.fail "expected Pool_down"
-  | exception Remote.Worker.Pool_down _ -> ()
+  | exception Remote.Pool.Pool_down _ -> ()
 
 (* frames far larger than a socket buffer: both directions go out in
    many partial nonblocking writes and must arrive byte-exact *)
@@ -252,11 +254,11 @@ let test_pool_large_frames () =
   let request = String.init size (fun i -> Char.chr (i * 7 land 255)) in
   let flip = String.map (fun c -> Char.chr (255 - Char.code c)) in
   let proto =
-    { (toy_proto ()) with Remote.Worker.p_handler = (fun ~id:_ p -> flip p) }
+    { (toy_proto ()) with Remote.Pool.p_handler = (fun ~id:_ p -> flip p) }
   in
-  let pool = Remote.Worker.create (wcfg ~jobs:1 ()) proto in
-  Fun.protect ~finally:(fun () -> Remote.Worker.shutdown pool) @@ fun () ->
-  Remote.Worker.submit pool ~id:"big" request;
+  let pool = Remote.Pool.create (wcfg ~jobs:1 ()) proto in
+  Fun.protect ~finally:(fun () -> Remote.Pool.shutdown pool) @@ fun () ->
+  Remote.Pool.submit pool ~id:"big" request;
   match drain pool with
   | [ ("big", Ok reply) ] ->
     Alcotest.(check int) "reply length" size (String.length reply);
@@ -278,7 +280,7 @@ let test_workers_slot_accounting () =
   in
   let _ =
     Sched.run ~codec
-      (Sched.Workers (wcfg ~jobs:2 ()))
+      (Sched.Pool (wcfg ~jobs:2 ()))
       ~order:(List.init 6 (Printf.sprintf "n%d"))
       ~deps:(fun _ -> [])
       ~prepare:(fun n -> Sched.Run n)
@@ -300,20 +302,20 @@ let test_workers_slot_accounting () =
       <= float_of_int s.Sched.sl_jobs *. s.Sched.sl_wall_s)
 
 let test_chaos_of_env () =
-  Unix.putenv Remote.Worker.chaos_env_var
+  Unix.putenv Remote.Pool.chaos_env_var
     "crash:u1.sml, hang:u2.sml,exit=3:u3.sml,wedge:u4.sml,garbage,nostart";
-  let parsed = Remote.Worker.chaos_of_env () in
-  Unix.putenv Remote.Worker.chaos_env_var "";
+  let parsed = Remote.Pool.chaos_of_env () in
+  Unix.putenv Remote.Pool.chaos_env_var "";
   Alcotest.(check bool) "crash" true
-    (List.assoc "u1.sml" parsed = Remote.Worker.Chaos_crash);
+    (List.assoc "u1.sml" parsed = Remote.Pool.Chaos_crash);
   Alcotest.(check bool) "hang" true
-    (List.assoc "u2.sml" parsed = Remote.Worker.Chaos_hang);
+    (List.assoc "u2.sml" parsed = Remote.Pool.Chaos_hang);
   Alcotest.(check bool) "exit" true
-    (List.assoc "u3.sml" parsed = Remote.Worker.Chaos_exit 3);
+    (List.assoc "u3.sml" parsed = Remote.Pool.Chaos_exit 3);
   Alcotest.(check bool) "wedge" true
-    (List.assoc "u4.sml" parsed = Remote.Worker.Chaos_wedge);
+    (List.assoc "u4.sml" parsed = Remote.Pool.Chaos_wedge);
   Alcotest.(check bool) "nostart" true
-    (List.assoc "*" parsed = Remote.Worker.Chaos_nostart);
+    (List.assoc "*" parsed = Remote.Pool.Chaos_nostart);
   Alcotest.(check int) "garbage ignored" 5 (List.length parsed)
 
 (* ------------------------------------------------------------------ *)
@@ -354,7 +356,7 @@ let test_workers_match_serial_clean () =
       let _ = Driver.build mgr_s ~policy:Driver.Cutoff ~sources in
       let fs_w, mgr_w, sources_w = project ~profile topology in
       let stats =
-        Driver.build ~backend:(Driver.Workers (wcfg ~jobs:3 ())) mgr_w
+        Driver.build ~backend:(Driver.Pool (wcfg ~jobs:3 ())) mgr_w
           ~policy:Driver.Cutoff ~sources:sources_w
       in
       check_files "all recompiled" (sorted sources)
@@ -374,7 +376,7 @@ let test_workers_match_serial_clean () =
 
 let test_workers_incremental_noop () =
   let _fs, mgr, sources = project (Gen.Chain 5) in
-  let backend = Driver.Workers (wcfg ()) in
+  let backend = Driver.Pool (wcfg ()) in
   let _ = Driver.build ~backend mgr ~policy:Driver.Cutoff ~sources in
   let stats = Driver.build ~backend mgr ~policy:Driver.Cutoff ~sources in
   check_files "nothing recompiled" [] stats.Driver.st_recompiled;
@@ -400,8 +402,8 @@ let acceptance_for ~seed =
   let crash_unit = "u004.sml" and hang_unit = "u007.sml" in
   let chaos =
     [
-      (crash_unit, Remote.Worker.Chaos_crash);
-      (hang_unit, Remote.Worker.Chaos_hang);
+      (crash_unit, Remote.Pool.Chaos_crash);
+      (hang_unit, Remote.Pool.Chaos_hang);
     ]
   in
   let fs_w, mgr_w, _ = project topology in
@@ -409,7 +411,7 @@ let acceptance_for ~seed =
   let crashes0 = metric "worker.crashes" in
   let workers =
     Driver.build
-      ~backend:(Driver.Workers (wcfg ~jobs:3 ~timeout:0.4 ~chaos ()))
+      ~backend:(Driver.Pool (wcfg ~jobs:3 ~timeout:0.4 ~chaos ()))
       ~keep_going:true mgr_w ~policy:Driver.Cutoff ~sources
   in
   (* the workers run fails exactly serial's failures plus the chaos
@@ -479,7 +481,7 @@ let acceptance_for ~seed =
   fs_w.Vfs.fs_write "u002.sml" fixed;
   let rerun =
     Driver.build
-      ~backend:(Driver.Workers (wcfg ~jobs:3 ()))
+      ~backend:(Driver.Pool (wcfg ~jobs:3 ()))
       ~keep_going:true mgr_w ~policy:Driver.Cutoff ~sources
   in
   check_files "rerun converges clean" [] (failed_names rerun);
@@ -515,7 +517,7 @@ let check_merged_trace ~chaos ~expect_truncated seed =
   Fun.protect ~finally:finish @@ fun () ->
   let _ =
     Driver.build
-      ~backend:(Driver.Workers (wcfg ~jobs:2 ~chaos ()))
+      ~backend:(Driver.Pool (wcfg ~jobs:2 ~chaos ()))
       ~keep_going:true mgr ~policy:Driver.Cutoff ~sources
   in
   let evs = Trace.events () in
@@ -603,7 +605,7 @@ let test_trace_merge_clean () =
 let test_trace_merge_chaos () =
   List.iter
     (check_merged_trace
-       ~chaos:[ ("u003.sml", Remote.Worker.Chaos_crash) ]
+       ~chaos:[ ("u003.sml", Remote.Pool.Chaos_crash) ]
        ~expect_truncated:true)
     [ 3; 19 ]
 
@@ -612,12 +614,12 @@ let test_workers_pool_down_build () =
   match
     Driver.build
       ~backend:
-        (Driver.Workers
-           (wcfg ~chaos:[ ("*", Remote.Worker.Chaos_nostart) ] ()))
+        (Driver.Pool
+           (wcfg ~chaos:[ ("*", Remote.Pool.Chaos_nostart) ] ()))
       mgr ~policy:Driver.Cutoff ~sources
   with
   | _ -> Alcotest.fail "expected Pool_down"
-  | exception Remote.Worker.Pool_down _ -> ()
+  | exception Remote.Pool.Pool_down _ -> ()
 
 (* an executor hosting a pool waits on its children's links beside its
    clients: a compile result wakes the reactor turn that relays it, so
@@ -675,6 +677,103 @@ let test_exec_relays_pool_result () =
     (Printf.sprintf "relayed within a few steps (%d)" steps)
     true (steps <= 10)
 
+(* an executor's own pool quarantines a crashing compile: the E0701 it
+   mints crosses the wire as a k_error, and the dialing pool takes it as
+   the compile's answer — no requeue on another executor, no local
+   retry *)
+let test_exec_crash_relayed_as_e0701 () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "smlsep-w%d-crash.sock" (Unix.getpid ()))
+  in
+  let exec =
+    Remote.Exec.create
+      ~mode:
+        (Remote.Exec.Pool
+           (wcfg ~jobs:2 ~chaos:[ ("a.sml", Remote.Pool.Chaos_crash) ] ()))
+      (Remote.Transport.Unix_sock path)
+      (Wire.proto ())
+  in
+  Fun.protect ~finally:(fun () -> Remote.Exec.stop exec) @@ fun () ->
+  let fs = Vfs.memory () in
+  fs.Vfs.fs_write "a.sml" "structure A = struct val x = 6 * 7 end";
+  fs.Vfs.fs_write "b.sml" "structure B = struct val y = A.x + 1 end";
+  fs.Vfs.fs_write "c.sml" "structure C = struct val z = 1 end";
+  let sources = [ "a.sml"; "b.sml"; "c.sml" ] in
+  let cfg =
+    {
+      (Remote.Pool.default_config (Dial [ Remote.Exec.addr exec ])) with
+      Remote.Pool.tick =
+        Some
+          (fun () ->
+            if Remote.Exec.running exec then Remote.Exec.step exec);
+      log = ignore;
+    }
+  in
+  let requeued0 = metric "fleet.requeued" in
+  let fallback0 = metric "fleet.local_fallback_jobs" in
+  let dispatched0 = metric "fleet.dispatched" in
+  let stats =
+    Driver.build ~backend:(Driver.Pool cfg) ~keep_going:true
+      (Driver.create fs) ~policy:Driver.Cutoff ~sources
+  in
+  (match List.assoc_opt "a.sml" stats.Driver.st_failed with
+  | Some (d :: _) ->
+    Alcotest.(check string) "a.sml quarantined by the executor's pool"
+      "E0701" d.Diag.code
+  | Some [] | None -> Alcotest.fail "a.sml did not fail");
+  check_files "its cone skipped" [ "b.sml" ] (skipped_names stats);
+  check_files "the bystander compiled" [ "c.sml" ] stats.Driver.st_recompiled;
+  Alcotest.(check int) "not requeued" 0 (metric "fleet.requeued" - requeued0);
+  Alcotest.(check int) "each job dispatched once" 2
+    (metric "fleet.dispatched" - dispatched0);
+  Alcotest.(check int) "never compiled locally" 0
+    (metric "fleet.local_fallback_jobs" - fallback0)
+
+(* network faults reach a spawned peer's socketpair link: a reset or a
+   torn job frame is that child's crash, and the job retries on a fresh
+   child, so the build still equals the serial one *)
+let test_netchaos_on_child_links () =
+  let topology = Gen.Random_dag { units = 6; max_deps = 3; seed = 13 } in
+  let fs_s, mgr_s, sources = project topology in
+  let _ = Driver.build mgr_s ~policy:Driver.Cutoff ~sources in
+  List.iter
+    (fun fault ->
+      let name = Remote.Netchaos.fault_name fault in
+      (* the pool's sends on a child link are its jobs: the second one
+         meets the fault, on the one child, so a fresh child retries it *)
+      let net_chaos =
+        [
+          {
+            Remote.Netchaos.ce_op = Remote.Netchaos.Send;
+            ce_at = 2;
+            ce_fault = fault;
+          };
+        ]
+      in
+      let fs_w, mgr_w, _ = project topology in
+      let crashes0 = metric "worker.crashes" in
+      let restarts0 = metric "worker.restarts" in
+      let stats =
+        Driver.build
+          ~backend:(Driver.Pool { (wcfg ~jobs:1 ()) with Remote.Pool.net_chaos })
+          mgr_w ~policy:Driver.Cutoff ~sources
+      in
+      Alcotest.(check int) (name ^ ": one child crashed") 1
+        (metric "worker.crashes" - crashes0);
+      Alcotest.(check bool) (name ^ ": a fresh child took over") true
+        (metric "worker.restarts" - restarts0 >= 1);
+      check_files (name ^ ": every unit compiled") (sorted sources)
+        (sorted stats.Driver.st_recompiled);
+      List.iter
+        (fun f ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: bin of %s" name f)
+            (bin_of fs_s f) (bin_of fs_w f))
+        sources)
+    [ Remote.Netchaos.Reset; Remote.Netchaos.Truncate_frame ]
+
 let suite =
   [
     Alcotest.test_case "frame round trip" `Quick test_frame_roundtrip;
@@ -710,4 +809,8 @@ let suite =
       `Quick test_trace_merge_chaos;
     Alcotest.test_case "pool death aborts the build" `Quick
       test_workers_pool_down_build;
+    Alcotest.test_case "executor crash relayed as E0701" `Quick
+      test_exec_crash_relayed_as_e0701;
+    Alcotest.test_case "network faults on a child link are crashes" `Quick
+      test_netchaos_on_child_links;
   ]
