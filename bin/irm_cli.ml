@@ -579,8 +579,8 @@ let daemon_start_impl dir state_dir groups watch poll_s client_timeout
               Printf.eprintf "daemon exited at startup (%s); see %s\n"
                 (match status with
                 | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-                | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-                | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n)
+                | Unix.WSIGNALED n -> Support.Signal.name n
+                | Unix.WSTOPPED n -> "stopped by " ^ Support.Signal.name n)
                 log_path;
               1
             | _ -> (

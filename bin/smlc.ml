@@ -17,14 +17,12 @@ let read_file path =
   close_in ic;
   content
 
-(* atomic: a crash mid-write must never leave a torn bin file under the
-   final name (same write-temp/rename protocol as Vfs.real) *)
+(* a crash mid-write must never leave a torn bin file under the final
+   name: the bin is committed as the build manager commits it *)
 let write_file path content =
-  let tmp = path ^ ".#tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  Vfs.commit
+    (Vfs.real ~dir:(Filename.dirname path))
+    (Filename.basename path) content
 
 (* compile in a supervised child process (--workers): the job carries
    the source and the import bins, the child replies with the bin bytes

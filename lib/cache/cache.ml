@@ -26,8 +26,7 @@ type t = {
   entries : (string, entry) Hashtbl.t;
   mutable clock : int;  (** logical LRU clock, persisted in the index *)
   mutable bytes : int;
-  mutable journal : string;  (** records appended since the last snapshot *)
-  mutable journal_records : int;
+  log : Vfs.Journal.t;  (** [index] snapshot + [journal] *)
 }
 
 type stats = {
@@ -47,8 +46,6 @@ type gc_report = {
   gc_reclaimed_bytes : int;
 }
 
-let index_path t = Filename.concat t.dir "index"
-let journal_path t = Filename.concat t.dir "journal"
 let objects_dir t = Filename.concat t.dir "objects"
 let object_path t key = Filename.concat (objects_dir t) key
 
@@ -61,17 +58,15 @@ let key_ok key =
        key
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: snapshot index + journal                               *)
+(* Persistence: the codec of a {!Vfs.Journal} store                    *)
 (*                                                                     *)
-(* The index is a compacted snapshot ([key size used] lines); the      *)
-(* journal holds the records appended since ([+ key size used],        *)
-(* [- key], [@ key used]).  Both are only ever written through the     *)
-(* atomic-commit protocol, and replay is idempotent, so a crash        *)
-(* anywhere leaves a state that loads as some prefix of the true       *)
-(* history — at worst an entry degrades to a miss or an object is      *)
-(* orphaned for [gc] to reclaim.  Anything that does not parse is      *)
-(* dropped silently: a damaged cache is an empty cache, never an       *)
-(* error.                                                              *)
+(* The index is the snapshot ([key size used] lines); the journal      *)
+(* holds the records appended since ([+ key size used], [- key],       *)
+(* [@ key used]).  Replay is idempotent, so a crash anywhere leaves a  *)
+(* state that loads as some prefix of the true history — at worst an   *)
+(* entry degrades to a miss or an object is orphaned for [gc] to       *)
+(* reclaim.  Anything that does not parse is dropped silently: a       *)
+(* damaged cache is an empty cache, never an error.                    *)
 (* ------------------------------------------------------------------ *)
 
 let apply_add t key size used =
@@ -96,42 +91,19 @@ let apply_touch t key used =
     t.clock <- max t.clock used
   | None -> ()
 
-let load_index t =
-  match t.fs.Vfs.fs_read (index_path t) with
-  | None -> ()
-  | Some content ->
-    String.split_on_char '\n' content
-    |> List.iter (fun line ->
-           match String.split_on_char ' ' (String.trim line) with
-           | [ key; size; used ] when key_ok key -> (
-             match (int_of_string_opt size, int_of_string_opt used) with
-             | Some size, Some used when size >= 0 -> apply_add t key size used
-             | _ -> ())
-           | _ -> ())
-
-let load_journal t =
-  match t.fs.Vfs.fs_read (journal_path t) with
-  | None -> ()
-  | Some content ->
-    List.iter
-      (fun line ->
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "+"; key; size; used ] when key_ok key -> (
-          match (int_of_string_opt size, int_of_string_opt used) with
-          | Some size, Some used when size >= 0 -> apply_add t key size used
-          | _ -> ())
-        | [ "-"; key ] when key_ok key -> apply_del t key
-        | [ "@"; key; used ] when key_ok key -> (
-          match int_of_string_opt used with
-          | Some used -> apply_touch t key used
-          | None -> ())
-        | _ -> ())
-      (String.split_on_char '\n' content);
-    t.journal <- content;
-    (* a record is a terminated line: the piece after the final newline
-       is not one, so a reloaded store compacts where a fresh one does *)
-    t.journal_records <-
-      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 content
+(* a snapshot line is an add record without its [+] *)
+let replay t line =
+  match String.split_on_char ' ' (String.trim line) with
+  | ([ "+"; key; size; used ] | [ key; size; used ]) when key_ok key -> (
+    match (int_of_string_opt size, int_of_string_opt used) with
+    | Some size, Some used when size >= 0 -> apply_add t key size used
+    | _ -> ())
+  | [ "-"; key ] when key_ok key -> apply_del t key
+  | [ "@"; key; used ] when key_ok key -> (
+    match int_of_string_opt used with
+    | Some used -> apply_touch t key used
+    | None -> ())
+  | _ -> ()
 
 let snapshot_content t =
   let buf = Buffer.create 256 in
@@ -142,20 +114,13 @@ let snapshot_content t =
     t.entries;
   Buffer.contents buf
 
-(* write the snapshot, then retire the journal.  A crash in between is
-   safe: replaying the old journal over the new snapshot is idempotent *)
-let compact t =
-  Vfs.commit t.fs (index_path t) (snapshot_content t);
-  t.fs.Vfs.fs_remove (journal_path t);
-  t.journal <- "";
-  t.journal_records <- 0
+let compact t = Vfs.Journal.compact t.log (snapshot_content t)
 
-let append_journal t record =
-  let next = t.journal ^ record ^ "\n" in
-  Vfs.commit t.fs (journal_path t) next;
-  t.journal <- next;
-  t.journal_records <- t.journal_records + 1;
-  if t.journal_records > journal_limit then compact t
+(* the record is on disk before [apply] changes the state, and a
+   compaction it triggers snapshots the state with it *)
+let append t record apply =
+  Vfs.Journal.append t.log record ~apply ~snapshot:(fun () ->
+      snapshot_content t)
 
 let publish t =
   Obs.Metrics.set g_bytes t.bytes;
@@ -170,12 +135,17 @@ let create ?(dir = default_dir) ?(budget_bytes = default_budget) fs =
       entries = Hashtbl.create 64;
       clock = 0;
       bytes = 0;
-      journal = "";
-      journal_records = 0;
+      log =
+        Vfs.Journal.create fs
+          ~snapshot:(Filename.concat dir "index")
+          ~journal:(Filename.concat dir "journal")
+          ~limit:journal_limit;
     }
   in
-  load_index t;
-  load_journal t;
+  Option.iter
+    (fun index -> List.iter (replay t) (String.split_on_char '\n' index))
+    (Vfs.Journal.snapshot t.log);
+  Vfs.Journal.replay t.log (replay t);
   publish t;
   t
 
@@ -200,8 +170,7 @@ let drop t key =
   match Hashtbl.find_opt t.entries key with
   | None -> ()
   | Some _ ->
-    append_journal t (Printf.sprintf "- %s" key);
-    apply_del t key;
+    append t (Printf.sprintf "- %s" key) (fun () -> apply_del t key);
     (try t.fs.Vfs.fs_remove (object_path t key) with
     | Vfs.Fault _ | Sys_error _ -> ())
 
@@ -229,7 +198,7 @@ let enforce_budget t =
 let touch t key entry =
   t.clock <- t.clock + 1;
   entry.e_used <- t.clock;
-  append_journal t (Printf.sprintf "@ %s %d" key t.clock)
+  append t (Printf.sprintf "@ %s %d" key t.clock) ignore
 
 let find t key =
   let result =
@@ -262,8 +231,8 @@ let store t key bytes =
     drop t key;
     Vfs.commit t.fs (object_path t key) bytes;
     t.clock <- t.clock + 1;
-    append_journal t (Printf.sprintf "+ %s %d %d" key size t.clock);
-    apply_add t key size t.clock;
+    append t (Printf.sprintf "+ %s %d %d" key size t.clock) (fun () ->
+        apply_add t key size t.clock);
     Obs.Metrics.incr m_stores;
     ignore (enforce_budget t);
     publish t

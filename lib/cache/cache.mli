@@ -20,12 +20,14 @@
       <dir>/objects/<key>    the bin bytes
     v}
 
-    Every persistent mutation is crash-safe: object bytes and both
-    metadata files are only written through {!Vfs.commit}
-    (write-temp/rename), and an object is committed {e before} the
-    journal learns its key — so a crash anywhere leaves either a
-    consistent cache or an orphaned object that {!gc} reclaims, never
-    an index entry pointing at torn bytes.
+    The index and journal are a {!Vfs.Journal} store (compacted past
+    512 records); this module supplies their codec.  Every persistent
+    mutation is crash-safe: object bytes are written through
+    {!Vfs.commit}, as the engine writes both metadata files, and an
+    object is committed {e before} the journal learns its key — so a
+    crash anywhere leaves either a consistent cache or an orphaned
+    object that {!gc} reclaims, never an index entry pointing at torn
+    bytes.
 
     Eviction is LRU by a logical clock persisted in the index: when the
     byte total exceeds the budget, least-recently-used entries are

@@ -243,9 +243,4 @@ and pp_spec ppf spec =
       sigexp
   | SPinclude sigexp -> Format.fprintf ppf "include %a" pp_sigexp sigexp
 
-let pp_unit ppf unit_ =
-  Format.fprintf ppf "@[<v>%a@]" (pp_list "@ " pp_dec) unit_.unit_decs
-
 let exp_to_string exp = Format.asprintf "%a" pp_exp exp
-let dec_to_string dec = Format.asprintf "%a" pp_dec dec
-let unit_to_string unit_ = Format.asprintf "%a" pp_unit unit_

@@ -10,7 +10,4 @@ val pp_exp : Format.formatter -> Ast.exp -> unit
 val pp_dec : Format.formatter -> Ast.dec -> unit
 val pp_sigexp : Format.formatter -> Ast.sigexp -> unit
 val pp_strexp : Format.formatter -> Ast.strexp -> unit
-val pp_unit : Format.formatter -> Ast.unit_ -> unit
 val exp_to_string : Ast.exp -> string
-val dec_to_string : Ast.dec -> string
-val unit_to_string : Ast.unit_ -> string

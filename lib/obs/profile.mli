@@ -9,15 +9,17 @@
     needs (ROADMAP item 4), and the database behind [irm explain] and
     [irm profile].
 
-    Persistence mirrors the cache index: a CRC-64-trailed snapshot
-    ([<dir>/store]) plus a journal of CRC-prefixed build records
-    ([<dir>/journal]), both written only through the atomic-commit
-    protocol ({!Vfs.commit}).  Each build is serialized once, when it
-    is recorded (or, read back from disk, on first need); snapshots
-    splice the kept lines.  A crash anywhere leaves a state that
-    loads as a prefix of the true history; anything that fails its CRC
-    or does not parse is dropped — a damaged store is an empty store,
-    never an error. *)
+    Persistence is a {!Vfs.Journal} store, as the cache index is: a
+    CRC-64-trailed snapshot ([<dir>/store]) plus a journal of
+    CRC-prefixed build records ([<dir>/journal]), compacted past 8;
+    this module supplies the codec.  Each build is serialized once,
+    when it is recorded (or, read back from disk, on first need);
+    snapshots splice the kept lines.  A crash anywhere leaves a state
+    that loads as a prefix of the true history: a journal left beside
+    the snapshot that already holds it replays only builds from the
+    snapshot's next id on.  Anything that fails its CRC or does not
+    parse is dropped — a damaged store is an empty store, never an
+    error. *)
 
 (** One unit's record within one build. *)
 type unit_profile = {
@@ -81,10 +83,9 @@ val load : ?dir:string -> Vfs.fs -> t
 (** The id the next recorded build will get. *)
 val next_id : t -> int
 
-(** [record t build] — rewrite the journal with the build's line
-    appended (crash-safely), fold it into the history and aggregates,
-    and compact the journal into the snapshot when it has grown
-    enough. *)
+(** [record t build] — append the build's line to the journal, fold
+    it into the history and aggregates, and compact the journal into
+    the snapshot when it has grown enough. *)
 val record : t -> build_profile -> unit
 
 (** Retained builds, oldest first. *)

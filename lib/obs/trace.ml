@@ -331,18 +331,3 @@ let write_chrome path =
   output_string oc (Json.to_string (to_chrome ()));
   output_char oc '\n';
   close_out oc
-
-let pp_tree ppf () =
-  List.iter
-    (fun ev ->
-      Format.fprintf ppf "%s%-*s %8.3f ms%s@."
-        (String.make (2 * ev.ev_depth) ' ')
-        (max 1 (32 - (2 * ev.ev_depth)))
-        ev.ev_name (ev.ev_dur_us /. 1000.)
-        (match ev.ev_args with
-        | [] -> ""
-        | args ->
-          "  ["
-          ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-          ^ "]"))
-    (events ())

@@ -5,8 +5,7 @@
     at the call site — so instrumentation can stay in hot paths
     permanently.  When enabled, completed spans accumulate in memory;
     {!to_chrome} renders them in Chrome [trace_event] format (load the
-    file in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto})
-    and {!pp_tree} as an indented tree with durations for terminals.
+    file in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}).
 
     Spans carry a (pid, tid) pair: tid is the recording domain, pid 0
     means "this process".  Worker children record into their own buffer
@@ -108,6 +107,3 @@ val to_chrome : unit -> Json.t
 
 (** [write_chrome path] — [to_chrome], serialized to [path]. *)
 val write_chrome : string -> unit
-
-(** [pp_tree ppf ()] — spans as an indented tree with durations. *)
-val pp_tree : Format.formatter -> unit -> unit

@@ -290,8 +290,8 @@ let stop_child pid =
   in
   match reap () with
   | Unix.WEXITED n -> Printf.sprintf "exited with status %d" n
-  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+  | Unix.WSIGNALED s -> "killed by " ^ Support.Signal.name s
+  | Unix.WSTOPPED s -> "stopped by " ^ Support.Signal.name s
 
 (* the copy's time counts as its peer's busy time *)
 let account t c =

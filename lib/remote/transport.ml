@@ -88,7 +88,8 @@ type conn = {
   mutable c_held : (float * Frame.msg) option;
       (** a chaos-duplicated or chaos-delayed frame and the moment it
           arrives; the rest of the stream waits behind it *)
-  mutable c_ready_at : float;  (** chaos connect delay gate *)
+  mutable c_ready_at : float;
+      (** chaos delay gate: no connect and no output before this *)
   mutable c_kill_after_flush : string option;
       (** close, for this reason, once the output has flushed *)
   mutable c_last_io : float;  (** when bytes last moved *)
@@ -201,10 +202,14 @@ let fd t = match t.c_status with Up -> t.c_fd | Connecting | Closed _ -> None
 let buffered t = (Frame.Stream.length t.c_in, Frame.Stream.length t.c_out)
 let last_io t = t.c_last_io
 
-(* output waits for the connect: an unconnected socket refuses writes *)
+let held_out t = Unix.gettimeofday () < t.c_ready_at
+
+(* output waits for the connect, as an unconnected socket refuses
+   writes, and for a chaos-delayed frame's time *)
 let flush t =
   match (t.c_status, t.c_fd) with
   | (Connecting | Closed _), _ | Up, None -> ()
+  | Up, Some _ when held_out t -> ()
   | Up, Some fd -> (
     let rec go () =
       if Frame.Stream.length t.c_out > 0 then
@@ -282,9 +287,11 @@ let send t ~kind ~id ~payload =
       t.c_kill_after_flush <- Some "chaos: connection reset mid-frame";
       flush t
     | Some (Netchaos.Delay d) ->
-      Unix.sleepf d;
-      Frame.Stream.add_string t.c_out frame;
-      flush t
+      (* the frame leaves late, and what is sent after it waits behind
+         it; this connection alone is held *)
+      flush t;
+      t.c_ready_at <- Float.max t.c_ready_at (Unix.gettimeofday () +. d);
+      Frame.Stream.add_string t.c_out frame
     | Some (Netchaos.Refuse | Netchaos.Duplicate_response) | None ->
       Frame.Stream.add_string t.c_out frame;
       flush t)
@@ -339,7 +346,11 @@ let wait ?listener conns ~timeout_s =
       match (fd t, t.c_status) with
       | Some fd, _ ->
         rd := fd :: !rd;
-        if Frame.Stream.length t.c_out > 0 then wr := fd :: !wr
+        if Frame.Stream.length t.c_out > 0 then
+          if held_out t then
+            timeout_s :=
+              Float.min !timeout_s (t.c_ready_at -. Unix.gettimeofday ())
+          else wr := fd :: !wr
       | None, Connecting -> connecting := true
       | None, (Up | Closed _) -> closed := true)
     conns;

@@ -110,9 +110,10 @@ val close : conn -> unit
     progress, [listener] has a connection to accept, or [timeout_s]
     ([infinity]: no limit) passes; a signal ends it early.  An [Up]
     connection wakes it when readable, and when writable only while it
-    has output queued; a [Connecting] one caps the sleep at 10 ms (its
-    connect is progressed by {!poll}), a chaos-delayed frame at its
-    arrival; a [Closed] one returns at once.
+    has output queued that is free to leave; a [Connecting] one caps
+    the sleep at 10 ms (its connect is progressed by {!poll}), a
+    chaos-delayed frame at its arrival or its departure; a [Closed] one
+    returns at once.
     It never changes a connection, so a signal handler may {!send} on
     one meanwhile. *)
 val wait :

@@ -1,4 +1,4 @@
-(** DAG-aware wavefront scheduler over four execution backends.
+(** DAG-aware wavefront scheduler over three execution backends.
 
     The paper makes compiling a unit a pure function of
     [(source, import interface pids)] — which is exactly the licence a

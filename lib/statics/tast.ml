@@ -50,115 +50,3 @@ and tstr =
 
 and thinning = (Symbol.t * thinitem) list
 and thinitem = ThinVal | ThinStr of thinning
-
-let rec pp_addr ppf = function
-  | Types.AdNone -> Format.pp_print_string ppf "<none>"
-  | Types.AdLvar v -> Format.fprintf ppf "%s" (Symbol.name v)
-  | Types.AdExtern pid -> Format.fprintf ppf "@@%s" (Digestkit.Pid.short pid)
-  | Types.AdPrim p -> Format.fprintf ppf "%%%s" (Prim.name p)
-  | Types.AdBasisExn s -> Format.fprintf ppf "%%exn:%s" (Symbol.name s)
-  | Types.AdField (a, f) -> Format.fprintf ppf "%a.%s" pp_addr a (Symbol.name f)
-
-let rec pp_tpat ppf = function
-  | TPwild -> Format.pp_print_string ppf "_"
-  | TPvar v -> Format.pp_print_string ppf (Symbol.name v)
-  | TPint n -> Format.pp_print_int ppf n
-  | TPstring s -> Format.fprintf ppf "%S" s
-  | TPtuple ps ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_tpat)
-      ps
-  | TPcon (rep, None) -> Format.fprintf ppf "c%d/%d" rep.Types.rep_tag rep.Types.rep_span
-  | TPcon (rep, Some p) ->
-    Format.fprintf ppf "c%d/%d(%a)" rep.Types.rep_tag rep.Types.rep_span pp_tpat p
-  | TPexn (addr, None) -> Format.fprintf ppf "exn(%a)" pp_addr addr
-  | TPexn (addr, Some p) -> Format.fprintf ppf "exn(%a)(%a)" pp_addr addr pp_tpat p
-  | TPref p -> Format.fprintf ppf "ref(%a)" pp_tpat p
-  | TPas (v, p) -> Format.fprintf ppf "%s as %a" (Symbol.name v) pp_tpat p
-
-let rec pp_texp ppf = function
-  | TEint n -> Format.pp_print_int ppf n
-  | TEstring s -> Format.fprintf ppf "%S" s
-  | TEvar addr -> pp_addr ppf addr
-  | TEprim p -> Format.fprintf ppf "%%%s" (Prim.name p)
-  | TEcon (rep, None) -> Format.fprintf ppf "c%d" rep.Types.rep_tag
-  | TEcon (rep, Some e) -> Format.fprintf ppf "c%d(%a)" rep.Types.rep_tag pp_texp e
-  | TEconfn rep -> Format.fprintf ppf "c%d(·)" rep.Types.rep_tag
-  | TEexncon (addr, has_arg) ->
-    Format.fprintf ppf "exncon(%a%s)" pp_addr addr (if has_arg then "/1" else "")
-  | TEfn rules ->
-    Format.fprintf ppf "(fn %a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-         (fun ppf (p, e) -> Format.fprintf ppf "%a => %a" pp_tpat p pp_texp e))
-      rules
-  | TEapp (f, x) -> Format.fprintf ppf "(%a %a)" pp_texp f pp_texp x
-  | TEtuple es ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_texp)
-      es
-  | TEselect (i, e) -> Format.fprintf ppf "#%d %a" i pp_texp e
-  | TElet (decs, body) ->
-    Format.fprintf ppf "let %a in %a end"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         pp_tdec)
-      decs pp_texp body
-  | TEif (c, t, e) ->
-    Format.fprintf ppf "if %a then %a else %a" pp_texp c pp_texp t pp_texp e
-  | TEcase (e, rules, _) ->
-    Format.fprintf ppf "case %a of %a" pp_texp e
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-         (fun ppf (p, b) -> Format.fprintf ppf "%a => %a" pp_tpat p pp_texp b))
-      rules
-  | TEraise e -> Format.fprintf ppf "raise %a" pp_texp e
-  | TEerror -> Format.pp_print_string ppf "<error>"
-  | TEhandle (e, rules) ->
-    Format.fprintf ppf "(%a handle %a)" pp_texp e
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-         (fun ppf (p, b) -> Format.fprintf ppf "%a => %a" pp_tpat p pp_texp b))
-      rules
-
-and pp_tdec ppf = function
-  | TDval (p, e, _) -> Format.fprintf ppf "val %a = %a" pp_tpat p pp_texp e
-  | TDrec binds ->
-    Format.fprintf ppf "val rec %a"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " and ")
-         (fun ppf (v, rules) ->
-           Format.fprintf ppf "%s = %a" (Symbol.name v) pp_texp (TEfn rules)))
-      binds
-  | TDexn (v, name, has_arg) ->
-    Format.fprintf ppf "exception %s = %s%s" (Symbol.name v) (Symbol.name name)
-      (if has_arg then " of _" else "")
-  | TDstr (v, str) -> Format.fprintf ppf "structure %s = %a" (Symbol.name v) pp_tstr str
-  | TDfct (v, param, body) ->
-    Format.fprintf ppf "functor %s(%s) = %a" (Symbol.name v) (Symbol.name param)
-      pp_tstr body
-
-and pp_tstr ppf = function
-  | TSvar addr -> pp_addr ppf addr
-  | TSstruct (decs, fields) ->
-    Format.fprintf ppf "struct %a exporting {%a} end"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         pp_tdec)
-      decs
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (f, e) -> Format.fprintf ppf "%s = %a" (Symbol.name f) pp_texp e))
-      fields
-  | TSapp (f, arg) -> Format.fprintf ppf "%a(%a)" pp_addr f pp_tstr arg
-  | TSthin (str, _) -> Format.fprintf ppf "thin(%a)" pp_tstr str
-  | TSlet (decs, body) ->
-    Format.fprintf ppf "let %a in %a end"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         pp_tdec)
-      decs pp_tstr body

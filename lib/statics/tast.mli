@@ -69,6 +69,3 @@ and thinning = (Symbol.t * thinitem) list
 and thinitem =
   | ThinVal  (** keep the field as-is *)
   | ThinStr of thinning  (** keep, recursively restricted *)
-
-val pp_texp : Format.formatter -> texp -> unit
-val pp_tdec : Format.formatter -> tdec -> unit

@@ -199,8 +199,6 @@ let error_into c phase loc fmt =
     (fun message -> emit c (make ?unit_name:c.unit_name phase loc message))
     fmt
 
-let raise_if_errors c = if has_errors c then raise (Errors (diags c))
-
 (* ------------------------------------------------------------------ *)
 (* Exception plumbing                                                  *)
 (* ------------------------------------------------------------------ *)

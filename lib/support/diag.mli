@@ -101,10 +101,6 @@ val error_count : collector -> int
 val warning_count : collector -> int
 val has_errors : collector -> bool
 
-val raise_if_errors : collector -> unit
-(** Raise {!Errors} with all collected diagnostics if any error was
-    emitted; return unit otherwise. *)
-
 (** {1 Exception plumbing} *)
 
 val of_exn : exn -> t list option

@@ -1,8 +1,6 @@
 type pos = { line : int; col : int; offset : int }
 type t = { file : string; start_pos : pos; end_pos : pos }
 
-let start_of_file _file = { line = 1; col = 0; offset = 0 }
-
 let dummy =
   let p = { line = 0; col = 0; offset = 0 } in
   { file = "<generated>"; start_pos = p; end_pos = p }

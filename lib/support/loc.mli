@@ -15,8 +15,6 @@ type t = { file : string; start_pos : pos; end_pos : pos }
     initial basis bindings). *)
 val dummy : t
 
-val start_of_file : string -> pos
-
 (** [make file a b] spans from [a] (inclusive) to [b] (exclusive). *)
 val make : string -> pos -> pos -> t
 

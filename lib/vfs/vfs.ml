@@ -59,16 +59,93 @@ let commit fs path content =
   fs.fs_rename tmp path
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot + journal stores                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Journal = struct
+  type t = {
+    fs : fs;
+    snapshot_path : string;
+    journal_path : string;
+    limit : int;
+    mutable text : string;  (** the journal as it is on disk *)
+    mutable records : int;
+  }
+
+  let create fs ~snapshot ~journal ~limit =
+    {
+      fs;
+      snapshot_path = snapshot;
+      journal_path = journal;
+      limit;
+      text = "";
+      records = 0;
+    }
+
+  let snapshot t = t.fs.fs_read t.snapshot_path
+
+  let replay t record =
+    match t.fs.fs_read t.journal_path with
+    | None -> ()
+    | Some text ->
+      List.iter record (String.split_on_char '\n' text);
+      t.text <- text;
+      (* a record is a terminated line: the piece after the final
+         newline is not one, so a reloaded store compacts where a fresh
+         one does *)
+      t.records <-
+        String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
+
+  (* commit the snapshot, then retire the journal.  A crash in between
+     leaves both, so a store's replay must be idempotent or skip what
+     the snapshot holds *)
+  let compact t content =
+    commit t.fs t.snapshot_path content;
+    t.fs.fs_remove t.journal_path;
+    t.text <- "";
+    t.records <- 0
+
+  let append t record ~apply ~snapshot =
+    let text = String.concat "" [ t.text; record; "\n" ] in
+    commit t.fs t.journal_path text;
+    t.text <- text;
+    t.records <- t.records + 1;
+    apply ();
+    if t.records > t.limit then compact t (snapshot ())
+
+  let bytes t =
+    let size path =
+      match t.fs.fs_read path with Some s -> String.length s | None -> 0
+    in
+    size t.snapshot_path + size t.journal_path
+end
+
+(* ------------------------------------------------------------------ *)
 (* The host file system                                                *)
 (* ------------------------------------------------------------------ *)
 
 let real ~dir =
   let join path = Filename.concat dir path in
-  let rec ensure d =
-    if not (Sys.file_exists d) then begin
-      ensure (Filename.dirname d);
-      Sys.mkdir d 0o755
-    end
+  let rec mkdirs d =
+    match Unix.mkdir d 0o755 with
+    | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) -> ()
+    | exception Unix.Unix_error (Unix.ENOENT, _, _)
+      when Filename.dirname d <> d ->
+      mkdirs (Filename.dirname d);
+      mkdirs d
+  in
+  (* a missing parent directory shows as [ENOENT] on the first try; it
+     is made then, never looked for beforehand.  Errors leave as
+     [Sys_error], as the channel functions raise them *)
+  let with_parent full f =
+    try
+      match f () with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+        mkdirs (Filename.dirname full);
+        f ()
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (Printf.sprintf "%s: %s" full (Unix.error_message e)))
   in
   (* the checked paths: pre-stat, then read or stat.  Every errno the
      fast paths below do not decide lands here, so a path the pre-stat
@@ -125,16 +202,32 @@ let real ~dir =
         Unix.close fd;
         read_checked full)
   in
+  let write_fd fd content =
+    let rec drain off =
+      if off < String.length content then
+        match
+          Unix.single_write_substring fd content off (String.length content - off)
+        with
+        | k -> drain (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain off
+    in
+    drain 0
+  in
+  (* a plain write: staging is {!commit}'s job, so a write that dies
+     part-way leaves a torn file under [path] *)
   let write path content =
     let full = join path in
-    ensure (Filename.dirname full);
-    (* write-temp/rename so a crash mid-write never leaves a torn file
-       under the final name — the same guarantee {!memory} gives *)
-    let tmp = full ^ ".#tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc content;
-    close_out oc;
-    Sys.rename tmp full
+    with_parent full (fun () ->
+        let fd =
+          Unix.openfile full
+            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+            0o666
+        in
+        match write_fd fd content with
+        | () -> Unix.close fd
+        | exception e ->
+          Unix.close fd;
+          raise e)
   in
   let mtime path =
     let full = join path in
@@ -149,8 +242,7 @@ let real ~dir =
   in
   let rename src dst =
     let full_dst = join dst in
-    ensure (Filename.dirname full_dst);
-    Sys.rename (join src) full_dst
+    with_parent full_dst (fun () -> Unix.rename (join src) full_dst)
   in
   let list () =
     let rec walk prefix acc =

@@ -55,11 +55,56 @@ val commit_path : string -> string
     crashed {!commit}. *)
 val is_commit_temp : string -> bool
 
+(** {1 Snapshot-and-journal stores}
+
+    One engine under every store that keeps a state on disk as a
+    snapshot plus the records appended since (the unit cache's index,
+    the build profile): a store supplies only its codec.  Both files
+    are written only by {!commit}.  A record is one newline-terminated
+    line; past [limit] records the store's snapshot is committed and
+    the journal removed.  A crash between those two steps leaves a
+    journal whose records the snapshot already holds, so a store's
+    replay must be idempotent or skip them. *)
+module Journal : sig
+  type t
+
+  (** [create fs ~snapshot ~journal ~limit] — a store at the two paths;
+      nothing is read yet. *)
+  val create : fs -> snapshot:string -> journal:string -> limit:int -> t
+
+  (** The snapshot's bytes, if there is one. *)
+  val snapshot : t -> string option
+
+  (** [replay t record] — hand every line of the journal to [record],
+      oldest first (the piece after the last newline too; damaged lines
+      are the codec's to drop), and count the terminated ones toward
+      the limit. *)
+  val replay : t -> (string -> unit) -> unit
+
+  (** [append t record ~apply ~snapshot] — commit the journal with
+      [record] (one line, no newline) appended, then run [apply] to
+      fold it into the store's state; past the limit, {!compact} with
+      [snapshot ()]. *)
+  val append :
+    t -> string -> apply:(unit -> unit) -> snapshot:(unit -> string) -> unit
+
+  (** [compact t content] — commit [content] as the snapshot, then
+      remove the journal. *)
+  val compact : t -> string -> unit
+
+  (** On-disk size of the snapshot plus the journal, in bytes. *)
+  val bytes : t -> int
+end
+
 (** The host file system rooted at [dir] (paths are joined to it).
     [fs_read] is one open, fstat and read loop: a missing file, a
     directory and a path through a regular file read as [None], and
-    an unreadable file raises [Sys_error].  [fs_write] is atomic
-    (write-temp/rename); [fs_remove] ignores already-missing files;
+    an unreadable file raises [Sys_error].  [fs_write] is a plain
+    write (open, write loop, close), not atomic: a crash part-way
+    leaves a torn file, which is why every persistent write goes
+    through {!commit}.  [fs_write] and [fs_rename] make missing parent
+    directories when the call fails for want of them, and raise
+    [Sys_error] on failure; [fs_remove] ignores already-missing files;
     [fs_mtime] is one stat, in wall-clock seconds; [fs_list]
     enumerates [dir] recursively. *)
 val real : dir:string -> fs

@@ -336,6 +336,70 @@ let test_reload_compacts_at_the_same_record () =
       (journal fs_b) (journal fs_a)
   done
 
+(* the bytes of the index and journal are a format: a fixed sequence of
+   stores, hits, an eviction, an invalidation and a gc writes exactly
+   these, and a store in this format loads with the hits it records *)
+let test_store_bytes_pinned () =
+  let read fs name = fs.Vfs.fs_read (Filename.concat ".irm-cache" name) in
+  let fs = Vfs.memory () in
+  let cache = Cache.create ~budget_bytes:100 fs in
+  Cache.store cache "aa" (String.make 40 'a');
+  Cache.store cache "bb" (String.make 40 'b');
+  ignore (Cache.find cache "aa");
+  (* 120 bytes: bb, the least recently used, is evicted *)
+  Cache.store cache "cc" (String.make 40 'c');
+  Cache.invalidate cache "cc";
+  Cache.store cache "dd" (String.make 10 'd');
+  ignore (Cache.find cache "ee");
+  Alcotest.(check (option string)) "no snapshot before gc" None (read fs "index");
+  Alcotest.(check (option string)) "journal"
+    (Some "+ aa 40 1\n+ bb 40 2\n@ aa 3\n+ cc 40 4\n- bb\n- cc\n+ dd 10 5\n")
+    (read fs "journal");
+  ignore (Cache.gc cache);
+  Alcotest.(check (option string)) "snapshot after gc" (Some "dd 10 5\naa 40 3\n")
+    (read fs "index");
+  Alcotest.(check (option string)) "gc retires the journal" None
+    (read fs "journal");
+  ignore (Cache.find cache "dd");
+  Alcotest.(check (option string)) "journal after gc" (Some "@ dd 6\n")
+    (read fs "journal");
+  (* a store written in this format, objects beside it *)
+  let fs = Vfs.memory () in
+  fs.Vfs.fs_write ".irm-cache/index" "0a0a 3 1\n0b0b 4 2\n";
+  fs.Vfs.fs_write ".irm-cache/journal" "+ 0c0c 5 3\n@ 0a0a 4\n- 0b0b\n";
+  List.iter
+    (fun (key, bytes) -> fs.Vfs.fs_write (".irm-cache/objects/" ^ key) bytes)
+    [ ("0a0a", "aaa"); ("0b0b", "bbbb"); ("0c0c", "ccccc") ];
+  let cache = Cache.create fs in
+  Alcotest.(check int) "entries loaded" 2 (Cache.stats cache).Cache.cs_entries;
+  Alcotest.(check (option string)) "snapshot entry hits" (Some "aaa")
+    (Cache.find cache "0a0a");
+  Alcotest.(check (option string)) "dropped entry misses" None
+    (Cache.find cache "0b0b");
+  Alcotest.(check (option string)) "journal entry hits" (Some "ccccc")
+    (Cache.find cache "0c0c");
+  Alcotest.(check (option string)) "the clock resumes past the journal"
+    (Some "+ 0c0c 5 3\n@ 0a0a 4\n- 0b0b\n@ 0a0a 5\n@ 0c0c 6\n")
+    (read fs "journal")
+
+
+(* the record that pushes the journal past its limit is part of the
+   snapshot that compaction writes: a reload still finds that entry *)
+let test_compacting_record_survives () =
+  let fs = Vfs.memory () in
+  let cache = Cache.create fs in
+  let key i = Printf.sprintf "%04x" i in
+  for i = 1 to 513 do
+    Cache.store cache (key i) "x"
+  done;
+  Alcotest.(check (option string)) "the store compacted" None
+    (fs.Vfs.fs_read ".irm-cache/journal");
+  let reloaded = Cache.create fs in
+  Alcotest.(check int) "every entry reloads" 513
+    (Cache.stats reloaded).Cache.cs_entries;
+  Alcotest.(check (option string)) "the last one hits" (Some "x")
+    (Cache.find reloaded (key 513))
+
 let suite =
   [
     Alcotest.test_case "warm cache rebuilds from clean" `Quick
@@ -363,4 +427,8 @@ let suite =
       test_stale_journal_replay;
     Alcotest.test_case "reloaded store compacts at the same record" `Quick
       test_reload_compacts_at_the_same_record;
+    Alcotest.test_case "index and journal bytes are pinned" `Quick
+      test_store_bytes_pinned;
+    Alcotest.test_case "the compacting record survives a reload" `Quick
+      test_compacting_record_survives;
   ]

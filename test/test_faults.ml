@@ -484,6 +484,158 @@ let test_real_unreadable () =
         (fs.Vfs.fs_read "locked/inner");
       Alcotest.check mtime_opt "its mtime" None (fs.Vfs.fs_mtime "locked/inner"))
 
+(* a commit on the host file system stages through one name: a crash
+   part-way leaves [path.#commit] and nothing else, which recovery
+   sweeps; a write fails as [Sys_error] and makes missing parents *)
+let test_real_commit_staging () =
+  with_real_dir "commit" (fun dir fs ->
+      Vfs.commit fs "a/b/unit.sml.bin" "complete";
+      Alcotest.(check (list string)) "a clean commit leaves its file only"
+        [ "a/b/unit.sml.bin" ] (fs.Vfs.fs_list ());
+      let ffs, _ = Vfs.faulty ~plan:[ Vfs.Write_crash (1, 3) ] fs in
+      (match Vfs.commit ffs "a/b/unit.sml.bin" "replacement" with
+      | () -> Alcotest.fail "the commit must crash"
+      | exception Vfs.Crash _ -> ());
+      Alcotest.(check (list string)) "a crashed commit leaves .#commit only"
+        [ "a/b/unit.sml.bin"; "a/b/unit.sml.bin.#commit" ]
+        (fs.Vfs.fs_list ());
+      Alcotest.(check (option string)) "the target is untouched"
+        (Some "complete") (fs.Vfs.fs_read "a/b/unit.sml.bin");
+      let r = Driver.recover (Driver.create fs) ~sources:[] in
+      Alcotest.(check int) "recover sweeps it" 1 r.Driver.rv_temps_swept;
+      Alcotest.(check (list string)) "nothing staged is left"
+        [ "a/b/unit.sml.bin" ] (fs.Vfs.fs_list ());
+      Vfs.commit fs "c/d.bin" "x";
+      Alcotest.(check bool) "a rename makes its target's parents" true
+        (Sys.file_exists (Filename.concat dir "c/d.bin"));
+      match fs.Vfs.fs_write "a/b/unit.sml.bin/x" "y" with
+      | () -> Alcotest.fail "a write through a file must fail"
+      | exception Sys_error _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* Journal stores: torn and crashed writes of either file              *)
+(* ------------------------------------------------------------------ *)
+
+(* [prepare fs] runs fault-free; [step] then runs with [fault_at k] on
+   the staging name of [file], [k] walking every byte of that write (its
+   size measured on a fault-free twin); [outcome fs] reads the store
+   back from the disk left.  The distinct outcomes, sorted *)
+let every_offset ~dir ~file ~prepare ~step ~outcome fault_at =
+  let staged = Filename.concat dir file ^ ".#commit" in
+  let size = ref (-1) in
+  let twin = Vfs.memory () in
+  prepare twin;
+  step
+    {
+      twin with
+      Vfs.fs_write =
+        (fun path content ->
+          if String.equal path staged then size := String.length content;
+          twin.Vfs.fs_write path content);
+    };
+  if !size < 0 then Alcotest.failf "no write of %s" staged;
+  List.init (!size + 1) (fun k ->
+      let fs = Vfs.memory () in
+      prepare fs;
+      let ffs, _ =
+        Vfs.faulty ~only:(String.equal staged) ~plan:[ fault_at k ] fs
+      in
+      (try step ffs with Vfs.Crash _ -> ());
+      outcome fs)
+  |> List.sort_uniq compare
+
+let test_journal_stores_torn_writes () =
+  let module P = Obs.Profile in
+  let build id =
+    {
+      P.bp_id = id;
+      bp_policy = "cutoff";
+      bp_backend = "serial";
+      bp_wall_s = 1.;
+      bp_jobs = 1;
+      bp_slot_busy_s = [];
+      bp_schedule = "wavefront";
+      bp_units =
+        [
+          {
+            P.up_unit = "a.sml";
+            up_outcome = "recompiled";
+            up_cause = None;
+            up_culprits = [];
+            up_start_s = 0.;
+            up_wall_s = 0.1;
+            up_phases = [];
+            up_imports = [];
+            up_priority = 0.;
+          };
+        ];
+    }
+  in
+  let ids n = List.init n (fun i -> i + 1) in
+  (* the profile: builds [1..n] recorded, then build n+1 under the fault;
+     the outcome is the retained ids, each compile counted once *)
+  let profile ~n ~file fault =
+    every_offset ~dir:P.default_dir ~file
+      ~prepare:(fun fs ->
+        let p = P.load fs in
+        List.iter (fun id -> P.record p (build id)) (ids n))
+      ~step:(fun ffs -> P.record (P.load ffs) (build (n + 1)))
+      ~outcome:(fun fs ->
+        let p = P.load fs in
+        let kept = List.map (fun b -> b.P.bp_id) (P.builds p) in
+        let compiles =
+          Option.fold ~none:0 ~some:(fun a -> a.P.ag_builds) (P.aggregate p "a.sml")
+        in
+        if compiles <> List.length kept then
+          Alcotest.failf "%d compiles aggregated for %d builds" compiles
+            (List.length kept);
+        kept)
+      fault
+  in
+  let check what expected got =
+    Alcotest.(check (list (list int))) what expected got
+  in
+  check "profile journal, crash: the old journal" [ ids 3 ]
+    (profile ~n:3 ~file:"journal" (fun k -> Vfs.Write_crash (1, k)));
+  (* the journal is rewritten whole: a tear may cut any record *)
+  let prefixes n = List.init (n + 1) ids in
+  check "profile journal, torn: a prefix" (prefixes 4)
+    (profile ~n:3 ~file:"journal" (fun k -> Vfs.Write_torn (1, k)));
+  (* the ninth build compacts: its snapshot write is the faulted one *)
+  check "profile snapshot, crash: the journal survives" [ ids 9 ]
+    (profile ~n:8 ~file:"store" (fun k -> Vfs.Write_crash (1, k)));
+  check "profile snapshot, torn: empty or whole" [ []; ids 9 ]
+    (profile ~n:8 ~file:"store" (fun k -> Vfs.Write_torn (1, k)));
+  (* the cache: entries 1..3 stored, then a fourth under the fault; the
+     outcome is the keys that hit with their own bytes *)
+  let key i = Printf.sprintf "%04x" i and bytes i = String.make (10 + i) 'x' in
+  let cache ~file ~step fault =
+    every_offset ~dir:".irm-cache" ~file
+      ~prepare:(fun fs ->
+        let c = Cache.create fs in
+        List.iter (fun i -> Cache.store c (key i) (bytes i)) (ids 3))
+      ~step
+      ~outcome:(fun fs ->
+        let c = Cache.create fs in
+        List.filter (fun i -> Cache.find c (key i) = Some (bytes i)) (ids 4))
+      fault
+  in
+  let store4 ffs = Cache.store (Cache.create ffs) (key 4) (bytes 4) in
+  check "cache journal, crash: the old journal" [ ids 3 ]
+    (cache ~file:"journal" ~step:store4 (fun k -> Vfs.Write_crash (1, k)));
+  check "cache journal, torn: a prefix" (prefixes 4)
+    (cache ~file:"journal" ~step:store4 (fun k -> Vfs.Write_torn (1, k)));
+  let gc ffs = ignore (Cache.gc (Cache.create ffs)) in
+  check "cache index, crash: the journal survives" [ ids 3 ]
+    (cache ~file:"index" ~step:gc (fun k -> Vfs.Write_crash (1, k)));
+  (* the journal is gone, so a torn index may lose entries, but every
+     entry it keeps hits with its own bytes *)
+  List.iter
+    (fun kept ->
+      if not (List.for_all (fun i -> List.mem i (ids 3)) kept) then
+        Alcotest.fail "a torn index produced a phantom entry")
+    (cache ~file:"index" ~step:gc (fun k -> Vfs.Write_torn (1, k)))
+
 let suite =
   [
     Alcotest.test_case "real fs: read and mtime paths" `Quick
@@ -512,4 +664,8 @@ let suite =
       Alcotest.test_case "post-recovery edits behave identically" `Quick
         test_post_recovery_edit_partitions;
       QCheck_alcotest.to_alcotest prop_random_fault_plans_recover;
+      Alcotest.test_case "real fs: a commit stages through .#commit only"
+        `Quick test_real_commit_staging;
+      Alcotest.test_case "journal stores: torn and crashed writes" `Quick
+        test_journal_stores_torn_writes;
     ]

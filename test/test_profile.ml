@@ -776,6 +776,32 @@ let test_reload_compacts_at_the_same_record () =
       (journal fs_b) (journal fs_a)
   done
 
+(* a compaction that committed the snapshot but could not remove the
+   journal leaves records the snapshot already holds: reloading must not
+   apply them twice *)
+let test_interrupted_compaction_replays_once () =
+  let fs = Vfs.memory () in
+  let journal = Filename.concat Profile.default_dir "journal" in
+  let ffs, _ =
+    Vfs.faulty ~only:(String.equal journal) ~plan:[ Vfs.Remove_fail 1 ] fs
+  in
+  let p = Profile.load ffs in
+  (match
+     for id = 1 to 9 do
+       Profile.record p (mk_build ~id [ mk_unit "a.sml" ])
+     done
+   with
+  | () -> Alcotest.fail "the compaction's journal removal must fail"
+  | exception Vfs.Fault _ -> ());
+  Alcotest.(check bool) "the stale journal is still there" true
+    (fs.Vfs.fs_read journal <> None);
+  let p = Profile.load fs in
+  Alcotest.(check (list int)) "each build once" (List.init 9 (fun i -> i + 1))
+    (List.map (fun b -> b.Profile.bp_id) (Profile.builds p));
+  Alcotest.(check int) "next id" 10 (Profile.next_id p);
+  Alcotest.(check (option int)) "compiles aggregated once" (Some 9)
+    (Option.map (fun a -> a.Profile.ag_builds) (Profile.aggregate p "a.sml"))
+
 let suite =
   [
     Alcotest.test_case "store round-trips through snapshot+journal" `Quick
@@ -816,4 +842,6 @@ let suite =
       test_metrics_pp_deterministic;
     Alcotest.test_case "reloaded store compacts at the same record" `Quick
       test_reload_compacts_at_the_same_record;
+    Alcotest.test_case "interrupted compaction replays once" `Quick
+      test_interrupted_compaction_replays_once;
   ]

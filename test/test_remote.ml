@@ -648,6 +648,46 @@ let test_dial_full_backlog () =
         true answered.(i))
     clients
 
+(* a chaos send delay holds its own connection, not the process: the
+   delayed frame leaves on time while a second link's round trip
+   completes at once *)
+let test_send_delay_holds_one_link () =
+  let chaos =
+    Remote.Netchaos.injector
+      [ { Remote.Netchaos.ce_op = Send; ce_at = 1; ce_fault = Delay 1.0 } ]
+  in
+  let sockets () = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let a1, b1 = sockets () and a2, b2 = sockets () in
+  let slow = Transport.of_fd ~chaos a1 and slow_peer = Transport.of_fd b1 in
+  let fast = Transport.of_fd a2 and fast_peer = Transport.of_fd b2 in
+  let all = [ slow; slow_peer; fast; fast_peer ] in
+  Fun.protect ~finally:(fun () -> List.iter Transport.close all) @@ fun () ->
+  let ping c id = Transport.send c ~kind:Remote.Protocol.k_ping ~id ~payload:"" in
+  (* the next frame on [c], pumping every connection meanwhile *)
+  let rec next c =
+    List.iter Transport.poll all;
+    match Transport.recv c with
+    | Some msg -> msg.Pickle.Frame.f_id
+    | None ->
+      Transport.wait all ~timeout_s:5.;
+      next c
+  in
+  let t0 = Unix.gettimeofday () in
+  ping slow "late";
+  ping fast "request";
+  Alcotest.(check string) "the request arrives" "request" (next fast_peer);
+  ping fast_peer "reply";
+  Alcotest.(check string) "the reply arrives" "reply" (next fast);
+  let round_trip = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the other link answers at once (%.3f s)" round_trip)
+    true (round_trip < 0.5);
+  Alcotest.(check string) "the delayed frame arrives" "late" (next slow_peer);
+  let late = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "and not before its time (%.3f s)" late)
+    true (late >= 0.95)
+
 let suite =
   [
     Alcotest.test_case "parse addr" `Quick test_parse_addr;
@@ -680,4 +720,6 @@ let suite =
     Alcotest.test_case "watchdog drops only wedged clients" `Quick
       test_netsrv_watchdog;
     Alcotest.test_case "a straggler is hedged" `Quick test_straggler_is_hedged;
+    Alcotest.test_case "a send delay holds one link" `Quick
+      test_send_delay_holds_one_link;
   ]

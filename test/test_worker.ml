@@ -721,7 +721,13 @@ let test_exec_crash_relayed_as_e0701 () =
   (match List.assoc_opt "a.sml" stats.Driver.st_failed with
   | Some (d :: _) ->
     Alcotest.(check string) "a.sml quarantined by the executor's pool"
-      "E0701" d.Diag.code
+      "E0701" d.Diag.code;
+    let needle = "killed by SIGKILL" and msg = d.Diag.message in
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+    in
+    Alcotest.(check bool) ("the signal is named: " ^ msg) true (at 0)
   | Some [] | None -> Alcotest.fail "a.sml did not fail");
   check_files "its cone skipped" [ "b.sml" ] (skipped_names stats);
   check_files "the bystander compiled" [ "c.sml" ] stats.Driver.st_recompiled;
