@@ -4,9 +4,9 @@ module Md5 = Digestkit.Md5
 let default_dir = ".irm-cache"
 let default_budget = 64 * 1024 * 1024
 
-(* compact the journal back into the index snapshot past this many
-   appended records *)
-let journal_limit = 512
+(* compact the records back into the index snapshot past this many: a
+   load reads each one as its own file *)
+let journal_limit = 128
 
 let m_hits = Obs.Metrics.counter "cache.hits"
 let m_misses = Obs.Metrics.counter "cache.misses"
@@ -26,7 +26,7 @@ type t = {
   entries : (string, entry) Hashtbl.t;
   mutable clock : int;  (** logical LRU clock, persisted in the index *)
   mutable bytes : int;
-  log : Vfs.Journal.t;  (** [index] snapshot + [journal] *)
+  log : Vfs.Journal.t;  (** [index] snapshot + [journal.<n>] segments *)
 }
 
 type stats = {
@@ -60,13 +60,13 @@ let key_ok key =
 (* ------------------------------------------------------------------ *)
 (* Persistence: the codec of a {!Vfs.Journal} store                    *)
 (*                                                                     *)
-(* The index is the snapshot ([key size used] lines); the journal      *)
-(* holds the records appended since ([+ key size used], [- key],       *)
-(* [@ key used]).  Replay is idempotent, so a crash anywhere leaves a  *)
-(* state that loads as some prefix of the true history — at worst an   *)
-(* entry degrades to a miss or an object is orphaned for [gc] to       *)
-(* reclaim.  Anything that does not parse is dropped silently: a       *)
-(* damaged cache is an empty cache, never an error.                    *)
+(* The index is the snapshot ([key size used] lines); the records     *)
+(* appended since are [+ key size used], [- key] and [@ key used].     *)
+(* A crash anywhere leaves a state that loads as some prefix of the    *)
+(* true history — at worst an entry degrades to a miss or an object    *)
+(* is orphaned for [gc] to reclaim.  Anything that does not parse is   *)
+(* dropped silently: a damaged cache is an empty cache, never an       *)
+(* error.                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let apply_add t key size used =
@@ -139,7 +139,7 @@ let create ?(dir = default_dir) ?(budget_bytes = default_budget) fs =
         Vfs.Journal.create fs
           ~snapshot:(Filename.concat dir "index")
           ~journal:(Filename.concat dir "journal")
-          ~limit:journal_limit;
+          ~limit:journal_limit ~keep:0;
     }
   in
   Option.iter

@@ -12,22 +12,25 @@
     system for the CLI) under a directory:
 
     {v
-      <dir>/index            snapshot: one line per entry (key size last-used)
-      <dir>/journal          records appended since the snapshot:
+      <dir>/index            snapshot: the head line, then one line per
+                             entry (key size last-used)
+      <dir>/journal.<n>      one record appended since, per file:
                                + key size last-used   (stored)
                                - key                  (dropped)
                                @ key last-used        (recency touch)
       <dir>/objects/<key>    the bin bytes
     v}
 
-    The index and journal are a {!Vfs.Journal} store (compacted past
-    512 records); this module supplies their codec.  Every persistent
-    mutation is crash-safe: object bytes are written through
-    {!Vfs.commit}, as the engine writes both metadata files, and an
-    object is committed {e before} the journal learns its key — so a
-    crash anywhere leaves either a consistent cache or an orphaned
-    object that {!gc} reclaims, never an index entry pointing at torn
-    bytes.
+    The index and its segments are a {!Vfs.Journal} store (compacted
+    past 128 records, keeping none); this module supplies their codec.
+    Every persistent mutation is crash-safe: object bytes are written
+    through {!Vfs.commit}, as the engine writes the index and each
+    segment, and an object is committed {e before} a segment records
+    its key — so a crash anywhere leaves either a consistent cache or
+    an orphaned object that {!gc} reclaims, never an index entry
+    pointing at torn bytes.  An index and single [journal] in the
+    previous format load as they did; the first compaction converts
+    them.
 
     Eviction is LRU by a logical clock persisted in the index: when the
     byte total exceeds the budget, least-recently-used entries are
@@ -106,7 +109,7 @@ type gc_report = {
   gc_reclaimed_bytes : int;  (** bytes freed by removing orphans *)
 }
 
-(** [gc t] — re-enforce the budget, compact the journal into the index
+(** [gc t] — re-enforce the budget, compact the records into the index
     snapshot, and reclaim orphans: objects the index does not know
     (a store that crashed between the object commit and the index
     update) and staging files left by interrupted commits. *)

@@ -1,9 +1,9 @@
 (** Advisory build lock.
 
-    The profile journal and the cache journal are append-only files
-    with in-process buffering: a daemon and a stray [irm build] running
-    in the same project directory could interleave appends and corrupt
-    both.  This lock serializes them — the daemon takes it for the
+    The profile store and the cache index number their appended
+    records in process memory: a daemon and a stray [irm build]
+    running in the same project directory could commit two records
+    under one number and lose one of them.  This lock serializes them — the daemon takes it for the
     duration of each build request, a one-shot [irm build] for the
     duration of its build — and the second acquirer gets a clear
     diagnostic naming the holder instead of silent corruption.

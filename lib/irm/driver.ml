@@ -792,7 +792,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       st_schedule = schedule;
     }
   in
-  (* fold the build into the profile store (a crash-safe journal rewrite) *)
+  (* fold the build into the profile store (one committed record) *)
   (match profile with
   | None -> ()
   | Some p ->

@@ -7,7 +7,7 @@ let version = "smlsep-profile-store/1"
    the per-unit aggregates *)
 let history_limit = 16
 
-(* compact the journal into the snapshot past this many appended builds *)
+(* compact past this many builds appended beyond the retained history *)
 let journal_limit = 8
 
 (* EWMA smoothing: how fast the rolling estimate chases the last build *)
@@ -47,16 +47,15 @@ type agg = {
   ag_phases : (string * float) list;  (** per-phase EWMA seconds *)
 }
 
-(* a retained build or aggregate beside its canonical JSON line,
-   serialized once: when it is recorded or rolled, or on first need for
-   one read back from disk *)
-type 'a kept = { value : 'a; line : string Lazy.t }
+(* an aggregate beside its canonical JSON line, serialized once: when
+   it is rolled, or on first need for one read back from disk *)
+type kept = { value : agg; line : string Lazy.t }
 
 type t = {
   mutable next_id : int;
-  mutable builds : build_profile kept list;  (** newest first, bounded *)
-  aggregates : (string, agg kept) Hashtbl.t;
-  log : Vfs.Journal.t;  (** [store] snapshot + [journal] *)
+  mutable builds : build_profile list;  (** newest first, bounded *)
+  aggregates : (string, kept) Hashtbl.t;
+  log : Vfs.Journal.t;  (** [store] snapshot + [journal.<n>] segments *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -167,11 +166,12 @@ let agg_of_json v =
 (* ------------------------------------------------------------------ *)
 (* Persistence: the codec of a {!Vfs.Journal} store                    *)
 (*                                                                     *)
-(* The snapshot ([store]) is two lines — the state as canonical JSON,  *)
-(* then the CRC-64 of that line; the journal is one line per recorded  *)
-(* build, each [crc64-hex SP build-json].  Anything that fails its     *)
-(* CRC or does not parse is dropped: a damaged store degrades to an    *)
-(* empty history, never an error.                                      *)
+(* The snapshot ([store]) is two lines — the aggregates and next id as *)
+(* canonical JSON, then the CRC-64 of that line; each record is one    *)
+(* recorded build, [crc64-hex SP build-json].  The retained history is *)
+(* the records the engine keeps live.  Anything that fails its CRC or  *)
+(* does not parse is dropped: damage costs history or aggregates,     *)
+(* never an error.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let crc_hex s = Printf.sprintf "%Lx" (Crc64.of_string s)
@@ -207,17 +207,15 @@ let rolled_agg prev wall_s phases =
       ag_phases = phase_ewma;
     }
 
-let keep to_json v =
-  { value = v; line = lazy (Json.to_canonical_string (to_json v)) }
+let keep a = { value = a; line = lazy (Json.to_canonical_string (agg_json a)) }
+
+let bounded builds = List.filteri (fun i _ -> i < history_limit) builds
 
 (* only actual compiles feed the rolling estimate: loads and cache hits
    say nothing about how long the unit takes to compile *)
-let apply_build t k =
-  let b = k.value in
+let apply_build t b =
   t.next_id <- max t.next_id (b.bp_id + 1);
-  t.builds <-
-    (let kept = k :: t.builds in
-     List.filteri (fun i _ -> i < history_limit) kept);
+  t.builds <- bounded (b :: t.builds);
   List.iter
     (fun u ->
       match u.up_outcome with
@@ -226,32 +224,25 @@ let apply_build t k =
           Option.map (fun k -> k.value) (Hashtbl.find_opt t.aggregates u.up_unit)
         in
         Hashtbl.replace t.aggregates u.up_unit
-          (keep agg_json (rolled_agg prev u.up_wall_s u.up_phases))
+          (keep (rolled_agg prev u.up_wall_s u.up_phases))
       | _ -> ())
     b.bp_units
 
-(* The state as [Json.to_canonical_string] renders it, keys in their
-   sorted order (aggregates, builds, next_id, version), with each kept
-   line spliced in instead of serialized again. *)
+(* The aggregates and next id as [Json.to_canonical_string] renders
+   them, keys in their sorted order, with each kept aggregate line
+   spliced in instead of serialized again.  The history is not here:
+   it is the live records *)
 let snapshot_content t =
   let buf = Buffer.create 65536 in
-  let sep i = if i > 0 then Buffer.add_char buf ',' in
-  let splice k = Buffer.add_string buf (Lazy.force k.line) in
   Buffer.add_string buf "{\"aggregates\":{";
   Hashtbl.fold (fun u k acc -> (u, k) :: acc) t.aggregates []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iteri (fun i (u, k) ->
-         sep i;
+         if i > 0 then Buffer.add_char buf ',';
          Json.to_buffer buf (Json.String u);
          Buffer.add_char buf ':';
-         splice k);
-  Buffer.add_string buf "},\"builds\":[";
-  List.iteri
-    (fun i k ->
-      sep i;
-      splice k)
-    (List.rev t.builds);
-  Buffer.add_string buf "],\"next_id\":";
+         Buffer.add_string buf (Lazy.force k.line));
+  Buffer.add_string buf "},\"next_id\":";
   Buffer.add_string buf (string_of_int t.next_id);
   Buffer.add_string buf ",\"version\":";
   Json.to_buffer buf (Json.String version);
@@ -268,23 +259,23 @@ let load_snapshot t content =
       t.next_id <- max 1 (jint (field "next_id" v));
       List.iter
         (fun (u, a) ->
-          Hashtbl.replace t.aggregates u (keep agg_json (agg_of_json a)))
+          Hashtbl.replace t.aggregates u (keep (agg_of_json a)))
         (jobj (field "aggregates" v));
-      (* snapshot stores oldest first; [builds] is newest first *)
+      (* only the legacy format's snapshot holds builds, oldest first;
+         [builds] is newest first *)
       t.builds <-
-        List.rev_map
-          (fun b -> keep build_json (build_of_json b))
-          (jlist (field "builds" v))
+        List.rev_map build_of_json (opt_field "builds" ~default:[] jlist v)
     with Damaged | Json.Parse_error _ ->
       t.next_id <- 1;
       t.builds <- [];
       Hashtbl.reset t.aggregates)
   | _ -> ()
 
-(* a build below the snapshot's next id is already in it: a compaction
-   that committed the snapshot but did not remove the journal left it
-   there, and rolling it into the aggregates again would count it
-   twice *)
+(* a build below the snapshot's next id is already in its aggregates:
+   it joins the history (the records kept live past a compaction)
+   unless the history holds it already (a legacy-format snapshot, and
+   its journal left by an interrupted compaction), and is not rolled
+   into the aggregates again *)
 let replay t ~since line =
   match String.index_opt line ' ' with
   | Some sp ->
@@ -293,7 +284,9 @@ let replay t ~since line =
     if String.equal crc (crc_hex body) then (
       try
         let b = build_of_json (Json.parse body) in
-        if b.bp_id >= since then apply_build t (keep build_json b)
+        if b.bp_id >= since then apply_build t b
+        else if not (List.exists (fun x -> x.bp_id = b.bp_id) t.builds) then
+          t.builds <- bounded (b :: t.builds)
       with Damaged | Json.Parse_error _ -> ())
   | None -> ()
 
@@ -307,25 +300,23 @@ let load ?(dir = default_dir) fs =
         Vfs.Journal.create fs
           ~snapshot:(Filename.concat dir "store")
           ~journal:(Filename.concat dir "journal")
-          ~limit:journal_limit;
+          ~limit:journal_limit ~keep:history_limit;
     }
   in
   Option.iter (load_snapshot t) (Vfs.Journal.snapshot t.log);
   Vfs.Journal.replay t.log (replay t ~since:t.next_id);
   t
 
-(* the build is serialized here once; the journal line and every later
-   snapshot reuse that line *)
 let record t b =
   let line = Json.to_canonical_string (build_json b) in
   Vfs.Journal.append t.log
     (String.concat " " [ crc_hex line; line ])
-    ~apply:(fun () -> apply_build t { value = b; line = Lazy.from_val line })
+    ~apply:(fun () -> apply_build t b)
     ~snapshot:(fun () -> snapshot_content t)
 
 let next_id t = t.next_id
-let last t = match t.builds with [] -> None | k :: _ -> Some k.value
-let builds t = List.rev_map (fun k -> k.value) t.builds
+let last t = match t.builds with [] -> None | b :: _ -> Some b
+let builds t = List.rev t.builds
 
 let aggregate t unit_ =
   Option.map (fun k -> k.value) (Hashtbl.find_opt t.aggregates unit_)
@@ -335,14 +326,14 @@ let aggregate t unit_ =
 let known t unit_ =
   Hashtbl.mem t.aggregates unit_
   || List.exists
-       (fun k ->
+       (fun b ->
          List.exists
            (fun u ->
              String.equal u.up_unit unit_
              && (match u.up_outcome with
                 | "recompiled" | "cutoff" | "cache" | "loaded" -> true
                 | _ -> false))
-           k.value.bp_units)
+           b.bp_units)
        t.builds
 
 let store_bytes t = Vfs.Journal.bytes t.log

@@ -10,15 +10,20 @@
     [irm profile].
 
     Persistence is a {!Vfs.Journal} store, as the cache index is: a
-    CRC-64-trailed snapshot ([<dir>/store]) plus a journal of
-    CRC-prefixed build records ([<dir>/journal]), compacted past 8;
-    this module supplies the codec.  Each build is serialized once,
-    when it is recorded (or, read back from disk, on first need);
-    snapshots splice the kept lines.  A crash anywhere leaves a state
-    that loads as a prefix of the true history: a journal left beside
-    the snapshot that already holds it replays only builds from the
-    snapshot's next id on.  Anything that fails its CRC or does not
-    parse is dropped — a damaged store is an empty store, never an
+    CRC-64-trailed snapshot ([<dir>/store]) of the aggregates and the
+    next id, plus one CRC-prefixed build record per segment
+    ([<dir>/journal.<n>]); this module supplies the codec.  A record
+    writes only its own line.  A compaction, past 8 records beyond the
+    history, keeps the 16 newest records live: they are the retained
+    history, and a record below the snapshot's next id joins it
+    without being rolled into the aggregates again.  So a crash
+    anywhere leaves a state that loads as a prefix of the true
+    history, each compile aggregated once.  A store in the previous
+    format (a snapshot holding the history, and one journal file)
+    loads as it did, and the first compaction converts it; the
+    history it held outside any segment is then dropped, its
+    aggregates kept.  Anything that fails its CRC or does not parse
+    is dropped — damage costs history or aggregates, never an
     error. *)
 
 (** One unit's record within one build. *)
@@ -77,15 +82,15 @@ type t
 val default_dir : string
 
 (** [load ?dir fs] — open the store rooted at [dir], replaying the
-    snapshot and journal (damaged state degrades to empty). *)
+    snapshot and the live records (damaged state degrades to empty). *)
 val load : ?dir:string -> Vfs.fs -> t
 
 (** The id the next recorded build will get. *)
 val next_id : t -> int
 
-(** [record t build] — append the build's line to the journal, fold
-    it into the history and aggregates, and compact the journal into
-    the snapshot when it has grown enough. *)
+(** [record t build] — commit the build's line as the next segment,
+    fold it into the history and aggregates, and compact when enough
+    records have been appended. *)
 val record : t -> build_profile -> unit
 
 (** Retained builds, oldest first. *)
@@ -104,7 +109,7 @@ val aggregate : t -> string -> agg option
     [first-build]. *)
 val known : t -> string -> bool
 
-(** On-disk size of the snapshot + journal, in bytes. *)
+(** On-disk size of the snapshot and the live records, in bytes. *)
 val store_bytes : t -> int
 
 (** [critical_path b] — the import chain with the largest total unit

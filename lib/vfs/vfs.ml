@@ -68,56 +68,127 @@ module Journal = struct
     snapshot_path : string;
     journal_path : string;
     limit : int;
-    mutable text : string;  (** the journal as it is on disk *)
-    mutable records : int;
+    keep : int;
+    mutable head : int;  (** the first live segment *)
+    mutable next : int;  (** the segment the next record is committed as *)
+    mutable legacy : bool;
+        (** no header was read: the snapshot, if any, is in the legacy
+            format, beside its records in the single [journal_path] *)
   }
 
-  let create fs ~snapshot ~journal ~limit =
+  let create fs ~snapshot ~journal ~limit ~keep =
     {
       fs;
       snapshot_path = snapshot;
       journal_path = journal;
       limit;
-      text = "";
-      records = 0;
+      keep;
+      head = 1;
+      next = 1;
+      legacy = true;
     }
 
-  let snapshot t = t.fs.fs_read t.snapshot_path
+  let segment t n = t.journal_path ^ "." ^ string_of_int n
+  let header = "journal-head "
 
+  (* the live segments are the top run of numbers on disk, since [next]
+     only grows: a snapshot that lost its header finds its head again
+     by listing them *)
+  let listed_head t =
+    let prefix = t.journal_path ^ "." in
+    let numbers =
+      List.filter_map
+        (fun path ->
+          if String.starts_with ~prefix path then
+            int_of_string_opt
+              (String.sub path (String.length prefix)
+                 (String.length path - String.length prefix))
+          else None)
+        (t.fs.fs_list ())
+    in
+    let rec down n = if List.mem (n - 1) numbers then down (n - 1) else n in
+    match List.fold_left max 0 numbers with 0 -> 1 | top -> down top
+
+  let snapshot t =
+    match t.fs.fs_read t.snapshot_path with
+    | None -> None
+    | Some s when String.starts_with ~prefix:header s -> (
+      let k = String.length header in
+      let nl = Option.value ~default:k (String.index_from_opt s k '\n') in
+      match int_of_string_opt (String.sub s k (nl - k)) with
+      | Some head ->
+        t.head <- max 1 head;
+        t.legacy <- false;
+        Some (String.sub s (nl + 1) (String.length s - nl - 1))
+      | None ->
+        t.head <- listed_head t;
+        None)
+    | Some s when String.starts_with ~prefix:s header ->
+      (* empty, or torn inside its header *)
+      t.head <- listed_head t;
+      None
+    | Some _ as legacy -> legacy
+
+  (* a segment is one record and its newline; anything else is torn *)
   let replay t record =
-    match t.fs.fs_read t.journal_path with
-    | None -> ()
-    | Some text ->
-      List.iter record (String.split_on_char '\n' text);
-      t.text <- text;
-      (* a record is a terminated line: the piece after the final
-         newline is not one, so a reloaded store compacts where a fresh
-         one does *)
-      t.records <-
-        String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
+    (if t.legacy then
+       match t.fs.fs_read t.journal_path with
+       | Some text -> (
+         (* the piece after the final newline is torn: dropped, so no
+            record lands on it *)
+         match String.rindex_opt text '\n' with
+         | Some last ->
+           List.iter record (String.split_on_char '\n' (String.sub text 0 last))
+         | None -> ())
+       | None -> ());
+    let rec from n =
+      match t.fs.fs_read (segment t n) with
+      | None -> t.next <- n
+      | Some s ->
+        let len = String.length s in
+        if String.index_opt s '\n' = Some (len - 1) then
+          record (String.sub s 0 (len - 1));
+        from (n + 1)
+    in
+    from t.head
 
-  (* commit the snapshot, then retire the journal.  A crash in between
-     leaves both, so a store's replay must be idempotent or skip what
-     the snapshot holds *)
+  (* commit the snapshot naming the new head, then retire the legacy
+     format's journal (every time: a crash may have left it beside a
+     snapshot with a head) and every segment below the head, oldest
+     first: a crash part-way leaves a run of orphans just below the
+     head, which the next compaction finds by probing down from it *)
   let compact t content =
-    commit t.fs t.snapshot_path content;
+    let head = max t.head (t.next - t.keep) in
+    commit t.fs t.snapshot_path
+      (String.concat "" [ header; string_of_int head; "\n"; content ]);
+    let rec floor n =
+      if n > 1 && t.fs.fs_mtime (segment t (n - 1)) <> None then floor (n - 1)
+      else n
+    in
+    let from = floor t.head in
+    t.head <- head;
+    t.legacy <- false;
     t.fs.fs_remove t.journal_path;
-    t.text <- "";
-    t.records <- 0
+    for n = from to head - 1 do
+      t.fs.fs_remove (segment t n)
+    done
 
   let append t record ~apply ~snapshot =
-    let text = String.concat "" [ t.text; record; "\n" ] in
-    commit t.fs t.journal_path text;
-    t.text <- text;
-    t.records <- t.records + 1;
+    commit t.fs (segment t t.next) (record ^ "\n");
+    t.next <- t.next + 1;
     apply ();
-    if t.records > t.limit then compact t (snapshot ())
+    if t.next - t.head > t.keep + t.limit then compact t (snapshot ())
 
   let bytes t =
     let size path =
       match t.fs.fs_read path with Some s -> String.length s | None -> 0
     in
-    size t.snapshot_path + size t.journal_path
+    let rec segments n acc =
+      if n >= t.next then acc else segments (n + 1) (acc + size (segment t n))
+    in
+    size t.snapshot_path
+    + (if t.legacy then size t.journal_path else 0)
+    + segments t.head 0
 end
 
 (* ------------------------------------------------------------------ *)

@@ -59,40 +59,71 @@ val is_commit_temp : string -> bool
 
     One engine under every store that keeps a state on disk as a
     snapshot plus the records appended since (the unit cache's index,
-    the build profile): a store supplies only its codec.  Both files
-    are written only by {!commit}.  A record is one newline-terminated
-    line; past [limit] records the store's snapshot is committed and
-    the journal removed.  A crash between those two steps leaves a
-    journal whose records the snapshot already holds, so a store's
-    replay must be idempotent or skip them. *)
+    the build profile): a store supplies only its codec.  Every file is
+    written only by {!commit}.
+
+    {v
+      <snapshot>         journal-head <h>     the engine's header line
+                         <codec bytes>        the store's state
+      <journal>.<n>      one record and its newline, for every n >= h
+                         up to the first missing number
+    v}
+
+    An append commits one new segment, numbered one past the last;
+    no record rewrites an earlier one, and a number is never reused.
+    Replay reads segments from the head until one is missing, and
+    drops a segment that is not exactly one newline-terminated line
+    (a torn write).  Past [keep + limit] live segments the store
+    compacts: its snapshot is committed naming the new head (the
+    [keep] newest segments stay live), then the segments below it are
+    removed, oldest first.  The header and the head move in that one
+    commit, so a crash before it leaves the old snapshot and every
+    segment, and a crash after it leaves orphans below the head that
+    are never read again and that the next compaction removes.
+
+    A snapshot without the header is in the legacy format, in which
+    stores were written before segments: one journal file rewritten
+    whole per record.  Such a snapshot is handed to the codec as it
+    is, the records of its single [<journal>] file are replayed before
+    the segments (the piece after that file's last newline is torn,
+    and dropped), and the first compaction removes that file.  A snapshot torn inside its header has lost its head:
+    it reads as absent, and the head is the bottom of the top run of
+    segment numbers on disk. *)
 module Journal : sig
   type t
 
-  (** [create fs ~snapshot ~journal ~limit] — a store at the two paths;
-      nothing is read yet. *)
-  val create : fs -> snapshot:string -> journal:string -> limit:int -> t
+  (** [create fs ~snapshot ~journal ~limit ~keep] — a store at the
+      snapshot path whose segments are [journal ^ "." ^ n]; a
+      compaction keeps the [keep] newest records live, and happens
+      once [limit] more have been appended.  Nothing is read yet. *)
+  val create :
+    fs -> snapshot:string -> journal:string -> limit:int -> keep:int -> t
 
-  (** The snapshot's bytes, if there is one. *)
+  (** The snapshot's bytes after its header (all of them, for the
+      legacy format), if there is one.  Reads the head: call it before
+      {!replay}. *)
   val snapshot : t -> string option
 
-  (** [replay t record] — hand every line of the journal to [record],
-      oldest first (the piece after the last newline too; damaged lines
-      are the codec's to drop), and count the terminated ones toward
-      the limit. *)
+  (** [replay t record] — hand every live record to [record], oldest
+      first: the legacy format's journal lines, then each segment's
+      line.  Damaged records that are whole lines are the codec's to
+      drop. *)
   val replay : t -> (string -> unit) -> unit
 
-  (** [append t record ~apply ~snapshot] — commit the journal with
-      [record] (one line, no newline) appended, then run [apply] to
-      fold it into the store's state; past the limit, {!compact} with
+  (** [append t record ~apply ~snapshot] — commit [record] (one line,
+      no newline) as the next segment, then run [apply] to fold it
+      into the store's state; past the limit, {!compact} with
       [snapshot ()]. *)
   val append :
     t -> string -> apply:(unit -> unit) -> snapshot:(unit -> string) -> unit
 
-  (** [compact t content] — commit [content] as the snapshot, then
-      remove the journal. *)
+  (** [compact t content] — commit [content] as the snapshot under a
+      header naming the new head, then remove the legacy format's
+      journal and the segments below the head, orphans left by an
+      earlier interrupted compaction included. *)
   val compact : t -> string -> unit
 
-  (** On-disk size of the snapshot plus the journal, in bytes. *)
+  (** On-disk size of the snapshot plus the live records, in bytes. *)
   val bytes : t -> int
 end
 

@@ -1,8 +1,11 @@
 (* The profile store's persistence as it was before each build kept its
    serialized line: every compaction re-serializes the whole state
    (aggregates and every retained build) with the JSON emitter of the time.
-   Kept as a test oracle: [Obs.Profile] must write byte-identical
-   snapshots and journals for the same sequence of records. *)
+   Kept as a test oracle: [Obs.Profile] must write each record as the
+   line this journal gets for it, and snapshot the aggregates this
+   snapshot holds.  Its one change since: a torn journal tail is
+   dropped on load instead of having the next record appended onto
+   it. *)
 
 open Obs.Profile
 module Json = Obs.Json
@@ -314,9 +317,13 @@ let load_journal t =
             with Damaged | Json.Parse_error _ -> ())
         | None -> ())
       (String.split_on_char '\n' content);
-    t.journal <- content;
     (* one record per terminated line: the piece after the final
-       newline is not a record *)
+       newline is not a record, and the next record must not land on
+       it, so it is dropped *)
+    t.journal <-
+      (match String.rindex_opt content '\n' with
+      | Some last -> String.sub content 0 (last + 1)
+      | None -> "");
     t.journal_records <-
       String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 content
 
@@ -346,9 +353,13 @@ let compact t =
   t.journal <- "";
   t.journal_records <- 0
 
-let record t b =
+(* a build's journal line *)
+let record_line b =
   let line = Emit.to_canonical_string (build_json b) in
-  let next = t.journal ^ crc_hex line ^ " " ^ line ^ "\n" in
+  crc_hex line ^ " " ^ line
+
+let record t b =
+  let next = t.journal ^ record_line b ^ "\n" in
   Vfs.commit t.fs (journal_path t) next;
   t.journal <- next;
   t.journal_records <- t.journal_records + 1;

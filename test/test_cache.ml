@@ -306,39 +306,65 @@ let test_compaction_crash_recovery () =
     check_entries_survive (Printf.sprintf "crash at byte %d" k) fs entries
   done
 
+(* the store's metadata files, with their bytes: the index and the
+   [journal.<n>] segments *)
+let store_files fs =
+  List.filter_map
+    (fun path ->
+      if
+        String.starts_with ~prefix:".irm-cache/" path
+        && not (String.starts_with ~prefix:".irm-cache/objects/" path)
+      then Some (path, fs.Vfs.fs_read path)
+      else None)
+    (fs.Vfs.fs_list ())
+
+let segments fs =
+  List.filter
+    (fun (path, _) -> String.starts_with ~prefix:".irm-cache/journal." path)
+    (store_files fs)
+
 let test_stale_journal_replay () =
   (* the other half of the compaction window: the new snapshot reached
-     the final name but the crash hit before the journal was removed.
-     Replaying the stale journal over the fresh snapshot must be
-     idempotent — same entries, no duplicates. *)
+     the final name but the crash hit before the segments were removed.
+     They sit below the snapshot's head and are never replayed — same
+     entries, no duplicates — and the next compaction removes them. *)
   let fs = Vfs.memory () in
   let entries = populate_cache fs in
-  let stale_journal = Option.get (fs.Vfs.fs_read ".irm-cache/journal") in
+  let stale = segments fs in
+  Alcotest.(check int) "one segment per store" compaction_entries
+    (List.length stale);
   ignore (Cache.gc (Cache.create fs));
-  Alcotest.(check bool) "compaction removed the journal" true
-    (fs.Vfs.fs_read ".irm-cache/journal" = None);
-  fs.Vfs.fs_write ".irm-cache/journal" stale_journal;
-  check_entries_survive "stale journal replay" fs entries
+  Alcotest.(check int) "compaction removed the segments" 0
+    (List.length (segments fs));
+  List.iter (fun (path, bytes) -> fs.Vfs.fs_write path (Option.get bytes)) stale;
+  check_entries_survive "stale segments" fs entries;
+  (* a legacy-format journal beside a snapshot with a head is stale too *)
+  fs.Vfs.fs_write ".irm-cache/journal" "+ abab 3 99\n";
+  check_entries_survive "stale legacy journal" fs entries;
+  ignore (Cache.gc (Cache.create fs));
+  Alcotest.(check (list string)) "the next compaction removes them"
+    [ ".irm-cache/index" ]
+    (List.map fst (store_files fs))
 
-(* a store reloaded mid-journal counts the records it found, so it
-   compacts at the same record as a store that was never reloaded *)
+(* a reloaded store counts the segments it found, so it compacts at the
+   same record as a store that was never reloaded *)
 let test_reload_compacts_at_the_same_record () =
-  let journal fs = fs.Vfs.fs_read ".irm-cache/journal" in
   let fs_a = Vfs.memory () and fs_b = Vfs.memory () in
   let key i = Printf.sprintf "%04x" i in
   let a = ref (Cache.create fs_a) and b = Cache.create fs_b in
   for i = 1 to 520 do
-    if i = 4 then a := Cache.create fs_a;
+    if i = 4 || i = 129 then a := Cache.create fs_a;
     Cache.store !a (key i) "x";
     Cache.store b (key i) "x";
-    Alcotest.(check (option string))
-      (Printf.sprintf "journal after record %d" i)
-      (journal fs_b) (journal fs_a)
+    Alcotest.(check (list (pair string (option string))))
+      (Printf.sprintf "store files after record %d" i)
+      (store_files fs_b) (store_files fs_a)
   done
 
-(* the bytes of the index and journal are a format: a fixed sequence of
-   stores, hits, an eviction, an invalidation and a gc writes exactly
-   these, and a store in this format loads with the hits it records *)
+(* the bytes of the index and the segments are a format: a fixed
+   sequence of stores, hits, an eviction, an invalidation and a gc
+   writes exactly these, and a store in the legacy format (an index and
+   one journal) loads with the hits it records *)
 let test_store_bytes_pinned () =
   let read fs name = fs.Vfs.fs_read (Filename.concat ".irm-cache" name) in
   let fs = Vfs.memory () in
@@ -352,18 +378,22 @@ let test_store_bytes_pinned () =
   Cache.store cache "dd" (String.make 10 'd');
   ignore (Cache.find cache "ee");
   Alcotest.(check (option string)) "no snapshot before gc" None (read fs "index");
-  Alcotest.(check (option string)) "journal"
-    (Some "+ aa 40 1\n+ bb 40 2\n@ aa 3\n+ cc 40 4\n- bb\n- cc\n+ dd 10 5\n")
-    (read fs "journal");
+  Alcotest.(check (list (pair string (option string)))) "one segment per record"
+    (List.mapi
+       (fun i r -> (Printf.sprintf ".irm-cache/journal.%d" (i + 1), Some r))
+       [ "+ aa 40 1\n"; "+ bb 40 2\n"; "@ aa 3\n"; "+ cc 40 4\n"; "- bb\n";
+         "- cc\n"; "+ dd 10 5\n" ])
+    (segments fs);
   ignore (Cache.gc cache);
-  Alcotest.(check (option string)) "snapshot after gc" (Some "dd 10 5\naa 40 3\n")
-    (read fs "index");
-  Alcotest.(check (option string)) "gc retires the journal" None
-    (read fs "journal");
+  Alcotest.(check (option string)) "snapshot after gc"
+    (Some "journal-head 8\ndd 10 5\naa 40 3\n") (read fs "index");
+  Alcotest.(check (list (pair string (option string)))) "gc retires the segments"
+    [] (segments fs);
   ignore (Cache.find cache "dd");
-  Alcotest.(check (option string)) "journal after gc" (Some "@ dd 6\n")
-    (read fs "journal");
-  (* a store written in this format, objects beside it *)
+  Alcotest.(check (list (pair string (option string)))) "a segment after gc"
+    [ (".irm-cache/journal.8", Some "@ dd 6\n") ]
+    (segments fs);
+  (* a store written in the legacy format, objects beside it *)
   let fs = Vfs.memory () in
   fs.Vfs.fs_write ".irm-cache/index" "0a0a 3 1\n0b0b 4 2\n";
   fs.Vfs.fs_write ".irm-cache/journal" "+ 0c0c 5 3\n@ 0a0a 4\n- 0b0b\n";
@@ -378,27 +408,90 @@ let test_store_bytes_pinned () =
     (Cache.find cache "0b0b");
   Alcotest.(check (option string)) "journal entry hits" (Some "ccccc")
     (Cache.find cache "0c0c");
-  Alcotest.(check (option string)) "the clock resumes past the journal"
-    (Some "+ 0c0c 5 3\n@ 0a0a 4\n- 0b0b\n@ 0a0a 5\n@ 0c0c 6\n")
-    (read fs "journal")
+  Alcotest.(check (list (pair string (option string))))
+    "the clock resumes past the journal, in segments"
+    [
+      (".irm-cache/index", Some "0a0a 3 1\n0b0b 4 2\n");
+      (".irm-cache/journal", Some "+ 0c0c 5 3\n@ 0a0a 4\n- 0b0b\n");
+      (".irm-cache/journal.1", Some "@ 0a0a 5\n");
+      (".irm-cache/journal.2", Some "@ 0c0c 6\n");
+    ]
+    (store_files fs)
 
-
-(* the record that pushes the journal past its limit is part of the
-   snapshot that compaction writes: a reload still finds that entry *)
+(* the record that pushes the segments past their limit is part of the
+   snapshot that compaction writes: a reload still finds that entry,
+   also when the compaction could not remove a segment *)
 let test_compacting_record_survives () =
-  let fs = Vfs.memory () in
-  let cache = Cache.create fs in
   let key i = Printf.sprintf "%04x" i in
-  for i = 1 to 513 do
-    Cache.store cache (key i) "x"
-  done;
-  Alcotest.(check (option string)) "the store compacted" None
-    (fs.Vfs.fs_read ".irm-cache/journal");
-  let reloaded = Cache.create fs in
-  Alcotest.(check int) "every entry reloads" 513
-    (Cache.stats reloaded).Cache.cs_entries;
-  Alcotest.(check (option string)) "the last one hits" (Some "x")
-    (Cache.find reloaded (key 513))
+  List.iter
+    (fun plan ->
+      let fs = Vfs.memory () in
+      let ffs, _ =
+        Vfs.faulty
+          ~only:(String.starts_with ~prefix:".irm-cache/journal.")
+          ~plan fs
+      in
+      let cache = Cache.create ffs in
+      (match
+         for i = 1 to 129 do
+           Cache.store cache (key i) "x"
+         done
+       with
+      | () -> if plan <> [] then Alcotest.fail "the removal must fail"
+      | exception Vfs.Fault _ -> ());
+      if plan = [] then
+        Alcotest.(check (list string)) "the store compacted"
+          [ ".irm-cache/index" ]
+          (List.map fst (store_files fs));
+      let reloaded = Cache.create fs in
+      Alcotest.(check int) "every entry reloads" 129
+        (Cache.stats reloaded).Cache.cs_entries;
+      Alcotest.(check (option string)) "the last one hits" (Some "x")
+        (Cache.find reloaded (key 129)))
+    [ []; [ Vfs.Remove_fail 1 ]; [ Vfs.Remove_fail 100 ] ]
+
+(* an index and journal as stores were written before segments, by
+   hand (one entry dropped, one re-stored): they load as they did, and
+   the first compaction leaves only a snapshot with a head *)
+let test_legacy_format_converts () =
+  let fs = Vfs.memory () in
+  fs.Vfs.fs_write ".irm-cache/index" "0a0a 3 1\n0b0b 4 2\n0d0d 2 3\n";
+  fs.Vfs.fs_write ".irm-cache/journal"
+    "+ 0c0c 5 4\n- 0d0d\n@ 0b0b 5\n+ 0a0a 1 6\n- 0e0e\n";
+  List.iter
+    (fun (key, bytes) -> fs.Vfs.fs_write (".irm-cache/objects/" ^ key) bytes)
+    [ ("0a0a", "A"); ("0b0b", "bbbb"); ("0c0c", "ccccc"); ("0d0d", "dd") ];
+  let expect what cache =
+    Alcotest.(check int) (what ^ ": entries") 3
+      (Cache.stats cache).Cache.cs_entries;
+    Alcotest.(check int) (what ^ ": bytes") 10 (Cache.stats cache).Cache.cs_bytes
+  in
+  expect "legacy files" (Cache.create fs);
+  let cache = Cache.create fs in
+  ignore (Cache.gc cache);
+  Alcotest.(check (list (pair string (option string))))
+    "gc leaves no legacy journal"
+    [ (".irm-cache/index", Some "journal-head 1\n0a0a 1 6\n0b0b 4 5\n0c0c 5 4\n") ]
+    (List.map
+       (fun (path, bytes) ->
+         ( path,
+           Option.map
+             (fun s ->
+               match String.split_on_char '\n' s with
+               | header :: lines ->
+                 String.concat "\n"
+                   (header :: List.sort compare (List.filter (( <> ) "") lines))
+                 ^ "\n"
+               | [] -> s)
+             bytes ))
+       (store_files fs));
+  let cache = Cache.create fs in
+  expect "converted" cache;
+  List.iter
+    (fun (key, bytes) ->
+      Alcotest.(check (option string)) ("hit " ^ key) bytes (Cache.find cache key))
+    [ ("0a0a", Some "A"); ("0b0b", Some "bbbb"); ("0c0c", Some "ccccc");
+      ("0d0d", None) ]
 
 let suite =
   [
@@ -431,4 +524,6 @@ let suite =
       test_store_bytes_pinned;
     Alcotest.test_case "the compacting record survives a reload" `Quick
       test_compacting_record_survives;
+    Alcotest.test_case "a legacy-format store loads and converts" `Quick
+      test_legacy_format_converts;
   ]

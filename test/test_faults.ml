@@ -572,69 +572,164 @@ let test_journal_stores_torn_writes () =
     }
   in
   let ids n = List.init n (fun i -> i + 1) in
-  (* the profile: builds [1..n] recorded, then build n+1 under the fault;
-     the outcome is the retained ids, each compile counted once *)
+  (* the retained window of builds [1..m], and each build compiled
+     [a.sml] once *)
+  let window m = List.init (min 16 m) (fun i -> max 1 (m - 15) + i) in
+  let seg n = "journal." ^ string_of_int n in
+  let outcome fs =
+    let p = P.load fs in
+    let kept = List.map (fun b -> b.P.bp_id) (P.builds p) in
+    let m = List.fold_left max 0 kept in
+    let compiles =
+      Option.fold ~none:0 ~some:(fun a -> a.P.ag_builds) (P.aggregate p "a.sml")
+    in
+    if kept <> window m then
+      Alcotest.failf "builds [%s] are not a prefix of the history"
+        (String.concat ";" (List.map string_of_int kept));
+    if compiles > m then
+      Alcotest.failf "%d compiles aggregated for %d builds" compiles m;
+    (m, compiles)
+  in
+  let prepare n fs =
+    let p = P.load fs in
+    List.iter (fun id -> P.record p (build id)) (ids n)
+  in
+  let next n ffs = P.record (P.load ffs) (build (n + 1)) in
+  (* the profile: builds [1..n] recorded, then build n+1 under the
+     fault; the outcome is the newest build loaded and the compiles
+     aggregated *)
   let profile ~n ~file fault =
-    every_offset ~dir:P.default_dir ~file
-      ~prepare:(fun fs ->
-        let p = P.load fs in
-        List.iter (fun id -> P.record p (build id)) (ids n))
-      ~step:(fun ffs -> P.record (P.load ffs) (build (n + 1)))
-      ~outcome:(fun fs ->
-        let p = P.load fs in
-        let kept = List.map (fun b -> b.P.bp_id) (P.builds p) in
-        let compiles =
-          Option.fold ~none:0 ~some:(fun a -> a.P.ag_builds) (P.aggregate p "a.sml")
-        in
-        if compiles <> List.length kept then
-          Alcotest.failf "%d compiles aggregated for %d builds" compiles
-            (List.length kept);
-        kept)
+    every_offset ~dir:P.default_dir ~file ~prepare:(prepare n) ~step:(next n)
+      ~outcome fault
+  in
+  let check what expected got =
+    Alcotest.(check (list (pair int int))) what expected got
+  in
+  check "profile segment, crash: the old records" [ (3, 3) ]
+    (profile ~n:3 ~file:(seg 4) (fun k -> Vfs.Write_crash (1, k)));
+  (* a torn segment is not one whole line: dropped *)
+  check "profile segment, torn: dropped or whole" [ (3, 3); (4, 4) ]
+    (profile ~n:3 ~file:(seg 4) (fun k -> Vfs.Write_torn (1, k)));
+  (* the 25th build compacts: its snapshot write is the faulted one *)
+  check "profile snapshot, crash: every segment survives" [ (25, 25) ]
+    (profile ~n:24 ~file:"store" (fun k -> Vfs.Write_crash (1, k)));
+  (* a torn snapshot loses its aggregates (or its head, found again
+     from the segments left): the retained records are rolled again,
+     once each *)
+  check "profile snapshot, torn: aggregates degrade" [ (25, 16); (25, 25) ]
+    (profile ~n:24 ~file:"store" (fun k -> Vfs.Write_torn (1, k)));
+  (* each step of that compaction interrupted: the snapshot's rename,
+     the legacy journal's removal and each segment's; the store loads
+     whole, and the next compaction leaves only the live segments *)
+  let live fs =
+    List.filter
+      (fun path ->
+        String.starts_with ~prefix:(Filename.concat P.default_dir "journal") path)
+      (fs.Vfs.fs_list ())
+  in
+  List.iter
+    (fun fault ->
+      let fs = Vfs.memory () in
+      prepare 24 fs;
+      let ffs, inj = Vfs.faulty ~plan:[ fault ] fs in
+      (match next 24 ffs with
+      | () -> Alcotest.failf "%s must fail the compaction" (Vfs.fault_name fault)
+      | exception Vfs.Fault _ -> ());
+      if Vfs.faults_fired inj <> 1 then
+        Alcotest.failf "%s did not fire" (Vfs.fault_name fault);
+      check (Vfs.fault_name fault) [ (25, 25) ] [ outcome fs ];
+      let p = P.load fs in
+      List.iter (fun id -> P.record p (build id)) (List.init 9 (fun i -> i + 26));
+      let files = List.sort compare (live fs) in
+      let first = 35 - List.length files in
+      Alcotest.(check (list string))
+        (Vfs.fault_name fault ^ ": the next compaction tidies")
+        (List.sort compare
+           (List.init (List.length files) (fun i ->
+                Filename.concat P.default_dir (seg (first + i)))))
+        files;
+      if List.length files > 24 then
+        Alcotest.failf "%s: %d live segments" (Vfs.fault_name fault)
+          (List.length files);
+      if List.exists Vfs.is_commit_temp (fs.Vfs.fs_list ()) then
+        Alcotest.failf "%s: a staging file is left" (Vfs.fault_name fault);
+      check (Vfs.fault_name fault ^ ": then") [ (34, 34) ] [ outcome fs ])
+    (Vfs.Rename_fail 2 :: List.init 10 (fun i -> Vfs.Remove_fail (i + 1)));
+  (* a crashed segment commit leaves its staging file, which the next
+     record commits through and recovery sweeps *)
+  let fs = Vfs.memory () in
+  prepare 3 fs;
+  let staged = Vfs.commit_path (Filename.concat P.default_dir (seg 4)) in
+  let crash () =
+    let ffs, _ = Vfs.faulty ~plan:[ Vfs.Write_crash (1, 5) ] fs in
+    (try next 3 ffs with Vfs.Crash _ -> ());
+    Alcotest.(check bool) "a crashed segment leaves its staging file" true
+      (fs.Vfs.fs_read staged <> None)
+  in
+  crash ();
+  let swept = Driver.recover (Driver.create fs) ~sources:[] in
+  Alcotest.(check int) "recover sweeps it" 1 swept.Driver.rv_temps_swept;
+  crash ();
+  next 3 fs;
+  Alcotest.(check (option string)) "the next record commits through it" None
+    (fs.Vfs.fs_read staged);
+  check "and lands" [ (4, 4) ] [ outcome fs ];
+  (* the cache: entries 1..3 stored, then a fourth under the fault; the
+     outcome is the keys that hit with their own bytes *)
+  let key i = Printf.sprintf "%04x" i and bytes i = String.make (10 + i) 'x' in
+  let populate fs =
+    let c = Cache.create fs in
+    List.iter (fun i -> Cache.store c (key i) (bytes i)) (ids 3)
+  in
+  let hits fs =
+    let c = Cache.create fs in
+    List.filter (fun i -> Cache.find c (key i) = Some (bytes i)) (ids 4)
+  in
+  let cache ~file ~step fault =
+    every_offset ~dir:".irm-cache" ~file ~prepare:populate ~step ~outcome:hits
       fault
   in
   let check what expected got =
     Alcotest.(check (list (list int))) what expected got
   in
-  check "profile journal, crash: the old journal" [ ids 3 ]
-    (profile ~n:3 ~file:"journal" (fun k -> Vfs.Write_crash (1, k)));
-  (* the journal is rewritten whole: a tear may cut any record *)
-  let prefixes n = List.init (n + 1) ids in
-  check "profile journal, torn: a prefix" (prefixes 4)
-    (profile ~n:3 ~file:"journal" (fun k -> Vfs.Write_torn (1, k)));
-  (* the ninth build compacts: its snapshot write is the faulted one *)
-  check "profile snapshot, crash: the journal survives" [ ids 9 ]
-    (profile ~n:8 ~file:"store" (fun k -> Vfs.Write_crash (1, k)));
-  check "profile snapshot, torn: empty or whole" [ []; ids 9 ]
-    (profile ~n:8 ~file:"store" (fun k -> Vfs.Write_torn (1, k)));
-  (* the cache: entries 1..3 stored, then a fourth under the fault; the
-     outcome is the keys that hit with their own bytes *)
-  let key i = Printf.sprintf "%04x" i and bytes i = String.make (10 + i) 'x' in
-  let cache ~file ~step fault =
-    every_offset ~dir:".irm-cache" ~file
-      ~prepare:(fun fs ->
-        let c = Cache.create fs in
-        List.iter (fun i -> Cache.store c (key i) (bytes i)) (ids 3))
-      ~step
-      ~outcome:(fun fs ->
-        let c = Cache.create fs in
-        List.filter (fun i -> Cache.find c (key i) = Some (bytes i)) (ids 4))
-      fault
-  in
+  (* the object is committed first, then the record: segment 4 *)
   let store4 ffs = Cache.store (Cache.create ffs) (key 4) (bytes 4) in
-  check "cache journal, crash: the old journal" [ ids 3 ]
-    (cache ~file:"journal" ~step:store4 (fun k -> Vfs.Write_crash (1, k)));
-  check "cache journal, torn: a prefix" (prefixes 4)
-    (cache ~file:"journal" ~step:store4 (fun k -> Vfs.Write_torn (1, k)));
+  check "cache segment, crash: the old records" [ ids 3 ]
+    (cache ~file:(seg 4) ~step:store4 (fun k -> Vfs.Write_crash (1, k)));
+  check "cache segment, torn: dropped or whole" [ ids 3; ids 4 ]
+    (cache ~file:(seg 4) ~step:store4 (fun k -> Vfs.Write_torn (1, k)));
   let gc ffs = ignore (Cache.gc (Cache.create ffs)) in
-  check "cache index, crash: the journal survives" [ ids 3 ]
+  check "cache index, crash: the segments survive" [ ids 3 ]
     (cache ~file:"index" ~step:gc (fun k -> Vfs.Write_crash (1, k)));
-  (* the journal is gone, so a torn index may lose entries, but every
+  (* the segments are gone, so a torn index may lose entries, but every
      entry it keeps hits with its own bytes *)
   List.iter
     (fun kept ->
       if not (List.for_all (fun i -> List.mem i (ids 3)) kept) then
         Alcotest.fail "a torn index produced a phantom entry")
-    (cache ~file:"index" ~step:gc (fun k -> Vfs.Write_torn (1, k)))
+    (cache ~file:"index" ~step:gc (fun k -> Vfs.Write_torn (1, k)));
+  (* each step of a compaction interrupted: no phantom, no loss, and
+     the next compaction leaves the index alone *)
+  List.iter
+    (fun fault ->
+      let fs = Vfs.memory () in
+      populate fs;
+      let ffs, inj = Vfs.faulty ~plan:[ fault ] fs in
+      (match gc ffs with
+      | () -> Alcotest.failf "%s must fail the compaction" (Vfs.fault_name fault)
+      | exception Vfs.Fault _ -> ());
+      if Vfs.faults_fired inj <> 1 then
+        Alcotest.failf "%s did not fire" (Vfs.fault_name fault);
+      check (Vfs.fault_name fault) [ ids 3 ] [ hits fs ];
+      gc fs;
+      Alcotest.(check (list string))
+        (Vfs.fault_name fault ^ ": the next compaction tidies")
+        [ ".irm-cache/index" ]
+        (List.filter
+           (fun path -> not (String.starts_with ~prefix:".irm-cache/objects/" path))
+           (fs.Vfs.fs_list ()));
+      check (Vfs.fault_name fault ^ ": then") [ ids 3 ] [ hits fs ])
+    (Vfs.Rename_fail 1 :: List.init 4 (fun i -> Vfs.Remove_fail (i + 1)))
 
 let suite =
   [

@@ -100,23 +100,42 @@ let test_aggregate_only_fed_by_compiles () =
   Alcotest.(check bool) "cutoff does aggregate" true
     (Profile.aggregate p "a.sml" <> None)
 
+(* the store's files: the snapshot and the [journal.<n>] segments *)
+let store_path name = Filename.concat Profile.default_dir name
+let segment n = store_path ("journal." ^ string_of_int n)
+
+let store_files fs =
+  List.filter
+    (String.starts_with ~prefix:(Profile.default_dir ^ "/"))
+    (fs.Vfs.fs_list ())
+
+let live_segments fs =
+  List.filter
+    (fun path ->
+      String.starts_with ~prefix:(store_path "journal.") path
+      && not (Vfs.is_commit_temp path))
+    (store_files fs)
+
 let test_damaged_store_degrades () =
   let fs = Vfs.memory () in
   let p = Profile.load fs in
   Profile.record p (mk_build ~id:1 [ mk_unit "a.sml" ]);
-  (* a valid journal record followed by a torn one: the valid prefix
-     survives, the tail is dropped *)
-  let jpath = Filename.concat Profile.default_dir "journal" in
-  (match fs.Vfs.fs_read jpath with
-  | Some j -> fs.Vfs.fs_write jpath (j ^ "deadbeef {\"torn\":")
-  | None -> Alcotest.fail "journal missing after record");
+  (* a valid record followed by a torn segment: the valid prefix
+     survives, the torn record is dropped *)
+  Alcotest.(check bool) "a record is a segment" true
+    (fs.Vfs.fs_read (segment 1) <> None);
+  fs.Vfs.fs_write (segment 2) "deadbeef {\"torn\":";
   let p' = Profile.load fs in
-  Alcotest.(check int) "valid prefix survives a torn journal" 1
+  Alcotest.(check int) "valid prefix survives a torn segment" 1
     (List.length (Profile.builds p'));
+  (* the next record takes the next number: the torn one is never
+     written onto *)
+  Profile.record p' (mk_build ~id:2 [ mk_unit "a.sml" ]);
+  Alcotest.(check (list int)) "a record after the torn segment" [ 1; 2 ]
+    (List.map (fun b -> b.Profile.bp_id) (Profile.builds (Profile.load fs)));
   (* a corrupt snapshot is an empty store, never an error *)
-  let spath = Filename.concat Profile.default_dir "store" in
-  fs.Vfs.fs_write spath "not a snapshot at all";
-  fs.Vfs.fs_remove jpath;
+  List.iter fs.Vfs.fs_remove (store_files fs);
+  fs.Vfs.fs_write (store_path "store") "not a snapshot at all";
   let p'' = Profile.load fs in
   Alcotest.(check int) "corrupt snapshot loads as empty" 0
     (List.length (Profile.builds p''));
@@ -125,27 +144,26 @@ let test_damaged_store_degrades () =
      List.length (Profile.builds (Profile.load fs)) = 1)
 
 (* older builds wrote a [static_releases] count into every build
-   record; such a journal line still loads, field for field *)
+   record; such a record still loads, field for field *)
 let test_old_static_releases_field_loads () =
   let fs = Vfs.memory () in
   let p = Profile.load fs in
   Profile.record p
     (mk_build ~id:1 ~schedule:"critical-path"
        [ mk_unit ~wall:0.2 "a.sml"; mk_unit ~outcome:"loaded" "b.sml" ]);
-  let jpath = Filename.concat Profile.default_dir "journal" in
   let body =
-    match fs.Vfs.fs_read jpath with
+    match fs.Vfs.fs_read (segment 1) with
     | Some j -> (
       match String.index_opt j ' ' with
       | Some sp -> String.trim (String.sub j (sp + 1) (String.length j - sp - 1))
-      | None -> Alcotest.fail "journal line has no CRC")
-    | None -> Alcotest.fail "journal missing after record"
+      | None -> Alcotest.fail "record has no CRC")
+    | None -> Alcotest.fail "segment missing after record"
   in
   let old_body =
     "{\"static_releases\":2,"
     ^ String.sub body 1 (String.length body - 1)
   in
-  fs.Vfs.fs_write jpath
+  fs.Vfs.fs_write (segment 1)
     (Printf.sprintf "%Lx %s\n" (Digestkit.Crc64.of_string old_body) old_body);
   let p' = Profile.load fs in
   match Profile.builds p' with
@@ -413,8 +431,8 @@ let test_schedule_recorded_and_degrades () =
     [ ("base.sml", 3.0); ("mid.sml", 2.0); ("top.sml", 1.0) ];
   (* a vandalised store never stops the schedule: estimates fall back
      to the cold default and the rebuild succeeds as usual *)
-  fs.Vfs.fs_write (Filename.concat Profile.default_dir "store") "garbage";
-  fs.Vfs.fs_remove (Filename.concat Profile.default_dir "journal");
+  List.iter fs.Vfs.fs_remove (store_files fs);
+  fs.Vfs.fs_write (store_path "store") "garbage";
   let profile' = Profile.load fs in
   Alcotest.(check int) "store is gone" 0 (List.length (Profile.builds profile'));
   List.iter (fun f -> fs.Vfs.fs_remove (f ^ ".bin")) sources;
@@ -615,52 +633,144 @@ let seeded_build rs ~id =
     bp_units = List.init (Random.State.int rs 5) unit_;
   }
 
-(* the store (on [fs]) and the oracle (on [ofs]) have written the same
-   bytes, and read back the same state *)
-let same_bytes ~what fs ofs =
-  List.iter
-    (fun name ->
-      let path = Filename.concat Profile.default_dir name in
-      Alcotest.(check (option string))
-        (Printf.sprintf "%s: %s" what name)
-        (ofs.Vfs.fs_read path) (fs.Vfs.fs_read path))
-    [ "store"; "journal" ]
+(* [marker] ends the [aggregates] member that opens a snapshot line *)
+let aggregates_member ~marker snapshot =
+  let line = List.hd (String.split_on_char '\n' snapshot) in
+  let opening = "{\"aggregates\":" in
+  let rec find i =
+    if i + String.length marker > String.length line then
+      Alcotest.failf "no %s in the snapshot" marker
+    else if String.sub line i (String.length marker) = marker then i
+    else find (i + 1)
+  in
+  if not (String.starts_with ~prefix:opening line) then
+    Alcotest.fail "the snapshot does not open with its aggregates";
+  let stop = find (String.length opening) in
+  String.sub line (String.length opening) (stop - String.length opening)
+
+(* aggregates print at 12 significant digits, so a store that re-rolls
+   records over a reloaded snapshot agrees with one that rolled them
+   before its snapshot only to that precision *)
+let agg_close (a : Profile.agg) (b : Profile.agg) =
+  let close x y =
+    x = y || Float.abs (x -. y) <= 1e-9 *. Float.max (Float.abs x) (Float.abs y)
+  in
+  a.ag_builds = b.ag_builds
+  && close a.ag_ewma_s b.ag_ewma_s
+  && close a.ag_max_s b.ag_max_s
+  && close a.ag_last_s b.ag_last_s
+  && List.length a.ag_phases = List.length b.ag_phases
+  && List.for_all2
+       (fun (n, x) (m, y) -> String.equal n m && close x y)
+       a.ag_phases b.ag_phases
+
+(* the store and the oracle read back the same state: builds (ids,
+   order, fields) and aggregates, equal while neither has reloaded and
+   equal to their printed precision after *)
+let same_state ?(exact = true) ~what p o =
+  Alcotest.(check (list int)) (what ^ ": build ids")
+    (List.map (fun b -> b.Profile.bp_id) (Oracle_profile.builds o))
+    (List.map (fun b -> b.Profile.bp_id) (Profile.builds p));
+  Alcotest.(check bool) (what ^ ": builds") true
+    (Profile.builds p = Oracle_profile.builds o);
+  Alcotest.(check int) (what ^ ": next id") o.Oracle_profile.next_id
+    (Profile.next_id p);
+  Hashtbl.iter
+    (fun u a ->
+      Alcotest.(check bool) (Printf.sprintf "%s: aggregate %s" what u) true
+        (match Profile.aggregate p u with
+        | Some b -> if exact then a = b else agg_close a b
+        | None -> false))
+    o.Oracle_profile.aggregates
+
+(* the oracle's emitter on the store's aggregates, for the units the
+   oracle knows *)
+let oracle_aggregates p o =
+  Oracle_profile.Emit.to_canonical_string
+    (Obs.Json.Obj
+       (Hashtbl.fold (fun u _ acc -> u :: acc) o.Oracle_profile.aggregates []
+       |> List.sort String.compare
+       |> List.map (fun u ->
+              match Profile.aggregate p u with
+              | Some a -> (u, Oracle_profile.agg_json a)
+              | None -> Alcotest.failf "aggregate %s missing" u)))
 
 let test_store_bytes_match_oracle () =
   let rs = Random.State.make [| 25 |] in
   let fs = Vfs.memory () and ofs = Vfs.memory () in
   let p = ref (Profile.load fs) and o = ref (Oracle_profile.load ofs) in
-  let reload () =
+  (* the segment the store's next record is committed as *)
+  let seg = ref 1 in
+  let compactions = ref 0 in
+  let snapshot = ref None in
+  let exact = ref true in
+  let reload what =
     p := Profile.load fs;
-    o := Oracle_profile.load ofs
+    o := Oracle_profile.load ofs;
+    exact := false;
+    same_state ~exact:false ~what:(what ^ ", reloaded") !p !o
+  in
+  (* the record just made: its segment holds the oracle journal's last
+     line; a compaction it made snapshots the oracle's aggregates *)
+  let check_record what b =
+    Alcotest.(check (option string)) (what ^ ": segment")
+      (Some (Oracle_profile.record_line b ^ "\n"))
+      (fs.Vfs.fs_read (segment !seg));
+    incr seg;
+    same_state ~exact:!exact ~what !p !o;
+    let now = fs.Vfs.fs_read (store_path "store") in
+    if now <> !snapshot then begin
+      incr compactions;
+      snapshot := now;
+      let body =
+        match now with
+        | Some s -> (
+          match String.index_opt s '\n' with
+          | Some nl -> String.sub s (nl + 1) (String.length s - nl - 1)
+          | None -> Alcotest.failf "%s: a snapshot without a header" what)
+        | None -> Alcotest.failf "%s: the snapshot is gone" what
+      in
+      (* before any reload the state is the oracle's own, and so is
+         its snapshot's aggregates member; after, the store's state in
+         the oracle's emitter *)
+      Alcotest.(check string) (what ^ ": snapshot aggregates")
+        (if !exact then
+           aggregates_member ~marker:",\"builds\":["
+             (Oracle_profile.snapshot_content !o)
+         else oracle_aggregates !p !o)
+        (aggregates_member ~marker:",\"next_id\":" body);
+      Alcotest.(check bool) (what ^ ": snapshot next id") true
+        (String.ends_with
+           ~suffix:(Printf.sprintf ",\"next_id\":%d,\"version\":\"smlsep-profile-store/1\"}"
+                      (Profile.next_id !p))
+           (List.hd (String.split_on_char '\n' body)))
+    end
   in
   let record_n what n =
     for i = 1 to n do
       let b = seeded_build rs ~id:(Profile.next_id !p) in
       Profile.record !p b;
       Oracle_profile.record !o b;
-      same_bytes ~what:(Printf.sprintf "%s, record %d" what i) fs ofs
+      check_record (Printf.sprintf "%s, record %d" what i) b
     done
   in
   (* several compactions from an empty store *)
-  record_n "fresh" 30;
-  Alcotest.(check bool) "compacted into a snapshot" true
-    (fs.Vfs.fs_read (Filename.concat Profile.default_dir "store") <> None);
-  (* a reload reads every retained build back: the next compaction
-     serializes their lines lazily *)
-  reload ();
+  record_n "fresh" 45;
+  Alcotest.(check int) "compacted into a snapshot" 3 !compactions;
+  (* a reload reads every retained build back *)
+  reload "fresh";
   record_n "after reload" 20;
-  (* a torn journal tail is dropped on reload *)
-  let jpath = Filename.concat Profile.default_dir "journal" in
-  List.iter
-    (fun fs ->
-      let j = Option.value ~default:"" (fs.Vfs.fs_read jpath) in
-      fs.Vfs.fs_write jpath (j ^ "deadbeef {\"torn\":"))
-    [ fs; ofs ];
-  reload ();
-  record_n "after a torn journal" 12;
-  (* an old journal record (no priority, an extra field) is re-read in
-     today's form *)
+  (* a torn record is dropped on reload, and the next one does not land
+     on it *)
+  let torn = "deadbeef {\"torn\":" in
+  fs.Vfs.fs_write (segment !seg) torn;
+  incr seg;
+  ofs.Vfs.fs_write (Filename.concat Profile.default_dir "journal")
+    (!o.Oracle_profile.journal ^ torn);
+  reload "a torn record";
+  record_n "after a torn record" 12;
+  (* an old record (no priority, an extra field) is re-read in today's
+     form *)
   let old_id = Profile.next_id !p in
   let old_body =
     "{\"backend\":\"serial\",\"id\":" ^ string_of_int old_id
@@ -669,13 +779,14 @@ let test_store_bytes_match_oracle () =
      \"name\":\"a.sml\",\"outcome\":\"recompiled\",\"phases\":{},\
      \"start_s\":0,\"wall_s\":0.5,\"cause\":null}],\"wall_s\":1}"
   in
-  List.iter
-    (fun fs ->
-      let j = Option.value ~default:"" (fs.Vfs.fs_read jpath) in
-      fs.Vfs.fs_write jpath
-        (Printf.sprintf "%s%Lx %s\n" j (Digestkit.Crc64.of_string old_body) old_body))
-    [ fs; ofs ];
-  reload ();
+  let old_line =
+    Printf.sprintf "%Lx %s\n" (Digestkit.Crc64.of_string old_body) old_body
+  in
+  fs.Vfs.fs_write (segment !seg) old_line;
+  incr seg;
+  ofs.Vfs.fs_write (Filename.concat Profile.default_dir "journal")
+    (!o.Oracle_profile.journal ^ old_line);
+  reload "an old record";
   Alcotest.(check bool) "old record read back" true
     (match Profile.last !p with
     | Some b -> b.Profile.bp_id = old_id && b.Profile.bp_schedule = "wavefront"
@@ -711,7 +822,7 @@ let test_store_bytes_match_oracle () =
     match Profile.last !p with
     | Some b ->
       Oracle_profile.record !o b;
-      same_bytes ~what fs ofs
+      check_record what b
     | None -> Alcotest.fail "no build recorded"
   in
   replay_last "interrupted build";
@@ -720,17 +831,10 @@ let test_store_bytes_match_oracle () =
   ignore (Driver.build ~profile:!p (Driver.create src) ~policy:Driver.Cutoff ~sources);
   replay_last "full build";
   record_n "to the next compaction" 9;
-  (* a store the oracle wrote loads as the state the oracle reads back *)
-  let from_oracle = Profile.load ofs and oracle = Oracle_profile.load ofs in
-  Alcotest.(check bool) "oracle-written builds load" true
-    (Profile.builds from_oracle = Oracle_profile.builds oracle);
-  Alcotest.(check int) "oracle-written next id" oracle.Oracle_profile.next_id
-    (Profile.next_id from_oracle);
-  Hashtbl.iter
-    (fun u a ->
-      Alcotest.(check bool) ("aggregate " ^ u) true
-        (Profile.aggregate from_oracle u = Some a))
-    oracle.Oracle_profile.aggregates
+  reload "the end";
+  (* a store the oracle wrote, the legacy format, loads as the state
+     the oracle reads back *)
+  same_state ~what:"oracle-written" (Profile.load ofs) (Oracle_profile.load ofs)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics dump determinism                                            *)
@@ -758,49 +862,189 @@ let test_metrics_pp_deterministic () =
   Alcotest.(check bool) "dump is name-sorted" true
     (find once "zdet.a" < find once "zdet.b")
 
-(* a store reloaded mid-journal counts the records it found, so it
-   compacts at the same build as a store that was never reloaded *)
+(* a reloaded store counts the segments it found, so it compacts at
+   the same record as a store that was never reloaded *)
 let test_reload_compacts_at_the_same_record () =
-  let journal fs =
-    fs.Vfs.fs_read (Filename.concat Profile.default_dir "journal")
-  in
+  let files fs = List.map (fun f -> (f, fs.Vfs.fs_read f)) (store_files fs) in
   let fs_a = Vfs.memory () and fs_b = Vfs.memory () in
   let a = ref (Profile.load fs_a) and b = Profile.load fs_b in
-  for id = 1 to 20 do
-    if id = 4 then a := Profile.load fs_a;
+  for id = 1 to 40 do
+    if id = 4 || id = 30 then a := Profile.load fs_a;
     let build = mk_build ~id [ mk_unit "a.sml" ] in
     Profile.record !a build;
     Profile.record b build;
-    Alcotest.(check (option string))
-      (Printf.sprintf "journal after build %d" id)
-      (journal fs_b) (journal fs_a)
+    Alcotest.(check (list (pair string (option string))))
+      (Printf.sprintf "store files after build %d" id)
+      (files fs_b) (files fs_a)
   done
 
 (* a compaction that committed the snapshot but could not remove the
-   journal leaves records the snapshot already holds: reloading must not
-   apply them twice *)
+   segments below its head leaves records the snapshot already holds:
+   reloading must not apply them twice, and the next compaction removes
+   them *)
 let test_interrupted_compaction_replays_once () =
   let fs = Vfs.memory () in
-  let journal = Filename.concat Profile.default_dir "journal" in
   let ffs, _ =
-    Vfs.faulty ~only:(String.equal journal) ~plan:[ Vfs.Remove_fail 1 ] fs
+    Vfs.faulty
+      ~only:(String.starts_with ~prefix:(store_path "journal."))
+      ~plan:[ Vfs.Remove_fail 1 ] fs
   in
   let p = Profile.load ffs in
   (match
-     for id = 1 to 9 do
+     for id = 1 to 25 do
        Profile.record p (mk_build ~id [ mk_unit "a.sml" ])
      done
    with
-  | () -> Alcotest.fail "the compaction's journal removal must fail"
+  | () -> Alcotest.fail "the compaction's segment removal must fail"
   | exception Vfs.Fault _ -> ());
-  Alcotest.(check bool) "the stale journal is still there" true
-    (fs.Vfs.fs_read journal <> None);
+  Alcotest.(check bool) "the retired segments are still there" true
+    (fs.Vfs.fs_read (segment 1) <> None);
   let p = Profile.load fs in
-  Alcotest.(check (list int)) "each build once" (List.init 9 (fun i -> i + 1))
+  Alcotest.(check (list int)) "each build once" (List.init 16 (fun i -> i + 10))
     (List.map (fun b -> b.Profile.bp_id) (Profile.builds p));
-  Alcotest.(check int) "next id" 10 (Profile.next_id p);
-  Alcotest.(check (option int)) "compiles aggregated once" (Some 9)
-    (Option.map (fun a -> a.Profile.ag_builds) (Profile.aggregate p "a.sml"))
+  Alcotest.(check int) "next id" 26 (Profile.next_id p);
+  Alcotest.(check (option int)) "compiles aggregated once" (Some 25)
+    (Option.map (fun a -> a.Profile.ag_builds) (Profile.aggregate p "a.sml"));
+  for id = 26 to 34 do
+    Profile.record p (mk_build ~id [ mk_unit "a.sml" ])
+  done;
+  Alcotest.(check (list string)) "the next compaction removes the orphans"
+    (List.init 16 (fun i -> segment (i + 19)))
+    (List.sort compare (live_segments fs))
+
+(* One write per record: a 61-unit build recorded 40 times writes one
+   new segment per record, holding only its own line; a compaction
+   writes only the aggregates snapshot *)
+let test_one_write_per_record () =
+  let fs = Vfs.memory () in
+  let writes = ref [] in
+  let counting =
+    {
+      fs with
+      Vfs.fs_write =
+        (fun path content ->
+          writes := (path, content) :: !writes;
+          fs.Vfs.fs_write path content);
+    }
+  in
+  let build id =
+    mk_build ~id ~wall:(float_of_int id)
+      (List.init 61 (fun i ->
+           mk_unit ~wall:(0.001 *. float_of_int (i + id))
+             ~phases:[ ("parse", 0.0001); ("elaborate", 0.0002) ]
+             (Printf.sprintf "unit%02d.sml" i)))
+  in
+  let p = Profile.load counting in
+  let lines = ref [] in
+  let compactions = ref 0 in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  for id = 1 to 40 do
+    writes := [];
+    let b = build id in
+    Alcotest.(check (option string)) "a new segment" None
+      (fs.Vfs.fs_read (segment id));
+    Profile.record p b;
+    let line = Oracle_profile.record_line b in
+    (match List.rev !writes with
+    | (seg, content) :: rest ->
+      Alcotest.(check string) "one segment write" (Vfs.commit_path (segment id)) seg;
+      Alcotest.(check string) "it holds only its own line" (line ^ "\n") content;
+      List.iter
+        (fun (path, snapshot) ->
+          incr compactions;
+          Alcotest.(check string) "a compaction writes the snapshot"
+            (Vfs.commit_path (store_path "store")) path;
+          Alcotest.(check bool) "only the aggregates" false
+            (contains snapshot "\"units\":"))
+        rest;
+      List.iter
+        (fun earlier ->
+          if List.exists (fun (_, c) -> contains c earlier) !writes then
+            Alcotest.failf "record %d rewrote an earlier build" id)
+        !lines
+    | [] -> Alcotest.failf "record %d wrote nothing" id);
+    lines := line :: !lines;
+    let live = List.length (live_segments fs) in
+    if live > 24 then Alcotest.failf "%d live segments after record %d" live id
+  done;
+  Alcotest.(check int) "compactions" 2 !compactions
+
+(* ------------------------------------------------------------------ *)
+(* Stores in the legacy format                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* a journal written before segments, whose last line was torn: the
+   torn piece is dropped, and the next record is not lost on it *)
+let test_torn_legacy_journal () =
+  let fs = Vfs.memory () in
+  let o = Oracle_profile.load fs in
+  Oracle_profile.record o (mk_build ~id:1 [ mk_unit "a.sml" ]);
+  Oracle_profile.record o (mk_build ~id:2 [ mk_unit "a.sml" ]);
+  let journal = store_path "journal" in
+  fs.Vfs.fs_write journal
+    (Option.get (fs.Vfs.fs_read journal) ^ "deadbeef {\"torn\":");
+  let p = Profile.load fs in
+  Profile.record p (mk_build ~id:(Profile.next_id p) [ mk_unit "a.sml" ]);
+  Alcotest.(check (list int)) "the new build survives a reload" [ 1; 2; 3 ]
+    (List.map (fun b -> b.Profile.bp_id) (Profile.builds (Profile.load fs)))
+
+(* a snapshot and journal in the legacy format, by hand: a snapshot
+   holding builds 1 and 2, and a journal left by a compaction that did
+   not remove it (build 2 again) plus build 3 *)
+let test_legacy_format_loads () =
+  let fs = Vfs.memory () in
+  let build id wall parse =
+    Printf.sprintf
+      "{\"backend\":\"serial\",\"id\":%d,\"jobs\":1,\"policy\":\"cutoff\",\
+       \"schedule\":\"wavefront\",\"slot_busy_s\":[0.5],\"units\":[{\"cause\":null,\
+       \"culprits\":[],\"imports\":{},\"name\":\"a.sml\",\"outcome\":\"recompiled\",\
+       \"phases\":{\"parse\":%s},\"priority\":0,\"start_s\":0,\"wall_s\":%s}],\
+       \"wall_s\":1}"
+      id parse wall
+  in
+  let crc s = Printf.sprintf "%Lx" (Digestkit.Crc64.of_string s) in
+  let snapshot =
+    "{\"aggregates\":{\"a.sml\":{\"builds\":2,\"ewma_s\":1.3,\"last_s\":2,\
+     \"max_s\":2,\"phases\":{\"parse\":0.8}}},\"builds\":["
+    ^ build 1 "1" "0.5" ^ "," ^ build 2 "2" "1.5"
+    ^ "],\"next_id\":3,\"version\":\"smlsep-profile-store/1\"}"
+  in
+  fs.Vfs.fs_write (store_path "store") (snapshot ^ "\n" ^ crc snapshot ^ "\n");
+  let line b = crc b ^ " " ^ b ^ "\n" in
+  fs.Vfs.fs_write (store_path "journal")
+    (line (build 2 "2" "1.5") ^ line (build 3 "0.5" "0.2"));
+  let check what p ~ids ~next ~compiles =
+    Alcotest.(check (list int)) (what ^ ": builds") ids
+      (List.map (fun b -> b.Profile.bp_id) (Profile.builds p));
+    Alcotest.(check int) (what ^ ": next id") next (Profile.next_id p);
+    Alcotest.(check (option int)) (what ^ ": compiles") (Some compiles)
+      (Option.map (fun a -> a.Profile.ag_builds) (Profile.aggregate p "a.sml"))
+  in
+  let p = Profile.load fs in
+  check "legacy files" p ~ids:[ 1; 2; 3 ] ~next:4 ~compiles:3;
+  (match Profile.aggregate p "a.sml" with
+  | Some a ->
+    Alcotest.(check (float 1e-9)) "ewma" 1.06 a.Profile.ag_ewma_s;
+    Alcotest.(check (float 1e-9)) "max" 2. a.Profile.ag_max_s;
+    Alcotest.(check (float 1e-9)) "last" 0.5 a.Profile.ag_last_s;
+    Alcotest.(check (float 1e-9)) "phase" 0.62 (List.assoc "parse" a.Profile.ag_phases)
+  | None -> Alcotest.fail "no aggregate");
+  (match Profile.builds p with
+  | b :: _ ->
+    Alcotest.(check (list (float 1e-9))) "fields" [ 0.5 ] b.Profile.bp_slot_busy_s
+  | [] -> ());
+  for id = 4 to 28 do
+    Profile.record p (mk_build ~id [ mk_unit "a.sml" ])
+  done;
+  Alcotest.(check (option string)) "the compaction removed the legacy journal"
+    None (fs.Vfs.fs_read (store_path "journal"));
+  check "converted" (Profile.load fs)
+    ~ids:(List.init 16 (fun i -> i + 13))
+    ~next:29 ~compiles:28
 
 let suite =
   [
@@ -844,4 +1088,9 @@ let suite =
       test_reload_compacts_at_the_same_record;
     Alcotest.test_case "interrupted compaction replays once" `Quick
       test_interrupted_compaction_replays_once;
+    Alcotest.test_case "one write per record" `Quick test_one_write_per_record;
+    Alcotest.test_case "a torn legacy journal keeps the next record" `Quick
+      test_torn_legacy_journal;
+    Alcotest.test_case "legacy-format store loads and converts" `Quick
+      test_legacy_format_loads;
   ]
