@@ -24,7 +24,6 @@
      E19 compile server: warm vs cold rebuilds, client throughput (timing)
      E20 critical-path scheduling vs wavefront: synthetic DAGs, real builds (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
-     E22 live-relink swap latency vs full restart (timing)
 *)
 
 module Gen = Workload.Gen
@@ -47,7 +46,7 @@ let rec rm_rf path =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/13", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/14", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
@@ -82,9 +81,7 @@ let rec rm_rf path =
 (*                            {scenario,phase,units,cache_hits,        *)
 (*                             hit_rate,wall_s} |                      *)
 (*                            {scenario,units,serial_s,degraded_s,     *)
-(*                             overhead_ratio}],                       *)
-(*       "hot_swap":         [{edit,units,swap_s,restart_s,            *)
-(*                             speedup}] },                            *)
+(*                             overhead_ratio}] },                     *)
 (*     "metrics": { <Obs.Metrics counters> } }                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -104,7 +101,6 @@ let tbl_obs : J.t list ref = ref []
 let tbl_server : J.t list ref = ref []
 let tbl_sched : J.t list ref = ref []
 let tbl_fabric : J.t list ref = ref []
-let tbl_swap : J.t list ref = ref []
 let tbl_rehydration : J.t list ref = ref []
 
 let record tbl row = tbl := row :: !tbl
@@ -113,7 +109,7 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/13");
+        ("schema", J.String "smlsep-bench/14");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
@@ -132,7 +128,6 @@ let write_results () =
               ("compile_server", J.List (List.rev !tbl_server));
               ("critical_path", J.List (List.rev !tbl_sched));
               ("remote_fabric", J.List (List.rev !tbl_fabric));
-              ("hot_swap", J.List (List.rev !tbl_swap));
             ] );
         ("metrics", Obs.Metrics.to_json ());
       ]
@@ -1954,65 +1949,6 @@ let e21 () =
          ("overhead_ratio", J.Float (degraded_s /. serial_s));
        ])
 
-(* ------------------------------------------------------------------ *)
-(* E22: live-relink swap latency vs full restart                      *)
-(* ------------------------------------------------------------------ *)
-
-let e22 () =
-  let units = if !quick then 32 else 96 in
-  section
-    (Printf.sprintf
-       "E22: live-relink swap latency vs full restart (%d-unit DAG)" units);
-  let module Relink = Link.Relink in
-  Printf.printf "%-17s | %-10s | %-12s | speedup\n" "edit" "swap (ms)"
-    "restart (ms)";
-  List.iter
-    (fun (label, edit) ->
-      let fs = Vfs.memory () in
-      let project =
-        Gen.create fs
-          (Gen.Random_dag { units; max_deps = 3; seed = 29 })
-          Gen.default_profile
-      in
-      let sources = Gen.sources project in
-      let mgr = Driver.create fs in
-      let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
-      let live = Relink.create () in
-      ignore (Relink.swap live ~units:(Driver.link_snapshot mgr));
-      let swap_s =
-        time_median (fun () ->
-            (match edit with
-            | Some e -> Gen.edit project (Gen.middle_file project) e
-            | None -> ());
-            let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
-            ignore (Relink.swap live ~units:(Driver.link_snapshot mgr)))
-      in
-      (* the alternative: restart the process — rebuild the manager
-         from the bins on disk and re-execute everything *)
-      let restart_s =
-        time_median (fun () ->
-            let cold = Driver.create fs in
-            let _ = Driver.build cold ~policy:Driver.Cutoff ~sources in
-            ignore (Driver.run ~output:ignore cold ~sources))
-      in
-      let speedup = if swap_s > 0. then restart_s /. swap_s else 0. in
-      record tbl_swap
-        (J.Obj
-           [
-             ("edit", J.String label);
-             ("units", J.Int (Gen.size project));
-             ("swap_s", J.Float swap_s);
-             ("restart_s", J.Float restart_s);
-             ("speedup", J.Float speedup);
-           ]);
-      Printf.printf "%-17s | %10.2f | %12.2f | %6.2fx\n" label
-        (1000. *. swap_s) (1000. *. restart_s) speedup)
-    [
-      ("null", None);
-      ("pid-stable edit", Some Gen.Impl_change);
-      ("iface", Some Gen.Iface_change);
-    ]
-
 let parse_args () =
   let rec go = function
     | [] -> ()
@@ -2066,6 +2002,5 @@ let () =
   e16 ();
   e18 ();
   e20 ();
-  e22 ();
   write_results ();
   Printf.printf "\nwrote %s\ndone.\n" !out_path

@@ -694,58 +694,18 @@ let daemon_status_impl dir state_dir json =
           | Some (Obs.Json.List gs) ->
             List.iter
               (fun g ->
-                let epoch =
-                  match Obs.Json.member "epoch" g with
-                  | Some (Obs.Json.Int n) -> Printf.sprintf ", epoch %d" n
-                  | _ -> ""
+                let runs =
+                  Option.value ~default:Obs.Json.Null (Obs.Json.member "runs" g)
                 in
-                let swaps =
-                  match Obs.Json.member "swaps" g with
-                  | Some s ->
-                    let n k =
-                      match Obs.Json.member k s with
-                      | Some (Obs.Json.Int v) -> v
-                      | _ -> 0
-                    in
-                    if n "null" + n "epoch" + n "rollbacks" = 0 then ""
-                    else
-                      Printf.sprintf
-                        " — swaps: %d null / %d epoch / %d rollbacks"
-                        (n "null") (n "epoch") (n "rollbacks")
-                  | None -> ""
-                in
-                Printf.printf "  group     %s: %d units, %d builds%s%s\n"
-                  (str "group" g) (int_ "units" g) (int_ "builds" g) epoch
-                  swaps)
+                Printf.printf
+                  "  group     %s: %d units, %d builds, runs %d executed / %d \
+                   replayed\n"
+                  (str "group" g) (int_ "units" g) (int_ "builds" g)
+                  (int_ "executed" runs) (int_ "replayed" runs))
               gs
           | _ -> ()
         end;
         resp.Daemon.Protocol.r_code)
-
-(* `irm swap UNIT`: ask the daemon to rebuild the unit's group and
-   swap it into the live epoch, reporting the outcome *)
-let swap_impl dir state_dir group unit_ =
-  guarded (fun () ->
-      match Daemon.Client.connect ~state_dir ~dir () with
-      | None ->
-        prerr_endline
-          "no daemon is serving this directory (swapping needs `irm daemon \
-           start`)";
-        1
-      | Some c ->
-        finish_daemon c
-          (Daemon.Protocol.Swap { s_group = group; s_unit = unit_ }))
-
-let daemon_epochs_impl dir state_dir group json =
-  guarded (fun () ->
-      match Daemon.Client.connect ~state_dir ~dir () with
-      | None ->
-        prerr_endline "no daemon is serving this directory";
-        1
-      | Some c ->
-        finish_daemon c
-          (Daemon.Protocol.Epochs { ep_group = group; ep_json = json }))
-
 
 (* ------------------------------------------------------------------ *)
 (* The build fabric's services: remote executor and shared cache       *)
@@ -1084,7 +1044,12 @@ let build_cmd =
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~exits
-       ~doc:"build, then execute all units in dependency order")
+       ~doc:
+         "build, then execute all units in dependency order.  Under \
+          $(b,--daemon) the server executes only when the link order or \
+          some bin changed since the group's last run; otherwise it \
+          answers with that run's output and exit code, which a fresh \
+          execution would reproduce byte for byte.")
     Term.(
       const run_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
       $ jobs_arg
@@ -1235,10 +1200,9 @@ let daemon_start_cmd =
        ~doc:
          "start the compile server for this directory: warm build state \
           behind the Unix socket $(i,.irm-daemon/sock).  Each group also \
-          keeps a live epoch: $(b,run --daemon) reconciles it with the \
-          build (a clean restart of every unit when any bin changed) and \
-          replays its output.  Inspect with $(b,irm daemon epochs), drive \
-          by hand with $(b,irm swap).")
+          keeps its last $(b,run --daemon) response, keyed on the link \
+          order and the bins: a run whose build changed no bin answers \
+          with it and executes nothing.")
     Term.(
       const daemon_start_impl $ dir_arg $ state_dir_arg $ daemon_groups_arg
       $ watch_arg $ poll_arg $ client_timeout_arg $ cache_flag_arg
@@ -1256,31 +1220,13 @@ let daemon_status_cmd =
   Cmd.v
     (Cmd.info "status" ~exits
        ~doc:
-         "report the daemon's uptime, served requests, connected clients, \
-          epochs and watched groups ($(b,--json) emits the smlsep-daemon/4 \
-          status envelope, schema $(i,schemas/daemon.schema.json)).  A \
+         "report the daemon's uptime, served requests, connected clients \
+          and watched groups, with each group's runs executed and replayed \
+          ($(b,--json) emits the smlsep-daemon/5 status envelope, schema \
+          $(i,schemas/daemon.schema.json)).  A \
           SIGKILL'd daemon reports as stale and its leftover socket/pid \
           files are swept.")
     Term.(const daemon_status_impl $ dir_arg $ state_dir_arg $ json_arg)
-
-let epochs_group_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "group" ] ~docv:"GROUP"
-        ~doc:
-          "Group whose epochs to inspect (default: the daemon's sole live \
-           group).")
-
-let daemon_epochs_cmd =
-  Cmd.v
-    (Cmd.info "epochs" ~exits
-       ~doc:
-         "inspect a group's live epochs in the daemon: which epoch \
-          serves, which retired and why each was built, and the swap \
-          counters")
-    Term.(
-      const daemon_epochs_impl $ dir_arg $ state_dir_arg $ epochs_group_arg
-      $ json_arg)
 
 let daemon_cmd =
   Cmd.group
@@ -1288,36 +1234,7 @@ let daemon_cmd =
        ~doc:
          "the compile server: a build daemon holding warm sessions, cache \
           index and profile store behind a Unix socket")
-    [ daemon_start_cmd; daemon_stop_cmd; daemon_status_cmd; daemon_epochs_cmd ]
-
-let swap_unit_arg =
-  Arg.(
-    value & pos 0 string ""
-    & info [] ~docv:"UNIT"
-        ~doc:
-          "Source file to swap (must belong to the group; omit to swap \
-           whatever the rebuild produced).")
-
-let swap_group_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "group" ] ~docv:"GROUP"
-        ~doc:
-          "Group to rebuild and swap (default: the daemon's sole live \
-           group).")
-
-let swap_cmd =
-  Cmd.v
-    (Cmd.info "swap" ~exits
-       ~doc:
-         "rebuild a unit's group in the daemon and swap the result into \
-          its live epoch: when any bin changed, every unit re-executes in \
-          link order into a new epoch, exactly a clean restart; any \
-          failure rolls back to the prior epoch ($(b,E0801) \
-          seal-violation, $(b,E0601) unsatisfied import, or the program \
-          raising)")
-    Term.(const swap_impl $ dir_arg $ state_dir_arg $ swap_group_arg
-          $ swap_unit_arg)
+    [ daemon_start_cmd; daemon_stop_cmd; daemon_status_cmd ]
 
 let listen_arg =
   Arg.(
@@ -1384,7 +1301,6 @@ let cmd =
       cache_cmd;
       explain_cmd;
       profile_cmd;
-      swap_cmd;
       daemon_cmd;
       serve_exec_cmd;
       serve_cache_cmd;

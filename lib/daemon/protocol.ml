@@ -1,10 +1,10 @@
 module Buf = Pickle.Buf
 
-let version = "smlsep-daemon/4"
+let version = "smlsep-daemon/5"
 
 (* HELLO and errors are the fabric's, since Netsrv gates and answers
-   them; the request kinds sit in 17..19, disjoint from the worker
-   links' 0..5 and the fabric's 32..45 *)
+   them; the request kinds sit in 17..19, disjoint from the fabric's
+   32..45 *)
 let k_hello = Remote.Protocol.k_hello
 let k_request = 17
 let k_response = 18
@@ -39,8 +39,6 @@ type request =
   | Profile of { p_json : bool; p_top : int }
   | Status
   | Shutdown
-  | Swap of { s_group : string; s_unit : string }
-  | Epochs of { ep_group : string; ep_json : bool }
 
 type response = { r_code : int; r_out : string; r_err : string }
 
@@ -95,15 +93,7 @@ let encode_request req =
     Buf.bool w p_json;
     Buf.int w p_top
   | Status -> Buf.byte w 4
-  | Shutdown -> Buf.byte w 5
-  | Swap { s_group; s_unit } ->
-    Buf.byte w 6;
-    Buf.string w s_group;
-    Buf.string w s_unit
-  | Epochs { ep_group; ep_json } ->
-    Buf.byte w 7;
-    Buf.string w ep_group;
-    Buf.bool w ep_json);
+  | Shutdown -> Buf.byte w 5);
   Buf.contents w
 
 let decode_request payload =
@@ -121,14 +111,6 @@ let decode_request payload =
     Profile { p_json; p_top }
   | 4 -> Status
   | 5 -> Shutdown
-  | 6 ->
-    let s_group = Buf.read_string r in
-    let s_unit = Buf.read_string r in
-    Swap { s_group; s_unit }
-  | 7 ->
-    let ep_group = Buf.read_string r in
-    let ep_json = Buf.read_bool r in
-    Epochs { ep_group; ep_json }
   | tag -> raise (Buf.Corrupt (Printf.sprintf "unknown request tag %d" tag))
 
 let encode_response resp =

@@ -7,8 +7,8 @@
     {!k_hello} and {!k_error} are the fabric's own
     ({!Remote.Protocol}), since the reactor gates the handshake and
     answers damage; the request kinds (17–19) are disjoint from the
-    worker links' (0–5) and the fabric's (32–45), so a frame aimed
-    at the wrong peer is an immediate protocol error, not a misread.
+    fabric's (32–45), so a frame aimed at the wrong peer is an
+    immediate protocol error, not a misread.
 
     Conversation shape: the client opens with a {!k_hello} frame whose
     payload is {!version}; the daemon answers in kind (a mismatch gets
@@ -20,12 +20,14 @@
     interleave.  {!k_error} frames carry a human-readable reason for
     protocol-level failures. *)
 
-(** Protocol version, exchanged at HELLO: ["smlsep-daemon/4"] (v2
-    added the hot-swap requests {!request.Swap} and {!request.Epochs}
-    and the epoch fields in the status envelope; v3 moved HELLO and
-    errors to the fabric's shared tags; v4 serves every [Run] from the
-    live epoch and dropped [hot_swap], [swaps.impl] and [pins] from the
-    envelopes). *)
+(** Protocol version, exchanged at HELLO: ["smlsep-daemon/5"] (v2
+    added the hot-swap requests [Swap] and [Epochs] and the epoch
+    fields in the status envelope; v3 moved HELLO and errors to the
+    fabric's shared tags; v4 served every [Run] from the live epoch and
+    dropped [hot_swap], [swaps.impl] and [pins] from the envelopes; v5
+    dropped the [Swap] and [Epochs] requests (tags 6 and 7) and, per
+    group in the status envelope, [epoch], [epochs] and [swaps], which
+    became [runs: {executed, replayed}]). *)
 val version : string
 
 (** {2 Frame kinds} *)
@@ -64,18 +66,13 @@ type build_opts = {
 type request =
   | Build of build_opts
   | Run of build_opts
-      (** build, then reconcile and replay the group's live epoch;
+      (** build, then execute the group, or answer with the response of
+          the last [Run] whose link order and bins were the same;
           program output in [r_out] *)
   | Explain of { e_unit : string; e_json : bool }
   | Profile of { p_json : bool; p_top : int }
   | Status  (** daemon self-description, always JSON *)
   | Shutdown
-  | Swap of { s_group : string; s_unit : string }
-      (** rebuild [s_group] and swap the result into its live epoch;
-          the response describes the swap outcome for [s_unit]'s
-          group *)
-  | Epochs of { ep_group : string; ep_json : bool }
-      (** inspect the live epoch history of [ep_group] *)
 
 type response = {
   r_code : int;  (** the exit code the client should exit with *)

@@ -2,7 +2,6 @@ module Frame = Pickle.Frame
 module Netsrv = Remote.Netsrv
 module Driver = Irm.Driver
 module Diag = Support.Diag
-module Relink = Link.Relink
 
 exception Already_running of string
 
@@ -48,7 +47,11 @@ type group_state = {
   mutable g_dirty : string list;  (** dirty since the last build (lazy mode) *)
   mutable g_builds : int;
   mutable g_opts : Protocol.build_opts;  (** what watch rebuilds replay *)
-  g_live : Relink.t;  (** the live epochs, built by the first [Run] or [Swap] *)
+  mutable g_run : ((string * string) list * Protocol.response) option;
+      (** the last executed [Run]: its {!Driver.link_snapshot} key and
+          its response *)
+  mutable g_executed : int;  (** [Run]s that executed the program *)
+  mutable g_replayed : int;  (** [Run]s answered from [g_run] *)
 }
 
 type t = {
@@ -98,7 +101,9 @@ let group_state t group =
         g_dirty = [];
         g_builds = 0;
         g_opts = default_opts t.cfg group;
-        g_live = Relink.create ();
+        g_run = None;
+        g_executed = 0;
+        g_replayed = 0;
       }
     in
     Hashtbl.replace t.groups group g;
@@ -148,25 +153,6 @@ let acquire_lock t =
   in
   go 20
 
-(* why a swap rolled back, for a [Swap] response and the log *)
-let swap_failure = function
-  | Diag.Error d -> String.trim (Diag.to_string d)
-  | Diag.Errors ds ->
-    String.concat "; " (List.map (fun d -> String.trim (Diag.to_string d)) ds)
-  | Relink.Swap_aborted reason ->
-    Printf.sprintf "swap aborted: %s — rolled back to the prior epoch" reason
-  | Relink.Program_failed { cause = Relink.Raised packet; _ } ->
-    Printf.sprintf
-      "swap aborted: a unit raised %s during relink — rolled back to the \
-       prior epoch"
-      (Dynamics.Value.to_string packet)
-  | Relink.Program_failed { cause = Relink.Exited code; _ } ->
-    Printf.sprintf
-      "swap aborted: a unit called exit %d during relink — rolled back to \
-       the prior epoch"
-      code
-  | exn -> Printexc.to_string exn
-
 (* every handler returns the response plus the diag-frame payloads to
    stream ahead of it *)
 let ok out = ({ Protocol.r_code = 0; r_out = out; r_err = "" }, [])
@@ -209,39 +195,10 @@ let guard ~json f =
       (Printf.sprintf "injected fault persisted: %s of %s failed\n" fault_op
          fault_path)
   | exception Sys_error msg -> plain (msg ^ "\n")
-  | exception (Relink.Swap_aborted _ as exn) -> plain (swap_failure exn ^ "\n")
   | exception Remote.Pool.Pool_down msg ->
     plain ~code:4
       (Printf.sprintf
          "build aborted: the compile worker pool died entirely (%s)\n" msg)
-
-(* ------------------------------------------------------------------ *)
-(* Live epochs                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* what changed is the epoch's cause, listed by [daemon epochs] *)
-let swap_desc (o : Relink.outcome) =
-  match o.o_kind with
-  | Relink.Null ->
-    Printf.sprintf "null swap: epoch %d unchanged, nothing relinked" o.o_epoch
-  | Relink.Epoch_bump ->
-    Printf.sprintf "epoch swap: now serving epoch %d" o.o_epoch
-
-(* reconcile the group's live epoch with its last build: a null swap,
-   or a clean restart of every unit into a new epoch.  A failure is
-   logged and re-raised; the prior epoch keeps serving. *)
-let reconcile ?abort_check t g =
-  match
-    Relink.swap ?abort_check g.g_live ~units:(Driver.link_snapshot g.g_mgr)
-  with
-  | { Relink.o_kind = Relink.Null; _ } as o -> o
-  | o ->
-    t.cfg.d_log (Printf.sprintf "daemon: %s %s" g.g_group (swap_desc o));
-    o
-  | exception exn ->
-    t.cfg.d_log
-      (Printf.sprintf "daemon: %s swap failed: %s" g.g_group (swap_failure exn));
-    raise exn
 
 (* build [opts]'s group under the lock; [on_built g stats diag frames]
    makes the response.  Building never executes user code. *)
@@ -296,51 +253,41 @@ let build_response t opts =
       ( { Protocol.r_code = diag.code; r_out = listing; r_err = diag.err },
         frames ))
 
-(* `irm run` prints no listing: diagnostics, or the live epoch's output
-   — reconciled first, so it is what a clean restart prints.  A unit
-   raising or calling [exit] answers like a one-shot run: the output
-   before the failure, then the exception and exit code. *)
-let run_response ?abort_check t opts =
+(* `irm run` prints no listing: diagnostics, or what [Driver.run]
+   prints.  A program's output is a function of its link order and its
+   bins, and the language reads no input, so a [Run] whose key equals
+   the last one's answers with its response, a raising or exiting
+   program included; only the executed [Run] runs user code.  A link
+   diagnostic ([E0601]) goes through [guard] and is not memoized. *)
+let run_response t opts =
   serve_build t opts ~on_built:(fun g _ diag frames ->
       let open Protocol in
       if diag.code <> 0 then
         ({ r_code = diag.code; r_out = ""; r_err = diag.err }, frames)
       else
-        match reconcile ?abort_check t g with
-        | _ ->
+        let key = Driver.link_snapshot g.g_mgr in
+        match g.g_run with
+        | Some (k, resp) when k = key ->
+          g.g_replayed <- g.g_replayed + 1;
+          (resp, frames)
+        | Some _ | None ->
           let buf = Buffer.create 256 in
-          Relink.replay g.g_live ~output:(Buffer.add_string buf);
-          ({ r_code = 0; r_out = Buffer.contents buf; r_err = "" }, frames)
-        | exception Relink.Program_failed { output; cause } ->
           let code, err =
-            match cause with
-            | Relink.Raised packet ->
+            match
+              Driver.run ~output:(Buffer.add_string buf) g.g_mgr
+                ~sources:g.g_sources
+            with
+            | _ -> (0, "")
+            | exception Dynamics.Eval.Sml_raise packet ->
               ( 1,
                 Printf.sprintf "uncaught exception: %s\n"
                   (Dynamics.Value.to_string packet) )
-            | Relink.Exited code -> (code, "")
+            | exception Dynamics.Eval.Sml_exit code -> (code, "")
           in
-          ({ r_code = code; r_out = output; r_err = err }, frames))
-
-(* the per-group live-epoch fields of the status envelope: the serving
-   epoch ([null] before the first [Run] or [Swap]), how many epoch
-   records are retained, and the swap counters *)
-let group_swap_json g =
-  let open Obs.Json in
-  let c = Relink.counters g.g_live in
-  [
-    ( "epoch",
-      if Relink.live g.g_live then Int (Relink.current_epoch g.g_live) else Null
-    );
-    ("epochs", Int (List.length (Relink.epochs g.g_live)));
-    ( "swaps",
-      Obj
-        [
-          ("null", Int c.Relink.c_null);
-          ("epoch", Int c.Relink.c_epoch);
-          ("rollbacks", Int c.Relink.c_rollbacks);
-        ] );
-  ]
+          let resp = { r_code = code; r_out = Buffer.contents buf; r_err = err } in
+          g.g_run <- Some (key, resp);
+          g.g_executed <- g.g_executed + 1;
+          (resp, frames))
 
 let status_json t =
   let open Obs.Json in
@@ -358,8 +305,13 @@ let status_json t =
              ("units", Int (List.length g.g_sources));
              ("builds", Int g.g_builds);
              ("dirty", List (List.map (fun f -> String f) g.g_dirty));
-           ]
-          @ group_swap_json g)
+             ( "runs",
+               Obj
+                 [
+                   ("executed", Int g.g_executed);
+                   ("replayed", Int g.g_replayed);
+                 ] );
+           ])
         :: acc)
       t.groups []
   in
@@ -382,101 +334,12 @@ let status_json t =
       ("groups", List groups);
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Swap and epoch requests                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* [Swap]/[Epochs] with an empty group name resolve against the
-   daemon's live groups when that is unambiguous *)
-let resolve_group t group =
-  if group <> "" then Ok group
-  else
-    match Hashtbl.fold (fun k _ acc -> k :: acc) t.groups [] with
-    | [ g ] -> Ok g
-    | [] -> Error "no group is live in this daemon; name one explicitly\n"
-    | gs ->
-      Error
-        (Printf.sprintf "multiple groups are live (%s); name one explicitly\n"
-           (String.concat ", " (List.sort String.compare gs)))
-
-let epochs_json g =
-  let open Obs.Json in
-  let history =
-    List.map
-      (fun (e : Relink.epoch_info) ->
-        Obj
-          [
-            ("id", Int e.Relink.ei_id);
-            ("state", String e.ei_state);
-            ("units", Int e.ei_units);
-            ("cause", String e.ei_cause);
-          ])
-      (Relink.epochs g.g_live)
-  in
-  Obj
-    ([ ("version", String Protocol.version); ("group", String g.g_group) ]
-    @ group_swap_json g
-    @ [ ("history", List history) ])
-
-let render_epochs g =
-  if not (Relink.live g.g_live) then
-    Printf.sprintf "group %s: no live epochs (no run or swap yet)\n" g.g_group
-  else
-    let c = Relink.counters g.g_live in
-    String.concat ""
-      (Printf.sprintf
-         "group %s: serving epoch %d — swaps: %d null / %d epoch / %d \
-          rollbacks\n"
-         g.g_group
-         (Relink.current_epoch g.g_live)
-         c.Relink.c_null c.Relink.c_epoch c.Relink.c_rollbacks
-      :: List.map
-           (fun (e : Relink.epoch_info) ->
-             Printf.sprintf "  epoch %-3d %-8s units %-3d %s\n" e.Relink.ei_id
-               e.ei_state e.ei_units e.ei_cause)
-           (Relink.epochs g.g_live))
-
-let serve_epochs t ~group ~json =
-  match resolve_group t group with
-  | Error msg -> ({ Protocol.r_code = 2; r_out = ""; r_err = msg }, [])
-  | Ok group ->
-    let g = group_state t group in
-    if json then ok (Obs.Json.to_canonical_string (epochs_json g) ^ "\n")
-    else ok (render_epochs g)
-
-(* [Swap] builds and reconciles, reporting the outcome *)
-let serve_swap ?abort_check t ~group ~unit_ =
-  match resolve_group t group with
-  | Error msg -> ({ Protocol.r_code = 2; r_out = ""; r_err = msg }, [])
-  | Ok group ->
-    guard ~json:false (fun () ->
-        let sources = Irm.Group.load t.fs group in
-        if unit_ <> "" && not (List.mem unit_ sources) then
-          Diag.error Diag.Manager Support.Loc.dummy
-            "unit %s is not in group %s" unit_ group;
-        let g = group_state t group in
-        let opts = { g.g_opts with Protocol.b_group = group } in
-        let built = build_response t opts in
-        if (fst built).Protocol.r_code <> 0 then built
-        else
-          let r_code, r_out, r_err =
-            match reconcile ?abort_check t g with
-            | o ->
-              let prefix = if unit_ = "" then "" else unit_ ^ ": " in
-              (0, prefix ^ swap_desc o ^ "\n", "")
-            | exception
-                (( Diag.Error _ | Diag.Errors _ | Relink.Swap_aborted _
-                 | Relink.Program_failed _ ) as exn) ->
-              (1, "", swap_failure exn ^ "\n")
-          in
-          ({ Protocol.r_code; r_out; r_err }, snd built))
-
-let serve_request ?abort_check t req =
+let serve_request t req =
   t.served <- t.served + 1;
   Obs.Metrics.incr m_requests;
   match req with
   | Protocol.Build opts -> build_response t opts
-  | Protocol.Run opts -> run_response ?abort_check t opts
+  | Protocol.Run opts -> run_response t opts
   | Protocol.Explain { e_unit; e_json } ->
     guard ~json:false (fun () ->
         let r =
@@ -494,10 +357,6 @@ let serve_request ?abort_check t req =
   | Protocol.Shutdown ->
     t.stopping <- true;
     ok ""
-  | Protocol.Swap { s_group; s_unit } ->
-    serve_swap ?abort_check t ~group:s_group ~unit_:s_unit
-  | Protocol.Epochs { ep_group; ep_json } ->
-    serve_epochs t ~group:ep_group ~json:ep_json
 
 (* ------------------------------------------------------------------ *)
 (* Frames from greeted clients                                         *)
@@ -514,16 +373,11 @@ let on_msg t ~conn (msg : Frame.msg) =
     | exception Pickle.Buf.Corrupt reason ->
       send Protocol.k_error ("undecodable request: " ^ reason)
     | req ->
-      (* a requesting client hanging up aborts a pending swap *)
-      let abort_check () =
-        if Netsrv.conn_alive t.srv ~conn then None
-        else Some "client disconnected mid-swap"
-      in
       let resp, diags =
         Obs.Trace.span ~cat:"daemon"
           ~args:[ ("id", msg.f_id) ]
           "daemon.request"
-          (fun () -> serve_request ~abort_check t req)
+          (fun () -> serve_request t req)
       in
       List.iter (send Protocol.k_diag) diags;
       send Protocol.k_response (Protocol.encode_response resp)

@@ -2,8 +2,7 @@
 
     One process owns a project directory: per group file it retains an
     {!Irm.Driver} manager (and with it the compilation session —
-    interned symbols, rehydrated static environments, pid-keyed
-    dynenvs), the journaled cache index, and the [.irm-profile] store,
+    interned symbols, rehydrated static environments), the journaled cache index, and the [.irm-profile] store,
     so a rebuild request pays only for what actually changed — no
     process startup, no session rehydration, no cache-index replay.
 
@@ -22,13 +21,14 @@
     request gets a {!Protocol.k_error} naming its id and keeps the
     connection.
 
-    Each group keeps a live {!Link.Relink} epoch.  A clean [Run]
-    reconciles it with the build (a null swap, or a clean restart of
-    every unit into a new epoch; the first [Run] builds epoch 0) and
-    replays its output, so the answer is byte-identical to a one-shot
-    run — a unit raising or calling [exit] included, with the prior
-    epoch left serving.  [Swap] builds and reconciles on request;
-    [Build] and watch rebuilds never execute user code.
+    A clean [Run] is {!Irm.Driver.run} plus a one-entry memo per
+    group, keyed on {!Irm.Driver.link_snapshot} (the link order and
+    each bin's fingerprint): a program's output is a function of its
+    link order and its bins, and the language reads no input, so a
+    [Run] whose key is unchanged answers with the memoized response
+    and executes nothing.  Either way the answer is byte-identical to a
+    one-shot run — a unit raising or calling [exit] included.  [Build]
+    and watch rebuilds never execute user code.
 
     A polling {!Watch} sweep runs between requests: dirty files are
     mapped to their dependent cone and either rebuilt eagerly

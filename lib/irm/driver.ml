@@ -89,15 +89,15 @@ type retained = {
   rt_fingerprint : string Lazy.t;
       (** the MD5 of [rt_bytes], digested the first time a
           {!link_snapshot} names the unit *)
+  mutable rt_build : int;
+      (** the [generation] of the last build that registered these
+          bytes as the unit's result *)
 }
 
 type t = {
   fs : Vfs.fs;
   session : Sepcomp.Compile.session;
-  units : (string, Pickle.Binfile.t) Hashtbl.t;  (** last build's results *)
-  bin_bytes : (string, string) Hashtbl.t;
-      (** last build's bin bytes, whose static views are the closures
-          compile jobs ship *)
+  mutable generation : int;  (** bumped at the start of every build *)
   retained : (string, retained) Hashtbl.t;
       (** warm state surviving across builds: file → its bin bytes, the
           unit rehydrated from them and their static view.  When a later
@@ -105,7 +105,9 @@ type t = {
           instead of unpickling again — the daemon's warm-rebuild win —
           and dependents' compile jobs reuse the view.  Never trusted
           blindly: entries are keyed by exact byte equality with what is
-          on disk.  Entries of files no longer listed are dropped. *)
+          on disk.  Entries of files no longer listed are dropped.  The
+          last build's results are the entries it registered: those
+          whose [rt_build] is the current [generation]. *)
   scans : (string, string * Depend.Scan.summary) Hashtbl.t;
       (** the warm dependency scan: file → (source text last scanned,
           its scan summary).  A source whose text is byte-equal to the
@@ -119,8 +121,7 @@ let create fs =
   {
     fs;
     session = Sepcomp.Compile.new_session ();
-    units = Hashtbl.create 32;
-    bin_bytes = Hashtbl.create 32;
+    generation = 0;
     retained = Hashtbl.create 32;
     scans = Hashtbl.create 32;
     last_order = [];
@@ -204,20 +205,19 @@ let dependency_graph ?(keep_going = false) t ~sources =
 (* Rehydrate bin bytes into the manager's session, short-circuiting through
    the retained table: if this exact byte string was already loaded for
    this file in an earlier build (the session is created once per
-   driver, so its interned state is still valid), reuse the unit.  The
+   driver, so its interned state is still valid), reuse the entry.  The
    decode is kept for the unit's static view, so no dependent's job
    parses these bytes again.
    Raises [Pickle.Buf.Corrupt] exactly like [Sepcomp.Compile.load]. *)
 let rehydrate t file bytes =
   match Hashtbl.find_opt t.retained file with
-  | Some r when String.equal r.rt_bytes bytes -> r.rt_unit
+  | Some r when String.equal r.rt_bytes bytes -> r
   | Some _ | None ->
     let decoded = Pickle.Binfile.decode bytes in
-    let unit_ = Sepcomp.Compile.rehydrate t.session decoded in
-    Hashtbl.replace t.retained file
+    let r =
       {
         rt_bytes = bytes;
-        rt_unit = unit_;
+        rt_unit = Sepcomp.Compile.rehydrate t.session decoded;
         rt_view =
           lazy
             {
@@ -225,20 +225,26 @@ let rehydrate t file bytes =
               v_decoded = Pickle.Binfile.static_part decoded;
             };
         rt_fingerprint = lazy (Digestkit.Md5.digest_string bytes);
-      };
-    unit_
+        rt_build = -1;
+      }
+    in
+    Hashtbl.replace t.retained file r;
+    r
 
-(* The static view of [file]'s bin [bytes]: what a dependent's compile
-   job ships for it, since a compile reads only its imports' statenvs.
-   Every byte string a build registers for a unit was rehydrated first,
-   so its retained entry holds the same bytes and the view is sliced
-   and decoded once per distinct bin.  Runs on the calling domain only,
-   like every other access to the manager's tables: jobs on other
-   domains receive the forced view and only read it. *)
-let closure_view t file bytes =
+(* A build's results are the entries it registered.  Every byte string
+   it registers was rehydrated first, so a result's static view and
+   fingerprint are sliced, decoded and digested once per distinct bin.
+   The tables are touched on the calling domain only: jobs on other
+   domains receive forced views and only read them. *)
+let register t r = r.rt_build <- t.generation
+
+let registered t file =
   match Hashtbl.find_opt t.retained file with
-  | Some r when String.equal r.rt_bytes bytes -> Lazy.force r.rt_view
-  | Some _ | None -> Wire.view (Pickle.Binfile.static_of_full bytes)
+  | Some r when r.rt_build = t.generation -> Some r
+  | Some _ | None -> None
+
+let registered_unit t file =
+  Option.map (fun r -> r.rt_unit) (registered t file)
 
 (* Try to read the unit's previous bin file; damaged files force a
    recompilation (with a distinct cause) rather than failing the
@@ -248,7 +254,7 @@ let read_bin t file =
   | None -> `Absent
   | Some bytes -> (
     match rehydrate t file bytes with
-    | unit_ -> `Ok (unit_, bytes)
+    | r -> `Ok r
     | exception Pickle.Buf.Corrupt _ -> `Corrupt)
 
 (* ------------------------------------------------------------------ *)
@@ -297,15 +303,45 @@ let transient_fault = function
   | Vfs.Fault { fault_transient; _ } -> fault_transient
   | _ -> false
 
+(* the one outcome rule: a unit's outcome is the first partition that
+   lists it *)
+let partitions ~failed ~skipped ~cutoff ~recompiled ~cache ~loaded =
+  [
+    ("failed", failed);
+    ("skipped", skipped);
+    ("cutoff", cutoff);
+    ("recompiled", recompiled);
+    ("cache", cache);
+    ("loaded", loaded);
+  ]
+
+let stats_partitions stats =
+  partitions
+    ~failed:(List.map fst stats.st_failed)
+    ~skipped:(List.map fst stats.st_skipped)
+    ~cutoff:stats.st_cutoff_hits ~recompiled:stats.st_recompiled
+    ~cache:stats.st_cache_hits ~loaded:stats.st_loaded
+
 let outcome_of stats file =
-  let mem xs = List.exists (String.equal file) xs in
-  if List.mem_assoc file stats.st_failed then "failed"
-  else if List.mem_assoc file stats.st_skipped then "skipped"
-  else if mem stats.st_cutoff_hits then "cutoff"
-  else if mem stats.st_recompiled then "recompiled"
-  else if mem stats.st_cache_hits then "cache"
-  else if mem stats.st_loaded then "loaded"
-  else "unknown"
+  match
+    List.find_opt
+      (fun (_, files) -> List.exists (String.equal file) files)
+      (stats_partitions stats)
+  with
+  | Some (outcome, _) -> outcome
+  | None -> "unknown"
+
+(* the same rule indexed once, for paths that ask about every unit *)
+let outcome_index parts =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (outcome, files) ->
+      List.iter
+        (fun file ->
+          if not (Hashtbl.mem tbl file) then Hashtbl.add tbl file outcome)
+        files)
+    parts;
+  fun file -> Option.value ~default:"unknown" (Hashtbl.find_opt tbl file)
 
 let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     ?(retries = 2) ?(backoff_s = 0.001) ?(keep_going = false)
@@ -334,8 +370,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     Hashtbl.find tbl
   in
   let order = Depend.Depgraph.topological graph in
-  Hashtbl.reset t.units;
-  Hashtbl.reset t.bin_bytes;
+  t.generation <- t.generation + 1;
   let deps_of file = (Depend.Depgraph.node graph file).Depend.Depgraph.n_deps in
   (* units whose bin file was rewritten this build (compiled or filled
      from the cache) — what the Timestamp cascade propagates *)
@@ -384,7 +419,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     Option.value ~default:0. (Hashtbl.find_opt priorities file)
   in
   let unit_of_dep file dep =
-    match Hashtbl.find_opt t.units dep with
+    match registered_unit t dep with
     | Some unit_ -> unit_
     | None -> manager_error "dependency %s of %s was not built" dep file
   in
@@ -408,7 +443,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       prev.Pickle.Binfile.uf_import_statics;
     (* a dep with no recorded pid, or not (yet) built, counts as changed *)
     let pid_changed dep =
-      match (Hashtbl.find_opt recorded dep, Hashtbl.find_opt t.units dep) with
+      match (Hashtbl.find_opt recorded dep, registered_unit t dep) with
       | Some old_pid, Some current ->
         not (Pid.equal old_pid current.Pickle.Binfile.uf_static_pid)
       | _ -> true
@@ -443,7 +478,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       let provider = Hashtbl.create 16 in
       List.iter
         (fun dep ->
-          match Hashtbl.find_opt t.units dep with
+          match registered_unit t dep with
           | Some unit_ ->
             List.iter
               (fun (modname, pid) ->
@@ -512,15 +547,16 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           (match profile with
           | Some p when Obs.Profile.known p file -> Evicted
           | Some _ | None -> First_build)
-      | `Ok (prev, _) ->
-        if source_newer then Some Source_changed else stale_cause deps prev
+      | `Ok prev ->
+        if source_newer then Some Source_changed
+        else stale_cause deps prev.rt_unit
     in
     let stale = cause <> None in
     let key = cache_key file source in
     Hashtbl.replace preps file
       {
         p_prev_pid =
-          Option.map (fun (u, _) -> u.Pickle.Binfile.uf_static_pid) previous;
+          Option.map (fun r -> r.rt_unit.Pickle.Binfile.uf_static_pid) previous;
         p_key = key;
         p_start;
         p_cause = cause;
@@ -533,8 +569,8 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           j_closure =
             List.map
               (fun dep ->
-                match Hashtbl.find_opt t.bin_bytes dep with
-                | Some bytes -> (dep, closure_view t dep bytes)
+                match registered t dep with
+                | Some r -> (dep, Lazy.force r.rt_view)
                 | None ->
                   manager_error "dependency %s of %s was not built" dep file)
               (Depend.Depgraph.closure graph file);
@@ -547,10 +583,9 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     in
     if not stale then begin
       match previous with
-      | Some (prev, bytes) ->
-        Hashtbl.replace t.units file prev;
-        Hashtbl.replace t.bin_bytes file bytes;
-        Sched.Done { r_kind = Loaded; r_bytes = bytes; r_phases = [] }
+      | Some prev ->
+        register t prev;
+        Sched.Done { r_kind = Loaded; r_bytes = prev.rt_bytes; r_phases = [] }
       | None -> assert false
     end
     else
@@ -564,8 +599,8 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
           | exception Pickle.Buf.Corrupt _ ->
             c.Cache.o_invalidate k;
             compile_job ()
-          | unit_ ->
-            if String.equal unit_.Pickle.Binfile.uf_name file then
+          | r ->
+            if String.equal r.rt_unit.Pickle.Binfile.uf_name file then
               Sched.Done { r_kind = Cache_hit; r_bytes = bytes; r_phases = [] }
             else begin
               c.Cache.o_invalidate k;
@@ -580,20 +615,19 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     (match result.r_kind with
     | Loaded -> ()
     | Recompiled | Cache_hit ->
-      let unit_ = rehydrate t file result.r_bytes in
+      let r = rehydrate t file result.r_bytes in
       (* atomic commit: a crash mid-write must never leave a torn bin
          under the final name — at worst an orphan staging file that
          [recover] sweeps up *)
       Vfs.commit t.fs (bin_path file) result.r_bytes;
-      Hashtbl.replace t.units file unit_;
-      Hashtbl.replace t.bin_bytes file result.r_bytes;
+      register t r;
       Hashtbl.replace changed file ();
       if result.r_kind = Recompiled then begin
         (match (cache, prep.p_key) with
         | Some c, Some k -> c.Cache.o_store k result.r_bytes
         | _ -> ());
         match prep.p_prev_pid with
-        | Some old when Pid.equal old unit_.Pickle.Binfile.uf_static_pid ->
+        | Some old when Pid.equal old r.rt_unit.Pickle.Binfile.uf_static_pid ->
           Obs.Trace.instant ~cat:"build"
             ~args:[ ("unit", file) ]
             "build.cutoff_hit"
@@ -630,7 +664,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
         List.map
           (fun dep ->
             ( dep,
-              match Hashtbl.find_opt t.units dep with
+              match registered_unit t dep with
               | Some u -> Pid.to_hex u.Pickle.Binfile.uf_static_pid
               | None -> "" ))
           (deps_of file);
@@ -650,6 +684,28 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
         bp_units;
       }
   in
+  (* the finished units by result kind, in build order: recompiled,
+     loaded, cache hits, and the recompiled ones whose interface pid
+     held (cutoff hits) *)
+  let finished () =
+    let kind_of file =
+      Option.map (fun (r, _) -> r.r_kind) (Hashtbl.find_opt results file)
+    in
+    let recompiled = List.filter (fun f -> kind_of f = Some Recompiled) order in
+    let cutoff_hits =
+      List.filter
+        (fun f ->
+          match ((Hashtbl.find preps f).p_prev_pid, registered_unit t f) with
+          | Some old, Some unit_ ->
+            Pid.equal old unit_.Pickle.Binfile.uf_static_pid
+          | _ -> false)
+        recompiled
+    in
+    ( recompiled,
+      List.filter (fun f -> kind_of f = Some Loaded) order,
+      List.filter (fun f -> kind_of f = Some Cache_hit) order,
+      cutoff_hits )
+  in
   (* a signal arriving mid-build raises [Interrupted] out of a node
      callback; the partial build still lands in the profile store (only
      the units that actually finished), so `irm profile` shows what an
@@ -658,26 +714,17 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     match profile with
     | None -> ()
     | Some p ->
+      let recompiled, loaded, cache, cutoff = finished () in
+      let outcome =
+        outcome_index
+          (partitions ~failed:[] ~skipped:[] ~cutoff ~recompiled ~cache ~loaded)
+      in
       let bp_units =
         List.filter_map
           (fun file ->
-            match (Hashtbl.find_opt preps file, Hashtbl.find_opt results file)
-            with
-            | Some prep, Some (res, _) ->
-              let cutoff =
-                match (prep.p_prev_pid, Hashtbl.find_opt t.units file) with
-                | Some old, Some unit_ ->
-                  Pid.equal old unit_.Pickle.Binfile.uf_static_pid
-                | _ -> false
-              in
-              Some
-                (profile_unit file
-                   ~outcome:
-                     (match res.r_kind with
-                     | Loaded -> "loaded"
-                     | Cache_hit -> "cache"
-                     | Recompiled -> if cutoff then "cutoff" else "recompiled"))
-            | _ -> None)
+            if Hashtbl.mem results file then
+              Some (profile_unit file ~outcome:(outcome file))
+            else None)
           order
       in
       Obs.Trace.instant ~cat:"build"
@@ -734,21 +781,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
         | _ -> None)
       order
   in
-  let kind_of file =
-    Option.map (fun (r, _) -> r.r_kind) (Hashtbl.find_opt results file)
-  in
-  let recompiled = List.filter (fun f -> kind_of f = Some Recompiled) order in
-  let loaded = List.filter (fun f -> kind_of f = Some Loaded) order in
-  let cache_hits = List.filter (fun f -> kind_of f = Some Cache_hit) order in
-  let cutoff_hits =
-    List.filter
-      (fun f ->
-        match (Hashtbl.find preps f).p_prev_pid with
-        | Some old ->
-          Pid.equal old (Hashtbl.find t.units f).Pickle.Binfile.uf_static_pid
-        | None -> false)
-      recompiled
-  in
+  let recompiled, loaded, cache_hits, cutoff_hits = finished () in
   t.last_order <- order;
   Obs.Metrics.add m_recompiled (List.length recompiled);
   Obs.Metrics.add m_loaded (List.length loaded);
@@ -796,45 +829,29 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   (match profile with
   | None -> ()
   | Some p ->
+    let outcome = outcome_index (stats_partitions stats) in
     record_profile p ~wall_s:stats.st_wall_s ~jobs:stats.st_jobs
       ~busy:stats.st_slot_busy_s
       (List.map
          (fun file ->
-           profile_unit file ~outcome:(outcome_of stats file)
+           profile_unit file ~outcome:(outcome file)
              ?skipped_by:(List.assoc_opt file skipped))
          order));
   stats
 
-let unit_of t file =
-  match Hashtbl.find_opt t.units file with
-  | Some unit_ -> unit_
+let result t file =
+  match registered t file with
+  | Some r -> r
   | None -> manager_error "unit %s has not been built" file
+
+let unit_of t file = (result t file).rt_unit
 
 let static_view t file =
   Option.map (fun r -> Lazy.force r.rt_view) (Hashtbl.find_opt t.retained file)
 
 let link_snapshot t =
   List.map
-    (fun file ->
-      let unit_ = unit_of t file in
-      (* every registered byte string was rehydrated first, so its
-         retained entry holds the same bytes: each distinct bin is
-         digested once *)
-      let fingerprint =
-        match
-          (Hashtbl.find_opt t.bin_bytes file, Hashtbl.find_opt t.retained file)
-        with
-        | Some bytes, Some r when String.equal r.rt_bytes bytes ->
-          Lazy.force r.rt_fingerprint
-        | Some bytes, _ -> Digestkit.Md5.digest_string bytes
-        | None, _ -> ""
-      in
-      {
-        Link.Relink.u_name = file;
-        u_static_pid = unit_.Pickle.Binfile.uf_static_pid;
-        u_cu = unit_.Pickle.Binfile.uf_codeunit;
-        u_fingerprint = fingerprint;
-      })
+    (fun file -> (file, Lazy.force (result t file).rt_fingerprint))
     t.last_order
 
 (* ------------------------------------------------------------------ *)
@@ -945,25 +962,9 @@ let times_index stats =
   List.iter (fun (file, s) -> Hashtbl.replace tbl file s) stats.st_unit_times;
   tbl
 
-let outcome_index stats =
-  let tbl = Hashtbl.create (List.length stats.st_order) in
-  let mark outcome files =
-    List.iter
-      (fun file ->
-        if not (Hashtbl.mem tbl file) then Hashtbl.add tbl file outcome)
-      files
-  in
-  mark "failed" (List.map fst stats.st_failed);
-  mark "skipped" (List.map fst stats.st_skipped);
-  mark "cutoff" stats.st_cutoff_hits;
-  mark "recompiled" stats.st_recompiled;
-  mark "cache" stats.st_cache_hits;
-  mark "loaded" stats.st_loaded;
-  fun file -> Option.value ~default:"unknown" (Hashtbl.find_opt tbl file)
-
 let pp_report ppf stats =
   let times = times_index stats in
-  let outcome = outcome_index stats in
+  let outcome = outcome_index (stats_partitions stats) in
   Format.fprintf ppf "build report (%s policy, %s)@."
     (policy_name stats.st_policy)
     (Sched.backend_name stats.st_backend);
@@ -1004,7 +1005,7 @@ let diag_json (d : Diag.t) =
 
 let report_json stats =
   let times = times_index stats in
-  let outcome = outcome_index stats in
+  let outcome = outcome_index (stats_partitions stats) in
   Obs.Json.Obj
     [
       ("policy", Obs.Json.String (policy_name stats.st_policy));

@@ -221,12 +221,12 @@ val unit_of : t -> string -> Pickle.Binfile.t
     bin for [file]. *)
 val static_view : t -> string -> Wire.view option
 
-(** [link_snapshot t] — one {!Link.Relink.unit_src} per unit of the
-    last build, in link order: name, interface pid, code, and a
-    fingerprint of the unit's bin bytes (digested once per distinct
-    bin).  This is what the daemon's [Run] and [Swap] reconcile the
-    live epoch against. *)
-val link_snapshot : t -> Link.Relink.unit_src list
+(** [link_snapshot t] — one [(name, fingerprint)] per unit of the last
+    build, in link order, where the fingerprint is the MD5 of the
+    unit's bin bytes, digested once per distinct bin.  A program's
+    output is a function of its link order and its bins, so this is
+    the key the daemon memoizes a [Run]'s response on. *)
+val link_snapshot : t -> (string * string) list
 
 (** What a {!recover} pass found on disk. *)
 type recovery = {

@@ -40,7 +40,7 @@ external format_float : string -> float -> string = "caml_format_float"
 
 let float_to buf f =
   if Float.is_finite f then begin
-    let s = format_float "%.12g" f in
+    let s = format_float "%.17g" f in
     Buffer.add_string buf s;
     (* "1." or "1" are not but "1.0" is round-trippable JSON syntax *)
     if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then

@@ -51,19 +51,6 @@ let send t ~conn ~kind ~id ~payload =
   | Some c -> Transport.send c.n_conn ~kind ~id ~payload
   | None -> ()
 
-(* the peer-gone probe: MSG_PEEK, so pipelined request bytes mean the
-   peer is alive; only EOF or a broken socket counts as gone *)
-let conn_alive t ~conn =
-  match Option.bind (find_conn t conn) (fun c -> Transport.fd c.n_conn) with
-  | None -> false
-  | Some fd -> (
-    match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
-    | 0 -> false
-    | _ -> true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      true
-    | exception Unix.Unix_error _ -> false)
-
 let connections t = List.length (List.filter alive t.conns)
 
 let drained t =

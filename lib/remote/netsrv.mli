@@ -45,11 +45,6 @@ val set_handler : t -> (conn:int -> Pickle.Frame.msg -> unit) -> unit
     [conn].  Dropped silently if the connection is gone. *)
 val send : t -> conn:int -> kind:int -> id:string -> payload:string -> unit
 
-(** Is this connection's peer still there?  False once it is closed,
-    or when a [MSG_PEEK] probe sees EOF or a broken socket — a long
-    handler polls it to notice a client that hung up. *)
-val conn_alive : t -> conn:int -> bool
-
 (** Live connections. *)
 val connections : t -> int
 

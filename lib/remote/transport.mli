@@ -71,7 +71,7 @@ val status : conn -> status
 
 (** The connected socket while the connection is [Up]; [None] while it
     connects and once it is closed.  For probes that look past the
-    framing ({!Netsrv.conn_alive}); waiting goes through {!wait}. *)
+    framing; waiting goes through {!wait}. *)
 val fd : conn -> Unix.file_descr option
 
 (** [buffered t] — bytes held in [t]'s buffers: [(received, queued)],

@@ -16,7 +16,6 @@ let () =
       ("interactive", Test_interactive.suite);
       ("exec", Test_exec.suite);
       ("link", Test_link.suite);
-      ("relink", Test_relink.suite);
       ("depend", Test_depend.suite);
       ("properties", Test_props.suite);
       ("obs", Test_obs.suite);

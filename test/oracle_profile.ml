@@ -52,7 +52,7 @@ module Emit = struct
 
   let float_to buf f =
     if Float.is_finite f then begin
-      let s = Printf.sprintf "%.12g" f in
+      let s = Printf.sprintf "%.17g" f in
       Buffer.add_string buf s;
       if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
         Buffer.add_string buf ".0"

@@ -747,16 +747,28 @@ let test_interrupt_records_partial_profile () =
     Alcotest.(check bool) "persisted" true (Obs.Profile.last p' <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Live epochs through the daemon                                      *)
+(* Run: Driver.run plus a one-entry memo per group                     *)
 (* ------------------------------------------------------------------ *)
 
 let main_src = "structure Main = struct val () = print (Int.toString Top.result) end"
 
-let fresh_hot_project () =
-  let dir = fresh_project () in
-  write_file dir "main.sml" main_src;
-  write_file dir "sources.cm" "base.sml\nmid.sml\ntop.sml\nmain.sml\n";
+(* a project of [files] (name, text) with a group file listing them in
+   order *)
+let project_of files =
+  let dir = fresh_dir () in
+  List.iter (fun (f, src) -> write_file dir f src) files;
+  write_file dir "sources.cm"
+    (String.concat "" (List.map (fun (f, _) -> f ^ "\n") files));
   dir
+
+let fresh_hot_project () =
+  project_of
+    [
+      ("base.sml", base_src);
+      ("mid.sml", mid_src);
+      ("top.sml", top_src);
+      ("main.sml", main_src);
+    ]
 
 (* make an edit visible to mtime-based staleness checks immediately *)
 let edit dir file contents =
@@ -764,22 +776,14 @@ let edit dir file contents =
   let future = Unix.gettimeofday () +. 5. in
   Unix.utimes (Filename.concat dir file) future future
 
-(* the live-epoch fields of the first group in a status envelope *)
-let swap_fields j =
-  match Obs.Json.member "groups" j with
-  | Some (Obs.Json.List (g :: _)) ->
-    let epoch =
-      match Obs.Json.member "epoch" g with
-      | Some (Obs.Json.Int n) -> Some n
-      | Some Obs.Json.Null -> None
-      | _ -> Alcotest.fail "group epoch field missing"
-    in
-    let swaps k =
-      match Obs.Json.member "swaps" g with
-      | Some s -> json_int k s
-      | None -> Alcotest.fail "group swaps field missing"
-    in
-    (epoch, swaps)
+(* the first group's [runs] counters in a status envelope: (executed,
+   replayed) *)
+let runs srv c ~id =
+  match Obs.Json.member "groups" (status srv c ~id) with
+  | Some (Obs.Json.List (g :: _)) -> (
+    match Obs.Json.member "runs" g with
+    | Some r -> (json_int "executed" r, json_int "replayed" r)
+    | None -> Alcotest.fail "group runs field missing")
   | _ -> Alcotest.fail "no groups in status"
 
 (* what a cold one-shot `irm run` of [dir] answers: exit code, stdout,
@@ -799,7 +803,9 @@ let oneshot_run dir =
         (Dynamics.Value.to_string packet) )
   | exception Dynamics.Eval.Sml_exit code -> (code, Buffer.contents buf, "")
 
-let check_run_matches_oneshot what srv c ~id dir =
+(* a daemon Run answers exactly what a cold one-shot run of a scratch
+   copy of the sources answers; [expect] pins its stdout too *)
+let check_run_matches_oneshot ?expect what srv c ~id dir =
   let resp, _ = rpc srv c ~id (Protocol.Run (build_opts "sources.cm")) in
   let scratch = fresh_dir () in
   List.iter
@@ -813,109 +819,214 @@ let check_run_matches_oneshot what srv c ~id dir =
   Alcotest.(check (triple int string string))
     (what ^ ": Run = cold one-shot run")
     (code, out, err)
-    (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err)
+    (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err);
+  Option.iter
+    (fun out ->
+      Alcotest.(check string) (what ^ ": output") out resp.Protocol.r_out)
+    expect
 
-(* every Run serves the live epoch, reconciled first; Build never
-   executes user code *)
-let test_hot_swap_impl_then_epoch () =
-  let dir = fresh_hot_project () in
+(* a printing chain (base <- mid <- top) plus an independent unit.
+   [origin] flows into mid's and top's values, so an implementation
+   edit to it reaches units whose bins cutoff keeps *)
+let print_base ?(origin = 10) ?(extra = "") tag =
+  Printf.sprintf
+    "structure Base = struct val origin = %d%s fun scale n = n * origin val \
+     p = print \"B%s\" end"
+    origin extra tag
+
+let print_chain () =
+  project_of
+    [
+      ("base.sml", print_base "");
+      ("mid.sml", "structure Mid = struct val v = Base.scale 2 val p = print \"M\" end");
+      ( "top.sml",
+        "structure Top = struct val result = Mid.v + Base.origin val p = \
+         print (intToString result) end" );
+      ("solo.sml", "structure Solo = struct val p = print \"S\" end");
+    ]
+
+let test_run_baseline () =
+  let dir = print_chain () in
   with_server (test_config dir) @@ fun srv ->
   let c = client_of srv dir in
-  ignore (rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")));
-  let j = status srv c ~id:"s0" in
-  Alcotest.(check bool) "no hot_swap field" true
-    (Obs.Json.member "hot_swap" j = None);
-  let epoch, _ = swap_fields j in
-  Alcotest.(check (option int)) "a build executes nothing" None epoch;
-  (* the first Run establishes the baseline epoch *)
-  let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
-  Alcotest.(check int) "run ok" 0 resp.Protocol.r_code;
-  Alcotest.(check string) "baseline output" "30" resp.Protocol.r_out;
-  let epoch, swaps = swap_fields (status srv c ~id:"s1") in
-  Alcotest.(check (option int)) "baseline epoch" (Some 0) epoch;
-  Alcotest.(check int) "one epoch built" 1 (swaps "epoch");
-  (* an implementation edit: a new epoch, a clean restart *)
-  edit dir "main.sml"
-    "structure Main = struct val () = print (Int.toString (Top.result + 1)) \
-     end";
-  ignore (rpc srv c ~id:"b2" (Protocol.Build (build_opts "sources.cm")));
-  let epoch, _ = swap_fields (status srv c ~id:"s2") in
-  Alcotest.(check (option int)) "the build left the epoch alone" (Some 0)
-    epoch;
-  let resp, _ = rpc srv c ~id:"r2" (Protocol.Run (build_opts "sources.cm")) in
-  Alcotest.(check int) "impl run ok" 0 resp.Protocol.r_code;
-  Alcotest.(check string) "impl-swapped output" "31" resp.Protocol.r_out;
-  let epoch, swaps = swap_fields (status srv c ~id:"s3") in
-  Alcotest.(check (option int)) "epoch bumped" (Some 1) epoch;
-  Alcotest.(check int) "two epochs built" 2 (swaps "epoch");
-  (* an unchanged Run is a null swap *)
-  let resp, _ = rpc srv c ~id:"r3" (Protocol.Run (build_opts "sources.cm")) in
-  Alcotest.(check string) "replayed output" "31" resp.Protocol.r_out;
-  let _, swaps = swap_fields (status srv c ~id:"s4") in
-  Alcotest.(check int) "one null swap" 1 (swaps "null");
-  (* an interface edit bumps the epoch the same way *)
-  edit dir "base.sml"
-    "structure Base = struct val origin = 10 val extra = true fun scale n = \
-     n * origin end";
-  let resp, _ = rpc srv c ~id:"r4" (Protocol.Run (build_opts "sources.cm")) in
-  Alcotest.(check int) "epoch run ok" 0 resp.Protocol.r_code;
-  Alcotest.(check string) "epoch-swapped output" "31" resp.Protocol.r_out;
-  let epoch, swaps = swap_fields (status srv c ~id:"s5") in
-  Alcotest.(check (option int)) "epoch bumped" (Some 2) epoch;
-  Alcotest.(check int) "three epochs built" 3 (swaps "epoch");
-  Alcotest.(check int) "no rollbacks" 0 (swaps "rollbacks");
+  check_run_matches_oneshot ~expect:"BM30S" "baseline" srv c ~id:"r1" dir;
+  Alcotest.(check (pair int int)) "one run executed" (1, 0)
+    (runs srv c ~id:"s1");
   disconnect c
 
-let test_swap_and_epochs_requests () =
+(* a function one unit defines, called by another unit's top-level
+   code, prints into the caller's output, before and after the caller
+   is edited *)
+let test_run_cross_unit_print () =
+  let use tag =
+    Printf.sprintf
+      "structure Use = struct val p = Say.say \"hi%s\" val q = print \"B\" end"
+      tag
+  in
+  let dir =
+    project_of
+      [
+        ("say.sml", "structure Say = struct val p = print \"A\" fun say s = print s end");
+        ("use.sml", use "");
+      ]
+  in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot ~expect:"AhiB" "baseline" srv c ~id:"r1" dir;
+  edit dir "use.sml" (use "!");
+  check_run_matches_oneshot ~expect:"Ahi!B" "caller edited" srv c ~id:"r2" dir;
+  disconnect c
+
+(* a Build then a Run after one edit to base: the Build's summary
+   holds [recompiled], and the Run equals a cold one-shot run *)
+let build_then_run what srv c ~id dir ~recompiled ?expect () =
+  let resp, _ =
+    rpc srv c ~id:("b" ^ id) (Protocol.Build (build_opts "sources.cm"))
+  in
+  Alcotest.(check bool) (what ^ ": " ^ recompiled) true
+    (contains ~needle:recompiled resp.Protocol.r_out);
+  check_run_matches_oneshot ?expect what srv c ~id:("r" ^ id) dir
+
+let iface_base ?(origin = 10) tag =
+  print_base ~origin ~extra:" val extra = 1" tag
+
+(* cutoff spares recompilation, not re-execution: after a pid-stable
+   edit only base recompiles, yet mid's and top's values change *)
+let test_run_pid_stable_edit () =
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot ~expect:"BM30S" "baseline" srv c ~id:"r0" dir;
+  edit dir "base.sml" (print_base ~origin:11 "");
+  build_then_run "pid-stable edit" srv c ~id:"1" dir
+    ~recompiled:"1 recompiled" ~expect:"BM33S" ();
+  disconnect c
+
+(* an interface edit recompiles base's importing cone, and the Run
+   after it executes every unit again, though it prints what the
+   baseline printed *)
+let test_run_iface_edit_cone () =
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  let executions () =
+    Option.value ~default:0 (Obs.Metrics.find "link.executions")
+  in
+  check_run_matches_oneshot ~expect:"BM30S" "baseline" srv c ~id:"r0" dir;
+  edit dir "base.sml" (iface_base "");
+  let resp, _ = rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")) in
+  Alcotest.(check bool) "the cone recompiles" true
+    (contains ~needle:"3 recompiled" resp.Protocol.r_out);
+  let before = executions () in
+  let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
+  Alcotest.(check string) "output" "BM30S" resp.Protocol.r_out;
+  Alcotest.(check int) "every unit executed" (before + 4) (executions ());
+  Alcotest.(check (pair int int)) "the run executed" (2, 0)
+    (runs srv c ~id:"s1");
+  check_run_matches_oneshot "interface edit" srv c ~id:"r2" dir;
+  disconnect c
+
+let test_run_iface_edit () =
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot ~expect:"BM30S" "baseline" srv c ~id:"r0" dir;
+  edit dir "base.sml" (iface_base ~origin:11 "2");
+  build_then_run "interface edit" srv c ~id:"1" dir
+    ~recompiled:"3 recompiled" ~expect:"B2M33S" ();
+  disconnect c
+
+(* an implementation edit, then an interface edit: each Run executes
+   and equals a cold one-shot run; a Build executes nothing *)
+let test_run_impl_then_iface_edit () =
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot ~expect:"BM30S" "baseline" srv c ~id:"r0" dir;
+  edit dir "base.sml" (print_base ~origin:11 "");
+  let resp, _ = rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")) in
+  Alcotest.(check bool) "cutoff recompiles base alone" true
+    (contains ~needle:"1 recompiled" resp.Protocol.r_out);
+  Alcotest.(check (pair int int)) "a build executes nothing" (1, 0)
+    (runs srv c ~id:"s1");
+  check_run_matches_oneshot ~expect:"BM33S" "pid-stable edit" srv c ~id:"r1"
+    dir;
+  edit dir "base.sml" (iface_base ~origin:11 "2");
+  build_then_run "interface edit" srv c ~id:"2" dir
+    ~recompiled:"3 recompiled" ~expect:"B2M33S" ();
+  Alcotest.(check (pair int int)) "every changed run executed" (3, 0)
+    (runs srv c ~id:"s2");
+  disconnect c
+
+(* a [ref] shared through an unchanged export: A allocates it, B
+   assigns it, C (which imports only A) prints it.  Editing B reaches
+   C's output under a pid-stable edit and an interface edit alike *)
+let test_run_shared_ref () =
+  let assign n = Printf.sprintf "structure B = struct val () = A.r := %d end" n in
+  let dir =
+    project_of
+      [
+        ("a.sml", "structure A = struct val r = ref 0 end");
+        ("b.sml", assign 5);
+        ("c.sml", "structure C = struct val p = print (intToString (!A.r)) end");
+      ]
+  in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  check_run_matches_oneshot ~expect:"5" "baseline" srv c ~id:"r1" dir;
+  edit dir "b.sml" (assign 6);
+  check_run_matches_oneshot ~expect:"6" "pid-stable edit" srv c ~id:"r2" dir;
+  edit dir "b.sml" "structure B = struct val () = A.r := 7 val extra = 1 end";
+  check_run_matches_oneshot ~expect:"7" "interface edit" srv c ~id:"r3" dir;
+  disconnect c
+
+(* a Run whose build changed no bin answers from the memo: no unit
+   executes ([link.executions] holds) and [runs.replayed] counts it *)
+let test_null_run_executes_nothing () =
   let dir = fresh_hot_project () in
   with_server (test_config dir) @@ fun srv ->
   let c = client_of srv dir in
-  ignore (rpc srv c ~id:"r0" (Protocol.Run (build_opts "sources.cm")));
-  (* `irm swap UNIT`: rebuild and reconcile, reporting the outcome *)
-  edit dir "main.sml"
-    "structure Main = struct val () = print (Int.toString (Top.result + 2)) \
-     end";
-  let resp, _ =
-    rpc srv c ~id:"w1"
-      (Protocol.Swap { s_group = ""; s_unit = "main.sml" })
+  let executions () =
+    Option.value ~default:0 (Obs.Metrics.find "link.executions")
   in
-  Alcotest.(check int) "swap ok" 0 resp.Protocol.r_code;
-  Alcotest.(check bool) "reports an epoch swap" true
-    (contains ~needle:"epoch swap: now serving epoch 1" resp.Protocol.r_out);
-  Alcotest.(check bool) "names the unit" true
-    (contains ~needle:"main.sml" resp.Protocol.r_out);
-  (* the swapped state serves the new output *)
-  let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
-  Alcotest.(check string) "swapped output served" "32" resp.Protocol.r_out;
-  let resp, _ =
-    rpc srv c ~id:"w2" (Protocol.Swap { s_group = ""; s_unit = "" })
+  let run id =
+    let resp, _ = rpc srv c ~id (Protocol.Run (build_opts "sources.cm")) in
+    Alcotest.(check (pair int string)) (id ^ ": response") (0, "30")
+      (resp.Protocol.r_code, resp.Protocol.r_out)
   in
-  Alcotest.(check bool) "nothing changed: a null swap" true
-    (contains ~needle:"null swap" resp.Protocol.r_out);
-  (* a unit outside the group is refused *)
-  let resp, _ =
-    rpc srv c ~id:"w3"
-      (Protocol.Swap { s_group = ""; s_unit = "nope.sml" })
-  in
-  Alcotest.(check int) "unknown unit refused" 1 resp.Protocol.r_code;
-  (* the epoch inventory, as JSON *)
-  let resp, _ =
-    rpc srv c ~id:"e1" (Protocol.Epochs { ep_group = ""; ep_json = true })
-  in
-  Alcotest.(check int) "epochs ok" 0 resp.Protocol.r_code;
-  let j = Obs.Json.parse resp.Protocol.r_out in
-  Alcotest.(check int) "serving epoch 1" 1 (json_int "epoch" j);
-  (match Obs.Json.member "history" j with
-  | Some (Obs.Json.List [ e1; e0 ]) ->
-    let state e =
-      match Obs.Json.member "state" e with
-      | Some (Obs.Json.String s) -> s
-      | _ -> Alcotest.fail "epoch state missing"
+  let before = executions () in
+  run "r1";
+  Alcotest.(check int) "the first run executes every unit" (before + 4)
+    (executions ());
+  Alcotest.(check (pair int int)) "executed" (1, 0) (runs srv c ~id:"s1");
+  ignore (rpc srv c ~id:"b1" (Protocol.Build (build_opts "sources.cm")));
+  let before = executions () in
+  run "r2";
+  run "r3";
+  Alcotest.(check int) "a null run executes nothing" before (executions ());
+  Alcotest.(check (pair int int)) "replayed" (1, 2) (runs srv c ~id:"s2");
+  disconnect c
+
+(* a seeded walk of implementation and interface edits to base: after
+   each, Run = a cold one-shot run *)
+let test_run_edit_walk () =
+  let rng = Random.State.make [| 0x5ead |] in
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  let impl = ref 0 and iface = ref 0 in
+  for step = 1 to 12 do
+    if Random.State.bool rng then incr impl else incr iface;
+    let extra =
+      if !iface = 0 then ""
+      else Printf.sprintf " val extra%d = %d" !iface !iface
     in
-    Alcotest.(check (list string))
-      "states" [ "current"; "retired" ] [ state e1; state e0 ];
-    Alcotest.(check bool) "no pins" true (Obs.Json.member "pins" e1 = None)
-  | _ -> Alcotest.fail "expected two epoch records");
+    edit dir "base.sml"
+      (print_base ~origin:(10 + !impl) ~extra (string_of_int !impl));
+    check_run_matches_oneshot
+      (Printf.sprintf "step %d" step)
+      srv c ~id:(Printf.sprintf "r%d" step) dir
+  done;
   disconnect c
 
 (* examples/miniml: flipping IntOrd.less keeps its interface pid, so
@@ -959,8 +1070,9 @@ let test_pid_stable_run_matches_cold_run () =
   check_run_matches_oneshot "flipped" srv c ~id:"r3" dir;
   disconnect c
 
-(* a unit raising or calling exit during a Run's swap answers like a
-   one-shot run; the prior epoch keeps serving and the rollback counts *)
+(* a unit raising or calling exit answers like a one-shot run: the
+   output before the failure, then the exception and exit code.  The
+   outcome is memoized, so the null Run after it answers the same *)
 let test_run_failure_matches_oneshot () =
   let dir = fresh_hot_project () in
   with_server (test_config dir) @@ fun srv ->
@@ -980,24 +1092,58 @@ let test_run_failure_matches_oneshot () =
       Alcotest.(check (triple int string string))
         (tail ^ ": response") (code, "30", err)
         (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err);
-      check_run_matches_oneshot tail srv c ~id:(Printf.sprintf "g%d" i) dir;
-      let epoch, swaps = swap_fields (status srv c ~id:(Printf.sprintf "s%d" i)) in
-      Alcotest.(check (option int)) (tail ^ ": prior epoch serves") (Some 0)
-        epoch;
-      Alcotest.(check int) (tail ^ ": rollbacks counted") (2 * (i + 1))
-        (swaps "rollbacks"))
+      check_run_matches_oneshot (tail ^ ", null run") srv c
+        ~id:(Printf.sprintf "g%d" i) dir;
+      Alcotest.(check (pair int int))
+        (tail ^ ": the null run replayed")
+        (i + 2, i + 1)
+        (runs srv c ~id:(Printf.sprintf "s%d" i)))
     [
       ("raise Fail \"boom\"", 1, "uncaught exception: Fail(\"boom\")\n");
       ("exit 3", 3, "");
     ];
-  (* restoring the unit restores epoch 0's bins: a null swap *)
   edit dir "main.sml" main_src;
   let resp, _ = rpc srv c ~id:"r1" (Protocol.Run (build_opts "sources.cm")) in
   Alcotest.(check (pair int string)) "restored" (0, "30")
     (resp.Protocol.r_code, resp.Protocol.r_out);
-  let epoch, swaps = swap_fields (status srv c ~id:"s9") in
-  Alcotest.(check (option int)) "still epoch 0" (Some 0) epoch;
-  Alcotest.(check int) "a null swap" 1 (swaps "null");
+  disconnect c
+
+(* a program failing from its first Run, after an earlier unit
+   printed: the partial output and the failure answer like a one-shot
+   run, and so does the null Run after it *)
+let test_run_failing_program () =
+  let boom tail = Printf.sprintf "structure Boom = struct val () = %s end" tail in
+  let dir =
+    project_of
+      [
+        ("say.sml", "structure Say = struct val p = print \"A\" end");
+        ("boom.sml", boom "raise Fail \"no\"");
+      ]
+  in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  List.iteri
+    (fun i (tail, code, err) ->
+      edit dir "boom.sml" (boom tail);
+      let resp, _ =
+        rpc srv c ~id:(Printf.sprintf "f%d" i)
+          (Protocol.Run (build_opts "sources.cm"))
+      in
+      Alcotest.(check (triple int string string))
+        (tail ^ ": partial output and failure") (code, "A", err)
+        (resp.Protocol.r_code, resp.Protocol.r_out, resp.Protocol.r_err);
+      check_run_matches_oneshot (tail ^ ", null run") srv c
+        ~id:(Printf.sprintf "g%d" i) dir;
+      Alcotest.(check (pair int int))
+        (tail ^ ": the null run replayed")
+        (i + 1, i + 1)
+        (runs srv c ~id:(Printf.sprintf "s%d" i)))
+    [
+      ("raise Fail \"no\"", 1, "uncaught exception: Fail(\"no\")\n");
+      ("exit 3", 3, "");
+    ];
+  edit dir "boom.sml" (boom "print \"B\"");
+  check_run_matches_oneshot ~expect:"AB" "repaired" srv c ~id:"r1" dir;
   disconnect c
 
 (* ------------------------------------------------------------------ *)
@@ -1198,14 +1344,28 @@ let suite =
     Alcotest.test_case "watch sweep" `Quick test_watch_sweep;
     Alcotest.test_case "interrupt records partial profile" `Quick
       test_interrupt_records_partial_profile;
-    Alcotest.test_case "hot swap: impl then epoch" `Quick
-      test_hot_swap_impl_then_epoch;
-    Alcotest.test_case "swap and epochs requests" `Quick
-      test_swap_and_epochs_requests;
+    Alcotest.test_case "run: baseline = cold run" `Quick test_run_baseline;
+    Alcotest.test_case "run: cross-unit print = cold run" `Quick
+      test_run_cross_unit_print;
+    Alcotest.test_case "run: pid-stable edit = cold run" `Quick
+      test_run_pid_stable_edit;
+    Alcotest.test_case "run: interface edit re-executes cone" `Quick
+      test_run_iface_edit_cone;
+    Alcotest.test_case "run: interface edit = cold run" `Quick
+      test_run_iface_edit;
+    Alcotest.test_case "run: impl then interface edit" `Quick
+      test_run_impl_then_iface_edit;
+    Alcotest.test_case "run: shared ref = cold run" `Quick test_run_shared_ref;
+    Alcotest.test_case "run: a null Run executes nothing" `Quick
+      test_null_run_executes_nothing;
+    Alcotest.test_case "run: seeded edit walk = cold run" `Quick
+      test_run_edit_walk;
     Alcotest.test_case "pid-stable run = cold run" `Quick
       test_pid_stable_run_matches_cold_run;
     Alcotest.test_case "run failure = one-shot run" `Quick
       test_run_failure_matches_oneshot;
+    Alcotest.test_case "run: failing first Run = one-shot" `Quick
+      test_run_failing_program;
     Alcotest.test_case "probe detects a stale daemon" `Quick
       test_probe_stale_daemon;
     Alcotest.test_case "deleted unit invalidates the cone" `Quick

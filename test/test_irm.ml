@@ -602,6 +602,52 @@ let test_shared_views_unwritten () =
         (unit_ = Sepcomp.Compile.rehydrate session fresh.Irm.Wire.v_decoded))
     (Driver.last_order mgr)
 
+(* ---- the run key and the linker's import check ---- *)
+
+(* the daemon memoizes a Run on [link_snapshot]: each distinct bin is
+   digested once, and a fingerprint moves iff its bin did *)
+let test_link_snapshot_digests_once () =
+  let fs, mgr = chain () in
+  let snapshot () =
+    ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+    Driver.link_snapshot mgr
+  in
+  let first = snapshot () in
+  Alcotest.(check (list string)) "link order"
+    [ "base.sml"; "mid.sml"; "top.sml" ] (List.map fst first);
+  let same what a b =
+    List.iter2
+      (fun (name, fa) (_, fb) ->
+        Alcotest.(check bool) (name ^ ": " ^ what) true (fa == fb))
+      a b
+  in
+  same "same fingerprint" first (Driver.link_snapshot mgr);
+  same "same fingerprint after a null build" first (snapshot ());
+  fs.Vfs.fs_write "top.sml"
+    "structure Top = struct val result = Mid.v + Base.origin + 1 end";
+  List.iter2
+    (fun (name, fa) (_, fb) ->
+      Alcotest.(check bool)
+        (name ^ ": fingerprint moves iff the bin did")
+        (name <> "top.sml") (String.equal fa fb))
+    first (snapshot ())
+
+(* executing a unit whose provider is not linked is E0601, naming the
+   importer *)
+let test_dropped_provider_e0601 () =
+  let _, mgr = chain () in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+  match
+    Diag.guard (fun () ->
+        Driver.run mgr ~sources:[ "mid.sml"; "top.sml" ])
+  with
+  | Error d ->
+    Alcotest.(check string) "E0601" "E0601" d.Diag.code;
+    Alcotest.(check (option string)) "names the importer" (Some "mid.sml")
+      d.Diag.unit_name;
+    Alcotest.(check bool) "link phase" true (d.Diag.phase = Diag.Link)
+  | Ok _ -> Alcotest.fail "expected an unsatisfied import"
+
 let suite =
   [
     Alcotest.test_case "dependency scan" `Quick test_scan;
@@ -653,4 +699,8 @@ let suite =
       (test_cold_build_decodes_once (Driver.Parallel 2));
     Alcotest.test_case "shared views stay unwritten" `Quick
       test_shared_views_unwritten;
+    Alcotest.test_case "link snapshot digests each bin once" `Quick
+      test_link_snapshot_digests_once;
+    Alcotest.test_case "run: a dropped provider is E0601" `Quick
+      test_dropped_provider_e0601;
   ]

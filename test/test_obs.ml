@@ -259,6 +259,32 @@ let test_json_roundtrip () =
        false
      with Json.Parse_error _ -> true)
 
+(* a float prints with 17 significant digits, so it reads back as the
+   same double: a profile store reloaded from its snapshot re-rolls its
+   EWMAs from exactly the values it wrote *)
+let test_json_floats_exact () =
+  let ewma =
+    List.fold_left
+      (fun acc now -> (0.7 *. acc) +. (0.3 *. now))
+      0.0123 [ 0.5; 1.7; 0.031; 2.9 ]
+  in
+  List.iter
+    (fun (what, f) ->
+      match Json.parse (Json.to_string (Json.Float f)) with
+      | Json.Float g ->
+        Alcotest.(check int64)
+          (what ^ " reads back bit for bit")
+          (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | _ -> Alcotest.failf "%s: not a float" what)
+    [
+      ("0.1 + 0.2", 0.1 +. 0.2);
+      ("1 / 3", 1. /. 3.);
+      ("an ewma", ewma);
+      ("a large value", 123456789.123456789e10);
+      ("a tiny value", 5e-324);
+      ("an integral value", 42.);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Driver integration: registry counters match the per-build stats     *)
 (* ------------------------------------------------------------------ *)
@@ -322,6 +348,8 @@ let suite =
     Alcotest.test_case "metric registry" `Quick test_metric_registry;
     Alcotest.test_case "metrics to_json" `Quick test_metrics_json;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json floats round-trip exactly" `Quick
+      test_json_floats_exact;
     Alcotest.test_case "build counters match stats" `Quick
       test_build_counters_match_stats;
   ]

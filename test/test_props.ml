@@ -650,6 +650,54 @@ let prop_static_view_closures =
           && String.equal (compile file Fun.id) on_disk)
         sources)
 
+(* ------------------------------------------------------------------ *)
+(* An interface pid fixes the exported surface                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A unit's export pids derive from the static pids of its exported
+   names, and its interface pid hashes those same name statics.  So
+   over any edit sequence, two bins with equal [uf_static_pid] export
+   exactly the same (name, pid) pairs: an opaque ascription cannot leak
+   a binding across an unchanged interface. *)
+let prop_static_pid_fixes_exports =
+  QCheck.Test.make ~count:30 ~name:"equal static pid => equal exports"
+    (QCheck.make
+       ~print:(fun ((_, rich), edits) ->
+         Printf.sprintf "<topology%s + %d edits>"
+           (if rich then " (rich)" else "")
+           (List.length edits))
+       QCheck.Gen.(
+         pair (pair topology_gen bool)
+           (list_size (4 -- 12) (pair edit_gen small_nat))))
+    (fun (proj, edits) ->
+      let fs, project, sources = fresh_project proj in
+      let mgr = Driver.create fs in
+      let seen = Hashtbl.create 32 in
+      let consistent () =
+        ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources);
+        List.for_all
+          (fun file ->
+            let u = Driver.unit_of mgr file in
+            let exports =
+              List.map
+                (fun (sym, pid) -> (Symbol.name sym, Pid.to_hex pid))
+                u.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_exports
+            in
+            let key = Pid.to_hex u.Pickle.Binfile.uf_static_pid in
+            match Hashtbl.find_opt seen key with
+            | Some recorded -> recorded = exports
+            | None ->
+              Hashtbl.add seen key exports;
+              true)
+          sources
+      in
+      consistent ()
+      && List.for_all
+           (fun (edit, i) ->
+             Gen.edit project (victim_of project i) edit;
+             consistent ())
+           edits)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -665,6 +713,7 @@ let suite =
       prop_null_build_idempotent;
       prop_warm_scan_equals_fresh;
       prop_static_view_closures;
+      prop_static_pid_fixes_exports;
     ]
   @ [
       Alcotest.test_case "every 1-byte flip in a bin is checked" `Quick
