@@ -51,8 +51,9 @@ let rec rm_rf path =
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
 (*                             overhead_ratio}],                       *)
-(*       "rehydration_share": [{units,decodes,decode_ms,rehydrations,  *)
-(*                             rehydrate_ms,jobs_ms,share}],           *)
+(*       "rehydration_share": [{units,decodes,code_decodes,decode_ms,  *)
+(*                             rehydrations,rehydrate_ms,jobs_ms,      *)
+(*                             share}],                                *)
 (*       "recompile_counts": [{topology,edit,policy,recompiled,        *)
 (*                             cutoff_hits,total,cutoff_hit_rate}],    *)
 (*       "build_latency":    [{scenario,policy,median_s,recompiled}],  *)
@@ -322,11 +323,13 @@ let e3_rehydration_share () =
     let mgr = Driver.create fs in
     let profile = Obs.Profile.load fs in
     let rehydrations = counter "pickle.rehydrations" in
+    let code_decodes = counter "pickle.code_decodes" in
     Gc.full_major ();
     Obs.Trace.enable ();
     ignore (Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources);
     Obs.Trace.disable ();
     let rehydrations = counter "pickle.rehydrations" - rehydrations in
+    let code_decodes = counter "pickle.code_decodes" - code_decodes in
     let events = Obs.Trace.events () in
     Obs.Trace.reset ();
     let named name = List.filter (fun e -> e.Obs.Trace.ev_name = name) events in
@@ -342,7 +345,7 @@ let e3_rehydration_share () =
         0.
         (Option.get (Obs.Profile.last profile)).Obs.Profile.bp_units
     in
-    ( List.length decodes,
+    ( (List.length decodes, code_decodes),
       total decodes,
       rehydrations,
       rehydrate_ms,
@@ -350,7 +353,7 @@ let e3_rehydration_share () =
   in
   let runs = List.init (if !quick then 1 else 5) (fun _ -> traced_build ()) in
   let median f = List.nth (List.sort compare (List.map f runs)) (List.length runs / 2) in
-  let decodes, _, rehydrations, _, _ = List.hd runs in
+  let (decodes, code_decodes), _, rehydrations, _, _ = List.hd runs in
   let decode_ms = median (fun (_, ms, _, _, _) -> ms)
   and rehydrate_ms = median (fun (_, _, _, ms, _) -> ms)
   and jobs_ms = median (fun (_, _, _, _, ms) -> ms)
@@ -360,6 +363,7 @@ let e3_rehydration_share () =
        [
          ("units", J.Int (List.length sources));
          ("decodes", J.Int decodes);
+         ("code_decodes", J.Int code_decodes);
          ("decode_ms", J.Float decode_ms);
          ("rehydrations", J.Int rehydrations);
          ("rehydrate_ms", J.Float rehydrate_ms);
@@ -367,10 +371,11 @@ let e3_rehydration_share () =
          ("share", J.Float share);
        ]);
   Printf.printf
-    "cold build    %4d units | pickle.read %4d decodes %7.1f ms | %4d \
-     rehydrations, jobs' rehydrate phase %7.1f ms of %7.1f ms summed job \
-     time = %4.1f%%\n"
-    (List.length sources) decodes decode_ms rehydrations rehydrate_ms jobs_ms
+    "cold build    %4d units | pickle.read %4d static decodes %7.1f ms, %d \
+     code decodes | %4d rehydrations, jobs' rehydrate phase %7.1f ms of \
+     %7.1f ms summed job time = %4.1f%%\n"
+    (List.length sources) decodes decode_ms code_decodes rehydrations
+    rehydrate_ms jobs_ms
     (100. *. share)
 
 let e3 () =
@@ -679,7 +684,7 @@ let e7 () =
   let stamped =
     List.fold_left
       (fun acc file ->
-        let u = Driver.unit_of mgr file in
+        let u = Driver.interface_of mgr file in
         acc
         + List.length (Statics.Realize.reachable_stamps ctx u.Pickle.Binfile.uf_env))
       0 (Gen.sources project)
@@ -704,11 +709,13 @@ let e8 () =
       let mgr = Driver.create fs in
       let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
       let changes = ref 0 in
-      let last = ref (Driver.unit_of mgr victim).Pickle.Binfile.uf_static_pid in
+      let last =
+        ref (Driver.interface_of mgr victim).Pickle.Binfile.uf_static_pid
+      in
       for _ = 1 to 10 do
         Gen.edit project victim edit;
         let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
-        let now = (Driver.unit_of mgr victim).Pickle.Binfile.uf_static_pid in
+        let now = (Driver.interface_of mgr victim).Pickle.Binfile.uf_static_pid in
         if not (Pid.equal now !last) then incr changes;
         last := now
       done;

@@ -11,9 +11,32 @@ type t = {
   nodes : (string, node) Hashtbl.t;
   providers : string Symbol.Table.t;
   order : string list;  (** input order, for determinism *)
+  topo : (string list, exn) result;
+      (** the dependency order, or the cycle error, sorted once *)
+  rank : (string, int) Hashtbl.t;  (** each file's index in [topo] *)
 }
 
 let manager_error fmt = Diag.error Diag.Manager Support.Loc.dummy fmt
+
+(* the depth-first sort [of_summaries] runs once per graph *)
+let sort nodes order =
+  let visited = Hashtbl.create 64 in
+  (* 0 = in progress, 1 = done *)
+  let out = ref [] in
+  let rec visit trail file =
+    match Hashtbl.find_opt visited file with
+    | Some 1 -> ()
+    | Some _ ->
+      manager_error "dependency cycle: %s"
+        (String.concat " -> " (List.rev (file :: trail)))
+    | None ->
+      Hashtbl.replace visited file 0;
+      List.iter (visit (file :: trail)) (Hashtbl.find nodes file).n_deps;
+      Hashtbl.replace visited file 1;
+      out := file :: !out
+  in
+  List.iter (visit []) order;
+  List.rev !out
 
 let of_summaries summaries =
   let providers = Symbol.Table.create 64 in
@@ -44,7 +67,11 @@ let of_summaries summaries =
       Hashtbl.replace nodes file
         { n_file = file; n_summary = summary; n_deps = deps })
     summaries;
-  { nodes; providers; order = List.map fst summaries }
+  let order = List.map fst summaries in
+  let topo = match sort nodes order with o -> Ok o | exception e -> Error e in
+  let rank = Hashtbl.create 64 in
+  Result.iter (List.iteri (fun i file -> Hashtbl.replace rank file i)) topo;
+  { nodes; providers; order; topo; rank }
 
 let build units =
   of_summaries (List.map (fun (file, unit_) -> (file, Scan.scan unit_)) units)
@@ -54,24 +81,7 @@ let node t file =
   | Some n -> n
   | None -> manager_error "unknown compilation unit %s" file
 
-let topological t =
-  let visited = Hashtbl.create 64 in
-  (* 0 = in progress, 1 = done *)
-  let out = ref [] in
-  let rec visit trail file =
-    match Hashtbl.find_opt visited file with
-    | Some 1 -> ()
-    | Some _ ->
-      manager_error "dependency cycle: %s"
-        (String.concat " -> " (List.rev (file :: trail)))
-    | None ->
-      Hashtbl.replace visited file 0;
-      List.iter (visit (file :: trail)) (node t file).n_deps;
-      Hashtbl.replace visited file 1;
-      out := file :: !out
-  in
-  List.iter (visit []) t.order;
-  List.rev !out
+let topological t = match t.topo with Ok order -> order | Error e -> raise e
 
 let dependents t file =
   List.filter
@@ -105,7 +115,11 @@ let closure t file =
       (node t file).n_deps
   in
   visit file;
-  List.filter (Hashtbl.mem seen) (topological t)
+  (* read off the sorted order: raises on a cycle, like [topological] *)
+  ignore (topological t);
+  List.sort
+    (fun a b -> Int.compare (Hashtbl.find t.rank a) (Hashtbl.find t.rank b))
+    (List.of_seq (Hashtbl.to_seq_keys seen))
 
 let ready t ~completed =
   List.filter

@@ -24,9 +24,10 @@ val of_summaries : (string * Scan.summary) list -> t
 
 val node : t -> string -> node
 
-(** Files in dependency order (dependencies first).  Raises
-    {!Support.Diag.Error} (phase [Manager]) on a dependency cycle,
-    naming the files involved. *)
+(** Files in dependency order (dependencies first), sorted once when
+    the graph is built.  Raises {!Support.Diag.Error} (phase
+    [Manager]) on a dependency cycle, naming the files involved — on
+    every call. *)
 val topological : t -> string list
 
 (** Direct dependents (reverse edges) of a file. *)
@@ -36,7 +37,9 @@ val dependents : t -> string -> string list
 val cone : t -> string -> string list
 
 (** The transitive {e dependencies} of a file, excluding itself, in
-    dependency order — the order a fresh session must load them in. *)
+    dependency order — the order a fresh session must load them in.
+    Read off {!topological}'s order, so its cost grows with the
+    closure, not the graph; raises as {!topological} does. *)
 val closure : t -> string -> string list
 
 (** [ready t ~completed] — the files whose dependencies all satisfy

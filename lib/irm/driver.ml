@@ -81,17 +81,29 @@ exception Interrupted of string
 (* the warm state of one unit, surviving across builds *)
 type retained = {
   rt_bytes : string;  (** the bin bytes last rehydrated for the unit *)
-  rt_unit : Pickle.Binfile.t;  (** the unit rehydrated from them *)
+  rt_unit : Pickle.Binfile.t;
+      (** the unit's statics, rehydrated from them; its codeUnit is
+          {!Pickle.Binfile.no_code} *)
+  rt_code : Link.Codeunit.t Lazy.t;
+      (** the codeUnit of [rt_bytes], decoded the first time {!run}
+          links the unit, and forced on the calling domain only *)
   rt_view : Wire.view Lazy.t;
-      (** [Binfile.static_of_full rt_bytes] and the static part of the
-          decode [rt_unit] was rehydrated from, made the first time a
-          compile job ships the unit as a dependency *)
+      (** [Binfile.static_of_full rt_bytes] and the decode [rt_unit] was
+          rehydrated from, made the first time a compile job ships the
+          unit as a dependency *)
   rt_fingerprint : string Lazy.t;
       (** the MD5 of [rt_bytes], digested the first time a
           {!link_snapshot} names the unit *)
   mutable rt_build : int;
       (** the [generation] of the last build that registered these
           bytes as the unit's result *)
+}
+
+(* a dependency graph and the (file, summary) list it was built from:
+   the graph is a function of that list alone *)
+type graph_memo = {
+  gm_units : (string * Depend.Scan.summary) list;
+  gm_graph : Depend.Depgraph.t;
 }
 
 type t = {
@@ -114,6 +126,9 @@ type t = {
           stored one is not parsed again.  Only clean parses are
           stored, so a broken source is re-parsed (and re-reports its
           errors) every time. *)
+  mutable graph : graph_memo option;
+      (** the last build's dependency graph, reused while every unit's
+          scan summary stays equal *)
   mutable last_order : string list;  (** build order of the last build *)
 }
 
@@ -124,6 +139,7 @@ let create fs =
     generation = 0;
     retained = Hashtbl.create 32;
     scans = Hashtbl.create 32;
+    graph = None;
     last_order = [];
   }
 
@@ -159,12 +175,19 @@ let parse_summary t ~keep_going file source =
       Depend.Scan.scan { Lang.Ast.unit_file = file; unit_decs = [] }
   else remember (Depend.Scan.scan (Lang.Parser.parse_unit ~file source))
 
+let same_summary (file, (s : Depend.Scan.summary)) (file', s') =
+  String.equal file file'
+  && (s == s'
+     || Support.Symbol.Set.equal s.defines s'.Depend.Scan.defines
+        && Support.Symbol.Set.equal s.refers s'.Depend.Scan.refers)
+
 (* Read every source once and scan it, parsing only the sources whose
-   text changed since the manager last scanned them; memo and retained
-   entries of files no longer listed are dropped.  Returns each
-   (file, text) — the bytes a build then compiles — and the dependency
-   graph. *)
-let scan_sources t ~keep_going sources =
+   text changed since the manager last scanned them.  With [prune] (a
+   build's scan) memo and retained entries of files no longer listed
+   are dropped.  Returns each (file, text) — the bytes a build then
+   compiles — each (file, summary), and the dependency graph: the
+   memoized one when the summaries equal its own. *)
+let scan_sources t ~keep_going ~prune sources =
   let scanned =
     Obs.Trace.span_with ~cat:"build" "build.scan_sources" @@ fun () ->
     let hits = ref 0 in
@@ -180,49 +203,59 @@ let scan_sources t ~keep_going sources =
             (file, source, parse_summary t ~keep_going file source))
         sources
     in
-    let listed = Hashtbl.create (List.length sources) in
-    List.iter (fun file -> Hashtbl.replace listed file ()) sources;
-    let prune tbl =
-      Hashtbl.filter_map_inplace
-        (fun file entry -> if Hashtbl.mem listed file then Some entry else None)
-        tbl
-    in
-    prune t.scans;
-    prune t.retained;
+    if prune then begin
+      let listed = Hashtbl.create (List.length sources) in
+      List.iter (fun file -> Hashtbl.replace listed file ()) sources;
+      let drop_unlisted tbl =
+        Hashtbl.filter_map_inplace
+          (fun file entry -> if Hashtbl.mem listed file then Some entry else None)
+          tbl
+      in
+      drop_unlisted t.scans;
+      drop_unlisted t.retained
+    end;
     ( scanned,
       [
         ("hits", string_of_int !hits);
         ("misses", string_of_int (List.length sources - !hits));
       ] )
   in
-  ( List.map (fun (file, source, _) -> (file, source)) scanned,
-    Depend.Depgraph.of_summaries
-      (List.map (fun (file, _, summary) -> (file, summary)) scanned) )
+  let units = List.map (fun (file, _, summary) -> (file, summary)) scanned in
+  let graph =
+    match t.graph with
+    | Some m when List.equal same_summary m.gm_units units -> m.gm_graph
+    | Some _ | None -> Depend.Depgraph.of_summaries units
+  in
+  (List.map (fun (file, source, _) -> (file, source)) scanned, units, graph)
 
 let dependency_graph ?(keep_going = false) t ~sources =
-  snd (scan_sources t ~keep_going sources)
+  let _, _, graph = scan_sources t ~keep_going ~prune:false sources in
+  graph
 
 (* Rehydrate bin bytes into the manager's session, short-circuiting through
    the retained table: if this exact byte string was already loaded for
    this file in an earlier build (the session is created once per
-   driver, so its interned state is still valid), reuse the entry.  The
-   decode is kept for the unit's static view, so no dependent's job
-   parses these bytes again.
-   Raises [Pickle.Buf.Corrupt] exactly like [Sepcomp.Compile.load]. *)
+   driver, so its interned state is still valid), reuse the entry.  Only
+   the statics are decoded: a build reads nothing else, and the code
+   stays pickled in [rt_bytes] until [run] links the unit.  The decode
+   is kept for the unit's static view, so no dependent's job parses
+   these bytes again.
+   Raises [Pickle.Buf.Corrupt] on a damaged file or static blob. *)
 let rehydrate t file bytes =
   match Hashtbl.find_opt t.retained file with
   | Some r when String.equal r.rt_bytes bytes -> r
   | Some _ | None ->
-    let decoded = Pickle.Binfile.decode bytes in
+    let decoded = Pickle.Binfile.decode_static bytes in
     let r =
       {
         rt_bytes = bytes;
         rt_unit = Sepcomp.Compile.rehydrate t.session decoded;
+        rt_code = lazy (Pickle.Binfile.decode_code bytes);
         rt_view =
           lazy
             {
               Wire.v_bytes = Pickle.Binfile.static_of_full bytes;
-              v_decoded = Pickle.Binfile.static_part decoded;
+              v_decoded = decoded;
             };
         rt_fingerprint = lazy (Digestkit.Md5.digest_string bytes);
         rt_build = -1;
@@ -362,7 +395,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     "build"
   @@ fun () ->
   let build_start = Unix.gettimeofday () in
-  let texts, graph = scan_sources t ~keep_going sources in
+  let texts, units, graph = scan_sources t ~keep_going ~prune:true sources in
   (* a build compiles exactly the bytes its dependency scan read *)
   let source_of =
     let tbl = Hashtbl.create (List.length texts) in
@@ -370,6 +403,9 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     Hashtbl.find tbl
   in
   let order = Depend.Depgraph.topological graph in
+  (* only a graph that sorted is memoized: a cycle or a module defined
+     twice raises again on every build *)
+  t.graph <- Some { gm_units = units; gm_graph = graph };
   t.generation <- t.generation + 1;
   let deps_of file = (Depend.Depgraph.node graph file).Depend.Depgraph.n_deps in
   (* units whose bin file was rewritten this build (compiled or filled
@@ -844,7 +880,16 @@ let result t file =
   | Some r -> r
   | None -> manager_error "unit %s has not been built" file
 
-let unit_of t file = (result t file).rt_unit
+(* the code [run] decoded, or a decode that is not retained *)
+let unit_of t file =
+  let r = result t file in
+  let code =
+    if Lazy.is_val r.rt_code then Lazy.force r.rt_code
+    else Pickle.Binfile.decode_code r.rt_bytes
+  in
+  { r.rt_unit with Pickle.Binfile.uf_codeunit = code }
+
+let interface_of t file = (result t file).rt_unit
 
 let static_view t file =
   Option.map (fun r -> Lazy.force r.rt_view) (Hashtbl.find_opt t.retained file)
@@ -930,7 +975,10 @@ let run ?output t ~sources =
   in
   List.fold_left
     (fun dynenv file ->
-      Sepcomp.Compile.execute ?output (unit_of t file) dynenv)
+      let r = result t file in
+      Sepcomp.Compile.execute ?output
+        { r.rt_unit with Pickle.Binfile.uf_codeunit = Lazy.force r.rt_code }
+        dynenv)
     Link.Linker.empty order
 
 (* ------------------------------------------------------------------ *)

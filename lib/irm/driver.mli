@@ -137,11 +137,21 @@ exception Interrupted of string
     interned symbols, rehydrated static environments, and the bin-byte
     identity of every unit loaded so far — is retained across builds:
     re-entering [build] on a warm manager skips rehydration for every
-    unit whose bin bytes are unchanged on disk.  The dependency scan is
-    warm too: the manager keeps each source's text and its
-    {!Depend.Scan.summary}, and parses again only the sources whose
-    text changed (see {!dependency_graph}).  A long-running daemon
-    holds one manager per group for exactly this reason. *)
+    unit whose bin bytes are unchanged on disk.
+
+    A retained entry holds a unit's bin bytes, its statenv decoded and
+    rehydrated from them, and its codeUnit {e still pickled}: a build
+    reads only statics, so the code is decoded
+    ({!Pickle.Binfile.decode_code}) the first time {!run} links the
+    unit, and kept in the entry for later runs until the unit's bytes
+    change.  A build decodes no code at all.
+
+    The dependency scan is warm too: the manager keeps each source's
+    text and its {!Depend.Scan.summary}, and parses again only the
+    sources whose text changed (see {!dependency_graph}); while every
+    unit's summary equals the last build's, the last build's
+    dependency graph and its order are reused as well.  A long-running
+    daemon holds one manager per group for exactly this reason. *)
 val create : Vfs.fs -> t
 
 val session : t -> Sepcomp.Compile.session
@@ -154,8 +164,10 @@ val last_order : t -> string list
     [sources], through the manager's warm scan: every source is read,
     and parsed only if its text is not byte-equal to the text the
     manager last scanned for that file.  Only clean parses are
-    remembered; memo entries of files not in [sources] are dropped.
-    Each parse counts in the [depend.parses] metric, and the
+    remembered.  Only {!build} drops the memo entries and retained
+    bins of files it does not list; a query over a subset of the
+    group keeps the rest warm, and never replaces the graph a build
+    memoized.  Each parse counts in the [depend.parses] metric, and the
     [build.scan_sources] span carries the [hits] and [misses] of the
     memo.  A missing source or a parse error raises
     {!Support.Diag.Error}; with [keep_going] (default false) a broken
@@ -212,8 +224,19 @@ val build :
   sources:string list ->
   stats
 
-(** [unit_of t file] — the Unit of [file] after the last build. *)
+(** [unit_of t file] — the Unit of [file] after the last build, with
+    its codeUnit.  The code comes from the retained entry when a {!run}
+    has decoded it, and is otherwise decoded from the bin bytes on
+    every call ({!Pickle.Binfile.decode_code}, one
+    [pickle.code_decodes]) and not retained, so asking leaves the
+    manager's heap as it was.  Callers that need only the statics use
+    {!interface_of}. *)
 val unit_of : t -> string -> Pickle.Binfile.t
+
+(** [interface_of t file] — the statics of [file]'s Unit after the last
+    build: name, pids and environment, with
+    {!Pickle.Binfile.no_code} for its codeUnit.  A table lookup. *)
+val interface_of : t -> string -> Pickle.Binfile.t
 
 (** [static_view t file] — the static view of [file]'s last rehydrated
     bin: the bytes and the decode that in-process compile jobs share
@@ -254,7 +277,11 @@ val pp_recovery : Format.formatter -> recovery -> unit
     dependency order (the order recorded by that build — only if
     [sources] differs from the last build's set is the order derived
     again, from {!dependency_graph});
-    returns the final dynamic environment. *)
+    returns the final dynamic environment.  Each unit's codeUnit is
+    decoded the first time it is linked and kept in its retained entry,
+    so a later run after an edit decodes only the units whose bins
+    changed.  A code section that does not parse raises
+    {!Pickle.Buf.Corrupt}, like any damaged bin. *)
 val run : ?output:(string -> unit) -> t -> sources:string list -> Link.Linker.dynenv
 
 (** [outcome_of stats file] — ["recompiled"], ["loaded"], ["cache"]

@@ -59,7 +59,7 @@ let build_listing mgr stats =
       | ("failed" | "skipped") as outcome ->
         pr "%-24s %s  [%s]\n" file (String.make 8 '-') outcome
       | outcome ->
-        let unit_ = Driver.unit_of mgr file in
+        let unit_ = Driver.interface_of mgr file in
         let tag =
           match outcome with
           | "cutoff" -> "recompiled (interface unchanged)"

@@ -24,6 +24,7 @@ let m_bytes_written = Obs.Metrics.counter "pickle.bytes_written"
 let m_bytes_read = Obs.Metrics.counter "pickle.bytes_read"
 let m_rehydrations = Obs.Metrics.counter "pickle.rehydrations"
 let m_decodes = Obs.Metrics.counter "pickle.decodes"
+let m_code_decodes = Obs.Metrics.counter "pickle.code_decodes"
 
 (* ------------------------------------------------------------------ *)
 (* Lambda terms                                                        *)
@@ -346,6 +347,13 @@ let unseal data =
     raise (Buf.Corrupt "CRC mismatch: bin file is corrupt");
   Buf.reader ~len:n data
 
+(* the magic at [r]: [true] for a full bin, [false] for a static one *)
+let read_magic r =
+  let m = Buf.read_string r in
+  if String.equal m magic then true
+  else if String.equal m static_magic then false
+  else raise (Buf.Corrupt "bad magic")
+
 let write ctx uf =
   Obs.Trace.span ~cat:"pickle" ~args:[ ("unit", uf.uf_name) ] "pickle.write"
   @@ fun () ->
@@ -366,9 +374,7 @@ let write ctx uf =
 
 let static_of_full data =
   let r = unseal data in
-  let m = Buf.read_string r in
-  if String.equal m static_magic then data
-  else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
+  if not (read_magic r) then data
   else begin
     let blob = Buf.sub_reader r in
     let w = Buf.writer () in
@@ -377,39 +383,49 @@ let static_of_full data =
     seal w
   end
 
-let decode data =
+(* [r] is past the static blob of a full bin *)
+let read_codeunit r =
+  Obs.Metrics.incr m_code_decodes;
+  let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
+  let cu_exports =
+    Buf.read_list r (fun () ->
+        let name = Buf.read_symbol r in
+        let pid = Buf.read_pid r in
+        (name, pid))
+  in
+  let cu_code = read_lambda r in
+  if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
+  { Link.Codeunit.cu_imports; cu_exports; cu_code }
+
+(* [decode] and [decode_static] differ only in whether a full bin's
+   code section is parsed; a static bin has none, so its bytes must
+   end at the blob's *)
+let decode_sections ~code data =
   Obs.Trace.span ~cat:"pickle" "pickle.read" @@ fun () ->
   Obs.Metrics.incr m_decodes;
   Obs.Metrics.add m_bytes_read (String.length data);
   let r = unseal data in
-  let m = Buf.read_string r in
-  if String.equal m static_magic then begin
-    let d = read_static_payload (Buf.sub_reader r) in
+  let full = read_magic r in
+  let d = read_static_payload (Buf.sub_reader r) in
+  if not full then begin
     if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
     d
   end
-  else if not (String.equal m magic) then raise (Buf.Corrupt "bad magic")
-  else begin
-    let d = read_static_payload (Buf.sub_reader r) in
-    let cu_imports = Buf.read_list r (fun () -> Buf.read_pid r) in
-    let cu_exports =
-      Buf.read_list r (fun () ->
-          let name = Buf.read_symbol r in
-          let pid = Buf.read_pid r in
-          (name, pid))
-    in
-    let cu_code = read_lambda r in
-    if not (Buf.at_end r) then raise (Buf.Corrupt "trailing bytes");
-    {
-      d with
-      d_unit =
-        { d.d_unit with uf_codeunit = { Link.Codeunit.cu_imports; cu_exports; cu_code } };
-    }
-  end
+  else if code then
+    { d with d_unit = { d.d_unit with uf_codeunit = read_codeunit r } }
+  else d
 
-let static_part d =
-  if d.d_unit.uf_codeunit == no_code then d
-  else { d with d_unit = { d.d_unit with uf_codeunit = no_code } }
+let decode data = decode_sections ~code:true data
+let decode_static data = decode_sections ~code:false data
+
+let decode_code data =
+  Obs.Trace.span ~cat:"pickle" "pickle.read_code" @@ fun () ->
+  let r = unseal data in
+  let full = read_magic r in
+  ignore (Buf.sub_reader r);
+  if full then read_codeunit r
+  else if Buf.at_end r then no_code
+  else raise (Buf.Corrupt "trailing bytes")
 
 let rehydrate ctx d =
   Obs.Metrics.incr m_rehydrations;

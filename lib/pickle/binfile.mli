@@ -17,6 +17,12 @@
     constructors in one context ("rehydration", section 4); one decode
     may be rehydrated into many sessions.
 
+    The two sections are needed at different times: cutoff
+    recompilation reads only the statics, and only [execute] reads the
+    code.  So a full bin can also be read one section at a time:
+    {!decode_static} parses the static blob alone, and {!decode_code}
+    the codeUnit alone, each after checking the CRC of the whole file.
+
     Because the static blob is length-prefixed, the {e static view} of
     a unit — all a dependent needs to compile against it, per the
     paper's statenv/codeUnit factoring — can be sliced out of a full
@@ -73,14 +79,29 @@ type decoded
 (** [decode bytes] — verify CRC and magic, then parse the bin, in no
     context.  Accepts both full and static bins; a static bin decodes
     with {!no_code}.  Counts one [pickle.decodes] and the bytes in
-    [pickle.bytes_read], inside a [pickle.read] span.
+    [pickle.bytes_read], inside a [pickle.read] span, and one
+    [pickle.code_decodes] for a full bin.
     Raises {!Buf.Corrupt} on damage. *)
 val decode : string -> decoded
 
-(** [static_part d] — the decode of [d]'s static view: the same unit
-    with {!no_code}.  Equal to [decode (static_of_full bytes)] when
-    [d = decode bytes], without parsing anything. *)
-val static_part : decoded -> decoded
+(** [decode_static bytes] — {!decode} without the code section: the
+    CRC is still checked over the whole file, then only the magic and
+    the static blob are parsed, and the unit carries {!no_code}.
+    Counts like {!decode}: one [pickle.decodes], the bytes in
+    [pickle.bytes_read], inside a [pickle.read] span.
+    Raises {!Buf.Corrupt} on damage to the file or to its static blob;
+    a code section that does not parse goes unnoticed until
+    {!decode_code} reads it. *)
+val decode_static : string -> decoded
+
+(** [decode_code bytes] — the codeUnit of a full bin (a static bin's is
+    {!no_code}): the CRC is checked over the whole file, the static
+    blob is skipped unparsed, and the code section is parsed.  Counts
+    one [pickle.code_decodes] (as does a {!decode} of a full bin),
+    inside a [pickle.read_code] span; [pickle.decodes] and
+    [pickle.bytes_read] are left alone.
+    Raises {!Buf.Corrupt} on damage. *)
+val decode_code : string -> Link.Codeunit.t
 
 (** [rehydrate ctx d] — register the unit's own stamps in [ctx] and
     return the unit.  Parses nothing; counts one [pickle.rehydrations]. *)

@@ -186,7 +186,9 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
      transient faults (a flaky file system, a racing process) get
      [retries] more chances before poisoning the node's cone.  The sleep
      is capped and jittered — several domains retrying the same flaky
-     resource must not wake in lock-step and collide again. *)
+     resource must not wake in lock-step and collide again.  A backoff
+     seeds its generator on its first delay, so a callback that never
+     retries costs no randomness. *)
   let attempt f x =
     let bo = Support.Backoff.create ~base_s:backoff_s ~cap_s:backoff_cap_s () in
     let rec go k =
@@ -195,6 +197,13 @@ let run ?(retries = 0) ?(backoff_s = 0.001) ?(backoff_cap_s = 1.0)
       | exception e when k < retries && retryable e ->
         Obs.Metrics.incr m_retries;
         let d = Support.Backoff.delay bo ~attempt:k in
+        Obs.Trace.instant ~cat:"sched"
+          ~args:
+            [
+              ("attempt", string_of_int k);
+              ("delay_s", Printf.sprintf "%.17g" d);
+            ]
+          "sched.retry";
         if d > 0. then Unix.sleepf d;
         go (k + 1)
     in

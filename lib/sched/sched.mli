@@ -98,7 +98,8 @@ val last_slots : unit -> slots option
     seconds scaled by a uniform jitter in [0.5, 1.5) in between —
     bounded recovery from transient faults without poisoning the node's
     dependent cone, and without several domains retrying a shared flaky
-    resource in lock-step.
+    resource in lock-step.  Each retry leaves a [sched.retry] trace
+    instant whose [attempt] and [delay_s] args record the sleep.
 
     The [Pool] backend additionally requires [codec]
     ([Invalid_argument] otherwise); [execute] then runs {e on a peer}

@@ -10,6 +10,9 @@
     A value of this type owns its RNG, so callers with a deterministic
     seed (tests, chaos harnesses) get a reproducible delay sequence
     while production callers default to self-initialised randomness.
+    The RNG is made by the first {!delay}, so creating a value is free:
+    a retry loop wrapped around every call pays for randomness only
+    when something actually retries.
     The module computes delays; sleeping is the caller's business. *)
 
 type t

@@ -902,6 +902,28 @@ let test_run_pid_stable_edit () =
     ~recompiled:"1 recompiled" ~expect:"BM33S" ();
   disconnect c
 
+(* the daemon's manager keeps each codeUnit it linked: the first Run
+   decodes every unit's code, and a Run after a pid-stable edit decodes
+   only the edited unit's *)
+let test_run_decodes_edited_code () =
+  let dir = print_chain () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  let code_decodes () =
+    Option.value ~default:0 (Obs.Metrics.find "pickle.code_decodes")
+  in
+  let run id =
+    let before = code_decodes () in
+    let resp, _ = rpc srv c ~id (Protocol.Run (build_opts "sources.cm")) in
+    (resp.Protocol.r_out, code_decodes () - before)
+  in
+  Alcotest.(check (pair string int)) "the first Run decodes every unit"
+    ("BM30S", 4) (run "r0");
+  edit dir "base.sml" (print_base ~origin:11 "");
+  Alcotest.(check (pair string int)) "a Run after a pid-stable edit"
+    ("BM33S", 1) (run "r1");
+  disconnect c
+
 (* an interface edit recompiles base's importing cone, and the Run
    after it executes every unit again, though it prints what the
    baseline printed *)
@@ -1349,6 +1371,8 @@ let suite =
       test_run_cross_unit_print;
     Alcotest.test_case "run: pid-stable edit = cold run" `Quick
       test_run_pid_stable_edit;
+    Alcotest.test_case "run: an edit decodes only the edited code" `Quick
+      test_run_decodes_edited_code;
     Alcotest.test_case "run: interface edit re-executes cone" `Quick
       test_run_iface_edit_cone;
     Alcotest.test_case "run: interface edit = cold run" `Quick

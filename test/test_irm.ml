@@ -648,6 +648,217 @@ let test_dropped_provider_e0601 () =
     Alcotest.(check bool) "link phase" true (d.Diag.phase = Diag.Link)
   | Ok _ -> Alcotest.fail "expected an unsatisfied import"
 
+(* ---- codeUnits stay pickled until linked ---- *)
+
+let during name f =
+  let c0 = counter name in
+  let v = f () in
+  (v, counter name - c0)
+
+(* a build reads only statics: neither a cold build nor a null build,
+   warm or in a fresh manager, decodes a codeUnit *)
+let test_builds_decode_no_code () =
+  let fs, sources = rich_project ~seed:7 in
+  let build mgr () = ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources) in
+  let mgr = Driver.create fs in
+  let _, cold = during "pickle.code_decodes" (build mgr) in
+  Alcotest.(check int) "a cold build decodes no code" 0 cold;
+  let _, warm = during "pickle.code_decodes" (build mgr) in
+  Alcotest.(check int) "a warm null build decodes no code" 0 warm;
+  let (_, fresh), decodes =
+    during "pickle.decodes" (fun () ->
+        during "pickle.code_decodes" (build (Driver.create fs)))
+  in
+  Alcotest.(check int) "a fresh null build decodes no code" 0 fresh;
+  Alcotest.(check int) "and each bin's statics once" (List.length sources)
+    decodes
+
+(* [run] decodes each unit's codeUnit the first time it links it and
+   keeps it; [unit_of] decodes on demand without keeping it *)
+let test_run_decodes_code_once () =
+  let fs, sources = rich_project ~seed:11 in
+  let mgr = Driver.create fs in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources);
+  let mgr = Driver.create fs in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources);
+  let victim = List.hd sources in
+  let code_decodes f = snd (during "pickle.code_decodes" f) in
+  Alcotest.(check int) "unit_of before a run decodes" 1
+    (code_decodes (fun () -> ignore (Driver.unit_of mgr victim)));
+  Alcotest.(check int) "and keeps nothing" 1
+    (code_decodes (fun () -> ignore (Driver.unit_of mgr victim)));
+  Alcotest.(check int) "interface_of decodes nothing" 0
+    (code_decodes (fun () -> ignore (Driver.interface_of mgr victim)));
+  let out = Buffer.create 64 in
+  Alcotest.(check int) "a one-shot run decodes each unit once"
+    (List.length sources)
+    (code_decodes (fun () ->
+         ignore (Driver.run ~output:(Buffer.add_string out) mgr ~sources)));
+  Alcotest.(check int) "a second run decodes nothing" 0
+    (code_decodes (fun () -> ignore (Driver.run mgr ~sources)));
+  Alcotest.(check int) "unit_of after a run reuses its decode" 0
+    (code_decodes (fun () -> ignore (Driver.unit_of mgr victim)));
+  let cold = Driver.create fs in
+  ignore (Driver.build cold ~policy:Driver.Cutoff ~sources);
+  Alcotest.(check bool) "unit_of = the full decode of the bin" true
+    (Driver.unit_of cold victim
+    = Sepcomp.Compile.load (Sepcomp.Compile.new_session ())
+        (Option.get (fs.Vfs.fs_read (victim ^ ".bin"))))
+
+(* a bin whose CRC holds but whose code section does not parse loads
+   for a build, fails as a checked [Corrupt] when linked, and is
+   quarantined by [recover], which checks both sections *)
+let test_unparseable_code_when_linked () =
+  let fs, mgr = chain () in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+  let bin = Option.get (fs.Vfs.fs_read "mid.sml.bin") in
+  let payload = String.sub bin 0 (String.length bin - 8) ^ "\x00" in
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_be trailer 0
+    Digestkit.Crc64.(
+      finish (update init (Bytes.unsafe_of_string payload) 0 (String.length payload)));
+  fs.Vfs.fs_write "mid.sml.bin" (payload ^ Bytes.to_string trailer);
+  let mgr = Driver.create fs in
+  let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources in
+  Alcotest.(check (list string)) "its statics load"
+    [ "base.sml"; "mid.sml"; "top.sml" ] stats.Driver.st_loaded;
+  (match Driver.run mgr ~sources:chain_sources with
+  | exception Pickle.Buf.Corrupt _ -> ()
+  | exception e ->
+    Alcotest.failf "linking raised %s instead of Corrupt" (Printexc.to_string e)
+  | _ -> Alcotest.fail "the bad code section went unnoticed");
+  let rv = Driver.recover mgr ~sources:chain_sources in
+  Alcotest.(check (list string)) "recover quarantines it" [ "mid.sml" ]
+    rv.Driver.rv_quarantined;
+  let stats = Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources in
+  Alcotest.(check (list string)) "the next build recompiles it" [ "mid.sml" ]
+    stats.Driver.st_recompiled;
+  ignore (Driver.run mgr ~sources:chain_sources)
+
+(* a run over a subset of the group keeps the rest of the manager warm:
+   the null build after it parses no source and decodes no bin, and the
+   build's graph memo survives the subset's scan *)
+let test_subset_run_keeps_warm_state () =
+  let _fs, mgr = chain () in
+  ignore (Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources);
+  let graph = Driver.dependency_graph mgr ~sources:chain_sources in
+  ignore (Driver.run mgr ~sources:[ "base.sml" ]);
+  let (stats, decodes), parses =
+    parses_during (fun () ->
+        during "pickle.decodes" (fun () ->
+            Driver.build mgr ~policy:Driver.Cutoff ~sources:chain_sources))
+  in
+  Alcotest.(check int) "the null build parses nothing" 0 parses;
+  Alcotest.(check int) "and decodes no bin" 0 decodes;
+  Alcotest.(check int) "and loads every unit" 3
+    (List.length stats.Driver.st_loaded);
+  Alcotest.(check bool) "the build's graph is still memoized" true
+    (Driver.dependency_graph mgr ~sources:chain_sources == graph)
+
+(* ---- the memoized dependency graph follows the summaries ---- *)
+
+(* [mgr]'s graph of [sources] equals a fresh manager's: same order,
+   same closure for every unit *)
+let check_graph what fs mgr sources =
+  let warm = Driver.dependency_graph mgr ~sources in
+  let fresh = Driver.dependency_graph (Driver.create fs) ~sources in
+  Alcotest.(check (list string)) (what ^ ": order")
+    (Depgraph.topological fresh) (Depgraph.topological warm);
+  List.iter
+    (fun file ->
+      Alcotest.(check (list string))
+        (what ^ ": closure of " ^ file)
+        (Depgraph.closure fresh file) (Depgraph.closure warm file))
+    sources
+
+let xyz () =
+  setup
+    [
+      ("x.sml", "structure X = struct val v = 1 end");
+      ("y.sml", "structure Y = struct val w = 2 end");
+      ("z.sml", "structure Z = struct val r = Y.w end");
+    ]
+
+let xyz_sources = [ "z.sml"; "y.sml"; "x.sml" ]
+
+let manager_error what f =
+  match Diag.guard f with
+  | Error d ->
+    Alcotest.(check bool) (what ^ ": a manager error") true
+      (d.Diag.phase = Diag.Manager);
+    d.Diag.message
+  | Ok _ -> Alcotest.failf "%s: the build succeeded" what
+
+(* a new import edge: the new dependency builds first, and its
+   dependents' closures include it *)
+let test_graph_memo_new_edge () =
+  let fs, mgr = xyz () in
+  let build () = Driver.build mgr ~policy:Driver.Cutoff ~sources:xyz_sources in
+  ignore (build ());
+  fs.Vfs.fs_write "y.sml" "structure Y = struct val w = X.v + 1 end";
+  let stats = build () in
+  Alcotest.(check (list string)) "x builds before y"
+    [ "x.sml"; "y.sml"; "z.sml" ] stats.Driver.st_order;
+  Alcotest.(check (list string)) "z's closure includes x"
+    [ "x.sml"; "y.sml" ]
+    (Depgraph.closure (Driver.dependency_graph mgr ~sources:xyz_sources) "z.sml");
+  check_graph "new edge" fs mgr xyz_sources
+
+(* renaming a defined structure moves the edge with it *)
+let test_graph_memo_rename () =
+  let fs, mgr = xyz () in
+  let build () = Driver.build mgr ~policy:Driver.Cutoff ~sources:xyz_sources in
+  ignore (build ());
+  fs.Vfs.fs_write "x.sml" "structure Y2 = struct val v = 1 end";
+  fs.Vfs.fs_write "z.sml" "structure Z = struct val r = Y2.v end";
+  let stats = build () in
+  Alcotest.(check (list string)) "z now follows x"
+    [ "x.sml"; "z.sml"; "y.sml" ] stats.Driver.st_order;
+  check_graph "rename" fs mgr xyz_sources
+
+(* a module defined twice, or a cycle, raises on every build until it
+   is mended: a failed graph is never memoized *)
+let test_graph_memo_errors_repeat () =
+  let fs, mgr = xyz () in
+  let build () = Driver.build mgr ~policy:Driver.Cutoff ~sources:xyz_sources in
+  ignore (build ());
+  fs.Vfs.fs_write "x.sml" "structure Y = struct val w = 3 end";
+  let first = manager_error "duplicate" build in
+  Alcotest.(check string) "defined by both"
+    "module Y is defined by both y.sml and x.sml" first;
+  Alcotest.(check string) "defined by both, again" first
+    (manager_error "duplicate, again" build);
+  fs.Vfs.fs_write "x.sml" "structure X = struct val v = Z.r end";
+  fs.Vfs.fs_write "y.sml" "structure Y = struct val w = X.v end";
+  let first = manager_error "cycle" build in
+  Alcotest.(check string) "the cycle, again" first
+    (manager_error "cycle, again" build);
+  fs.Vfs.fs_write "x.sml" "structure X = struct val v = 1 end";
+  let stats = build () in
+  Alcotest.(check (list string)) "mended" [ "x.sml"; "y.sml"; "z.sml" ]
+    stats.Driver.st_order;
+  check_graph "mended" fs mgr xyz_sources
+
+(* a unit joining or leaving the group rebuilds the graph *)
+let test_graph_memo_group_changes () =
+  let fs, mgr = xyz () in
+  let build sources = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+  ignore (build xyz_sources);
+  fs.Vfs.fs_write "w.sml" "structure W = struct val u = Z.r + X.v end";
+  let grown = "w.sml" :: xyz_sources in
+  let stats = build grown in
+  Alcotest.(check (list string)) "a joining unit builds after its deps"
+    [ "x.sml"; "y.sml"; "z.sml"; "w.sml" ] stats.Driver.st_order;
+  check_graph "grown" fs mgr grown;
+  let shrunk = [ "y.sml"; "x.sml" ] in
+  let stats = build shrunk in
+  Alcotest.(check (list string)) "leaving units leave the order"
+    [ "y.sml"; "x.sml" ] stats.Driver.st_order;
+  check_graph "shrunk" fs mgr shrunk;
+  let stats = build xyz_sources in
+  Alcotest.(check (list string)) "a returning unit"
+    [ "y.sml"; "z.sml"; "x.sml" ] stats.Driver.st_order
+
 let suite =
   [
     Alcotest.test_case "dependency scan" `Quick test_scan;
@@ -701,6 +912,22 @@ let suite =
       test_shared_views_unwritten;
     Alcotest.test_case "link snapshot digests each bin once" `Quick
       test_link_snapshot_digests_once;
+    Alcotest.test_case "builds decode no codeUnit" `Quick
+      test_builds_decode_no_code;
+    Alcotest.test_case "run decodes each codeUnit once" `Quick
+      test_run_decodes_code_once;
+    Alcotest.test_case "an unparseable code section is Corrupt when linked"
+      `Quick test_unparseable_code_when_linked;
+    Alcotest.test_case "a subset run keeps the warm state" `Quick
+      test_subset_run_keeps_warm_state;
+    Alcotest.test_case "graph memo: a new import edge" `Quick
+      test_graph_memo_new_edge;
+    Alcotest.test_case "graph memo: a renamed structure" `Quick
+      test_graph_memo_rename;
+    Alcotest.test_case "graph memo: errors raise on every build" `Quick
+      test_graph_memo_errors_repeat;
+    Alcotest.test_case "graph memo: units join and leave" `Quick
+      test_graph_memo_group_changes;
     Alcotest.test_case "run: a dropped provider is E0601" `Quick
       test_dropped_provider_e0601;
   ]

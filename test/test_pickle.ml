@@ -454,8 +454,13 @@ let test_damaged_bins_corrupt () =
       ( "full bin",
         full,
         [ ("read", fun d -> ignore (read d));
-          ("static_of_full", fun d -> ignore (Pickle.Binfile.static_of_full d)) ] );
-      ("static view", view, [ ("read", fun d -> ignore (read d)) ]);
+          ("static_of_full", fun d -> ignore (Pickle.Binfile.static_of_full d));
+          ("decode_static", fun d -> ignore (Pickle.Binfile.decode_static d));
+          ("decode_code", fun d -> ignore (Pickle.Binfile.decode_code d)) ] );
+      ( "static view",
+        view,
+        [ ("read", fun d -> ignore (read d));
+          ("decode_code", fun d -> ignore (Pickle.Binfile.decode_code d)) ] );
     ]
 
 (* ---- byte identity of the bin format ---- *)
@@ -543,13 +548,82 @@ let test_decode_then_rehydrate () =
       let view = Pickle.Binfile.static_of_full full in
       let from_view = Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.decode view) in
       let from_part =
-        Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.static_part d)
+        Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.decode_static full)
       in
-      Alcotest.(check bool) (f ^ ": static part = decode of the static view") true
+      Alcotest.(check bool) (f ^ ": static decode = decode of the static view") true
         (from_view = from_part);
-      Alcotest.(check bool) (f ^ ": the static part carries no code") true
+      Alcotest.(check bool) (f ^ ": the static decode carries no code") true
         (from_part.Pickle.Binfile.uf_codeunit == Pickle.Binfile.no_code))
     (gen_bins () @ miniml_bins ())
+
+(* [bytes] with its CRC trailer replaced by a fresh one over [payload]:
+   a file any damage check passes *)
+let reseal payload =
+  let crc =
+    Digestkit.Crc64.(
+      finish (update init (Bytes.unsafe_of_string payload) 0 (String.length payload)))
+  in
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_be trailer 0 crc;
+  payload ^ Bytes.to_string trailer
+
+let payload_of bin = String.sub bin 0 (String.length bin - 8)
+
+(* A full bin read one section at a time: [decode_static] is the static
+   part of [decode] and [decode_code] its codeUnit.  The static decode
+   counts as a decode and parses no code; the code decode counts only
+   as a code decode. *)
+let test_sectioned_decodes () =
+  List.iter
+    (fun (f, full) ->
+      let counts () =
+        (counter "pickle.decodes", counter "pickle.code_decodes")
+      in
+      let delta (d0, c0) =
+        let d1, c1 = counts () in
+        (d1 - d0, c1 - c0)
+      in
+      let c = counts () in
+      let whole = Pickle.Binfile.decode full in
+      Alcotest.(check (pair int int)) (f ^ ": decode parses both sections")
+        (1, 1) (delta c);
+      let c = counts () in
+      let statics = Pickle.Binfile.decode_static full in
+      Alcotest.(check (pair int int)) (f ^ ": decode_static parses no code")
+        (1, 0) (delta c);
+      let c = counts () in
+      let code = Pickle.Binfile.decode_code full in
+      Alcotest.(check (pair int int)) (f ^ ": decode_code is a code decode")
+        (0, 1) (delta c);
+      let unit_of d = Pickle.Binfile.rehydrate (mk_ctx ()) d in
+      let whole = unit_of whole in
+      Alcotest.(check bool) (f ^ ": decode_static = decode without its code") true
+        (unit_of statics
+        = { whole with Pickle.Binfile.uf_codeunit = Pickle.Binfile.no_code });
+      Alcotest.(check bool) (f ^ ": decode_code = the codeUnit of decode") true
+        (code = whole.Pickle.Binfile.uf_codeunit);
+      Alcotest.(check bool) (f ^ ": a static view has no code") true
+        (Pickle.Binfile.decode_code (Pickle.Binfile.static_of_full full)
+        == Pickle.Binfile.no_code))
+    (gen_bins () @ miniml_bins ())
+
+(* a bin whose CRC is valid but whose code section does not parse:
+   its statics decode, and every read of its code is a checked
+   [Corrupt] *)
+let test_unparseable_code_section () =
+  let bad = reseal (payload_of (small_bin ()) ^ "\x00") in
+  ignore (Pickle.Binfile.rehydrate (mk_ctx ()) (Pickle.Binfile.decode_static bad));
+  List.iter
+    (fun (how, f) ->
+      match f bad with
+      | exception Buf.Corrupt _ -> ()
+      | exception e ->
+        Alcotest.failf "%s: %s instead of Corrupt" how (Printexc.to_string e)
+      | () -> Alcotest.failf "%s: the bad code section went unnoticed" how)
+    [
+      ("decode", fun d -> ignore (Pickle.Binfile.decode d));
+      ("decode_code", fun d -> ignore (Pickle.Binfile.decode_code d));
+    ]
 
 let rec ty_has_tvar (ty : Types.ty) =
   match ty with
@@ -631,6 +705,10 @@ let suite =
     Alcotest.test_case "bins pinned byte for byte" `Quick test_bins_pinned;
     Alcotest.test_case "read = rehydrate after decode" `Quick
       test_decode_then_rehydrate;
+    Alcotest.test_case "sectioned decodes = decode" `Quick
+      test_sectioned_decodes;
+    Alcotest.test_case "an unparseable code section is Corrupt" `Quick
+      test_unparseable_code_section;
     Alcotest.test_case "decoded envs hold no Tvar" `Quick
       test_decoded_has_no_tvar;
   ]

@@ -403,8 +403,66 @@ let prop_parallel_equals_serial =
       check_parallel_equals_serial policy ~seed ~jobs ~units:10;
       true)
 
+(* ---- retries ---- *)
+
+exception Flaky
+
+(* a [prepare] that raises a transient fault is retried: once when the
+   fault clears, [retries] times when it persists, each sleep jittered
+   and capped, as the [sched.retry] instants record *)
+let test_transient_prepare_retries () =
+  let retries = 4 and base = 0.002 and cap = 0.005 in
+  let first = ref true in
+  let prepare = function
+    | "a" when !first ->
+      first := false;
+      raise Flaky
+    | "b" -> raise Flaky
+    | node -> Sched.Run node
+  in
+  Obs.Trace.enable ();
+  let outcomes =
+    Fun.protect ~finally:Obs.Trace.disable (fun () ->
+        Sched.run ~retries ~backoff_s:base ~backoff_cap_s:cap
+          ~retryable:(fun e -> e = Flaky)
+          ~keep_going:true Sched.Serial ~order:[ "a"; "b" ]
+          ~deps:(fun _ -> [])
+          ~prepare ~execute:Fun.id
+          ~complete:(fun _ r -> r))
+  in
+  (match outcomes with
+  | [ ("a", Sched.Completed "a"); ("b", Sched.Failed Flaky) ] -> ()
+  | _ -> Alcotest.fail "a completes after one retry, b fails after all");
+  let delays =
+    List.filter_map
+      (fun e ->
+        if e.Obs.Trace.ev_name = "sched.retry" then
+          Some
+            ( int_of_string (List.assoc "attempt" e.Obs.Trace.ev_args),
+              float_of_string (List.assoc "delay_s" e.Obs.Trace.ev_args) )
+        else None)
+      (Obs.Trace.events ())
+  in
+  Alcotest.(check (list int)) "a retries once, b [retries] times"
+    (0 :: List.init retries Fun.id)
+    (List.map fst delays);
+  List.iter
+    (fun (k, d) ->
+      let ceiling = Float.min cap (base *. float_of_int (1 lsl k)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d: %g within [ceiling/2, 1.5*ceiling)" k d)
+        true
+        (d >= ceiling /. 2. && d < ceiling *. 1.5))
+    delays;
+  Alcotest.(check bool) "the delays are jittered" true
+    (List.exists
+       (fun (k, d) -> d <> Float.min cap (base *. float_of_int (1 lsl k)))
+       delays)
+
 let suite =
   [
+    Alcotest.test_case "a transient prepare fault is retried" `Quick
+      test_transient_prepare_retries;
     Alcotest.test_case "slot accounting" `Quick test_slot_accounting;
     Alcotest.test_case "outcomes in caller order" `Quick
       test_outcomes_in_caller_order;

@@ -107,6 +107,24 @@ let test_backoff_deterministic () =
     "different seeds diverge" false
     (List.equal Float.equal (seq 42) (seq 43))
 
+(* the delays seed 42 has always drawn, bit for bit: seeding the
+   generator on the first delay leaves the sequence as it was *)
+let test_backoff_pinned () =
+  let bo = Support.Backoff.create ~seed:42 ~base_s:0.05 ~cap_s:1.0 () in
+  Alcotest.(check (list (float 0.)))
+    "seed 42"
+    [
+      0x1.8c188c0765c35p-5;
+      0x1.986a38b3d695ep-4;
+      0x1.0e595a337bcdfp-3;
+      0x1.407832ec2d3b4p-2;
+      0x1.b32dde155056p-2;
+      0x1.0ab8ea80fef2ep+0;
+      0x1.6b7c1f620d506p+0;
+      0x1.ce870e6fc2445p-1;
+    ]
+    (List.init 8 (fun k -> Support.Backoff.delay bo ~attempt:k))
+
 let test_backoff_envelope () =
   let bo = Support.Backoff.create ~seed:7 ~base_s:0.05 ~cap_s:1.0 () in
   for k = 0 to 40 do
@@ -208,6 +226,7 @@ let suite =
     Alcotest.test_case "backoff deterministic" `Quick
       test_backoff_deterministic;
     Alcotest.test_case "backoff envelope" `Quick test_backoff_envelope;
+    Alcotest.test_case "backoff delays pinned" `Quick test_backoff_pinned;
     QCheck_alcotest.to_alcotest qcheck_intern_bijective;
     Alcotest.test_case "intern_sub = intern over 60k names" `Quick
       test_intern_sub_identity;
