@@ -44,6 +44,8 @@
    the daemon rebuild the dependent cone of changed files as its
    polling watcher sees them. *)
 
+module Request = Daemon.Request
+
 (* SIGINT/SIGTERM abort the build via Driver.Interrupted, which the
    driver treats as fatal even under --keep-going: partial results are
    recorded into the profile store and [guarded] maps it to exit 130 *)
@@ -54,47 +56,6 @@ let install_interrupt () =
   Sys.set_signal Sys.sigint (handler "SIGINT");
   Sys.set_signal Sys.sigterm (handler "SIGTERM")
 
-let parse_policy = function
-  | "cutoff" -> Ok Irm.Driver.Cutoff
-  | "timestamp" -> Ok Irm.Driver.Timestamp
-  | "selective" -> Ok Irm.Driver.Selective
-  | other -> Error (`Msg (Printf.sprintf "unknown policy %S" other))
-
-let with_manager ?fault_seed ?(fault_ops = 32) dir group f =
-  let fs = Vfs.real ~dir in
-  let fs =
-    match fault_seed with
-    | None -> fs
-    | Some seed ->
-      let plan = Vfs.seeded_plan ~seed ~ops:fault_ops in
-      Printf.eprintf "fault injection: seed %d over %d ops — plan [%s]\n%!"
-        seed fault_ops
-        (String.concat "; " (List.map Vfs.fault_name plan));
-      fst (Vfs.faulty ~plan fs)
-  in
-  let sources = Irm.Group.load fs group in
-  let mgr = Irm.Driver.create fs in
-  f fs mgr sources
-
-let backend_of_jobs jobs =
-  if jobs <= 1 then Irm.Driver.Serial else Irm.Driver.Parallel jobs
-
-(* --schedule=auto: critical-path once the profile store has a recorded
-   build to estimate from, classical wavefront otherwise (including
-   under --no-profile, where there are no estimates to be had) *)
-let resolve_schedule ?profile = function
-  | `Wavefront -> Irm.Driver.Wavefront
-  | `Critical_path -> Irm.Driver.Critical_path
-  | `Auto -> (
-    match profile with
-    | Some p when Obs.Profile.builds p <> [] -> Irm.Driver.Critical_path
-    | Some _ | None -> Irm.Driver.Wavefront)
-
-let schedule_string = function
-  | `Auto -> "auto"
-  | `Wavefront -> "wavefront"
-  | `Critical_path -> "critical-path"
-
 let parse_remote_addr s =
   match Remote.Transport.parse_addr s with
   | Ok addr -> addr
@@ -102,90 +63,136 @@ let parse_remote_addr s =
     Support.Diag.error Support.Diag.Manager Support.Loc.dummy "--remote: %s"
       msg
 
+(* the flags build, run and stats share, parsed by one term: the
+   request a daemon could serve, and what only this process can do *)
+type args = {
+  dir : string;
+  opts : Daemon.Protocol.build_opts;
+  workers : int;
+  worker_timeout : float;
+  remotes : string list;
+  remote_cache : string option;
+  remote_timeout : float;
+  remote_fallback : bool;
+  cache_dir : string;
+  cache_budget_mb : int;
+  no_profile : bool;
+  profile_dir : string;
+  trace : string option;
+  stats : bool;
+  fault_seed : int option;
+  fault_ops : int;
+  use_daemon : bool;
+}
+
+let default_budget_mb = Cache.default_budget / (1024 * 1024)
+
+(* the flags a daemon cannot honour: it owns its file system, profile
+   store, cache and connections, and --trace and --stats describe this
+   process.  Any of them keeps the request in this process. *)
+let in_process_only =
+  [
+    ("--workers", fun a -> a.workers > 0);
+    ("--remote", fun a -> a.remotes <> []);
+    ("--remote-cache", fun a -> a.remote_cache <> None);
+    ("--fault-seed", fun a -> a.fault_seed <> None);
+    ("--trace", fun a -> a.trace <> None);
+    ("--stats", fun a -> a.stats);
+    ("--no-profile", fun a -> a.no_profile);
+    ("--profile-dir", fun a -> a.profile_dir <> Obs.Profile.default_dir);
+    ("--cache-dir", fun a -> a.cache_dir <> Cache.default_dir);
+    ("--cache-budget", fun a -> a.cache_budget_mb <> default_budget_mb);
+  ]
+
+let daemon_routable a =
+  match List.filter (fun (_, set) -> set a) in_process_only with
+  | [] -> a.use_daemon
+  | set ->
+    if a.use_daemon then
+      Printf.eprintf "irm: in-process only: %s; ignoring --daemon\n%!"
+        (String.concat ", " (List.map fst set));
+    false
+
+let fs_of a =
+  let fs = Vfs.real ~dir:a.dir in
+  match a.fault_seed with
+  | None -> fs
+  | Some seed ->
+    let plan = Vfs.seeded_plan ~seed ~ops:a.fault_ops in
+    Printf.eprintf "fault injection: seed %d over %d ops — plan [%s]\n%!" seed
+      a.fault_ops
+      (String.concat "; " (List.map Vfs.fault_name plan));
+    fst (Vfs.faulty ~plan fs)
+
 (* --remote beats --workers beats --jobs: the more isolated backend is
    always the explicit opt-in *)
-let backend_of ~jobs ~workers ~worker_timeout ?(remotes = [])
-    ?(remote_timeout = 30.) ?(remote_fallback = true) () =
-  if remotes <> [] then
-    Irm.Driver.Pool
-      {
-        (Remote.Pool.default_config
-           (Dial (List.map parse_remote_addr remotes)))
-        with
-        timeout_s = remote_timeout;
-        local_fallback = remote_fallback;
-      }
-  else if workers > 0 then
-    Irm.Driver.Pool
-      { (Remote.Pool.default_config (Spawn workers)) with
-        timeout_s = worker_timeout }
-  else backend_of_jobs jobs
-
-(* --remote-cache: read through the shared cache service, with the
-   local cache (when --cache is also on) in front.  The client degrades
-   to local-only by itself when the service is unreachable, so the ops
-   never fail the build. *)
-let cache_ops_of cache = function
-  | None -> Option.map Cache.ops cache
-  | Some addr_s ->
-    let addr = parse_remote_addr addr_s in
+let backend_of a =
+  if a.remotes <> [] then
     Some
-      (Remote.Cache_client.ops
-         (Remote.Cache_client.create
-            ?local:(Option.map Cache.ops cache)
-            addr))
-
-let profile_of fs no_profile profile_dir =
-  if no_profile then None else Some (Obs.Profile.load ~dir:profile_dir fs)
-
-let cache_of fs enabled cache_dir budget_mb =
-  if enabled then
+      (Irm.Driver.Pool
+         {
+           (Remote.Pool.default_config
+              (Dial (List.map parse_remote_addr a.remotes)))
+           with
+           timeout_s = a.remote_timeout;
+           local_fallback = a.remote_fallback;
+         })
+  else if a.workers > 0 then
     Some
-      (Cache.create ~dir:cache_dir
-         ~budget_bytes:(budget_mb * 1024 * 1024)
-         fs)
+      (Irm.Driver.Pool
+         { (Remote.Pool.default_config (Spawn a.workers)) with
+           timeout_s = a.worker_timeout })
   else None
 
-(* the telemetry envelope: enable tracing when requested, run, then
-   write the trace file and print the metric counters — through
-   Fun.protect, so an interrupted build still flushes its trace *)
-let with_obs trace stats f =
-  if trace <> None then Obs.Trace.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter
-        (fun path ->
-          Obs.Trace.write_chrome path;
-          Printf.eprintf "trace written to %s (%d spans)\n" path
-            (List.length (Obs.Trace.events ())))
-        trace;
-      if stats then Format.printf "metrics:@.%a%!" Obs.Metrics.pp ())
-    f
+(* the environment an in-process request builds with, made under the
+   build lock.  --remote-cache reads through the shared cache service,
+   with the local cache (under --cache) in front; the client degrades
+   to local-only by itself when the service is unreachable, so the ops
+   never fail the build.  [cache] keeps the local cache for --stats. *)
+let env_of a fs cache () =
+  cache :=
+    if a.opts.b_cache then
+      Some
+        (Cache.create ~dir:a.cache_dir
+           ~budget_bytes:(a.cache_budget_mb * 1024 * 1024)
+           fs)
+    else None;
+  let local = Option.map Cache.ops !cache in
+  {
+    Request.fs;
+    profile =
+      (if a.no_profile then None
+       else Some (Obs.Profile.load ~dir:a.profile_dir fs));
+    cache =
+      (match a.remote_cache with
+      | None -> local
+      | Some addr ->
+        Some
+          (Remote.Cache_client.ops
+             (Remote.Cache_client.create ?local (parse_remote_addr addr))));
+    backend = backend_of a;
+  }
 
-let guarded ?(error_format = `Text) f =
-  let report ds =
-    match error_format with
-    | `Text -> List.iter (fun d -> prerr_endline (Support.Diag.to_string d)) ds
-    | `Json ->
-      print_endline
-        (Obs.Json.to_string (Irm.Introspect.diagnostics_envelope ds))
-  in
-  match Support.Diag.guard_all f with
-  | Ok code -> code
-  | Error ds ->
-    report ds;
-    1
+(* print a response on the process's own streams *)
+let emit (r : Daemon.Protocol.response) =
+  print_string r.r_out;
+  prerr_string r.r_err;
+  r.r_code
+
+(* [f] prints and returns the exit code; a failure answers through the
+   exit-code table the daemon uses, and only what cannot reach a daemon
+   is mapped here *)
+let guarded ~json f =
+  match
+    Request.guard ~json ~on_diag:print_string (fun () ->
+        { Daemon.Protocol.r_code = f (); r_out = ""; r_err = "" })
+  with
+  | r -> emit r
   | exception Irm.Driver.Interrupted reason ->
     Printf.eprintf
       "interrupted by %s — partial results are recorded; rerun to converge\n"
       reason;
     130
-  | exception Daemon.Lock.Held { lock_path; holder } ->
-    Printf.eprintf
-      "the build lock %s is held by pid %s — another build (or the daemon) \
-       is running in this directory; retry when it finishes\n"
-      lock_path holder;
-    1
   | exception Daemon.Server.Already_running sock ->
     Printf.eprintf "a daemon is already serving this directory (socket %s)\n"
       sock;
@@ -196,60 +203,6 @@ let guarded ?(error_format = `Text) f =
   | exception Daemon.Client.Timeout msg ->
     Printf.eprintf "daemon timeout: %s\n" msg;
     1
-  | exception Pickle.Buf.Corrupt msg ->
-    report [ Support.Diag.make Support.Diag.Pickle Support.Loc.dummy msg ];
-    1
-  | exception Dynamics.Eval.Sml_raise packet ->
-    Printf.eprintf "uncaught exception: %s\n" (Dynamics.Value.to_string packet);
-    1
-  | exception Dynamics.Eval.Sml_exit code -> code
-  | exception Vfs.Crash { crash_op; crash_path } ->
-    Printf.eprintf
-      "simulated crash during %s of %s — on-disk state is safe; rerun \
-       (optionally `irm recover`) to converge\n"
-      crash_op crash_path;
-    3
-  | exception Vfs.Fault { fault_op; fault_path; _ } ->
-    Printf.eprintf "injected fault persisted: %s of %s failed\n" fault_op
-      fault_path;
-    1
-  | exception Sys_error msg ->
-    prerr_endline msg;
-    1
-  | exception Remote.Pool.Pool_down msg ->
-    Printf.eprintf
-      "build aborted: the compile worker pool died entirely (%s)\n" msg;
-    4
-
-let require_sources group sources =
-  if sources = [] then
-    Support.Diag.error Support.Diag.Manager Support.Loc.dummy
-      "group file %s lists no sources" group
-
-(* print a rendered report on the process's own streams *)
-let emit (r : Irm.Introspect.rendered) =
-  print_string r.Irm.Introspect.out;
-  prerr_string r.Irm.Introspect.err;
-  r.Irm.Introspect.code
-
-(* render a build's failed/skipped partitions: structured diagnostics
-   with source excerpts on stderr (text) or the JSON envelope on stdout;
-   returns the exit code the partitions call for *)
-let report_diagnostics fs error_format (stats : Irm.Driver.stats) =
-  emit
-    (Irm.Introspect.report_diagnostics ~source_of:fs.Vfs.fs_read
-       ~json:(error_format = `Json) stats)
-
-let build_units ~backend ~schedule ?cache ?profile ~keep_going ~werror
-    ?max_errors ~error_format fs mgr policy sources =
-  let stats =
-    Irm.Driver.build ~backend ~schedule ?cache ?profile ~keep_going ~werror
-      ?max_errors mgr ~policy ~sources
-  in
-  if error_format = `Text then
-    print_string (Irm.Introspect.build_listing mgr stats);
-  let code = report_diagnostics fs error_format stats in
-  (stats, code)
 
 (* --daemon: hand the request to a listening compile server; fall back
    to in-process execution when nobody is there *)
@@ -265,204 +218,103 @@ let daemon_client ~use_daemon dir =
 
 let finish_daemon c req =
   Fun.protect ~finally:(fun () -> Daemon.Client.close c) @@ fun () ->
-  let resp = Daemon.Client.request ~on_diag:print_string c req in
-  print_string resp.Daemon.Protocol.r_out;
-  prerr_string resp.Daemon.Protocol.r_err;
-  resp.Daemon.Protocol.r_code
+  emit (Daemon.Client.request ~on_diag:print_string c req)
 
-let pp_cache_stats = function
-  | Some cache -> Format.printf "cache:@.%a" Cache.pp_stats (Cache.stats cache)
-  | None -> ()
-
-(* build options as the daemon protocol carries them; process-only
-   features (--workers, --fault-seed, --trace, --stats) stay local *)
-let daemon_build_opts group policy schedule jobs use_cache keep_going werror
-    max_errors error_format =
-  {
-    Daemon.Protocol.b_group = group;
-    b_policy = Irm.Driver.policy_name policy;
-    b_jobs = jobs;
-    b_cache = use_cache;
-    b_keep_going = keep_going;
-    b_werror = werror;
-    b_max_errors = max_errors;
-    b_error_json = (error_format = `Json);
-    (* [auto] travels as-is: the daemon resolves it against its own warm
-       profile store *)
-    b_schedule = schedule_string schedule;
-  }
-
-(* --workers forks, --fault-seed wraps the daemon's real fs, --remote
-   owns its own connections — all strictly in-process features, so they
-   win over --daemon *)
-let daemon_routable ~use_daemon ~workers ~fault_seed ?(remotes = []) () =
-  if use_daemon && (workers > 0 || fault_seed <> None || remotes <> []) then begin
-    Printf.eprintf
-      "irm: --workers, --remote and --fault-seed are in-process features; \
-       ignoring --daemon\n%!";
-    false
-  end
-  else use_daemon
-
-let build_cmd_impl dir group policy schedule jobs workers worker_timeout
-    remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
-    budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
-    keep_going werror max_errors error_format use_daemon =
-  guarded ~error_format (fun () ->
-      let use_daemon =
-        daemon_routable ~use_daemon ~workers ~fault_seed ~remotes ()
-      in
-      match daemon_client ~use_daemon dir with
+(* build, run and stats: through a daemon when asked and routable,
+   otherwise in this process — the same {!Request.serve} either way.
+   Tracing starts first, so the trace covers the lock and the profile
+   load.  stats prints its report instead of the answer. *)
+let request_cmd_impl mode a =
+  guarded ~json:a.opts.b_error_json (fun () ->
+      match daemon_client ~use_daemon:(daemon_routable a) a.dir with
       | Some c ->
         finish_daemon c
-          (Daemon.Protocol.Build
-             (daemon_build_opts group policy schedule jobs use_cache keep_going
-                werror max_errors error_format))
-      | None ->
+          (if mode = `Run then Daemon.Protocol.Run a.opts
+           else Daemon.Protocol.Build a.opts)
+      | None -> (
         install_interrupt ();
-        with_manager ?fault_seed ~fault_ops dir group (fun fs mgr sources ->
-            require_sources group sources;
-            Daemon.Lock.with_lock ~dir @@ fun () ->
-            let cache = cache_of fs use_cache cache_dir budget_mb in
-            let profile = profile_of fs no_profile profile_dir in
-            let schedule = resolve_schedule ?profile schedule in
-            with_obs trace stats_flag (fun () ->
-                let stats, code =
-                  build_units
-                    ~backend:
-                      (backend_of ~jobs ~workers ~worker_timeout ~remotes
-                         ~remote_timeout
-                         ~remote_fallback:(not no_remote_fallback) ())
-                    ~schedule
-                    ?cache:(cache_ops_of cache remote_cache)
-                    ?profile ~keep_going ~werror ?max_errors ~error_format fs
-                    mgr policy sources
-                in
-                if stats_flag then begin
-                  Format.printf "%a" Irm.Driver.pp_report stats;
-                  pp_cache_stats cache
-                end;
-                code)))
-
-let run_cmd_impl dir group policy schedule jobs workers worker_timeout remotes
-    remote_cache remote_timeout no_remote_fallback use_cache cache_dir
-    budget_mb no_profile profile_dir trace stats_flag fault_seed fault_ops
-    keep_going werror max_errors error_format use_daemon =
-  guarded ~error_format (fun () ->
-      let use_daemon =
-        daemon_routable ~use_daemon ~workers ~fault_seed ~remotes ()
-      in
-      match daemon_client ~use_daemon dir with
-      | Some c ->
-        finish_daemon c
-          (Daemon.Protocol.Run
-             (daemon_build_opts group policy schedule jobs use_cache keep_going
-                werror max_errors error_format))
-      | None ->
-        install_interrupt ();
-        with_manager ?fault_seed ~fault_ops dir group (fun fs mgr sources ->
-            require_sources group sources;
-            Daemon.Lock.with_lock ~dir @@ fun () ->
-            let cache = cache_of fs use_cache cache_dir budget_mb in
-            let profile = profile_of fs no_profile profile_dir in
-            let schedule = resolve_schedule ?profile schedule in
-            with_obs trace stats_flag (fun () ->
-                let stats =
-                  Irm.Driver.build
-                    ~backend:
-                      (backend_of ~jobs ~workers ~worker_timeout ~remotes
-                         ~remote_timeout
-                         ~remote_fallback:(not no_remote_fallback) ())
-                    ~schedule
-                    ?cache:(cache_ops_of cache remote_cache)
-                    ?profile ~keep_going ~werror ?max_errors mgr ~policy
-                    ~sources
-                in
-                let code = report_diagnostics fs error_format stats in
-                (* failed or skipped units have no bin to execute — report
-                   the diagnostics and stop before running anything *)
-                if code = 0 then ignore (Irm.Driver.run mgr ~sources);
-                if stats_flag then begin
-                  Format.printf "%a" Irm.Driver.pp_report stats;
-                  pp_cache_stats cache
-                end;
-                code)))
-
-let stats_cmd_impl dir group policy schedule jobs workers worker_timeout
-    remotes remote_cache remote_timeout no_remote_fallback use_cache cache_dir
-    budget_mb no_profile profile_dir trace json keep_going werror max_errors =
-  guarded (fun () ->
-      install_interrupt ();
-      with_manager dir group (fun fs mgr sources ->
-          require_sources group sources;
-          Daemon.Lock.with_lock ~dir @@ fun () ->
-          let cache = cache_of fs use_cache cache_dir budget_mb in
-          let profile = profile_of fs no_profile profile_dir in
-          let schedule = resolve_schedule ?profile schedule in
-          with_obs trace false (fun () ->
-              let stats =
-                Irm.Driver.build
-                  ~backend:
-                    (backend_of ~jobs ~workers ~worker_timeout ~remotes
-                       ~remote_timeout
-                       ~remote_fallback:(not no_remote_fallback) ())
-                  ~schedule
-                  ?cache:(cache_ops_of cache remote_cache)
-                  ?profile ~keep_going ~werror ?max_errors mgr ~policy ~sources
-              in
-              if json then
-                print_endline
-                  (Obs.Json.to_string
-                     (Obs.Json.Obj
-                        [
-                          ("build", Irm.Driver.report_json stats);
-                          ("metrics", Obs.Metrics.to_json ());
-                        ]))
-              else begin
-                Format.printf "%a" Irm.Driver.pp_report stats;
-                Format.printf "metrics:@.%a" Obs.Metrics.pp ()
-              end;
-              if stats.Irm.Driver.st_failed = [] then 0 else 1)))
+        Obs.Trace.with_report ~trace:a.trace
+          ~metrics:(if a.stats then Some Format.std_formatter else None)
+        @@ fun () ->
+        let fs = fs_of a in
+        let mgr = Irm.Driver.create fs in
+        let cache = ref None in
+        let kind =
+          if mode <> `Run then Request.Build
+          else Run (fun b -> Request.execute ~output:print_string mgr b.sources)
+        in
+        let on_diag = match mode with `Stats _ -> ignore | _ -> print_string in
+        match
+          Request.serve ~dir:a.dir ~env:(env_of a fs cache) mgr kind a.opts
+            ~on_diag
+        with
+        | None, resp -> emit resp
+        | Some { stats; _ }, resp -> (
+          match mode with
+          | `Stats json ->
+            if json then
+              print_endline
+                (Obs.Json.to_string
+                   (Obs.Json.Obj
+                      [
+                        ("build", Irm.Driver.report_json stats);
+                        ("metrics", Obs.Metrics.to_json ());
+                      ]))
+            else
+              Format.printf "%ametrics:@.%a" Irm.Driver.pp_report stats
+                Obs.Metrics.pp ();
+            if stats.Irm.Driver.st_failed = [] then 0 else 1
+          | `Build | `Run ->
+            let code = emit resp in
+            if a.stats then begin
+              Format.printf "%a" Irm.Driver.pp_report stats;
+              Option.iter
+                (fun c ->
+                  Format.printf "cache:@.%a" Cache.pp_stats (Cache.stats c))
+                !cache
+            end;
+            code)))
 
 let deps_cmd_impl dir group dot =
-  guarded (fun () ->
-      with_manager dir group (fun _fs mgr sources ->
-          let graph = Irm.Driver.dependency_graph mgr ~sources in
-          let order = Depend.Depgraph.topological graph in
-          if dot then begin
-            print_endline "digraph deps {";
-            print_endline "  rankdir=BT;";
-            List.iter
-              (fun file ->
-                let node = Depend.Depgraph.node graph file in
-                if node.Depend.Depgraph.n_deps = [] then
-                  Printf.printf "  %S;\n" file
-                else
-                  List.iter
-                    (fun dep -> Printf.printf "  %S -> %S;\n" file dep)
-                    node.Depend.Depgraph.n_deps)
-              order;
-            print_endline "}"
-          end
-          else
-            List.iter
-              (fun file ->
-                let node = Depend.Depgraph.node graph file in
-                Printf.printf "%s: %s\n" file
-                  (String.concat " " node.Depend.Depgraph.n_deps))
-              order;
-          0))
+  guarded ~json:false (fun () ->
+      let fs = Vfs.real ~dir in
+      let sources = Irm.Group.load fs group in
+      let graph = Irm.Driver.dependency_graph (Irm.Driver.create fs) ~sources in
+      let order = Depend.Depgraph.topological graph in
+      if dot then begin
+        print_endline "digraph deps {";
+        print_endline "  rankdir=BT;";
+        List.iter
+          (fun file ->
+            let node = Depend.Depgraph.node graph file in
+            if node.Depend.Depgraph.n_deps = [] then
+              Printf.printf "  %S;\n" file
+            else
+              List.iter
+                (fun dep -> Printf.printf "  %S -> %S;\n" file dep)
+                node.Depend.Depgraph.n_deps)
+          order;
+        print_endline "}"
+      end
+      else
+        List.iter
+          (fun file ->
+            let node = Depend.Depgraph.node graph file in
+            Printf.printf "%s: %s\n" file
+              (String.concat " " node.Depend.Depgraph.n_deps))
+          order;
+      0)
 
 let recover_cmd_impl dir group =
-  guarded (fun () ->
-      with_manager dir group (fun _fs mgr sources ->
-          require_sources group sources;
-          let report = Irm.Driver.recover mgr ~sources in
-          Format.printf "%a" Irm.Driver.pp_recovery report;
-          0))
+  guarded ~json:false (fun () ->
+      let fs = Vfs.real ~dir in
+      let sources = Request.sources fs group in
+      let report = Irm.Driver.recover (Irm.Driver.create fs) ~sources in
+      Format.printf "%a" Irm.Driver.pp_recovery report;
+      0)
 
 let cache_cmd_impl dir cache_dir budget_mb action =
-  guarded (fun () ->
+  guarded ~json:false (fun () ->
       let fs = Vfs.real ~dir in
       let cache =
         Cache.create ~dir:cache_dir
@@ -483,59 +335,54 @@ let cache_cmd_impl dir cache_dir budget_mb action =
    Irm.Introspect, shared with the daemon)                             *)
 (* ------------------------------------------------------------------ *)
 
-let explain_cmd_impl dir profile_dir unit_ json use_daemon =
-  guarded (fun () ->
+(* the daemon's warm store answers when asked and listening, this
+   process's otherwise *)
+let introspect dir profile_dir use_daemon req answer =
+  guarded ~json:false (fun () ->
       match daemon_client ~use_daemon dir with
-      | Some c ->
-        finish_daemon c
-          (Daemon.Protocol.Explain { e_unit = unit_; e_json = json })
+      | Some c -> finish_daemon c req
       | None ->
-        let fs = Vfs.real ~dir in
-        let p = Obs.Profile.load ~dir:profile_dir fs in
-        emit (Irm.Introspect.explain p ~unit_name:unit_ ~json))
+        emit (answer (Obs.Profile.load ~dir:profile_dir (Vfs.real ~dir))))
+
+let explain_cmd_impl dir profile_dir unit_ json use_daemon =
+  introspect dir profile_dir use_daemon
+    (Daemon.Protocol.Explain { e_unit = unit_; e_json = json })
+    (fun p -> Irm.Introspect.explain p ~unit_name:unit_ ~json)
 
 let profile_cmd_impl dir profile_dir json top use_daemon =
-  guarded (fun () ->
-      match daemon_client ~use_daemon dir with
-      | Some c ->
-        finish_daemon c (Daemon.Protocol.Profile { p_json = json; p_top = top })
-      | None ->
-        let fs = Vfs.real ~dir in
-        let p = Obs.Profile.load ~dir:profile_dir fs in
-        emit (Irm.Introspect.profile_report p ~json ~top))
+  introspect dir profile_dir use_daemon
+    (Daemon.Protocol.Profile { p_json = json; p_top = top })
+    (fun p -> Irm.Introspect.profile_report p ~json ~top)
 
 (* ------------------------------------------------------------------ *)
 (* The compile server: daemon start / stop / status                    *)
 (* ------------------------------------------------------------------ *)
 
-let daemon_config dir state_dir groups watch poll_s client_timeout use_cache
-    policy jobs log =
-  {
-    Daemon.Server.d_dir = dir;
-    d_state_dir = state_dir;
-    d_groups = groups;
-    d_watch = watch;
-    d_poll_s = poll_s;
-    d_client_timeout_s = client_timeout;
-    d_cache = use_cache;
-    d_policy = Irm.Driver.policy_name policy;
-    d_jobs = jobs;
-    d_log = log;
-  }
-
 let daemon_start_impl dir state_dir groups watch poll_s client_timeout
     use_cache policy jobs foreground =
-  guarded (fun () ->
-      if foreground then begin
-        let server =
-          Daemon.Server.create
-            (daemon_config dir state_dir groups watch poll_s client_timeout
-               use_cache policy jobs prerr_endline)
-        in
-        install_interrupt ();
-        Daemon.Server.run server;
-        0
-      end
+  (* log lines go to stderr: the log file once daemonized *)
+  let serve () =
+    let server =
+      Daemon.Server.create
+        {
+          Daemon.Server.d_dir = dir;
+          d_state_dir = state_dir;
+          d_groups = groups;
+          d_watch = watch;
+          d_poll_s = poll_s;
+          d_client_timeout_s = client_timeout;
+          d_cache = use_cache;
+          d_policy = policy;
+          d_jobs = jobs;
+          d_log = prerr_endline;
+        }
+    in
+    install_interrupt ();
+    Daemon.Server.run server;
+    0
+  in
+  guarded ~json:false (fun () ->
+      if foreground then serve ()
       else begin
         let log_path = Daemon.Protocol.log_path ~dir ~state_dir in
         (try Unix.mkdir (Filename.dirname log_path) 0o755
@@ -556,19 +403,7 @@ let daemon_start_impl dir state_dir groups watch poll_s client_timeout
           Unix.dup2 log_fd Unix.stderr;
           Unix.close devnull;
           Unix.close log_fd;
-          let code =
-            guarded (fun () ->
-                let server =
-                  Daemon.Server.create
-                    (daemon_config dir state_dir groups watch poll_s
-                       client_timeout use_cache policy jobs
-                       (fun line -> Printf.eprintf "%s\n%!" line))
-                in
-                install_interrupt ();
-                Daemon.Server.run server;
-                0)
-          in
-          Stdlib.exit code
+          Stdlib.exit (guarded ~json:false serve)
         | child ->
           (* parent: hand back once the daemon answers its socket (or
              died trying) *)
@@ -605,7 +440,7 @@ let daemon_start_impl dir state_dir groups watch poll_s client_timeout
       end)
 
 let daemon_stop_impl dir state_dir =
-  guarded (fun () ->
+  guarded ~json:false (fun () ->
       match Daemon.Client.connect ~state_dir ~dir () with
       | Some c ->
         let resp = Daemon.Client.request c Daemon.Protocol.Shutdown in
@@ -632,7 +467,7 @@ let daemon_stop_impl dir state_dir =
             | exception Unix.Unix_error _ -> no_daemon ()))))
 
 let daemon_status_impl dir state_dir json =
-  guarded (fun () ->
+  guarded ~json:false (fun () ->
       (* probe, don't connect: a SIGKILL'd daemon must report as stale
          (and have its leftovers swept), not hang out the client timeout *)
       match Daemon.Client.probe ~state_dir ~dir () with
@@ -722,7 +557,7 @@ let serve_until_signalled ~stop ~run =
   0
 
 let serve_exec_impl listen exec_jobs worker_timeout =
-  guarded (fun () ->
+  guarded ~json:false (fun () ->
       let addr = parse_remote_addr listen in
       let mode =
         if exec_jobs <= 0 then Remote.Exec.Inline
@@ -741,7 +576,7 @@ let serve_exec_impl listen exec_jobs worker_timeout =
         ~run:(fun () -> Remote.Exec.run exec))
 
 let serve_cache_impl dir listen shards budget_mb cache_dir =
-  guarded (fun () ->
+  guarded ~json:false (fun () ->
       let addr = parse_remote_addr listen in
       let fs = Vfs.real ~dir in
       let srv =
@@ -768,14 +603,17 @@ let group_arg =
     required & pos 0 (some string) None
     & info [] ~docv:"GROUP" ~doc:"Group file listing the source files.")
 
+(* every request flag defaults to what a request that sets nothing
+   carries, the daemon's startup builds included *)
+let defaults = Request.defaults ""
+
 let policy_arg =
-  let policy_conv =
-    Arg.conv ~docv:"POLICY"
-      ( parse_policy,
-        fun ppf p -> Format.pp_print_string ppf (Irm.Driver.policy_name p) )
-  in
   Arg.(
-    value & opt policy_conv Irm.Driver.Cutoff
+    value
+    & opt
+        (enum
+           (List.map (fun s -> (s, s)) [ "cutoff"; "selective"; "timestamp" ]))
+        defaults.b_policy
     & info [ "p"; "policy" ] ~docv:"POLICY"
         ~doc:
           "Recompilation policy: $(b,cutoff) (interface pids), \
@@ -787,12 +625,10 @@ let schedule_arg =
     value
     & opt
         (enum
-           [
-             ("auto", `Auto);
-             ("wavefront", `Wavefront);
-             ("critical-path", `Critical_path);
-           ])
-        `Auto
+           (List.map
+              (fun s -> (s, s))
+              [ "auto"; "wavefront"; "critical-path" ]))
+        defaults.b_schedule
     & info [ "schedule" ] ~docv:"SCHED"
         ~doc:
           "How ready compiles are ordered.  $(b,wavefront) dispatches in \
@@ -808,7 +644,7 @@ let schedule_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Sched.default_jobs ())
+    & opt int defaults.b_jobs
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Number of worker domains compiling independent units \
@@ -899,7 +735,7 @@ let cache_dir_arg =
 let cache_budget_arg =
   Arg.(
     value
-    & opt int (Cache.default_budget / (1024 * 1024))
+    & opt int default_budget_mb
     & info [ "cache-budget" ] ~docv:"MIB"
         ~doc:
           "Cache size budget in MiB; least-recently-used units are \
@@ -1000,11 +836,14 @@ let daemon_flag_arg =
     value & flag
     & info [ "daemon" ]
         ~doc:
-          "Route the request to a running compile server (started with \
-           $(b,irm daemon start)), reusing its warm build state; falls \
-           back to in-process execution when no daemon is listening.  \
-           In-process features ($(b,--workers), $(b,--fault-seed), \
-           $(b,--trace), $(b,--stats)) are not routed.")
+          ("Route the request to a running compile server (started with \
+            $(b,irm daemon start)), reusing its warm build state; it \
+            prints exactly what the in-process command would.  Falls back \
+            to in-process execution when no daemon is listening; build \
+            and run stay in-process, with a warning, under any of "
+          ^ String.concat ", "
+              (List.map (fun (f, _) -> "$(b," ^ f ^ ")") in_process_only)
+          ^ "."))
 
 let exits =
   [
@@ -1027,19 +866,71 @@ let exits =
          recorded in the profile store and a rerun converges.";
   ]
 
+(* the flags build, run and stats share, into one record *)
+let request_args =
+  let make dir group policy schedule jobs workers worker_timeout remotes
+      remote_cache remote_timeout no_remote_fallback cache cache_dir
+      cache_budget_mb no_profile profile_dir trace keep_going werror
+      max_errors =
+    {
+      dir;
+      opts =
+        {
+          (Request.defaults group) with
+          b_policy = policy;
+          b_jobs = jobs;
+          b_cache = cache;
+          b_keep_going = keep_going;
+          b_werror = werror;
+          b_max_errors = max_errors;
+          b_schedule = schedule;
+        };
+      workers;
+      worker_timeout;
+      remotes;
+      remote_cache;
+      remote_timeout;
+      remote_fallback = not no_remote_fallback;
+      cache_dir;
+      cache_budget_mb;
+      no_profile;
+      profile_dir;
+      trace;
+      stats = false;
+      fault_seed = None;
+      fault_ops = 32;
+      use_daemon = false;
+    }
+  in
+  Term.(
+    const make $ dir_arg $ group_arg $ policy_arg $ schedule_arg $ jobs_arg
+    $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
+    $ remote_timeout_arg $ no_remote_fallback_arg $ cache_flag_arg
+    $ cache_dir_arg $ cache_budget_arg $ no_profile_arg $ profile_dir_arg
+    $ trace_arg $ keep_going_arg $ werror_arg $ max_errors_arg)
+
+(* build and run also take the flags of a request that may go to a
+   daemon *)
+let routed_args =
+  let make a stats fault_seed fault_ops error_format use_daemon =
+    {
+      a with
+      stats;
+      fault_seed;
+      fault_ops;
+      use_daemon;
+      opts = { a.opts with b_error_json = error_format = `Json };
+    }
+  in
+  Term.(
+    const make $ request_args $ stats_arg $ fault_seed_arg $ fault_ops_arg
+    $ error_format_arg $ daemon_flag_arg)
+
 let build_cmd =
   Cmd.v
     (Cmd.info "build" ~exits
        ~doc:"bring every unit of the group up to date")
-    Term.(
-      const build_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
-      $ remote_timeout_arg $ no_remote_fallback_arg
-      $ cache_flag_arg $ cache_dir_arg
-      $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
-      $ stats_arg $ fault_seed_arg $ fault_ops_arg $ keep_going_arg
-      $ werror_arg $ max_errors_arg $ error_format_arg $ daemon_flag_arg)
+    Term.(const (request_cmd_impl `Build) $ routed_args)
 
 let run_cmd =
   Cmd.v
@@ -1050,28 +941,15 @@ let run_cmd =
           some bin changed since the group's last run; otherwise it \
           answers with that run's output and exit code, which a fresh \
           execution would reproduce byte for byte.")
-    Term.(
-      const run_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
-      $ remote_timeout_arg $ no_remote_fallback_arg
-      $ cache_flag_arg $ cache_dir_arg
-      $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
-      $ stats_arg $ fault_seed_arg $ fault_ops_arg $ keep_going_arg
-      $ werror_arg $ max_errors_arg $ error_format_arg $ daemon_flag_arg)
+    Term.(const (request_cmd_impl `Run) $ routed_args)
 
 let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~exits
        ~doc:"build, then print the per-unit report and metric counters")
     Term.(
-      const stats_cmd_impl $ dir_arg $ group_arg $ policy_arg $ schedule_arg
-      $ jobs_arg
-      $ workers_arg $ worker_timeout_arg $ remote_arg $ remote_cache_arg
-      $ remote_timeout_arg $ no_remote_fallback_arg
-      $ cache_flag_arg $ cache_dir_arg
-      $ cache_budget_arg $ no_profile_arg $ profile_dir_arg $ trace_arg
-      $ json_arg $ keep_going_arg $ werror_arg $ max_errors_arg)
+      const (fun a json -> request_cmd_impl (`Stats json) a)
+      $ request_args $ json_arg)
 
 let cache_action_arg =
   let actions = [ ("stats", `Stats); ("gc", `Gc); ("clear", `Clear) ] in

@@ -25,7 +25,9 @@ let strip_semi line =
   else None
 
 let main trace stats =
-  if trace <> None then Obs.Trace.enable ();
+  Obs.Trace.with_report ~trace
+    ~metrics:(if stats then Some Format.err_formatter else None)
+  @@ fun () ->
   let repl = Sepcomp.Interactive.create () in
   let dynenv = ref Link.Linker.empty in
   let buffer = Buffer.create 256 in
@@ -91,13 +93,6 @@ let main trace stats =
       end
   in
   loop ();
-  Option.iter
-    (fun path ->
-      Obs.Trace.write_chrome path;
-      Printf.eprintf "trace written to %s (%d spans)\n" path
-        (List.length (Obs.Trace.events ())))
-    trace;
-  if stats then Format.eprintf "metrics:@.%a" Obs.Metrics.pp ();
   0
 
 open Cmdliner

@@ -54,8 +54,7 @@ let compile_supervised ~worker_timeout ~werror ~max_errors ~source_path ~source
   | _, Error exn -> raise exn
 
 let compile_one diags source_path import_paths run verbose use_cache cache_dir
-    trace stats workers worker_timeout werror max_errors =
-  if trace <> None then Obs.Trace.enable ();
+    workers worker_timeout werror max_errors =
   let session = Sepcomp.Compile.new_session () in
   (* each import bin is decoded once: the session rehydrates the
      decode, and a supervised compile ships the same view *)
@@ -145,42 +144,30 @@ let compile_one diags source_path import_paths run verbose use_cache cache_dir
         Link.Linker.empty imports
     in
     ignore (Sepcomp.Compile.execute unit_ dynenv)
-  end;
-  Option.iter
-    (fun path ->
-      Obs.Trace.write_chrome path;
-      Printf.eprintf "trace written to %s (%d spans)\n" path
-        (List.length (Obs.Trace.events ())))
-    trace;
-  if stats then Format.printf "metrics:@.%a" Obs.Metrics.pp ();
-  0
+  end
 
 (* diagnostics rendering: human-readable with source excerpts on stderr,
    or the machine-readable envelope (schemas/diagnostics.schema.json) on
    stdout.  In json mode the envelope is always printed, even when empty,
    so callers can parse stdout unconditionally. *)
 let report_diags source_path error_format ~failed ds =
+  let r_code = if failed then 1 else 0 in
   match error_format with
   | `Json ->
-    print_endline
-      (Obs.Json.to_string
-         (Obs.Json.Obj
-            [
-              ("version", Obs.Json.String "smlsep-diag/1");
-              ( "failed",
-                Obs.Json.List
-                  (if failed then [ Obs.Json.String source_path ] else []) );
-              ("skipped", Obs.Json.List []);
-              ( "diagnostics",
-                Obs.Json.List (List.map Irm.Driver.diag_json ds) );
-            ]))
+    let failed = if failed then [ source_path ] else [] in
+    {
+      Daemon.Protocol.r_code;
+      r_out =
+        Obs.Json.to_string (Irm.Introspect.diagnostics_envelope ~failed ds)
+        ^ "\n";
+      r_err = "";
+    }
   | `Text ->
     let source_of file =
       if Sys.file_exists file then Some (read_file file) else None
     in
-    List.iter
-      (fun d -> Format.eprintf "%a" (Support.Diag.render ~source_of) d)
-      ds
+    let render d = Format.asprintf "%a" (Support.Diag.render ~source_of) d in
+    { r_code; r_out = ""; r_err = String.concat "" (List.map render ds) }
 
 let main source_path import_paths run verbose use_cache cache_dir trace stats
     workers worker_timeout werror max_errors error_format =
@@ -189,34 +176,26 @@ let main source_path import_paths run verbose use_cache cache_dir trace stats
   let diags =
     Support.Diag.collector ?limit:max_errors ~werror ~unit_name:source_path ()
   in
-  match
-    Support.Diag.guard_all (fun () ->
-        compile_one diags source_path import_paths run verbose use_cache
-          cache_dir trace stats workers worker_timeout werror max_errors)
-  with
-  | Ok code ->
-    (* surviving diagnostics are warnings/notes *)
-    report_diags source_path error_format ~failed:false
-      (Support.Diag.diags diags);
-    code
-  | Error ds ->
-    report_diags source_path error_format ~failed:true ds;
-    1
-  | exception Pickle.Buf.Corrupt msg ->
-    report_diags source_path error_format ~failed:true
-      [ Support.Diag.make Support.Diag.Pickle Support.Loc.dummy msg ];
-    1
-  | exception Dynamics.Eval.Sml_raise packet ->
-    Printf.eprintf "uncaught exception: %s\n" (Dynamics.Value.to_string packet);
-    1
-  | exception Dynamics.Eval.Sml_exit code -> code
-  | exception Sys_error msg ->
-    prerr_endline msg;
-    1
-  | exception Remote.Pool.Pool_down msg ->
-    Printf.eprintf
-      "compile aborted: the worker pool died entirely (%s)\n" msg;
-    4
+  let r =
+    match
+      Obs.Trace.with_report ~trace
+        ~metrics:(if stats then Some Format.std_formatter else None)
+        (fun () ->
+          compile_one diags source_path import_paths run verbose use_cache
+            cache_dir workers worker_timeout werror max_errors)
+    with
+    | () ->
+      (* surviving diagnostics are warnings/notes *)
+      report_diags source_path error_format ~failed:false
+        (Support.Diag.diags diags)
+    | exception exn ->
+      Daemon.Request.of_exn
+        ~diagnostics:(report_diags source_path error_format ~failed:true)
+        exn
+  in
+  print_string r.r_out;
+  prerr_string r.r_err;
+  r.r_code
 
 open Cmdliner
 

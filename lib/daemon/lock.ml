@@ -16,6 +16,7 @@ let held_local : (string, unit) Hashtbl.t = Hashtbl.create 4
 let local_mutex = Mutex.create ()
 
 let acquire ~dir =
+  Obs.Trace.span ~cat:"lock" "lock.acquire" @@ fun () ->
   let path = Filename.concat dir lock_file in
   Mutex.protect local_mutex (fun () ->
       if Hashtbl.mem held_local path then
@@ -44,5 +45,11 @@ let release t =
   end
 
 let with_lock ~dir f =
-  let t = acquire ~dir in
+  let rec wait n =
+    try acquire ~dir
+    with Held _ when n > 0 ->
+      Unix.sleepf 0.05;
+      wait (n - 1)
+  in
+  let t = wait 20 in
   Fun.protect ~finally:(fun () -> release t) f

@@ -24,11 +24,14 @@ type t
 
 (** [acquire ~dir] — take the lock for project root [dir], or raise
     {!Held}.  Non-blocking: contention is an immediate, explicit
-    failure, never a silent wait. *)
+    failure, never a silent wait.  Traced as a [lock.acquire] span. *)
 val acquire : dir:string -> t
 
 (** [release t] — drop the lock.  Idempotent. *)
 val release : t -> unit
 
-(** [with_lock ~dir f] — {!acquire}, run [f ()], always {!release}. *)
+(** [with_lock ~dir f] — {!acquire}, waiting up to a second for the
+    holder to finish before {!Held} escapes, run [f ()], always
+    {!release}.  Every build, a daemon's and a one-shot's, takes the
+    lock this way. *)
 val with_lock : dir:string -> (unit -> 'a) -> 'a

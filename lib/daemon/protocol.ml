@@ -40,7 +40,11 @@ type request =
   | Status
   | Shutdown
 
-type response = { r_code : int; r_out : string; r_err : string }
+type response = Irm.Introspect.rendered = {
+  r_code : int;
+  r_out : string;
+  r_err : string;
+}
 
 let write_opts w o =
   Buf.string w o.b_group;

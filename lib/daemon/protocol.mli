@@ -60,7 +60,7 @@ type build_opts = {
   b_werror : bool;
   b_max_errors : int option;
   b_error_json : bool;  (** diagnostics as the [smlsep-diag/1] envelope *)
-  b_schedule : string;  (** [wavefront] or [critical-path] *)
+  b_schedule : string;  (** [auto], [wavefront] or [critical-path] *)
 }
 
 type request =
@@ -74,7 +74,9 @@ type request =
   | Status  (** daemon self-description, always JSON *)
   | Shutdown
 
-type response = {
+(** The same record the in-process renderers return, so a front end
+    prints a daemon's answer and its own alike. *)
+type response = Irm.Introspect.rendered = {
   r_code : int;  (** the exit code the client should exit with *)
   r_out : string;  (** bytes for the client's stdout *)
   r_err : string;  (** bytes for the client's stderr *)

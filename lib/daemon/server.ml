@@ -1,7 +1,6 @@
 module Frame = Pickle.Frame
 module Netsrv = Remote.Netsrv
 module Driver = Irm.Driver
-module Diag = Support.Diag
 
 exception Already_running of string
 
@@ -60,7 +59,7 @@ type t = {
   srv : Netsrv.t;
   pid_path : string;
   profile : Obs.Profile.t;
-  mutable cache : Cache.t option;
+  cache : Cache.t Lazy.t;  (** opened by the first [b_cache] request *)
   groups : (string, group_state) Hashtbl.t;
   mutable stopping : bool;  (** shutdown answered; draining output *)
   mutable interrupted : exn option;  (** a signal, re-raised by [step] *)
@@ -75,19 +74,6 @@ type t = {
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let default_opts cfg group =
-  {
-    Protocol.b_group = group;
-    b_policy = cfg.d_policy;
-    b_jobs = cfg.d_jobs;
-    b_cache = cfg.d_cache;
-    b_keep_going = false;
-    b_werror = false;
-    b_max_errors = None;
-    b_error_json = false;
-    b_schedule = "wavefront";
-  }
-
 let group_state t group =
   match Hashtbl.find_opt t.groups group with
   | Some g -> g
@@ -100,7 +86,15 @@ let group_state t group =
         g_sources = [];
         g_dirty = [];
         g_builds = 0;
-        g_opts = default_opts t.cfg group;
+        (* startup and watch builds before any request: a client's
+           defaults under the daemon's policy, jobs and cache *)
+        g_opts =
+          {
+            (Request.defaults group) with
+            b_policy = t.cfg.d_policy;
+            b_jobs = t.cfg.d_jobs;
+            b_cache = t.cfg.d_cache;
+          };
         g_run = None;
         g_executed = 0;
         g_replayed = 0;
@@ -109,185 +103,62 @@ let group_state t group =
     Hashtbl.replace t.groups group g;
     g
 
-let policy_of = function
-  | "cutoff" -> Some Driver.Cutoff
-  | "timestamp" -> Some Driver.Timestamp
-  | "selective" -> Some Driver.Selective
-  | _ -> None
+(* A program's output is a function of its link order and its bins,
+   and the language reads no input, so a [Run] whose key equals the
+   last executed one's answers with its response, a raising or exiting
+   program included; only an executed [Run] runs user code.  A link
+   diagnostic ([E0601]) raises past the memo. *)
+let execute_memo g (b : Request.built) =
+  let key = Driver.link_snapshot g.g_mgr in
+  match g.g_run with
+  | Some (k, resp) when k = key ->
+    g.g_replayed <- g.g_replayed + 1;
+    resp
+  | Some _ | None ->
+    let buf = Buffer.create 256 in
+    let r = Request.execute ~output:(Buffer.add_string buf) g.g_mgr b.sources in
+    let resp = { r with Protocol.r_out = Buffer.contents buf } in
+    g.g_run <- Some (key, resp);
+    g.g_executed <- g.g_executed + 1;
+    resp
 
-let backend_of jobs = if jobs <= 1 then Driver.Serial else Driver.Parallel jobs
-
-(* [auto] resolves against the daemon's warm profile store, mirroring
-   the CLI's in-process default *)
-let schedule_of t = function
-  | "wavefront" -> Some Driver.Wavefront
-  | "critical-path" -> Some Driver.Critical_path
-  | "auto" ->
-    Some
-      (if Obs.Profile.builds t.profile = [] then Driver.Wavefront
-       else Driver.Critical_path)
-  | _ -> None
-
-let cache_of t enabled =
-  if not enabled then None
-  else
-    match t.cache with
-    | Some _ as c -> c
-    | None ->
-      let c =
-        Cache.create ~dir:Cache.default_dir ~budget_bytes:Cache.default_budget
-          t.fs
-      in
-      t.cache <- Some c;
-      Some c
-
-(* a one-shot `irm build` may hold the advisory lock; wait briefly for
-   it to finish before giving up with its diagnostic *)
-let acquire_lock t =
-  let rec go n =
-    match Lock.acquire ~dir:t.cfg.d_dir with
-    | lock -> lock
-    | exception Lock.Held _ when n > 0 ->
-      Unix.sleepf 0.05;
-      go (n - 1)
-  in
-  go 20
-
-(* every handler returns the response plus the diag-frame payloads to
-   stream ahead of it *)
-let ok out = ({ Protocol.r_code = 0; r_out = out; r_err = "" }, [])
-
-(* the same exception → (stderr, exit code) mapping the CLI's [guarded]
-   applies, rendered into a response instead of printed.
-   [Driver.Interrupted] deliberately passes through: it is the daemon
-   being told to die, not a request failing. *)
-let guard ~json f =
-  let plain ?(code = 1) err = ({ Protocol.r_code = code; r_out = ""; r_err = err }, []) in
-  let diags ds =
-    if json then
-      ( { Protocol.r_code = 1; r_out = ""; r_err = "" },
-        [
-          Obs.Json.to_string (Irm.Introspect.diagnostics_envelope ds) ^ "\n";
-        ] )
-    else
-      plain
-        (String.concat ""
-           (List.map (fun d -> Diag.to_string d ^ "\n") ds))
-  in
-  match Diag.guard_all f with
-  | Ok resp -> resp
-  | Error ds -> diags ds
-  | exception Lock.Held { lock_path; holder } ->
-    plain
-      (Printf.sprintf
-         "the build lock %s is held by pid %s — another build is running in \
-          this directory; retry when it finishes\n"
-         lock_path holder)
-  | exception Pickle.Buf.Corrupt msg ->
-    diags [ Diag.make Diag.Pickle Support.Loc.dummy msg ]
-  | exception Vfs.Crash { crash_op; crash_path } ->
-    plain ~code:3
-      (Printf.sprintf
-         "simulated crash during %s of %s — on-disk state is safe\n" crash_op
-         crash_path)
-  | exception Vfs.Fault { fault_op; fault_path; _ } ->
-    plain
-      (Printf.sprintf "injected fault persisted: %s of %s failed\n" fault_op
-         fault_path)
-  | exception Sys_error msg -> plain (msg ^ "\n")
-  | exception Remote.Pool.Pool_down msg ->
-    plain ~code:4
-      (Printf.sprintf
-         "build aborted: the compile worker pool died entirely (%s)\n" msg)
-
-(* build [opts]'s group under the lock; [on_built g stats diag frames]
-   makes the response.  Building never executes user code. *)
-let serve_build t opts ~on_built =
-  let open Protocol in
-  match (policy_of opts.b_policy, schedule_of t opts.b_schedule) with
-  | None, _ ->
-    ( { r_code = 2; r_out = ""; r_err = Printf.sprintf "unknown policy %S\n" opts.b_policy },
-      [] )
-  | _, None ->
-    ( {
-        r_code = 2;
-        r_out = "";
-        r_err = Printf.sprintf "unknown schedule %S\n" opts.b_schedule;
-      },
-      [] )
-  | Some policy, Some schedule ->
-    guard ~json:opts.b_error_json (fun () ->
-        let g = group_state t opts.b_group in
-        let sources = Irm.Group.load t.fs opts.b_group in
-        if sources = [] then
-          Diag.error Diag.Manager Support.Loc.dummy
-            "group file %s lists no sources" opts.b_group;
-        let lock = acquire_lock t in
-        Fun.protect ~finally:(fun () -> Lock.release lock) @@ fun () ->
+(* every request builds through {!Request.serve}, the path an
+   in-process request takes too *)
+let serve_build t opts ~run ~on_diag =
+  Request.guard ~json:opts.Protocol.b_error_json ~on_diag (fun () ->
+      let g = group_state t opts.b_group in
+      let env () =
         Obs.Metrics.incr m_builds;
-        let stats =
-          Driver.build
-            ~backend:(backend_of opts.b_jobs)
-            ~schedule
-            ?cache:(Option.map Cache.ops (cache_of t opts.b_cache)) ~profile:t.profile
-            ~keep_going:opts.b_keep_going ~werror:opts.b_werror
-            ?max_errors:opts.b_max_errors g.g_mgr ~policy ~sources
-        in
-        g.g_sources <- sources;
-        g.g_builds <- g.g_builds + 1;
-        g.g_dirty <- [];
-        g.g_opts <- opts;
-        Watch.track g.g_watch (opts.b_group :: sources);
-        let diag =
-          Irm.Introspect.report_diagnostics ~source_of:t.fs.Vfs.fs_read
-            ~json:opts.b_error_json stats
-        in
-        on_built g stats diag (if opts.b_error_json then [ diag.out ] else []))
-
-let build_response t opts =
-  serve_build t opts ~on_built:(fun g stats diag frames ->
-      let listing =
-        if opts.Protocol.b_error_json then ""
-        else Irm.Introspect.build_listing g.g_mgr stats
+        {
+          Request.fs = t.fs;
+          profile = Some t.profile;
+          cache =
+            (if opts.b_cache then Some (Cache.ops (Lazy.force t.cache))
+             else None);
+          backend = None;
+        }
       in
-      ( { Protocol.r_code = diag.code; r_out = listing; r_err = diag.err },
-        frames ))
-
-(* `irm run` prints no listing: diagnostics, or what [Driver.run]
-   prints.  A program's output is a function of its link order and its
-   bins, and the language reads no input, so a [Run] whose key equals
-   the last one's answers with its response, a raising or exiting
-   program included; only the executed [Run] runs user code.  A link
-   diagnostic ([E0601]) goes through [guard] and is not memoized. *)
-let run_response t opts =
-  serve_build t opts ~on_built:(fun g _ diag frames ->
-      let open Protocol in
-      if diag.code <> 0 then
-        ({ r_code = diag.code; r_out = ""; r_err = diag.err }, frames)
-      else
-        let key = Driver.link_snapshot g.g_mgr in
-        match g.g_run with
-        | Some (k, resp) when k = key ->
-          g.g_replayed <- g.g_replayed + 1;
-          (resp, frames)
-        | Some _ | None ->
-          let buf = Buffer.create 256 in
-          let code, err =
-            match
-              Driver.run ~output:(Buffer.add_string buf) g.g_mgr
-                ~sources:g.g_sources
-            with
-            | _ -> (0, "")
-            | exception Dynamics.Eval.Sml_raise packet ->
-              ( 1,
-                Printf.sprintf "uncaught exception: %s\n"
-                  (Dynamics.Value.to_string packet) )
-            | exception Dynamics.Eval.Sml_exit code -> (code, "")
-          in
-          let resp = { r_code = code; r_out = Buffer.contents buf; r_err = err } in
-          g.g_run <- Some (key, resp);
-          g.g_executed <- g.g_executed + 1;
-          (resp, frames))
+      (* a build is recorded once, before its Run executes *)
+      let recorded = ref false in
+      let record (b : Request.built) =
+        if not !recorded then begin
+          recorded := true;
+          g.g_sources <- b.sources;
+          g.g_builds <- g.g_builds + 1;
+          g.g_dirty <- [];
+          g.g_opts <- opts;
+          Watch.track g.g_watch (opts.b_group :: b.sources)
+        end
+      in
+      let kind =
+        if not run then Request.Build
+        else Run (fun b -> record b; execute_memo g b)
+      in
+      let built, resp =
+        Request.serve ~dir:t.cfg.d_dir ~env g.g_mgr kind opts ~on_diag
+      in
+      Option.iter record built;
+      resp)
 
 let status_json t =
   let open Obs.Json in
@@ -334,24 +205,19 @@ let status_json t =
       ("groups", List groups);
     ]
 
-let serve_request t req =
+let serve_request t req ~on_diag =
   t.served <- t.served + 1;
   Obs.Metrics.incr m_requests;
+  let ok out = { Protocol.r_code = 0; r_out = out; r_err = "" } in
   match req with
-  | Protocol.Build opts -> build_response t opts
-  | Protocol.Run opts -> run_response t opts
+  | Protocol.Build opts -> serve_build t opts ~run:false ~on_diag
+  | Protocol.Run opts -> serve_build t opts ~run:true ~on_diag
   | Protocol.Explain { e_unit; e_json } ->
-    guard ~json:false (fun () ->
-        let r =
-          Irm.Introspect.explain t.profile ~unit_name:e_unit ~json:e_json
-        in
-        ({ Protocol.r_code = r.code; r_out = r.out; r_err = r.err }, []))
+    Request.guard ~json:false ~on_diag (fun () ->
+        Irm.Introspect.explain t.profile ~unit_name:e_unit ~json:e_json)
   | Protocol.Profile { p_json; p_top } ->
-    guard ~json:false (fun () ->
-        let r =
-          Irm.Introspect.profile_report t.profile ~json:p_json ~top:p_top
-        in
-        ({ Protocol.r_code = r.code; r_out = r.out; r_err = r.err }, []))
+    Request.guard ~json:false ~on_diag (fun () ->
+        Irm.Introspect.profile_report t.profile ~json:p_json ~top:p_top)
   | Protocol.Status ->
     ok (Obs.Json.to_canonical_string (status_json t) ^ "\n")
   | Protocol.Shutdown ->
@@ -373,13 +239,12 @@ let on_msg t ~conn (msg : Frame.msg) =
     | exception Pickle.Buf.Corrupt reason ->
       send Protocol.k_error ("undecodable request: " ^ reason)
     | req ->
-      let resp, diags =
+      let resp =
         Obs.Trace.span ~cat:"daemon"
           ~args:[ ("id", msg.f_id) ]
           "daemon.request"
-          (fun () -> serve_request t req)
+          (fun () -> serve_request t req ~on_diag:(send Protocol.k_diag))
       in
-      List.iter (send Protocol.k_diag) diags;
       send Protocol.k_response (Protocol.encode_response resp)
 
 (* ------------------------------------------------------------------ *)
@@ -437,7 +302,7 @@ let sweep t =
                (String.concat ", " dirty)
                (String.concat ", " cone));
           if t.cfg.d_watch then begin
-            let resp, _ = build_response t g.g_opts in
+            let resp = serve_build t g.g_opts ~run:false ~on_diag:ignore in
             t.cfg.d_log
               (Printf.sprintf "daemon: watch rebuild of %s (exit %d)\n%s%s"
                  g.g_group resp.Protocol.r_code resp.Protocol.r_out
@@ -496,7 +361,10 @@ let create cfg =
       srv;
       pid_path;
       profile = Obs.Profile.load fs;
-      cache = None;
+      cache =
+        lazy
+          (Cache.create ~dir:Cache.default_dir
+             ~budget_bytes:Cache.default_budget fs);
       groups = Hashtbl.create 4;
       stopping = false;
       interrupted = None;
@@ -517,7 +385,8 @@ let create cfg =
      request already hits warm state *)
   List.iter
     (fun group ->
-      let resp, _ = build_response t (default_opts cfg group) in
+      let g = group_state t group in
+      let resp = serve_build t g.g_opts ~run:false ~on_diag:ignore in
       cfg.d_log
         (Printf.sprintf "daemon: startup build of %s (exit %d)" group
            resp.Protocol.r_code))

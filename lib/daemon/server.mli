@@ -21,14 +21,14 @@
     request gets a {!Protocol.k_error} naming its id and keeps the
     connection.
 
-    A clean [Run] is {!Irm.Driver.run} plus a one-entry memo per
+    [Build] and [Run] answer through {!Request.serve}, as a one-shot
+    request does.  A clean [Run] executes with a one-entry memo per
     group, keyed on {!Irm.Driver.link_snapshot} (the link order and
     each bin's fingerprint): a program's output is a function of its
     link order and its bins, and the language reads no input, so a
     [Run] whose key is unchanged answers with the memoized response
-    and executes nothing.  Either way the answer is byte-identical to a
-    one-shot run — a unit raising or calling [exit] included.  [Build]
-    and watch rebuilds never execute user code.
+    and executes nothing.  [Build] and watch rebuilds never execute
+    user code.
 
     A polling {!Watch} sweep runs between requests: dirty files are
     mapped to their dependent cone and either rebuilt eagerly

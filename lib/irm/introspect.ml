@@ -1,12 +1,12 @@
 module P = Obs.Profile
 
-type rendered = { out : string; err : string; code : int }
+type rendered = { r_code : int; r_out : string; r_err : string }
 
 let no_builds =
   {
-    out = "";
-    err = "no recorded builds: run `irm build` (without --no-profile) first\n";
-    code = 1;
+    r_out = "";
+    r_err = "no recorded builds: run `irm build` (without --no-profile) first\n";
+    r_code = 1;
   }
 
 (* units of the last build that [unit_] dragged along: dependents whose
@@ -80,14 +80,14 @@ let report_diagnostics ~source_of ~json stats =
   let code = if failed = [] && skipped = [] then 0 else 1 in
   if json then
     {
-      out =
+      r_out =
         Obs.Json.to_string
           (diagnostics_envelope ~failed:(List.map fst failed)
              ~skipped:(List.map fst skipped)
              (List.concat_map snd failed))
         ^ "\n";
-      err = "";
-      code;
+      r_err = "";
+      r_code = code;
     }
   else
     let buf = Buffer.create 256 in
@@ -104,7 +104,7 @@ let report_diagnostics ~source_of ~json stats =
         Buffer.add_string buf
           (Printf.sprintf "%s: skipped: dependency %s failed\n" file culprit))
       skipped;
-    { out = ""; err = Buffer.contents buf; code }
+    { r_code = code; r_out = ""; r_err = Buffer.contents buf }
 
 let explain p ~unit_name ~json =
   match P.last p with
@@ -113,19 +113,19 @@ let explain p ~unit_name ~json =
     match P.find_unit b unit_name with
     | None ->
       {
-        out = "";
-        err =
+        r_out = "";
+        r_err =
           Printf.sprintf
             "unit %s is not part of the last recorded build (build %d)\n"
             unit_name b.P.bp_id;
-        code = 1;
+        r_code = 1;
       }
     | Some u ->
       let poisoned = poisoned_by b unit_name in
       let agg = P.aggregate p unit_name in
       if json then
         {
-          out =
+          r_out =
             Obs.Json.to_canonical_string
               (Obs.Json.Obj
                  [
@@ -163,8 +163,8 @@ let explain p ~unit_name ~json =
                    ("history", history_json agg);
                  ])
             ^ "\n";
-          err = "";
-          code = 0;
+          r_err = "";
+          r_code = 0;
         }
       else begin
         let buf = Buffer.create 256 in
@@ -201,7 +201,7 @@ let explain p ~unit_name ~json =
           pr "  poisoned  %s\n"
             (String.concat ", "
                (List.map (fun (n, via) -> Printf.sprintf "%s (%s)" n via) ps)));
-        { out = Buffer.contents buf; err = ""; code = 0 }
+        { r_out = Buffer.contents buf; r_err = ""; r_code = 0 }
       end)
 
 let profile_envelope p b ~top =
@@ -293,7 +293,7 @@ let profile_report p ~json ~top =
   | Some b ->
     let causes, top_units, envelope = profile_envelope p b ~top in
     if json then
-      { out = Obs.Json.to_canonical_string envelope ^ "\n"; err = ""; code = 0 }
+      { r_out = Obs.Json.to_canonical_string envelope ^ "\n"; r_err = ""; r_code = 0 }
     else begin
       let buf = Buffer.create 256 in
       let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -326,5 +326,5 @@ let profile_report p ~json ~top =
       pr "  store          %d builds retained, %d bytes\n"
         (List.length (P.builds p))
         (P.store_bytes p);
-      { out = Buffer.contents buf; err = ""; code = 0 }
+      { r_out = Buffer.contents buf; r_err = ""; r_code = 0 }
     end

@@ -8,16 +8,17 @@
     for — the CLI writes the two streams to its own fds, the daemon
     ships them to the client in the response frame. *)
 
-(** A finished report: what belongs on stdout, what belongs on stderr,
-    and the process exit code. *)
-type rendered = { out : string; err : string; code : int }
+(** A finished report: the process exit code, what belongs on stdout
+    and what belongs on stderr.  The daemon's response
+    ({!Daemon.Protocol.response}) is this type. *)
+type rendered = { r_code : int; r_out : string; r_err : string }
 
 (** [explain p ~unit_name ~json] — why [unit_name] was rebuilt in the
     last recorded build: outcome, cause and culprits, wall time and
     phases, the units it poisoned downstream, and its compile-time
     history.  [json] renders the [smlsep-profile/1] envelope
     (canonical form) instead of text.  Exit code 1 (with the reason on
-    [err]) when nothing is recorded or the unit is not part of the
+    [r_err]) when nothing is recorded or the unit is not part of the
     last build. *)
 val explain : Obs.Profile.t -> unit_name:string -> json:bool -> rendered
 
@@ -37,9 +38,9 @@ val build_listing : Driver.t -> Driver.stats -> string
 
 (** [report_diagnostics ~source_of ~json stats] — a build's
     failed/skipped partitions, rendered: [json] puts the
-    [smlsep-diag/1] envelope on [out], text puts human-readable
-    diagnostics with source excerpts (via [source_of]) on [err].
-    [code] is 1 when either partition is non-empty, 0 otherwise. *)
+    [smlsep-diag/1] envelope on [r_out], text puts human-readable
+    diagnostics with source excerpts (via [source_of]) on [r_err].
+    [r_code] is 1 when either partition is non-empty, 0 otherwise. *)
 val report_diagnostics :
   source_of:(string -> string option) ->
   json:bool ->

@@ -291,6 +291,7 @@ let replay t ~since line =
   | None -> ()
 
 let load ?(dir = default_dir) fs =
+  Trace.span ~cat:"profile" "profile.load" @@ fun () ->
   let t =
     {
       next_id = 1;

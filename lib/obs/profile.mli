@@ -82,7 +82,8 @@ type t
 val default_dir : string
 
 (** [load ?dir fs] — open the store rooted at [dir], replaying the
-    snapshot and the live records (damaged state degrades to empty). *)
+    snapshot and the live records (damaged state degrades to empty),
+    in a [profile.load] trace span. *)
 val load : ?dir:string -> Vfs.fs -> t
 
 (** The id the next recorded build will get. *)

@@ -331,3 +331,18 @@ let write_chrome path =
   output_string oc (Json.to_string (to_chrome ()));
   output_char oc '\n';
   close_out oc
+
+let with_report ~trace ~metrics f =
+  if trace <> None then enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun path ->
+          write_chrome path;
+          Printf.eprintf "trace written to %s (%d spans)\n" path
+            (List.length (events ())))
+        trace;
+      Option.iter
+        (fun ppf -> Format.fprintf ppf "metrics:@.%a%!" Metrics.pp ())
+        metrics)
+    f

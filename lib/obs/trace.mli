@@ -107,3 +107,9 @@ val to_chrome : unit -> Json.t
 
 (** [write_chrome path] — [to_chrome], serialized to [path]. *)
 val write_chrome : string -> unit
+
+(** [with_report ~trace ~metrics f] — enable tracing when [trace] names
+    a file, run [f ()], then, even when [f] raises, write the trace
+    there (saying so on stderr) and print the counters on [metrics]. *)
+val with_report :
+  trace:string option -> metrics:Format.formatter option -> (unit -> 'a) -> 'a

@@ -95,11 +95,11 @@ let m_crashes = Obs.Metrics.counter "worker.crashes"
 let m_timeouts = Obs.Metrics.counter "worker.timeouts"
 let m_quarantined = Obs.Metrics.counter "worker.quarantined"
 let g_pool = Obs.Metrics.gauge "worker.pool"
-let m_dispatched = Obs.Metrics.counter "fleet.dispatched"
-let m_requeued = Obs.Metrics.counter "fleet.requeued"
-let m_hedged = Obs.Metrics.counter "fleet.hedged"
-let m_retired = Obs.Metrics.counter "fleet.quarantined"
-let m_fallback = Obs.Metrics.counter "fleet.local_fallback_jobs"
+let m_dispatched = Obs.Metrics.counter "pool.dispatched"
+let m_requeued = Obs.Metrics.counter "pool.requeued"
+let m_hedged = Obs.Metrics.counter "pool.hedged"
+let m_retired = Obs.Metrics.counter "pool.quarantined"
+let m_fallback = Obs.Metrics.counter "pool.local_fallback_jobs"
 
 (* how long without a heartbeat before a child counts as wedged *)
 let hb_grace cfg = 4. *. cfg.heartbeat_s

@@ -32,7 +32,7 @@
     faults hit the pool's side of every link: a reset or torn frame on a
     child's link is that child's crash.  Spawned peers count
     [worker.spawns]/[restarts]/[kills]/[crashes]/[timeouts]/
-    [quarantined]; dialed peers [fleet.dispatched]/[requeued]/[hedged]/
+    [quarantined]; dialed peers [pool.dispatched]/[requeued]/[hedged]/
     [quarantined]/[local_fallback_jobs].  With tracing on, a child ships
     its events on job receipt and before every reply, shifted by its
     epoch into the one Chrome trace; a child that dies mid-job leaves a

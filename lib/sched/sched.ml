@@ -43,6 +43,7 @@ let last_slots () = !last_slots_ref
 let m_dispatched = Obs.Metrics.counter "sched.dispatched"
 let m_inline = Obs.Metrics.counter "sched.inline"
 let m_retries = Obs.Metrics.counter "sched.retries"
+let m_domains = Obs.Metrics.counter "sched.domains"
 let g_jobs = Obs.Metrics.gauge "sched.jobs"
 
 (* the ready queue: highest priority first, and — the determinism
@@ -101,7 +102,8 @@ let serial_pool exec =
   }
 
 (* Parallel: [n] worker domains sharing a job queue; each domain only
-   ever writes its own [busy] slot *)
+   ever writes its own [busy] slot.  The domains are spawned with the
+   first job, so a run that compiles nothing spawns none. *)
 let domain_pool exec n =
   let busy = Array.make n 0. in
   let lock = Mutex.create () in
@@ -126,10 +128,14 @@ let domain_pool exec n =
       work slot
     end
   in
-  let domains = List.init n (fun i -> Domain.spawn (fun () -> work i)) in
+  let domains = ref [] in
   {
     submit =
       (fun node job ->
+        if !domains = [] then begin
+          Obs.Metrics.add m_domains n;
+          domains := List.init n (fun i -> Domain.spawn (fun () -> work i))
+        end;
         Mutex.protect lock (fun () ->
             Queue.push (node, job) jobs;
             Condition.signal work_ready));
@@ -146,7 +152,7 @@ let domain_pool exec n =
         Mutex.protect lock (fun () ->
             quit := true;
             Condition.broadcast work_ready);
-        List.iter Domain.join domains);
+        List.iter Domain.join !domains);
   }
 
 (* the pool: out-of-process slots that move bytes; the codec lifts it

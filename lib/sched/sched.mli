@@ -30,7 +30,9 @@
 
 (** How to run a build.  [Serial] executes everything on the calling
     domain (no domains are spawned); [Parallel n] uses [n] worker
-    domains ([n <= 1] degrades to [Serial]).  [Pool cfg] sends every
+    domains ([n <= 1] degrades to [Serial]), spawned with the first job
+    dispatched, so a run that compiles nothing spawns none; the
+    [sched.domains] counter counts them.  [Pool cfg] sends every
     [execute] through a {!Remote.Pool}, serialized by a {!codec}, to the
     peers [cfg.peers] names: supervised child processes it spawns (crash
     isolation, per-job timeouts, quarantine) or remote executors it

@@ -1337,6 +1337,250 @@ let test_daemon_survives_network_faults () =
         (bins dir = bins oneshot_dir))
     plans
 
+(* ------------------------------------------------------------------ *)
+(* One request path                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Request = Daemon.Request
+
+(* what `irm build|run` answers in-process on a fresh manager: exit
+   code, stdout (a Run's program output first, where the CLI streams
+   it), stderr and diag frames, times removed *)
+(* a one-shot's environment, its profile store loaded from disk *)
+let oneshot_env fs () =
+  { Request.fs; profile = Some (Obs.Profile.load fs); cache = None; backend = None }
+
+let inprocess ~run dir opts =
+  let fs = Vfs.real ~dir in
+  let buf = Buffer.create 64 in
+  let frames = ref [] in
+  let on_diag f = frames := f :: !frames in
+  let mgr = Driver.create fs in
+  let kind =
+    if run then
+      Request.Run
+        (fun b -> Request.execute ~output:(Buffer.add_string buf) mgr b.sources)
+    else Request.Build
+  in
+  let resp =
+    Request.guard ~json:opts.Protocol.b_error_json ~on_diag (fun () ->
+        snd
+          (Request.serve ~dir ~env:(oneshot_env fs) mgr kind opts ~on_diag))
+  in
+  ( resp.Protocol.r_code,
+    untimed (Buffer.contents buf ^ resp.Protocol.r_out),
+    untimed resp.Protocol.r_err,
+    List.rev !frames )
+
+let by_daemon ~run srv c ~id opts =
+  let resp, frames =
+    rpc srv c ~id (if run then Protocol.Run opts else Protocol.Build opts)
+  in
+  ( resp.Protocol.r_code,
+    untimed resp.Protocol.r_out,
+    untimed resp.Protocol.r_err,
+    frames )
+
+(* the same request sequence against a daemon and in-process, on two
+   copies of one project edited alike: every answer is equal, clean,
+   failing under keep-going (text and JSON), failing outright, and a
+   program that raises or exits *)
+let test_inprocess_equals_daemon () =
+  List.iter
+    (fun (policy, _) ->
+      let ddir = fresh_hot_project () in
+      let idir = fresh_hot_project () in
+      with_server (test_config ddir) @@ fun srv ->
+      let c = client_of srv ddir in
+      let n = ref 0 in
+      let check what run opts =
+        incr n;
+        let what =
+          Printf.sprintf "%s: %s %s%s" policy what
+            (if run then "run" else "build")
+            (if opts.Protocol.b_error_json then " (json)" else "")
+        in
+        let dc, dout, derr, dframes =
+          by_daemon ~run srv c ~id:(Printf.sprintf "q%d" !n) opts
+        in
+        let ic, iout, ierr, iframes = inprocess ~run idir opts in
+        Alcotest.(check int) (what ^ ": code") ic dc;
+        Alcotest.(check (list string)) (what ^ ": stdout") iout dout;
+        Alcotest.(check (list string)) (what ^ ": stderr") ierr derr;
+        Alcotest.(check (list string)) (what ^ ": diag frames") iframes dframes
+      in
+      let edit_both file src = List.iter (fun d -> edit d file src) [ ddir; idir ] in
+      let opts = build_opts ~policy ~schedule:"auto" "sources.cm" in
+      let kg = { opts with Protocol.b_keep_going = true } in
+      check "clean" false opts;
+      check "clean" true opts;
+      check "null" true opts;
+      edit_both "mid.sml" "structure Mid = struct val v = Base.nope end";
+      List.iter
+        (fun json ->
+          let kg = { kg with b_error_json = json } in
+          let opts = { opts with b_error_json = json } in
+          check "keep-going failure" false kg;
+          check "keep-going failure" true kg;
+          check "failure" false opts;
+          check "failure" true opts)
+        [ false; true ];
+      edit_both "mid.sml" mid_src;
+      List.iter
+        (fun tail ->
+          edit_both "main.sml"
+            (Printf.sprintf
+               "structure Main = struct val () = print (Int.toString \
+                Top.result) val () = %s end"
+               tail);
+          check tail true opts;
+          check (tail ^ ", null") true opts)
+        [ "raise Fail \"boom\""; "exit 3" ];
+      disconnect c)
+    policies
+
+(* a traced one-shot request accounts for its lock and its profile
+   load, both ahead of the build *)
+let test_oneshot_trace () =
+  let dir = fresh_project () in
+  let fs = Vfs.real ~dir in
+  Obs.Trace.enable ();
+  Fun.protect ~finally:Obs.Trace.disable @@ fun () ->
+  let _, resp =
+    Request.serve ~dir ~env:(oneshot_env fs) (Driver.create fs) Request.Build
+      (build_opts "sources.cm") ~on_diag:ignore
+  in
+  Alcotest.(check int) "built" 0 resp.Protocol.r_code;
+  let span name =
+    match
+      List.find_opt
+        (fun e -> e.Obs.Trace.ev_name = name)
+        (Obs.Trace.events ())
+    with
+    | Some e -> e
+    | None -> Alcotest.fail (name ^ " span missing")
+  in
+  let build = span "build" in
+  List.iter
+    (fun name ->
+      let e = span name in
+      Alcotest.(check bool)
+        (name ^ " ends before the build starts")
+        true
+        (e.Obs.Trace.ev_start_us +. e.Obs.Trace.ev_dur_us
+        <= build.Obs.Trace.ev_start_us))
+    [ "lock.acquire"; "profile.load" ]
+
+(* the exit-code table: every exception a request may end in, and
+   [Interrupted] passing through it *)
+let test_exit_code_table () =
+  let d = Support.Diag.make Support.Diag.Manager Support.Loc.dummy "broken" in
+  let diagnostics ds =
+    {
+      Protocol.r_code = 1;
+      r_out = "";
+      r_err = String.concat "" (List.map Support.Diag.to_string ds);
+    }
+  in
+  List.iter
+    (fun (name, exn, code, err) ->
+      let r = Request.of_exn ~diagnostics exn in
+      Alcotest.(check int) (name ^ ": exit code") code r.Protocol.r_code;
+      Alcotest.(check bool)
+        (name ^ ": says " ^ err)
+        true
+        (contains ~needle:err r.Protocol.r_err))
+    [
+      ("Diag.Error", Support.Diag.Error d, 1, "broken");
+      ("Diag.Errors", Support.Diag.Errors [ d; d ], 1, "broken");
+      ("Buf.Corrupt", Pickle.Buf.Corrupt "torn bin", 1, "torn bin");
+      ( "Lock.Held",
+        Lock.Held { lock_path = ".irm-lock"; holder = "42" },
+        1,
+        "held by pid 42 — another build (or the daemon)" );
+      ( "Vfs.Crash",
+        Vfs.Crash { crash_op = "write"; crash_path = "a.sml.bin" },
+        3,
+        "on-disk state is safe; rerun" );
+      ( "Vfs.Fault",
+        Vfs.Fault
+          { fault_op = "read"; fault_path = "a.sml"; fault_transient = false },
+        1,
+        "read of a.sml failed" );
+      ("Sys_error", Sys_error "a.sml: gone", 1, "a.sml: gone");
+      ("Pool_down", Remote.Pool.Pool_down "no hello", 4, "(no hello)");
+      ( "Sml_raise",
+        Dynamics.Eval.Sml_raise (Dynamics.Value.Vint 7),
+        1,
+        "uncaught exception: " );
+      ("Sml_exit", Dynamics.Eval.Sml_exit 9, 9, "");
+      ( "a raising cleanup",
+        Fun.Finally_raised (Sys_error "t.json: denied"),
+        1,
+        "t.json: denied" );
+    ];
+  (match Request.of_exn ~diagnostics (Driver.Interrupted "SIGINT") with
+  | _ -> Alcotest.fail "Interrupted must pass through the table"
+  | exception Driver.Interrupted _ -> ());
+  (* in JSON mode a raised diagnostic streams as one envelope *)
+  let frames = ref [] in
+  let r =
+    Request.guard ~json:true
+      ~on_diag:(fun f -> frames := f :: !frames)
+      (fun () -> raise (Support.Diag.Error d))
+  in
+  Alcotest.(check (pair int string)) "json: code, no stderr" (1, "")
+    (r.Protocol.r_code, r.Protocol.r_err);
+  Alcotest.(check int) "json: one envelope" 1 (List.length !frames)
+
+(* a signal's [Interrupted] during a daemon request is not answered:
+   it leaves [Server.step], so the daemon dies like a one-shot build *)
+let test_interrupt_passes_through_daemon () =
+  let dir =
+    project_of
+      [
+        ( "spin.sml",
+          "structure Spin = struct fun loop n = if n = 0 then 0 else loop (n \
+           - 1) val x = loop 200000000 end" );
+      ]
+  in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  let resp, _ = rpc srv c ~id:"b" (Protocol.Build (build_opts "sources.cm")) in
+  Alcotest.(check int) "built" 0 resp.Protocol.r_code;
+  let previous =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> raise (Driver.Interrupted "SIGALRM")))
+  in
+  let disarm () =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.; it_value = 0. });
+    Sys.set_signal Sys.sigalrm previous
+  in
+  Fun.protect ~finally:disarm @@ fun () ->
+  send c ~kind:Protocol.k_request ~id:"r"
+    (Protocol.encode_request (Protocol.Run (build_opts "sources.cm")));
+  ignore
+    (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0.3 });
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec go () =
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "the interrupt never left the daemon"
+    else
+      match Server.step ~timeout_s:0.01 srv with
+      | () -> go ()
+      | exception Driver.Interrupted _ -> ()
+  in
+  go ();
+  let chunk = Bytes.create 65536 in
+  (match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+  | n -> c.buf <- c.buf ^ Bytes.sub_string chunk 0 n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  Alcotest.(check bool) "the interrupted Run got no answer" true
+    (Frame.pop c.buf = None);
+  disconnect c
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1396,4 +1640,11 @@ let suite =
       test_deleted_unit_invalidates_cone;
     Alcotest.test_case "daemon survives network faults" `Quick
       test_daemon_survives_network_faults;
+    Alcotest.test_case "in-process request = daemon request" `Quick
+      test_inprocess_equals_daemon;
+    Alcotest.test_case "exit-code table" `Quick test_exit_code_table;
+    Alcotest.test_case "a one-shot trace covers lock and profile" `Quick
+      test_oneshot_trace;
+    Alcotest.test_case "interrupt passes through the daemon" `Quick
+      test_interrupt_passes_through_daemon;
   ]

@@ -311,13 +311,13 @@ let test_straggler_is_hedged () =
     ]
   in
   let cfg = fleet_cfg ~chaos ~tick [ Exec.addr e1; Exec.addr e2 ] in
-  let hedged0 = metric "fleet.hedged" in
+  let hedged0 = metric "pool.hedged" in
   let stats =
     Driver.build mgr ~backend:(Driver.Pool cfg) ~policy:Driver.Cutoff
       ~sources
   in
   Alcotest.(check bool) "a hedge fired" true
-    (metric "fleet.hedged" - hedged0 >= 1);
+    (metric "pool.hedged" - hedged0 >= 1);
   Alcotest.(check int) "every unit compiled"
     (List.length sources)
     (List.length stats.Driver.st_recompiled);

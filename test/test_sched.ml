@@ -459,11 +459,41 @@ let test_transient_prepare_retries () =
        (fun (k, d) -> d <> Float.min cap (base *. float_of_int (1 lsl k)))
        delays)
 
+(* worker domains are spawned with the first compile job: a cold
+   Parallel 4 build spawns four, a null build on a fresh manager none *)
+let test_null_build_spawns_no_domain () =
+  let fs = Vfs.memory () in
+  let project =
+    Gen.create fs
+      (Gen.Random_dag { units = 12; max_deps = 3; seed = 5 })
+      Gen.default_profile
+  in
+  let sources = Gen.sources project in
+  let domains () = Option.value ~default:0 (Obs.Metrics.find "sched.domains") in
+  let build () =
+    let before = domains () in
+    let stats =
+      Driver.build ~backend:(Driver.Parallel 4) (Driver.create fs)
+        ~policy:Driver.Cutoff ~sources
+    in
+    (stats, domains () - before)
+  in
+  let cold, spawned = build () in
+  Alcotest.(check int) "cold build compiled every unit" 12
+    (List.length cold.Driver.st_recompiled);
+  Alcotest.(check int) "cold build spawned the pool" 4 spawned;
+  let null, spawned = build () in
+  Alcotest.(check int) "null build compiled nothing" 0
+    (List.length null.Driver.st_recompiled);
+  Alcotest.(check int) "null build spawned no domain" 0 spawned
+
 let suite =
   [
     Alcotest.test_case "a transient prepare fault is retried" `Quick
       test_transient_prepare_retries;
     Alcotest.test_case "slot accounting" `Quick test_slot_accounting;
+    Alcotest.test_case "a null build spawns no domain" `Quick
+      test_null_build_spawns_no_domain;
     Alcotest.test_case "outcomes in caller order" `Quick
       test_outcomes_in_caller_order;
     Alcotest.test_case "earliest failure raised" `Quick

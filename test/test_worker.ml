@@ -711,9 +711,9 @@ let test_exec_crash_relayed_as_e0701 () =
       log = ignore;
     }
   in
-  let requeued0 = metric "fleet.requeued" in
-  let fallback0 = metric "fleet.local_fallback_jobs" in
-  let dispatched0 = metric "fleet.dispatched" in
+  let requeued0 = metric "pool.requeued" in
+  let fallback0 = metric "pool.local_fallback_jobs" in
+  let dispatched0 = metric "pool.dispatched" in
   let stats =
     Driver.build ~backend:(Driver.Pool cfg) ~keep_going:true
       (Driver.create fs) ~policy:Driver.Cutoff ~sources
@@ -731,11 +731,11 @@ let test_exec_crash_relayed_as_e0701 () =
   | Some [] | None -> Alcotest.fail "a.sml did not fail");
   check_files "its cone skipped" [ "b.sml" ] (skipped_names stats);
   check_files "the bystander compiled" [ "c.sml" ] stats.Driver.st_recompiled;
-  Alcotest.(check int) "not requeued" 0 (metric "fleet.requeued" - requeued0);
+  Alcotest.(check int) "not requeued" 0 (metric "pool.requeued" - requeued0);
   Alcotest.(check int) "each job dispatched once" 2
-    (metric "fleet.dispatched" - dispatched0);
+    (metric "pool.dispatched" - dispatched0);
   Alcotest.(check int) "never compiled locally" 0
-    (metric "fleet.local_fallback_jobs" - fallback0)
+    (metric "pool.local_fallback_jobs" - fallback0)
 
 (* network faults reach a spawned peer's socketpair link: a reset or a
    torn job frame is that child's crash, and the job retries on a fresh
