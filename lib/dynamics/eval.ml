@@ -46,26 +46,55 @@ let int_pair = function
   | Vtuple [| Vint a; Vint b |] -> (a, b)
   | v -> exec_error "primitive expected an int pair, got %s" (Value.to_string v)
 
+let overflow_packet = Vexn (basis_exnid (Symbol.intern "Overflow"), None)
+let overflow () = raise (Sml_raise overflow_packet)
+
+(* SML's int arithmetic: [div] and [mod] by zero raise Div, and a result
+   outside the int range raises Overflow.  The tests of [+], [-] and of
+   small factors are [Prim]'s, written out here so that they compile
+   inline. *)
+let int_add a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then overflow () else Vint s
+
+let int_sub a b =
+  let d = a - b in
+  if (a lxor b) land (a lxor d) < 0 then overflow () else Vint d
+
+let int_mul a b =
+  if ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 = 0
+     || not (P.mul_overflows a b)
+  then Vint (a * b)
+  else overflow ()
+
+let int_div a b =
+  if b = 0 then raise_basis "Div" None
+  else if P.div_overflows a b then overflow ()
+  else Vint (P.int_div a b)
+
+let int_mod a b =
+  if b = 0 then raise_basis "Div" None else Vint (P.int_mod a b)
+
 let apply_prim rt prim arg =
   match prim with
   | P.Padd ->
     let a, b = int_pair arg in
-    Vint (a + b)
+    int_add a b
   | P.Psub ->
     let a, b = int_pair arg in
-    Vint (a - b)
+    int_sub a b
   | P.Pmul ->
     let a, b = int_pair arg in
-    Vint (a * b)
+    int_mul a b
   | P.Pdiv ->
     let a, b = int_pair arg in
-    if b = 0 then raise_basis "Div" None else Vint (P.int_div a b)
+    int_div a b
   | P.Pmod ->
     let a, b = int_pair arg in
-    if b = 0 then raise_basis "Div" None else Vint (P.int_mod a b)
+    int_mod a b
   | P.Pneg -> (
     match arg with
-    | Vint n -> Vint (-n)
+    | Vint n -> if P.neg_overflows n then overflow () else Vint (-n)
     | v -> exec_error "~ expected an int, got %s" (Value.to_string v))
   | P.Plt ->
     let a, b = int_pair arg in
@@ -236,17 +265,11 @@ let apply fv argv =
    falls back to [apply_prim] *)
 let int_binop p : (int -> int -> Value.t) option =
   match p with
-  | P.Padd -> Some (fun a b -> Vint (a + b))
-  | P.Psub -> Some (fun a b -> Vint (a - b))
-  | P.Pmul -> Some (fun a b -> Vint (a * b))
-  | P.Pdiv ->
-    Some
-      (fun a b ->
-        if b = 0 then raise_basis "Div" None else Vint (P.int_div a b))
-  | P.Pmod ->
-    Some
-      (fun a b ->
-        if b = 0 then raise_basis "Div" None else Vint (P.int_mod a b))
+  | P.Padd -> Some int_add
+  | P.Psub -> Some int_sub
+  | P.Pmul -> Some int_mul
+  | P.Pdiv -> Some int_div
+  | P.Pmod -> Some int_mod
   | _ -> None
 
 (* so does an int comparison, which yields an OCaml boolean *)
@@ -269,6 +292,44 @@ let truth = function
 (* what conversion resolves against: the runtime's imports, and the
    initial environment's values *)
 type cx = { imports : Value.t Pid.Map.t; consts : Value.t Symbol.Map.t }
+
+(* A leaf operand, a variable or a literal, resolves at conversion time
+   to where its value is.  The common forms read a leaf in place instead
+   of calling its code: each has an arm for a local slot, an arm that
+   [fetch]es any other leaf, and an arm that calls the code of an
+   operand that is no leaf.  A form of two operands reads them in place
+   only when both are leaves. *)
+let leaf cx fr scope : Lambda.t -> access option = function
+  | Lambda.Lvar v -> Some (resolve cx.consts fr scope v)
+  | Lambda.Lint n -> Some (Const (Vint n))
+  | Lambda.Lstring s -> Some (Const (Vstring s))
+  | _ -> None
+
+(* what those forms do with the values they read *)
+let[@inline] select i = function
+  | Vtuple parts when i < Array.length parts -> Array.unsafe_get parts i
+  | v -> exec_error "bad tuple projection #%d of %s" i (Value.to_string v)
+
+let[@inline] call fv argv =
+  match fv with Vclosure cl -> cl.cl_fn argv | fv -> apply fv argv
+
+let[@inline] binop op p x y =
+  match (x, y) with
+  | Vint m, Vint n -> op m n
+  | _ -> apply_prim (current ()) p (Vtuple [| x; y |])
+
+let[@inline] comparison op p x y =
+  match (x, y) with
+  | Vint m, Vint n -> op m n
+  | _ -> truth (apply_prim (current ()) p (Vtuple [| x; y |]))
+
+let[@inline] con_tag = function
+  | Vcon0 t | Vcon (t, _) -> t
+  | v -> exec_error "tag of non-constructor %s" (Value.to_string v)
+
+let[@inline] con_arg = function
+  | Vcon (_, arg) -> arg
+  | v -> exec_error "argument of non-unary-constructor %s" (Value.to_string v)
 
 let rec conv cx fr scope (term : Lambda.t) : code =
   let const value : code = fun _ _ -> value in
@@ -300,22 +361,39 @@ let rec conv cx fr scope (term : Lambda.t) : code =
     fun env locals -> bool_value (test env locals)
   | Lambda.Lapp (Lambda.Lprim p, arg) -> (
     match (int_binop p, arg) with
-    | Some op, Lambda.Ltuple [ a; b ] ->
-      let a = conv cx fr scope a and b = conv cx fr scope b in
-      fun env locals ->
-        let x = a env locals in
-        let y = b env locals in
-        (match (x, y) with
-        | Vint m, Vint n -> op m n
-        | _ -> apply_prim (current ()) p (Vtuple [| x; y |]))
+    | Some op, Lambda.Ltuple [ a; b ] -> (
+      match (leaf cx fr scope a, leaf cx fr scope b) with
+      | Some (Local i), Some b ->
+        fun env locals ->
+          binop op p (Array.unsafe_get locals i) (fetch env locals b)
+      | Some a, Some b ->
+        fun env locals -> binop op p (fetch env locals a) (fetch env locals b)
+      | _ ->
+        let a = conv cx fr scope a and b = conv cx fr scope b in
+        fun env locals ->
+          let x = a env locals in
+          binop op p x (b env locals))
     | _ ->
       let arg = conv cx fr scope arg in
       fun env locals -> apply_prim (current ()) p (arg env locals))
-  | Lambda.Lapp (f, arg) ->
-    let f = conv cx fr scope f and arg = conv cx fr scope arg in
-    fun env locals ->
-      let fv = f env locals in
-      apply fv (arg env locals)
+  | Lambda.Lapp (f, arg) -> (
+    (* a variable head is read after the argument: only the variable's
+       own binder, which encloses this application, writes its slot *)
+    let arg = conv cx fr scope arg in
+    match leaf cx fr scope f with
+    | Some (Local slot) ->
+      fun env locals ->
+        let argv = arg env locals in
+        call (Array.unsafe_get locals slot) argv
+    | Some f ->
+      fun env locals ->
+        let argv = arg env locals in
+        call (fetch env locals f) argv
+    | None ->
+      let f = conv cx fr scope f in
+      fun env locals ->
+        let fv = f env locals in
+        apply fv (arg env locals))
   | Lambda.Llet (v, e, body) ->
     let e = conv cx fr scope e in
     let slot = new_local fr in
@@ -349,21 +427,30 @@ let rec conv cx fr scope (term : Lambda.t) : code =
       in
       List.iter2 (fun (_, init) cl -> init env locals cl) inits closures;
       body env locals
-  | Lambda.Ltuple [ a; b ] ->
-    let a = conv cx fr scope a and b = conv cx fr scope b in
-    fun env locals ->
-      let x = a env locals in
-      let y = b env locals in
-      Vtuple [| x; y |]
+  | Lambda.Ltuple [ a; b ] -> (
+    match (leaf cx fr scope a, leaf cx fr scope b) with
+    | Some (Local i), Some (Local j) ->
+      fun _ locals ->
+        Vtuple [| Array.unsafe_get locals i; Array.unsafe_get locals j |]
+    | Some a, Some b ->
+      fun env locals -> Vtuple [| fetch env locals a; fetch env locals b |]
+    | _ ->
+      let a = conv cx fr scope a and b = conv cx fr scope b in
+      fun env locals ->
+        let x = a env locals in
+        let y = b env locals in
+        Vtuple [| x; y |])
   | Lambda.Ltuple parts ->
     let parts = Array.of_list (List.map (conv cx fr scope) parts) in
     fun env locals -> Vtuple (Array.map (fun part -> part env locals) parts)
   | Lambda.Lselect (i, e) -> (
-    let e = conv cx fr scope e in
-    fun env locals ->
-      match e env locals with
-      | Vtuple parts when i < Array.length parts -> parts.(i)
-      | v -> exec_error "bad tuple projection #%d of %s" i (Value.to_string v))
+    match leaf cx fr scope e with
+    | Some (Local slot) ->
+      fun _ locals -> select i (Array.unsafe_get locals slot)
+    | Some e -> fun env locals -> select i (fetch env locals e)
+    | None ->
+      let e = conv cx fr scope e in
+      fun env locals -> select i (e env locals))
   | Lambda.Lrecord fields ->
     let fields =
       List.map (fun (name, e) -> (name, conv cx fr scope e)) fields
@@ -393,12 +480,13 @@ let rec conv cx fr scope (term : Lambda.t) : code =
       | Vcon0 tag | Vcon (tag, _) -> Vint tag
       | v -> exec_error "tag of non-constructor %s" (Value.to_string v))
   | Lambda.Lconarg e -> (
-    let e = conv cx fr scope e in
-    fun env locals ->
-      match e env locals with
-      | Vcon (_, arg) -> arg
-      | v ->
-        exec_error "argument of non-unary-constructor %s" (Value.to_string v))
+    match leaf cx fr scope e with
+    | Some (Local slot) ->
+      fun _ locals -> con_arg (Array.unsafe_get locals slot)
+    | Some e -> fun env locals -> con_arg (fetch env locals e)
+    | None ->
+      let e = conv cx fr scope e in
+      fun env locals -> con_arg (e env locals))
   | Lambda.Lnewexn (name, has_arg) ->
     (* generative: a fresh identity on every evaluation *)
     fun _ _ -> Vexnid (fresh_exnid name has_arg)
@@ -455,21 +543,28 @@ and conv_test cx fr scope (term : Lambda.t) : test =
   | Lambda.Lapp
       (Lambda.Lprim P.Peq, Lambda.Ltuple [ Lambda.Lcontag e; Lambda.Lint tag ])
     -> (
-    let e = conv cx fr scope e in
-    fun env locals ->
-      match e env locals with
-      | Vcon0 t | Vcon (t, _) -> t = tag
-      | v -> exec_error "tag of non-constructor %s" (Value.to_string v))
+    match leaf cx fr scope e with
+    | Some (Local slot) ->
+      fun _ locals -> con_tag (Array.unsafe_get locals slot) = tag
+    | Some e -> fun env locals -> con_tag (fetch env locals e) = tag
+    | None ->
+      let e = conv cx fr scope e in
+      fun env locals -> con_tag (e env locals) = tag)
   | Lambda.Lapp (Lambda.Lprim p, Lambda.Ltuple [ a; b ]) -> (
     match int_compare p with
-    | Some op ->
-      let a = conv cx fr scope a and b = conv cx fr scope b in
-      fun env locals ->
-        let x = a env locals in
-        let y = b env locals in
-        (match (x, y) with
-        | Vint m, Vint n -> op m n
-        | _ -> truth (apply_prim (current ()) p (Vtuple [| x; y |])))
+    | Some op -> (
+      match (leaf cx fr scope a, leaf cx fr scope b) with
+      | Some (Local i), Some b ->
+        fun env locals ->
+          comparison op p (Array.unsafe_get locals i) (fetch env locals b)
+      | Some a, Some b ->
+        fun env locals ->
+          comparison op p (fetch env locals a) (fetch env locals b)
+      | _ ->
+        let a = conv cx fr scope a and b = conv cx fr scope b in
+        fun env locals ->
+          let x = a env locals in
+          comparison op p x (b env locals))
     | None -> value ())
   | _ -> value ()
 

@@ -355,16 +355,8 @@ let stats_partitions stats =
     ~cutoff:stats.st_cutoff_hits ~recompiled:stats.st_recompiled
     ~cache:stats.st_cache_hits ~loaded:stats.st_loaded
 
-let outcome_of stats file =
-  match
-    List.find_opt
-      (fun (_, files) -> List.exists (String.equal file) files)
-      (stats_partitions stats)
-  with
-  | Some (outcome, _) -> outcome
-  | None -> "unknown"
-
-(* the same rule indexed once, for paths that ask about every unit *)
+(* which partition lists each unit, indexed once for paths that ask
+   about every unit *)
 let outcome_index parts =
   let tbl = Hashtbl.create 64 in
   List.iter
@@ -375,6 +367,8 @@ let outcome_index parts =
         files)
     parts;
   fun file -> Option.value ~default:"unknown" (Hashtbl.find_opt tbl file)
+
+let outcome_of stats = outcome_index (stats_partitions stats)
 
 let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
     ?(retries = 2) ?(backoff_s = 0.001) ?(keep_going = false)
@@ -865,7 +859,7 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
   (match profile with
   | None -> ()
   | Some p ->
-    let outcome = outcome_index (stats_partitions stats) in
+    let outcome = outcome_of stats in
     record_profile p ~wall_s:stats.st_wall_s ~jobs:stats.st_jobs
       ~busy:stats.st_slot_busy_s
       (List.map
@@ -1012,7 +1006,7 @@ let times_index stats =
 
 let pp_report ppf stats =
   let times = times_index stats in
-  let outcome = outcome_index (stats_partitions stats) in
+  let outcome = outcome_of stats in
   Format.fprintf ppf "build report (%s policy, %s)@."
     (policy_name stats.st_policy)
     (Sched.backend_name stats.st_backend);
@@ -1053,7 +1047,7 @@ let diag_json (d : Diag.t) =
 
 let report_json stats =
   let times = times_index stats in
-  let outcome = outcome_index (stats_partitions stats) in
+  let outcome = outcome_of stats in
   Obs.Json.Obj
     [
       ("policy", Obs.Json.String (policy_name stats.st_policy));

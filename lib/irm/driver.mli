@@ -286,7 +286,9 @@ val run : ?output:(string -> unit) -> t -> sources:string list -> Link.Linker.dy
 
 (** [outcome_of stats file] — ["recompiled"], ["loaded"], ["cache"]
     (stale but served from the unit cache), ["cutoff"] (recompiled,
-    interface unchanged), ["failed"], ["skipped"] or ["unknown"]. *)
+    interface unchanged), ["failed"], ["skipped"] or ["unknown"].
+    [outcome_of stats] indexes the build's partitions once: apply it
+    once and ask it about every unit. *)
 val outcome_of : stats -> string -> string
 
 (** [summary_line stats] — the one-line

@@ -53,9 +53,10 @@ let diagnostics_envelope ?(failed = []) ?(skipped = []) diags =
 let build_listing mgr stats =
   let buf = Buffer.create 256 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let outcome = Driver.outcome_of stats in
   List.iter
     (fun file ->
-      match Driver.outcome_of stats file with
+      match outcome file with
       | ("failed" | "skipped") as outcome ->
         pr "%-24s %s  [%s]\n" file (String.make 8 '-') outcome
       | outcome ->

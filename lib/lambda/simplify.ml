@@ -17,14 +17,20 @@ let is_atom = function
 
 let bool_term b = Lcon0 (if b then 1 else 0)
 
+(* an operation that raises at run time (Div, Overflow) stays unfolded *)
 let fold_prim prim args =
   match (prim, args) with
-  | P.Padd, Ltuple [ Lint a; Lint b ] -> Some (Lint (a + b))
-  | P.Psub, Ltuple [ Lint a; Lint b ] -> Some (Lint (a - b))
-  | P.Pmul, Ltuple [ Lint a; Lint b ] -> Some (Lint (a * b))
-  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_div a b))
+  | P.Padd, Ltuple [ Lint a; Lint b ] when not (P.add_overflows a b) ->
+    Some (Lint (a + b))
+  | P.Psub, Ltuple [ Lint a; Lint b ] when not (P.sub_overflows a b) ->
+    Some (Lint (a - b))
+  | P.Pmul, Ltuple [ Lint a; Lint b ] when not (P.mul_overflows a b) ->
+    Some (Lint (a * b))
+  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 && not (P.div_overflows a b)
+    ->
+    Some (Lint (P.int_div a b))
   | P.Pmod, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_mod a b))
-  | P.Pneg, Lint a -> Some (Lint (-a))
+  | P.Pneg, Lint a when not (P.neg_overflows a) -> Some (Lint (-a))
   | P.Plt, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a < b))
   | P.Ple, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a <= b))
   | P.Pgt, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a > b))

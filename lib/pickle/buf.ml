@@ -25,9 +25,10 @@ let raw w s pos n =
   Bytes.blit_string s pos w.buf w.len n;
   w.len <- w.len + n
 
-(* unsigned varint *)
+(* unsigned varint: [n]'s 63 bits, so a zigzagged int at or beyond
+   ±2^61, which is negative, takes nine bytes like any other *)
 let rec uvarint w n =
-  if n < 0x80 then byte w n
+  if n land lnot 0x7F = 0 then byte w n
   else begin
     byte w (0x80 lor (n land 0x7F));
     uvarint w (n lsr 7)

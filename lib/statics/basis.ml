@@ -15,6 +15,7 @@ let bind_stamp = Stamp.Global 101
 let div_stamp = Stamp.Global 102
 let fail_stamp = Stamp.Global 103
 let subscript_stamp = Stamp.Global 104
+let overflow_stamp = Stamp.Global 105
 
 let int_ty = Tcon (int_stamp, [])
 let bool_ty = Tcon (bool_stamp, [])
@@ -48,6 +49,7 @@ let exn_stamps =
     ("Div", div_stamp, None);
     ("Fail", fail_stamp, Some string_ty);
     ("Subscript", subscript_stamp, None);
+    ("Overflow", overflow_stamp, None);
   ]
 
 let tycon_infos =

@@ -34,7 +34,8 @@ val nil_cd : Types.condesc
 val cons_cd : Types.condesc
 
 (** Stamps of the predefined exceptions, in declaration order:
-    Match, Bind, Div, Fail, Subscript. *)
+    Match, Bind, Div, Fail, Subscript, Overflow.  A new exception is
+    appended, so no existing stamp moves. *)
 val exn_stamps : (string * Stamp.t * Types.ty option) list
 
 val match_stamp : Stamp.t
@@ -42,6 +43,7 @@ val bind_stamp : Stamp.t
 val div_stamp : Stamp.t
 val fail_stamp : Stamp.t
 val subscript_stamp : Stamp.t
+val overflow_stamp : Stamp.t
 
 (** [env ()] is the initial static environment.  [register ctx] must be
     called on every new compilation context so the global tycons are

@@ -69,5 +69,28 @@ let int_mod a b =
   let r = a mod b in
   if r <> 0 && (r lxor b) < 0 then r + b else r
 
+(* SML's int arithmetic raises Overflow where OCaml's wraps: each test
+   says whether the wrapped result differs from the exact one.  A sum
+   overflows when its operands share a sign and the result has the
+   other; a difference, when its operands' signs differ and the result's
+   differs from the first operand's.  Two factors within ±2^30 always
+   fit; otherwise the product overflowed unless dividing it back gives
+   the other factor, except for [~1 * min_int], which divides back. *)
+let add_overflows a b =
+  let s = a + b in
+  (a lxor s) land (b lxor s) < 0
+
+let sub_overflows a b =
+  let d = a - b in
+  (a lxor b) land (a lxor d) < 0
+
+let mul_overflows a b =
+  ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 <> 0
+  && a <> 0
+  && ((a * b) / a <> b || (a = -1 && b = min_int))
+
+let neg_overflows a = a = min_int
+let div_overflows a b = a = min_int && b = -1
+
 let equal = ( = )
 let pp ppf p = Format.pp_print_string ppf (name p)

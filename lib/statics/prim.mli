@@ -48,5 +48,15 @@ val int_div : int -> int -> int
     be zero. *)
 val int_mod : int -> int -> int
 
+(** Whether [a + b], [a - b], [a * b], [~a] and [a div b] overflow:
+    SML raises [Overflow] for them where OCaml's arithmetic wraps.
+    [mod] never overflows. *)
+val add_overflows : int -> int -> bool
+
+val sub_overflows : int -> int -> bool
+val mul_overflows : int -> int -> bool
+val neg_overflows : int -> bool
+val div_overflows : int -> int -> bool
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -75,14 +75,39 @@ let rec subst v replacement term =
 
 let bool_term b = Lcon0 (if b then 1 else 0)
 
+(* SML's int arithmetic, exactly: [None] where the result lies outside
+   [min_int, max_int] and SML raises Overflow.  Each bound is compared
+   before the operation, so nothing here wraps. *)
+let exact_add a b =
+  if (b > 0 && a > max_int - b) || (b < 0 && a < min_int - b) then None
+  else Some (a + b)
+
+let exact_sub a b =
+  if (b < 0 && a > max_int + b) || (b > 0 && a < min_int + b) then None
+  else Some (a - b)
+
+let exact_mul a b =
+  let over =
+    if a > 0 && b > 0 then a > max_int / b
+    else if a < 0 && b < 0 then a < max_int / b
+    else if a > 0 && b < 0 then b < min_int / a
+    else if a < 0 && b > 0 then a < min_int / b
+    else false
+  in
+  if over then None else Some (a * b)
+
+let exact_neg a = if a = min_int then None else Some (-a)
+
 let fold_prim prim args =
+  let int = Option.map (fun n -> Lint n) in
   match (prim, args) with
-  | P.Padd, Ltuple [ Lint a; Lint b ] -> Some (Lint (a + b))
-  | P.Psub, Ltuple [ Lint a; Lint b ] -> Some (Lint (a - b))
-  | P.Pmul, Ltuple [ Lint a; Lint b ] -> Some (Lint (a * b))
-  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_div a b))
+  | P.Padd, Ltuple [ Lint a; Lint b ] -> int (exact_add a b)
+  | P.Psub, Ltuple [ Lint a; Lint b ] -> int (exact_sub a b)
+  | P.Pmul, Ltuple [ Lint a; Lint b ] -> int (exact_mul a b)
+  | P.Pdiv, Ltuple [ Lint a; Lint b ] when b <> 0 ->
+    if a = min_int && b = -1 then None else Some (Lint (P.int_div a b))
   | P.Pmod, Ltuple [ Lint a; Lint b ] when b <> 0 -> Some (Lint (P.int_mod a b))
-  | P.Pneg, Lint a -> Some (Lint (-a))
+  | P.Pneg, Lint a -> int (exact_neg a)
   | P.Plt, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a < b))
   | P.Ple, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a <= b))
   | P.Pgt, Ltuple [ Lint a; Lint b ] -> Some (bool_term (a > b))

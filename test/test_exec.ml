@@ -362,6 +362,233 @@ let test_fused_tests () =
          else "~1 (output \"\")"))
     Statics.Prim.[ Pdiv; Pmod ]
 
+(* ---- leaf operands, read in place ---- *)
+
+(* where a form finds an operand: a local slot, a captured variable, a
+   variable of the initial environment, the literal itself, or code that
+   is no leaf *)
+let sites = [ "local"; "captured"; "initial"; "literal"; "code" ]
+
+(* [place site pos v k] puts the operand [v] at [site] and gives [k] the
+   term that reads it; the result carries the initial environment.
+   [None] when [v] is no literal and [site] is "literal", or raises and
+   [site] is "initial". *)
+let place site pos v k =
+  let open Lambda in
+  let x = Symbol.intern (Printf.sprintf "operand%d" pos) in
+  match site with
+  | "local" -> Option.map (fun (t, env) -> (Llet (x, v, t), env)) (k (Lvar x))
+  | "captured" ->
+    Option.map
+      (fun (t, env) ->
+        (Llet (x, v, Lapp (Lfn (Symbol.intern "u", t), Lint 0)), env))
+      (k (Lvar x))
+  | "initial" -> (
+    let rt = Eval.runtime ~output:ignore ~imports:Pid.Map.empty () in
+    match Eval.run rt v with
+    | value ->
+      Option.map (fun (t, env) -> (t, Symbol.Map.add x value env)) (k (Lvar x))
+    | exception Eval.Sml_raise _ -> None)
+  | "literal" -> ( match v with Lint _ | Lstring _ -> k v | _ -> None)
+  | _ -> k (Llet (x, v, Lvar x))
+
+let env_outcome env run term =
+  term_outcome (fun rt term -> run rt env term) term
+
+(* the executor and the oracle agree on [form] over [operands], and on
+   [expected] when it is given, at every combination of sites *)
+let agree_at_sites ?expected name form operands =
+  let rec combos = function
+    | [] -> [ [] ]
+    | _ :: rest ->
+      List.concat_map
+        (fun site -> List.map (List.cons site) (combos rest))
+        sites
+  in
+  List.iter
+    (fun chosen ->
+      let rec build pos acc = function
+        | [] -> Some (form (List.rev acc), Symbol.Map.empty)
+        | (site, v) :: rest ->
+          place site pos v (fun read -> build (pos + 1) (read :: acc) rest)
+      in
+      match build 0 [] (List.combine chosen operands) with
+      | None -> ()
+      | Some (term, env) ->
+        let label = Printf.sprintf "%s [%s]" name (String.concat ", " chosen) in
+        let oracle = env_outcome env Oracle_eval.eval term in
+        Option.iter
+          (fun e -> Alcotest.(check string) (label ^ " (oracle)") e oracle)
+          expected;
+        Alcotest.(check string) label oracle (env_outcome env Eval.eval term))
+    (combos operands)
+
+let expect_at_sites name form operands expected =
+  agree_at_sites ~expected name form operands
+
+let ok v = Printf.sprintf "%s (output \"\")" v
+
+let test_leaf_forms () =
+  let open Lambda in
+  let module P = Statics.Prim in
+  let sym = Symbol.intern in
+  let prim op a b = Lapp (Lprim op, Ltuple [ a; b ]) in
+  let pair = Ltuple [ Lint 1; Lstring "b" ] in
+  (* #i v, and a projection of a non-tuple or past its end *)
+  let select i = function [ v ] -> Lselect (i, v) | _ -> assert false in
+  expect_at_sites "#0" (select 0) [ pair ] (ok "1");
+  expect_at_sites "#1" (select 1) [ pair ] (ok "\"b\"");
+  expect_at_sites "# of an int" (select 0) [ Lint 5 ]
+    "execute error: bad tuple projection #0 of 5";
+  expect_at_sites "# past the end" (select 2) [ pair ]
+    "execute error: bad tuple projection #2 of (1, \"b\")";
+  (* int arithmetic, a non-int operand, and an operand with an effect *)
+  let binop op = function [ a; b ] -> prim op a b | _ -> assert false in
+  List.iter
+    (fun op ->
+      let name = P.name op in
+      agree_at_sites name (binop op) [ Lint 17; Lint (-5) ];
+      expect_at_sites (name ^ " on a string") (binop op)
+        [ Lint 1; Lstring "s" ]
+        "execute error: primitive expected an int pair, got (1, \"s\")")
+    P.[ Padd; Psub; Pmul; Pdiv; Pmod ];
+  let noisy n = Llet (sym "_", Lapp (Lprim P.Pprint, Lstring "!"), Lint n) in
+  (* an operand with an effect: its output is the run's only where the
+     operand is not in the initial environment *)
+  agree_at_sites "+ after an effect" (binop P.Padd) [ noisy 1; Lint 2 ];
+  same_outcome "+ after an effect" (prim P.Padd (noisy 1) (Lint 2))
+    "3 (output \"!\")";
+  (* comparisons as conditions and as values *)
+  let compare op = function
+    | [ a; b ] -> Lif (prim op a b, Lstring "yes", Lstring "no")
+    | _ -> assert false
+  in
+  List.iter
+    (fun op ->
+      let name = P.name op in
+      agree_at_sites name (compare op) [ Lint 3; Lint 4 ];
+      agree_at_sites (name ^ " as a value") (binop op) [ Lint 4; Lint 4 ])
+    P.[ Plt; Ple; Pgt; Pge; Peq; Pneq ];
+  expect_at_sites "< on a string" (compare P.Plt) [ Lstring "a"; Lint 1 ]
+    "execute error: primitive expected an int pair, got (\"a\", 1)";
+  expect_at_sites "= on strings" (compare P.Peq) [ Lstring "a"; Lstring "a" ]
+    (ok "\"yes\"");
+  (* an application whose head is a variable *)
+  let apply = function [ f; a ] -> Lapp (f, a) | _ -> assert false in
+  let x = sym "x" in
+  expect_at_sites "a closure" apply
+    [ Lfn (x, prim P.Padd (Lvar x) (Lint 1)); Lint 41 ]
+    (ok "42");
+  expect_at_sites "a primitive" apply [ Lprim P.Psize; Lstring "abc" ] (ok "3");
+  expect_at_sites "print" apply [ Lprim P.Pprint; Lstring "hi" ]
+    "() (output \"hi\")";
+  expect_at_sites "an exception constructor" apply
+    [ Lbasisexn (sym "Fail"); Lstring "why" ]
+    (ok "Fail(\"why\")");
+  expect_at_sites "a nullary exception constructor" apply
+    [ Lbasisexn (sym "Div"); Lint 0 ]
+    "execute error: application of a nullary exception constructor";
+  expect_at_sites "a non-function" apply [ Lint 3; Lint 0 ]
+    "execute error: application of non-function 3";
+  expect_at_sites "a non-function to a raising argument" apply
+    [ Lint 3; Lraise (Lmkexn0 (Lbasisexn (sym "Div"))) ]
+    "raised Div (output \"\")";
+  (* a pair of leaves *)
+  let tuple parts = Ltuple parts in
+  expect_at_sites "a pair" tuple [ Lint 1; Lstring "b" ] (ok "(1, \"b\")");
+  (* a constructor's tag test and its argument *)
+  let tag_is k = function
+    | [ v ] -> Lif (prim P.Peq (Lcontag v) (Lint k), Lint 1, Lint 0)
+    | _ -> assert false
+  in
+  expect_at_sites "tag" (tag_is 3) [ Lcon (3, Lint 7) ] (ok "1");
+  expect_at_sites "other tag" (tag_is 1) [ Lcon0 2 ] (ok "0");
+  expect_at_sites "tag of an int" (tag_is 0) [ Lint 5 ]
+    "execute error: tag of non-constructor 5";
+  let arg = function [ v ] -> Lconarg v | _ -> assert false in
+  expect_at_sites "arg" arg [ Lcon (3, Lint 7) ] (ok "7");
+  expect_at_sites "arg of a nullary constructor" arg [ Lcon0 1 ]
+    "execute error: argument of non-unary-constructor con1";
+  expect_at_sites "arg of an int" arg [ Lint 5 ]
+    "execute error: argument of non-unary-constructor 5"
+
+(* ---- Overflow ---- *)
+
+let raised_overflow = "raised Overflow (output \"\")"
+
+let test_overflow () =
+  let open Lambda in
+  let module P = Statics.Prim in
+  let f = Symbol.intern "f" in
+  let expected = function
+    | Some n -> ok (Value.to_string (Value.Vint n))
+    | None -> raised_overflow
+  in
+  let div a b =
+    if a = min_int && b = -1 then None else Some (P.int_div a b)
+  in
+  let cases =
+    [
+      ( P.Padd,
+        Oracle_simplify.exact_add,
+        [ (max_int, 1); (min_int, -1); (max_int, -1); (max_int, min_int) ] );
+      ( P.Psub,
+        Oracle_simplify.exact_sub,
+        [ (min_int, 1); (max_int, -1); (0, min_int); (-1, min_int) ] );
+      ( P.Pmul,
+        Oracle_simplify.exact_mul,
+        [
+          (max_int, 2); (min_int, -1); (-1, min_int); (min_int, 1);
+          (1 lsl 31, 1 lsl 31); (1 lsl 31, -(1 lsl 31)); (max_int, -1);
+          (3037000499, 3037000499); (-3037000500, 3037000500);
+        ] );
+      (P.Pdiv, div, [ (min_int, -1); (min_int, 1); (max_int, -1) ]);
+      ( P.Pmod,
+        (fun a b -> Some (P.int_mod a b)),
+        [ (min_int, -1); (max_int, min_int) ] );
+    ]
+  in
+  List.iter
+    (fun (op, exact, pairs) ->
+      List.iter
+        (fun (a, b) ->
+          let name = Printf.sprintf "%d %s %d" a (P.name op) b in
+          let term = Lapp (Lprim op, Ltuple [ Lint a; Lint b ]) in
+          let want = expected (exact a b) in
+          (* unfolded, at every site, and through the primitive as a value *)
+          expect_at_sites name
+            (function
+              | [ x; y ] -> Lapp (Lprim op, Ltuple [ x; y ])
+              | _ -> assert false)
+            [ Lint a; Lint b ] want;
+          same_outcome (name ^ " via apply")
+            (Llet (f, Lprim op, Lapp (Lvar f, Ltuple [ Lint a; Lint b ])))
+            want;
+          (* folded: an overflowing operation stays in the code *)
+          let simplified = Simplify.term term in
+          Alcotest.(check bool) (name ^ " folds") (exact a b <> None)
+            (match simplified with Lint _ -> true | _ -> false);
+          same_outcome (name ^ " simplified") simplified want)
+        pairs)
+    cases;
+  List.iter
+    (fun a ->
+      let name = Printf.sprintf "~%d" a in
+      let term = Lapp (Lprim P.Pneg, Lint a) in
+      let want = expected (Oracle_simplify.exact_neg a) in
+      same_outcome name term want;
+      same_outcome (name ^ " simplified") (Simplify.term term) want)
+    [ min_int; max_int; min_int + 1 ];
+  (* from source: raised, caught, and at the edge of the range *)
+  expect "4611686018427387903 + 1" raised_overflow;
+  expect "(4611686018427387903 + 1) handle Overflow => 7" (ok "7");
+  expect "~4611686018427387903 - 1" (ok "~4611686018427387904");
+  expect "0 - (~4611686018427387903 - 1)" raised_overflow;
+  expect "(~4611686018427387903 - 1) div ~1" raised_overflow;
+  expect "(~4611686018427387903 - 1) mod ~1" (ok "0");
+  expect "let fun f n = n * 2 in f 4611686018427387903 end" raised_overflow;
+  expect "3037000499 * 3037000499" raised_overflow
+
 let qcheck_differential =
   QCheck.Test.make ~count:80 ~name:"executor agrees with oracle"
     (QCheck.make ~print:fst Test_props.int_exp_gen)
@@ -371,7 +598,7 @@ let qcheck_differential =
       result = run_oracle code
       && result
          = Printf.sprintf "%s (output \"\")"
-             (Value.to_string (Value.Vint expected)))
+             (Test_props.expected_outcome expected))
 
 let suite =
   [
@@ -397,5 +624,7 @@ let suite =
     Alcotest.test_case "print goes to the caller" `Quick
       test_print_goes_to_the_caller;
     Alcotest.test_case "fused tests" `Quick test_fused_tests;
+    Alcotest.test_case "leaf forms" `Quick test_leaf_forms;
+    Alcotest.test_case "overflow" `Quick test_overflow;
     QCheck_alcotest.to_alcotest qcheck_differential;
   ]

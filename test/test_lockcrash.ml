@@ -15,9 +15,10 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error _ -> ()
 
-let fresh_dir =
+(* [f] runs on a fresh directory, which is removed when it returns *)
+let with_dir =
   let n = ref 0 in
-  fun () ->
+  fun f ->
     incr n;
     let dir =
       Filename.concat
@@ -26,7 +27,7 @@ let fresh_dir =
     in
     rm_rf dir;
     Unix.mkdir dir 0o755;
-    dir
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* fork a child that takes the lock, touches [ready], and holds until
    killed; returns its pid once [ready] exists *)
@@ -52,7 +53,7 @@ let spawn_holder dir =
     child
 
 let test_killed_holder_reclaimable () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let child = spawn_holder dir in
   (* while the holder lives, contention names its pid *)
   (match Lock.acquire ~dir with
@@ -69,7 +70,7 @@ let test_killed_holder_reclaimable () =
   Lock.release l
 
 let test_exited_holder_reclaimable () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let ready = Filename.concat dir "ready" in
   (match Unix.fork () with
   | 0 ->
@@ -84,7 +85,7 @@ let test_exited_holder_reclaimable () =
   Lock.release l
 
 let test_stale_lock_file_harmless () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   (* a leftover lock file recording a dead pid, with no lockf record
      behind it: the content is advisory, only the kernel lock gates *)
   Out_channel.with_open_bin (Filename.concat dir Lock.lock_file) (fun oc ->

@@ -19,7 +19,8 @@ let roundtrip_int n =
 let test_varints () =
   List.iter roundtrip_int
     [ 0; 1; -1; 63; 64; -64; -65; 127; 128; 16383; 16384; -100000;
-      max_int / 2; -(max_int / 2) ]
+      max_int / 2; -(max_int / 2); 1 lsl 61; -(1 lsl 61) - 1; max_int;
+      min_int ]
 
 let test_strings_options_lists () =
   let w = Buf.writer () in

@@ -185,7 +185,15 @@ let prop_hash_ignores_trivia =
 (* ------------------------------------------------------------------ *)
 
 (* SML's div rounds toward negative infinity and its mod takes the
-   divisor's sign; OCaml's [/] and [mod] truncate toward zero *)
+   divisor's sign; OCaml's [/] and [mod] truncate toward zero.  Where
+   SML raises Overflow, OCaml wraps. *)
+exception Overflow
+
+let exact = function Some n -> n | None -> raise Overflow
+let ( +! ) a b = exact (Oracle_simplify.exact_add a b)
+let ( -! ) a b = exact (Oracle_simplify.exact_sub a b)
+let ( *! ) a b = exact (Oracle_simplify.exact_mul a b)
+
 let sml_div a b =
   if a mod b <> 0 && (a < 0) <> (b < 0) then (a / b) - 1 else a / b
 
@@ -197,30 +205,35 @@ let comparisons =
     ("<>", ( <> ));
   ]
 
-(* generate an int expression together with its reference value *)
-let int_exp_gen =
+(* generate an int expression together with its reference value, which
+   is computed when forced, so that a branch not taken raises nothing *)
+let int_exp_thunk_gen =
   let open QCheck.Gen in
+  let literal = map (fun v -> (string_of_int v, fun () -> v)) (0 -- 50) in
   sized
   @@ fix (fun self n ->
-         if n <= 0 then map (fun v -> (string_of_int v, v)) (0 -- 50)
+         if n <= 0 then literal
          else
            frequency
              [
-               (1, map (fun v -> (string_of_int v, v)) (0 -- 50));
+               (1, literal);
                ( 2,
                  map2
                    (fun (sa, va) (sb, vb) ->
-                     (Printf.sprintf "(%s + %s)" sa sb, va + vb))
+                     ( Printf.sprintf "(%s + %s)" sa sb,
+                       fun () -> va () +! vb () ))
                    (self (n / 2)) (self (n / 2)) );
                ( 2,
                  map2
                    (fun (sa, va) (sb, vb) ->
-                     (Printf.sprintf "(%s - %s)" sa sb, va - vb))
+                     ( Printf.sprintf "(%s - %s)" sa sb,
+                       fun () -> va () -! vb () ))
                    (self (n / 2)) (self (n / 2)) );
                ( 2,
                  map2
                    (fun (sa, va) (sb, vb) ->
-                     (Printf.sprintf "(%s * %s)" sa sb, va * vb))
+                     ( Printf.sprintf "(%s * %s)" sa sb,
+                       fun () -> va () *! vb () ))
                    (self (n / 3)) (self (n / 3)) );
                ( 1,
                  map2
@@ -228,7 +241,10 @@ let int_exp_gen =
                      (* keep the divisor non-zero *)
                      ( Printf.sprintf "(%s div (%s + 1))" sa
                          (Printf.sprintf "(%s * %s)" sb sb),
-                       sml_div va ((vb * vb) + 1) ))
+                       fun () ->
+                         let a = va () in
+                         let b = vb () in
+                         sml_div a ((b *! b) +! 1) ))
                    (self (n / 3)) (self (n / 3)) );
                ( 1,
                  map3
@@ -236,7 +252,10 @@ let int_exp_gen =
                      (* a non-zero divisor of either sign *)
                      ( Printf.sprintf "(%s mod (%s * ((%s * %s) + 1)))" sa ss sb
                          sb,
-                       sml_mod va (sign * ((vb * vb) + 1)) ))
+                       fun () ->
+                         let a = va () in
+                         let b = vb () in
+                         sml_mod a (sign *! ((b *! b) +! 1)) ))
                    (oneofl [ ("1", 1); ("~1", -1) ])
                    (self (n / 3)) (self (n / 3)) );
                ( 1,
@@ -245,77 +264,88 @@ let int_exp_gen =
                    (fun (sa, va) (sb, vb) (sk, vk) ->
                      ( Printf.sprintf "((%s div (%s mod 3)) handle Div => %s)"
                          sa sb sk,
-                       let d = sml_mod vb 3 in
-                       if d = 0 then vk else sml_div va d ))
+                       fun () ->
+                         let a = va () in
+                         let d = sml_mod (vb ()) 3 in
+                         if d = 0 then vk () else sml_div a d ))
                    (self (n / 3)) (self (n / 3)) (self (n / 3)) );
                ( 2,
                  map3
                    (fun (sa, va) (sb, vb) (sc, vc) ->
                      ( Printf.sprintf "(if %s < %s then %s else %s)" sa sb sc
                          sa,
-                       if va < vb then vc else va ))
+                       fun () -> if va () < vb () then vc () else va () ))
                    (self (n / 3)) (self (n / 3)) (self (n / 3)) );
                ( 2,
                  map3
                    (fun (op, cmp) (sa, va) (sb, vb) ->
                      ( Printf.sprintf "(if %s %s %s then %s else %s)" sa op sb
                          sb sa,
-                       if cmp va vb then vb else va ))
+                       fun () ->
+                         let a = va () in
+                         let b = vb () in
+                         if cmp a b then b else a ))
                    (oneofl comparisons) (self (n / 3)) (self (n / 3)) );
                ( 1,
                  map2
                    (fun (sa, va) (sb, vb) ->
                      ( Printf.sprintf "(let val h = %s in h + %s end)" sa sb,
-                       va + vb ))
+                       fun () -> va () +! vb () ))
                    (self (n / 2)) (self (n / 2)) );
              ])
 
-let eval_int_unit source_exp =
-  let session = Compile.new_session () in
+(* an int expression and its value; [None] where SML raises Overflow *)
+let int_exp_gen =
+  QCheck.Gen.map
+    (fun (src, value) ->
+      (src, match value () with n -> Some n | exception Overflow -> None))
+    int_exp_thunk_gen
+
+(* a term's value, or the name of the exception it raises *)
+let outcome run =
+  match run () with
+  | v -> Value.to_string v
+  | exception Dynamics.Eval.Sml_raise (Value.Vexn (id, _)) ->
+    "raised " ^ Symbol.name id.Value.exn_name
+
+let int_unit ?optimize source_exp =
   let unit_ =
-    Compile.compile session ~name:"p.sml"
+    Compile.compile ?optimize (Compile.new_session ()) ~name:"p.sml"
       ~source:(Printf.sprintf "structure P = struct val r = %s end" source_exp)
       ~imports:[]
   in
-  let dynenv = Compile.execute unit_ Link.Linker.empty in
   let _, pid =
     List.hd unit_.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_exports
   in
-  match Pid.Map.find pid dynenv with
-  | Value.Vrecord fields -> (
-    match Symbol.Map.find (Symbol.intern "r") fields with
-    | Value.Vint n -> n
-    | _ -> failwith "not an int")
-  | _ -> failwith "not a record"
+  (unit_, pid)
+
+(* the unit's [r], or the exception its execute raises *)
+let eval_int_unit ?optimize source_exp =
+  let unit_, pid = int_unit ?optimize source_exp in
+  outcome (fun () ->
+      match Pid.Map.find pid (Compile.execute unit_ Link.Linker.empty) with
+      | Value.Vrecord fields -> Symbol.Map.find (Symbol.intern "r") fields
+      | _ -> failwith "not a record")
+
+let expected_outcome = function
+  | Some n -> Value.to_string (Value.Vint n)
+  | None -> "raised Overflow"
 
 let prop_differential_eval =
   QCheck.Test.make ~count:80
     ~name:"evaluation agrees with the OCaml reference"
     (QCheck.make ~print:fst int_exp_gen)
-    (fun (source, expected) -> eval_int_unit source = expected)
+    (fun (source, expected) ->
+      String.equal (eval_int_unit source) (expected_outcome expected))
 
 let prop_simplifier_preserves_semantics =
   QCheck.Test.make ~count:60
     ~name:"simplifier: optimized = unoptimized result"
     (QCheck.make ~print:fst int_exp_gen)
     (fun (source, _) ->
-      let run optimize =
-        let session = Compile.new_session () in
-        let unit_ =
-          Compile.compile ~optimize session ~name:"p.sml"
-            ~source:
-              (Printf.sprintf "structure P = struct val r = %s end" source)
-            ~imports:[]
-        in
-        let dynenv = Compile.execute unit_ Link.Linker.empty in
-        let _, pid =
-          List.hd unit_.Pickle.Binfile.uf_codeunit.Link.Codeunit.cu_exports
-        in
-        match Pid.Map.find pid dynenv with
-        | Value.Vrecord fields -> Symbol.Map.find (Symbol.intern "r") fields
-        | _ -> failwith "not a record"
-      in
-      Value.equal (run true) (run false))
+      String.equal
+        (eval_int_unit ~optimize:true source)
+        (eval_int_unit ~optimize:false source))
 
 let prop_simplifier_never_grows =
   QCheck.Test.make ~count:60 ~name:"simplifier: code size never grows"
@@ -345,7 +375,7 @@ let prop_simplifier_matches_oracle =
       let shrunk = Simplify.term code and oracle = Oracle_simplify.term code in
       let value term =
         let rt = Dynamics.Eval.runtime ~imports:Pid.Map.empty () in
-        Value.to_string (Oracle_eval.run rt term)
+        outcome (fun () -> Oracle_eval.run rt term)
       in
       Lambda.size shrunk <= Lambda.size oracle
       && String.equal (value shrunk) (value oracle))
