@@ -880,7 +880,7 @@ let e11 () =
 let lambda_of_exp ?(decs = "") src =
   let ctx = Statics.Context.create () in
   Statics.Basis.register ctx;
-  let env = Statics.Basis.env () in
+  let env = Statics.Basis.env in
   let delta, tdecs =
     if decs = "" then (Statics.Types.empty_env, [])
     else

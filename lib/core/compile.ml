@@ -6,7 +6,7 @@ type session = { ctx : Statics.Context.t; basis : Types.env }
 let new_session () =
   let ctx = Statics.Context.create () in
   Statics.Basis.register ctx;
-  { ctx; basis = Statics.Basis.env () }
+  { ctx; basis = Statics.Basis.env }
 
 let context session = session.ctx
 let basis_env session = session.basis

@@ -17,7 +17,7 @@ let create ?(output = print_string) () =
   Statics.Basis.register ctx;
   {
     ctx;
-    senv = Statics.Basis.env ();
+    senv = Statics.Basis.env;
     values = Symbol.Map.empty;
     imports = Digestkit.Pid.Map.empty;
     output;

@@ -290,7 +290,7 @@ let scan_token sc =
       sc.offset <- start + 1;
       if sc.offset < sc.len && is_digit sc.src.[sc.offset] then
         lex_int sc ~start ~negative:true
-      else lex_error sc "'~' must begin a negative integer literal"
+      else Token.ID "~" (* nonfix negation, as in SML *)
     | ch when is_digit ch -> lex_int sc ~start ~negative:false
     | ch when is_id_start ch -> lex_word sc
     | _ -> lex_symbolic sc

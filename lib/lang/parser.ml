@@ -30,15 +30,17 @@ let sync_to_dec st =
   in
   skip ()
 
+(* [expect] and [accept] are only ever given a constant token, which
+   equals a token exactly when it is the same immediate *)
 let expect st tok =
   let got = Lexer.peek st.lx in
-  if got = tok then ignore (Lexer.next st.lx)
+  if got == tok then ignore (Lexer.next st.lx)
   else
     err st "expected '%s' but found '%s'" (Token.to_string tok)
       (Token.to_string got)
 
 let accept st tok =
-  if Lexer.peek st.lx = tok then begin
+  if Lexer.peek st.lx == tok then begin
     ignore (Lexer.next st.lx);
     true
   end
@@ -51,11 +53,16 @@ let expect_id st what =
     Symbol.intern name
   | tok -> err st "expected %s but found '%s'" what (Token.to_string tok)
 
+(* the paths the parser supplies itself: list construction in patterns,
+   dereference *)
+let cons_path = path_of_string "::"
+let deref_path = path_of_string "!"
+
 (* A dotted path: ID (. ID)* *)
 let parse_path st =
   let first = expect_id st "an identifier" in
   let rec loop acc =
-    if Lexer.peek st.lx = Token.DOT then begin
+    if Lexer.peek st.lx == Token.DOT then begin
       ignore (Lexer.next st.lx);
       let next = expect_id st "an identifier after '.'" in
       loop (next :: acc)
@@ -79,7 +86,7 @@ let rec parse_ty st =
 
 and parse_ty_tuple st =
   let first = parse_ty_app st in
-  if Lexer.peek st.lx = Token.STAR then begin
+  if Lexer.peek st.lx == Token.STAR then begin
     let rec loop acc =
       if accept st Token.STAR then loop (parse_ty_app st :: acc)
       else List.rev acc
@@ -173,7 +180,7 @@ and parse_pat_cons st =
     {
       pat_desc =
         Pcon
-          ( path_of_string "::",
+          ( cons_path,
             Some { pat_desc = Ptuple [ left; right ]; pat_loc = loc } );
       pat_loc = loc;
     }
@@ -259,24 +266,38 @@ and parse_pat_atom st =
 
 type assoc = Left | Right
 
+(* An infix operator, with the path its applications refer to: built
+   once here, not on every application. *)
+type infix = { op : path; prec : int; assoc : assoc }
+
 (* SML default fixities for the operators MiniSML supports. *)
-let infix_of_token = function
-  | Token.STAR -> Some ("*", 7, Left)
-  | Token.SLASH -> Some ("/", 7, Left)
-  | Token.ID "div" -> Some ("div", 7, Left)
-  | Token.ID "mod" -> Some ("mod", 7, Left)
-  | Token.PLUS -> Some ("+", 6, Left)
-  | Token.MINUS -> Some ("-", 6, Left)
-  | Token.CARET -> Some ("^", 6, Left)
-  | Token.CONS -> Some ("::", 5, Right)
-  | Token.AT -> Some ("@", 5, Right)
-  | Token.EQUAL -> Some ("=", 4, Left)
-  | Token.NOTEQ -> Some ("<>", 4, Left)
-  | Token.LESS -> Some ("<", 4, Left)
-  | Token.GREATER -> Some (">", 4, Left)
-  | Token.LESSEQ -> Some ("<=", 4, Left)
-  | Token.GREATEREQ -> Some (">=", 4, Left)
-  | Token.ASSIGN -> Some (":=", 3, Left)
+let infix_of_token =
+  let infix name prec assoc = Some { op = path_of_string name; prec; assoc } in
+  let star = infix "*" 7 Left and slash = infix "/" 7 Left
+  and div = infix "div" 7 Left and mod_ = infix "mod" 7 Left
+  and plus = infix "+" 6 Left and minus = infix "-" 6 Left
+  and caret = infix "^" 6 Left and cons = infix "::" 5 Right
+  and at = infix "@" 5 Right and equal = infix "=" 4 Left
+  and noteq = infix "<>" 4 Left and less = infix "<" 4 Left
+  and greater = infix ">" 4 Left and lesseq = infix "<=" 4 Left
+  and greatereq = infix ">=" 4 Left and assign = infix ":=" 3 Left in
+  function
+  | Token.STAR -> star
+  | Token.SLASH -> slash
+  | Token.ID "div" -> div
+  | Token.ID "mod" -> mod_
+  | Token.PLUS -> plus
+  | Token.MINUS -> minus
+  | Token.CARET -> caret
+  | Token.CONS -> cons
+  | Token.AT -> at
+  | Token.EQUAL -> equal
+  | Token.NOTEQ -> noteq
+  | Token.LESS -> less
+  | Token.GREATER -> greater
+  | Token.LESSEQ -> lesseq
+  | Token.GREATEREQ -> greatereq
+  | Token.ASSIGN -> assign
   | _ -> None
 
 let starts_atomic_exp = function
@@ -288,9 +309,9 @@ let starts_atomic_exp = function
 let mkapp f arg =
   { exp_desc = Eapp (f, arg); exp_loc = Loc.merge f.exp_loc arg.exp_loc }
 
-let binop name left right =
+let binop op left right =
   let loc = Loc.merge left.exp_loc right.exp_loc in
-  let f = { exp_desc = Evar (path_of_string name); exp_loc = loc } in
+  let f = { exp_desc = Evar op; exp_loc = loc } in
   mkapp f { exp_desc = Etuple [ left; right ]; exp_loc = loc }
 
 let rec parse_exp_ st =
@@ -332,19 +353,11 @@ and parse_andalso st =
 and parse_infix st min_prec =
   let rec loop left =
     match infix_of_token (Lexer.peek st.lx) with
-    | Some (name, prec, assoc) when prec >= min_prec ->
+    | Some { op; prec; assoc } when prec >= min_prec ->
       ignore (Lexer.next st.lx);
       let next_min = match assoc with Left -> prec + 1 | Right -> prec in
       let right = parse_infix_operand st next_min in
-      let combined =
-        if name = "::" then
-          let loc = Loc.merge left.exp_loc right.exp_loc in
-          mkapp
-            { exp_desc = Evar (path_of_string "::"); exp_loc = loc }
-            { exp_desc = Etuple [ left; right ]; exp_loc = loc }
-        else binop name left right
-      in
-      loop combined
+      loop (binop op left right)
     | _ -> left
   in
   loop (parse_operand st)
@@ -405,7 +418,7 @@ and parse_app st =
   let rec loop f =
     let tok = Lexer.peek st.lx in
     (* [div]/[mod] lex as identifiers but are infix: stop application *)
-    if starts_atomic_exp tok && infix_of_token tok = None then
+    if starts_atomic_exp tok && Option.is_none (infix_of_token tok) then
       loop (mkapp f (parse_atom st))
     else f
   in
@@ -427,22 +440,22 @@ and parse_atom st =
     (* dereference: [!e] is [! e] *)
     ignore (Lexer.next st.lx);
     let arg = parse_atom st in
-    mkapp { exp_desc = Evar (path_of_string "!"); exp_loc = loc } arg
+    mkapp { exp_desc = Evar deref_path; exp_loc = loc } arg
   | Token.OP ->
     ignore (Lexer.next st.lx);
-    let name =
+    let path =
       match Lexer.peek st.lx with
       | Token.ID name ->
         ignore (Lexer.next st.lx);
-        name
+        path_of_string name
       | tok -> (
         match infix_of_token tok with
-        | Some (name, _, _) ->
+        | Some { op; _ } ->
           ignore (Lexer.next st.lx);
-          name
+          op
         | None -> err st "expected an operator after 'op'")
     in
-    { exp_desc = Evar (path_of_string name); exp_loc = loc }
+    { exp_desc = Evar path; exp_loc = loc }
   | Token.HASH -> (
     ignore (Lexer.next st.lx);
     match Lexer.peek st.lx with
@@ -765,7 +778,7 @@ and parse_strexp_base st =
     { str_desc = Slet (decs, body); str_loc = loc }
   | Token.ID _ ->
     let path = parse_path st in
-    if Lexer.peek st.lx = Token.LPAREN then begin
+    if Lexer.peek st.lx == Token.LPAREN then begin
       ignore (Lexer.next st.lx);
       let arg = parse_strexp st in
       expect st Token.RPAREN;
@@ -779,7 +792,7 @@ and parse_sigexp st =
   let base = parse_sigexp_base st in
   (* repeated [where type tyvars longtycon = ty] refinements *)
   let rec post sigexp =
-    if Lexer.peek st.lx = Token.WHERE then begin
+    if Lexer.peek st.lx == Token.WHERE then begin
       ignore (Lexer.next st.lx);
       expect st Token.TYPE;
       let rec specs acc =
@@ -789,7 +802,7 @@ and parse_sigexp st =
         let ws_defn = parse_ty st in
         let acc = { ws_tyvars; ws_path; ws_defn } :: acc in
         (* [where type … and type …] chains *)
-        if Lexer.peek st.lx = Token.AND && Lexer.peek2 st.lx = Token.TYPE then begin
+        if Lexer.peek st.lx == Token.AND && Lexer.peek2 st.lx == Token.TYPE then begin
           ignore (Lexer.next st.lx);
           ignore (Lexer.next st.lx);
           specs acc

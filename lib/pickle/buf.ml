@@ -59,7 +59,7 @@ let pid w p =
   raw w s 0 (String.length s)
 
 let contents w = Bytes.sub_string w.buf 0 w.len
-let hash_contents w ctx = Digestkit.Md5.feed ctx w.buf 0 w.len
+let digest w = Digestkit.Md5.digest_subbytes w.buf 0 w.len
 
 let crc_trailer w =
   let crc = Digestkit.Crc64.(finish (update init w.buf 0 w.len)) in

@@ -22,8 +22,8 @@ val list : writer -> ('a -> unit) -> 'a list -> unit
 val pid : writer -> Digestkit.Pid.t -> unit
 val contents : writer -> string
 
-(** Feed the current contents into an MD5 context without copying. *)
-val hash_contents : writer -> Digestkit.Md5.ctx -> unit
+(** [digest w] is the MD5 of {!contents}, read in place. *)
+val digest : writer -> string
 
 (** [crc_trailer w] appends the big-endian CRC-64 of everything written
     so far: the fixed-width trailer that seals bin files and frames. *)

@@ -21,9 +21,7 @@ let hash_with ctx ~token ~own env =
       | None -> Buf.byte w 0)
     own;
   Serial.write_env w ctx ~token ~with_addrs:false env;
-  let md5 = Digestkit.Md5.init () in
-  Buf.hash_contents w md5;
-  Pid.of_digest (Digestkit.Md5.finish md5)
+  Pid.of_digest (Buf.digest w)
 
 let hash_env ctx env =
   let token, own = Serial.numbering ctx env in
@@ -68,7 +66,8 @@ let top_bindings env =
 
 let binding_pid kind name digest =
   Pid.intrinsic
-    (Printf.sprintf "mod:%s:%s:" kind (Symbol.name name) ^ Pid.to_bytes digest)
+    (String.concat ""
+       [ "mod:"; kind; ":"; Symbol.name name; ":"; Pid.to_bytes digest ])
 
 let dyn_of_binding pid = Pid.intrinsic (Pid.to_bytes pid ^ ":dyn")
 
@@ -121,7 +120,7 @@ let hash_binding ctx ~claim (kind, name, senv) =
   Buf.string w (Symbol.name name);
   let digest_body = hash_with ctx ~token ~own:own_new senv in
   Buf.pid w digest_body;
-  let digest = Pid.intrinsic (Buf.contents w) in
+  let digest = Pid.of_digest (Buf.digest w) in
   (binding_pid kind name digest, own_new)
 
 let check_distinct_names bindings =
@@ -252,7 +251,7 @@ let verify ctx ~name_statics env =
       Buf.string w (Symbol.name name);
       let digest_body = hash_with ctx ~token ~own:own_new senv in
       Buf.pid w digest_body;
-      let recomputed = binding_pid kind name (Pid.intrinsic (Buf.contents w)) in
+      let recomputed = binding_pid kind name (Pid.of_digest (Buf.digest w)) in
       List.iter (fun stamp -> Statics.Stamp.Table.replace seen stamp ()) own_new;
       match List.assoc_opt name name_statics with
       | Some claimed_pid when Pid.equal claimed_pid recomputed -> ()

@@ -97,7 +97,9 @@ let prim_scheme prim =
   | Prim.Pprint -> monotype (Tarrow (string_ty, unit_ty))
   | Prim.Pexit -> { arity = 1; body = Tarrow (int_ty, a) }
 
-let env () =
+(* built once, at module initialisation: the basis holds no unification
+   variable, so every session shares it *)
+let env =
   let env = empty_env in
   (* tycons *)
   let env =

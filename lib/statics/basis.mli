@@ -45,9 +45,9 @@ val fail_stamp : Stamp.t
 val subscript_stamp : Stamp.t
 val overflow_stamp : Stamp.t
 
-(** [env ()] is the initial static environment.  [register ctx] must be
-    called on every new compilation context so the global tycons are
-    resolvable. *)
-val env : unit -> Types.env
+(** [env] is the initial static environment, one value shared by every
+    session.  [register ctx] must be called on every new compilation
+    context so the global tycons are resolvable. *)
+val env : Types.env
 
 val register : Context.t -> unit

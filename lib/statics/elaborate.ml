@@ -277,13 +277,16 @@ let rec elab_pat st env scope (pat : A.pat) : Tast.tpat * ty * binding list =
     (tinner, ty, binds)
 
 let check_distinct loc binds =
-  let seen = Symbol.Table.create 8 in
-  List.iter
-    (fun b ->
-      if Symbol.Table.mem seen b.b_name then
-        err loc "duplicate variable %a in pattern" Symbol.pp b.b_name
-      else Symbol.Table.add seen b.b_name ())
-    binds
+  match binds with
+  | [] | [ _ ] -> ()
+  | _ ->
+    let seen = Symbol.Table.create 8 in
+    List.iter
+      (fun b ->
+        if Symbol.Table.mem seen b.b_name then
+          err loc "duplicate variable %a in pattern" Symbol.pp b.b_name
+        else Symbol.Table.add seen b.b_name ())
+      binds
 
 (* ------------------------------------------------------------------ *)
 (* Value restriction                                                   *)

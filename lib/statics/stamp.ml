@@ -24,8 +24,17 @@ let compare a b =
     let c = Digestkit.Pid.compare p q in
     if c <> 0 then c else Int.compare i j
 
-let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+let equal a b =
+  match (a, b) with
+  | Global x, Global y | Local x, Local y -> x = y
+  | External (p, i), External (q, j) -> i = j && Digestkit.Pid.equal p q
+  | (Global _ | Local _ | External _), _ -> false
+
+(* the int itself for the provenances a unifier meets most; a pid is
+   an MD5, so any of its bytes is as good a hash as all of them *)
+let hash = function
+  | Global n | Local n -> n
+  | External (pid, idx) -> Digestkit.Pid.truncated_bits pid 30 + idx
 
 let pp ppf = function
   | Global n -> Format.fprintf ppf "g%d" n

@@ -40,7 +40,10 @@ let rec adjust ctx cell_id max_level ty =
   | Terror -> ()
 
 let rec unify ctx t1 t2 =
-  let t1 = head_normalize ctx t1 and t2 = head_normalize ctx t2 in
+  (* a type unifies with itself, binding nothing *)
+  if t1 != t2 then unify_heads ctx (head_normalize ctx t1) (head_normalize ctx t2)
+
+and unify_heads ctx t1 t2 =
   match (t1, t2) with
   | Tvar c1, Tvar c2 when c1 == c2 -> ()
   | Tvar ({ contents = Unbound { id; level } } as cell), other

@@ -89,20 +89,37 @@ let pp ppf sym = Format.pp_print_string ppf sym.name
    sequences.  Fresh names only need to be distinct *within* one
    compiled term (binders never cross unit boundaries); cross-domain
    reuse of a name resolves to the same interned symbol and is
-   harmless. *)
-let fresh_key = Domain.DLS.new_key (fun () -> ref 0)
+   harmless.  Each name is spelled into the domain's scratch bytes and
+   looked up in place, so a name interned before allocates nothing. *)
+type fresh_state = { mutable next : int; mutable scratch : Bytes.t }
+
+let fresh_key = Domain.DLS.new_key (fun () -> { next = 0; scratch = Bytes.create 32 })
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
 
 let fresh base =
-  let counter = Domain.DLS.get fresh_key in
-  incr counter;
+  let st = Domain.DLS.get fresh_key in
+  st.next <- st.next + 1;
+  let n = st.next and b = String.length base in
+  let len = b + 1 + digits n in
+  (* longer than the name, so a first sighting copies it out *)
+  if Bytes.length st.scratch <= len then st.scratch <- Bytes.create (2 * len);
+  let buf = st.scratch in
+  Bytes.blit_string base 0 buf 0 b;
   (* '%' cannot appear in a source identifier, so this never collides. *)
-  intern (Printf.sprintf "%s%%%d" base !counter)
+  Bytes.unsafe_set buf b '%';
+  let rec put i n =
+    Bytes.unsafe_set buf i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+    if n >= 10 then put (i - 1) (n / 10)
+  in
+  put (len - 1) n;
+  lookup (Bytes.unsafe_to_string buf) 0 len
 
 let with_fresh_scope f =
-  let counter = Domain.DLS.get fresh_key in
-  let saved = !counter in
-  counter := 0;
-  Fun.protect ~finally:(fun () -> counter := saved) f
+  let st = Domain.DLS.get fresh_key in
+  let saved = st.next in
+  st.next <- 0;
+  Fun.protect ~finally:(fun () -> st.next <- saved) f
 
 module Ord = struct
   type nonrec t = t

@@ -232,7 +232,7 @@ let scan_token cur =
       advance cur;
       if (not (at_end cur)) && is_digit (current cur) then
         lex_int cur ~negative:true
-      else lex_error cur "'~' must begin a negative integer literal"
+      else Token.ID "~"
     | ch when is_digit ch -> lex_int cur ~negative:false
     | ch when is_id_start ch -> lex_word cur
     | _ -> lex_symbolic cur

@@ -118,6 +118,48 @@ let qcheck_md5_avalanche =
       in
       not (String.equal (Digestkit.Md5.digest_string s) (Digestkit.Md5.digest_string s')))
 
+(* a writer's bytes digested where they lie equal the digest of a copy,
+   across the writer's growth from its first 1 KiB *)
+let test_buf_digest_in_place () =
+  let w = Pickle.Buf.writer () in
+  for i = 0 to 3000 do
+    Alcotest.(check string)
+      (Printf.sprintf "after %d writes" i)
+      (Digestkit.Md5.digest_string (Pickle.Buf.contents w))
+      (Pickle.Buf.digest w);
+    Pickle.Buf.int w (i * 7919)
+  done;
+  let b = Bytes.of_string "xxabcxx" in
+  Alcotest.(check string) "a slice" (Digestkit.Md5.digest_string "abc")
+    (Digestkit.Md5.digest_subbytes b 2 3);
+  List.iter
+    (fun (off, len) ->
+      match Digestkit.Md5.digest_subbytes b off len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "slice (%d, %d) must be rejected" off len)
+    [ (-1, 1); (0, -1); (0, 8); (5, 3); (max_int, 1) ]
+
+(* stamps as the unifier and the context tables see them: equality is
+   exactly [compare = 0], and equal stamps hash alike *)
+let qcheck_stamp_kernels =
+  let module Stamp = Statics.Stamp in
+  let pids = Array.init 3 (fun i -> Digestkit.Pid.intrinsic (string_of_int i)) in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Stamp.Global n) (0 -- 8);
+          map (fun n -> Stamp.Local n) (0 -- 8);
+          map2 (fun p i -> Stamp.External (pids.(p), i)) (0 -- 2) (0 -- 8);
+        ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"stamp: equal = (compare = 0), hash respects equal"
+    (QCheck.make ~print:(fun (a, b) -> Stamp.to_string a ^ " " ^ Stamp.to_string b)
+       (QCheck.Gen.pair gen gen))
+    (fun (a, b) ->
+      Stamp.equal a b = (Stamp.compare a b = 0)
+      && ((not (Stamp.equal a b)) || Stamp.hash a = Stamp.hash b))
+
 let qcheck_crc64_append =
   QCheck.Test.make ~count:200 ~name:"crc64: streaming equals one-shot"
     QCheck.(pair (string_of_size Gen.(0 -- 60)) (string_of_size Gen.(0 -- 60)))
@@ -221,4 +263,6 @@ let suite =
     Alcotest.test_case "crc64 split at every position" `Quick
       test_crc64_every_split;
     Alcotest.test_case "hex = Digest.to_hex" `Quick test_hex_matches_stdlib;
+    Alcotest.test_case "md5 of a Buf slice in place" `Quick test_buf_digest_in_place;
+    QCheck_alcotest.to_alcotest qcheck_stamp_kernels;
   ]

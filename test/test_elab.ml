@@ -13,7 +13,7 @@ module Diag = Support.Diag
 let setup () =
   let ctx = Context.create () in
   Basis.register ctx;
-  (ctx, Basis.env ())
+  (ctx, Basis.env)
 
 let infer ?(decs = "") src =
   let ctx, env = setup () in

@@ -12,7 +12,7 @@ module Diag = Support.Diag
 let run ?(decs = "") src =
   let ctx = Context.create () in
   Basis.register ctx;
-  let env = Basis.env () in
+  let env = Basis.env in
   let delta, tdecs =
     if decs = "" then (Types.empty_env, [])
     else Elaborate.elab_decs ctx env (Parser.parse_decs ~file:"pre.sml" decs)

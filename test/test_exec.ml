@@ -16,7 +16,7 @@ module Pid = Digestkit.Pid
 let lambda_of ?(decs = "") src =
   let ctx = Context.create () in
   Basis.register ctx;
-  let env = Basis.env () in
+  let env = Basis.env in
   let delta, tdecs =
     if decs = "" then (Types.empty_env, [])
     else Elaborate.elab_decs ctx env (Parser.parse_decs ~file:"pre.sml" decs)
@@ -584,6 +584,10 @@ let test_overflow () =
   expect "(4611686018427387903 + 1) handle Overflow => 7" (ok "7");
   expect "~4611686018427387903 - 1" (ok "~4611686018427387904");
   expect "0 - (~4611686018427387903 - 1)" raised_overflow;
+  (* [~] as a function: prefix, parenthesised, and at [min_int] *)
+  expect "~ (0 - 3)" (ok "3");
+  expect "let val a = 5 in ~(a) + ~ a end" (ok "~10");
+  expect "let val x = ~4611686018427387903 - 1 in ~ x end" raised_overflow;
   expect "(~4611686018427387903 - 1) div ~1" raised_overflow;
   expect "(~4611686018427387903 - 1) mod ~1" (ok "0");
   expect "let fun f n = n * 2 in f 4611686018427387903 end" raised_overflow;

@@ -18,6 +18,9 @@ let test_lex_basic () =
     (token_strings "val x = 1+2");
   Alcotest.(check string)
     "negative literal" "~3 <eof>" (token_strings "~3");
+  (* a [~] not followed by a digit is the negation identifier *)
+  Alcotest.(check string)
+    "negation" "~ x ~ ( a ) ~ 3 <eof>" (token_strings "~ x ~(a) ~ 3");
   Alcotest.(check string)
     "symbolic longest match" ":> : = => -> <eof>"
     (token_strings ":> : = => ->");

@@ -11,7 +11,7 @@ let warnings_of ?(decs = "") src =
   Basis.register ctx;
   let warnings = ref [] in
   let warn _loc msg = warnings := msg :: !warnings in
-  let env = Basis.env () in
+  let env = Basis.env in
   let env =
     if decs = "" then env
     else
@@ -87,14 +87,14 @@ let test_binding_exhaustiveness () =
   let warnings = ref [] in
   let warn _loc msg = warnings := msg :: !warnings in
   ignore
-    (Elaborate.elab_decs ~warn ctx (Basis.env ())
+    (Elaborate.elab_decs ~warn ctx (Basis.env)
        (Parser.parse_decs ~file:"t.sml" "val x :: _ = [1, 2]"));
   Alcotest.(check bool) "binding warned" true
     (has_warning "not exhaustive" !warnings);
   let warnings2 = ref [] in
   let warn2 _loc msg = warnings2 := msg :: !warnings2 in
   ignore
-    (Elaborate.elab_decs ~warn:warn2 ctx (Basis.env ())
+    (Elaborate.elab_decs ~warn:warn2 ctx (Basis.env)
        (Parser.parse_decs ~file:"t.sml" "val (a, b) = (1, 2)"));
   Alcotest.(check (list string)) "tuple binding clean" [] !warnings2
 

@@ -22,6 +22,28 @@ let test_fresh_no_collision () =
   Alcotest.(check bool) "marker present" true
     (String.contains (Symbol.name f1) '%')
 
+(* generated binder names reach bin bytes, so their spelling is pinned:
+   [base%n], numbered from 1 in each scope, and the outer count resumes
+   after a nested scope *)
+let test_fresh_names_pinned () =
+  let names () = List.map (fun b -> Symbol.name (Symbol.fresh b)) [ "n"; "n"; "x" ] in
+  Symbol.with_fresh_scope (fun () ->
+      Alcotest.(check (list string)) "first scope" [ "n%1"; "n%2"; "x%3" ] (names ());
+      Alcotest.(check (list string)) "nested scope restarts" [ "n%1"; "n%2"; "x%3" ]
+        (Symbol.with_fresh_scope names);
+      Alcotest.(check (list string)) "outer count resumes" [ "n%4"; "n%5"; "x%6" ]
+        (names ());
+      for _ = 7 to 99 do
+        ignore (Symbol.fresh "v")
+      done;
+      Alcotest.(check (list string)) "past two digits"
+        [ "%100"; "a_long_binder_base_name%101" ]
+        (List.map
+           (fun b -> Symbol.name (Symbol.fresh b))
+           [ ""; "a_long_binder_base_name" ]));
+  let sym = Symbol.with_fresh_scope (fun () -> Symbol.fresh "n") in
+  Alcotest.(check bool) "the same interned symbol" true (sym == Symbol.intern "n%1")
+
 let test_symbol_map () =
   let m =
     Symbol.Map.empty
@@ -232,4 +254,5 @@ let suite =
       test_intern_sub_identity;
     Alcotest.test_case "two domains intern the same names" `Quick
       test_intern_two_domains;
+    Alcotest.test_case "fresh names pinned" `Quick test_fresh_names_pinned;
   ]
