@@ -21,7 +21,6 @@
      E16 keep-going/diagnostics overhead, clean DAG (timing)
      E17 worker-backend overhead vs in-process domains (timing + counts)
      E18 observability overhead on a clean parallel build (timing)
-     E19 compile server: warm vs cold rebuilds, client throughput (timing)
      E20 critical-path scheduling vs wavefront: synthetic DAGs, real builds (timing)
      E21 distributed fabric: remote executors + shared cache (timing + counts)
 *)
@@ -46,7 +45,7 @@ let rec rm_rf path =
 (* Machine-readable results: BENCH_sepcomp.json                        *)
 (*                                                                     *)
 (* Schema (see README, "Observability"):                               *)
-(*   { "schema": "smlsep-bench/14", "quick": bool,                     *)
+(*   { "schema": "smlsep-bench/15", "quick": bool,                     *)
 (*     "experiments": {                                                *)
 (*       "build_times":      [{scale,units,lines,policy,build_s,       *)
 (*                             hash_s,dehydrate_s,rehydrate_s,         *)
@@ -69,9 +68,6 @@ let rec rm_rf path =
 (*       "worker_overhead":  [{units,lines,jobs,workers_s,domains_s,   *)
 (*                             overhead_ratio,spawns,ipc_bytes_out,    *)
 (*                             ipc_bytes_in}],                         *)
-(*       "compile_server":   [{scenario,units,lines,cold_s,warm_s,     *)
-(*                             speedup} | {scenario,clients,requests,  *)
-(*                             wall_s,requests_per_s}],                *)
 (*       "critical_path":    [{scenario,nodes,jobs,wavefront_s,        *)
 (*                             critical_path_s,improvement,            *)
 (*                             wavefront_eff,critical_path_eff} |      *)
@@ -99,7 +95,6 @@ let tbl_atomic : J.t list ref = ref []
 let tbl_keepgoing : J.t list ref = ref []
 let tbl_worker : J.t list ref = ref []
 let tbl_obs : J.t list ref = ref []
-let tbl_server : J.t list ref = ref []
 let tbl_sched : J.t list ref = ref []
 let tbl_fabric : J.t list ref = ref []
 let tbl_rehydration : J.t list ref = ref []
@@ -110,7 +105,7 @@ let write_results () =
   let doc =
     J.Obj
       [
-        ("schema", J.String "smlsep-bench/14");
+        ("schema", J.String "smlsep-bench/15");
         ("quick", J.Bool !quick);
         ( "experiments",
           J.Obj
@@ -126,7 +121,6 @@ let write_results () =
               ("keepgoing_overhead", J.List (List.rev !tbl_keepgoing));
               ("worker_overhead", J.List (List.rev !tbl_worker));
               ("observability_overhead", J.List (List.rev !tbl_obs));
-              ("compile_server", J.List (List.rev !tbl_server));
               ("critical_path", J.List (List.rev !tbl_sched));
               ("remote_fabric", J.List (List.rev !tbl_fabric));
             ] );
@@ -1375,198 +1369,6 @@ let e18 () =
     (100. *. overhead) !trace_events !profile_bytes
 
 (* ------------------------------------------------------------------ *)
-(* E19: compile server — warm vs cold rebuilds, client throughput      *)
-(* ------------------------------------------------------------------ *)
-
-(* the daemon's value proposition measured directly: a resident process
-   keeps interned symbols, rehydrated static environments and the cache
-   index alive across builds, so a rebuild skips the one-shot tool's
-   start-from-bins rehydration.  Cold = a fresh manager per build (what
-   plain [irm build] pays after process start); warm = the same builds
-   through the daemon socket, HELLO/request round-trip included.
-   NOTE: forks the daemon and the throughput clients, so main () must
-   call this before anything spawns a domain (fork-after-domains is
-   forbidden) — in particular before E17's in-process domains leg. *)
-let e19 () =
-  section "E19: compile server — warm vs cold rebuilds, client throughput";
-  let units = if !quick then 12 else 24 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "smlsep-e19-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  let fs = Vfs.real ~dir in
-  let project =
-    Gen.create fs
-      (Gen.Random_dag { units; max_deps = 3; seed = 59 })
-      (Gen.sized_profile ~lines:120)
-  in
-  let sources = Gen.sources project in
-  let lines = Gen.total_lines project in
-  fs.Vfs.fs_write "sources.cm" (String.concat "\n" sources ^ "\n");
-  (* seed the artifacts so every measured build is a rebuild *)
-  ignore (Driver.build (Driver.create fs) ~policy:Driver.Cutoff ~sources);
-  (* fork the daemon before any domain exists in this process *)
-  let daemon_pid =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         let cfg =
-           {
-             (Daemon.Server.default_config ~dir) with
-             Daemon.Server.d_log = ignore;
-             d_watch = false;
-             d_poll_s = 3600.;
-           }
-         in
-         Daemon.Server.run (Daemon.Server.create cfg)
-       with _ -> ());
-      (* _exit: never run the parent's at_exit/flushing in the child *)
-      Unix._exit 0
-    | pid -> pid
-  in
-  let connect () =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      match Daemon.Client.connect ~dir () with
-      | Some c -> c
-      | None ->
-        if Unix.gettimeofday () > deadline then
-          failwith "e19: daemon never came up"
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-    in
-    go ()
-  in
-  let build_req =
-    Daemon.Protocol.Build
-      {
-        Daemon.Protocol.b_group = "sources.cm";
-        b_policy = "cutoff";
-        b_jobs = 1;
-        b_cache = false;
-        b_keep_going = false;
-        b_werror = false;
-        b_max_errors = None;
-        b_error_json = false;
-        b_schedule = "wavefront";
-      }
-  in
-  let warm_request c =
-    let r = Daemon.Client.request c build_req in
-    if r.Daemon.Protocol.r_code <> 0 then failwith "e19: daemon build failed"
-  in
-  let c = connect () in
-  warm_request c (* prime the daemon's warm state *);
-  let cold_null_s =
-    time_median (fun () ->
-        ignore (Driver.build (Driver.create fs) ~policy:Driver.Cutoff ~sources))
-  in
-  let warm_null_s = time_median (fun () -> warm_request c) in
-  (* an implementation edit per sample; mtimes pushed past the 1 s
-     file-system granularity so every policy layer sees each edit *)
-  let stamp = ref (Unix.gettimeofday ()) in
-  let edit () =
-    Gen.edit project (Gen.middle_file project) Gen.Impl_change;
-    stamp := !stamp +. 5.;
-    Unix.utimes (Filename.concat dir (Gen.middle_file project)) !stamp !stamp
-  in
-  let cold_edit_s =
-    time_median (fun () ->
-        edit ();
-        ignore (Driver.build (Driver.create fs) ~policy:Driver.Cutoff ~sources))
-  in
-  let warm_edit_s =
-    time_median (fun () ->
-        edit ();
-        warm_request c)
-  in
-  Daemon.Client.close c;
-  let row scenario cold warm =
-    record tbl_server
-      (J.Obj
-         [
-           ("scenario", J.String scenario);
-           ("units", J.Int units);
-           ("lines", J.Int lines);
-           ("cold_s", J.Float cold);
-           ("warm_s", J.Float warm);
-           ("speedup", J.Float (cold /. warm));
-         ])
-  in
-  row "null_rebuild" cold_null_s warm_null_s;
-  row "impl_edit_rebuild" cold_edit_s warm_edit_s;
-  (* throughput: N client processes hammering null rebuilds
-     concurrently — real CLI clients are separate processes, and forked
-     children keep this experiment domain-free.  The daemon serves them
-     one at a time, so this measures socket and scheduling overhead
-     under contention, not parallel compilation *)
-  let requests_per_client = if !quick then 5 else 20 in
-  let throughput n =
-    let t0 = Unix.gettimeofday () in
-    let kids =
-      List.init n (fun _ ->
-          match Unix.fork () with
-          | 0 ->
-            (try
-               let cl = connect () in
-               for _ = 1 to requests_per_client do
-                 warm_request cl
-               done;
-               Daemon.Client.close cl;
-               Unix._exit 0
-             with _ -> Unix._exit 1)
-          | pid -> pid)
-    in
-    List.iter
-      (fun pid ->
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> failwith "e19: throughput client failed")
-      kids;
-    let wall = Unix.gettimeofday () -. t0 in
-    let total = n * requests_per_client in
-    let rps = float_of_int total /. wall in
-    record tbl_server
-      (J.Obj
-         [
-           ("scenario", J.String "throughput");
-           ("clients", J.Int n);
-           ("requests", J.Int total);
-           ("wall_s", J.Float wall);
-           ("requests_per_s", J.Float rps);
-         ]);
-    (wall, rps)
-  in
-  let rates = List.map (fun n -> (n, throughput n)) [ 1; 4; 8 ] in
-  (* clean shutdown: ask nicely over the socket, then reap the child *)
-  let stop = connect () in
-  ignore (Daemon.Client.request stop Daemon.Protocol.Shutdown);
-  Daemon.Client.close stop;
-  ignore (Unix.waitpid [] daemon_pid);
-  rm_rf dir;
-  Printf.printf
-    "%d units, %d lines (medians; daemon round-trip included in warm)\n\
-     null rebuild   cold %8.3f ms   warm %8.3f ms   speedup %5.2fx\n\
-     impl rebuild   cold %8.3f ms   warm %8.3f ms   speedup %5.2fx\n"
-    units lines (1000. *. cold_null_s) (1000. *. warm_null_s)
-    (cold_null_s /. warm_null_s)
-    (1000. *. cold_edit_s) (1000. *. warm_edit_s)
-    (cold_edit_s /. warm_edit_s);
-  List.iter
-    (fun (n, (wall, rps)) ->
-      Printf.printf
-        "  %d client%s  %3d null builds in %7.3f s   %8.1f req/s\n"
-        n
-        (if n = 1 then " " else "s")
-        (n * requests_per_client) wall rps)
-    rates
-
-(* ------------------------------------------------------------------ *)
 (* E20: critical-path scheduling vs wavefront                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1995,12 +1797,10 @@ let () =
   e10 ();
   e11 ();
   if not !quick then e12 ();
-  (* E19 forks the daemon and its clients, E21 forks executor and
-     cache-service processes, and E17 forks worker processes, so all
-     three must run before anything creates a domain
-     (fork-after-domains is forbidden).  E17's own domains variant
-     makes it the last safe moment to fork, hence E19/E21 first. *)
-  e19 ();
+  (* E21 forks executor and cache-service processes, and E17 forks
+     worker processes, so both must run before anything creates a
+     domain (fork-after-domains is forbidden).  E17's own domains
+     variant makes it the last safe moment to fork, hence E21 first. *)
   e21 ();
   e17 ();
   e13 ();

@@ -25,10 +25,14 @@ let acquire ~dir =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
   match Unix.lockf fd Unix.F_TLOCK 0 with
   | () ->
-    (* record who holds it, for the diagnostic the loser prints *)
-    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-    (try Unix.ftruncate fd 0 with Unix.Unix_error _ -> ());
-    let pid = string_of_int (Unix.getpid ()) ^ "\n" in
+    (* record who holds it, for the diagnostic the loser prints: a
+       fixed-width line overwrites the last holder's in place, so only
+       a file of another size (new, old-format, foreign) is truncated *)
+    let pid = Printf.sprintf "%10d\n" (Unix.getpid ()) in
+    (try
+       if (Unix.fstat fd).Unix.st_size <> String.length pid then
+         Unix.ftruncate fd 0
+     with Unix.Unix_error _ -> ());
     ignore (Unix.write_substring fd pid 0 (String.length pid));
     Mutex.protect local_mutex (fun () -> Hashtbl.replace held_local path ());
     { l_fd = fd; l_path = path; l_released = false }

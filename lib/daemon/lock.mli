@@ -11,7 +11,9 @@
     Implemented with [Unix.lockf] (POSIX advisory record locking) over
     a lock file next to the stores, so it works on any host file
     system and evaporates with the holding process: a crashed build
-    never leaves a stale lock behind. *)
+    never leaves a stale lock behind.  The holder's pid is a
+    fixed-width line written over the last holder's, so the file is
+    truncated only when it has another size. *)
 
 (** The lock file's name, relative to the project root. *)
 val lock_file : string

@@ -21,9 +21,9 @@ let create fs = { fs; files = []; marks = Hashtbl.create 16 }
 let track t files =
   let keep = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace keep f ()) files;
-  Hashtbl.iter
-    (fun f _ -> if not (Hashtbl.mem keep f) then Hashtbl.remove t.marks f)
-    (Hashtbl.copy t.marks);
+  Hashtbl.filter_map_inplace
+    (fun f mark -> if Hashtbl.mem keep f then Some mark else None)
+    t.marks;
   List.iter
     (fun f ->
       if not (Hashtbl.mem t.marks f) then

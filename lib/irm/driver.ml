@@ -855,9 +855,16 @@ let build ?(backend = Serial) ?(schedule = Wavefront) ?cache ?profile
       st_schedule = schedule;
     }
   in
-  (* fold the build into the profile store (one committed record) *)
+  (* fold the build into the profile store (one committed record) —
+     unless it compiled nothing and the store already knows every unit:
+     such a record would feed no aggregate, explain no rebuild and push
+     a build that did work out of the history *)
   (match profile with
   | None -> ()
+  | Some p
+    when recompiled = [] && cache_hits = [] && failed = [] && skipped = []
+         && List.for_all (Obs.Profile.known p) order ->
+    ()
   | Some p ->
     let outcome = outcome_of stats in
     record_profile p ~wall_s:stats.st_wall_s ~jobs:stats.st_jobs

@@ -191,9 +191,15 @@ val dependency_graph :
     per-unit outcomes, causes, phase durations, import pids, slot
     occupancy — into the persistent profile store ({!Obs.Profile});
     it also lets the driver tell an [Evicted] bin apart from a
-    [First_build].  Transient file-system faults ({!Vfs.Fault} with
-    [fault_transient]) are retried up to [retries] times (default 2)
-    with exponential backoff starting at [backoff_s] seconds.
+    [First_build].  A build that compiled nothing is not recorded:
+    when no unit recompiled, hit the cache, failed or was skipped, and
+    {!Obs.Profile.known} holds for every unit, the store is left
+    untouched, and the build's {!stats.st_build_id} is the id the next
+    recorded build takes.  An interrupted build, and a null build over
+    a unit the store does not know, still record.  Transient
+    file-system faults ({!Vfs.Fault} with [fault_transient]) are
+    retried up to [retries] times (default 2) with exponential backoff
+    starting at [backoff_s] seconds.
     Raises {!Support.Diag.Error} on missing sources, cycles, or compile
     errors — under [Parallel] the error reported is the one a serial
     left-to-right build would have raised.

@@ -1,12 +1,17 @@
 (** The persistent build profile store.
 
-    Every build records, per unit: its outcome, the structured cause of
-    its recompilation (with culprit imports), its scheduler timestamps,
-    its per-phase compile durations, and the interface pids of its
-    imports.  The store keeps a bounded history of whole builds plus a
-    rolling per-unit aggregate (EWMA + max of compile time) across all
-    builds — the duration feed a profile-guided critical-path scheduler
-    needs (ROADMAP item 4), and the database behind [irm explain] and
+    Every build that did work records, per unit: its outcome, the
+    structured cause of its recompilation (with culprit imports), its
+    scheduler timestamps, its per-phase compile durations, and the
+    interface pids of its imports.  A build that compiled nothing —
+    every unit loaded up to date, and every unit already {!known} — is
+    not recorded: its record would feed no aggregate and explain no
+    rebuild, and it would push the last build that did work out of the
+    history that [irm explain] and [irm profile] describe.  The store
+    keeps a bounded history of whole builds plus a rolling per-unit
+    aggregate (EWMA + max of compile time) across all builds — the
+    duration feed a profile-guided critical-path scheduler needs
+    (ROADMAP item 4), and the database behind [irm explain] and
     [irm profile].
 
     Persistence is a {!Vfs.Journal} store, as the cache index is: a

@@ -672,6 +672,28 @@ let test_lock_contention_diagnostic () =
   Alcotest.(check int) "unlocked build ok" 0 resp2.Protocol.r_code;
   disconnect c
 
+(* the holder is a fixed-width line: a stale line of any other width,
+   or foreign bytes of the same width, read back as exactly our pid *)
+let test_lock_rewrites_stale_holder () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir Lock.lock_file in
+  let ours = Printf.sprintf "%10d\n" (Unix.getpid ()) in
+  List.iter
+    (fun (what, stale) ->
+      write_file dir Lock.lock_file stale;
+      let l = Lock.acquire ~dir in
+      Alcotest.(check string)
+        (what ^ ": the file holds our pid")
+        ours
+        (In_channel.with_open_bin path In_channel.input_all);
+      Lock.release l)
+    [
+      ("a longer stale line", "123456789012345678901234567890\n");
+      ("the old unpadded format", "99999999\n");
+      ("foreign bytes of the same width", "not-a-pid\n\n");
+      ("our own line", ours);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The watcher                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1581,6 +1603,46 @@ let test_interrupt_passes_through_daemon () =
     (Frame.pop c.buf = None);
   disconnect c
 
+(* the profile store's files under [dir] with their bytes, and its
+   next id *)
+let store_state dir =
+  let pdir = Filename.concat dir Obs.Profile.default_dir in
+  ( List.map
+      (fun f ->
+        (f, In_channel.with_open_bin (Filename.concat pdir f) In_channel.input_all))
+      (List.sort String.compare (Array.to_list (Sys.readdir pdir))),
+    Obs.Profile.next_id (Obs.Profile.load (Vfs.real ~dir)) )
+
+(* after a real build, twenty null daemon requests (Build and Run in
+   turn) and a null one-shot build leave the store byte-identical *)
+let test_null_requests_write_no_profile () =
+  let dir = fresh_hot_project () in
+  with_server (test_config dir) @@ fun srv ->
+  let c = client_of srv dir in
+  let opts = build_opts "sources.cm" in
+  let resp, _ = rpc srv c ~id:"r0" (Protocol.Run opts) in
+  Alcotest.(check int) "the real build runs" 0 resp.Protocol.r_code;
+  let before = store_state dir in
+  for i = 1 to 20 do
+    let id = Printf.sprintf "n%d" i in
+    if i mod 2 = 0 then begin
+      let resp, _ = rpc srv c ~id (Protocol.Run opts) in
+      Alcotest.(check (pair int string))
+        "null Run" (0, "30") (resp.Protocol.r_code, resp.Protocol.r_out)
+    end
+    else begin
+      let resp, _ = rpc srv c ~id (Protocol.Build opts) in
+      Alcotest.(check int) "null Build" 0 resp.Protocol.r_code;
+      Alcotest.(check bool) "null Build compiled nothing" true
+        (contains ~needle:"0 recompiled / 4 loaded" resp.Protocol.r_out)
+    end
+  done;
+  let code, _, _, _ = inprocess ~run:false dir opts in
+  Alcotest.(check int) "null one-shot build ok" 0 code;
+  Alcotest.(check (pair (list (pair string string)) int))
+    "the store is byte-identical" before (store_state dir);
+  disconnect c
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -1647,4 +1709,8 @@ let suite =
       test_oneshot_trace;
     Alcotest.test_case "interrupt passes through the daemon" `Quick
       test_interrupt_passes_through_daemon;
+    Alcotest.test_case "lock rewrites a stale holder" `Quick
+      test_lock_rewrites_stale_holder;
+    Alcotest.test_case "null requests write no profile record" `Quick
+      test_null_requests_write_no_profile;
   ]

@@ -102,6 +102,40 @@ let test_stale_lock_file_harmless () =
       holder);
   Lock.release l
 
+let test_forked_contender_sees_holder () =
+  with_dir @@ fun dir ->
+  (* an old-format line left by a dead holder, rewritten by ours *)
+  Out_channel.with_open_bin (Filename.concat dir Lock.lock_file) (fun oc ->
+      Out_channel.output_string oc "4242\n");
+  let go = Filename.concat dir "go" and seen = Filename.concat dir "seen" in
+  (* the contender forks before the lock is taken, so it inherits no
+     record of it and contends through the kernel lock alone *)
+  match Unix.fork () with
+  | 0 ->
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Sys.file_exists go)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    let code =
+      match Lock.acquire ~dir with
+      | _ -> 1
+      | exception Lock.Held { holder; _ } ->
+        Out_channel.with_open_bin seen (fun oc ->
+            Out_channel.output_string oc holder);
+        0
+    in
+    Unix._exit code
+  | child ->
+    let l = Lock.acquire ~dir in
+    Out_channel.with_open_bin go (fun oc -> Out_channel.output_string oc "g");
+    let status = snd (Unix.waitpid [] child) in
+    Lock.release l;
+    Alcotest.(check bool) "the contender got Held" true
+      (status = Unix.WEXITED 0);
+    Alcotest.(check string) "Held names the holder"
+      (string_of_int (Unix.getpid ()))
+      (In_channel.with_open_bin seen In_channel.input_all)
+
 let suite =
   [
     Alcotest.test_case "SIGKILL'd holder is reclaimable" `Quick
@@ -110,4 +144,6 @@ let suite =
       test_exited_holder_reclaimable;
     Alcotest.test_case "stale lock file is harmless" `Quick
       test_stale_lock_file_harmless;
+    Alcotest.test_case "a forked contender sees the holder" `Quick
+      test_forked_contender_sees_holder;
   ]

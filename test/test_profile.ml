@@ -1031,6 +1031,154 @@ let test_legacy_format_loads () =
     ~ids:(List.init 16 (fun i -> i + 13))
     ~next:29 ~compiles:28
 
+(* ------------------------------------------------------------------ *)
+(* A build that compiled nothing is not recorded                       *)
+(* ------------------------------------------------------------------ *)
+
+(* every file of [fs] with its bytes, and the store's next id *)
+let fs_state fs =
+  ( List.map
+      (fun f -> (f, fs.Vfs.fs_read f))
+      (List.sort String.compare (fs.Vfs.fs_list ())),
+    Profile.next_id (Profile.load fs) )
+
+let check_fs_state what expected fs =
+  Alcotest.(check (pair (list (pair string (option string))) int))
+    what expected (fs_state fs)
+
+let test_null_builds_write_nothing () =
+  let fs = Vfs.memory () in
+  let profile = Profile.load fs in
+  let mgr = Driver.create fs in
+  let sources = write_chain fs in
+  let _ = Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources in
+  let before = fs_state fs in
+  let next = Profile.next_id profile in
+  for i = 1 to 20 do
+    (* the warm manager a daemon keeps, and a one-shot's fresh manager
+       over a freshly loaded store, in turn *)
+    let profile, mgr =
+      if i mod 2 = 0 then (profile, mgr) else (Profile.load fs, Driver.create fs)
+    in
+    let stats = Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources in
+    Alcotest.(check int) "every unit loaded" 3 (List.length stats.Driver.st_loaded);
+    Alcotest.(check int) "an unrecorded build carries the next id" next
+      stats.Driver.st_build_id
+  done;
+  check_fs_state "twenty null builds leave the store byte-identical" before fs
+
+let test_work_still_records () =
+  let fs = Vfs.memory () in
+  let profile = Profile.load fs in
+  let cache = Cache.ops (Cache.create fs) in
+  let mgr = Driver.create fs in
+  let sources = write_chain fs in
+  let _ = Driver.build ~profile ~cache mgr ~policy:Driver.Cutoff ~sources in
+  (* [change ()], then a build: it is the store's next record, and
+     [unit_] has [outcome] in it *)
+  let records what ~unit_ ~outcome change =
+    change ();
+    let id = Profile.next_id profile in
+    let stats =
+      Driver.build ~profile ~cache ~keep_going:true mgr ~policy:Driver.Cutoff
+        ~sources
+    in
+    Alcotest.(check int) (what ^ ": build id") id stats.Driver.st_build_id;
+    match Profile.last (Profile.load fs) with
+    | Some b when b.Profile.bp_id = id ->
+      Alcotest.(check (option string))
+        (what ^ ": outcome") (Some outcome)
+        (Option.map
+           (fun u -> u.Profile.up_outcome)
+           (Profile.find_unit b unit_))
+    | Some _ | None -> Alcotest.fail (what ^ ": build not recorded")
+  in
+  records "a cutoff hit" ~unit_:"base.sml" ~outcome:"cutoff" (fun () ->
+      fs.Vfs.fs_write "base.sml"
+        "structure Base = struct val origin = 10 fun scale n = n * origin end (* c *)");
+  records "a recompile" ~unit_:"top.sml" ~outcome:"recompiled" (fun () ->
+      fs.Vfs.fs_write "top.sml"
+        "structure Top = struct val result = Mid.v + Base.origin val extra = 1 end");
+  records "a cache hit" ~unit_:"mid.sml" ~outcome:"cache" (fun () ->
+      fs.Vfs.fs_remove "mid.sml.bin");
+  records "a failure" ~unit_:"top.sml" ~outcome:"failed" (fun () ->
+      fs.Vfs.fs_write "top.sml" "structure Top = struct val result = nope end");
+  records "a skip" ~unit_:"top.sml" ~outcome:"skipped" (fun () ->
+      fs.Vfs.fs_write "top.sml"
+        "structure Top = struct val result = Mid.v + Base.origin end";
+      fs.Vfs.fs_write "mid.sml" "structure Mid = struct val v = nope end")
+
+let test_unknown_unit_null_build_records () =
+  let fs = Vfs.memory () in
+  let mgr = Driver.create fs in
+  let sources = write_chain fs in
+  (* bins built without a store: a fresh store over them knows no unit *)
+  let _ = Driver.build mgr ~policy:Driver.Cutoff ~sources in
+  let profile = Profile.load fs in
+  let stats = Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources in
+  Alcotest.(check int) "nothing compiled" 0
+    (List.length stats.Driver.st_recompiled);
+  (match Profile.last (Profile.load fs) with
+  | Some b ->
+    Alcotest.(check int) "recorded under its id" stats.Driver.st_build_id
+      b.Profile.bp_id;
+    Alcotest.(check (list string))
+      "every unit recorded as loaded" [ "loaded"; "loaded"; "loaded" ]
+      (List.map (fun u -> u.Profile.up_outcome) b.Profile.bp_units)
+  | None -> Alcotest.fail "a null build over unknown units must record");
+  (* now the store knows every unit, so the next null build is not
+     recorded *)
+  let before = fs_state fs in
+  let _ = Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources in
+  check_fs_state "the store, once it knows every unit, stays put" before fs
+
+let test_explain_survives_null_builds () =
+  let fs = Vfs.memory () in
+  let profile = Profile.load fs in
+  let mgr = Driver.create fs in
+  fs.Vfs.fs_write "base.sml" "structure Base = struct val origin = 10 end";
+  fs.Vfs.fs_write "mid1.sml" "structure Mid1 = struct val a = Base.origin end";
+  fs.Vfs.fs_write "mid2.sml"
+    "structure Mid2 = struct val b = Base.origin + 1 end";
+  fs.Vfs.fs_write "top.sml"
+    "structure Top = struct val r = Mid1.a + Mid2.b end";
+  let sources = [ "base.sml"; "mid1.sml"; "mid2.sml"; "top.sml" ] in
+  let build () = Driver.build ~profile mgr ~policy:Driver.Cutoff ~sources in
+  let _ = build () in
+  fs.Vfs.fs_write "base.sml"
+    "structure Base = struct val origin = 10 val extra = 1 end";
+  let edit_id = (build ()).Driver.st_build_id in
+  for _ = 1 to 3 do
+    ignore (build ())
+  done;
+  let explain unit_ =
+    let r = Irm.Introspect.explain (Profile.load fs) ~unit_name:unit_ ~json:true in
+    Alcotest.(check int) (unit_ ^ ": explained") 0 r.Irm.Introspect.r_code;
+    let j = Obs.Json.parse r.Irm.Introspect.r_out in
+    let str k =
+      match Obs.Json.member k j with
+      | Some (Obs.Json.String s) -> s
+      | _ -> Alcotest.fail (unit_ ^ ": no " ^ k)
+    in
+    ( (match Obs.Json.member "build" j with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> Alcotest.fail (unit_ ^ ": no build")),
+      str "cause",
+      match Obs.Json.member "culprits" j with
+      | Some (Obs.Json.List cs) ->
+        List.map (function Obs.Json.String c -> c | _ -> "?") cs
+      | _ -> Alcotest.fail (unit_ ^ ": no culprits") )
+  in
+  let expect = Alcotest.(triple int string (list string)) in
+  Alcotest.check expect "the edited unit" (edit_id, "source-changed", [])
+    (explain "base.sml");
+  List.iter
+    (fun mid ->
+      Alcotest.check expect ("importer " ^ mid)
+        (edit_id, "import-pid-changed", [ "base.sml" ])
+        (explain mid))
+    [ "mid1.sml"; "mid2.sml" ]
+
 let suite =
   [
     Alcotest.test_case "store round-trips through snapshot+journal" `Quick
@@ -1078,4 +1226,12 @@ let suite =
       test_torn_legacy_journal;
     Alcotest.test_case "legacy-format store loads and converts" `Quick
       test_legacy_format_loads;
+    Alcotest.test_case "null builds write nothing" `Quick
+      test_null_builds_write_nothing;
+    Alcotest.test_case "a build that did work records" `Quick
+      test_work_still_records;
+    Alcotest.test_case "a null build over unknown units records" `Quick
+      test_unknown_unit_null_build_records;
+    Alcotest.test_case "explain survives null builds" `Quick
+      test_explain_survives_null_builds;
   ]
